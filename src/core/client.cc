@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <numeric>
+#include <type_traits>
 
 #include "common/backoff.h"
 #include "common/logging.h"
@@ -201,9 +202,8 @@ sim::SubTask<> PortusClient::register_shard(dnn::Model& model, ShardBinding bind
   const auto reply = co_await roundtrip(std::move(wire));
   const auto ack = decode_register_ack(reply);
   if (ack.epoch_mismatch) {
-    throw EpochMismatch(strf("registration of {} rejected: stale membership epoch {} "
-                             "(daemon at {})",
-                             reg_name, membership_epoch_, ack.current_membership_epoch));
+    throw EpochMismatch(
+        stale_epoch_message("registration", reg_name, ack.current_membership_epoch));
   }
   PORTUS_CHECK(ack.ok, "registration rejected: " + ack.error);
   stats_.negotiated_stripes = ack.stripes;
@@ -221,51 +221,27 @@ sim::SubTask<std::uint64_t> PortusClient::checkpoint(dnn::Model& model,
   co_return co_await checkpoint_incremental(model, iteration, {});
 }
 
+// NOTE: request messages are materialized into locals before co_await —
+// GCC 12 miscompiles non-trivial temporaries inside co_await
+// full-expressions (double destruction after resumption).
 sim::SubTask<std::uint64_t> PortusClient::checkpoint_named(std::string reg_name,
                                                            std::uint64_t iteration) {
-  const Time t0 = cluster_.engine().now();
-  // NOTE: temporaries are materialized into locals before co_await — GCC 12
-  // miscompiles non-trivial temporaries inside co_await full-expressions
-  // (double destruction after resumption).
   CheckpointReqMsg req{.model_name = std::move(reg_name),
                        .iteration = iteration,
                        .dirty_indices = {},
                        .membership_epoch = membership_epoch_};
   auto wire = encode(req);
-  const auto reply = co_await retrying_roundtrip(std::move(wire));
-  const auto done = decode_checkpoint_done(reply);
-  if (done.epoch_mismatch) {
-    throw EpochMismatch(strf("checkpoint of {} rejected: stale membership epoch {} "
-                             "(daemon at {})",
-                             done.model_name, membership_epoch_, done.current_epoch));
-  }
-  PORTUS_CHECK(done.ok, "checkpoint failed: " + done.error);
-  ++stats_.checkpoints;
-  stats_.last_checkpoint = cluster_.engine().now() - t0;
-  stats_.last_payload_crc = done.payload_crc;
-  co_return done.epoch;
+  co_return co_await request<CheckpointDoneMsg>(std::move(wire));
 }
 
 sim::SubTask<std::uint64_t> PortusClient::checkpoint_incremental(
     dnn::Model& model, std::uint64_t iteration, std::vector<std::uint32_t> dirty_indices) {
-  const Time t0 = cluster_.engine().now();
   CheckpointReqMsg req{.model_name = model.name(),
                        .iteration = iteration,
                        .dirty_indices = std::move(dirty_indices),
                        .membership_epoch = membership_epoch_};
   auto wire = encode(req);
-  const auto reply = co_await retrying_roundtrip(std::move(wire));
-  const auto done = decode_checkpoint_done(reply);
-  if (done.epoch_mismatch) {
-    throw EpochMismatch(strf("checkpoint of {} rejected: stale membership epoch {} "
-                             "(daemon at {})",
-                             done.model_name, membership_epoch_, done.current_epoch));
-  }
-  PORTUS_CHECK(done.ok, "checkpoint failed: " + done.error);
-  ++stats_.checkpoints;
-  stats_.last_checkpoint = cluster_.engine().now() - t0;
-  stats_.last_payload_crc = done.payload_crc;
-  co_return done.epoch;
+  co_return co_await request<CheckpointDoneMsg>(std::move(wire));
 }
 
 sim::SubTask<std::uint64_t> PortusClient::restore(dnn::Model& model) {
@@ -274,21 +250,37 @@ sim::SubTask<std::uint64_t> PortusClient::restore(dnn::Model& model) {
 
 sim::SubTask<std::uint64_t> PortusClient::restore_named(std::string reg_name,
                                                         std::uint64_t required_epoch) {
-  const Time t0 = cluster_.engine().now();
   RestoreReqMsg req{.model_name = std::move(reg_name),
                     .required_epoch = required_epoch,
                     .membership_epoch = membership_epoch_};
   auto wire = encode(req);
-  const auto reply = co_await retrying_roundtrip(std::move(wire));
-  const auto done = decode_restore_done(reply);
-  if (done.epoch_mismatch) {
-    throw EpochMismatch(strf("restore of {} rejected: stale membership epoch {} "
-                             "(daemon at {})",
-                             done.model_name, membership_epoch_, done.current_epoch));
+  co_return co_await request<RestoreDoneMsg>(std::move(wire));
+}
+
+std::string PortusClient::stale_epoch_message(const char* op, const std::string& reg_name,
+                                              std::uint64_t daemon_epoch) const {
+  return strf("{} of {} rejected: stale membership epoch {} (daemon at {})", op, reg_name,
+              membership_epoch_, daemon_epoch);
+}
+
+template <typename Done>
+sim::SubTask<std::uint64_t> PortusClient::request(std::vector<std::byte> req_wire) {
+  constexpr bool kRestore = std::is_same_v<Done, RestoreDoneMsg>;
+  const char* op = kRestore ? "restore" : "checkpoint";
+  const Time t0 = cluster_.engine().now();
+  const auto reply = co_await retrying_roundtrip(std::move(req_wire));
+  Done done;
+  if constexpr (kRestore) {
+    done = decode_restore_done(reply);
+  } else {
+    done = decode_checkpoint_done(reply);
   }
-  PORTUS_CHECK(done.ok, "restore failed: " + done.error);
-  ++stats_.restores;
-  stats_.last_restore = cluster_.engine().now() - t0;
+  if (done.epoch_mismatch) {
+    throw EpochMismatch(stale_epoch_message(op, done.model_name, done.current_epoch));
+  }
+  PORTUS_CHECK(done.ok, strf("{} failed: {}", op, done.error));
+  ++(kRestore ? stats_.restores : stats_.checkpoints);
+  (kRestore ? stats_.last_restore : stats_.last_checkpoint) = cluster_.engine().now() - t0;
   stats_.last_payload_crc = done.payload_crc;
   co_return done.epoch;
 }

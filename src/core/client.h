@@ -174,6 +174,15 @@ class PortusClient {
   sim::SubTask<std::vector<std::byte>> retrying_roundtrip(std::vector<std::byte> req_wire);
   sim::SubTask<> backoff(int attempt, std::uint64_t retry_after_ns);
 
+  // One checkpoint or restore request (encoded in `req_wire`, answered by
+  // a `Done` message): send it through the retry loop, surface
+  // EpochMismatch and failures, account the op. Returns the epoch the
+  // daemon committed or served.
+  template <typename Done>
+  sim::SubTask<std::uint64_t> request(std::vector<std::byte> req_wire);
+  std::string stale_epoch_message(const char* op, const std::string& reg_name,
+                                  std::uint64_t daemon_epoch) const;
+
   net::Cluster& cluster_;
   net::Node& node_;
   gpu::GpuDevice& gpu_;

@@ -22,7 +22,12 @@ ClusterClient::ClusterClient(net::Cluster& cluster, net::Node& client_node,
   PORTUS_CHECK_ARG(!config_.endpoints.empty() || config_.membership != nullptr,
                    "cluster client needs daemon endpoints or a membership source");
   PORTUS_CHECK_ARG(config_.replicas >= 1, "replication factor must be >= 1");
-  for (const auto& ep : config_.endpoints) lane_for(ep);
+  // A static ring is a fixed membership: every endpoint ACTIVE at epoch 0,
+  // which also leaves every request unchecked by the daemons.
+  for (const auto& ep : config_.endpoints) {
+    fixed_membership_.members.push_back(Member{ep, MemberState::kActive});
+    lane_for(ep);
+  }
 }
 
 std::string ClusterClient::copy_key(const std::string& endpoint,
@@ -101,26 +106,17 @@ sim::Process ClusterClient::lane_register(Lane& lane, bool* stale) {
 
 sim::SubTask<> ClusterClient::resolve_placement() {
   for (int attempt = 0;; ++attempt) {
-    // 1. Snapshot the authoritative membership (or fake an all-ACTIVE one
-    //    from the static endpoint list).
+    // 1. Snapshot the authoritative membership (the static ring's is fixed).
+    const Membership& mem = config_.membership != nullptr ? config_.membership->membership()
+                                                          : fixed_membership_;
+    membership_epoch_ = mem.epoch;
+    ring_endpoints_.clear();
     std::vector<MemberState> states;
-    std::vector<std::uint32_t> active;
-    if (config_.membership != nullptr) {
-      const Membership& mem = config_.membership->membership();
-      membership_epoch_ = mem.epoch;
-      ring_endpoints_.clear();
-      states.clear();
-      for (const auto& m : mem.members) {
-        ring_endpoints_.push_back(m.endpoint);
-        states.push_back(m.state);
-      }
-      active = mem.active_positions();
-    } else {
-      ring_endpoints_ = config_.endpoints;
-      states.assign(ring_endpoints_.size(), MemberState::kActive);
-      active.resize(ring_endpoints_.size());
-      for (std::uint32_t i = 0; i < active.size(); ++i) active[i] = i;
+    for (const auto& m : mem.members) {
+      ring_endpoints_.push_back(m.endpoint);
+      states.push_back(m.state);
     }
+    const auto active = mem.active_positions();
     PORTUS_CHECK(!active.empty(),
                  strf("cluster for {} has no ACTIVE member to place on", model_name_));
     if (effective_shard_count_ == 0) {

@@ -202,6 +202,7 @@ class ClusterClient {
   // lane coroutines hold references).
   std::vector<std::unique_ptr<Lane>> lanes_;
   std::map<std::string, std::size_t> lane_by_endpoint_;
+  Membership fixed_membership_;  // the static ring (Config::endpoints), epoch 0
   std::vector<std::string> ring_endpoints_;  // current membership, in ring order
   std::vector<std::uint64_t> shard_floor_;   // acked-epoch floor per shard
   std::set<std::string> registered_keys_;    // "endpoint|shard" pairs registered

@@ -6,6 +6,7 @@
 #include "common/strformat.h"
 #include "core/cluster/manifest.h"
 #include "core/cluster/placement.h"
+#include "core/daemon/slots.h"
 #include "mem/segment.h"
 
 namespace portus::core::cluster {
@@ -125,14 +126,12 @@ sim::SubTask<Bytes> ElasticCluster::migrate_copy(PortusDaemon& src, PortusDaemon
   }
   if (didx->tensors().size() != sidx->tensors().size()) co_return 0;
 
-  // Stream into the write slot under the checkpoint persist discipline:
-  // ACTIVE -> chunked data persists -> payload-CRC block -> DONE at the
-  // SOURCE epoch (set_slot bypasses CheckpointTxn on purpose: the epoch is
-  // carried, not minted).
-  const int w = didx->pick_write_slot();
-  didx->ensure_slot(w, dst.allocator());
-  didx->set_slot(w, SlotState::kActive, 0);
-  const Bytes dbase = didx->slot(w).data_offset;
+  // Stream into the write slot under the checkpoint commit discipline:
+  // ACTIVE -> chunked data persists -> payload-CRC block -> DONE, with the
+  // SOURCE epoch carried through the transaction instead of minted.
+  didx->ensure_slot(didx->pick_write_slot(), dst.allocator());
+  auto txn = CheckpointTxn::begin(*didx, sslot.epoch);
+  const Bytes dbase = txn.data_offset();
 
   Bytes streamed = 0;
   for (std::size_t i = 0; i < sidx->tensors().size(); ++i) {
@@ -150,8 +149,22 @@ sim::SubTask<Bytes> ElasticCluster::migrate_copy(PortusDaemon& src, PortusDaemon
     }
   }
 
-  if (crcs.has_value()) didx->set_payload_crcs(w, sslot.epoch, crcs->crcs);
-  didx->set_slot(w, SlotState::kDone, sslot.epoch);
+  if (crcs.has_value()) {
+    // Certify what landed before blessing it: a copy whose bytes do not
+    // match the source's block (bit rot on the source, a bad stream) is
+    // abandoned with its slot ACTIVE, exactly what a crash leaves behind.
+    for (std::size_t i = 0; i < didx->tensors().size(); ++i) {
+      const auto& dt = didx->tensors()[i];
+      if (dst.device().crc(dbase + dt.offset_in_slot, dt.size) != crcs->crcs[i]) {
+        ++stats_.integrity_rejects;
+        PLOG_INFO(kLog, "migration of {} epoch {} {} -> {} abandoned: tensor {} fails its CRC",
+                  key, sslot.epoch, src.config().endpoint, dst.config().endpoint, dt.name);
+        co_return 0;
+      }
+    }
+    didx->set_payload_crcs(txn.slot(), txn.epoch(), crcs->crcs);
+  }
+  txn.commit();
   if (src.model_table().is_finished(key)) dst.model_table().set_finished(key);
 
   PLOG_DEBUG(kLog, "migrated {} epoch {}: {} -> {} ({} B)", key, sslot.epoch,

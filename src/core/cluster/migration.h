@@ -7,11 +7,13 @@
 //   1. PRE-COPY: compute the placement the *target* membership implies and
 //      stream every missing shard copy daemon-to-daemon (PMEM to PMEM over
 //      the simulated fabric) while clients keep checkpointing against the
-//      old epoch. Each streamed copy lands through the same double-mapping
-//      discipline as a checkpoint — ACTIVE flag, chunked data persists,
-//      payload-CRC block, then the DONE flip carrying the SOURCE epoch — so
-//      a power cut at any persist fence leaves the destination image
-//      fsck-clean and the source untouched.
+//      old epoch. Each streamed copy commits through the checkpoint's own
+//      CheckpointTxn (core/daemon/slots.h) — ACTIVE flag, chunked data
+//      persists, a CRC check of every landed tensor against the source's
+//      payload-CRC block, the block itself, then the DONE flip carrying the
+//      SOURCE epoch — so a power cut at any persist fence leaves the
+//      destination image fsck-clean and the source untouched, and a copy
+//      that fails the check never becomes DONE.
 //   2. BARRIER: pause admissions on every live daemon (PR 6 relocation
 //      barrier), install the target membership with a bumped epoch, push
 //      the new epoch to the daemons (they now bounce stale requests with
@@ -57,6 +59,9 @@ class ElasticCluster final : public MembershipSource {
     std::uint64_t repaired_copies = 0;  // moves done re-replicating after failure
     std::uint64_t barriers = 0;
     Duration barrier_time{0};           // admissions-paused wall time, summed
+    // Copies abandoned before DONE because the landed bytes failed the
+    // source's payload-CRC block (the destination slot stays ACTIVE).
+    std::uint64_t integrity_rejects = 0;
   };
 
   ElasticCluster(sim::Engine& engine, Config config);

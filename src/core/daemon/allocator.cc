@@ -47,9 +47,9 @@ PmemAllocator::PmemAllocator(pmem::PmemDevice& device, Config config)
                    "need at least one shard per NUMA node");
   PORTUS_CHECK_ARG(config_.numa_nodes == 1 || config_.numa_nodes == device.numa_nodes(),
                    "allocator numa_nodes must match the device topology");
-  PORTUS_CHECK_ARG(config_.size_class_small == 0 ||
+  PORTUS_CHECK_ARG(config_.size_class_small > 0 &&
                        config_.size_class_small < config_.size_class_large,
-                   "size_class_small must be below size_class_large");
+                   "size classes need 0 < size_class_small < size_class_large");
   // One bump arena per node: the heap's intersection with the device's node
   // slice, so the allocator's placement map agrees with PmemDevice::node_of.
   arenas_.reserve(config_.numa_nodes);
@@ -250,11 +250,9 @@ std::optional<Bytes> PmemAllocator::claim_free_extent(std::uint32_t shard, Bytes
   std::uint64_t steps = 0;
   // First fit within the request's size class, then the larger classes —
   // a small request no longer burns a large extent while class-mates are
-  // free (the mixed-size over-grant). With segregation off, want == 0 ==
-  // every entry's class and this is the classic whole-list first fit.
+  // free (the mixed-size over-grant).
   for (int cls = want; cls < kSizeClasses; ++cls) {
-    if (segregated() &&
-        sh.free_by_class[cls].load(std::memory_order_relaxed) <= 0) {
+    if (sh.free_by_class[cls].load(std::memory_order_relaxed) <= 0) {
       continue;  // advisory skip; see the counter comment in the header
     }
     for (std::uint32_t i = 0; i < count; ++i) {
@@ -291,7 +289,7 @@ std::optional<Bytes> PmemAllocator::reserve_from_node(std::uint32_t node, Bytes 
 
 Bytes PmemAllocator::refill_chunk_size(Shard& sh, Bytes size) {
   Bytes want = config_.refill_bytes;
-  if (config_.adaptive_refill && config_.refill_bytes > 0) {
+  if (config_.refill_bytes > 0) {
     // Fold the demand since the last refill into the EWMA, then size the
     // next chunk to it: a hot shard converges to one bump touch per EWMA
     // window instead of one per refill_bytes. The floor keeps cold shards
@@ -558,7 +556,7 @@ std::vector<PmemAllocator::ShardStats> PmemAllocator::shard_stats() const {
     {
       std::lock_guard<std::mutex> lk{sh.res_mu};
       st.reserved = sh.res_end - sh.res_cursor;
-      if (config_.adaptive_refill && config_.refill_bytes > 0 && sh.demand_ewma > 0.0) {
+      if (config_.refill_bytes > 0 && sh.demand_ewma > 0.0) {
         st.refill_chunk = std::clamp(static_cast<Bytes>(sh.demand_ewma),
                                      config_.refill_bytes,
                                      config_.refill_bytes * kRefillMaxScale);

@@ -46,9 +46,9 @@
 // Size classes (small/medium/large by Config::size_class_*): free-list
 // reuse claims only extents of the request's class or larger classes,
 // fixing the mixed-size over-grant where first fit burned a large extent on
-// a small request. Adaptive refill (Config::adaptive_refill) scales a
-// shard's next reservation by an EWMA of the bytes it allocated between
-// refills, so hot shards touch the shared bump less often.
+// a small request. Refill is adaptive: a shard's next reservation scales
+// by an EWMA of the bytes it allocated between refills, so hot shards
+// touch the shared bump less often.
 //
 // Defaults (shards = 1, refill_bytes = 0, numa_nodes = 1) degenerate to the
 // classic single arena: every fresh alloc reserves exactly its own size
@@ -90,15 +90,10 @@ class PmemAllocator {
     // NUMA partitions of the heap. Must divide the device topology
     // (PmemDevice::numa_nodes) and be <= shards; 1 = flat classic heap.
     std::uint32_t numa_nodes = 1;
-    // Size-class boundaries for free-list segregation: size <= small ->
-    // class 0, size <= large -> class 1, else class 2. small = 0 disables
-    // segregation (pure first fit over the whole shard list).
+    // Size-class boundaries for free-list segregation (0 < small < large):
+    // size <= small -> class 0, size <= large -> class 1, else class 2.
     Bytes size_class_small = 4096;
     Bytes size_class_large = 262144;
-    // Scale refill reservations by an EWMA of per-shard demand between
-    // refills, clamped to [refill_bytes, 8 * refill_bytes]. Inert while
-    // refill_bytes == 0 (there is nothing to scale).
-    bool adaptive_refill = true;
   };
 
   struct Extent {
@@ -329,9 +324,7 @@ class PmemAllocator {
     return config_.table_offset + kHeaderSize + global * kEntrySize;
   }
   std::uint32_t preferred_shard() const;
-  bool segregated() const { return config_.size_class_small > 0; }
   int class_of(Bytes size) const {
-    if (!segregated()) return 0;
     if (size <= config_.size_class_small) return 0;
     if (size <= config_.size_class_large) return 1;
     return 2;
@@ -342,8 +335,9 @@ class PmemAllocator {
   std::optional<Bytes> claim_free_extent(std::uint32_t shard, Bytes size);
   // Carve `chunk` bytes off a node's bump arena; nullopt when it is full.
   std::optional<Bytes> reserve_from_node(std::uint32_t node, Bytes chunk);
-  // Size of the next reservation for this shard (adaptive EWMA or the
-  // static refill_bytes), aligned and at least `size`. Caller holds res_mu.
+  // Size of the next reservation for this shard (the demand EWMA clamped
+  // to [refill_bytes, 8 * refill_bytes]), aligned and at least `size`.
+  // Caller holds res_mu.
   Bytes refill_chunk_size(Shard& sh, Bytes size);
   // Publish a shard's unconsumed reservation as a FREE entry and empty it.
   // Caller holds shard.res_mu (alloc refill) or the quiesce pause.

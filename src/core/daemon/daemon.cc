@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <optional>
+#include <type_traits>
 
 #include "common/crc32.h"
 #include "common/logging.h"
@@ -105,23 +106,44 @@ void PortusDaemon::recover() {
             model_table_->size(), allocator_->live_bytes());
 }
 
-void PortusDaemon::absorb_pipeline_stats(const PipelinedTransfer::Stats& s) {
-  stats_.chunks_posted += s.chunks;
-  stats_.rdma_chunks += s.rdma_chunks;
-  stats_.local_chunks += s.local_chunks;
-  stats_.wrs_posted += s.wrs_posted;
-  stats_.sges_posted += s.sges_posted;
-  stats_.extents_coalesced += s.extents_coalesced;
-  stats_.doorbells += s.doorbells;
-  stats_.admission_windows += s.admission_windows;
-  stats_.rdma_bytes += s.rdma_bytes;
-  stats_.numa_remote_chunks += s.remote_chunks;
-  stats_.numa_tax_bytes += s.numa_tax_bytes;
-  stats_.peak_window = std::max(stats_.peak_window, s.peak_outstanding);
-  stats_.window_chunk_seconds += s.occupancy_integral;
-  stats_.pipeline_busy_seconds += to_seconds(s.busy);
-  stats_.queue_delay_total += s.queue_delay_total;
-  stats_.queue_delay_max = std::max(stats_.queue_delay_max, s.queue_delay_max);
+template <typename Reply>
+bool PortusDaemon::reject_stale_epoch(std::uint64_t request_epoch, Reply& reply) {
+  // Epoch 0 on either side means "not epoch-checked" (standalone daemon /
+  // legacy client). A stale op takes no ticket, permit or PMEM byte: the
+  // client re-resolves placement and reissues.
+  if (request_epoch == 0 || membership_epoch_ == 0 || request_epoch == membership_epoch_) {
+    return false;
+  }
+  ++stats_.epoch_rejects;
+  reply.ok = false;
+  reply.epoch_mismatch = true;
+  if constexpr (std::is_same_v<Reply, RegisterAckMsg>) {
+    reply.current_membership_epoch = membership_epoch_;
+  } else {
+    reply.current_epoch = membership_epoch_;
+  }
+  reply.error = strf("stale membership epoch {} (current {})", request_epoch, membership_epoch_);
+  return true;
+}
+
+sim::SubTask<std::vector<std::uint32_t>> PortusDaemon::transfer(
+    ModelSession& session, TransferChunk::Kind direction, Bytes slot_offset,
+    const rdma::MemoryRegion& slot_mr, std::vector<bool> dirty, Bytes prev_offset) {
+  const MIndex& index = *session.index;
+  auto work = plan_transfer(index, session.registration.tensors,
+                            ExtentConfig{.coalesce_threshold = config_.coalesce_threshold,
+                                         .max_sges = static_cast<int>(session.max_sges)},
+                            config_.chunk_bytes, direction, slot_offset, slot_mr, dirty,
+                            prev_offset);
+  PipelinedTransfer pipe{cluster_.engine(), session.qps, *session.cq,
+                         PipelinedTransfer::Config{.window = config_.pipeline_window,
+                                                   .batch_doorbells = config_.batch_doorbells}};
+  pipe.bind_pmem(&device_, &node_.devdax_write_channel(), device_.perf().read_bw);
+  pipe.set_home_node(session.home_node);
+  co_await pipe.run(std::move(work));
+  stats_.merge(pipe.stats());
+  if (direction != TransferChunk::Kind::kRead || index.phantom()) co_return {};
+  co_return pipe.tensor_crcs(index.tensors().size());
 }
 
 MIndex* PortusDaemon::find_live_index(const std::string& model_name) {
@@ -201,24 +223,12 @@ sim::Process PortusDaemon::session_loop(std::shared_ptr<net::TcpSocket> socket) 
 }
 
 sim::SubTask<RegisterAckMsg> PortusDaemon::handle_register(RegisterModelMsg msg) {
-  // Membership-epoch gate (protocol v6): a registration placed against a
-  // stale epoch would pin shard copies to a superseded ring — bounce it
-  // before any layout so the client re-resolves first. Epoch 0 on either
-  // side means "not epoch-checked" (standalone daemon / legacy client).
-  if (msg.membership_epoch != 0 && membership_epoch_ != 0 &&
-      msg.membership_epoch != membership_epoch_) {
-    ++stats_.epoch_rejects;
-    RegisterAckMsg ack;
-    ack.ok = false;
-    ack.epoch_mismatch = true;
-    ack.current_membership_epoch = membership_epoch_;
-    ack.error = strf("stale membership epoch {} (current {})", msg.membership_epoch,
-                     membership_epoch_);
-    co_return ack;
-  }
-
-  co_await workers_->acquire();
+  // A registration placed against a stale epoch would pin shard copies to a
+  // superseded ring: bounce it before any layout.
   RegisterAckMsg ack;
+  if (reject_stale_epoch(msg.membership_epoch, ack)) co_return ack;
+
+  const auto permit = co_await workers_->permit();
   try {
     // Tenancy: negotiate the quota grant and charge both slots' PMEM
     // capacity BEFORE any layout happens, so an over-quota registration is
@@ -331,33 +341,20 @@ sim::SubTask<RegisterAckMsg> PortusDaemon::handle_register(RegisterModelMsg msg)
     ack.ok = false;
     ack.error = e.what();
   }
-  workers_->release();
   co_return ack;
 }
 
 sim::SubTask<CheckpointDoneMsg> PortusDaemon::handle_checkpoint(CheckpointReqMsg msg) {
+  CheckpointDoneMsg done;
+  done.model_name = msg.model_name;
+  if (reject_stale_epoch(msg.membership_epoch, done)) co_return done;
+
   // Tenancy: a checkpoint must hold an admission ticket (strict priority +
   // WFQ + pacing, bounded queue) before it may occupy a worker or post a
   // WR. A full queue answers Backpressure — a cheap, retryable roundtrip —
   // without ever touching the worker pool. Unregistered models fall through
   // untenanted and fail the session lookup below like before. Restores are
   // deliberately unthrottled: they are the recovery path.
-  // Membership-epoch gate (protocol v6), checked before admission so a
-  // stale client cannot consume a ticket. No checkpoint is taken; the
-  // client re-resolves placement and reissues.
-  if (msg.membership_epoch != 0 && membership_epoch_ != 0 &&
-      msg.membership_epoch != membership_epoch_) {
-    ++stats_.epoch_rejects;
-    CheckpointDoneMsg done;
-    done.model_name = msg.model_name;
-    done.ok = false;
-    done.epoch_mismatch = true;
-    done.current_epoch = membership_epoch_;
-    done.error = strf("stale membership epoch {} (current {})", msg.membership_epoch,
-                      membership_epoch_);
-    co_return done;
-  }
-
   AdmissionController::Ticket ticket;
   if (admission_ != nullptr) {
     const auto it = sessions_.find(msg.model_name);
@@ -368,8 +365,6 @@ sim::SubTask<CheckpointDoneMsg> PortusDaemon::handle_checkpoint(CheckpointReqMsg
         ticket = co_await admission_->admit(*tenant, op_bytes);
       } catch (const Backpressure& e) {
         ++stats_.backpressure_rejects;
-        CheckpointDoneMsg done;
-        done.model_name = msg.model_name;
         done.ok = false;
         done.backpressure = true;
         done.retry_after_ns = static_cast<std::uint64_t>(config_.admission_retry_after.count());
@@ -379,12 +374,10 @@ sim::SubTask<CheckpointDoneMsg> PortusDaemon::handle_checkpoint(CheckpointReqMsg
     }
   }
 
-  co_await workers_->acquire();
+  const auto permit = co_await workers_->permit();
   auto trace_span = config_.tracer != nullptr
                         ? config_.tracer->span("checkpoint " + msg.model_name, "portusd")
                         : sim::Tracer::Span{};
-  CheckpointDoneMsg done;
-  done.model_name = msg.model_name;
   try {
     const auto it = sessions_.find(msg.model_name);
     PORTUS_CHECK(it != sessions_.end(), "DO_CHECKPOINT for unregistered model");
@@ -409,64 +402,13 @@ sim::SubTask<CheckpointDoneMsg> PortusDaemon::handle_checkpoint(CheckpointReqMsg
     const auto* slot_mr = session.slot_mr[txn.slot()];
     PORTUS_CHECK(slot_mr != nullptr, "write slot has no registered region");
 
-    // Build the extent-planned work list: chunked spans fuse into gather
-    // extents where the slot layout is dense (core/daemon/extent.h), then
-    // dirty extents pull from the remote GPU (one multi-SGE READ per
-    // extent), clean ones copy PMEM-locally from the previous version —
-    // all interleaved through one pipelined datapath so the flush of a
-    // finished chunk overlaps the pull of the next. The planner never
-    // mixes classes inside an extent.
-    const auto extents = plan_extents(
-        index.chunk_spans(config_.chunk_bytes), index.tensors(),
-        ExtentConfig{.coalesce_threshold = config_.coalesce_threshold,
-                     .max_sges = static_cast<int>(session.max_sges)},
-        dirty);
-    std::vector<TransferChunk> work;
-    for (const auto& ext : extents) {
-      const auto& head = ext.members.front();
-      TransferChunk c;
-      c.tensor_index = head.tensor;
-      c.len = ext.len;
-      c.persist_after = true;
-      c.persist_offset = txn.data_offset() + ext.offset_in_slot;
-      // Inline integrity: CRC each chunk as it lands (phantom payloads are
-      // simulated, not materialized — nothing to checksum).
-      c.collect_crc = !index.phantom();
-      c.tensor_offset = head.offset;
-      if (!dirty.empty() && !dirty[head.tensor]) {
-        c.kind = TransferChunk::Kind::kLocalCopy;
-        c.dst_offset = txn.data_offset() + ext.offset_in_slot;
-        c.src_offset = prev_data_offset + ext.offset_in_slot;
-        c.phantom = index.phantom();
-      } else {
-        const auto& desc = session.registration.tensors[head.tensor];
-        c.kind = TransferChunk::Kind::kRead;
-        c.lkey = slot_mr->lkey;
-        c.local_addr = slot_mr->addr + ext.offset_in_slot;
-        c.rkey = desc.rkey;
-        c.remote_addr = desc.gpu_addr + head.offset;
-      }
-      if (ext.coalesced()) {
-        for (const auto& m : ext.members) {
-          const auto& d = session.registration.tensors[m.tensor];
-          c.members.push_back(TransferChunk::ExtentMember{
-              .tensor_index = m.tensor,
-              .len = m.len,
-              .rkey = d.rkey,
-              .remote_addr = d.gpu_addr + m.offset});
-        }
-      }
-      work.push_back(std::move(c));
-    }
-
-    PipelinedTransfer pipe{cluster_.engine(), session.qps, *session.cq,
-                           PipelinedTransfer::Config{.window = config_.pipeline_window,
-                                                  .batch_doorbells = config_.batch_doorbells}};
-    pipe.bind_pmem(&device_, &node_.devdax_write_channel(),
-                   node_.devdax().device().perf().read_bw);
-    pipe.set_home_node(session.home_node);
-    co_await pipe.run(std::move(work));
-    absorb_pipeline_stats(pipe.stats());
+    // Dirty extents pull from the remote GPU (one multi-SGE READ per
+    // extent), clean ones copy PMEM-locally from the previous version — all
+    // interleaved through one pipelined datapath so the flush of a finished
+    // chunk overlaps the pull of the next.
+    const auto crcs = co_await transfer(session, TransferChunk::Kind::kRead,
+                                        txn.data_offset(), *slot_mr, std::move(dirty),
+                                        prev_data_offset);
 
     // Catch-all flush (layout padding is not covered by the per-chunk
     // persists) + the once-per-checkpoint persistence-domain drain, before
@@ -483,7 +425,6 @@ sim::SubTask<CheckpointDoneMsg> PortusDaemon::handle_checkpoint(CheckpointReqMsg
       // Persist the payload-CRC block BEFORE the DONE flip, extending the
       // ordering to ACTIVE -> data -> CRC block -> DONE: a DONE slot is
       // thereby guaranteed to carry a valid, epoch-matching block.
-      const auto crcs = pipe.tensor_crcs(index.tensors().size());
       index.set_payload_crcs(txn.slot(), txn.epoch(), crcs);
       Crc32 agg;
       for (const auto c : crcs) agg.update(&c, sizeof c);
@@ -500,32 +441,19 @@ sim::SubTask<CheckpointDoneMsg> PortusDaemon::handle_checkpoint(CheckpointReqMsg
     done.ok = false;
     done.error = e.what();
   }
-  workers_->release();
   co_return done;
 }
 
 sim::SubTask<RestoreDoneMsg> PortusDaemon::handle_restore(RestoreReqMsg msg) {
-  // Membership-epoch gate (protocol v6): a stale client may be about to
-  // restore from a copy that migrated away; make it re-resolve first.
-  if (msg.membership_epoch != 0 && membership_epoch_ != 0 &&
-      msg.membership_epoch != membership_epoch_) {
-    ++stats_.epoch_rejects;
-    RestoreDoneMsg done;
-    done.model_name = msg.model_name;
-    done.ok = false;
-    done.epoch_mismatch = true;
-    done.current_epoch = membership_epoch_;
-    done.error = strf("stale membership epoch {} (current {})", msg.membership_epoch,
-                      membership_epoch_);
-    co_return done;
-  }
+  // A stale client may be about to restore from a copy that migrated away.
+  RestoreDoneMsg done;
+  done.model_name = msg.model_name;
+  if (reject_stale_epoch(msg.membership_epoch, done)) co_return done;
 
-  co_await workers_->acquire();
+  const auto permit = co_await workers_->permit();
   auto trace_span = config_.tracer != nullptr
                         ? config_.tracer->span("restore " + msg.model_name, "portusd")
                         : sim::Tracer::Span{};
-  RestoreDoneMsg done;
-  done.model_name = msg.model_name;
   try {
     const auto it = sessions_.find(msg.model_name);
     PORTUS_CHECK(it != sessions_.end(), "DO_RESTORE for unregistered model");
@@ -534,13 +462,13 @@ sim::SubTask<RestoreDoneMsg> PortusDaemon::handle_restore(RestoreReqMsg msg) {
 
     const auto slot_idx = index.latest_done_slot();
     PORTUS_CHECK(slot_idx.has_value(), "no valid checkpoint version on PMEM");
+    const auto& slot = index.slot(*slot_idx);
     // Replica-epoch floor: a copy that missed the last checkpoint (this
     // daemon was down or hung while the others committed) must refuse
     // rather than hand out stale tensors as if they were current.
-    if (msg.required_epoch != 0 && index.slot(*slot_idx).epoch < msg.required_epoch) {
+    if (msg.required_epoch != 0 && slot.epoch < msg.required_epoch) {
       throw NotFound(strf("newest DONE version of {} is epoch {}, caller requires >= {}",
-                          msg.model_name, index.slot(*slot_idx).epoch,
-                          msg.required_epoch));
+                          msg.model_name, slot.epoch, msg.required_epoch));
     }
     const auto* slot_mr = session.slot_mr[*slot_idx];
     PORTUS_CHECK(slot_mr != nullptr, "restore slot has no registered region");
@@ -551,7 +479,6 @@ sim::SubTask<RestoreDoneMsg> PortusDaemon::handle_restore(RestoreReqMsg msg) {
     // surfaces here as an explicit Corruption instead of silently feeding
     // the training job garbage weights.
     if (!index.phantom()) {
-      const auto& slot = index.slot(*slot_idx);
       const auto block = index.payload_crcs(*slot_idx);
       if (!block.has_value() || block->epoch != slot.epoch) {
         ++stats_.integrity_rejects;
@@ -574,55 +501,21 @@ sim::SubTask<RestoreDoneMsg> PortusDaemon::handle_restore(RestoreReqMsg msg) {
       done.payload_crc = agg.value();
     }
 
-    // Push every tensor into the remote GPU: pipelined one-sided RDMA
-    // WRITEs through the same chunk/window/stripe engine as checkpoints
-    // (no persists — the destination is volatile GPU memory). Coalesced
-    // extents scatter one contiguous slot range across N tensor buffers.
-    const auto extents = plan_extents(
-        index.chunk_spans(config_.chunk_bytes), index.tensors(),
-        ExtentConfig{.coalesce_threshold = config_.coalesce_threshold,
-                     .max_sges = static_cast<int>(session.max_sges)});
-    std::vector<TransferChunk> work;
-    for (const auto& ext : extents) {
-      const auto& head = ext.members.front();
-      const auto& desc = session.registration.tensors[head.tensor];
-      TransferChunk c;
-      c.kind = TransferChunk::Kind::kWrite;
-      c.tensor_index = head.tensor;
-      c.len = ext.len;
-      c.lkey = slot_mr->lkey;
-      c.local_addr = slot_mr->addr + ext.offset_in_slot;
-      c.rkey = desc.rkey;
-      c.remote_addr = desc.gpu_addr + head.offset;
-      if (ext.coalesced()) {
-        for (const auto& m : ext.members) {
-          const auto& d = session.registration.tensors[m.tensor];
-          c.members.push_back(TransferChunk::ExtentMember{
-              .tensor_index = m.tensor,
-              .len = m.len,
-              .rkey = d.rkey,
-              .remote_addr = d.gpu_addr + m.offset});
-        }
-      }
-      work.push_back(std::move(c));
-    }
-
-    PipelinedTransfer pipe{cluster_.engine(), session.qps, *session.cq,
-                           PipelinedTransfer::Config{.window = config_.pipeline_window,
-                                                  .batch_doorbells = config_.batch_doorbells}};
-    co_await pipe.run(std::move(work));
-    absorb_pipeline_stats(pipe.stats());
+    // Push every tensor into the remote GPU through the same runner as
+    // checkpoints (no persists — the destination is volatile GPU memory).
+    // Coalesced extents scatter one contiguous slot range across N tensor
+    // buffers.
+    co_await transfer(session, TransferChunk::Kind::kWrite, slot.data_offset, *slot_mr);
 
     ++stats_.restores;
     stats_.bytes_pushed += session.registration.total_bytes();
     done.ok = true;
-    done.epoch = index.slot(*slot_idx).epoch;
+    done.epoch = slot.epoch;
   } catch (const Error& e) {
     ++stats_.failed_ops;
     done.ok = false;
     done.error = e.what();
   }
-  workers_->release();
   co_return done;
 }
 

@@ -12,13 +12,22 @@
 //   [AllocTable  @ 64 KiB, capacity x 24 B]
 //   [heap        @ 1 MiB ... device end)   (MIndex records + TensorData)
 //
-// Checkpoint = CheckpointTxn::begin (ACTIVE persisted) -> pipelined
-// one-sided RDMA READs (chunked tensors, bounded window, optional QP
-// stripes) from client GPU memory into the slot's TensorData, each chunk
-// flushed as it lands -> final persist -> commit (DONE + epoch persisted)
-// -> notify client over TCP. Restore = the same pipeline running one-sided
-// RDMA WRITEs from the newest DONE slot into the client's (freshly
-// registered) GPU buffers. See core/daemon/pipeline.h.
+// Every op runs one skeleton: the membership-epoch gate, (checkpoints
+// only) an admission ticket, an RAII worker permit, then the body. Every
+// byte the daemon moves goes through one planner and one runner:
+// plan_transfer (core/daemon/pipeline.h) turns the slot's extent plan into
+// a chunk list, and transfer() drives it through PipelinedTransfer and
+// merges the counters into Stats.
+//   Checkpoint = CheckpointTxn::begin (ACTIVE persisted) -> pipelined
+//   one-sided RDMA READs (chunked tensors, bounded window, optional QP
+//   stripes) from client GPU memory into the slot's TensorData, each chunk
+//   flushed and CRC'd as it lands (incremental: clean tensors copied
+//   PMEM-locally from the previous DONE slot) -> final persist -> CRC
+//   block -> commit (DONE + epoch persisted) -> notify client over TCP.
+//   Restore = CRC scrub of the newest DONE slot, then the same runner
+//   pushing one-sided RDMA WRITEs into the client's GPU buffers.
+// Migration (core/cluster/migration.h) lands its copies through the same
+// CheckpointTxn commit, carrying the source daemon's epoch.
 #pragma once
 
 #include <map>
@@ -106,7 +115,9 @@ class PortusDaemon {
     Duration admission_retry_after{2'000'000};   // Backpressure hint (2 ms)
   };
 
-  struct Stats {
+  // Op counters, plus the datapath counters of every checkpoint and
+  // restore run (inherited field names and ratios; see pipeline.h).
+  struct Stats : PipelinedTransfer::Stats {
     std::uint64_t registrations = 0;
     std::uint64_t shard_registrations = 0;  // subset with shard/replica identity
     std::uint64_t checkpoints = 0;
@@ -126,51 +137,6 @@ class PortusDaemon {
     std::uint64_t epoch_rejects = 0;
     Bytes bytes_pulled = 0;
     Bytes bytes_pushed = 0;
-    // --- pipelined datapath observability ---
-    std::uint64_t chunks_posted = 0;
-    std::uint64_t rdma_chunks = 0;
-    std::uint64_t local_chunks = 0;
-    std::uint64_t wrs_posted = 0;         // RDMA WRs (a gather extent = 1)
-    std::uint64_t sges_posted = 0;        // remote SGEs across those WRs
-    std::uint64_t extents_coalesced = 0;  // chunks that fused > 1 tensor
-    std::uint64_t doorbells = 0;          // post() calls (a chained batch = 1)
-    std::uint64_t admission_windows = 0;  // bursts that posted RDMA work
-    // Chunks that landed on a different socket than the session's home
-    // node, and the supplemental DIMM-channel bytes modeling that tax
-    // (multi-socket PMEM only; both stay 0 on flat topologies).
-    std::uint64_t numa_remote_chunks = 0;
-    Bytes numa_tax_bytes = 0;
-    Bytes rdma_bytes = 0;
-    int peak_window = 0;                  // max chunks in flight in any op
-    double window_chunk_seconds = 0.0;    // ∫ outstanding dt, all ops
-    double pipeline_busy_seconds = 0.0;   // datapath wall time, all ops
-    Duration queue_delay_total{0};        // head-of-line stalls, summed
-    Duration queue_delay_max{0};
-
-    double mean_window() const {
-      return pipeline_busy_seconds > 0.0 ? window_chunk_seconds / pipeline_busy_seconds
-                                         : 0.0;
-    }
-    Duration mean_queue_delay() const {
-      return chunks_posted > 0
-                 ? Duration{queue_delay_total.count() /
-                            static_cast<Duration::rep>(chunks_posted)}
-                 : Duration{0};
-    }
-    double bytes_per_wr() const {
-      return wrs_posted > 0 ? static_cast<double>(rdma_bytes) / static_cast<double>(wrs_posted)
-                            : 0.0;
-    }
-    double doorbells_per_window() const {
-      return admission_windows > 0
-                 ? static_cast<double>(doorbells) / static_cast<double>(admission_windows)
-                 : 0.0;
-    }
-    double wrs_per_doorbell() const {
-      return doorbells > 0
-                 ? static_cast<double>(wrs_posted) / static_cast<double>(doorbells)
-                 : 0.0;
-    }
   };
 
   PortusDaemon(net::Cluster& cluster, net::Node& storage_node, QpRendezvous& rendezvous,
@@ -262,7 +228,22 @@ class PortusDaemon {
   sim::SubTask<CheckpointDoneMsg> handle_checkpoint(CheckpointReqMsg msg);
   sim::SubTask<RestoreDoneMsg> handle_restore(RestoreReqMsg msg);
 
-  void absorb_pipeline_stats(const PipelinedTransfer::Stats& s);
+  // --- the op skeleton the three handlers share ---
+  // Membership-epoch gate (protocol v6), run before an op takes any
+  // resource: when the request carries a stale non-zero epoch, fill
+  // `reply` with the EpochMismatch answer and return true.
+  template <typename Reply>
+  bool reject_stale_epoch(std::uint64_t request_epoch, Reply& reply);
+  // Plan, run and account one data op over the session's lanes (the one
+  // place a PipelinedTransfer is built; see plan_transfer). Returns the
+  // per-tensor CRCs collected inline — checkpoints of materialized
+  // payloads only, empty otherwise.
+  sim::SubTask<std::vector<std::uint32_t>> transfer(ModelSession& session,
+                                                    TransferChunk::Kind direction,
+                                                    Bytes slot_offset,
+                                                    const rdma::MemoryRegion& slot_mr,
+                                                    std::vector<bool> dirty = {},
+                                                    Bytes prev_offset = 0);
 
   net::Cluster& cluster_;
   net::Node& node_;

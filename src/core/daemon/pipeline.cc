@@ -9,6 +9,80 @@
 
 namespace portus::core {
 
+void PipelinedTransfer::Stats::merge(const Stats& o) {
+  chunks_posted += o.chunks_posted;
+  rdma_chunks += o.rdma_chunks;
+  local_chunks += o.local_chunks;
+  wrs_posted += o.wrs_posted;
+  sges_posted += o.sges_posted;
+  extents_coalesced += o.extents_coalesced;
+  doorbells += o.doorbells;
+  admission_windows += o.admission_windows;
+  numa_remote_chunks += o.numa_remote_chunks;
+  numa_tax_bytes += o.numa_tax_bytes;
+  rdma_bytes += o.rdma_bytes;
+  peak_window = std::max(peak_window, o.peak_window);
+  window_chunk_seconds += o.window_chunk_seconds;
+  pipeline_busy_seconds += o.pipeline_busy_seconds;
+  queue_delay_total += o.queue_delay_total;
+  queue_delay_max = std::max(queue_delay_max, o.queue_delay_max);
+}
+
+std::vector<TransferChunk> plan_transfer(const MIndex& index,
+                                         const std::vector<TensorDesc>& remote,
+                                         const ExtentConfig& shape, Bytes chunk_bytes,
+                                         TransferChunk::Kind direction, Bytes slot_offset,
+                                         const rdma::MemoryRegion& slot_mr,
+                                         const std::vector<bool>& dirty, Bytes prev_offset) {
+  PORTUS_CHECK_ARG(direction != TransferChunk::Kind::kLocalCopy,
+                   "a transfer direction is kRead or kWrite");
+  const bool pull = direction == TransferChunk::Kind::kRead;
+  PORTUS_CHECK_ARG(pull || dirty.empty(), "only checkpoints take a dirty set");
+  // The planner never mixes transfer classes inside an extent, so a whole
+  // extent is either pulled from the GPU or copied from the previous slot.
+  const auto extents = plan_extents(index.chunk_spans(chunk_bytes), index.tensors(), shape,
+                                    dirty);
+  std::vector<TransferChunk> work;
+  work.reserve(extents.size());
+  for (const auto& ext : extents) {
+    const auto& head = ext.members.front();
+    const Bytes at = slot_offset + ext.offset_in_slot;
+    TransferChunk c;
+    c.tensor_index = head.tensor;
+    c.len = ext.len;
+    if (pull) {
+      c.persist_after = true;
+      c.persist_offset = at;
+      // Phantom payloads are simulated, not materialized: nothing to CRC.
+      c.collect_crc = !index.phantom();
+      c.tensor_offset = head.offset;
+    }
+    if (!dirty.empty() && !dirty[head.tensor]) {
+      c.kind = TransferChunk::Kind::kLocalCopy;
+      c.dst_offset = at;
+      c.src_offset = prev_offset + ext.offset_in_slot;
+      c.phantom = index.phantom();
+    } else {
+      const auto& desc = remote[head.tensor];
+      c.kind = direction;
+      c.lkey = slot_mr.lkey;
+      c.local_addr = slot_mr.addr + ext.offset_in_slot;
+      c.rkey = desc.rkey;
+      c.remote_addr = desc.gpu_addr + head.offset;
+    }
+    if (ext.coalesced()) {
+      for (const auto& m : ext.members) {
+        const auto& d = remote[m.tensor];
+        c.members.push_back(TransferChunk::ExtentMember{
+            .tensor_index = m.tensor, .len = m.len, .rkey = d.rkey,
+            .remote_addr = d.gpu_addr + m.offset});
+      }
+    }
+    work.push_back(std::move(c));
+  }
+  return work;
+}
+
 PipelinedTransfer::PipelinedTransfer(sim::Engine& engine, std::vector<rdma::QueuePair*> qps,
                                      rdma::CompletionQueue& cq, Config config)
     : engine_{engine}, qps_{std::move(qps)}, cq_{cq}, config_{config} {
@@ -43,15 +117,17 @@ std::optional<sim::FlowLocality> PipelinedTransfer::chunk_locality(
   return std::nullopt;
 }
 
-sim::Process PipelinedTransfer::charge_numa_tax(Bytes bytes, sim::FlowLocality loc) {
+sim::Process PipelinedTransfer::charge_numa_tax(sim::Engine& engine,
+                                                sim::BandwidthChannel& channel, Duration hop,
+                                                Bytes bytes, sim::FlowLocality loc) {
   try {
     // The fabric already moved this chunk's bytes through the DIMM channel
     // node-agnostically; a remote landing zone should have moved them at
     // remote_bw_factor of the node share. Consume the difference as a
     // supplemental flow — bytes * (1/factor - 1) at the remote cap costs
     // exactly what the primary flow undershot — plus the one-time UPI hop.
-    co_await engine_.sleep(device_->perf().numa.remote_latency);
-    co_await copy_channel_->transfer(bytes, Bandwidth::unlimited(), loc);
+    co_await engine.sleep(hop);
+    co_await channel.transfer(bytes, Bandwidth::unlimited(), loc);
   } catch (const Disconnected&) {
     // engine teardown; nothing to unwind
   }
@@ -90,11 +166,11 @@ sim::SubTask<> PipelinedTransfer::run(std::vector<TransferChunk> chunks) {
   // occupancy falls out as integral / busy-time.
   auto account = [&](int delta) {
     const Time now = engine_.now();
-    stats_.occupancy_integral +=
+    stats_.window_chunk_seconds +=
         static_cast<double>(outstanding) * to_seconds(now - last_change);
     last_change = now;
     outstanding += delta;
-    stats_.peak_outstanding = std::max(stats_.peak_outstanding, outstanding);
+    stats_.peak_window = std::max(stats_.peak_window, outstanding);
   };
 
   std::vector<int> lane_free(lanes, config_.window);
@@ -156,7 +232,6 @@ sim::SubTask<> PipelinedTransfer::run(std::vector<TransferChunk> chunks) {
     if (c.persist_after) {
       PORTUS_CHECK(device_ != nullptr, "persist_after chunk with no PMEM binding");
       device_->persist(c.persist_offset, c.len);
-      stats_.bytes_persisted += c.len;
     }
   };
 
@@ -177,11 +252,10 @@ sim::SubTask<> PipelinedTransfer::run(std::vector<TransferChunk> chunks) {
       stats_.queue_delay_max = std::max(stats_.queue_delay_max, stalled);
       head_since = engine_.now();
 
-      ++stats_.chunks;
-      stats_.bytes += c.len;
+      ++stats_.chunks_posted;
       if (c.members.size() > 1) ++stats_.extents_coalesced;
       const auto loc = chunk_locality(c);
-      if (loc.has_value() && loc->remote) ++stats_.remote_chunks;
+      if (loc.has_value() && loc->remote) ++stats_.numa_remote_chunks;
       if (c.kind == TransferChunk::Kind::kLocalCopy) {
         PORTUS_CHECK(device_ != nullptr && copy_channel_ != nullptr,
                      "local-copy chunk with no PMEM binding");
@@ -221,7 +295,8 @@ sim::SubTask<> PipelinedTransfer::run(std::vector<TransferChunk> chunks) {
                                 : 0;
           if (tax > 0) {
             stats_.numa_tax_bytes += tax;
-            engine_.spawn(charge_numa_tax(tax, *loc));
+            engine_.spawn(charge_numa_tax(engine_, *copy_channel_,
+                                          device_->perf().numa.remote_latency, tax, *loc));
           }
         }
         rdma_this_burst = true;
@@ -256,7 +331,7 @@ sim::SubTask<> PipelinedTransfer::run(std::vector<TransferChunk> chunks) {
     }
   }
   account(0);  // close the occupancy integral at the final timestamp
-  stats_.busy += engine_.now() - start;
+  stats_.pipeline_busy_seconds += to_seconds(engine_.now() - start);
   PORTUS_CHECK(failure.empty(), failure);
 }
 

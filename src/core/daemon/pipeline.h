@@ -30,8 +30,10 @@
 #include <vector>
 
 #include "common/units.h"
+#include "core/daemon/extent.h"
 #include "pmem/pmem_device.h"
 #include "rdma/completion_queue.h"
+#include "rdma/memory_region.h"
 #include "rdma/queue_pair.h"
 #include "sim/bandwidth_channel.h"
 #include "sim/engine.h"
@@ -103,8 +105,10 @@ class PipelinedTransfer {
     bool batch_doorbells = true;
   };
 
+  // Datapath counters of one transfer. PortusDaemon::Stats inherits them
+  // and merge()s every op's run in, so each derived ratio exists once.
   struct Stats {
-    std::uint64_t chunks = 0;
+    std::uint64_t chunks_posted = 0;
     std::uint64_t rdma_chunks = 0;
     std::uint64_t local_chunks = 0;
     // --- coalescing observability ---
@@ -118,20 +122,27 @@ class PipelinedTransfer {
     // Chunks whose PMEM landing zone sits on a different socket than the
     // session's home node, and the supplemental bytes charged to the DIMM
     // channel to model the cross-socket (UPI + remote XPBuffer) cost.
-    std::uint64_t remote_chunks = 0;
+    std::uint64_t numa_remote_chunks = 0;
     Bytes numa_tax_bytes = 0;
-    Bytes rdma_bytes = 0;                // subset of `bytes` that crossed the NIC
-    Bytes bytes = 0;
-    Bytes bytes_persisted = 0;
-    int peak_outstanding = 0;         // max chunks in flight at once
-    double occupancy_integral = 0.0;  // ∫ outstanding dt, in chunk-seconds
-    Duration busy{0};                 // wall time of run()
-    Duration queue_delay_total{0};    // head-of-line stall, summed per chunk
+    Bytes rdma_bytes = 0;                // chunk bytes that crossed the NIC
+    int peak_window = 0;                 // max chunks in flight at once
+    double window_chunk_seconds = 0.0;   // ∫ outstanding dt, in chunk-seconds
+    double pipeline_busy_seconds = 0.0;  // wall time of run()
+    Duration queue_delay_total{0};       // head-of-line stall, summed per chunk
     Duration queue_delay_max{0};
 
-    double mean_outstanding() const {
-      const double b = to_seconds(busy);
-      return b > 0.0 ? occupancy_integral / b : 0.0;
+    // Fold another run's counters in (sums; peaks take the max).
+    void merge(const Stats& o);
+
+    double mean_window() const {
+      return pipeline_busy_seconds > 0.0 ? window_chunk_seconds / pipeline_busy_seconds
+                                         : 0.0;
+    }
+    Duration mean_queue_delay() const {
+      return chunks_posted > 0
+                 ? Duration{queue_delay_total.count() /
+                            static_cast<Duration::rep>(chunks_posted)}
+                 : Duration{0};
     }
     double bytes_per_wr() const {
       return wrs_posted > 0 ? static_cast<double>(rdma_bytes) / static_cast<double>(wrs_posted)
@@ -142,6 +153,11 @@ class PipelinedTransfer {
     double doorbells_per_window() const {
       return admission_windows > 0
                  ? static_cast<double>(doorbells) / static_cast<double>(admission_windows)
+                 : 0.0;
+    }
+    double wrs_per_doorbell() const {
+      return doorbells > 0
+                 ? static_cast<double>(wrs_posted) / static_cast<double>(doorbells)
                  : 0.0;
     }
   };
@@ -190,7 +206,9 @@ class PipelinedTransfer {
   sim::Process run_local_copy(std::uint64_t wr_id, TransferChunk chunk,
                               sim::FlowLocality loc);
   // Fire-and-forget flow modeling the cross-socket cost of one RDMA chunk.
-  sim::Process charge_numa_tax(Bytes bytes, sim::FlowLocality loc);
+  // Static: it may still run after the transfer that spawned it is gone.
+  static sim::Process charge_numa_tax(sim::Engine& engine, sim::BandwidthChannel& channel,
+                                      Duration hop, Bytes bytes, sim::FlowLocality loc);
   // Locality of a chunk's PMEM landing zone, nullopt when the chunk never
   // touches PMEM or the topology is flat.
   std::optional<sim::FlowLocality> chunk_locality(const TransferChunk& c) const;
@@ -207,5 +225,25 @@ class PipelinedTransfer {
   Stats stats_;
   std::vector<ChunkCrc> chunk_crcs_;
 };
+
+// The one transfer planner: turns a slot's extent plan (core/daemon/
+// extent.h) into the chunk list PipelinedTransfer runs, for every
+// direction the daemon moves bytes in.
+//   kRead  — checkpoint: pull each extent from the client GPU buffers in
+//            `remote` into the write slot at `slot_offset` (registered as
+//            `slot_mr`), flush it as it lands, and CRC it inline unless
+//            the payload is phantom. A non-empty `dirty` (per tensor) makes
+//            it incremental: clean extents become PMEM-local copies from
+//            the previous DONE slot at `prev_offset`.
+//   kWrite — restore: push each extent from the slot into the GPU buffers;
+//            no persists, no CRCs, no dirty set.
+// Coalesced extents carry their members (the remote gather/scatter list).
+std::vector<TransferChunk> plan_transfer(const MIndex& index,
+                                         const std::vector<TensorDesc>& remote,
+                                         const ExtentConfig& shape, Bytes chunk_bytes,
+                                         TransferChunk::Kind direction, Bytes slot_offset,
+                                         const rdma::MemoryRegion& slot_mr,
+                                         const std::vector<bool>& dirty = {},
+                                         Bytes prev_offset = 0);
 
 }  // namespace portus::core

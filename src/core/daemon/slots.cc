@@ -2,12 +2,12 @@
 
 namespace portus::core {
 
-CheckpointTxn CheckpointTxn::begin(MIndex& index) {
+CheckpointTxn CheckpointTxn::begin(MIndex& index, std::optional<std::uint64_t> carried) {
   const int slot = index.pick_write_slot();
-  const std::uint64_t epoch = index.max_epoch() + 1;
+  const std::uint64_t epoch = carried.value_or(index.max_epoch() + 1);
   // ACTIVE flag first, persisted, before any data lands: recovery must be
   // able to tell "transmission started but did not finish".
-  index.set_slot(slot, SlotState::kActive, epoch);
+  index.set_slot(slot, SlotState::kActive, carried.has_value() ? 0 : epoch);
   return CheckpointTxn{index, slot, epoch};
 }
 

@@ -22,6 +22,8 @@
 // (pick_write_slot never selects the newest DONE version).
 #pragma once
 
+#include <optional>
+
 #include "core/daemon/mindex.h"
 
 namespace portus::core {
@@ -30,7 +32,12 @@ class CheckpointTxn {
  public:
   // Marks the write slot ACTIVE (persisted). The transaction must be
   // committed or aborted before another one starts on the same MIndex.
-  static CheckpointTxn begin(MIndex& index);
+  // A checkpoint mints epoch max_epoch() + 1 and stamps it on ACTIVE. A
+  // migration instead lands a version another daemon already committed:
+  // it passes that `carried` epoch, ACTIVE is stamped 0 (an in-flight copy
+  // claims no epoch), and commit() flips DONE at the carried epoch.
+  static CheckpointTxn begin(MIndex& index,
+                             std::optional<std::uint64_t> carried = std::nullopt);
 
   CheckpointTxn(CheckpointTxn&&) = default;
   CheckpointTxn& operator=(CheckpointTxn&&) = delete;

@@ -88,7 +88,10 @@ class SimMutex final : public Resettable {
 };
 
 // ---------------------------------------------------------------------------
-// SimSemaphore: counting semaphore.
+// SimSemaphore: counting semaphore. `co_await sem.acquire()` takes a token
+// that the caller hands back with release(); `co_await sem.permit()` takes
+// one as a move-only Permit whose destruction releases it (SimMutex::Guard
+// style), so no exit path of the holder can leak the token.
 // ---------------------------------------------------------------------------
 class SimSemaphore final : public Resettable {
  public:
@@ -115,6 +118,24 @@ class SimSemaphore final : public Resettable {
   };
 
   AcquireAwaitable acquire() { return AcquireAwaitable{*this}; }
+
+  class [[nodiscard]] Permit {
+   public:
+    explicit Permit(SimSemaphore* s) : sem_{s} {}
+    Permit(Permit&& o) noexcept : sem_{std::exchange(o.sem_, nullptr)} {}
+    ~Permit() {
+      if (sem_ != nullptr) sem_->release();
+    }
+
+   private:
+    SimSemaphore* sem_;
+  };
+
+  struct PermitAwaitable : AcquireAwaitable {
+    Permit await_resume() const noexcept { return Permit{&sem}; }
+  };
+
+  PermitAwaitable permit() { return PermitAwaitable{{*this}}; }
 
   void release(int n = 1) {
     for (int i = 0; i < n; ++i) {

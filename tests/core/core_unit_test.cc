@@ -249,14 +249,6 @@ TEST(AllocatorTest, AdaptiveRefillScalesChunkWithDemand) {
   for (int i = 0; i < 8; ++i) (void)alloc.alloc(1_KiB);
   EXPECT_LE(alloc.shard_stats()[0].refills, refills_before + 1)
       << "hot shard should serve small allocs from the scaled reservation";
-
-  // With adaptation off the chunk is pinned to the configured floor.
-  auto fixed_cfg = cfg;
-  fixed_cfg.adaptive_refill = false;
-  pmem::PmemDevice fixed_device{"pmem", 64_MiB, 0x1000};
-  PmemAllocator fixed{fixed_device, fixed_cfg};
-  for (int i = 0; i < 6; ++i) (void)fixed.alloc(16_KiB);
-  EXPECT_EQ(fixed.shard_stats()[0].refill_chunk, 4_KiB);
 }
 
 TEST(AllocatorTest, NodePartitionsMatchDeviceTopology) {

@@ -160,6 +160,60 @@ TEST(ElasticTest, JoinMigratesCopiesAndBumpsEpoch) {
 }
 
 // ---------------------------------------------------------------------------
+// Migration certifies what it ships: a source copy whose bytes no longer
+// match its payload-CRC block is never blessed DONE on the destination.
+
+TEST(ElasticTest, JoinRefusesToCertifyACorruptSourceCopy) {
+  ElasticCluster::Config ec;
+  ec.max_restream_rounds = 0;  // one pre-copy pass: one attempt per copy
+  ElasticRig r{2, 1, ec};
+  auto& volta = r.cluster->node("client-volta");
+  auto model = r.make_model();
+  ClusterClient client{*r.cluster, volta, volta.gpu(0), r.rendezvous,
+                       r.client_config(2, 4)};
+
+  std::string bad_key;
+  r.eng.spawn([](ElasticRig& rig, ClusterClient& c, dnn::Model& m,
+                 std::string& bad) -> sim::Process {
+    co_await c.register_model(m);
+    co_await c.checkpoint(1);
+    // Bit rot on the only copy of one shard, after its DONE flip.
+    auto& src = *rig.daemons[0];
+    bad = src.model_table().names().front();
+    const MIndex* idx = src.find_live_index(bad);
+    const auto done_slot = idx->latest_done_slot();
+    const Bytes at = idx->slot(*done_slot).data_offset + idx->tensors()[0].offset_in_slot;
+    auto b = src.device().read(at, 1);
+    b[0] ^= std::byte{0x40};
+    src.device().write(at, b);
+    src.device().persist(at, 1);
+
+    const std::string joiner = ElasticRig::ep(1);
+    co_await rig.elastic.join(joiner, *rig.daemons[1]);
+  }(r, client, model, bad_key));
+  r.eng.run();
+  ASSERT_EQ(r.eng.failed_process_count(), 0);
+  ASSERT_FALSE(bad_key.empty());
+
+  const auto& st = r.elastic.stats();
+  EXPECT_EQ(st.integrity_rejects, 1u);
+  EXPECT_GT(st.copies_moved, 0u) << "the intact shards still migrate";
+  auto& joiner = *r.daemons[1];
+  const auto names = joiner.model_table().names();
+  ASSERT_NE(std::find(names.begin(), names.end(), bad_key), names.end());
+  EXPECT_FALSE(joiner.load_index(bad_key).latest_done_slot().has_value())
+      << "a copy that fails its CRC check must not become DONE";
+
+  // The abandoned copy looks exactly like a crash mid-stream: an ACTIVE
+  // leftover fsck demotes, never a corrupt DONE slot.
+  const auto report = Fsck{joiner}.run(/*repair=*/true);
+  EXPECT_EQ(report.corrupt_demoted, 0);
+  EXPECT_EQ(report.corrupt_tensors, 0);
+  EXPECT_EQ(report.active_demoted, 1);
+  EXPECT_TRUE(Fsck{joiner}.run(/*repair=*/false).clean());
+}
+
+// ---------------------------------------------------------------------------
 // Headline acceptance: a 1 -> 4 -> 2 resize under continuous checkpoint
 // load produces ZERO failed client ops, and the final restore is bit-exact.
 

@@ -257,6 +257,101 @@ TEST(ExtentPlanTest, ZeroLengthTensorsGetExactlyOneEmptySpan) {
   }
 }
 
+// --- transfer planner (plan_transfer) ----------------------------------------
+
+TEST(TransferPlanTest, ChunkListsForFullIncrementalAndRestore) {
+  IndexFixture f;
+  RegisterModelMsg m;
+  m.model_name = "planned";
+  const Bytes sizes[] = {512, 512, 16_KiB, 512, 512};
+  for (std::uint32_t i = 0; i < 5; ++i) {
+    m.tensors.push_back(TensorDesc{.name = "t" + std::to_string(i),
+                                   .dtype = dnn::DType::kU8,
+                                   .shape = {static_cast<std::int64_t>(sizes[i])},
+                                   .size = sizes[i],
+                                   .gpu_addr = 0x100000ull * (i + 1),
+                                   .rkey = 100 + i});
+  }
+  const auto idx = MIndex::create(f.device, f.alloc, m, /*pack_threshold=*/4_KiB);
+  const auto& ts = idx.tensors();
+  const Bytes slot = idx.slot(0).data_offset;
+  const Bytes prev = idx.slot(1).data_offset;
+  const rdma::MemoryRegion mr{.lkey = 7, .addr = 0xA0000000ull};
+  const ExtentConfig shape{.coalesce_threshold = 4_KiB, .max_sges = 8};
+  using Kind = TransferChunk::Kind;
+
+  // Full checkpoint: [t0 t1] gather, t2 in four 4 KiB chunks, [t3 t4].
+  const auto full = plan_transfer(idx, m.tensors, shape, 4_KiB, Kind::kRead, slot, mr);
+  ASSERT_EQ(full.size(), 6u);
+  for (std::size_t k = 0; k < full.size(); ++k) {
+    const auto& c = full[k];
+    const Bytes in_slot = c.local_addr - mr.addr;
+    EXPECT_EQ(c.kind, Kind::kRead) << k;
+    EXPECT_TRUE(c.persist_after) << k;
+    EXPECT_TRUE(c.collect_crc) << k;
+    EXPECT_EQ(c.persist_offset, slot + in_slot) << k;
+    EXPECT_EQ(c.lkey, 7u);
+    EXPECT_EQ(c.rkey, m.tensors[c.tensor_index].rkey);
+    EXPECT_EQ(c.remote_addr, m.tensors[c.tensor_index].gpu_addr + c.tensor_offset);
+  }
+  ASSERT_EQ(full[0].members.size(), 2u);
+  EXPECT_EQ(full[0].len, 1024u);
+  EXPECT_EQ(full[0].members[1].tensor_index, 1u);
+  EXPECT_EQ(full[0].members[1].rkey, 101u);
+  EXPECT_EQ(full[0].members[1].remote_addr, m.tensors[1].gpu_addr);
+  for (std::size_t k = 1; k <= 4; ++k) {
+    EXPECT_EQ(full[k].tensor_index, 2u);
+    EXPECT_EQ(full[k].tensor_offset, (k - 1) * 4_KiB);
+    EXPECT_EQ(full[k].local_addr, mr.addr + ts[2].offset_in_slot + (k - 1) * 4_KiB);
+    EXPECT_TRUE(full[k].members.empty()) << "a partial span is never a gather";
+  }
+  ASSERT_EQ(full[5].members.size(), 2u);
+  EXPECT_EQ(full[5].tensor_index, 3u);
+
+  // Incremental, t0 and t2 dirty: the dirty t0 splits from its clean
+  // neighbor, clean extents become local copies from the previous slot
+  // (still flushed and CRC'd), and the clean [t3 t4] run keeps its members
+  // for the per-tensor CRC split.
+  const std::vector<bool> dirty{true, false, true, false, false};
+  const auto incr =
+      plan_transfer(idx, m.tensors, shape, 4_KiB, Kind::kRead, slot, mr, dirty, prev);
+  ASSERT_EQ(incr.size(), 7u);
+  EXPECT_EQ(incr[0].kind, Kind::kRead);
+  EXPECT_EQ(incr[0].tensor_index, 0u);
+  EXPECT_TRUE(incr[0].members.empty());
+  EXPECT_EQ(incr[1].kind, Kind::kLocalCopy);
+  EXPECT_EQ(incr[1].dst_offset, slot + ts[1].offset_in_slot);
+  EXPECT_EQ(incr[1].src_offset, prev + ts[1].offset_in_slot);
+  for (std::size_t k = 2; k <= 5; ++k) EXPECT_EQ(incr[k].kind, Kind::kRead) << k;
+  EXPECT_EQ(incr[6].kind, Kind::kLocalCopy);
+  EXPECT_EQ(incr[6].dst_offset, slot + ts[3].offset_in_slot);
+  EXPECT_EQ(incr[6].src_offset, prev + ts[3].offset_in_slot);
+  ASSERT_EQ(incr[6].members.size(), 2u);
+  EXPECT_EQ(incr[6].members[1].tensor_index, 4u);
+  for (const auto& c : incr) {
+    EXPECT_TRUE(c.persist_after);
+    EXPECT_TRUE(c.collect_crc);
+  }
+
+  // Restore: the full checkpoint's extents pushed back out as WRITEs, with
+  // no persists and no CRCs.
+  const auto restore = plan_transfer(idx, m.tensors, shape, 4_KiB, Kind::kWrite, slot, mr);
+  ASSERT_EQ(restore.size(), full.size());
+  for (std::size_t k = 0; k < restore.size(); ++k) {
+    EXPECT_EQ(restore[k].kind, Kind::kWrite) << k;
+    EXPECT_FALSE(restore[k].persist_after) << k;
+    EXPECT_FALSE(restore[k].collect_crc) << k;
+    EXPECT_EQ(restore[k].local_addr, full[k].local_addr) << k;
+    EXPECT_EQ(restore[k].remote_addr, full[k].remote_addr) << k;
+    EXPECT_EQ(restore[k].members.size(), full[k].members.size()) << k;
+  }
+
+  EXPECT_THROW(plan_transfer(idx, m.tensors, shape, 4_KiB, Kind::kWrite, slot, mr, dirty),
+               InvalidArgument);
+  EXPECT_THROW(plan_transfer(idx, m.tensors, shape, 4_KiB, Kind::kLocalCopy, slot, mr),
+               InvalidArgument);
+}
+
 // --- end-to-end through the daemon ------------------------------------------
 
 struct Rig {

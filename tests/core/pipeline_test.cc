@@ -179,8 +179,8 @@ TEST(PipelineTest, WindowOneMatchesSerialPathExactly) {
 
   EXPECT_EQ(serial.count(), pipelined.count())
       << "window=1 must reproduce the serial datapath timing bit-for-bit";
-  EXPECT_EQ(stats.chunks, pipe_rig.sizes.size());
-  EXPECT_EQ(stats.peak_outstanding, 1);
+  EXPECT_EQ(stats.chunks_posted, pipe_rig.sizes.size());
+  EXPECT_EQ(stats.peak_window, 1);
 }
 
 TEST(PipelineTest, WindowedStripedPullsOverlapAndStayByteIdentical) {
@@ -194,9 +194,9 @@ TEST(PipelineTest, WindowedStripedPullsOverlapAndStayByteIdentical) {
 
   EXPECT_LT(pipelined.count(), serial.count())
       << "a deep window over two stripes must beat the serial path";
-  EXPECT_GT(stats.peak_outstanding, 1);
-  EXPECT_LE(stats.peak_outstanding, 2 * 8);
-  EXPECT_GT(stats.mean_outstanding(), 1.0);
+  EXPECT_GT(stats.peak_window, 1);
+  EXPECT_LE(stats.peak_window, 2 * 8);
+  EXPECT_GT(stats.mean_window(), 1.0);
 }
 
 TEST(PipelineTest, FailedChunkDrainsWindowThenThrows) {

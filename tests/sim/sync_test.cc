@@ -88,6 +88,30 @@ TEST(SimSemaphoreTest, BoundsConcurrency) {
   EXPECT_EQ(sem.available(), 3);
 }
 
+Process permit_worker(Engine& eng, SimSemaphore& sem, int& concurrent, int& peak,
+                      bool fail) {
+  const auto permit = co_await sem.permit();
+  ++concurrent;
+  peak = std::max(peak, concurrent);
+  co_await eng.sleep(10ns);
+  --concurrent;
+  if (fail) throw Corruption("worker failed while holding its permit");
+}
+
+TEST(SimSemaphoreTest, PermitReleasesOnEveryExitPath) {
+  Engine eng;
+  SimSemaphore sem{eng, 2};
+  int concurrent = 0;
+  int peak = 0;
+  for (int i = 0; i < 6; ++i) {
+    eng.spawn(permit_worker(eng, sem, concurrent, peak, /*fail=*/i % 2 == 0));
+  }
+  eng.run();
+  EXPECT_EQ(peak, 2);
+  EXPECT_EQ(eng.failed_process_count(), 3);
+  EXPECT_EQ(sem.available(), 2) << "a throwing holder leaked its permit";
+}
+
 TEST(SimSemaphoreTest, ReleaseWithoutWaitersIncrementsCount) {
   Engine eng;
   SimSemaphore sem{eng, 0};
