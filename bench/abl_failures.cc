@@ -30,7 +30,8 @@ struct Outcome {
 };
 
 // One uninterrupted training segment; returns (iterations run, durable
-// restore point, restore cost paid at the next failure).
+// restore point, restore cost paid at the next failure — for Portus that
+// includes re-registering the relaunched job's tensors).
 struct Segment {
   std::uint64_t trained = 0;
   std::uint64_t durable = 0;
@@ -64,22 +65,28 @@ Segment run_segment_portus(Duration length) {
   seg.trained = stats.iterations_done;
   seg.durable = hook.stats().last_committed_iteration;
 
-  // Restore cost for the next incarnation (measured on a fresh session).
+  // Restart cost for the next incarnation, measured on a fresh testbed: a
+  // relaunched client must re-register its tensors before it can restore
+  // the checkpoint the previous incarnation left behind.
   {
     bench::World w2;
-    auto model2 = dnn::ModelZoo::create(w2.volta().gpu(0), "vgg19_bn", opt);
-    core::PortusClient c2{*w2.cluster, w2.volta(), w2.volta().gpu(0), w2.rendezvous};
-    Duration restore{0};
-    w2.run([](sim::Engine& eng, core::PortusClient& c, dnn::Model& m,
-              Duration& out) -> sim::Process {
-      co_await c.connect();
-      co_await c.register_model(m);
-      co_await c.checkpoint(m, 1);
+    auto& gpu2 = w2.volta().gpu(0);
+    auto model2 = dnn::ModelZoo::create(gpu2, "vgg19_bn", opt);
+    core::PortusClient before{*w2.cluster, w2.volta(), gpu2, w2.rendezvous};
+    core::PortusClient after{*w2.cluster, w2.volta(), gpu2, w2.rendezvous};
+    Duration restart{0};
+    w2.run([](sim::Engine& eng, core::PortusClient& prev, core::PortusClient& next,
+              dnn::Model& m, Duration& out) -> sim::Process {
+      co_await prev.connect();
+      co_await prev.register_model(m);
+      co_await prev.checkpoint(m, 1);
+      co_await next.connect();
       const Time t0 = eng.now();
-      co_await c.restore(m);
+      co_await next.register_model(m);
+      co_await next.restore(m);
       out = eng.now() - t0;
-    }(w2.engine, c2, model2, restore));
-    seg.restore = restore;
+    }(w2.engine, before, after, model2, restart));
+    seg.restore = restart;
   }
   return seg;
 }

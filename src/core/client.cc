@@ -10,6 +10,47 @@
 
 namespace portus::core {
 
+namespace {
+
+// Binding positions [first, last) whose tensors sit back to back in GPU
+// memory, and the buffer spanning them.
+struct TensorRun {
+  std::size_t first = 0;
+  std::size_t last = 0;
+  gpu::DeviceBuffer span;
+};
+
+// Cut a binding, in binding order, into runs of adjacent allocations. A
+// tensor extends the current run only when it is in the same GPU segment,
+// has the same phantom flag, and starts exactly where the previous
+// tensor's allocation ends. A span ends at its last tensor's last byte, so
+// the only bytes it adds are the allocator pads inside the run.
+std::vector<TensorRun> cut_runs(const std::vector<dnn::Tensor>& tensors,
+                                const std::vector<std::uint32_t>& ids) {
+  std::vector<TensorRun> runs;
+  const gpu::DeviceBuffer* prev = nullptr;
+  for (std::size_t k = 0; k < ids.size(); ++k) {
+    PORTUS_CHECK_ARG(ids[k] < tensors.size(),
+                     strf("shard binding tensor index {} out of range", ids[k]));
+    const auto& buf = tensors[ids[k]].buffer();
+    const bool joins = prev != nullptr && &buf.segment() == &prev->segment() &&
+                       buf.phantom() == prev->phantom() &&
+                       buf.offset() == prev->offset() + gpu::GpuDevice::footprint(prev->size());
+    prev = &buf;
+    if (!joins) {
+      runs.push_back(TensorRun{.first = k, .last = k + 1, .span = buf});
+      continue;
+    }
+    auto& run = runs.back();
+    run.last = k + 1;
+    run.span = gpu::DeviceBuffer{&buf.segment(), run.span.offset(),
+                                 buf.offset() + buf.size() - run.span.offset(), buf.phantom()};
+  }
+  return runs;
+}
+
+}  // namespace
+
 PortusClient::PortusClient(net::Cluster& cluster, net::Node& client_node, gpu::GpuDevice& gpu,
                            QpRendezvous& rendezvous, std::string endpoint, int stripes)
     : cluster_{cluster},
@@ -165,21 +206,25 @@ sim::SubTask<> PortusClient::register_shard(dnn::Model& model, ShardBinding bind
 
   // Pin the bound tensors through PeerMem and register them with the RNIC.
   // The remote side needs READ (checkpoint pull) and WRITE (restore push).
-  auto& tensors = model.tensors();
-  for (const auto i : binding.tensor_indices) {
-    PORTUS_CHECK_ARG(i < tensors.size(),
-                     strf("shard binding tensor index {} out of range", i));
-    auto& tensor = tensors[i];
-    const auto peer = co_await gpu::PeerMem::register_buffer(gpu_, tensor.buffer());
-    const auto& mr = pd_->register_region(node_.gpu_region(peer));
-    msg.tensors.push_back(TensorDesc{
-        .name = tensor.name(),
-        .dtype = tensor.meta().dtype,
-        .shape = tensor.meta().shape,
-        .size = tensor.byte_size(),
-        .gpu_addr = peer.global_addr,
-        .rkey = mr.rkey,
-    });
+  // One pin and one MR cover each run of adjacent allocations; every
+  // TensorDesc keeps its own address and size and carries its run's rkey.
+  const auto& tensors = model.tensors();
+  const auto runs = cut_runs(tensors, binding.tensor_indices);
+  for (const auto& run : runs) {
+    const auto peer = co_await gpu::PeerMem::register_buffer(gpu_, run.span);
+    const auto rkey = pd_->register_region(node_.gpu_region(peer)).rkey;
+    ++stats_.regions_registered;
+    for (std::size_t k = run.first; k < run.last; ++k) {
+      const auto& tensor = tensors[binding.tensor_indices[k]];
+      msg.tensors.push_back(TensorDesc{
+          .name = tensor.name(),
+          .dtype = tensor.meta().dtype,
+          .shape = tensor.meta().shape,
+          .size = tensor.byte_size(),
+          .gpu_addr = tensor.buffer().global_addr(),
+          .rkey = rkey,
+      });
+    }
   }
 
   // One CQ serves every stripe of this registration: the daemon drives all

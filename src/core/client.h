@@ -1,17 +1,23 @@
 // Portus Client: the compute-node side, the library a training framework
 // (PyTorch/DeepSpeed/Megatron) links against.
 //
-// On register_model() it walks the model's pre-allocated GPU tensors, pins
-// each through NVIDIA PeerMem, registers RDMA memory regions, and ships the
-// metadata packet (names, dtypes, shapes, sizes, GPU addresses, rkeys) to
-// the daemon over TCP/IPoIB. checkpoint() and restore() are then one-word
-// triggers: the *daemon* moves all tensor bytes with one-sided verbs, so
-// the client never copies, serializes, or crosses into a kernel filesystem.
+// On register_model() it walks the model's pre-allocated GPU tensors and
+// cuts them into runs of adjacent allocations (GpuDevice::alloc lays a
+// model out back to back, so a whole model is usually one run). Each run
+// is pinned once through NVIDIA PeerMem and registered as one RDMA memory
+// region. The metadata packet still has one entry per tensor, in binding
+// order (name, dtype, shape, size, GPU address, and its run's rkey); it
+// goes to the daemon over TCP/IPoIB. checkpoint() and restore() are then
+// one-word triggers: the *daemon* moves all tensor bytes with one-sided
+// verbs, so the client never copies, serializes, or crosses into a kernel
+// filesystem.
 //
 // Sharded mode (core/cluster/): one PortusClient per daemon, and
 // register_shard() registers a *subset* of the model's tensors under a
-// shard-scoped name. A daemon may host several shard copies of one model,
-// so a client keeps one datapath (CQ + QP stripes) per registration.
+// shard-scoped name. A run never spans a tensor the binding skips, so no
+// MR exposes bytes outside the binding's own allocations. A daemon may
+// host several shard copies of one model, so a client keeps one datapath
+// (CQ + QP stripes) per registration.
 #pragma once
 
 #include <map>
@@ -36,6 +42,9 @@ class PortusClient {
     Duration last_checkpoint{0};
     Duration last_restore{0};
     Duration registration_time{0};
+    // PeerMem pins (= RDMA MRs) over every registration: one per run of
+    // adjacent tensor allocations.
+    std::uint64_t regions_registered = 0;
     std::uint32_t negotiated_stripes = 0;  // accepted by the daemon (last reg)
     // Gather capability the daemon accepted (last reg); 1 = single-SGE.
     std::uint32_t negotiated_max_sges = 0;
@@ -102,8 +111,9 @@ class PortusClient {
   // Dial the daemon (TCP handshake). Must precede register_model().
   sim::SubTask<> connect();
 
-  // Pin + register every tensor and send the metadata packet. The daemon
-  // lays out the checkpoint structure on PMEM before this returns.
+  // Pin + register every tensor (one MR per run of adjacent allocations)
+  // and send the metadata packet. The daemon lays out the checkpoint
+  // structure on PMEM before this returns.
   sim::SubTask<> register_model(dnn::Model& model);
 
   // Register a subset of the model's tensors under binding.reg_name.

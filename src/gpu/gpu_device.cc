@@ -65,8 +65,7 @@ GpuDevice::GpuDevice(sim::Engine& engine, mem::AddressSpace& addr_space, std::st
 }
 
 DeviceBuffer GpuDevice::alloc(Bytes size, bool phantom) {
-  constexpr Bytes kAlign = 512;  // CUDA allocation granularity (simplified)
-  const Bytes aligned = (size + kAlign - 1) & ~(kAlign - 1);
+  const Bytes aligned = footprint(size);
   if (next_offset_ + aligned > memory_->size()) {
     throw ResourceExhausted("GPU " + name_ + " out of device memory");
   }

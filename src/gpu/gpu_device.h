@@ -80,7 +80,14 @@ class GpuDevice {
 
   // Bump allocation of device memory (DNN frameworks pre-allocate tensors
   // once per training job; nothing in the reproduction frees mid-job).
+  // Each buffer takes footprint(size) bytes, so consecutive allocations
+  // sit back to back: the next one starts right after this one's pad.
   DeviceBuffer alloc(Bytes size, bool phantom = false);
+  // CUDA allocation granularity (simplified).
+  static constexpr Bytes kAllocGranule = 512;
+  static constexpr Bytes footprint(Bytes size) {
+    return (size + kAllocGranule - 1) & ~(kAllocGranule - 1);
+  }
   Bytes allocated() const { return next_offset_; }
   Bytes capacity() const { return memory_->size(); }
 

@@ -112,17 +112,12 @@ int cmd_dump(const std::string& image, const std::string& model, const std::stri
   core::Portusctl ctl{*w.daemon};
 
   storage::CheckpointFile file;
-  bool ok = false;
-  w.engine.spawn([](core::Portusctl& c, const std::string& name, storage::CheckpointFile& f,
-                    bool& done) -> sim::Process {
+  auto proc = w.engine.spawn([](core::Portusctl& c, const std::string& name,
+                                storage::CheckpointFile& f) -> sim::Process {
     f = co_await c.dump(name);
-    done = true;
-  }(ctl, model, file, ok));
+  }(ctl, model, file));
   w.engine.run();
-  if (!ok) {
-    std::cerr << "dump failed\n";
-    return 1;
-  }
+  proc.check();  // rethrows the dump's failure (e.g. an unknown model) for main
   const auto container = storage::CheckpointSerializer::serialize(file);
   std::ofstream out{out_path, std::ios::binary | std::ios::trunc};
   out.write(reinterpret_cast<const char*>(container.data()),
