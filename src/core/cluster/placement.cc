@@ -68,26 +68,29 @@ Placement::Plan Placement::compute_over(const std::string& model_name,
   plan.shard_bytes.assign(shard_count, 0);
   plan.tensor_shard.resize(tensor_sizes.size());
 
-  // LPT bin packing: largest tensor first, into the lightest shard; ties
-  // break on the lower shard id so the order is total and deterministic.
+  // Contiguous byte-quantile cut: tensor t joins the shard holding the
+  // midpoint of its bytes, floor(k * (prefix_t + size_t / 2) / T), so each
+  // cut falls on the tensor boundary nearest s*T/k. Midpoints ascend with
+  // t, so every shard is one ascending run of adjacent tensors and holds at
+  // most T/k plus its largest tensor. 128-bit math: k * T overflows u64 for
+  // a large model cut many ways. An all-zero model is cut by index.
   // Depends only on (sizes, shard_count): a shard's tensor set is stable
   // across membership epochs, so migration moves whole shard copies and
   // never re-cuts a model.
-  std::vector<std::uint32_t> order(tensor_sizes.size());
-  for (std::uint32_t i = 0; i < order.size(); ++i) order[i] = i;
-  std::stable_sort(order.begin(), order.end(), [&](std::uint32_t a, std::uint32_t b) {
-    return tensor_sizes[a] > tensor_sizes[b];
-  });
-  for (const auto t : order) {
-    std::uint32_t best = 0;
-    for (std::uint32_t s = 1; s < shard_count; ++s) {
-      if (plan.shard_bytes[s] < plan.shard_bytes[best]) best = s;
-    }
-    plan.tensor_shard[t] = best;
-    plan.shard_bytes[best] += tensor_sizes[t];
-  }
-  for (std::uint32_t t = 0; t < plan.tensor_shard.size(); ++t) {
-    plan.shard_tensors[plan.tensor_shard[t]].push_back(t);
+  using u128 = unsigned __int128;
+  u128 total = 0;
+  for (const auto b : tensor_sizes) total += b;
+  const bool by_index = total == 0;
+  if (by_index) total = tensor_sizes.size();
+  u128 prefix = 0;
+  for (std::uint32_t t = 0; t < tensor_sizes.size(); ++t) {
+    const u128 size = by_index ? 1 : tensor_sizes[t];
+    const u128 quantile = shard_count * (2 * prefix + size) / (2 * total);
+    const auto s = static_cast<std::uint32_t>(std::min<u128>(quantile, shard_count - 1));
+    plan.tensor_shard[t] = s;
+    plan.shard_tensors[s].push_back(t);
+    plan.shard_bytes[s] += tensor_sizes[t];
+    prefix += size;
   }
 
   // Ring walk over the *active* members: shard k's primary at the

@@ -1,19 +1,24 @@
 // Placement: which daemon owns which tensors of a sharded model.
 //
-// The policy is size-balanced striping over a static daemon ring: the model
-// is cut into one shard per daemon, tensors are assigned to shards by
-// longest-processing-time bin packing (largest tensor to the lightest
-// shard), and shard k's copies live on ring positions rot+k, rot+k+1, ...
-// rot+k+R-1 (mod N), where the rotation derives from an FNV hash of the
-// model name so concurrent tenants do not all hammer daemon 0.
+// The model is cut into `shard_count` contiguous, byte-balanced tensor
+// ranges: tensor t goes to the shard holding the midpoint of its bytes, so
+// shard s is one ascending run of adjacent tensors whose cuts fall on the
+// tensor boundaries nearest s*T/k (T = model bytes, k = shards). The client
+// lays a model out back to back, so each shard copy is one PeerMem pin and
+// one MR. No shard exceeds T/k plus the largest tensor, and a shard is
+// empty when one tensor spans more than T/k. Shard k's copies live on the
+// active ring positions rot+k, rot+k+1, ... rot+k+R-1, where the rotation
+// derives from an FNV hash of the model name so concurrent tenants do not
+// all hammer daemon 0.
 //
-// Everything is a pure function of (model name, tensor sizes, ring size,
-// replication factor, placement epoch) — two processes that agree on the
-// ring config compute byte-identical plans, so restore after a full client
-// restart needs no metadata service: the client just recomputes where its
-// shards are. The persisted ShardManifest (manifest.h) is the belt to this
-// suspenders — it lets an operator reconstruct ownership from any one
-// surviving daemon even when the ring config is lost.
+// Everything is a pure function of (model name, tensor sizes, shard count,
+// active ring positions, replication factor, placement epoch) — two
+// processes that agree on the ring config compute byte-identical plans, so
+// restore after a full client restart needs no metadata service: the client
+// just recomputes where its shards are. The persisted ShardManifest
+// (manifest.h) is the belt to this suspenders — it lets an operator
+// reconstruct ownership from any one surviving daemon even when the ring
+// config is lost.
 #pragma once
 
 #include <cstdint>
@@ -39,9 +44,9 @@ struct Placement {
     std::uint32_t replicas = 0;
     // tensor index -> owning shard id.
     std::vector<std::uint32_t> tensor_shard;
-    // shard id -> tensor indices, ascending (registration order within the
-    // shard is the model's tensor order, so a shard's MIndex layout is
-    // itself deterministic).
+    // shard id -> tensor indices: one ascending contiguous range, before
+    // shard s+1's (registration order within the shard is the model's
+    // tensor order, so a shard's MIndex layout is itself deterministic).
     std::vector<std::vector<std::uint32_t>> shard_tensors;
     // shard id -> daemon ring positions holding a copy, primary first.
     std::vector<std::vector<std::uint32_t>> shard_daemons;
@@ -54,8 +59,8 @@ struct Placement {
   };
 
   // `replicas` is clamped to daemon_count (cannot place two copies of one
-  // shard on the same daemon). Zero-size tensors are legal and stay with
-  // the shard the balancer gives them.
+  // shard on the same daemon). Zero-size tensors are legal and join the
+  // shard their offset falls in.
   static Plan compute(const std::string& model_name, std::span<const Bytes> tensor_sizes,
                       std::uint32_t daemon_count, std::uint32_t replicas,
                       std::uint64_t placement_epoch);

@@ -14,7 +14,27 @@ namespace portus::core {
 
 namespace {
 constexpr const char* kLog = "portusd";
+
+// A registration may reuse a stored index only with the layout it was laid
+// out for: any other name, dtype or size would move bytes across tensor
+// boundaries inside the slot and the client's run-wide MR.
+void check_same_layout(const MIndex& index, const RegisterModelMsg& msg) {
+  const auto& stored = index.tensors();
+  PORTUS_CHECK(stored.size() == msg.tensors.size(),
+               strf("re-registration of {} with {} tensors; its index holds {}",
+                    msg.model_name, msg.tensors.size(), stored.size()));
+  for (std::size_t i = 0; i < stored.size(); ++i) {
+    const auto& s = stored[i];
+    const auto& t = msg.tensors[i];
+    if (s.name == t.name && s.dtype == t.dtype && s.size == t.size) continue;
+    throw Error(strf("re-registration of {} does not match its index at tensor {}: "
+                     "{} {} {} B, stored {} {} {} B",
+                     msg.model_name, i, t.name, dnn::to_string(t.dtype), t.size, s.name,
+                     dnn::to_string(s.dtype), s.size));
+  }
 }
+
+}  // namespace
 
 PortusDaemon::PortusDaemon(net::Cluster& cluster, net::Node& storage_node,
                            QpRendezvous& rendezvous, Config config)
@@ -230,6 +250,16 @@ sim::SubTask<RegisterAckMsg> PortusDaemon::handle_register(RegisterModelMsg msg)
 
   const auto permit = co_await workers_->permit();
   try {
+    // Reuse the persistent index when this model is already known (training
+    // restart): the checkpoint data on PMEM outlives client sessions. Its
+    // slots were laid out for the stored tensors, so only that exact layout
+    // may re-register; anything else is refused before a byte is charged.
+    std::optional<MIndex> known;
+    if (const auto existing = model_table_->lookup(msg.model_name); existing.has_value()) {
+      known.emplace(MIndex::load(device_, *existing));
+      check_same_layout(*known, msg);
+    }
+
     // Tenancy: negotiate the quota grant and charge both slots' PMEM
     // capacity BEFORE any layout happens, so an over-quota registration is
     // refused without allocating a byte. The charge is the registered
@@ -268,13 +298,8 @@ sim::SubTask<RegisterAckMsg> PortusDaemon::handle_register(RegisterModelMsg msg)
       home.emplace(static_cast<std::uint32_t>(session.home_shard));
     }
 
-    // Reuse the persistent index when this model is already known (training
-    // restart): the checkpoint data on PMEM outlives client sessions.
-    if (const auto existing = model_table_->lookup(msg.model_name); existing.has_value()) {
-      auto loaded = MIndex::load(device_, *existing);
-      PORTUS_CHECK(loaded.tensors().size() == msg.tensors.size(),
-                   "re-registration with a different model structure");
-      session.index = std::make_unique<MIndex>(std::move(loaded));
+    if (known.has_value()) {
+      session.index = std::make_unique<MIndex>(std::move(*known));
       // Slots reclaimed by the repacker (torn/outdated versions) are
       // re-provisioned so the double-mapping invariant holds again.
       for (int i = 0; i < 2; ++i) {

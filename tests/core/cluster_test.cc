@@ -3,10 +3,15 @@
 // version coverage).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <set>
+
+#include "common/rng.h"
 #include "common/strformat.h"
 #include "core/cluster/cluster_client.h"
 #include "core/cluster/cluster_ctl.h"
 #include "core/cluster/manifest.h"
+#include "core/cluster/migration.h"
 #include "core/cluster/placement.h"
 #include "core/daemon/daemon.h"
 #include "dnn/model_zoo.h"
@@ -49,11 +54,86 @@ TEST(PlacementTest, EveryTensorPlacedOnceAndReplicasDistinct) {
   }
 }
 
-TEST(PlacementTest, LptKeepsShardsBalanced) {
-  // 8 equal tensors over 4 shards must land exactly 2 per shard.
+TEST(PlacementTest, EqualTensorsSplitTwoPerShard) {
+  // 8 equal tensors over 4 shards must land exactly 2 per shard, in order.
   const std::vector<Bytes> sizes(8, 16_MiB);
   const auto plan = Placement::compute("balanced", sizes, 4, 1, 0);
   for (const auto& bytes : plan.shard_bytes) EXPECT_EQ(bytes, 32_MiB);
+  for (std::uint32_t s = 0; s < 4; ++s) {
+    EXPECT_EQ(plan.shard_tensors[s], (std::vector<std::uint32_t>{2 * s, 2 * s + 1}));
+  }
+}
+
+// Cut `sizes` into `k` shards (on a one-member ring, so k may exceed it)
+// and check the contract: the shards, in shard order, are consecutive
+// ascending ranges that tile the model, and each holds at most ceil(T/k)
+// plus the largest tensor.
+Placement::Plan expect_quantile_cut(const std::vector<Bytes>& sizes, std::uint32_t k) {
+  SCOPED_TRACE(strf("{} tensors over {} shards", sizes.size(), k));
+  const std::vector<std::uint32_t> active{0};
+  const auto plan = Placement::compute_over("m", sizes, k, 1, active, 1, 0);
+  EXPECT_EQ(plan.shard_tensors.size(), k);
+  EXPECT_EQ(plan.tensor_shard.size(), sizes.size());
+
+  unsigned __int128 total = 0;
+  Bytes largest = 0;
+  for (const auto b : sizes) {
+    total += b;
+    largest = std::max(largest, b);
+  }
+  const unsigned __int128 bound = (total + k - 1) / k + largest;
+  std::uint32_t next = 0;
+  for (std::uint32_t s = 0; s < k; ++s) {
+    Bytes bytes = 0;
+    for (const auto t : plan.shard_tensors[s]) {
+      EXPECT_EQ(t, next) << "shard " << s << " is not the next contiguous range";
+      EXPECT_EQ(plan.tensor_shard[t], s);
+      bytes += sizes[t];
+      ++next;
+    }
+    EXPECT_EQ(plan.shard_bytes[s], bytes);
+    EXPECT_TRUE(bytes <= bound) << "shard " << s << " holds " << bytes << " B";
+  }
+  EXPECT_EQ(next, sizes.size());
+  return plan;
+}
+
+TEST(PlacementTest, QuantileCutIsContiguousAndBounded) {
+  Rng rng{0x5eed};
+  std::vector<std::vector<Bytes>> models = {
+      {96_MiB, 1_MiB, 40_MiB, 40_MiB, 8_MiB, 3_MiB, 200_KiB},
+      {0, 0, 4_KiB, 0, 8_KiB, 0, 0, 4_KiB, 0},  // zero-size tensors anywhere
+      {1_MiB, 2_MiB, 3_MiB},                     // fewer tensors than most k
+      {Bytes{1} << 62, Bytes{1} << 62, Bytes{1} << 62},  // k * T overflows u64
+  };
+  for (int i = 0; i < 16; ++i) {
+    std::vector<Bytes> sizes(rng.uniform(1, 300));
+    for (auto& b : sizes) b = rng.bernoulli(0.1) ? 0 : rng.uniform(1, 64_MiB);
+    models.push_back(std::move(sizes));
+  }
+  for (const auto& sizes : models) {
+    for (const std::uint32_t k : {1u, 2u, 3u, 7u, 8u, 16u, 64u}) expect_quantile_cut(sizes, k);
+  }
+}
+
+TEST(PlacementTest, QuantileCutEdgeCases) {
+  // One shard holds the whole model.
+  const std::vector<Bytes> model{3_MiB, 0, 5_MiB};
+  EXPECT_EQ(expect_quantile_cut(model, 1).shard_bytes[0], 8_MiB);
+
+  // A tensor wider than a share leaves a shard empty, and so does having
+  // more shards than tensors: each tensor lands where its midpoint falls.
+  const auto wide = expect_quantile_cut({10_MiB, 1_MiB, 1_MiB}, 4);
+  EXPECT_EQ(wide.shard_tensors,
+            (std::vector<std::vector<std::uint32_t>>{{}, {0}, {}, {1, 2}}));
+  const auto sparse = expect_quantile_cut({1_MiB, 1_MiB}, 5);
+  EXPECT_EQ(sparse.shard_tensors,
+            (std::vector<std::vector<std::uint32_t>>{{}, {0}, {}, {1}, {}}));
+
+  // An all-zero model is cut by index: 5 tensors over 4 shards.
+  const auto zeros = expect_quantile_cut(std::vector<Bytes>(5, 0), 4);
+  EXPECT_EQ(zeros.shard_tensors,
+            (std::vector<std::vector<std::uint32_t>>{{0}, {1}, {2, 3}, {4}}));
 }
 
 TEST(PlacementTest, ReplicasClampedToRingSize) {
@@ -334,6 +414,69 @@ TEST(ClusterTest, PlacementSurvivesProcessRestart) {
   ASSERT_TRUE(ok);
   EXPECT_EQ(client2.plan().digest(), digest1);
   EXPECT_EQ(model2.weights_crc(), crc);
+  EXPECT_EQ(r.eng.failed_process_count(), 0);
+}
+
+// Each shard is one run of adjacent allocations, so each shard copy costs
+// one PeerMem pin: at registration, and again for every copy a join moves.
+TEST(ClusterTest, EveryShardCopyRegistersOneRegion) {
+  ClusterRig r{4};
+  ElasticCluster elastic{r.eng};
+  for (int i = 0; i < 3; ++i) elastic.add_member(r.endpoints[i], *r.daemons[i]);
+  elastic.seal();
+  auto& volta = r.cluster->node("client-volta");
+  dnn::ModelZoo::Options opt;
+  opt.scale = 0.02;
+  auto model = dnn::ModelZoo::create(volta.gpu(0), "resnet50", opt);
+
+  ClusterClient::Config cfg;
+  cfg.replicas = 2;
+  cfg.shard_count = 8;
+  cfg.membership = &elastic;
+  cfg.op_timeout = 50ms;
+  ClusterClient client{*r.cluster, volta, volta.gpu(0), r.rendezvous, cfg};
+  const auto regions = [&client] {
+    std::uint64_t n = 0;
+    for (std::size_t i = 0; i < client.lane_count(); ++i) {
+      n += client.lane_client(i).stats().regions_registered;
+    }
+    return n;
+  };
+  // (ring position, shard) of every copy the plan places.
+  const auto copies = [](const Placement::Plan& plan) {
+    std::set<std::pair<std::uint32_t, std::uint32_t>> out;
+    for (std::uint32_t s = 0; s < plan.shard_count; ++s) {
+      if (plan.shard_tensors[s].empty()) continue;
+      for (const auto pos : plan.shard_daemons[s]) out.emplace(pos, s);
+    }
+    return out;
+  };
+
+  auto proc = r.eng.spawn([](ClusterClient& c, dnn::Model& m) -> sim::Process {
+    co_await c.register_model(m);
+    co_await c.checkpoint(1);
+  }(client, model));
+  r.eng.run();
+  proc.check();
+  const auto before = copies(client.plan());
+  EXPECT_EQ(before.size(), 16u);
+  EXPECT_EQ(regions(), before.size());
+
+  // The first checkpoint after the join hits EpochMismatch, re-resolves,
+  // and registers the copies that moved, one region each.
+  auto resize = r.eng.spawn([](ElasticCluster& e, PortusDaemon& joiner, ClusterClient& c,
+                               dnn::Model& m) -> sim::Process {
+    co_await e.join("portusd3", joiner);
+    m.mutate_weights(2);
+    co_await c.checkpoint(2);
+  }(elastic, *r.daemons[3], client, model));
+  r.eng.run();
+  resize.check();
+  std::size_t moved = 0;
+  for (const auto& copy : copies(client.plan())) moved += before.count(copy) == 0 ? 1 : 0;
+  EXPECT_GT(moved, 0u);
+  EXPECT_EQ(elastic.stats().copies_moved, moved);
+  EXPECT_EQ(regions(), before.size() + moved);
   EXPECT_EQ(r.eng.failed_process_count(), 0);
 }
 

@@ -3,7 +3,8 @@
 // TensorDesc of a run carries the run's rkey. Most cases register against
 // a stand-in daemon that acks and keeps the packet, so they can read the
 // exact addresses and rkeys the client published and probe them with
-// one-sided verbs; the round-trip case runs a real PortusDaemon.
+// one-sided verbs; the round-trip and re-registration cases run a real
+// PortusDaemon.
 #include <gtest/gtest.h>
 
 #include "common/strformat.h"
@@ -271,6 +272,61 @@ TEST(ClientRegistrationTest, ShardRoundTripIsBitExactAndLeavesTheSkippedTensor) 
   EXPECT_EQ(model.tensor(2).buffer().crc(), skipped_clobbered)
       << "restore wrote into a tensor the shard does not bind";
   EXPECT_EQ(r.daemon->stats().failed_ops, 0u);
+}
+
+// A known model re-registers only with the layout its index stores. Here
+// tensors 0 and 1 swap sizes: reusing the stored slot would restore the
+// stored 8 KiB tensor 0 over the first 4 KiB of tensor 1, which sits
+// inside the same run-wide MR.
+TEST(ClientRegistrationTest, ReRegistrationWithAnotherLayoutIsRefused) {
+  Rig r{/*real_daemon=*/true};
+  const auto model = [](gpu::GpuDevice& gpu, std::initializer_list<Bytes> sizes) {
+    dnn::Model m{"m", gpu};
+    for (const auto bytes : sizes) {
+      m.add_tensor(f32(strf("m.t{}", m.tensors().size()), bytes), false);
+    }
+    return m;
+  };
+  auto stored = model(r.gpu, {8_KiB, 4_KiB, 4_KiB});
+  stored.randomize_weights(1);
+  r.register_tensors(stored);
+  const auto stored_crc = stored.weights_crc();
+  auto proc = r.eng.spawn([](PortusClient& c, dnn::Model& m) -> sim::Process {
+    co_await c.checkpoint(m, 1);
+  }(r.client, stored));
+  r.eng.run();
+  proc.check();
+
+  // A relaunch on another GPU with a different layout under the same name.
+  auto& gpu1 = r.client_node.gpu(1);
+  auto relaunched = model(gpu1, {4_KiB, 8_KiB, 4_KiB});
+  relaunched.randomize_weights(2);
+  const auto relaunched_crc = relaunched.weights_crc();
+  PortusClient other{*r.cluster, r.client_node, gpu1, r.rendezvous, "portusd"};
+  std::string error;
+  auto reg = r.eng.spawn([](PortusClient& c, dnn::Model& m, std::string& out) -> sim::Process {
+    co_await c.connect();
+    try {
+      co_await c.register_model(m);
+    } catch (const Error& e) {
+      out = e.what();
+    }
+  }(other, relaunched, error));
+  r.eng.run();
+  reg.check();
+  EXPECT_NE(error.find("tensor 0"), std::string::npos) << error;
+  EXPECT_NE(error.find("m.t0"), std::string::npos) << error;
+  EXPECT_EQ(r.daemon->stats().failed_ops, 1u);
+  EXPECT_EQ(relaunched.weights_crc(), relaunched_crc);
+
+  // The stored image and the original session are untouched.
+  stored.mutate_weights(3);
+  auto restore = r.eng.spawn([](PortusClient& c, dnn::Model& m) -> sim::Process {
+    co_await c.restore(m);
+  }(r.client, stored));
+  r.eng.run();
+  restore.check();
+  EXPECT_EQ(stored.weights_crc(), stored_crc);
 }
 
 TEST(ClientRegistrationTest, PhantomFlagChangeSplitsARun) {

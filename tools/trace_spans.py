@@ -1,0 +1,134 @@
+#!/usr/bin/env python3
+"""Per-track statistics of the spans whose names start with a prefix, in
+Chrome traces as perfbench/run.py --trace 1 writes them to .bench_out/.
+
+    python3 tools/trace_spans.py .bench_out/elastic-seed1.trace.json
+    python3 tools/trace_spans.py --prefix restore# CHANGE.json... --parent PARENT.json...
+
+It prints, per track (thread) and pooled over all tracks, the span count
+and the nearest-rank median, p90 and max in ms. Spans of one track pool
+across every trace given, so several seeds' traces make one larger sample.
+
+With --parent it also prints the parent's table, the change of each
+track's median, and the pooled median of the traces under study
+reweighted to the parent's per-track counts. A closed-loop workload can
+move how many spans each track lands, and with them the pooled median;
+the reweighted median holds the mix at the parent's, so it shows what the
+per-span latencies alone did to the pooled figure.
+"""
+
+import argparse
+import json
+import math
+import sys
+
+
+def load_spans(paths, prefix):
+    """{track name: [span duration in ms]} over complete events ("X")
+    whose name starts with prefix, pooled across the traces in paths.
+    Tracks are named by their thread_name metadata, prefixed with the
+    process name where there is one (zoo merges one process per model,
+    each with its own portusd thread)."""
+    spans = {}
+    for path in paths:
+        with open(path) as f:
+            events = json.load(f)["traceEvents"]
+        threads, processes = {}, {}
+        for e in events:
+            if e.get("ph") != "M":
+                continue
+            if e.get("name") == "thread_name":
+                threads[(e.get("pid"), e.get("tid"))] = e["args"]["name"]
+            elif e.get("name") == "process_name":
+                processes[e.get("pid")] = e["args"]["name"] + "/"
+        for e in events:
+            if e.get("ph") != "X" or not e.get("name", "").startswith(prefix):
+                continue
+            pid, tid = e.get("pid"), e.get("tid")
+            track = processes.get(pid, "") + threads.get((pid, tid), f"tid {tid}")
+            spans.setdefault(track, []).append(e["dur"] / 1e3)
+    return spans
+
+
+def percentile(values, p):
+    """Nearest-rank p-th percentile, as perfbench computes it."""
+    values = sorted(values)
+    rank = min(max(math.ceil(p / 100.0 * len(values)), 1), len(values))
+    return values[rank - 1]
+
+
+def weighted_median(samples):
+    """Nearest-rank median of (value, weight) pairs: the smallest value
+    whose cumulative weight reaches half the total. With unit weights this
+    is percentile(values, 50)."""
+    samples = sorted(s for s in samples if s[1] > 0)
+    half = sum(w for _, w in samples) / 2
+    acc = 0.0
+    for value, weight in samples:
+        acc += weight
+        if acc >= half * (1 - 1e-12):
+            return value
+    return samples[-1][0]
+
+
+def reweighted_median(parent, change):
+    """The change's pooled median with each of its spans weighted so that
+    every track carries the parent's span count. A track the parent lacks
+    carries no weight."""
+    samples = []
+    for track, values in change.items():
+        weight = len(parent.get(track, ())) / len(values)
+        samples += [(v, weight) for v in values]
+    return weighted_median(samples)
+
+
+def pooled(spans):
+    return [x for values in spans.values() for x in values]
+
+
+def print_table(title, spans, width):
+    print(title)
+    print(f"  {'track':<{width}} {'count':>7} {'p50_ms':>10} {'p90_ms':>10} {'max_ms':>10}")
+    for track, values in sorted(spans.items()) + [("pooled", pooled(spans))]:
+        print(f"  {track:<{width}} {len(values):>7} {percentile(values, 50):>10.3f} "
+              f"{percentile(values, 90):>10.3f} {max(values):>10.3f}")
+
+
+def main(argv=None):
+    ap = argparse.ArgumentParser(description=__doc__,
+                                 formatter_class=argparse.RawDescriptionHelpFormatter)
+    ap.add_argument("traces", nargs="+", metavar="TRACE", help="traces to summarize")
+    ap.add_argument("--parent", nargs="+", metavar="TRACE",
+                    help="the parent commit's traces to compare against")
+    ap.add_argument("--prefix", default="ckpt#", help="span name prefix (default: ckpt#)")
+    a = ap.parse_args(argv)
+
+    change = load_spans(a.traces, a.prefix)
+    parent = load_spans(a.parent, a.prefix) if a.parent else None
+    for label, spans in (("traces", change), ("parent traces", parent)):
+        if spans == {}:
+            print(f"no span named {a.prefix}* in the {label}", file=sys.stderr)
+            return 1
+    width = max(len(t) for t in list(change) + list(parent or {}) + ["pooled"])
+    if parent is None:
+        print_table(f"spans {a.prefix}* in {len(a.traces)} trace(s)", change, width)
+        return 0
+
+    print_table(f"parent: spans {a.prefix}* in {len(a.parent)} trace(s)", parent, width)
+    print_table(f"change: spans {a.prefix}* in {len(a.traces)} trace(s)", change, width)
+    print("median per track, parent -> change:")
+    for track in sorted(set(parent) | set(change)):
+        if track not in parent or track not in change:
+            print(f"  {track:<{width}} only in the {'parent' if track in parent else 'change'}")
+            continue
+        before, after = percentile(parent[track], 50), percentile(change[track], 50)
+        print(f"  {track:<{width}} {before:>10.3f} -> {after:>10.3f} ms "
+              f"({100.0 * (after - before) / before:+.1f}%)")
+    print(f"pooled p50: parent {percentile(pooled(parent), 50):.3f} ms, change "
+          f"{percentile(pooled(change), 50):.3f} ms, change reweighted to the parent's "
+          f"per-track counts {reweighted_median(parent, change):.3f} ms")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

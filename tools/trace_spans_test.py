@@ -1,0 +1,83 @@
+#!/usr/bin/env python3
+"""Unit tests for trace_spans.py on small hand-made Chrome traces.
+
+    python3 tools/trace_spans_test.py
+"""
+
+import contextlib
+import io
+import json
+import os
+import sys
+import tempfile
+import unittest
+
+sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
+import trace_spans  # noqa: E402
+
+
+def trace(tracks):
+    """A Chrome trace with one thread per track; tracks maps a thread name
+    to its ckpt# span durations in ms. Each trace also carries a restore
+    span, which the ckpt# prefix must skip."""
+    events = []
+    for tid, (name, durations) in enumerate(sorted(tracks.items())):
+        events.append({"name": "thread_name", "ph": "M", "pid": 1, "tid": tid,
+                       "args": {"name": name}})
+        for i, ms in enumerate(durations):
+            events.append({"name": f"ckpt#{tid}.{i}", "ph": "X", "pid": 1, "tid": tid,
+                           "ts": i, "dur": ms * 1e3})
+        events.append({"name": "restore#0", "ph": "X", "pid": 1, "tid": tid, "ts": 0,
+                       "dur": 99e3})
+    return {"traceEvents": events}
+
+
+class TraceSpansTest(unittest.TestCase):
+    def setUp(self):
+        self.dir = tempfile.TemporaryDirectory()
+
+    def tearDown(self):
+        self.dir.cleanup()
+
+    def write(self, name, tracks):
+        path = os.path.join(self.dir.name, name)
+        with open(path, "w") as f:
+            json.dump(trace(tracks), f)
+        return path
+
+    def test_spans_pool_per_track_across_traces(self):
+        a = self.write("a.json", {"fast": [1, 2], "slow": [10]})
+        b = self.write("b.json", {"fast": [3]})
+        self.assertEqual(trace_spans.load_spans([a, b], "ckpt#"),
+                         {"fast": [1.0, 2.0, 3.0], "slow": [10.0]})
+
+    def test_nearest_rank_percentiles(self):
+        self.assertEqual(trace_spans.percentile([4, 1, 3, 2], 50), 2)
+        self.assertEqual(trace_spans.percentile([4, 1, 3, 2, 5], 50), 3)
+        self.assertEqual(trace_spans.percentile(list(range(1, 11)), 90), 9)
+        self.assertEqual(trace_spans.weighted_median([(v, 1) for v in (4, 1, 3, 2)]), 2)
+
+    def test_reweighting_restores_the_parent_mix(self):
+        # The parent lands 3 fast spans per slow one; the change lands the
+        # same latencies 1:3, so only its mix moved.
+        parent = {"fast": [1, 1, 1], "slow": [5]}
+        change = {"fast": [1], "slow": [5, 5, 5]}
+        self.assertEqual(trace_spans.percentile(trace_spans.pooled(change), 50), 5)
+        self.assertEqual(trace_spans.reweighted_median(parent, change), 1)
+
+    def test_cli_compares_against_the_parent(self):
+        parent = self.write("p.json", {"fast": [1, 1, 1], "slow": [5]})
+        change = self.write("c.json", {"fast": [1], "slow": [4, 4, 4]})
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            self.assertEqual(trace_spans.main([change, "--parent", parent]), 0)
+        text = out.getvalue()
+        self.assertIn("5.000 ->      4.000 ms (-20.0%)", text)
+        self.assertIn("pooled p50: parent 1.000 ms, change 4.000 ms, change reweighted to "
+                      "the parent's per-track counts 1.000 ms", text)
+        with contextlib.redirect_stderr(io.StringIO()):
+            self.assertEqual(trace_spans.main([change, "--prefix", "nosuch#"]), 1)
+
+
+if __name__ == "__main__":
+    unittest.main()
