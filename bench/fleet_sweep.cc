@@ -189,7 +189,7 @@ RepackRow measure_repack(int tenants, bool smoke) {
           maint.push_back(r.eng.spawn(
               [](core::PortusDaemon& d, core::Repacker::Report& out) -> sim::Process {
                 core::Repacker repacker{d};
-                out = co_await repacker.repack_online(core::Repacker::OnlineOptions{});
+                out = co_await repacker.repack_online();
               }(*r.daemons[i], rrep_out[i])));
         }
       }

@@ -10,7 +10,9 @@ namespace portus::core::cluster {
 
 namespace {
 constexpr const char* kLog = "cluster-client";
-}
+// Placement re-resolutions one op may take before it gives up.
+constexpr int kMaxEpochRetries = 8;
+}  // namespace
 
 ClusterClient::ClusterClient(net::Cluster& cluster, net::Node& client_node,
                              gpu::GpuDevice& gpu, QpRendezvous& rendezvous, Config config)
@@ -41,14 +43,18 @@ ClusterClient::Lane& ClusterClient::lane_for(const std::string& endpoint) {
   }
   auto lane = std::make_unique<Lane>();
   lane->endpoint = endpoint;
-  lane->client = std::make_unique<PortusClient>(cluster_, node_, gpu_, rendezvous_,
-                                                endpoint, config_.stripes);
-  lane->client->set_op_timeout(config_.op_timeout);
-  lane->client->set_tenant(config_.tenant);
-  lane->client->set_retry_policy(config_.retry);
+  lane->client = make_lane_client(endpoint);
   lane_by_endpoint_.emplace(endpoint, lanes_.size());
   lanes_.push_back(std::move(lane));
   return *lanes_.back();
+}
+
+std::unique_ptr<PortusClient> ClusterClient::make_lane_client(const std::string& endpoint) {
+  auto client = std::make_unique<PortusClient>(cluster_, node_, gpu_, rendezvous_, endpoint);
+  client->set_op_timeout(config_.op_timeout);
+  client->set_tenant(config_.tenant);
+  client->set_retry_policy(config_.retry);
+  return client;
 }
 
 void ClusterClient::mark_lane_down(Lane& lane) {
@@ -154,11 +160,7 @@ sim::SubTask<> ClusterClient::resolve_placement() {
         const auto pos = ring[r];
         Lane& lane = lane_for(ring_endpoints_[pos]);
         if (!lane.up) {
-          lane.client = std::make_unique<PortusClient>(cluster_, node_, gpu_, rendezvous_,
-                                                       lane.endpoint, config_.stripes);
-          lane.client->set_op_timeout(config_.op_timeout);
-          lane.client->set_tenant(config_.tenant);
-          lane.client->set_retry_policy(config_.retry);
+          lane.client = make_lane_client(lane.endpoint);
           lane.up = true;
           ++stats_.lane_revivals;
           PLOG_INFO(kLog, "lane {} revived by re-resolve", lane.endpoint);
@@ -190,7 +192,7 @@ sim::SubTask<> ClusterClient::resolve_placement() {
 
     if (stale) {
       // The membership moved again while we were registering against it.
-      PORTUS_CHECK(attempt < config_.max_epoch_retries,
+      PORTUS_CHECK(attempt < kMaxEpochRetries,
                    strf("placement of {} cannot settle: membership kept moving",
                         model_name_));
       ++stats_.epoch_reresolutions;
@@ -315,7 +317,7 @@ sim::SubTask<ClusterClient::CheckpointResult> ClusterClient::checkpoint(
     bool stale = false;
     const CheckpointResult result = co_await checkpoint_round(iteration, &stale);
     if (!stale) co_return result;
-    PORTUS_CHECK(attempt < config_.max_epoch_retries,
+    PORTUS_CHECK(attempt < kMaxEpochRetries,
                  strf("checkpoint of {} cannot settle: membership kept moving",
                       model_name_));
     ++stats_.epoch_reresolutions;
@@ -439,7 +441,7 @@ sim::SubTask<ClusterClient::RestoreResult> ClusterClient::restore() {
     bool stale = false;
     const RestoreResult result = co_await restore_round(&stale);
     if (!stale) co_return result;
-    PORTUS_CHECK(attempt < config_.max_epoch_retries,
+    PORTUS_CHECK(attempt < kMaxEpochRetries,
                  strf("restore of {} cannot settle: membership kept moving", model_name_));
     ++stats_.epoch_reresolutions;
     co_await epoch_backoff(attempt);

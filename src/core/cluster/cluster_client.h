@@ -52,7 +52,6 @@ class ClusterClient {
     // set (the member list then comes from the membership source).
     std::vector<std::string> endpoints;
     std::uint32_t replicas = 2;          // copies per shard (clamped to ring size)
-    int stripes = 1;                     // datapath QPs per registration
     std::uint64_t placement_epoch = 0;   // bump to recompute the ring rotation
     // Per-op watchdog. 0 = never time out: hung-daemon detection is then
     // CRASH-ONLY — a daemon that stays connected but answers nothing (the
@@ -74,10 +73,9 @@ class ClusterClient {
     std::uint32_t shard_count = 0;
     // Authoritative membership (the ElasticCluster controller). When set,
     // every request carries the membership epoch, and an EpochMismatch
-    // answer triggers placement re-resolution against the current members.
+    // answer triggers placement re-resolution against the current members
+    // (up to 8 times per op, each backing off).
     MembershipSource* membership = nullptr;
-    // Re-resolution attempts per op before giving up (each backs off).
-    int max_epoch_retries = 8;
   };
 
   struct CheckpointResult {
@@ -136,8 +134,6 @@ class ClusterClient {
   std::uint64_t membership_epoch() const { return membership_epoch_; }
 
   std::size_t lane_count() const { return lanes_.size(); }
-  bool lane_up(std::size_t i) const { return lanes_.at(i)->up; }
-  const std::string& lane_endpoint(std::size_t i) const { return lanes_.at(i)->endpoint; }
   PortusClient& lane_client(std::size_t i) { return *lanes_.at(i)->client; }
 
  private:
@@ -182,6 +178,9 @@ class ClusterClient {
   sim::SubTask<> resolve_placement();
 
   Lane& lane_for(const std::string& endpoint);
+  // A fresh lane client (one datapath QP) carrying this client's watchdog,
+  // tenant identity and retry policy.
+  std::unique_ptr<PortusClient> make_lane_client(const std::string& endpoint);
   void mark_lane_down(Lane& lane);
   sim::SubTask<> epoch_backoff(int attempt);
   std::string copy_key(const std::string& endpoint, std::uint32_t shard) const;

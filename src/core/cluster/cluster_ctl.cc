@@ -14,10 +14,8 @@ ClusterCtl::DaemonRow ClusterCtl::inspect(PortusDaemon& daemon) {
 
   std::set<std::string> models;
   for (const auto& name : daemon.model_table().names()) {
-    const MIndex* live = daemon.find_live_index(name);
     std::optional<MIndex> loaded;
-    if (live == nullptr) loaded.emplace(daemon.load_index(name));
-    const MIndex& index = live != nullptr ? *live : *loaded;
+    const MIndex& index = daemon.index_of(name, loaded);
 
     if (index.sharded()) ++row.shard_copies;
     row.stored_bytes += index.slot_size();

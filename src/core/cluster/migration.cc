@@ -13,12 +13,14 @@ namespace portus::core::cluster {
 
 namespace {
 constexpr const char* kLog = "elastic";
-}
+constexpr double kStreamGbps = 6.0;  // daemon-to-daemon stream, slept per chunk
+// Settle-round grace for in-flight (pre-barrier) ops to land first.
+constexpr Duration kDrainGrace{2'000'000};  // 2 ms
+}  // namespace
 
 ElasticCluster::ElasticCluster(sim::Engine& engine, Config config)
     : engine_{engine}, config_{config} {
   PORTUS_CHECK_ARG(config_.replicas >= 1, "replication factor must be >= 1");
-  PORTUS_CHECK_ARG(config_.stream_gbps > 0.0, "streaming bandwidth must be positive");
 }
 
 void ElasticCluster::add_member(const std::string& endpoint, PortusDaemon& daemon) {
@@ -52,15 +54,10 @@ void ElasticCluster::push_epoch() {
 
 std::optional<std::uint64_t> ElasticCluster::done_epoch(PortusDaemon& d,
                                                         const std::string& key) {
+  if (!d.model_table().lookup(key).has_value()) return std::nullopt;
   try {
-    if (MIndex* live = d.find_live_index(key); live != nullptr) {
-      const auto slot = live->latest_done_slot();
-      if (!slot.has_value()) return std::nullopt;
-      return live->slot(*slot).epoch;
-    }
-    const auto offset = d.model_table().lookup(key);
-    if (!offset.has_value()) return std::nullopt;
-    const MIndex idx = MIndex::load(d.device(), *offset);
+    std::optional<MIndex> held;
+    const MIndex& idx = d.index_of(key, held);
     const auto slot = idx.latest_done_slot();
     if (!slot.has_value()) return std::nullopt;
     return idx.slot(*slot).epoch;
@@ -75,25 +72,21 @@ sim::SubTask<Bytes> ElasticCluster::migrate_copy(PortusDaemon& src, PortusDaemon
   // Source: the newest DONE version, read-only throughout. The source image
   // is never mutated by a migration, so whatever was acked there stays
   // recoverable no matter where the destination crashes.
-  MIndex* sidx = src.find_live_index(key);
+  if (!src.model_table().lookup(key).has_value()) co_return 0;
   std::optional<MIndex> sheld;
-  if (sidx == nullptr) {
-    const auto offset = src.model_table().lookup(key);
-    if (!offset.has_value()) co_return 0;
-    sheld.emplace(MIndex::load(src.device(), *offset));
-    sidx = &*sheld;
-  }
+  MIndex* sidx = &src.index_of(key, sheld);
   const auto sslot_idx = sidx->latest_done_slot();
   if (!sslot_idx.has_value()) co_return 0;
   const SlotHeader sslot = sidx->slot(*sslot_idx);
   if (sslot.data_offset == 0) co_return 0;
 
-  // Non-phantom payloads only move with a valid matching CRC block — a
-  // stale or torn block means this version cannot be certified end-to-end.
-  std::optional<MIndex::PayloadCrcs> crcs;
+  // Non-phantom payloads only move with a block that vouches for this
+  // version — a stale or torn block means it cannot be certified
+  // end-to-end. The bytes are checked against it once they land.
+  MIndex::PayloadCheck source;
   if (!sidx->phantom()) {
-    crcs = sidx->payload_crcs(*sslot_idx);
-    if (!crcs.has_value() || crcs->epoch != sslot.epoch) co_return 0;
+    source = sidx->check_payload(*sslot_idx, MIndex::Scrub::kNone);
+    if (!source.ok()) co_return 0;
   }
 
   // Destination MIndex: reuse the live session's (a client is registered
@@ -142,27 +135,26 @@ sim::SubTask<Bytes> ElasticCluster::migrate_copy(PortusDaemon& src, PortusDaemon
       mem::copy_bytes(dst.device(), dbase + dt.offset_in_slot + off, src.device(),
                       sslot.data_offset + st.offset_in_slot + off, n);
       dst.device().persist(dbase + dt.offset_in_slot + off, n);
-      const Duration wire{static_cast<Duration::rep>(static_cast<double>(n) * 8.0 /
-                                                     config_.stream_gbps)};
+      const Duration wire{
+          static_cast<Duration::rep>(static_cast<double>(n) * 8.0 / kStreamGbps)};
       co_await engine_.sleep(wire);
       streamed += n;
     }
   }
 
-  if (crcs.has_value()) {
+  if (!sidx->phantom()) {
     // Certify what landed before blessing it: a copy whose bytes do not
     // match the source's block (bit rot on the source, a bad stream) is
     // abandoned with its slot ACTIVE, exactly what a crash leaves behind.
-    for (std::size_t i = 0; i < didx->tensors().size(); ++i) {
-      const auto& dt = didx->tensors()[i];
-      if (dst.device().crc(dbase + dt.offset_in_slot, dt.size) != crcs->crcs[i]) {
-        ++stats_.integrity_rejects;
-        PLOG_INFO(kLog, "migration of {} epoch {} {} -> {} abandoned: tensor {} fails its CRC",
-                  key, sslot.epoch, src.config().endpoint, dst.config().endpoint, dt.name);
-        co_return 0;
-      }
+    const auto bad = didx->failing_tensors(dbase, source.crcs, MIndex::Scrub::kFirstBad);
+    if (!bad.empty()) {
+      ++stats_.integrity_rejects;
+      PLOG_INFO(kLog, "migration of {} epoch {} {} -> {} abandoned: tensor {} fails its CRC",
+                key, sslot.epoch, src.config().endpoint, dst.config().endpoint,
+                didx->tensors()[bad.front()].name);
+      co_return 0;
     }
-    didx->set_payload_crcs(txn.slot(), txn.epoch(), crcs->crcs);
+    didx->set_payload_crcs(txn.slot(), txn.epoch(), source.crcs);
   }
   txn.commit();
   if (src.model_table().is_finished(key)) dst.model_table().set_finished(key);
@@ -192,14 +184,10 @@ sim::SubTask<std::uint64_t> ElasticCluster::stream_to_plan(const Membership& m) 
       if (cut == std::string::npos) continue;
       if (models.count(key.substr(0, cut)) != 0) continue;
       try {
-        MIndex* idx = d->find_live_index(key);
         std::optional<MIndex> held;
-        if (idx == nullptr) {
-          held.emplace(MIndex::load(d->device(), *d->model_table().lookup(key)));
-          idx = &*held;
-        }
-        if (idx->manifest().empty()) continue;
-        const auto mf = ShardManifest::decode(idx->manifest());
+        const MIndex& idx = d->index_of(key, held);
+        if (idx.manifest().empty()) continue;
+        const auto mf = ShardManifest::decode(idx.manifest());
         ModelInfo info;
         info.sizes.reserve(mf.tensors.size());
         for (const auto& t : mf.tensors) info.sizes.push_back(t.size);
@@ -293,8 +281,7 @@ sim::SubTask<> ElasticCluster::rebalance_to(Membership target) {
   // a full round moves nothing — only then is every acked epoch reachable
   // under the new membership.
   for (int round = 0; round < config_.max_restream_rounds; ++round) {
-    const Duration grace = config_.drain_grace;
-    co_await engine_.sleep(grace);
+    co_await engine_.sleep(kDrainGrace);
     const auto moved = co_await stream_to_plan(membership_);
     if (moved == 0) break;
   }

@@ -44,10 +44,6 @@ class ElasticCluster final : public MembershipSource {
   struct Config {
     std::uint32_t replicas = 2;     // copies per shard the migrator maintains
     Bytes stream_chunk = 256_KiB;   // per-chunk copy+persist granule
-    double stream_gbps = 6.0;       // daemon-to-daemon streaming bandwidth
-    // Settle-round grace: how long to let in-flight (pre-barrier) ops land
-    // before re-streaming their commits to the new placement.
-    Duration drain_grace{2'000'000};  // 2 ms
     int max_restream_rounds = 8;
   };
 

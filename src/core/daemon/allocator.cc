@@ -40,8 +40,6 @@ PmemAllocator::PmemAllocator(pmem::PmemDevice& device, Config config)
               static_cast<Bytes>(config_.shards) * per_shard_capacity_ * kEntrySize <=
           config_.data_offset,
       "AllocTable overlaps the heap");
-  PORTUS_CHECK_ARG((config_.alignment & (config_.alignment - 1)) == 0,
-                   "alignment must be a power of two");
   PORTUS_CHECK_ARG(config_.numa_nodes >= 1, "numa_nodes must be at least 1");
   PORTUS_CHECK_ARG(config_.numa_nodes <= config_.shards,
                    "need at least one shard per NUMA node");
@@ -60,8 +58,7 @@ PmemAllocator::PmemAllocator(pmem::PmemDevice& device, Config config)
       ar->end = config_.data_end;
     } else {
       const auto [lo, hi] = device.node_range(n);
-      ar->base = (std::max(config_.data_offset, lo) + config_.alignment - 1) &
-                 ~(config_.alignment - 1);
+      ar->base = align_up(std::max(config_.data_offset, lo));
       ar->end = std::min(config_.data_end, hi);
       PORTUS_CHECK_ARG(ar->base < ar->end, "heap slice empty on a NUMA node");
     }
@@ -105,7 +102,7 @@ void PmemAllocator::write_header() {
   w.u32(per_shard_capacity_);
   w.u64(config_.data_offset);
   w.u64(config_.data_end);
-  w.u64(config_.alignment);
+  w.u64(kAlignment);
   w.u64(config_.refill_bytes);  // informational: runtime policy, not geometry
   // NUMA partition count, in the formerly-reserved slot. A flat heap writes
   // 0 — the exact bytes the classic header wrote — so numa_nodes=1 images
@@ -136,7 +133,7 @@ bool PmemAllocator::header_matches() const {
                                               : numa == 0 || numa == 1;
   return magic == kHeaderMagic && shards == config_.shards &&
          per_shard == per_shard_capacity_ && data_offset == config_.data_offset &&
-         data_end == config_.data_end && alignment == config_.alignment && numa_ok;
+         data_end == config_.data_end && alignment == kAlignment && numa_ok;
 }
 
 // --- quiesce guard ----------------------------------------------------------
@@ -304,7 +301,7 @@ Bytes PmemAllocator::refill_chunk_size(Shard& sh, Bytes size) {
     want = std::clamp(static_cast<Bytes>(sh.demand_ewma), config_.refill_bytes,
                       config_.refill_bytes * kRefillMaxScale);
   }
-  return (std::max(want, size) + config_.alignment - 1) & ~(config_.alignment - 1);
+  return align_up(std::max(want, size));
 }
 
 void PmemAllocator::flush_reservation(std::uint32_t shard) {
@@ -335,7 +332,7 @@ Bytes PmemAllocator::alloc(Bytes size) { return alloc_on(preferred_shard(), size
 Bytes PmemAllocator::alloc_on(std::uint32_t shard, Bytes size) {
   PORTUS_CHECK_ARG(size > 0, "cannot allocate zero bytes");
   PORTUS_CHECK_ARG(shard < config_.shards, "shard index out of range");
-  size = (size + config_.alignment - 1) & ~(config_.alignment - 1);
+  size = align_up(size);
   OpGuard guard{*this};
   Shard& sh = *shards_[shard];
 

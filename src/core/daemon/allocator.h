@@ -81,7 +81,6 @@ class PmemAllocator {
     std::uint32_t table_capacity = 4096;  // max tracked extents (all shards)
     Bytes data_offset = 0;        // heap start
     Bytes data_end = 0;           // heap end (exclusive)
-    Bytes alignment = 256;        // XPLine alignment
     std::uint32_t shards = 1;     // per-worker arenas (table split N ways)
     // Reservation chunk a shard grabs from the global bump when its local
     // region runs dry. 0 = reserve exactly the requested size (classic
@@ -238,6 +237,7 @@ class PmemAllocator {
   static constexpr Bytes kHeaderSize = 64;
   static constexpr Bytes kEntrySize = 24;  // offset u64 | size u64 | state u32 | crc u32
   static constexpr int kSizeClasses = 3;   // small / medium / large
+  static constexpr Bytes kAlignment = 256;  // XPLine; the header still records it
 
   // Bucket index for the DRAM offset map. Offsets are XPLine-aligned
   // multiples of 256 (and node partitioning makes the high bits regular
@@ -324,6 +324,7 @@ class PmemAllocator {
     return config_.table_offset + kHeaderSize + global * kEntrySize;
   }
   std::uint32_t preferred_shard() const;
+  static Bytes align_up(Bytes n) { return (n + kAlignment - 1) & ~(kAlignment - 1); }
   int class_of(Bytes size) const {
     if (size <= config_.size_class_small) return 0;
     if (size <= config_.size_class_large) return 1;

@@ -54,7 +54,7 @@ PortusDaemon::PortusDaemon(net::Cluster& cluster, net::Node& storage_node,
                                               config_.model_table_capacity);
   allocator_ = std::make_unique<PmemAllocator>(
       device_, PmemAllocator::Config{.table_offset = kAllocTableOffset,
-                                     .table_capacity = config_.alloc_table_capacity,
+                                     .table_capacity = kAllocTableCapacity,
                                      .data_offset = kHeapOffset,
                                      .data_end = device_.size(),
                                      .shards = config_.shards,
@@ -69,8 +69,7 @@ PortusDaemon::PortusDaemon(net::Cluster& cluster, net::Node& storage_node,
         AdmissionController::Config{
             .max_inflight = config_.admission_inflight > 0 ? config_.admission_inflight
                                                            : config_.workers,
-            .queue_depth = config_.admission_queue_depth,
-            .retry_after = config_.admission_retry_after});
+            .queue_depth = config_.admission_queue_depth});
   }
 }
 
@@ -177,6 +176,11 @@ MIndex PortusDaemon::load_index(const std::string& model_name) {
   return MIndex::load(device_, *offset);
 }
 
+MIndex& PortusDaemon::index_of(const std::string& model_name, std::optional<MIndex>& held) {
+  if (MIndex* live = find_live_index(model_name); live != nullptr) return *live;
+  return held.emplace(load_index(model_name));
+}
+
 sim::Process PortusDaemon::accept_loop() {
   auto& listener = cluster_.endpoint(config_.endpoint);
   try {
@@ -249,7 +253,13 @@ sim::SubTask<RegisterAckMsg> PortusDaemon::handle_register(RegisterModelMsg msg)
   if (reject_stale_epoch(msg.membership_epoch, ack)) co_return ack;
 
   const auto permit = co_await workers_->permit();
+  // A refused registration keeps no PMEM byte and no charge: what it newly
+  // took (a tenant charge, a fresh index) goes back if a later step throws.
+  ModelSession session;
+  bool charged = false;
+  bool created = false;
   try {
+    ModelTable::check_name(msg.model_name);
     // Reuse the persistent index when this model is already known (training
     // restart): the checkpoint data on PMEM outlives client sessions. Its
     // slots were laid out for the stored tensors, so only that exact layout
@@ -269,10 +279,9 @@ sim::SubTask<RegisterAckMsg> PortusDaemon::handle_register(RegisterModelMsg msg)
       tenant = &tenants_->admit_tenant(
           msg.tenant_id.empty() ? "default" : msg.tenant_id,
           priority_from_wire(msg.priority), msg.requested_capacity, msg.requested_rate);
-      tenants_->charge(*tenant, msg.model_name, 2 * msg.total_bytes());
+      charged = tenants_->charge(*tenant, msg.model_name, 2 * msg.total_bytes());
     }
 
-    ModelSession session;
     session.registration = msg;
 
     // Socket affinity: sessions are dealt round-robin across the modeled
@@ -308,7 +317,7 @@ sim::SubTask<RegisterAckMsg> PortusDaemon::handle_register(RegisterModelMsg msg)
     } else {
       session.index = std::make_unique<MIndex>(
           MIndex::create(device_, *allocator_, msg, config_.coalesce_threshold));
-      model_table_->insert(msg.model_name, session.index->record_offset());
+      created = true;
     }
 
     // Gather capability: the client offered what its NIC posts, we accept
@@ -342,6 +351,8 @@ sim::SubTask<RegisterAckMsg> PortusDaemon::handle_register(RegisterModelMsg msg)
       session.qps.push_back(&qp);
     }
 
+    // A fresh index becomes reachable only once nothing else can refuse it.
+    if (created) model_table_->insert(msg.model_name, session.index->record_offset());
     sessions_.erase(msg.model_name);
     const bool sharded = msg.sharded();
     const auto session_max_sges = session.max_sges;
@@ -354,14 +365,13 @@ sim::SubTask<RegisterAckMsg> PortusDaemon::handle_register(RegisterModelMsg msg)
     if (tenant != nullptr) {
       ack.granted_capacity = tenant->quota.capacity_bytes;
       ack.granted_rate = tenant->quota.rate_bytes_per_sec;
-      ack.granted_wr_slots =
-          tenant->quota.wr_slots > 0
-              ? tenant->quota.wr_slots
-              : static_cast<std::uint32_t>(admission_->config().max_inflight);
+      ack.granted_wr_slots = static_cast<std::uint32_t>(admission_->config().max_inflight);
     }
     PLOG_DEBUG(kLog, "registered model {} ({} tensors, {} stripes)", msg.model_name,
                msg.tensors.size(), stripes);
   } catch (const Error& e) {
+    if (created) session.index->destroy(*allocator_);
+    if (charged) tenants_->uncharge(msg.model_name);
     ++stats_.failed_ops;
     ack.ok = false;
     ack.error = e.what();
@@ -392,7 +402,8 @@ sim::SubTask<CheckpointDoneMsg> PortusDaemon::handle_checkpoint(CheckpointReqMsg
         ++stats_.backpressure_rejects;
         done.ok = false;
         done.backpressure = true;
-        done.retry_after_ns = static_cast<std::uint64_t>(config_.admission_retry_after.count());
+        done.retry_after_ns =
+            static_cast<std::uint64_t>(AdmissionController::kRetryAfter.count());
         done.error = e.what();
         co_return done;
       }
@@ -451,9 +462,7 @@ sim::SubTask<CheckpointDoneMsg> PortusDaemon::handle_checkpoint(CheckpointReqMsg
       // ordering to ACTIVE -> data -> CRC block -> DONE: a DONE slot is
       // thereby guaranteed to carry a valid, epoch-matching block.
       index.set_payload_crcs(txn.slot(), txn.epoch(), crcs);
-      Crc32 agg;
-      for (const auto c : crcs) agg.update(&c, sizeof c);
-      done.payload_crc = agg.value();
+      done.payload_crc = Crc32::of(crcs.data(), crcs.size() * sizeof(std::uint32_t));
     }
 
     txn.commit();
@@ -498,32 +507,18 @@ sim::SubTask<RestoreDoneMsg> PortusDaemon::handle_restore(RestoreReqMsg msg) {
     const auto* slot_mr = session.slot_mr[*slot_idx];
     PORTUS_CHECK(slot_mr != nullptr, "restore slot has no registered region");
 
-    // Integrity scrub before any byte leaves PMEM: the DONE slot must carry
-    // a valid payload-CRC block for its exact epoch, and every tensor's
-    // bytes must still match it. Bit rot (or an undetected torn write)
-    // surfaces here as an explicit Corruption instead of silently feeding
-    // the training job garbage weights.
+    // Integrity scrub before any byte leaves PMEM (MIndex::check_payload).
+    // Bit rot (or an undetected torn write) surfaces here as an explicit
+    // Corruption instead of silently feeding the training job garbage
+    // weights.
     if (!index.phantom()) {
-      const auto block = index.payload_crcs(*slot_idx);
-      if (!block.has_value() || block->epoch != slot.epoch) {
+      const auto check = index.check_payload(*slot_idx, MIndex::Scrub::kFirstBad);
+      if (!check.ok()) {
         ++stats_.integrity_rejects;
-        throw Corruption(strf("payload-CRC block for {} slot {} is {} at epoch {}",
-                              msg.model_name, *slot_idx,
-                              block.has_value() ? "stale" : "missing or torn",
-                              slot.epoch));
+        throw index.payload_corruption(*slot_idx, check, "restore");
       }
-      const auto& tensors = index.tensors();
-      for (std::size_t t = 0; t < tensors.size(); ++t) {
-        if (device_.crc(slot.data_offset + tensors[t].offset_in_slot,
-                        tensors[t].size) != block->crcs[t]) {
-          ++stats_.integrity_rejects;
-          throw Corruption(strf("tensor {} of {} failed its payload CRC on restore",
-                                tensors[t].name, msg.model_name));
-        }
-      }
-      Crc32 agg;
-      for (const auto c : block->crcs) agg.update(&c, sizeof c);
-      done.payload_crc = agg.value();
+      done.payload_crc =
+          Crc32::of(check.crcs.data(), check.crcs.size() * sizeof(std::uint32_t));
     }
 
     // Push every tensor into the remote GPU through the same runner as

@@ -32,6 +32,7 @@
 
 #include <map>
 #include <memory>
+#include <optional>
 #include <set>
 #include <string>
 
@@ -55,11 +56,10 @@ class PortusDaemon {
   struct Config {
     int workers = 8;
     std::uint32_t model_table_capacity = 224;   // fits in [4 KiB, 18 KiB)
-    std::uint32_t alloc_table_capacity = 8192;
     // Allocator shards (per-worker arenas; see core/daemon/allocator.h).
     // 1 = the classic single arena, bit-identical offsets and compaction.
     // Match `workers` to give every worker its own table region and free
-    // list; the alloc_table_capacity is split evenly across shards.
+    // list; kAllocTableCapacity is split evenly across shards.
     std::uint32_t shards = 1;
     // Shard reservation refill: how much fresh heap a shard grabs from the
     // global bump when its local region runs dry. 0 = reserve exactly each
@@ -112,7 +112,6 @@ class PortusDaemon {
     // In-flight admission slots; 0 = match `workers`.
     int admission_inflight = 0;
     std::uint32_t admission_queue_depth = 64;    // per priority class
-    Duration admission_retry_after{2'000'000};   // Backpressure hint (2 ms)
   };
 
   // Op counters, plus the datapath counters of every checkpoint and
@@ -199,9 +198,13 @@ class PortusDaemon {
   MIndex* find_live_index(const std::string& model_name);
   // Load from PMEM (works without a live session, e.g. portusctl).
   MIndex load_index(const std::string& model_name);
+  // The live index when a session holds one (its slot headers are the
+  // daemon's own), else one loaded from PMEM into `held`.
+  MIndex& index_of(const std::string& model_name, std::optional<MIndex>& held);
 
   static constexpr Bytes kModelTableOffset = 4_KiB;
   static constexpr Bytes kAllocTableOffset = 64_KiB;
+  static constexpr std::uint32_t kAllocTableCapacity = 8192;  // extents, all shards
   static constexpr Bytes kHeapOffset = 1_MiB;
 
  private:

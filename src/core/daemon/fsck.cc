@@ -14,7 +14,6 @@ Fsck::Report Fsck::run(bool repair) {
   Report report;
   auto& table = daemon_.model_table();
   auto& allocator = daemon_.allocator();
-  auto& device = daemon_.device();
 
   // Pass 0: the persistent sharded AllocTable itself. recover() silently
   // skips entries whose CRC fails, so this scrub is the only place a torn
@@ -68,28 +67,18 @@ Fsck::Report Fsck::run(bool repair) {
         demote = true;
         PLOG_INFO(kLog, "{} slot {}: ACTIVE crash leftover", name, i);
       } else if (slot.state == SlotState::kDone && !index->phantom()) {
-        const auto block = index->payload_crcs(i);
-        if (!block.has_value() || block->epoch != slot.epoch) {
+        const auto check = index->check_payload(i, MIndex::Scrub::kAll);
+        if (check.block_fault != nullptr) {
           ++report.corrupt_demoted;
           demote = true;
           PLOG_INFO(kLog, "{} slot {}: payload-CRC block {} at epoch {}", name, i,
-                    block.has_value() ? "stale" : "missing or torn", slot.epoch);
-        } else {
-          int bad = 0;
-          const auto& tensors = index->tensors();
-          for (std::size_t t = 0; t < tensors.size(); ++t) {
-            if (device.crc(slot.data_offset + tensors[t].offset_in_slot,
-                           tensors[t].size) != block->crcs[t]) {
-              ++bad;
-            }
-          }
-          if (bad > 0) {
-            report.corrupt_tensors += bad;
-            ++report.corrupt_demoted;
-            demote = true;
-            PLOG_INFO(kLog, "{} slot {}: {} of {} tensors failed payload CRC", name,
-                      i, bad, tensors.size());
-          }
+                    check.block_fault, slot.epoch);
+        } else if (!check.bad_tensors.empty()) {
+          report.corrupt_tensors += static_cast<int>(check.bad_tensors.size());
+          ++report.corrupt_demoted;
+          demote = true;
+          PLOG_INFO(kLog, "{} slot {}: {} of {} tensors failed payload CRC", name, i,
+                    check.bad_tensors.size(), index->tensors().size());
         }
       }
 

@@ -4,6 +4,7 @@
 
 #include "common/binary_io.h"
 #include "common/crc32.h"
+#include "common/strformat.h"
 
 namespace portus::core {
 
@@ -125,10 +126,11 @@ MIndex MIndex::create(pmem::PmemDevice& device, PmemAllocator& allocator,
   idx.record_size_ = kMetaOffset + idx.meta_len_ + 2 * idx.crc_block_size();
   idx.record_offset_ = allocator.alloc(idx.record_size_);
   idx.slots_.resize(2);
-  for (auto& slot : idx.slots_) {
-    slot.data_offset = allocator.alloc(idx.slot_size_);
-    slot.state = SlotState::kEmpty;
-    slot.epoch = 0;
+  try {
+    for (auto& slot : idx.slots_) slot.data_offset = allocator.alloc(idx.slot_size_);
+  } catch (...) {
+    idx.destroy(allocator);  // the record and whichever slot did fit
+    throw;
   }
 
   // Persist the record: header, slot headers, meta length + blob, and
@@ -259,6 +261,43 @@ void MIndex::set_payload_crcs(int i, std::uint64_t epoch,
   const Bytes at = crc_block_offset(i);
   device_->write(at, w.buffer());
   device_->persist(at, crc_block_size());
+}
+
+MIndex::PayloadCheck MIndex::check_payload(int i, Scrub scrub) const {
+  PayloadCheck check;
+  auto block = payload_crcs(i);
+  if (!block.has_value()) {
+    check.block_fault = "missing or torn";
+  } else if (block->epoch != slot(i).epoch) {
+    check.block_fault = "stale";
+  } else {
+    check.crcs = std::move(block->crcs);
+    check.bad_tensors = failing_tensors(slot(i).data_offset, check.crcs, scrub);
+  }
+  return check;
+}
+
+std::vector<std::size_t> MIndex::failing_tensors(Bytes data_offset,
+                                                 const std::vector<std::uint32_t>& crcs,
+                                                 Scrub scrub) const {
+  std::vector<std::size_t> bad;
+  if (scrub == Scrub::kNone) return bad;
+  for (std::size_t t = 0; t < tensors_.size(); ++t) {
+    const auto& tensor = tensors_[t];
+    if (device_->crc(data_offset + tensor.offset_in_slot, tensor.size) == crcs[t]) continue;
+    bad.push_back(t);
+    if (scrub == Scrub::kFirstBad) break;
+  }
+  return bad;
+}
+
+Corruption MIndex::payload_corruption(int i, const PayloadCheck& check, const char* op) const {
+  if (check.block_fault != nullptr) {
+    return Corruption(strf("payload-CRC block for {} slot {} is {} at epoch {}", model_name_, i,
+                           check.block_fault, slot(i).epoch));
+  }
+  return Corruption(strf("tensor {} of {} failed its payload CRC on {}",
+                         tensors_[check.bad_tensors.front()].name, model_name_, op));
 }
 
 std::vector<ChunkSpan> MIndex::chunk_spans(Bytes chunk_bytes) const {

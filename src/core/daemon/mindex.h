@@ -41,6 +41,7 @@
 #include <string>
 #include <vector>
 
+#include "common/error.h"
 #include "common/units.h"
 #include "core/daemon/allocator.h"
 #include "core/protocol.h"
@@ -85,7 +86,8 @@ class MIndex {
   static constexpr Bytes kMetaOffset = 60;
 
   // Build a fresh record from a registration packet: allocates the record
-  // itself and both TensorData slots, persists everything.
+  // itself and both TensorData slots, persists everything. An allocation
+  // that fails frees whatever this call already took before rethrowing.
   //
   // pack_threshold controls the slot layout: tensors no larger than it are
   // packed back-to-back at their dtype's natural alignment, so runs of
@@ -113,7 +115,6 @@ class MIndex {
   // Encoded ShardManifest (empty for unsharded models).
   const std::vector<std::byte>& manifest() const { return manifest_; }
   Bytes record_offset() const { return record_offset_; }
-  Bytes record_size() const { return record_size_; }
   Bytes slot_size() const { return slot_size_; }
   const std::vector<IndexedTensor>& tensors() const { return tensors_; }
 
@@ -160,6 +161,26 @@ class MIndex {
   // block -> DONE.
   void set_payload_crcs(int i, std::uint64_t epoch,
                         const std::vector<std::uint32_t>& crcs);
+
+  // Payload integrity, the one rule for every reader of a DONE slot
+  // (restore, migration, fsck, `portusctl dump`): its bytes are valid only
+  // if its block is present, carries the slot's epoch, and every tensor's
+  // bytes match it. `scrub` bounds the byte check: none (migration checks
+  // the copy it lands instead), up to the first bad tensor, or all.
+  enum class Scrub { kNone, kFirstBad, kAll };
+  struct PayloadCheck {
+    const char* block_fault = nullptr;     // "missing or torn" / "stale"
+    std::vector<std::uint32_t> crcs;       // the block, when it vouches
+    std::vector<std::size_t> bad_tensors;  // tensors whose bytes fail it
+    bool ok() const { return block_fault == nullptr && bad_tensors.empty(); }
+  };
+  PayloadCheck check_payload(int i, Scrub scrub) const;
+  // The byte check alone, of bytes at `data_offset` laid out as this index.
+  std::vector<std::size_t> failing_tensors(Bytes data_offset,
+                                           const std::vector<std::uint32_t>& crcs,
+                                           Scrub scrub) const;
+  // The Corruption a refusing reader (`op`) throws for a failed check.
+  Corruption payload_corruption(int i, const PayloadCheck& check, const char* op) const;
 
   // Release both TensorData regions and the record itself.
   void destroy(PmemAllocator& allocator);

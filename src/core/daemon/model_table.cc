@@ -38,9 +38,13 @@ void ModelTable::persist_finished(std::uint32_t index) {
   device_.persist(flag_offset(index), sizeof(std::uint32_t));
 }
 
-void ModelTable::insert(const std::string& model_name, Bytes info_offset) {
+void ModelTable::check_name(const std::string& model_name) {
   PORTUS_CHECK_ARG(!model_name.empty() && model_name.size() < kNameCapacity,
                    "model name must be 1..47 chars");
+}
+
+void ModelTable::insert(const std::string& model_name, Bytes info_offset) {
+  check_name(model_name);
   if (const auto it = map_.find(model_name); it != map_.end()) {
     // Overwrite in place (re-registration of a known model).
     auto& slot = slots_[it->second.first];

@@ -32,6 +32,9 @@ class ModelTable {
 
   ModelTable(pmem::PmemDevice& device, Bytes table_offset, std::uint32_t capacity);
 
+  // Throws InvalidArgument unless `model_name` fits an entry (1..47 chars).
+  static void check_name(const std::string& model_name);
+
   // Insert or overwrite; persists the entry before returning.
   void insert(const std::string& model_name, Bytes info_offset);
   std::optional<Bytes> lookup(const std::string& model_name) const;

@@ -12,10 +12,8 @@ int Repacker::reclaim_model(const std::string& name, Report& report) {
 
   // Prefer the live index (shares slot-header state with the daemon);
   // fall back to loading from PMEM for models without a session.
-  MIndex* live = daemon_.find_live_index(name);
   std::optional<MIndex> loaded;
-  if (live == nullptr) loaded.emplace(daemon_.load_index(name));
-  MIndex& index = live != nullptr ? *live : *loaded;
+  MIndex& index = daemon_.index_of(name, loaded);
 
   const bool finished = daemon_.finished_models().contains(name) || table.is_finished(name);
   const auto latest = index.latest_done_slot();
@@ -26,7 +24,7 @@ int Repacker::reclaim_model(const std::string& name, Report& report) {
     if (slot.data_offset == 0) continue;
 
     const bool crashed_active =
-        slot.state == SlotState::kActive && live == nullptr;  // no running ckpt
+        slot.state == SlotState::kActive && loaded.has_value();  // no running ckpt
     const bool outdated = finished && (!latest.has_value() || i != *latest) &&
                           slot.state != SlotState::kActive;
 
@@ -43,11 +41,11 @@ int Repacker::reclaim_model(const std::string& name, Report& report) {
     }
   }
 
-  // Tenancy: a model whose slots are all gone stops holding PMEM — return
-  // its whole capacity charge (uncharge clamps, so over-asking is safe).
+  // Tenancy: a model whose slots are all gone stops holding PMEM — refund
+  // exactly what its registration was charged.
   if (cleared > 0 && daemon_.tenants() != nullptr && index.slot(0).data_offset == 0 &&
       index.slot(1).data_offset == 0) {
-    daemon_.tenants()->uncharge(name, 2 * index.slot_size());
+    daemon_.tenants()->uncharge(name);
   }
   return cleared;
 }
@@ -67,17 +65,16 @@ Repacker::Report Repacker::repack() {
   return report;
 }
 
-sim::SubTask<Repacker::Report> Repacker::repack_online(OnlineOptions options) {
-  PORTUS_CHECK_ARG(options.models_per_pass >= 1, "online repack needs models_per_pass >= 1");
+sim::SubTask<Repacker::Report> Repacker::repack_online(int models_per_pass) {
+  PORTUS_CHECK_ARG(models_per_pass >= 1, "online repack needs models_per_pass >= 1");
   Report report;
   // Snapshot the model list up front; models registered mid-repack are new
   // and carry no garbage worth chasing this round.
   const auto names = daemon_.model_table().names();
+  const auto batch = static_cast<std::size_t>(models_per_pass);
 
-  for (std::size_t begin = 0; begin < names.size();
-       begin += static_cast<std::size_t>(options.models_per_pass)) {
-    const auto end =
-        std::min(names.size(), begin + static_cast<std::size_t>(options.models_per_pass));
+  for (std::size_t begin = 0; begin < names.size(); begin += batch) {
+    const auto end = std::min(names.size(), begin + batch);
 
     // Relocation barrier: stop granting checkpoint admissions, quiesce the
     // allocator, and do this batch's reclamation synchronously (no suspend
@@ -95,13 +92,12 @@ sim::SubTask<Repacker::Report> Repacker::repack_online(OnlineOptions options) {
 
     // Charge the window's cost in virtual time while admissions stay
     // barred: this is the latency the fleet actually pays per pass.
-    const Duration window{options.pass_cost_base.count() +
-                          cleared * options.pass_cost_per_slot.count()};
+    const Duration window{kPassCostBase.count() + cleared * kPassCostPerSlot.count()};
     report.paused_time += window;
     co_await daemon_.engine().sleep(window);
     daemon_.resume_admissions();
 
-    co_await daemon_.engine().sleep(options.yield);  // let live traffic breathe
+    co_await daemon_.engine().sleep(kYield);  // let live traffic breathe
   }
 
   PLOG_INFO("repacker",

@@ -45,15 +45,11 @@ class Repacker {
     Duration paused_time{0};    // total time admissions were barred
   };
 
-  // Knobs for the incremental pass. The window cost model is deliberately
-  // simple: a base barrier cost plus a per-cleared-slot relocation cost —
-  // enough to make "repack more" visibly cost the fleet latency.
-  struct OnlineOptions {
-    int models_per_pass = 8;
-    Duration pass_cost_base{100'000};     // 0.1 ms barrier setup/teardown
-    Duration pass_cost_per_slot{20'000};  // 20 us per slot relocated
-    Duration yield{200'000};              // live-traffic gap between passes
-  };
+  // One online window costs a base plus a per-cleared-slot charge — enough
+  // to make "repack more" visibly cost the fleet latency.
+  static constexpr Duration kPassCostBase{100'000};    // 0.1 ms barrier setup/teardown
+  static constexpr Duration kPassCostPerSlot{20'000};  // 20 us per slot relocated
+  static constexpr Duration kYield{200'000};           // live-traffic gap between passes
 
   explicit Repacker(PortusDaemon& daemon) : daemon_{daemon} {}
 
@@ -62,14 +58,13 @@ class Repacker {
   // unless the model has a live session with that checkpoint still running.
   Report repack();
 
-  // Incremental variant: same reclamation rules, applied a batch of models
-  // at a time under short admission barriers, interleaving with live
-  // checkpoint traffic. Safe against the in-flight datapath: the barrier
-  // stops *new* admissions and the maintenance work inside a window is
-  // synchronous (never suspends), so a window observes a consistent
+  // Incremental variant: same reclamation rules, applied `models_per_pass`
+  // models at a time under short admission barriers, interleaving with
+  // live checkpoint traffic. Safe against the in-flight datapath: the
+  // barrier stops *new* admissions and the maintenance work inside a window
+  // is synchronous (never suspends), so a window observes a consistent
   // allocator; compact() moves no data, only reclaims the free tail.
-  sim::SubTask<Report> repack_online(OnlineOptions options);
-  sim::SubTask<Report> repack_online() { return repack_online(OnlineOptions{}); }
+  sim::SubTask<Report> repack_online(int models_per_pass = 8);
 
  private:
   // Apply the reclamation rules to one model. Returns slots cleared.

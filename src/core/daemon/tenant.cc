@@ -53,18 +53,13 @@ Tenant* TenantRegistry::find(const std::string& id) {
   return it == tenants_.end() ? nullptr : &it->second;
 }
 
-const Tenant* TenantRegistry::find(const std::string& id) const {
-  const auto it = tenants_.find(id);
-  return it == tenants_.end() ? nullptr : &it->second;
-}
-
 Tenant* TenantRegistry::owner_of(const std::string& model_name) {
-  const auto it = model_owner_.find(model_name);
-  return it == model_owner_.end() ? nullptr : find(it->second);
+  const auto it = charges_.find(model_name);
+  return it == charges_.end() ? nullptr : it->second.tenant;
 }
 
-void TenantRegistry::charge(Tenant& tenant, const std::string& model_name, Bytes bytes) {
-  if (tenant.models.contains(model_name)) return;  // re-registration
+bool TenantRegistry::charge(Tenant& tenant, const std::string& model_name, Bytes bytes) {
+  if (charges_.contains(model_name)) return false;  // re-registration
   if (tenant.quota.capacity_bytes != 0 &&
       tenant.usage.charged_bytes + bytes > tenant.quota.capacity_bytes) {
     ++tenant.usage.quota_rejects;
@@ -75,18 +70,16 @@ void TenantRegistry::charge(Tenant& tenant, const std::string& model_name, Bytes
   }
   tenant.usage.charged_bytes += bytes;
   ++tenant.usage.models;
-  tenant.models.insert(model_name);
-  model_owner_[model_name] = tenant.id;
+  charges_.emplace(model_name, Charge{&tenant, bytes});
+  return true;
 }
 
-void TenantRegistry::uncharge(const std::string& model_name, Bytes bytes) {
-  const auto it = model_owner_.find(model_name);
-  if (it == model_owner_.end()) return;
-  Tenant* t = find(it->second);
-  if (t == nullptr || !t->models.erase(model_name)) return;
-  t->usage.charged_bytes -= std::min(t->usage.charged_bytes, bytes);
-  if (t->usage.models > 0) --t->usage.models;
-  model_owner_.erase(it);
+void TenantRegistry::uncharge(const std::string& model_name) {
+  const auto it = charges_.find(model_name);
+  if (it == charges_.end()) return;
+  it->second.tenant->usage.charged_bytes -= it->second.bytes;
+  --it->second.tenant->usage.models;
+  charges_.erase(it);
 }
 
 std::vector<const Tenant*> TenantRegistry::tenants() const {
@@ -119,9 +112,8 @@ std::size_t AdmissionController::queued() const {
   return n;
 }
 
-bool AdmissionController::can_grant_now(const Tenant& tenant) const {
-  return !paused_ && inflight_ < config_.max_inflight && queued() == 0 &&
-         !tenant_capped(tenant);
+bool AdmissionController::can_grant_now() const {
+  return !paused_ && inflight_ < config_.max_inflight && queued() == 0;
 }
 
 double AdmissionController::stamp(Tenant& tenant, Bytes bytes) {
@@ -133,49 +125,36 @@ double AdmissionController::stamp(Tenant& tenant, Bytes bytes) {
 
 void AdmissionController::grant(Tenant& tenant) {
   ++inflight_;
-  ++tenant.inflight;
   ++tenant.usage.admitted;
   ++stats_.admitted;
 }
 
-void AdmissionController::finish(Tenant* tenant) {
+void AdmissionController::finish() {
   if (inflight_ > 0) --inflight_;
-  if (tenant != nullptr && tenant->inflight > 0) --tenant->inflight;
   dispatch();
 }
 
 void AdmissionController::Ticket::release() {
   if (ctrl_ == nullptr) return;
-  std::exchange(ctrl_, nullptr)->finish(std::exchange(tenant_, nullptr));
+  std::exchange(ctrl_, nullptr)->finish();
 }
 
 void AdmissionController::dispatch() {
   while (!paused_ && inflight_ < config_.max_inflight) {
-    // Strict priority across classes; start-time-fair (min virtual finish
-    // tag, FIFO on ties) within a class. Waiters whose tenant is at its
-    // per-tenant WR-slot cap are passed over, not starved — they become
-    // eligible again when that tenant's ticket releases.
-    Waiter* best = nullptr;
-    std::deque<Waiter>* best_q = nullptr;
-    std::size_t best_i = 0;
-    for (auto& q : queues_) {
-      for (std::size_t i = 0; i < q.size(); ++i) {
-        Waiter& w = q[i];
-        if (tenant_capped(*w.tenant)) continue;
-        if (best == nullptr || w.vft < best->vft ||
-            (w.vft == best->vft && w.seq < best->seq)) {
-          best = &w;
-          best_q = &q;
-          best_i = i;
-        }
-      }
-      if (best != nullptr) break;  // higher class wins outright
-    }
-    if (best == nullptr) return;
+    // Strict priority across classes (the first non-empty queue wins
+    // outright); start-time-fair within a class: min virtual finish tag,
+    // FIFO on ties.
+    const auto q = std::find_if(std::begin(queues_), std::end(queues_),
+                                [](const auto& queue) { return !queue.empty(); });
+    if (q == std::end(queues_)) return;
+    const auto best =
+        std::min_element(q->begin(), q->end(), [](const Waiter& a, const Waiter& b) {
+          return a.vft < b.vft || (a.vft == b.vft && a.seq < b.seq);
+        });
     vtime_ = std::max(vtime_, best->vft);
     grant(*best->tenant);
     const auto handle = best->handle;
-    best_q->erase(best_q->begin() + static_cast<std::ptrdiff_t>(best_i));
+    q->erase(best);
     engine_.resume_later(handle);
   }
 }
@@ -186,7 +165,7 @@ struct AdmissionController::WaitAwaitable {
   double vft;
 
   bool await_ready() const noexcept {
-    if (!ctrl.can_grant_now(tenant)) return false;
+    if (!ctrl.can_grant_now()) return false;
     ctrl.vtime_ = std::max(ctrl.vtime_, vft);
     ctrl.grant(tenant);
     return true;
@@ -204,7 +183,7 @@ sim::SubTask<AdmissionController::Ticket> AdmissionController::admit(Tenant& ten
   const int cls = static_cast<int>(tenant.quota.priority);
   // Bounded queue: reject instead of building unbounded backlog. Checked
   // before pacing so a rejected op costs the client one cheap roundtrip.
-  if (!can_grant_now(tenant) && queues_[cls].size() >= config_.queue_depth) {
+  if (!can_grant_now() && queues_[cls].size() >= config_.queue_depth) {
     ++stats_.rejected;
     ++tenant.usage.rejected;
     throw Backpressure(strf("tenant {} {} admission queue full ({} deep)", tenant.id,
@@ -212,11 +191,11 @@ sim::SubTask<AdmissionController::Ticket> AdmissionController::admit(Tenant& ten
   }
 
   // Token-bucket pacing: burn the tenant's own time before competing for a
-  // slot, so a paced tenant never occupies WR budget while throttled.
+  // slot, so a paced tenant never occupies WR budget while throttled. The
+  // bucket is one op deep.
   if (tenant.quota.rate_bytes_per_sec > 0) {
     const double rate = static_cast<double>(tenant.quota.rate_bytes_per_sec);
-    const double burst = static_cast<double>(
-        tenant.quota.burst_bytes > 0 ? tenant.quota.burst_bytes : bytes);
+    const double burst = static_cast<double>(bytes);
     const Time now = engine_.now();
     tenant.tokens = std::min(burst, tenant.tokens + rate * to_seconds(now - tenant.bucket_at));
     tenant.bucket_at = now;
@@ -235,10 +214,8 @@ sim::SubTask<AdmissionController::Ticket> AdmissionController::admit(Tenant& ten
   const auto waited = engine_.now() - t0;
   stats_.queue_wait_total += waited;
   stats_.queue_wait_max = std::max(stats_.queue_wait_max, waited);
-  tenant.usage.queue_wait_total += waited;
   tenant.usage.queue_wait_max = std::max(tenant.usage.queue_wait_max, waited);
-  tenant.usage.admitted_bytes += bytes;
-  co_return Ticket{this, &tenant};
+  co_return Ticket{this};
 }
 
 void AdmissionController::pause() {

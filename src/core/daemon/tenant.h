@@ -7,15 +7,16 @@
 // batch job head-of-line-block everyone's p99. This layer gives the daemon:
 //
 //   * TenantRegistry — per-tenant identity with a granted quota (PMEM
-//     capacity bytes charged at registration, token-bucket byte rate,
-//     in-flight WR-slot share, WFQ weight, priority class). Registrations
-//     negotiate: the client *requests*, the registry clamps against daemon
-//     policy and answers with the grant (protocol v5).
+//     capacity bytes charged at registration, token-bucket byte rate, WFQ
+//     weight, priority class). Registrations negotiate: the client
+//     *requests*, the registry clamps against daemon policy and answers
+//     with the grant (protocol v5).
 //
 //   * AdmissionController — every checkpoint acquires an admission Ticket
 //     before it may occupy a daemon worker or post a single WR:
 //       1. token-bucket pacing (a tenant over its byte rate sleeps off its
-//          debt *before* competing for a slot);
+//          debt *before* competing for a slot; the bucket holds one op's
+//          bytes);
 //       2. strict priority across the three classes, weighted fair queuing
 //          (start-time-fair virtual finish tags) within a class;
 //       3. a bounded per-class queue — when full, the op is rejected with
@@ -34,7 +35,6 @@
 #include <cstdint>
 #include <deque>
 #include <map>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -56,20 +56,16 @@ PriorityClass priority_from_wire(std::uint8_t v);
 struct TenantQuota {
   Bytes capacity_bytes = 0;      // PMEM the tenant may hold; 0 = unlimited
   Bytes rate_bytes_per_sec = 0;  // token-bucket refill; 0 = unpaced
-  Bytes burst_bytes = 0;         // bucket depth; 0 = auto (one op's bytes)
   double share = 1.0;            // WFQ weight within the priority class
-  std::uint32_t wr_slots = 0;    // per-tenant in-flight cap; 0 = global only
   PriorityClass priority = PriorityClass::kNormal;
 };
 
 struct TenantUsage {
-  Bytes charged_bytes = 0;  // slot capacity charged at registration
+  Bytes charged_bytes = 0;  // 2x the registered payload of each model held
   std::uint64_t models = 0;
   std::uint64_t admitted = 0;
   std::uint64_t rejected = 0;       // Backpressure answers
   std::uint64_t quota_rejects = 0;  // registrations denied over capacity
-  Bytes admitted_bytes = 0;
-  Duration queue_wait_total{0};
   Duration queue_wait_max{0};
   Duration paced_total{0};  // token-bucket stalls
 };
@@ -80,14 +76,12 @@ struct Tenant {
   std::string id;
   TenantQuota quota;
   TenantUsage usage;
-  std::set<std::string> models;  // registrations charged to this tenant
   // Token bucket (negative = debt the next op sleeps off).
   double tokens = 0.0;
   Time bucket_at{0};
   // WFQ bookkeeping: virtual finish tag of this tenant's last admission,
   // in weighted-byte virtual time.
   double vfinish = 0.0;
-  int inflight = 0;
 };
 
 class TenantRegistry {
@@ -108,34 +102,43 @@ class TenantRegistry {
                        Bytes requested_capacity, Bytes requested_rate);
 
   Tenant* find(const std::string& id);
-  const Tenant* find(const std::string& id) const;
   // The tenant a registered model is charged to (nullptr if unknown).
   Tenant* owner_of(const std::string& model_name);
 
-  // Capacity accounting. charge() bills `bytes` of PMEM for `model_name`
-  // at registration time (idempotent per model) and throws
+  // Capacity accounting. The registry owns each model's charge: charge()
+  // bills `bytes` of PMEM for `model_name` at registration time and throws
   // ResourceExhausted when the tenant would exceed its granted capacity.
-  // uncharge() returns the bytes when the repacker reclaims the model's
-  // slots (also idempotent).
-  void charge(Tenant& tenant, const std::string& model_name, Bytes bytes);
-  void uncharge(const std::string& model_name, Bytes bytes);
+  // It returns true only when it billed: a model already charged stays
+  // billed to that tenant, at that amount, and is not billed again.
+  // uncharge() refunds exactly what the model was billed (when the
+  // repacker reclaims its slots, or a registration fails after billing)
+  // and is a no-op for an uncharged model.
+  bool charge(Tenant& tenant, const std::string& model_name, Bytes bytes);
+  void uncharge(const std::string& model_name);
 
   std::vector<const Tenant*> tenants() const;  // sorted by id (render order)
   std::size_t size() const { return tenants_.size(); }
 
  private:
+  struct Charge {
+    Tenant* tenant = nullptr;
+    Bytes bytes = 0;
+  };
+
   Defaults defaults_;
-  std::map<std::string, Tenant> tenants_;           // node-based: stable addrs
-  std::map<std::string, std::string> model_owner_;  // model -> tenant id
+  std::map<std::string, Tenant> tenants_;  // node-based: stable addrs
+  std::map<std::string, Charge> charges_;  // model -> who was billed, how much
 };
 
 class AdmissionController final : public sim::Resettable {
  public:
   struct Config {
-    int max_inflight = 8;             // WR-slot budget across all tenants
-    std::uint32_t queue_depth = 64;   // bounded queue per priority class
-    Duration retry_after{2'000'000};  // Backpressure pacing hint (2 ms)
+    int max_inflight = 8;            // WR-slot budget across all tenants
+    std::uint32_t queue_depth = 64;  // bounded queue per priority class
   };
+
+  // Pacing hint a Backpressure answer carries (retry_after_ns).
+  static constexpr Duration kRetryAfter{2'000'000};  // 2 ms
 
   struct Stats {
     std::uint64_t admitted = 0;
@@ -159,25 +162,21 @@ class AdmissionController final : public sim::Resettable {
   class [[nodiscard]] Ticket {
    public:
     Ticket() = default;
-    Ticket(Ticket&& o) noexcept
-        : ctrl_{std::exchange(o.ctrl_, nullptr)}, tenant_{std::exchange(o.tenant_, nullptr)} {}
+    Ticket(Ticket&& o) noexcept : ctrl_{std::exchange(o.ctrl_, nullptr)} {}
     Ticket& operator=(Ticket&& o) noexcept {
       if (this != &o) {
         release();
         ctrl_ = std::exchange(o.ctrl_, nullptr);
-        tenant_ = std::exchange(o.tenant_, nullptr);
       }
       return *this;
     }
     ~Ticket() { release(); }
     void release();
-    bool held() const { return ctrl_ != nullptr; }
 
    private:
     friend class AdmissionController;
-    Ticket(AdmissionController* c, Tenant* t) : ctrl_{c}, tenant_{t} {}
+    explicit Ticket(AdmissionController* c) : ctrl_{c} {}
     AdmissionController* ctrl_ = nullptr;
-    Tenant* tenant_ = nullptr;
   };
 
   // Await admission for an op moving `bytes`. Throws Backpressure
@@ -206,17 +205,13 @@ class AdmissionController final : public sim::Resettable {
   };
   struct WaitAwaitable;
 
-  bool can_grant_now(const Tenant& tenant) const;
-  bool tenant_capped(const Tenant& tenant) const {
-    return tenant.quota.wr_slots > 0 &&
-           tenant.inflight >= static_cast<int>(tenant.quota.wr_slots);
-  }
+  bool can_grant_now() const;
   // Tag the admission in weighted-byte virtual time and advance the
   // tenant's finish tag.
   double stamp(Tenant& tenant, Bytes bytes);
   void grant(Tenant& tenant);
-  void finish(Tenant* tenant);  // Ticket release path
-  void dispatch();              // hand free slots to the best waiters
+  void finish();    // Ticket release path
+  void dispatch();  // hand free slots to the best waiters
 
   sim::Engine& engine_;
   Config config_;

@@ -10,6 +10,12 @@ namespace portus::core::fleet {
 
 namespace {
 
+// Model size per priority class, cut into kTensorsPerModel equal tensors.
+constexpr Bytes kHighModelBytes = 128_MiB;
+constexpr Bytes kNormalModelBytes = 32_MiB;
+constexpr Bytes kBatchModelBytes = 8_MiB;
+constexpr int kTensorsPerModel = 8;
+
 Duration percentile(std::vector<Duration>& sorted, double p) {
   if (sorted.empty()) return Duration{0};
   const auto idx = static_cast<std::size_t>(p * static_cast<double>(sorted.size() - 1));
@@ -27,7 +33,6 @@ FleetGen::FleetGen(net::Cluster& cluster, net::Node& client_node, QpRendezvous& 
       config_{std::move(config)} {
   PORTUS_CHECK_ARG(config_.tenants >= 1, "fleet needs at least one tenant");
   PORTUS_CHECK_ARG(!endpoints_.empty(), "fleet needs at least one daemon endpoint");
-  PORTUS_CHECK_ARG(config_.tensors_per_model >= 1, "fleet models need tensors");
 }
 
 sim::Process FleetGen::drive(TenantJob& job, std::uint64_t seed) {
@@ -68,19 +73,19 @@ sim::SubTask<FleetReport> FleetGen::run() {
     Bytes model_bytes;
     if (draw < config_.high_fraction) {
       job->cls = PriorityClass::kHigh;
-      model_bytes = config_.high_model_bytes;
+      model_bytes = kHighModelBytes;
     } else if (draw < config_.high_fraction + config_.batch_fraction) {
       job->cls = PriorityClass::kBatch;
-      model_bytes = config_.batch_model_bytes;
+      model_bytes = kBatchModelBytes;
     } else {
       job->cls = PriorityClass::kNormal;
-      model_bytes = config_.normal_model_bytes;
+      model_bytes = kNormalModelBytes;
     }
 
     auto& gpu = node_.gpu(i % gpus);
     job->model = std::make_unique<dnn::Model>(strf("{}/t{:04}", config_.name_prefix, i), gpu);
-    const Bytes per_tensor = model_bytes / static_cast<Bytes>(config_.tensors_per_model);
-    for (int t = 0; t < config_.tensors_per_model; ++t) {
+    const Bytes per_tensor = model_bytes / kTensorsPerModel;
+    for (int t = 0; t < kTensorsPerModel; ++t) {
       job->model->add_tensor(
           dnn::TensorMeta{.name = strf("w{}", t),
                           .dtype = dnn::DType::kF32,
@@ -90,12 +95,11 @@ sim::SubTask<FleetReport> FleetGen::run() {
 
     job->client = std::make_unique<PortusClient>(
         cluster_, node_, gpu, rendezvous_, endpoints_[i % endpoints_.size()]);
-    job->client->set_op_timeout(config_.op_timeout);
     job->client->set_tenant(PortusClient::TenantSpec{
         .id = strf("{}-{:04}", config_.name_prefix, i),
         .priority = static_cast<std::uint8_t>(job->cls),
         .requested_capacity = 0,
-        .requested_rate = config_.requested_rate});
+        .requested_rate = 0});
     auto retry = config_.retry;
     retry.jitter_seed = config_.seed ^ (0x9E3779B97F4A7C15ull * (i + 1));
     job->client->set_retry_policy(retry);

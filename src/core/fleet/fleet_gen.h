@@ -30,24 +30,17 @@ struct FleetConfig {
   // prefixes let several fleets share one daemon pool without colliding.
   std::string name_prefix = "fleet";
   // Priority mix: fractions of the fleet drawn as high / batch; the rest
-  // are normal. Model size and cadence are class-correlated — prod jobs
-  // are big and checkpoint deliberately, batch jobs are small and spam —
-  // so strict priority + WFQ has real asymmetry to arbitrate and the batch
-  // tier is the one that saturates into Backpressure.
+  // are normal. Model size (128 / 32 / 8 MiB) and cadence are
+  // class-correlated — prod jobs are big and checkpoint deliberately, batch
+  // jobs are small and spam — so strict priority + WFQ has real asymmetry
+  // to arbitrate and the batch tier is the one that saturates into
+  // Backpressure.
   double high_fraction = 0.2;
   double batch_fraction = 0.3;
-  Bytes high_model_bytes = 128_MiB;
-  Bytes normal_model_bytes = 32_MiB;
-  Bytes batch_model_bytes = 8_MiB;
   Duration high_period{2'000'000'000};  // mean Poisson cadence per class
   Duration normal_period{800'000'000};
   Duration batch_period{60'000'000};
-  int tensors_per_model = 8;
-  // Per-tenant requested token-bucket rate (0 = take the daemon's policy
-  // default — unlimited unless the daemon config says otherwise).
-  Bytes requested_rate = 0;
-  Duration op_timeout{0};  // 0 = no watchdog
-  PortusClient::RetryPolicy retry{.max_retries = 8};
+  PortusClient::RetryPolicy retry{.max_retries = 8};  // jitter seeded per tenant
   std::uint64_t seed = 0x5EEDF1EE7ull;
   // Mark models finished after the run (feeds the repacker garbage).
   bool finish_jobs = false;

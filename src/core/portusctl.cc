@@ -7,10 +7,8 @@ namespace portus::core {
 std::vector<Portusctl::ModelInfo> Portusctl::view() {
   std::vector<ModelInfo> out;
   for (const auto& name : daemon_.model_table().names()) {
-    const MIndex* live = daemon_.find_live_index(name);
     std::optional<MIndex> loaded;
-    if (live == nullptr) loaded.emplace(daemon_.load_index(name));
-    const MIndex& index = live != nullptr ? *live : *loaded;
+    const MIndex& index = daemon_.index_of(name, loaded);
 
     ModelInfo info;
     info.name = name;
@@ -98,8 +96,8 @@ std::string Portusctl::render_tenants() {
   if (reg == nullptr) return out + "tenancy disabled on this daemon\n";
 
   std::vector<std::vector<std::string>> rows;
-  rows.push_back({"TENANT", "CLASS", "MODELS", "CHARGED", "CAPACITY", "RATE", "WR",
-                  "ADMITTED", "REJECTED", "PACED", "QWAIT-MAX"});
+  rows.push_back({"TENANT", "CLASS", "MODELS", "CHARGED", "CAPACITY", "RATE", "ADMITTED",
+                  "REJECTED", "PACED", "QWAIT-MAX"});
   for (const Tenant* t : reg->tenants()) {
     rows.push_back(
         {t->id, to_string(t->quota.priority), format_count(t->usage.models),
@@ -109,12 +107,11 @@ std::string Portusctl::render_tenants() {
              ? format_bandwidth(Bandwidth::bytes_per_sec(
                    static_cast<double>(t->quota.rate_bytes_per_sec)))
              : "unpaced",
-         t->quota.wr_slots > 0 ? strf("{}", t->quota.wr_slots) : "-",
          format_count(t->usage.admitted),
          format_count(t->usage.rejected + t->usage.quota_rejects),
          format_duration(t->usage.paced_total), format_duration(t->usage.queue_wait_max)});
   }
-  out += format_table(rows, "<<>>>>>>>>>");
+  out += format_table(rows, "<<>>>>>>>>");
 
   if (const AdmissionController* adm = daemon_.admission(); adm != nullptr) {
     const auto& s = adm->stats();
@@ -151,14 +148,18 @@ std::string Portusctl::render_fsck(const Fsck::Report& r) {
 }
 
 sim::SubTask<storage::CheckpointFile> Portusctl::dump(const std::string& model_name) {
-  const MIndex* live = daemon_.find_live_index(model_name);
   std::optional<MIndex> loaded;
-  if (live == nullptr) loaded.emplace(daemon_.load_index(model_name));
-  const MIndex& index = live != nullptr ? *live : *loaded;
+  const MIndex& index = daemon_.index_of(model_name, loaded);
 
   const auto slot_idx = index.latest_done_slot();
   if (!slot_idx.has_value()) throw NotFound("no restorable version of " + model_name);
   const auto& slot = index.slot(*slot_idx);
+  // The restore rule, checked before any byte is read: a version that
+  // fails it is refused rather than exported.
+  if (!index.phantom()) {
+    const auto check = index.check_payload(*slot_idx, MIndex::Scrub::kFirstBad);
+    if (!check.ok()) throw index.payload_corruption(*slot_idx, check, "dump");
+  }
 
   auto& device = daemon_.device();
   auto& engine = daemon_.node().engine();

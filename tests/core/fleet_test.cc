@@ -71,7 +71,7 @@ TEST(TenantRegistryTest, CapacityOverdraftRejectsAndUnchargeRefunds) {
   EXPECT_EQ(t.usage.charged_bytes, 60_MiB) << "rejected charge must not bill";
 
   reg.charge(t, "m3", 30_MiB);
-  reg.uncharge("m1", 60_MiB);
+  reg.uncharge("m1");
   EXPECT_EQ(t.usage.charged_bytes, 30_MiB);
   EXPECT_EQ(reg.owner_of("m1"), nullptr);
   // The refunded headroom admits the previously rejected registration.
@@ -255,11 +255,18 @@ TEST(FleetProtocolTest, V5TenantFieldsRoundtrip) {
 
 struct TenancyRig {
   sim::Engine eng;
-  std::unique_ptr<net::Cluster> cluster = net::Cluster::paper_testbed(eng);
+  std::unique_ptr<net::Cluster> cluster;
   QpRendezvous rendezvous;
   std::unique_ptr<PortusDaemon> daemon;
 
-  explicit TenancyRig(PortusDaemon::Config cfg = tenancy_config()) {
+  // `devdax` > 0 swaps the paper testbed for a client and a server whose
+  // devdax namespace has that size.
+  explicit TenancyRig(PortusDaemon::Config cfg = tenancy_config(), Bytes devdax = 0)
+      : cluster{devdax == 0 ? net::Cluster::paper_testbed(eng)
+                            : net::Cluster::Builder{}
+                                  .add_node({.name = "client-volta", .gpu_count = 1})
+                                  .add_node({.name = "server", .pmem_devdax = devdax})
+                                  .build(eng)} {
     daemon = std::make_unique<PortusDaemon>(*cluster, cluster->node("server"),
                                             rendezvous, cfg);
     daemon->start();
@@ -332,6 +339,89 @@ TEST(FleetTest, BackpressureRetriesToSuccess) {
   EXPECT_EQ(clients[0]->stats().granted_wr_slots, 1u);
 }
 
+// --- every charge goes back whole ---------------------------------------------
+
+dnn::TensorMeta f32(std::string name, Bytes bytes) {
+  return dnn::TensorMeta{.name = std::move(name),
+                         .dtype = dnn::DType::kF32,
+                         .shape = {static_cast<std::int64_t>(bytes / 4)}};
+}
+
+TEST(FleetTest, RegistrationOutOfHeapRefundsPmemAndCharge) {
+  TenancyRig r{TenancyRig::tenancy_config(), 8_MiB};
+  auto& volta = r.cluster->node("client-volta");
+  // The 7 MiB heap fits big's record and one 4 MiB slot, not the second.
+  dnn::Model big{"big", volta.gpu(0)};
+  big.add_tensor(f32("w", 4_MiB), /*phantom=*/true);
+  dnn::Model small{"small", volta.gpu(0)};
+  small.add_tensor(f32("w", 2_MiB), /*phantom=*/true);
+  const Bytes live = r.daemon->allocator().live_bytes();
+
+  const auto attempt = [&r, &volta](dnn::Model& model) {
+    PortusClient client{*r.cluster, volta, volta.gpu(0), r.rendezvous};
+    std::string error;
+    auto proc = r.eng.spawn([](PortusClient& c, dnn::Model& m, std::string& out) -> sim::Process {
+      co_await c.connect();
+      try {
+        co_await c.register_model(m);
+      } catch (const Error& e) {
+        out = e.what();
+      }
+    }(client, model, error));
+    r.eng.run();
+    proc.check();
+    return error;
+  };
+
+  const auto error = attempt(big);
+  EXPECT_NE(error.find("PMEM heap exhausted"), std::string::npos) << error;
+  EXPECT_EQ(r.daemon->allocator().live_bytes(), live);
+  EXPECT_EQ(r.daemon->model_table().size(), 0u);
+  const Tenant* tenant = r.daemon->tenants()->find("default");
+  ASSERT_NE(tenant, nullptr);
+  EXPECT_EQ(tenant->usage.charged_bytes, 0u);
+  EXPECT_EQ(tenant->usage.models, 0u);
+  EXPECT_EQ(r.daemon->tenants()->owner_of("big"), nullptr);
+
+  // What big held is free again, so a model the heap does fit registers.
+  EXPECT_EQ(attempt(small), "");
+  EXPECT_EQ(tenant->usage.charged_bytes, 4_MiB);
+  EXPECT_EQ(r.daemon->tenants()->owner_of("small"), tenant);
+}
+
+TEST(FleetTest, ReclaimedModelRefundsExactlyItsCharge) {
+  TenancyRig r;
+  auto& volta = r.cluster->node("client-volta");
+  // a is charged 2 x 20,000 B but its 5,000 B tensors start on 256 B lines,
+  // so each of its slots spans 20,480 B.
+  dnn::Model a{"a", volta.gpu(0)};
+  for (int t = 0; t < 4; ++t) a.add_tensor(f32(strf("w{}", t), 5'000), /*phantom=*/true);
+  dnn::Model b{"b", volta.gpu(0)};
+  b.add_tensor(f32("w", 1_MiB), /*phantom=*/true);
+  PortusClient client{*r.cluster, volta, volta.gpu(0), r.rendezvous};
+  PortusClient::TenantSpec spec;
+  spec.id = "t";
+  client.set_tenant(spec);
+  auto proc = r.eng.spawn([](PortusClient& c, dnn::Model& a, dnn::Model& b) -> sim::Process {
+    co_await c.connect();
+    co_await c.register_model(a);
+    co_await c.register_model(b);
+    co_await c.finish(a);  // never checkpointed: both of its slots are garbage
+  }(client, a, b));
+  r.eng.run();
+  proc.check();
+  const Tenant* tenant = r.daemon->tenants()->find("t");
+  ASSERT_NE(tenant, nullptr);
+  EXPECT_EQ(tenant->usage.charged_bytes, 2 * 20'000 + 2 * 1_MiB);
+
+  const auto report = Repacker{*r.daemon}.repack();
+  EXPECT_EQ(report.slots_cleared, 2);
+  EXPECT_EQ(tenant->usage.charged_bytes, 2 * 1_MiB) << "b's charge must be untouched";
+  EXPECT_EQ(tenant->usage.models, 1u);
+  EXPECT_EQ(r.daemon->tenants()->owner_of("a"), nullptr);
+  EXPECT_EQ(r.daemon->tenants()->owner_of("b"), tenant);
+}
+
 // --- online repack under live admitted traffic --------------------------------
 
 TEST(FleetTest, OnlineRepackUnderLiveTrafficLeavesCleanImage) {
@@ -364,9 +454,7 @@ TEST(FleetTest, OnlineRepackUnderLiveTrafficLeavesCleanImage) {
     auto maint = r.eng.spawn(
         [](PortusDaemon& d, Repacker::Report& out) -> sim::Process {
           Repacker repacker{d};
-          Repacker::OnlineOptions opts;
-          opts.models_per_pass = 1;
-          out = co_await repacker.repack_online(opts);
+          out = co_await repacker.repack_online(1);
         }(*r.daemon, report));
     for (std::uint64_t k = 1; k <= 6; ++k) {
       const auto epoch = co_await lc.checkpoint(live, k);

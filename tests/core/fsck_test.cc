@@ -7,7 +7,9 @@
 
 #include "common/crc32.h"
 #include "common/rng.h"
+#include "common/strformat.h"
 #include "core/client.h"
+#include "core/portusctl.h"
 #include "dnn/model_zoo.h"
 #include "net/cluster.h"
 
@@ -149,6 +151,78 @@ TEST(FsckTest, RepairDemotesCorruptSlotAndOlderEpochRestores) {
   EXPECT_EQ(restored, 1u);
   EXPECT_EQ(r.model->weights_crc(), r.golden[1]);
   EXPECT_EQ(fresh.stats().last_payload_crc, r.golden[1]);
+}
+
+// Every reader of a DONE slot applies one payload-integrity rule: a flipped
+// byte and a stale block (valid, but for another epoch) are each refused by
+// restore and by `portusctl dump`, and reported by fsck.
+TEST(FsckTest, EveryReaderRefusesAFlippedByteAndAStaleBlock) {
+  Rig r;
+  auto index = r.daemon->load_index("alexnet");
+  const int newest = *index.latest_done_slot();
+  const auto epoch = index.slot(newest).epoch;
+  const auto block = index.payload_crcs(newest);
+  ASSERT_TRUE(block.has_value());
+
+  // Each returns the reader's refusal, empty when it accepted the slot.
+  const auto restore = [&r] {
+    std::string error;
+    auto proc = r.eng.spawn([](PortusClient& c, dnn::Model& m, std::string& out) -> sim::Process {
+      try {
+        co_await c.restore(m);
+      } catch (const Error& e) {
+        out = e.what();
+      }
+    }(*r.client, *r.model, error));
+    r.eng.run();
+    proc.check();
+    return error;
+  };
+  const auto dump = [&r] {
+    std::string error;
+    Portusctl ctl{*r.daemon};
+    auto proc = r.eng.spawn([](Portusctl& ctl, std::string& out) -> sim::Process {
+      try {
+        co_await ctl.dump("alexnet");
+      } catch (const Corruption& e) {
+        out = e.what();
+      }
+    }(ctl, error));
+    r.eng.run();
+    proc.check();
+    return error;
+  };
+
+  // A flipped payload byte.
+  r.model->mutate_weights(99);
+  const auto diverged = r.model->weights_crc();
+  r.flip_byte(index, newest, 0, 0, std::byte{0x01});
+  EXPECT_NE(restore().find("failed its payload CRC on restore"), std::string::npos);
+  EXPECT_EQ(r.daemon->stats().integrity_rejects, 1u);
+  EXPECT_EQ(r.model->weights_crc(), diverged) << "a refused restore wrote GPU memory";
+  EXPECT_NE(dump().find("failed its payload CRC on dump"), std::string::npos);
+  auto report = Fsck{*r.daemon}.run(/*repair=*/false);
+  EXPECT_EQ(report.corrupt_demoted, 1);
+  EXPECT_EQ(report.corrupt_tensors, 1);
+  r.flip_byte(index, newest, 0, 0, std::byte{0x01});  // undo
+
+  // A valid block left from the previous epoch.
+  index.set_payload_crcs(newest, epoch - 1, block->crcs);
+  const auto stale = strf("is stale at epoch {}", epoch);
+  EXPECT_NE(restore().find(stale), std::string::npos);
+  EXPECT_EQ(r.daemon->stats().integrity_rejects, 2u);
+  EXPECT_EQ(r.model->weights_crc(), diverged);
+  EXPECT_NE(dump().find(stale), std::string::npos);
+  report = Fsck{*r.daemon}.run(/*repair=*/false);
+  EXPECT_EQ(report.corrupt_demoted, 1);
+  EXPECT_EQ(report.corrupt_tensors, 0);
+
+  // With its own block back, every reader accepts the slot again.
+  index.set_payload_crcs(newest, epoch, block->crcs);
+  EXPECT_EQ(restore(), "");
+  EXPECT_EQ(r.model->weights_crc(), r.golden[epoch]);
+  EXPECT_EQ(dump(), "");
+  EXPECT_TRUE(Fsck{*r.daemon}.run(/*repair=*/false).clean());
 }
 
 TEST(FsckTest, DemotesActiveSlotsAndSweepsOrphans) {

@@ -34,10 +34,10 @@ struct Rig {
   Bytes ack_bytes = 0;
   std::shared_ptr<net::TcpSocket> session;  // held open so the ack lands
 
-  explicit Rig(bool real_daemon = false)
+  explicit Rig(bool real_daemon = false, PortusDaemon::Config daemon_config = {})
       : client{*cluster, client_node, gpu, rendezvous, real_daemon ? "portusd" : kStandIn} {
     if (real_daemon) {
-      daemon = std::make_unique<PortusDaemon>(*cluster, server_node, rendezvous);
+      daemon = std::make_unique<PortusDaemon>(*cluster, server_node, rendezvous, daemon_config);
       daemon->start();
       return;
     }
@@ -327,6 +327,57 @@ TEST(ClientRegistrationTest, ReRegistrationWithAnotherLayoutIsRefused) {
   r.eng.run();
   restore.check();
   EXPECT_EQ(stored.weights_crc(), stored_crc);
+}
+
+// Registers `model` with the real daemon through a fresh client; returns
+// the refusal the client surfaced, empty when the registration landed.
+std::string register_refusal(Rig& r, dnn::Model& model) {
+  PortusClient client{*r.cluster, r.client_node, r.gpu, r.rendezvous, "portusd"};
+  std::string error;
+  auto proc = r.eng.spawn([](PortusClient& c, dnn::Model& m, std::string& out) -> sim::Process {
+    co_await c.connect();
+    try {
+      co_await c.register_model(m);
+    } catch (const Error& e) {
+      out = e.what();
+    }
+  }(client, model, error));
+  r.eng.run();
+  proc.check();
+  return error;
+}
+
+TEST(ClientRegistrationTest, RefusedNameLeavesNoPmemBehind) {
+  Rig r{/*real_daemon=*/true};
+  dnn::Model model{std::string(60, 'n'), r.gpu};  // a ModelTable entry holds 47 chars
+  model.add_tensor(f32("w", 1_MiB), /*phantom=*/true);
+  const Bytes live = r.daemon->allocator().live_bytes();
+  for (int attempt = 1; attempt <= 3; ++attempt) {
+    const auto error = register_refusal(r, model);
+    EXPECT_NE(error.find("1..47 chars"), std::string::npos) << error;
+    EXPECT_EQ(r.daemon->allocator().live_bytes(), live) << "attempt " << attempt;
+  }
+  EXPECT_EQ(r.daemon->model_table().size(), 0u);
+  EXPECT_EQ(r.daemon->stats().failed_ops, 3u);
+}
+
+TEST(ClientRegistrationTest, FullModelTableLeavesNoPmemBehind) {
+  PortusDaemon::Config cfg;
+  cfg.model_table_capacity = 1;
+  Rig r{/*real_daemon=*/true, cfg};
+  dnn::Model first{"first", r.gpu};
+  first.add_tensor(f32("w", 1_MiB), /*phantom=*/true);
+  dnn::Model second{"second", r.gpu};
+  second.add_tensor(f32("w", 1_MiB), /*phantom=*/true);
+  EXPECT_EQ(register_refusal(r, first), "");
+  const Bytes live = r.daemon->allocator().live_bytes();
+
+  // The second model's index is laid out before the table turns it away.
+  const auto error = register_refusal(r, second);
+  EXPECT_NE(error.find("ModelTable full"), std::string::npos) << error;
+  EXPECT_EQ(r.daemon->allocator().live_bytes(), live);
+  EXPECT_EQ(r.daemon->model_table().names(), std::vector<std::string>{"first"});
+  EXPECT_EQ(r.daemon->stats().failed_ops, 1u);
 }
 
 TEST(ClientRegistrationTest, PhantomFlagChangeSplitsARun) {

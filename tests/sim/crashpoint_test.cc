@@ -615,9 +615,7 @@ Recording record_online_repack_workload() {
     auto maint = eng.spawn([](core::PortusDaemon& d,
                               core::Repacker::Report& out) -> sim::Process {
       core::Repacker repacker{d};
-      core::Repacker::OnlineOptions opts;
-      opts.models_per_pass = 1;
-      out = co_await repacker.repack_online(opts);
+      out = co_await repacker.repack_online(1);
     }(d, report));
     for (std::uint64_t k = 1; k <= 4; ++k) {
       co_await c.checkpoint(live, k);
