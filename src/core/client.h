@@ -12,12 +12,12 @@
 // verbs, so the client never copies, serializes, or crosses into a kernel
 // filesystem.
 //
-// Sharded mode (core/cluster/): one PortusClient per daemon, and
+// Sharded mode (core/cluster/): one PortusClient per shard copy, and
 // register_shard() registers a *subset* of the model's tensors under a
 // shard-scoped name. A run never spans a tensor the binding skips, so no
-// MR exposes bytes outside the binding's own allocations. A daemon may
-// host several shard copies of one model, so a client keeps one datapath
-// (CQ + QP stripes) per registration.
+// MR exposes bytes outside the binding's own allocations. A client that
+// registers several names keeps one datapath (CQ + QP stripes) per
+// registration.
 #pragma once
 
 #include <map>

@@ -1,6 +1,7 @@
 #include "core/cluster/cluster_client.h"
 
 #include <algorithm>
+#include <optional>
 
 #include "common/backoff.h"
 #include "common/logging.h"
@@ -28,28 +29,24 @@ ClusterClient::ClusterClient(net::Cluster& cluster, net::Node& client_node,
   // which also leaves every request unchecked by the daemons.
   for (const auto& ep : config_.endpoints) {
     fixed_membership_.members.push_back(Member{ep, MemberState::kActive});
-    lane_for(ep);
   }
 }
 
-std::string ClusterClient::copy_key(const std::string& endpoint,
-                                    std::uint32_t shard) const {
-  return strf("{}|{}", endpoint, shard);
+std::size_t ClusterClient::lane_for(const std::string& endpoint) {
+  const auto [it, fresh] = lane_by_endpoint_.try_emplace(endpoint, lanes_.size());
+  if (fresh) lanes_.push_back(Lane{.endpoint = endpoint});
+  return it->second;
 }
 
-ClusterClient::Lane& ClusterClient::lane_for(const std::string& endpoint) {
-  if (const auto it = lane_by_endpoint_.find(endpoint); it != lane_by_endpoint_.end()) {
-    return *lanes_[it->second];
+std::size_t ClusterClient::channel_for(std::size_t lane, std::uint32_t shard) {
+  const auto [it, fresh] = channel_by_key_.try_emplace({lane, shard}, channels_.size());
+  if (fresh) {
+    channels_.push_back(Channel{.lane = lane, .client = make_client(lanes_[lane].endpoint)});
   }
-  auto lane = std::make_unique<Lane>();
-  lane->endpoint = endpoint;
-  lane->client = make_lane_client(endpoint);
-  lane_by_endpoint_.emplace(endpoint, lanes_.size());
-  lanes_.push_back(std::move(lane));
-  return *lanes_.back();
+  return it->second;
 }
 
-std::unique_ptr<PortusClient> ClusterClient::make_lane_client(const std::string& endpoint) {
+std::unique_ptr<PortusClient> ClusterClient::make_client(const std::string& endpoint) {
   auto client = std::make_unique<PortusClient>(cluster_, node_, gpu_, rendezvous_, endpoint);
   client->set_op_timeout(config_.op_timeout);
   client->set_tenant(config_.tenant);
@@ -58,20 +55,28 @@ std::unique_ptr<PortusClient> ClusterClient::make_lane_client(const std::string&
 }
 
 void ClusterClient::mark_lane_down(Lane& lane) {
+  // Every channel on the lane sees the same crash or timeout; the first
+  // one to report it takes the lane down, the rest find it down already.
+  // A down lane's copies stop counting as live (see live()); a revival
+  // voids their registrations.
   if (!lane.up) return;
   lane.up = false;
   ++stats_.lane_failures;
-  // A down lane's registrations are void: if it ever comes back it gets a
-  // fresh client (new datapath QPs), so everything must re-register.
-  const std::string prefix = lane.endpoint + "|";
-  for (auto it = registered_keys_.begin(); it != registered_keys_.end();) {
-    if (it->rfind(prefix, 0) == 0) {
-      it = registered_keys_.erase(it);
-    } else {
-      ++it;
-    }
-  }
   PLOG_INFO(kLog, "lane {} marked down", lane.endpoint);
+}
+
+void ClusterClient::revive_lane(std::size_t lane) {
+  // A daemon that came back (or just joined) has no memory of the old
+  // sessions: every channel to it gets a fresh client (new socket, new
+  // datapath QPs) and must register again.
+  lanes_[lane].up = true;
+  ++stats_.lane_revivals;
+  for (auto& ch : channels_) {
+    if (ch.lane != lane) continue;
+    ch.client = make_client(lanes_[lane].endpoint);
+    ch.registered = false;
+  }
+  PLOG_INFO(kLog, "lane {} revived by re-resolve", lanes_[lane].endpoint);
 }
 
 sim::SubTask<> ClusterClient::epoch_backoff(int attempt) {
@@ -81,31 +86,30 @@ sim::SubTask<> ClusterClient::epoch_backoff(int attempt) {
   co_await cluster_.engine().sleep(wait);
 }
 
-sim::Process ClusterClient::lane_register(Lane& lane, bool* stale) {
+sim::Process ClusterClient::register_copy(std::size_t copy_id, bool* stale) {
+  const Copy& copy = copies_[copy_id];
+  Channel& ch = channel_of(copy);
+  Lane& lane = lane_of(copy);
   try {
-    if (!lane.client->connected()) co_await lane.client->connect();
-    for (const auto id : lane.copy_ids) {
-      auto& copy = copies_[id];
-      if (copy.registered) continue;
-      PortusClient::ShardBinding binding;
-      binding.reg_name = shard_key(model_name_, copy.shard);
-      binding.tensor_indices = plan_.shard_tensors[copy.shard];
-      binding.shard_id = copy.shard;
-      binding.shard_count = static_cast<std::uint32_t>(plan_.shard_tensors.size());
-      binding.replica = copy.replica;
-      binding.replica_count =
-          static_cast<std::uint32_t>(plan_.shard_daemons[copy.shard].size());
-      binding.placement_epoch = plan_.placement_epoch;
-      binding.manifest = manifest_.encode();
-      co_await lane.client->register_shard(*model_, std::move(binding));
-      copy.registered = true;
-      registered_keys_.insert(copy_key(lane.endpoint, copy.shard));
-    }
+    if (!ch.client->connected()) co_await ch.client->connect();
+    PortusClient::ShardBinding binding;
+    binding.reg_name = shard_key(model_name_, copy.shard);
+    binding.tensor_indices = plan_.shard_tensors[copy.shard];
+    binding.shard_id = copy.shard;
+    binding.shard_count = static_cast<std::uint32_t>(plan_.shard_tensors.size());
+    binding.replica = copy.replica;
+    binding.replica_count = static_cast<std::uint32_t>(plan_.shard_daemons[copy.shard].size());
+    binding.placement_epoch = plan_.placement_epoch;
+    binding.manifest = manifest_.encode();
+    co_await ch.client->register_shard(*model_, std::move(binding));
+    ch.registered = true;
   } catch (const EpochMismatch& e) {
-    PLOG_INFO(kLog, "registration on {} raced a resize: {}", lane.endpoint, e.what());
+    PLOG_INFO(kLog, "registration of shard {} on {} raced a resize: {}", copy.shard,
+              lane.endpoint, e.what());
     *stale = true;
   } catch (const std::exception& e) {
-    PLOG_INFO(kLog, "registration on {} failed: {}", lane.endpoint, e.what());
+    PLOG_INFO(kLog, "registration of shard {} on {} failed: {}", copy.shard, lane.endpoint,
+              e.what());
     mark_lane_down(lane);
   }
 }
@@ -147,48 +151,30 @@ sim::SubTask<> ClusterClient::resolve_placement() {
     manifest_.membership_epoch = membership_epoch_;
     manifest_.member_states = states;
 
-    // 4. Rebuild the copy table, opening/reviving lanes as the placement
-    //    needs them. Plans only target ACTIVE positions, so a down lane
-    //    placed on here is a daemon that came back (or just joined): it has
-    //    no memory of the old session, so it gets a fresh client.
+    // 4. Rebuild the copy table, opening lanes and channels as the
+    //    placement needs them. Plans only target ACTIVE positions, so a down
+    //    lane placed on here is a daemon that came back (or just joined).
     copies_.clear();
-    for (auto& lane : lanes_) lane->copy_ids.clear();
     for (std::uint32_t s = 0; s < plan_.shard_daemons.size(); ++s) {
       if (plan_.shard_tensors[s].empty()) continue;
       const auto& ring = plan_.shard_daemons[s];
       for (std::uint32_t r = 0; r < ring.size(); ++r) {
-        const auto pos = ring[r];
-        Lane& lane = lane_for(ring_endpoints_[pos]);
-        if (!lane.up) {
-          lane.client = make_lane_client(lane.endpoint);
-          lane.up = true;
-          ++stats_.lane_revivals;
-          PLOG_INFO(kLog, "lane {} revived by re-resolve", lane.endpoint);
-        }
-        Copy copy{.shard = s,
-                  .replica = r,
-                  .member = pos,
-                  .lane = lane_by_endpoint_.at(lane.endpoint)};
-        copy.registered = registered_keys_.count(copy_key(lane.endpoint, s)) != 0;
-        lanes_[copy.lane]->copy_ids.push_back(copies_.size());
-        copies_.push_back(copy);
+        const auto lane = lane_for(ring_endpoints_[ring[r]]);
+        if (!lanes_[lane].up) revive_lane(lane);
+        copies_.push_back(Copy{.shard = s, .replica = r, .channel = channel_for(lane, s)});
       }
     }
-    for (auto& lane : lanes_) lane->client->set_membership_epoch(membership_epoch_);
+    for (auto& ch : channels_) ch.client->set_membership_epoch(membership_epoch_);
 
-    // 5. Register whatever the new placement put somewhere new.
+    // 5. Register whatever the new placement put somewhere new, every copy
+    //    at once.
     bool stale = false;
     std::vector<sim::Process> procs;
-    procs.reserve(lanes_.size());
-    for (auto& lane : lanes_) {
-      const bool needs =
-          std::any_of(lane->copy_ids.begin(), lane->copy_ids.end(),
-                      [&](std::size_t id) { return !copies_[id].registered; });
-      if (!needs) continue;
-      auto p = lane_register(*lane, &stale);
-      procs.push_back(cluster_.engine().spawn(std::move(p)));
+    for (std::size_t id = 0; id < copies_.size(); ++id) {
+      if (channel_of(copies_[id]).registered) continue;
+      procs.push_back(cluster_.engine().spawn(register_copy(id, &stale)));
     }
-    for (auto& p : procs) co_await p.join();  // lane errors are absorbed in-lane
+    for (auto& p : procs) co_await p.join();  // copy errors are absorbed per copy
 
     if (stale) {
       // The membership moved again while we were registering against it.
@@ -204,9 +190,8 @@ sim::SubTask<> ClusterClient::resolve_placement() {
     for (std::uint32_t s = 0; s < plan_.shard_tensors.size(); ++s) {
       if (plan_.shard_tensors[s].empty()) continue;
       const bool covered =
-          std::any_of(copies_.begin(), copies_.end(), [&](const Copy& c) {
-            return c.shard == s && c.registered && lanes_[c.lane]->up;
-          });
+          std::any_of(copies_.begin(), copies_.end(),
+                      [&](const Copy& c) { return c.shard == s && live(c); });
       if (!covered) {
         throw ResourceExhausted(
             strf("shard {} of {} has no live daemon; cannot register", s, model_name_));
@@ -242,39 +227,33 @@ sim::SubTask<> ClusterClient::refresh_placement() {
   co_await resolve_placement();
 }
 
-sim::Process ClusterClient::lane_checkpoint(Lane& lane, std::uint64_t iteration,
+sim::Process ClusterClient::checkpoint_copy(std::size_t copy_id, std::uint64_t iteration,
                                             std::uint64_t* round_max,
                                             std::vector<bool>* shard_ok, bool* any_miss,
                                             bool* stale) {
-  for (const auto id : lane.copy_ids) {
-    auto& copy = copies_[id];
-    if (!copy.registered || !lane.up) {
-      *any_miss = true;
-      continue;
-    }
-    try {
-      const std::string key = shard_key(model_name_, copy.shard);
-      const auto epoch = co_await lane.client->checkpoint_named(key, iteration);
-      copy.epoch = epoch;
-      (*shard_ok)[copy.shard] = true;
-      *round_max = std::max(*round_max, epoch);
-    } catch (const EpochMismatch& e) {
-      // The round is void, not failed: the caller re-resolves placement and
-      // replays the whole round against the new membership.
-      PLOG_INFO(kLog, "checkpoint of shard {} on {} hit a resize: {}", copy.shard,
-                lane.endpoint, e.what());
-      *stale = true;
-      break;
-    } catch (const Disconnected& e) {
-      PLOG_INFO(kLog, "checkpoint of shard {} on {} lost: {}", copy.shard, lane.endpoint,
-                e.what());
-      mark_lane_down(lane);
-      *any_miss = true;
-    } catch (const std::exception& e) {
-      PLOG_INFO(kLog, "checkpoint of shard {} on {} failed: {}", copy.shard, lane.endpoint,
-                e.what());
-      *any_miss = true;
-    }
+  Copy& copy = copies_[copy_id];
+  Lane& lane = lane_of(copy);
+  try {
+    const std::string key = shard_key(model_name_, copy.shard);
+    const auto epoch = co_await channel_of(copy).client->checkpoint_named(key, iteration);
+    copy.epoch = epoch;
+    (*shard_ok)[copy.shard] = true;
+    *round_max = std::max(*round_max, epoch);
+  } catch (const EpochMismatch& e) {
+    // The round is void, not failed: the caller re-resolves placement and
+    // replays the whole round against the new membership.
+    PLOG_INFO(kLog, "checkpoint of shard {} on {} hit a resize: {}", copy.shard,
+              lane.endpoint, e.what());
+    *stale = true;
+  } catch (const Disconnected& e) {
+    PLOG_INFO(kLog, "checkpoint of shard {} on {} lost: {}", copy.shard, lane.endpoint,
+              e.what());
+    mark_lane_down(lane);
+    *any_miss = true;
+  } catch (const std::exception& e) {
+    PLOG_INFO(kLog, "checkpoint of shard {} on {} failed: {}", copy.shard, lane.endpoint,
+              e.what());
+    *any_miss = true;
   }
 }
 
@@ -285,10 +264,12 @@ sim::SubTask<ClusterClient::CheckpointResult> ClusterClient::checkpoint_round(
   std::uint64_t round_max = 0;
 
   std::vector<sim::Process> procs;
-  procs.reserve(lanes_.size());
-  for (auto& lane : lanes_) {
-    if (lane->copy_ids.empty()) continue;
-    auto p = lane_checkpoint(*lane, iteration, &round_max, &shard_ok, &any_miss, stale);
+  for (std::size_t id = 0; id < copies_.size(); ++id) {
+    if (!live(copies_[id])) {
+      any_miss = true;
+      continue;
+    }
+    auto p = checkpoint_copy(id, iteration, &round_max, &shard_ok, &any_miss, stale);
     procs.push_back(cluster_.engine().spawn(std::move(p)));
   }
   for (auto& p : procs) co_await p.join();
@@ -326,32 +307,30 @@ sim::SubTask<ClusterClient::CheckpointResult> ClusterClient::checkpoint(
   }
 }
 
-sim::Process ClusterClient::lane_restore(Lane& lane, std::vector<RestoreJob*> jobs,
-                                         std::uint64_t* max_epoch, bool* stale) {
-  for (auto* job : jobs) {
-    if (!lane.up) break;  // lane died earlier in this wave
-    auto& copy = copies_[job->copy_id];
-    try {
-      const std::string key = shard_key(model_name_, copy.shard);
-      const auto epoch = co_await lane.client->restore_named(key, job->required_epoch);
-      job->done = true;
-      copy.epoch = std::max(copy.epoch, epoch);
-      *max_epoch = std::max(*max_epoch, epoch);
-    } catch (const EpochMismatch& e) {
-      PLOG_INFO(kLog, "restore of shard {} from {} hit a resize: {}", copy.shard,
-                lane.endpoint, e.what());
-      *stale = true;
-      break;
-    } catch (const Disconnected& e) {
-      PLOG_INFO(kLog, "restore of shard {} from {} lost: {}", copy.shard, lane.endpoint,
-                e.what());
-      mark_lane_down(lane);
-    } catch (const std::exception& e) {
-      // Stale epoch (daemon refused the floor) or missing record: this copy
-      // is unusable, the wave loop moves to the next one.
-      PLOG_INFO(kLog, "restore of shard {} from {} refused: {}", copy.shard, lane.endpoint,
-                e.what());
-    }
+sim::Process ClusterClient::restore_copy(RestoreJob* job, std::uint64_t* max_epoch,
+                                         bool* stale) {
+  Copy& copy = copies_[job->copy_id];
+  Lane& lane = lane_of(copy);
+  try {
+    const std::string key = shard_key(model_name_, copy.shard);
+    const auto epoch =
+        co_await channel_of(copy).client->restore_named(key, job->required_epoch);
+    job->done = true;
+    copy.epoch = std::max(copy.epoch, epoch);
+    *max_epoch = std::max(*max_epoch, epoch);
+  } catch (const EpochMismatch& e) {
+    PLOG_INFO(kLog, "restore of shard {} from {} hit a resize: {}", copy.shard, lane.endpoint,
+              e.what());
+    *stale = true;
+  } catch (const Disconnected& e) {
+    PLOG_INFO(kLog, "restore of shard {} from {} lost: {}", copy.shard, lane.endpoint,
+              e.what());
+    mark_lane_down(lane);
+  } catch (const std::exception& e) {
+    // Stale epoch (daemon refused the floor) or missing record: this copy
+    // is unusable, the wave loop moves to the next one.
+    PLOG_INFO(kLog, "restore of shard {} from {} refused: {}", copy.shard, lane.endpoint,
+              e.what());
   }
 }
 
@@ -385,7 +364,7 @@ sim::SubTask<ClusterClient::RestoreResult> ClusterClient::restore_round(bool* st
       std::optional<std::size_t> pick;
       for (std::size_t id = 0; id < copies_.size(); ++id) {
         const auto& c = copies_[id];
-        if (c.shard != s || tried[id] || !c.registered || !lanes_[c.lane]->up) continue;
+        if (c.shard != s || tried[id] || !live(c)) continue;
         if (!pick.has_value() || c.replica < copies_[*pick].replica) pick = id;
       }
       if (!pick.has_value()) {
@@ -401,14 +380,11 @@ sim::SubTask<ClusterClient::RestoreResult> ClusterClient::restore_round(bool* st
     }
     if (jobs.empty()) break;
 
-    // Group this wave's jobs by lane; lanes run in parallel.
-    std::map<std::size_t, std::vector<RestoreJob*>> by_lane;
-    for (auto& job : jobs) by_lane[copies_[job.copy_id].lane].push_back(&job);
+    // Every job of the wave runs at once, each on its copy's channel.
     std::vector<sim::Process> procs;
-    procs.reserve(by_lane.size());
-    for (auto& [lane_idx, lane_jobs] : by_lane) {
-      auto p = lane_restore(*lanes_[lane_idx], lane_jobs, &max_epoch, stale);
-      procs.push_back(cluster_.engine().spawn(std::move(p)));
+    procs.reserve(jobs.size());
+    for (auto& job : jobs) {
+      procs.push_back(cluster_.engine().spawn(restore_copy(&job, &max_epoch, stale)));
     }
     for (auto& p : procs) co_await p.join();
 

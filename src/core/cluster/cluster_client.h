@@ -1,14 +1,20 @@
 // ClusterClient: one training process checkpointing to N Portus daemons.
 //
-// Wraps one PortusClient per daemon ("lane") and fans register / checkpoint
-// / restore out across them — parallel across lanes, serial within a lane
-// (each PortusClient is a one-op-at-a-time control channel). The tensor →
-// shard → daemons map comes from Placement::compute, so any process that
-// knows the ring config finds its shards without a metadata service.
+// Gives every shard copy its own PortusClient control channel, keyed by
+// (daemon endpoint, shard), and issues every copy of a register /
+// checkpoint / restore at once: each PortusClient is a one-op-at-a-time
+// control channel, so one channel per copy is what lets a daemon run
+// several copies of one op side by side on its workers. A round then
+// costs its slowest copy, not the summed round trips of every copy its
+// busiest daemon holds. The tensor -> shard -> daemons map comes from
+// Placement::compute, so any process that knows the ring config finds its
+// shards without a metadata service.
 //
 // Failure model: a daemon can crash (sockets die instantly) or hang
-// (detected only by the per-op timeout). Either way the lane is marked
-// down and the op degrades:
+// (detected only by the per-op timeout). Liveness is per daemon (a
+// "lane"): the first of its channels to see the crash or timeout marks
+// the lane down, which voids every copy registered there, and the op
+// degrades:
 //   - checkpoint: succeeds as long as every shard commits on >= 1 copy;
 //     the result is flagged degraded and the lost copies simply stop
 //     advancing their epochs.
@@ -23,18 +29,17 @@
 // model's fixed shard_count shards over the ACTIVE members, and stamps
 // every request with the membership epoch. When the cluster resizes
 // mid-op, a daemon answers EpochMismatch; the client then refetches the
-// membership, recomputes placement, revives or opens lanes as needed,
-// re-registers the moved copies, and retries the whole round — backing off
-// through the same jittered-exponential helper as every other retry path
-// (common/backoff.h). A resize under load therefore costs retries, never
-// failed ops.
+// membership, recomputes placement, revives lanes or opens channels as
+// needed, re-registers the moved copies, and retries the whole round —
+// backing off through the same jittered-exponential helper as every other
+// retry path (common/backoff.h). A resize under load therefore costs
+// retries, never failed ops.
 #pragma once
 
 #include <map>
 #include <memory>
-#include <optional>
-#include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/rng.h"
@@ -60,7 +65,7 @@ class ClusterClient {
     // paths live through a hang; set 0 only where every failure is a
     // crash-stop and the extra watchdog timer is unwanted.
     Duration op_timeout{250'000'000};    // 250 ms
-    // Tenancy identity + retry discipline, applied to every lane client.
+    // Tenancy identity + retry discipline, applied to every channel client.
     // Keep retry.retry_timeouts off here unless you mean it: a retried
     // timeout delays the lane-down verdict the degraded paths key off.
     PortusClient::TenantSpec tenant;
@@ -105,16 +110,17 @@ class ClusterClient {
   ClusterClient(net::Cluster& cluster, net::Node& client_node, gpu::GpuDevice& gpu,
                 QpRendezvous& rendezvous, Config config);
 
-  // Compute the placement for `model`, dial every lane, and register each
-  // shard copy on its daemon (manifest attached to every registration).
-  // Lanes that are already dead are tolerated as long as every shard keeps
-  // at least one registered copy; otherwise throws.
+  // Compute the placement for `model` and register every shard copy on
+  // its daemon through the copy's own channel, all at once (manifest
+  // attached to every registration). Lanes that are already dead are
+  // tolerated as long as every shard keeps at least one registered copy;
+  // otherwise throws.
   sim::SubTask<> register_model(dnn::Model& model);
 
-  // Checkpoint every shard copy. Returns the round's committed epoch (the
-  // same on every copy that took part). Throws if any shard committed on
-  // zero copies. In elastic mode an EpochMismatch answer retries the whole
-  // round after re-resolving placement.
+  // Checkpoint every shard copy at once. Returns the round's committed
+  // epoch (the same on every copy that took part). Throws if any shard
+  // committed on zero copies. In elastic mode an EpochMismatch answer
+  // retries the whole round after re-resolving placement.
   sim::SubTask<CheckpointResult> checkpoint(std::uint64_t iteration = 0);
 
   // Restore every shard, re-routing to replicas as needed (see above).
@@ -122,10 +128,11 @@ class ClusterClient {
 
   // Re-resolve placement against the current membership (or the static
   // endpoint list) right now: recompute the plan, revive down lanes whose
-  // member is ACTIVE again (fresh PortusClient — a restarted daemon has no
-  // memory of the old session), and re-register missing copies. The ops
-  // call this themselves on EpochMismatch; call it directly after manually
-  // restarting a daemon in a static ring.
+  // member is ACTIVE again (a fresh PortusClient for each of the lane's
+  // channels — a restarted daemon has no memory of the old sessions), and
+  // re-register missing copies. The ops call this themselves on
+  // EpochMismatch; call it directly after manually restarting a daemon in
+  // a static ring.
   sim::SubTask<> refresh_placement();
 
   const Placement::Plan& plan() const { return plan_; }
@@ -133,27 +140,32 @@ class ClusterClient {
   const Stats& stats() const { return stats_; }
   std::uint64_t membership_epoch() const { return membership_epoch_; }
 
-  std::size_t lane_count() const { return lanes_.size(); }
-  PortusClient& lane_client(std::size_t i) { return *lanes_.at(i)->client; }
+  // Every per-copy control channel's client, one per (endpoint, shard) this
+  // client has placed a copy on.
+  std::size_t lane_count() const { return channels_.size(); }
+  PortusClient& lane_client(std::size_t i) { return *channels_.at(i).client; }
 
  private:
-  // One placed copy of one shard. `member` is the ring position in the
-  // current membership; `lane` indexes lanes_ (lanes are per endpoint and
-  // outlive membership changes).
+  // One placed copy of one shard; `channel` indexes channels_.
   struct Copy {
     std::uint32_t shard = 0;
     std::uint32_t replica = 0;
-    std::uint32_t member = 0;
-    std::size_t lane = 0;
-    bool registered = false;
+    std::size_t channel = 0;
     std::uint64_t epoch = 0;  // newest epoch this copy is known to hold
   };
 
+  // One daemon, by endpoint. Lanes outlive membership changes.
   struct Lane {
     std::string endpoint;
-    std::unique_ptr<PortusClient> client;
-    std::vector<std::size_t> copy_ids;  // indices into copies_
     bool up = true;
+  };
+
+  // The control channel of one (lane, shard) pair. Channels outlive
+  // membership changes, as the daemon-side registrations they hold do.
+  struct Channel {
+    std::size_t lane = 0;
+    std::unique_ptr<PortusClient> client;
+    bool registered = false;
   };
 
   struct RestoreJob {
@@ -163,11 +175,11 @@ class ClusterClient {
     bool rerouted = false;
   };
 
-  sim::Process lane_register(Lane& lane, bool* stale);
-  sim::Process lane_checkpoint(Lane& lane, std::uint64_t iteration, std::uint64_t* round_max,
-                               std::vector<bool>* shard_ok, bool* any_miss, bool* stale);
-  sim::Process lane_restore(Lane& lane, std::vector<RestoreJob*> jobs,
-                            std::uint64_t* max_epoch, bool* stale);
+  sim::Process register_copy(std::size_t copy_id, bool* stale);
+  sim::Process checkpoint_copy(std::size_t copy_id, std::uint64_t iteration,
+                               std::uint64_t* round_max, std::vector<bool>* shard_ok,
+                               bool* any_miss, bool* stale);
+  sim::Process restore_copy(RestoreJob* job, std::uint64_t* max_epoch, bool* stale);
 
   sim::SubTask<CheckpointResult> checkpoint_round(std::uint64_t iteration, bool* stale);
   sim::SubTask<RestoreResult> restore_round(bool* stale);
@@ -177,13 +189,18 @@ class ClusterClient {
   // a resize can land mid-registration too).
   sim::SubTask<> resolve_placement();
 
-  Lane& lane_for(const std::string& endpoint);
-  // A fresh lane client (one datapath QP) carrying this client's watchdog,
-  // tenant identity and retry policy.
-  std::unique_ptr<PortusClient> make_lane_client(const std::string& endpoint);
+  std::size_t lane_for(const std::string& endpoint);
+  std::size_t channel_for(std::size_t lane, std::uint32_t shard);
+  // A fresh channel client (one datapath QP) carrying this client's
+  // watchdog, tenant identity and retry policy.
+  std::unique_ptr<PortusClient> make_client(const std::string& endpoint);
+  Channel& channel_of(const Copy& copy) { return channels_[copy.channel]; }
+  Lane& lane_of(const Copy& copy) { return lanes_[channel_of(copy).lane]; }
+  // A copy takes part in an op only while it is registered on an up lane.
+  bool live(const Copy& copy) { return channel_of(copy).registered && lane_of(copy).up; }
   void mark_lane_down(Lane& lane);
+  void revive_lane(std::size_t lane);
   sim::SubTask<> epoch_backoff(int attempt);
-  std::string copy_key(const std::string& endpoint, std::uint32_t shard) const;
 
   net::Cluster& cluster_;
   net::Node& node_;
@@ -196,15 +213,16 @@ class ClusterClient {
   std::vector<Bytes> tensor_sizes_;
   Placement::Plan plan_;
   ShardManifest manifest_;
+  // copies_, channels_ and lanes_ change only in resolve_placement, while
+  // no per-copy process runs, so those processes may hold references.
   std::vector<Copy> copies_;
-  // unique_ptr so Lane addresses stay stable across lane creation (running
-  // lane coroutines hold references).
-  std::vector<std::unique_ptr<Lane>> lanes_;
+  std::vector<Channel> channels_;
+  std::map<std::pair<std::size_t, std::uint32_t>, std::size_t> channel_by_key_;
+  std::vector<Lane> lanes_;
   std::map<std::string, std::size_t> lane_by_endpoint_;
   Membership fixed_membership_;  // the static ring (Config::endpoints), epoch 0
   std::vector<std::string> ring_endpoints_;  // current membership, in ring order
   std::vector<std::uint64_t> shard_floor_;   // acked-epoch floor per shard
-  std::set<std::string> registered_keys_;    // "endpoint|shard" pairs registered
   std::uint64_t membership_epoch_ = 0;
   std::uint32_t effective_shard_count_ = 0;  // fixed at first placement
   Rng jitter_{0xE1A57C1C0FFEEull};

@@ -113,7 +113,14 @@ sim::SubTask<Bytes> ElasticCluster::migrate_copy(PortusDaemon& src, PortusDaemon
       }
       dheld.emplace(MIndex::create(dst.device(), dst.allocator(), reg,
                                    dst.config().coalesce_threshold));
-      dst.model_table().insert(key, dheld->record_offset());
+      // A table that refuses the key (full) must not strand the fresh
+      // index's record and slots on the destination heap.
+      try {
+        dst.model_table().insert(key, dheld->record_offset());
+      } catch (...) {
+        dheld->destroy(dst.allocator());
+        throw;
+      }
     }
     didx = &*dheld;
   }

@@ -196,11 +196,20 @@ sim::Process PortusDaemon::accept_loop() {
 sim::Process PortusDaemon::session_loop(std::shared_ptr<net::TcpSocket> socket) {
   std::erase_if(client_sockets_, [](const auto& w) { return w.expired(); });
   client_sockets_.push_back(socket);
+  // A request whose body does not decode is refused in its own reply type
+  // and counted failed; the session keeps serving the socket.
+  const auto refuse = [&](auto reply, const std::exception& e) {
+    ++stats_.failed_ops;
+    reply.ok = false;
+    reply.error = strf("undecodable request: {}", e.what());
+    socket->send(encode(reply));
+  };
   try {
     for (;;) {
       const auto wire = co_await socket->recv();
       if (hung_) continue;  // gray failure: swallow the request, answer nothing
-      switch (decode_type(wire)) {
+      // An empty message has no type; it is hung up on like an unknown one.
+      switch (wire.empty() ? MsgType{} : decode_type(wire)) {
         case MsgType::kRegisterModel: {
           RegisterModelMsg msg;
           try {
@@ -210,8 +219,10 @@ sim::Process PortusDaemon::session_loop(std::shared_ptr<net::TcpSocket> socket) 
             // peer gets told exactly why, in the one ack layout that is
             // stable across protocol generations (magic+version lead it).
             ++stats_.rejected_protocol;
-            ++stats_.failed_ops;
-            socket->send(encode(RegisterAckMsg{.ok = false, .error = e.what()}));
+            refuse(RegisterAckMsg{}, e);
+            break;
+          } catch (const Error& e) {
+            refuse(RegisterAckMsg{}, e);
             break;
           }
           auto reply = co_await handle_register(std::move(msg));
@@ -219,26 +230,56 @@ sim::Process PortusDaemon::session_loop(std::shared_ptr<net::TcpSocket> socket) 
           break;
         }
         case MsgType::kCheckpointReq: {
-          auto reply = co_await handle_checkpoint(decode_checkpoint_req(wire));
+          CheckpointReqMsg msg;
+          try {
+            msg = decode_checkpoint_req(wire);
+          } catch (const Error& e) {
+            refuse(CheckpointDoneMsg{}, e);
+            break;
+          }
+          auto reply = co_await handle_checkpoint(std::move(msg));
           if (!hung_) socket->send(encode(reply));
           break;
         }
         case MsgType::kRestoreReq: {
-          auto reply = co_await handle_restore(decode_restore_req(wire));
+          RestoreReqMsg msg;
+          try {
+            msg = decode_restore_req(wire);
+          } catch (const Error& e) {
+            refuse(RestoreDoneMsg{}, e);
+            break;
+          }
+          auto reply = co_await handle_restore(std::move(msg));
           if (!hung_) socket->send(encode(reply));
           break;
         }
         case MsgType::kFinishJob: {
-          const auto msg = decode_finish_job(wire);
-          finished_.insert(msg.model_name);
-          model_table_->set_finished(msg.model_name);
+          // The bare FinishAck has no field to refuse a finish notice in, so
+          // one that does not decode, or names no known model, is hung up on.
+          try {
+            const auto msg = decode_finish_job(wire);
+            model_table_->set_finished(msg.model_name);
+            finished_.insert(msg.model_name);
+          } catch (const Error& e) {
+            ++stats_.failed_ops;
+            PLOG_INFO(kLog, "{}: finish notice refused, closing session: {}",
+                      config_.endpoint, e.what());
+            socket->close();
+            co_return;
+          }
           BinaryWriter w;
           w.u8(static_cast<std::uint8_t>(MsgType::kFinishAck));
           socket->send(w.take());
           break;
         }
         default:
-          throw Corruption("unexpected message type on daemon socket");
+          // Not a request this daemon serves, so there is no reply type to
+          // refuse it in: hang up, and the client sees Disconnected at once
+          // instead of waiting out its watchdog.
+          ++stats_.failed_ops;
+          PLOG_INFO(kLog, "{}: unknown message type, closing session", config_.endpoint);
+          socket->close();
+          co_return;
       }
     }
   } catch (const Disconnected&) {
@@ -369,7 +410,7 @@ sim::SubTask<RegisterAckMsg> PortusDaemon::handle_register(RegisterModelMsg msg)
     }
     PLOG_DEBUG(kLog, "registered model {} ({} tensors, {} stripes)", msg.model_name,
                msg.tensors.size(), stripes);
-  } catch (const Error& e) {
+  } catch (const std::exception& e) {
     if (created) session.index->destroy(*allocator_);
     if (charged) tenants_->uncharge(msg.model_name);
     ++stats_.failed_ops;
@@ -412,7 +453,7 @@ sim::SubTask<CheckpointDoneMsg> PortusDaemon::handle_checkpoint(CheckpointReqMsg
 
   const auto permit = co_await workers_->permit();
   auto trace_span = config_.tracer != nullptr
-                        ? config_.tracer->span("checkpoint " + msg.model_name, "portusd")
+                        ? config_.tracer->span("checkpoint " + msg.model_name, config_.endpoint)
                         : sim::Tracer::Span{};
   try {
     const auto it = sessions_.find(msg.model_name);
@@ -470,7 +511,7 @@ sim::SubTask<CheckpointDoneMsg> PortusDaemon::handle_checkpoint(CheckpointReqMsg
     stats_.bytes_pulled += session.registration.total_bytes();
     done.ok = true;
     done.epoch = txn.epoch();
-  } catch (const Error& e) {
+  } catch (const std::exception& e) {
     ++stats_.failed_ops;
     done.ok = false;
     done.error = e.what();
@@ -486,7 +527,7 @@ sim::SubTask<RestoreDoneMsg> PortusDaemon::handle_restore(RestoreReqMsg msg) {
 
   const auto permit = co_await workers_->permit();
   auto trace_span = config_.tracer != nullptr
-                        ? config_.tracer->span("restore " + msg.model_name, "portusd")
+                        ? config_.tracer->span("restore " + msg.model_name, config_.endpoint)
                         : sim::Tracer::Span{};
   try {
     const auto it = sessions_.find(msg.model_name);
@@ -531,7 +572,7 @@ sim::SubTask<RestoreDoneMsg> PortusDaemon::handle_restore(RestoreReqMsg msg) {
     stats_.bytes_pushed += session.registration.total_bytes();
     done.ok = true;
     done.epoch = slot.epoch;
-  } catch (const Error& e) {
+  } catch (const std::exception& e) {
     ++stats_.failed_ops;
     done.ok = false;
     done.error = e.what();

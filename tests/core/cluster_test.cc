@@ -4,7 +4,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <map>
+#include <regex>
 #include <set>
+#include <sstream>
 
 #include "common/rng.h"
 #include "common/strformat.h"
@@ -17,6 +21,7 @@
 #include "dnn/model_zoo.h"
 #include "net/cluster.h"
 #include "sim/fault.h"
+#include "sim/trace.h"
 
 namespace portus::core::cluster {
 namespace {
@@ -187,22 +192,28 @@ struct ClusterRig {
   std::unique_ptr<net::Cluster> cluster;
   QpRendezvous rendezvous;
   sim::FaultInjector faults{eng};
+  sim::Tracer tracer{eng};  // every daemon's spans, one track per daemon
   std::vector<std::unique_ptr<PortusDaemon>> daemons;
   std::vector<std::string> endpoints;
 
   explicit ClusterRig(int n) {
     cluster = net::Cluster::sharded_testbed(eng, n);
     for (int i = 0; i < n; ++i) {
-      PortusDaemon::Config cfg;
-      cfg.endpoint = strf("portusd{}", i);
-      cfg.faults = &faults;
-      endpoints.push_back(cfg.endpoint);
+      endpoints.push_back(strf("portusd{}", i));
       daemons.push_back(std::make_unique<PortusDaemon>(
-          *cluster, cluster->node(strf("pmem{}", i)), rendezvous, cfg));
+          *cluster, cluster->node(strf("pmem{}", i)), rendezvous, daemon_config(i)));
       daemons.back()->start();
     }
   }
   ~ClusterRig() { eng.shutdown(); }
+
+  PortusDaemon::Config daemon_config(int i) {
+    PortusDaemon::Config cfg;
+    cfg.endpoint = endpoints[static_cast<std::size_t>(i)];
+    cfg.faults = &faults;
+    cfg.tracer = &tracer;
+    return cfg;
+  }
 
   ClusterClient::Config client_config(std::uint32_t replicas) {
     ClusterClient::Config cfg;
@@ -212,6 +223,50 @@ struct ClusterRig {
     return cfg;
   }
 };
+
+// The spans whose name starts with `prefix`, per trace track, as
+// [begin, end) in virtual ns, read back from the tracer's Chrome JSON (which
+// prints us to the ns; whole ns keep back-to-back spans from overlapping by
+// a rounding error).
+using TrackSpans = std::map<std::string, std::vector<std::pair<std::int64_t, std::int64_t>>>;
+TrackSpans spans_by_track(const sim::Tracer& tracer, const std::string& prefix) {
+  std::ostringstream json;
+  tracer.write_chrome_json(json);
+  const std::regex track_name{R"re("tid":(\d+),"args":\{"name":"([^"]*)"\})re"};
+  const std::regex span{
+      R"re("name":"([^"]*)","ph":"X","pid":1,"tid":(\d+),"ts":([0-9.]+),"dur":([0-9.]+))re"};
+  std::map<std::string, std::string> track_of_tid;
+  TrackSpans out;
+  std::istringstream lines{json.str()};
+  for (std::string line; std::getline(lines, line);) {
+    std::smatch m;
+    if (std::regex_search(line, m, track_name)) {
+      track_of_tid[m[1]] = m[2];
+    } else if (std::regex_search(line, m, span) && m[1].str().starts_with(prefix)) {
+      const std::int64_t begin = std::llround(std::stod(m[3]) * 1e3);
+      out[track_of_tid.at(m[2])].emplace_back(begin, begin + std::llround(std::stod(m[4]) * 1e3));
+    }
+  }
+  return out;
+}
+
+// The most of `spans` open at once; one that ends where another begins
+// does not overlap it.
+int peak_open(const std::vector<std::pair<std::int64_t, std::int64_t>>& spans) {
+  std::vector<std::pair<std::int64_t, int>> edges;
+  for (const auto& [begin, end] : spans) {
+    edges.emplace_back(begin, 1);
+    edges.emplace_back(end, -1);
+  }
+  std::sort(edges.begin(), edges.end());  // at one instant, ends sort first
+  int open = 0;
+  int peak = 0;
+  for (const auto& [at, step] : edges) {
+    open += step;
+    peak = std::max(peak, open);
+  }
+  return peak;
+}
 
 // Acceptance (a): shard + replicate a multi-tensor model across 3 daemons
 // with R=2; every daemon holds its copies; restore is bit-exact.
@@ -477,6 +532,168 @@ TEST(ClusterTest, EveryShardCopyRegistersOneRegion) {
   EXPECT_GT(moved, 0u);
   EXPECT_EQ(elastic.stats().copies_moved, moved);
   EXPECT_EQ(regions(), before.size() + moved);
+  EXPECT_EQ(r.eng.failed_process_count(), 0);
+}
+
+// Daemons that share one tracer each get their own track, named by
+// endpoint, so a trace shows how many ops each daemon runs at once.
+TEST(ClusterTest, DaemonsSharingATracerGetOneTrackEach) {
+  ClusterRig r{2};
+  auto& volta = r.cluster->node("client-volta");
+  dnn::ModelZoo::Options opt;
+  opt.scale = 0.02;
+  auto model = dnn::ModelZoo::create(volta.gpu(0), "resnet50", opt);
+  ClusterClient client{*r.cluster, volta, volta.gpu(0), r.rendezvous, r.client_config(1)};
+  auto proc = r.eng.spawn([](ClusterClient& c, dnn::Model& m) -> sim::Process {
+    co_await c.register_model(m);
+    co_await c.checkpoint(1);
+    co_await c.restore();
+  }(client, model));
+  r.eng.run();
+  proc.check();
+  for (const char* op : {"checkpoint ", "restore "}) {
+    const auto tracks = spans_by_track(r.tracer, op);
+    ASSERT_EQ(tracks.size(), 2u) << op;
+    EXPECT_EQ(tracks.begin()->first, "portusd0");
+    EXPECT_EQ(tracks.rbegin()->first, "portusd1");
+    for (const auto& [track, spans] : tracks) EXPECT_EQ(spans.size(), 1u) << track;
+  }
+}
+
+// Every shard copy has its own control channel, so a daemon runs the
+// copies of one op side by side instead of one after another. R=2 and 8
+// shards on two daemons put 8 copies on each.
+TEST(ClusterTest, ShardCopiesOfOneOpRunConcurrently) {
+  ClusterRig r{2};
+  auto& volta = r.cluster->node("client-volta");
+  dnn::ModelZoo::Options opt;
+  opt.scale = 0.02;
+  auto model = dnn::ModelZoo::create(volta.gpu(0), "resnet50", opt);
+  auto cfg = r.client_config(2);
+  cfg.shard_count = 8;
+  ClusterClient client{*r.cluster, volta, volta.gpu(0), r.rendezvous, cfg};
+
+  Duration register_time{0};
+  auto proc = r.eng.spawn([](sim::Engine& eng, ClusterClient& c, dnn::Model& m,
+                             Duration& took) -> sim::Process {
+    const Time t0 = eng.now();
+    co_await c.register_model(m);
+    took = eng.now() - t0;
+    const auto ck = co_await c.checkpoint(1);
+    EXPECT_FALSE(ck.degraded);
+  }(r.eng, client, model, register_time));
+  r.eng.run();
+  proc.check();
+  for (auto& d : r.daemons) EXPECT_EQ(d->model_table().names().size(), 8u);
+  EXPECT_EQ(client.lane_count(), 16u);
+
+  // One checkpoint round: each daemon's spans overlap.
+  const auto tracks = spans_by_track(r.tracer, "checkpoint ");
+  ASSERT_EQ(tracks.size(), 2u);
+  for (const auto& [track, spans] : tracks) {
+    EXPECT_EQ(spans.size(), 8u) << track;
+    EXPECT_GE(peak_open(spans), 2) << track << " ran its copies one after another";
+  }
+
+  // Registration costs about its slowest copy, not the sum of a daemon's.
+  Duration slowest{0};
+  for (std::size_t i = 0; i < client.lane_count(); ++i) {
+    slowest = std::max(slowest, client.lane_client(i).stats().registration_time);
+  }
+  EXPECT_LT(register_time, 2 * slowest);
+}
+
+// A crash while a daemon runs several copies at once is still one lane
+// failure: every channel to it sees the crash, the first one takes the lane
+// down, and every copy there drops out of later ops. After the restart, one
+// re-resolve revives the lane and re-registers each copy placed there once.
+TEST(ClusterTest, CrashWithCopiesInFlightDownsTheLaneOnce) {
+  ClusterRig r{2};
+  auto& volta = r.cluster->node("client-volta");
+  dnn::ModelZoo::Options opt;
+  opt.scale = 0.02;
+  auto model = dnn::ModelZoo::create(volta.gpu(0), "resnet50", opt);
+  auto cfg = r.client_config(2);
+  cfg.shard_count = 8;
+  ClusterClient client{*r.cluster, volta, volta.gpu(0), r.rendezvous, cfg};
+
+  // Round 1 runs clean and times the copies on portusd1; round 2 crashes
+  // portusd1 halfway between its last copy starting and its first ending.
+  Time crash_at = Time{0};
+  std::uint32_t want = 0;
+  auto proc = r.eng.spawn([](ClusterRig& rig, ClusterClient& c, dnn::Model& m, Time& crash,
+                             std::uint32_t& crc) -> sim::Process {
+    co_await c.register_model(m);
+    const Time t1 = rig.eng.now();
+    co_await c.checkpoint(1);
+    const auto spans = spans_by_track(rig.tracer, "checkpoint ").at("portusd1");
+    std::int64_t last_begin = 0;
+    std::int64_t first_end = spans.front().second;
+    for (const auto& [begin, end] : spans) {
+      last_begin = std::max(last_begin, begin);
+      first_end = std::min(first_end, end);
+    }
+    const Duration offset{(last_begin + first_end) / 2 - t1.count()};
+
+    m.mutate_weights(2);
+    crc = m.weights_crc();
+    crash = rig.eng.now() + offset;
+    rig.faults.kill_after("portusd1", offset);
+    const auto ck = co_await c.checkpoint(2);
+    EXPECT_TRUE(ck.degraded);
+    EXPECT_EQ(ck.epoch, 2u);
+
+    // Every copy on portusd1 is gone: the restore serves every shard from
+    // portusd0, re-routing the ones whose primary copy was on portusd1.
+    m.mutate_weights(3);
+    const auto rr = co_await c.restore();
+    EXPECT_EQ(rr.epoch, 2u);
+    EXPECT_TRUE(rr.degraded);
+    std::uint32_t primaries_on_1 = 0;
+    for (const auto& ring : c.plan().shard_daemons) primaries_on_1 += ring.at(0) == 1 ? 1 : 0;
+    EXPECT_EQ(rr.rerouted_shards, primaries_on_1);
+    co_await rig.eng.sleep(std::chrono::milliseconds{5});  // the dead daemon's ops drain
+  }(r, client, model, crash_at, want));
+  r.eng.run();
+  proc.check();
+  EXPECT_EQ(model.weights_crc(), want);
+
+  // Several copies were running on portusd1 when it crashed, yet the lane
+  // failed once.
+  int in_flight = 0;
+  const std::int64_t crash_ns = crash_at.count();
+  const auto tracks = spans_by_track(r.tracer, "checkpoint ");
+  for (const auto& [begin, end] : tracks.at("portusd1")) {
+    if (begin < crash_ns && crash_ns < end) ++in_flight;
+  }
+  EXPECT_GE(in_flight, 2);
+  EXPECT_EQ(client.stats().lane_failures, 1u);
+  EXPECT_EQ(client.stats().degraded_checkpoints, 1u);
+  EXPECT_EQ(r.daemons[0]->stats().restores, 8u);
+
+  // Restart portusd1 over its intact PMEM: one re-resolve revives the lane
+  // and registers each copy placed there exactly once.
+  r.daemons[1].reset();
+  r.daemons[1] = std::make_unique<PortusDaemon>(*r.cluster, r.cluster->node("pmem1"),
+                                                r.rendezvous, r.daemon_config(1));
+  r.daemons[1]->recover();
+  r.daemons[1]->start();
+  auto revive = r.eng.spawn([](ClusterClient& c, dnn::Model& m) -> sim::Process {
+    co_await c.refresh_placement();
+    m.mutate_weights(4);
+    const auto ck = co_await c.checkpoint(4);
+    EXPECT_FALSE(ck.degraded);
+  }(client, model));
+  r.eng.run();
+  revive.check();
+  EXPECT_EQ(client.stats().lane_revivals, 1u);
+  EXPECT_EQ(client.stats().lane_failures, 1u);
+  std::uint64_t placed_on_1 = 0;
+  for (const auto& ring : client.plan().shard_daemons) {
+    placed_on_1 += static_cast<std::uint64_t>(std::count(ring.begin(), ring.end(), 1u));
+  }
+  EXPECT_EQ(placed_on_1, 8u);
+  EXPECT_EQ(r.daemons[1]->stats().shard_registrations, placed_on_1);
   EXPECT_EQ(r.eng.failed_process_count(), 0);
 }
 

@@ -214,6 +214,46 @@ TEST(ElasticTest, JoinRefusesToCertifyACorruptSourceCopy) {
 }
 
 // ---------------------------------------------------------------------------
+// A destination ModelTable that refuses a migrated key strands no PMEM: the
+// index migration created for it goes back to the joiner's heap, and the
+// join fails before any epoch bump.
+
+TEST(ElasticTest, JoinIntoAFullModelTableLeaksNoPmem) {
+  ElasticRig r{2, 1};
+  auto& volta = r.cluster->node("client-volta");
+  auto model = r.make_model();
+  ClusterClient client{*r.cluster, volta, volta.gpu(0), r.rendezvous,
+                       r.client_config(2, 4)};
+
+  // Fill the joiner's table with entries that hold no heap bytes (and no
+  // shard keys, so the migrator never reads them).
+  auto& joiner = *r.daemons[1];
+  const auto capacity = joiner.config().model_table_capacity;
+  for (std::uint32_t i = 0; i < capacity; ++i) {
+    joiner.model_table().insert(strf("filler{}", i), PortusDaemon::kHeapOffset);
+  }
+  const Bytes live_before = joiner.allocator().live_bytes();
+
+  bool threw = false;
+  auto proc = r.eng.spawn([](ElasticRig& rig, ClusterClient& c, dnn::Model& m,
+                             bool& refused) -> sim::Process {
+    co_await c.register_model(m);
+    co_await c.checkpoint(1);
+    try {
+      co_await rig.elastic.join(ElasticRig::ep(1), *rig.daemons[1]);
+    } catch (const ResourceExhausted&) {
+      refused = true;  // ModelTable full
+    }
+  }(r, client, model, threw));
+  r.eng.run();
+  proc.check();
+  EXPECT_TRUE(threw);
+  EXPECT_EQ(r.elastic.membership().epoch, 1u);
+  EXPECT_EQ(joiner.model_table().size(), capacity);
+  EXPECT_EQ(joiner.allocator().live_bytes(), live_before);
+}
+
+// ---------------------------------------------------------------------------
 // Headline acceptance: a 1 -> 4 -> 2 resize under continuous checkpoint
 // load produces ZERO failed client ops, and the final restore is bit-exact.
 

@@ -205,6 +205,82 @@ TEST(RobustnessTest, ConcurrentOpsOnOneClientAreRejected) {
       << "one control-plane operation per client at a time is the contract";
 }
 
+// A request the daemon cannot decode is refused in its own reply type and
+// the session keeps serving the socket; a message of no known type is hung
+// up on at once, so a client never waits out its watchdog for either.
+TEST(RobustnessTest, UndecodableRequestIsRefusedAndTheSessionServesOn) {
+  Rig r;
+  bool done = false;
+  r.eng.spawn([](Rig& rig, bool& ok) -> sim::Process {
+    auto socket = co_await rig.cluster->endpoint("portusd").connect();
+    const auto truncated = [](std::vector<std::byte> wire) {
+      wire.resize(wire.size() - 4);
+      return wire;
+    };
+    CheckpointReqMsg ck_req;
+    ck_req.model_name = "bert";
+    ck_req.iteration = 1;
+    RestoreReqMsg rs_req;
+    rs_req.model_name = "bert";
+    rs_req.required_epoch = 1;
+    RegisterModelMsg reg;
+    reg.model_name = "bert";
+    reg.tensors.push_back(TensorDesc{.name = "t", .shape = {4, 4}, .size = 64});
+
+    socket->send(truncated(encode(ck_req)));
+    const auto ck_wire = co_await socket->recv();
+    const auto ck_done = decode_checkpoint_done(ck_wire);
+    EXPECT_FALSE(ck_done.ok);
+    EXPECT_NE(ck_done.error.find("undecodable request"), std::string::npos) << ck_done.error;
+
+    socket->send(truncated(encode(rs_req)));
+    const auto rs_wire = co_await socket->recv();
+    EXPECT_FALSE(decode_restore_done(rs_wire).ok);
+
+    socket->send(truncated(encode(reg)));
+    const auto reg_wire = co_await socket->recv();
+    EXPECT_FALSE(decode_register_ack(reg_wire).ok);
+
+    // The same socket still answers a well-formed request.
+    socket->send(encode(ck_req));
+    const auto valid_wire = co_await socket->recv();
+    const auto valid_done = decode_checkpoint_done(valid_wire);
+    EXPECT_FALSE(valid_done.ok);
+    EXPECT_NE(valid_done.error.find("unregistered"), std::string::npos) << valid_done.error;
+
+    // No known type: the daemon hangs up within a round trip.
+    const Time sent = rig.eng.now();
+    socket->send(std::vector<std::byte>{std::byte{0xEE}});
+    bool hung_up = false;
+    try {
+      co_await socket->recv();
+    } catch (const Disconnected&) {
+      hung_up = true;
+    }
+    EXPECT_TRUE(hung_up);
+    EXPECT_LT(rig.eng.now() - sent, Duration{std::chrono::milliseconds{1}});
+
+    // A finish notice has no reply field to refuse it in: one that does not
+    // decode is hung up on too.
+    auto second = co_await rig.cluster->endpoint("portusd").connect();
+    second->send(truncated(encode(FinishJobMsg{.model_name = "bert"})));
+    hung_up = false;
+    try {
+      co_await second->recv();
+    } catch (const Disconnected&) {
+      hung_up = true;
+    }
+    EXPECT_TRUE(hung_up);
+    ok = true;
+  }(r, done));
+  r.eng.run();
+  ASSERT_TRUE(done);
+  EXPECT_EQ(r.eng.failed_process_count(), 0);
+  // Three undecodable requests, one unregistered model, one unknown type,
+  // one undecodable finish notice.
+  EXPECT_EQ(r.daemon->stats().failed_ops, 6u);
+}
+
 TEST(RobustnessTest, CheckpointOfUnregisteredModelFails) {
   Rig r;
   auto& node = r.cluster->node("client-volta");

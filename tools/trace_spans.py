@@ -5,9 +5,13 @@ Chrome traces as perfbench/run.py --trace 1 writes them to .bench_out/.
     python3 tools/trace_spans.py .bench_out/elastic-seed1.trace.json
     python3 tools/trace_spans.py --prefix restore# CHANGE.json... --parent PARENT.json...
 
-It prints, per track (thread) and pooled over all tracks, the span count
-and the nearest-rank median, p90 and max in ms. Spans of one track pool
-across every trace given, so several seeds' traces make one larger sample.
+It prints, per track (thread) and pooled over all tracks, the span count,
+the peak (the most spans open at once on the track within one trace, the
+maximum over the traces; pooled: the largest track peak) and the
+nearest-rank median, p90 and max in ms. Spans of one track pool across
+every trace given, so several seeds' traces make one larger sample. With
+--prefix "checkpoint " on an elastic trace, whose daemons each have their
+own track, the peak is how many shard checkpoints a daemon ran at once.
 
 With --parent it also prints the parent's table, the change of each
 track's median, and the pooled median of the traces under study
@@ -23,31 +27,67 @@ import math
 import sys
 
 
+def read_spans(path, prefix):
+    """(track name, start us, duration us) of every complete event ("X")
+    in one trace whose name starts with prefix. Tracks are named by their
+    thread_name metadata, prefixed with the process name where there is
+    one (zoo merges one process per model, each with its own portusd
+    thread)."""
+    with open(path) as f:
+        events = json.load(f)["traceEvents"]
+    threads, processes = {}, {}
+    for e in events:
+        if e.get("ph") != "M":
+            continue
+        if e.get("name") == "thread_name":
+            threads[(e.get("pid"), e.get("tid"))] = e["args"]["name"]
+        elif e.get("name") == "process_name":
+            processes[e.get("pid")] = e["args"]["name"] + "/"
+    out = []
+    for e in events:
+        if e.get("ph") != "X" or not e.get("name", "").startswith(prefix):
+            continue
+        pid, tid = e.get("pid"), e.get("tid")
+        track = processes.get(pid, "") + threads.get((pid, tid), f"tid {tid}")
+        out.append((track, e["ts"], e["dur"]))
+    return out
+
+
 def load_spans(paths, prefix):
-    """{track name: [span duration in ms]} over complete events ("X")
-    whose name starts with prefix, pooled across the traces in paths.
-    Tracks are named by their thread_name metadata, prefixed with the
-    process name where there is one (zoo merges one process per model,
-    each with its own portusd thread)."""
+    """{track name: [span duration in ms]} over the spans whose name starts
+    with prefix, pooled across the traces in paths."""
     spans = {}
     for path in paths:
-        with open(path) as f:
-            events = json.load(f)["traceEvents"]
-        threads, processes = {}, {}
-        for e in events:
-            if e.get("ph") != "M":
-                continue
-            if e.get("name") == "thread_name":
-                threads[(e.get("pid"), e.get("tid"))] = e["args"]["name"]
-            elif e.get("name") == "process_name":
-                processes[e.get("pid")] = e["args"]["name"] + "/"
-        for e in events:
-            if e.get("ph") != "X" or not e.get("name", "").startswith(prefix):
-                continue
-            pid, tid = e.get("pid"), e.get("tid")
-            track = processes.get(pid, "") + threads.get((pid, tid), f"tid {tid}")
-            spans.setdefault(track, []).append(e["dur"] / 1e3)
+        for track, _, dur in read_spans(path, prefix):
+            spans.setdefault(track, []).append(dur / 1e3)
     return spans
+
+
+def peak_open(intervals):
+    """The most of the (start, duration) intervals open at once. One that
+    ends where another starts does not overlap it. Traces print times in
+    us to the ns, so the sums are taken in whole ns: float sums would let
+    back-to-back spans overlap by a rounding error."""
+    ns = [(round(ts * 1e3), round(ts * 1e3) + round(dur * 1e3)) for ts, dur in intervals]
+    edges = sorted([(end, -1) for _, end in ns] + [(start, 1) for start, _ in ns])
+    peak = open_now = 0
+    for _, step in edges:
+        open_now += step
+        peak = max(peak, open_now)
+    return peak
+
+
+def load_peaks(paths, prefix):
+    """{track name: the most spans open at once on the track within one
+    trace}, the maximum over the traces in paths."""
+    peaks = {}
+    for path in paths:
+        per_track = {}
+        for track, ts, dur in read_spans(path, prefix):
+            per_track.setdefault(track, []).append((ts, dur))
+        for track, intervals in per_track.items():
+            peaks[track] = max(peaks.get(track, 0), peak_open(intervals))
+    return peaks
 
 
 def percentile(values, p):
@@ -74,23 +114,25 @@ def weighted_median(samples):
 def reweighted_median(parent, change):
     """The change's pooled median with each of its spans weighted so that
     every track carries the parent's span count. A track the parent lacks
-    carries no weight."""
+    carries no weight; None when no track is in both."""
     samples = []
     for track, values in change.items():
         weight = len(parent.get(track, ())) / len(values)
-        samples += [(v, weight) for v in values]
-    return weighted_median(samples)
+        samples += [(v, weight) for v in values if weight > 0]
+    return weighted_median(samples) if samples else None
 
 
 def pooled(spans):
     return [x for values in spans.values() for x in values]
 
 
-def print_table(title, spans, width):
+def print_table(title, spans, peaks, width):
     print(title)
-    print(f"  {'track':<{width}} {'count':>7} {'p50_ms':>10} {'p90_ms':>10} {'max_ms':>10}")
+    print(f"  {'track':<{width}} {'count':>7} {'peak':>5} {'p50_ms':>10} {'p90_ms':>10} "
+          f"{'max_ms':>10}")
     for track, values in sorted(spans.items()) + [("pooled", pooled(spans))]:
-        print(f"  {track:<{width}} {len(values):>7} {percentile(values, 50):>10.3f} "
+        peak = peaks[track] if track in spans else max(peaks.values())
+        print(f"  {track:<{width}} {len(values):>7} {peak:>5} {percentile(values, 50):>10.3f} "
               f"{percentile(values, 90):>10.3f} {max(values):>10.3f}")
 
 
@@ -105,17 +147,21 @@ def main(argv=None):
 
     change = load_spans(a.traces, a.prefix)
     parent = load_spans(a.parent, a.prefix) if a.parent else None
+    change_peaks = load_peaks(a.traces, a.prefix)
     for label, spans in (("traces", change), ("parent traces", parent)):
         if spans == {}:
             print(f"no span named {a.prefix}* in the {label}", file=sys.stderr)
             return 1
     width = max(len(t) for t in list(change) + list(parent or {}) + ["pooled"])
     if parent is None:
-        print_table(f"spans {a.prefix}* in {len(a.traces)} trace(s)", change, width)
+        print_table(f"spans {a.prefix}* in {len(a.traces)} trace(s)", change, change_peaks,
+                    width)
         return 0
 
-    print_table(f"parent: spans {a.prefix}* in {len(a.parent)} trace(s)", parent, width)
-    print_table(f"change: spans {a.prefix}* in {len(a.traces)} trace(s)", change, width)
+    print_table(f"parent: spans {a.prefix}* in {len(a.parent)} trace(s)", parent,
+                load_peaks(a.parent, a.prefix), width)
+    print_table(f"change: spans {a.prefix}* in {len(a.traces)} trace(s)", change, change_peaks,
+                width)
     print("median per track, parent -> change:")
     for track in sorted(set(parent) | set(change)):
         if track not in parent or track not in change:
@@ -124,9 +170,11 @@ def main(argv=None):
         before, after = percentile(parent[track], 50), percentile(change[track], 50)
         print(f"  {track:<{width}} {before:>10.3f} -> {after:>10.3f} ms "
               f"({100.0 * (after - before) / before:+.1f}%)")
+    reweighted = reweighted_median(parent, change)
     print(f"pooled p50: parent {percentile(pooled(parent), 50):.3f} ms, change "
           f"{percentile(pooled(change), 50):.3f} ms, change reweighted to the parent's "
-          f"per-track counts {reweighted_median(parent, change):.3f} ms")
+          "per-track counts " +
+          (f"{reweighted:.3f} ms" if reweighted is not None else "n/a (no track in both)"))
     return 0
 
 

@@ -32,6 +32,19 @@ def trace(tracks):
     return {"traceEvents": events}
 
 
+def timed_trace(tracks):
+    """A Chrome trace with one thread per track; tracks maps a thread name
+    to (start us, duration us) pairs of its "checkpoint " spans."""
+    events = []
+    for tid, (name, spans) in enumerate(sorted(tracks.items())):
+        events.append({"name": "thread_name", "ph": "M", "pid": 1, "tid": tid,
+                       "args": {"name": name}})
+        for i, (ts, dur) in enumerate(spans):
+            events.append({"name": f"checkpoint m#s{i}", "ph": "X", "pid": 1, "tid": tid,
+                           "ts": ts, "dur": dur})
+    return {"traceEvents": events}
+
+
 class TraceSpansTest(unittest.TestCase):
     def setUp(self):
         self.dir = tempfile.TemporaryDirectory()
@@ -77,6 +90,40 @@ class TraceSpansTest(unittest.TestCase):
                       "the parent's per-track counts 1.000 ms", text)
         with contextlib.redirect_stderr(io.StringIO()):
             self.assertEqual(trace_spans.main([change, "--prefix", "nosuch#"]), 1)
+
+
+    def test_peak_is_the_most_spans_open_at_once_per_trace(self):
+        self.assertEqual(trace_spans.peak_open([(0, 10), (5, 10), (8, 1), (20, 5)]), 3)
+        # Back to back is not overlap, also where 0.1 + 0.2 > 0.3 in floats.
+        self.assertEqual(trace_spans.peak_open([(0, 5), (5, 5), (10, 5)]), 1)
+        self.assertEqual(trace_spans.peak_open([(0.1, 0.2), (0.3, 1)]), 1)
+        a = os.path.join(self.dir.name, "a.json")
+        b = os.path.join(self.dir.name, "b.json")
+        with open(a, "w") as f:
+            json.dump(timed_trace({"portusd0": [(0, 10), (5, 10), (8, 1)],
+                                   "portusd1": [(0, 5), (5, 5)]}), f)
+        # b's spans overlap a's in time, but peaks never pool across traces.
+        with open(b, "w") as f:
+            json.dump(timed_trace({"portusd1": [(0, 5), (1, 5)]}), f)
+        self.assertEqual(trace_spans.load_peaks([a, b], "checkpoint "),
+                         {"portusd0": 3, "portusd1": 2})
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            self.assertEqual(trace_spans.main([a, b, "--prefix", "checkpoint "]), 0)
+        rows = {line.split()[0]: line.split()[1:3] for line in out.getvalue().splitlines()[2:]}
+        self.assertEqual(rows, {"portusd0": ["3", "3"], "portusd1": ["4", "2"],
+                                "pooled": ["7", "3"]})
+
+        # Against a parent whose spans sit on other tracks, nothing can be
+        # reweighted.
+        parent = os.path.join(self.dir.name, "p.json")
+        with open(parent, "w") as f:
+            json.dump(timed_trace({"portusd": [(0, 5)]}), f)
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            self.assertEqual(trace_spans.main([a, "--prefix", "checkpoint ", "--parent", parent]),
+                             0)
+        self.assertIn("per-track counts n/a (no track in both)", out.getvalue())
 
 
 if __name__ == "__main__":
