@@ -8,6 +8,9 @@
 // R=1 series is expected to run ~5 / 10 / 12 / 12 GB/s over N=1..4.
 // Emits BENCH_cluster.json and fails (exit 1) if striping does not scale
 // (N=2 below 1.6x of N=1) or if any wider ring regresses a narrower one.
+// The client NIC column is what the measured checkpoint moved over the
+// client's link: about the model's bytes at R=1 and R=2 alike, since a
+// replica lands its shard PMEM to PMEM from the shard's puller.
 #include <cstdlib>
 #include <fstream>
 
@@ -23,6 +26,7 @@ struct Row {
   int replicas = 1;
   Bytes model_bytes = 0;
   Duration ckpt{0};
+  Bytes client_nic_bytes = 0;  // over the client link, measured checkpoint only
   double gbps() const { return static_cast<double>(model_bytes) / 1e9 / to_seconds(ckpt); }
 };
 
@@ -51,14 +55,17 @@ Row measure(int daemons, int replicas) {
   core::cluster::ClusterClient client{*cluster, volta, volta.gpu(0), rendezvous, ccfg};
 
   auto proc = engine.spawn([](sim::Engine& eng, core::cluster::ClusterClient& c,
-                              dnn::Model& m, Row& out) -> sim::Process {
+                              dnn::Model& m, sim::BandwidthChannel& link,
+                              Row& out) -> sim::Process {
     co_await c.register_model(m);
     co_await c.checkpoint(1);  // warm-up: first epoch pays slot setup
     m.mutate_weights(2);
     const Time t0 = eng.now();
+    const double nic0 = link.total_bytes_transferred();
     co_await c.checkpoint(2);
     out.ckpt = eng.now() - t0;
-  }(engine, client, model, row));
+    out.client_nic_bytes = static_cast<Bytes>(link.total_bytes_transferred() - nic0);
+  }(engine, client, model, volta.nic().link(), row));
   engine.run();
   proc.check();
   engine.shutdown();
@@ -78,12 +85,12 @@ int main() {
     if (n >= 2) replicated.push_back(measure(n, 2));
   }
 
-  std::cout << strf("{:>8}{:>10}{:>12}{:>14}{:>12}\n", "daemons", "replicas", "model",
-                    "checkpoint", "GB/s");
+  std::cout << strf("{:>8}{:>10}{:>12}{:>14}{:>12}{:>13}\n", "daemons", "replicas", "model",
+                    "checkpoint", "GB/s", "client NIC");
   const auto print_row = [](const Row& row) {
-    std::cout << strf("{:>8}{:>10}{:>12}{:>14}{:>11.2f}\n", row.daemons, row.replicas,
-                      format_bytes(row.model_bytes), format_duration(row.ckpt),
-                      row.gbps());
+    std::cout << strf("{:>8}{:>10}{:>12}{:>14}{:>11.2f}{:>13}\n", row.daemons, row.replicas,
+                      format_bytes(row.model_bytes), format_duration(row.ckpt), row.gbps(),
+                      format_bytes(row.client_nic_bytes));
   };
   for (const auto& row : striped) print_row(row);
   for (const auto& row : replicated) print_row(row);
@@ -101,9 +108,9 @@ int main() {
     const auto& row = all[i];
     json << strf(
         "    {{\"daemons\": {}, \"replicas\": {}, \"model_bytes\": {}, "
-        "\"checkpoint_ns\": {}, \"throughput_gbps\": {:.4f}}}{}\n",
+        "\"checkpoint_ns\": {}, \"throughput_gbps\": {:.4f}, \"client_nic_bytes\": {}}}{}\n",
         row.daemons, row.replicas, row.model_bytes, row.ckpt.count(), row.gbps(),
-        i + 1 < all.size() ? "," : "");
+        row.client_nic_bytes, i + 1 < all.size() ? "," : "");
   }
   json << "  ]\n}\n";
   json.close();

@@ -83,40 +83,14 @@ sim::SubTask<std::vector<std::byte>> PortusClient::roundtrip(std::vector<std::by
   };
   const BusyGuard guard{op_in_flight_};
   socket_->send(std::move(request));
-
-  if (op_timeout_ <= Duration{0}) {
-    auto reply = co_await socket_->recv();
-    co_return reply;
-  }
-
-  // Watchdog: if the daemon has not answered within op_timeout_, close our
-  // own socket — the pending recv() then fails with Disconnected. The timer
-  // outlives the op (it holds the socket by shared_ptr), so a late fire on
-  // a completed op is a no-op.
-  struct Watch {
-    bool done = false;
-    bool fired = false;
-  };
-  auto watch = std::make_shared<Watch>();
-  auto sock = socket_;
-  cluster_.engine().schedule(op_timeout_, [sock, watch] {
-    if (!watch->done) {
-      watch->fired = true;
-      sock->close();
-    }
-  });
   try {
-    auto reply = co_await socket_->recv();
-    watch->done = true;
+    auto reply = co_await net::recv_within(cluster_.engine(), socket_, op_timeout_);
     co_return reply;
-  } catch (const Disconnected&) {
-    watch->done = true;
-    if (watch->fired) {
-      ++stats_.timeouts;
-      throw Disconnected(
-          strf("operation to {} timed out after {}", endpoint_, format_duration(op_timeout_)));
-    }
-    throw;
+  } catch (const net::RecvTimeout&) {
+    // The watchdog closed our socket: the daemon is given up.
+    ++stats_.timeouts;
+    throw Disconnected(
+        strf("operation to {} timed out after {}", endpoint_, format_duration(op_timeout_)));
   }
 }
 
@@ -289,6 +263,21 @@ sim::SubTask<std::uint64_t> PortusClient::checkpoint_incremental(
   co_return co_await request<CheckpointDoneMsg>(std::move(wire));
 }
 
+sim::SubTask<std::uint64_t> PortusClient::forward_named(std::string reg_name,
+                                                        std::uint64_t iteration,
+                                                        std::string source,
+                                                        std::uint64_t source_epoch,
+                                                        Duration budget) {
+  ForwardReqMsg req{.model_name = std::move(reg_name),
+                    .iteration = iteration,
+                    .membership_epoch = membership_epoch_,
+                    .source = std::move(source),
+                    .source_epoch = source_epoch,
+                    .budget_ns = static_cast<std::uint64_t>(budget.count())};
+  auto wire = encode(req);
+  co_return co_await request<CheckpointDoneMsg>(std::move(wire));
+}
+
 sim::SubTask<std::uint64_t> PortusClient::restore(dnn::Model& model) {
   co_return co_await restore_named(model.name());
 }
@@ -311,7 +300,9 @@ std::string PortusClient::stale_epoch_message(const char* op, const std::string&
 template <typename Done>
 sim::SubTask<std::uint64_t> PortusClient::request(std::vector<std::byte> req_wire) {
   constexpr bool kRestore = std::is_same_v<Done, RestoreDoneMsg>;
-  const char* op = kRestore ? "restore" : "checkpoint";
+  const char* op = kRestore ? "restore"
+                   : decode_type(req_wire) == MsgType::kForwardReq ? "forward"
+                                                                   : "checkpoint";
   const Time t0 = cluster_.engine().now();
   const auto reply = co_await retrying_roundtrip(std::move(req_wire));
   Done done;
@@ -322,6 +313,9 @@ sim::SubTask<std::uint64_t> PortusClient::request(std::vector<std::byte> req_wir
   }
   if (done.epoch_mismatch) {
     throw EpochMismatch(stale_epoch_message(op, done.model_name, done.current_epoch));
+  }
+  if (!done.ok && done.error.starts_with(kForwardSourceLost)) {
+    throw ForwardSourceLost(strf("{} of {} refused: {}", op, done.model_name, done.error));
   }
   PORTUS_CHECK(done.ok, strf("{} failed: {}", op, done.error));
   ++(kRestore ? stats_.restores : stats_.checkpoints);

@@ -133,6 +133,15 @@ class PortusClient {
       dnn::Model& model, std::uint64_t iteration,
       std::vector<std::uint32_t> dirty_indices);
 
+  // Forward (protocol v7): ask the daemon to land the version `source`
+  // committed as `source_epoch` into `reg_name`, PMEM to PMEM, waiting at
+  // most `budget` for the source's answer (0 = forever). Returns the epoch
+  // landed. Throws ForwardSourceLost when the daemon could not reach the
+  // source, Error on any other refusal.
+  sim::SubTask<std::uint64_t> forward_named(std::string reg_name, std::uint64_t iteration,
+                                            std::string source, std::uint64_t source_epoch,
+                                            Duration budget);
+
   // Trigger "DO_RESTORE": daemon writes the newest valid version into the
   // model's GPU buffers. Returns the restored epoch. `required_epoch` is
   // the replica-epoch floor (0 = newest available, see protocol.h).
@@ -184,10 +193,11 @@ class PortusClient {
   sim::SubTask<std::vector<std::byte>> retrying_roundtrip(std::vector<std::byte> req_wire);
   sim::SubTask<> backoff(int attempt, std::uint64_t retry_after_ns);
 
-  // One checkpoint or restore request (encoded in `req_wire`, answered by
-  // a `Done` message): send it through the retry loop, surface
-  // EpochMismatch and failures, account the op. Returns the epoch the
-  // daemon committed or served.
+  // One checkpoint, forward or restore request (encoded in `req_wire`,
+  // answered by a `Done` message): send it through the retry loop, surface
+  // EpochMismatch, ForwardSourceLost and failures, account the op (a
+  // forward counts as a checkpoint). Returns the epoch the daemon
+  // committed or served.
   template <typename Done>
   sim::SubTask<std::uint64_t> request(std::vector<std::byte> req_wire);
   std::string stale_epoch_message(const char* op, const std::string& reg_name,

@@ -227,77 +227,188 @@ sim::SubTask<> ClusterClient::refresh_placement() {
   co_await resolve_placement();
 }
 
-sim::Process ClusterClient::checkpoint_copy(std::size_t copy_id, std::uint64_t iteration,
-                                            std::uint64_t* round_max,
-                                            std::vector<bool>* shard_ok, bool* any_miss,
-                                            bool* stale) {
+sim::SubTask<bool> ClusterClient::pull_copy(std::size_t copy_id, Round* round) {
   Copy& copy = copies_[copy_id];
   Lane& lane = lane_of(copy);
   try {
     const std::string key = shard_key(model_name_, copy.shard);
-    const auto epoch = co_await channel_of(copy).client->checkpoint_named(key, iteration);
+    const auto epoch = co_await channel_of(copy).client->checkpoint_named(key, round->iteration);
     copy.epoch = epoch;
-    (*shard_ok)[copy.shard] = true;
-    *round_max = std::max(*round_max, epoch);
+    round->shard_ok[copy.shard] = true;
+    round->max_epoch = std::max(round->max_epoch, epoch);
+    co_return true;
   } catch (const EpochMismatch& e) {
     // The round is void, not failed: the caller re-resolves placement and
     // replays the whole round against the new membership.
     PLOG_INFO(kLog, "checkpoint of shard {} on {} hit a resize: {}", copy.shard,
               lane.endpoint, e.what());
-    *stale = true;
+    round->stale = true;
+    co_return false;
   } catch (const Disconnected& e) {
     PLOG_INFO(kLog, "checkpoint of shard {} on {} lost: {}", copy.shard, lane.endpoint,
               e.what());
     mark_lane_down(lane);
-    *any_miss = true;
   } catch (const std::exception& e) {
     PLOG_INFO(kLog, "checkpoint of shard {} on {} failed: {}", copy.shard, lane.endpoint,
               e.what());
-    *any_miss = true;
   }
+  round->any_miss = true;
+  co_return false;
 }
 
-sim::SubTask<ClusterClient::CheckpointResult> ClusterClient::checkpoint_round(
-    std::uint64_t iteration, bool* stale) {
-  std::vector<bool> shard_ok(plan_.shard_tensors.size(), false);
-  bool any_miss = false;
-  std::uint64_t round_max = 0;
+sim::Process ClusterClient::forward_copy(std::size_t copy_id, std::size_t puller,
+                                         Round* round) {
+  Copy& copy = copies_[copy_id];
+  Lane& lane = lane_of(copy);
+  Lane& source = lane_of(copies_[puller]);
+  const Duration budget = config_.op_timeout / 2;
+  try {
+    const std::string key = shard_key(model_name_, copy.shard);
+    const auto epoch = co_await channel_of(copy).client->forward_named(
+        key, round->iteration, source.endpoint, copies_[puller].epoch, budget);
+    copy.epoch = epoch;
+    round->max_epoch = std::max(round->max_epoch, epoch);
+    co_return;
+  } catch (const EpochMismatch& e) {
+    PLOG_INFO(kLog, "forward of shard {} to {} hit a resize: {}", copy.shard, lane.endpoint,
+              e.what());
+    round->stale = true;
+    co_return;
+  } catch (const ForwardSourceLost& e) {
+    // The replica answered in time and named the source: the source is
+    // the one to give up.
+    PLOG_INFO(kLog, "forward of shard {} to {}: {}", copy.shard, lane.endpoint, e.what());
+    mark_lane_down(source);
+  } catch (const Disconnected& e) {
+    PLOG_INFO(kLog, "forward of shard {} to {} lost: {}", copy.shard, lane.endpoint,
+              e.what());
+    mark_lane_down(lane);
+    round->any_miss = true;
+    co_return;
+  } catch (const std::exception& e) {
+    PLOG_INFO(kLog, "forward of shard {} to {} refused: {}", copy.shard, lane.endpoint,
+              e.what());
+  }
+  // Refused: this copy pulls from the GPU instead, so the round keeps it.
+  if (!live(copy)) {
+    round->any_miss = true;
+    co_return;
+  }
+  co_await pull_copy(copy_id, round);
+}
 
-  std::vector<sim::Process> procs;
+sim::Process ClusterClient::checkpoint_shard(std::uint32_t shard, Round* round) {
+  // The first live copy in manifest order pulls; a copy that cannot moves
+  // the pull on to the next one.
+  std::optional<std::size_t> puller;
+  std::vector<std::size_t> rest;
   for (std::size_t id = 0; id < copies_.size(); ++id) {
+    if (copies_[id].shard != shard) continue;
     if (!live(copies_[id])) {
-      any_miss = true;
+      round->any_miss = true;
       continue;
     }
-    auto p = checkpoint_copy(id, iteration, &round_max, &shard_ok, &any_miss, stale);
-    procs.push_back(cluster_.engine().spawn(std::move(p)));
+    if (puller.has_value()) {
+      rest.push_back(id);
+      continue;
+    }
+    const bool pulled = co_await pull_copy(id, round);
+    if (pulled) puller = id;
+    if (round->stale) co_return;
+  }
+  // No copy pulled (the shard lost the round), or the round is void.
+  if (!puller.has_value() || round->stale) co_return;
+
+  // Every other copy lands the puller's version at once, over the storage
+  // fabric.
+  std::vector<std::uint64_t> before;
+  std::vector<sim::Process> procs;
+  for (const auto id : rest) {
+    before.push_back(copies_[id].epoch);
+    if (!live(copies_[id])) {
+      round->any_miss = true;
+      continue;
+    }
+    procs.push_back(cluster_.engine().spawn(forward_copy(id, *puller, round)));
   }
   for (auto& p : procs) co_await p.join();
 
-  if (*stale) co_return CheckpointResult{};  // round void, caller replays it
+  // A copy that was already past the puller's epoch refused its forward and
+  // pulled, so it is still ahead. Left alone, both copies mint +1 a round
+  // and every later forward there is refused and pulled again; landing the
+  // newest such copy's version on the puller once makes the puller's next
+  // epoch new everywhere. Only a version this round landed may go back to
+  // the puller: a copy whose pull failed still holds an older one.
+  std::optional<std::size_t> ahead;
+  for (std::size_t k = 0; k < rest.size(); ++k) {
+    const Copy& c = copies_[rest[k]];
+    if (!live(c) || c.epoch == before[k] || c.epoch <= copies_[*puller].epoch) continue;
+    if (!ahead.has_value() || c.epoch > copies_[*ahead].epoch) ahead = rest[k];
+  }
+  if (ahead.has_value() && !round->stale && live(copies_[*puller])) {
+    co_await catch_up(*puller, *ahead, round);
+  }
+}
+
+sim::SubTask<> ClusterClient::catch_up(std::size_t behind, std::size_t ahead, Round* round) {
+  Copy& copy = copies_[behind];
+  const Copy& source = copies_[ahead];
+  try {
+    const std::string key = shard_key(model_name_, copy.shard);
+    copy.epoch = co_await channel_of(copy).client->forward_named(
+        key, round->iteration, lane_of(source).endpoint, source.epoch, config_.op_timeout / 2);
+  } catch (const EpochMismatch&) {
+    round->stale = true;
+  } catch (const ForwardSourceLost& e) {
+    PLOG_INFO(kLog, "catch-up of shard {} on {}: {}", copy.shard, lane_of(copy).endpoint,
+              e.what());
+    mark_lane_down(lane_of(source));
+  } catch (const Disconnected& e) {
+    PLOG_INFO(kLog, "catch-up of shard {} on {} lost: {}", copy.shard, lane_of(copy).endpoint,
+              e.what());
+    mark_lane_down(lane_of(copy));
+  } catch (const std::exception& e) {
+    // The copy keeps this round's version at its own epoch; the next
+    // round's forward is refused once more and the catch-up tries again.
+    PLOG_INFO(kLog, "catch-up of shard {} on {} refused: {}", copy.shard,
+              lane_of(copy).endpoint, e.what());
+  }
+}
+
+sim::SubTask<ClusterClient::CheckpointResult> ClusterClient::checkpoint_round(Round& round) {
+  round.shard_ok.assign(plan_.shard_tensors.size(), false);
+  std::vector<sim::Process> procs;
+  for (std::uint32_t s = 0; s < plan_.shard_tensors.size(); ++s) {
+    if (plan_.shard_tensors[s].empty()) continue;
+    procs.push_back(cluster_.engine().spawn(checkpoint_shard(s, &round)));
+  }
+  for (auto& p : procs) co_await p.join();
+
+  if (round.stale) co_return CheckpointResult{};  // round void, caller replays it
 
   for (std::uint32_t s = 0; s < plan_.shard_tensors.size(); ++s) {
     if (plan_.shard_tensors[s].empty()) continue;
-    if (!shard_ok[s]) {
+    if (!round.shard_ok[s]) {
       throw ResourceExhausted(
-          strf("checkpoint iteration {} lost shard {} of {}: no copy committed", iteration,
-               s, model_name_));
+          strf("checkpoint iteration {} lost shard {} of {}: no copy committed",
+               round.iteration, s, model_name_));
     }
   }
 
   ++stats_.checkpoints;
-  stats_.last_epoch = std::max(stats_.last_epoch, round_max);
-  if (any_miss) ++stats_.degraded_checkpoints;
-  co_return CheckpointResult{.epoch = round_max, .degraded = any_miss};
+  stats_.last_epoch = std::max(stats_.last_epoch, round.max_epoch);
+  if (round.any_miss) ++stats_.degraded_checkpoints;
+  co_return CheckpointResult{.epoch = round.max_epoch, .degraded = round.any_miss};
 }
 
 sim::SubTask<ClusterClient::CheckpointResult> ClusterClient::checkpoint(
     std::uint64_t iteration) {
   PORTUS_CHECK(registered_, "register_model before checkpoint");
   for (int attempt = 0;; ++attempt) {
-    bool stale = false;
-    const CheckpointResult result = co_await checkpoint_round(iteration, &stale);
-    if (!stale) co_return result;
+    Round round;
+    round.iteration = iteration;
+    const CheckpointResult result = co_await checkpoint_round(round);
+    if (!round.stale) co_return result;
     PORTUS_CHECK(attempt < kMaxEpochRetries,
                  strf("checkpoint of {} cannot settle: membership kept moving",
                       model_name_));

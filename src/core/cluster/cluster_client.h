@@ -10,6 +10,21 @@
 // Placement::compute, so any process that knows the ring config finds its
 // shards without a metadata service.
 //
+// Replication pulls each shard from the GPU once per round. The first live
+// copy of a shard in manifest order (the puller) gets the DO_CHECKPOINT;
+// if it fails, the next live copy pulls instead. Once the puller commits
+// epoch E, every other live copy gets a FORWARD at once (protocol v7): its
+// daemon reads the puller's DONE slot PMEM to PMEM over the storage
+// fabric, checks it against the puller's CRC block and commits at E. So
+// each checkpoint byte crosses the client NIC and the GPU's PCIe once, and
+// the R-1 extra copies ride the storage nodes' NICs. A refused forward
+// falls back to a GPU pull on that copy within the round; a copy that
+// refused because it was already past the puller's epoch then lands its
+// version on the puller once, so the copies agree again. The replica waits
+// for the source at most half the op timeout, so a source that hangs after
+// its commit is named by the replica (the source's lane goes down, not the
+// replica's) before the client's watchdog on the replica fires.
+//
 // Failure model: a daemon can crash (sockets die instantly) or hang
 // (detected only by the per-op timeout). Liveness is per daemon (a
 // "lane"): the first of its channels to see the crash or timeout marks
@@ -63,7 +78,8 @@ class ClusterClient {
     // kHang gray failure) wedges the op, and with it the whole cluster
     // demo, forever. The finite default keeps sharded_testbed/cluster-demo
     // paths live through a hang; set 0 only where every failure is a
-    // crash-stop and the extra watchdog timer is unwanted.
+    // crash-stop and the extra watchdog timer is unwanted. A forward's
+    // replica waits at most half of it for the source (0: forever).
     Duration op_timeout{250'000'000};    // 250 ms
     // Tenancy identity + retry discipline, applied to every channel client.
     // Keep retry.retry_timeouts off here unless you mean it: a retried
@@ -117,10 +133,11 @@ class ClusterClient {
   // otherwise throws.
   sim::SubTask<> register_model(dnn::Model& model);
 
-  // Checkpoint every shard copy at once. Returns the round's committed
-  // epoch (the same on every copy that took part). Throws if any shard
-  // committed on zero copies. In elastic mode an EpochMismatch answer
-  // retries the whole round after re-resolving placement.
+  // Checkpoint every shard at once: one GPU pull per shard, then forwards
+  // to its other copies (see above). Returns the round's committed epoch
+  // (the newest any copy committed). Throws if any shard committed on zero
+  // copies. In elastic mode an EpochMismatch answer retries the whole
+  // round after re-resolving placement.
   sim::SubTask<CheckpointResult> checkpoint(std::uint64_t iteration = 0);
 
   // Restore every shard, re-routing to replicas as needed (see above).
@@ -175,13 +192,29 @@ class ClusterClient {
     bool rerouted = false;
   };
 
+  // What the copies of one checkpoint round report.
+  struct Round {
+    std::uint64_t iteration = 0;
+    std::vector<bool> shard_ok;  // some copy of the shard committed
+    std::uint64_t max_epoch = 0;
+    bool any_miss = false;       // some copy missed the round
+    bool stale = false;          // EpochMismatch: the round is void
+  };
+
   sim::Process register_copy(std::size_t copy_id, bool* stale);
-  sim::Process checkpoint_copy(std::size_t copy_id, std::uint64_t iteration,
-                               std::uint64_t* round_max, std::vector<bool>* shard_ok,
-                               bool* any_miss, bool* stale);
+  // One shard's part of a round: the puller, then the forwards.
+  sim::Process checkpoint_shard(std::uint32_t shard, Round* round);
+  // A GPU pull on one copy; true when it committed.
+  sim::SubTask<bool> pull_copy(std::size_t copy_id, Round* round);
+  // Land the puller's committed version on one more copy, falling back to
+  // a GPU pull on that copy when the forward is refused.
+  sim::Process forward_copy(std::size_t copy_id, std::size_t puller, Round* round);
+  // Land the `ahead` copy's version on the `behind` one (its puller), so a
+  // copy that pulled alone while its puller was away stops refusing.
+  sim::SubTask<> catch_up(std::size_t behind, std::size_t ahead, Round* round);
   sim::Process restore_copy(RestoreJob* job, std::uint64_t* max_epoch, bool* stale);
 
-  sim::SubTask<CheckpointResult> checkpoint_round(std::uint64_t iteration, bool* stale);
+  sim::SubTask<CheckpointResult> checkpoint_round(Round& round);
   sim::SubTask<RestoreResult> restore_round(bool* stale);
 
   // Snapshot the membership, recompute plan/manifest/copies, revive lanes,

@@ -626,38 +626,34 @@ Bytes PmemAllocator::sweep_gaps() {
   }
   Bytes adopted = 0;
   Bytes cursor = 0;
-  const auto adopt_up_to = [&](Bytes end) {
-    if (end <= cursor) return;
-    // Reuse a dead table slot anywhere, else append to a shard with room.
-    std::uint32_t s = 0;
-    std::uint32_t idx = 0;
-    bool found = false;
-    for (std::uint32_t t = 0; t < config_.shards && !found; ++t) {
-      const auto count = shards_[t]->entry_count.load(std::memory_order_acquire);
-      for (std::uint32_t i = 0; i < count; ++i) {
-        if (shards_[t]->entries[i]->size == 0) {
-          s = t;
-          idx = i;
-          found = true;
-          break;
+  // A table slot for a gap on `node`: a dead slot first, then an append,
+  // in a shard of that node; another node's shard only when every shard of
+  // the gap's own node is full. A gap filed under a foreign shard would be
+  // handed out by that shard's first-fit, off its socket. On a flat heap
+  // every shard is node 0, so this is "a dead slot anywhere, else append".
+  const auto table_slot = [&](std::uint32_t node) -> std::pair<std::uint32_t, std::uint32_t> {
+    for (const bool own : {true, false}) {
+      for (std::uint32_t t = 0; t < config_.shards; ++t) {
+        if (own != (shards_[t]->node == node)) continue;
+        const auto count = shards_[t]->entry_count.load(std::memory_order_acquire);
+        for (std::uint32_t i = 0; i < count; ++i) {
+          if (shards_[t]->entries[i]->size == 0) return {t, i};
         }
       }
-    }
-    if (!found) {
       for (std::uint32_t t = 0; t < config_.shards; ++t) {
+        if (own != (shards_[t]->node == node)) continue;
         const auto count = shards_[t]->entry_count.load(std::memory_order_acquire);
         if (count < per_shard_capacity_) {
-          s = t;
-          idx = count;
           shards_[t]->entry_count.store(count + 1, std::memory_order_release);
-          found = true;
-          break;
+          return {t, count};
         }
       }
     }
-    if (!found) {
-      throw ResourceExhausted("AllocTable full while adopting leaked extents");
-    }
+    throw ResourceExhausted("AllocTable full while adopting leaked extents");
+  };
+  const auto adopt_up_to = [&](std::uint32_t node, Bytes end) {
+    if (end <= cursor) return;
+    const auto [s, idx] = table_slot(node);
     Entry& e = *shards_[s]->entries[idx];
     e.offset = cursor;
     e.size = end - cursor;
@@ -677,10 +673,10 @@ Bytes PmemAllocator::sweep_gaps() {
     const Bytes limit = arenas_[n]->bump.load(std::memory_order_acquire);
     for (const auto& ext : all) {
       if (arenas_.size() > 1 && node_of_offset(ext.offset) != n) continue;
-      adopt_up_to(std::min(ext.offset, limit));
+      adopt_up_to(n, std::min(ext.offset, limit));
       cursor = std::max(cursor, ext.offset + ext.size);
     }
-    adopt_up_to(limit);
+    adopt_up_to(n, limit);
   }
   return adopted;
 }

@@ -113,6 +113,9 @@ void PortusDaemon::kill(sim::FaultMode mode) {
     if (auto socket = weak.lock()) socket->close();
   }
   client_sockets_.clear();
+  for (auto& [key, link] : peers_) {
+    if (link.socket != nullptr) link.socket->close();
+  }
   PLOG_INFO(kLog, "FAULT: {} crashed (listener + {} sessions closed)", config_.endpoint,
             sessions_.size());
 }
@@ -145,6 +148,29 @@ bool PortusDaemon::reject_stale_epoch(std::uint64_t request_epoch, Reply& reply)
   return true;
 }
 
+sim::SubTask<bool> PortusDaemon::admit(const std::string& model,
+                                       AdmissionController::Ticket& ticket,
+                                       CheckpointDoneMsg& done) {
+  // Unregistered models fall through untenanted and fail the handler's
+  // session lookup. Restores never come here: they are the recovery path.
+  if (admission_ == nullptr) co_return true;
+  const auto it = sessions_.find(model);
+  Tenant* tenant = it != sessions_.end() ? tenants_->owner_of(model) : nullptr;
+  if (tenant == nullptr) co_return true;
+  const Bytes op_bytes = it->second.registration.total_bytes();
+  try {
+    ticket = co_await admission_->admit(*tenant, op_bytes);
+  } catch (const Backpressure& e) {
+    ++stats_.backpressure_rejects;
+    done.ok = false;
+    done.backpressure = true;
+    done.retry_after_ns = static_cast<std::uint64_t>(AdmissionController::kRetryAfter.count());
+    done.error = e.what();
+    co_return false;
+  }
+  co_return true;
+}
+
 sim::SubTask<std::vector<std::uint32_t>> PortusDaemon::transfer(
     ModelSession& session, TransferChunk::Kind direction, Bytes slot_offset,
     const rdma::MemoryRegion& slot_mr, std::vector<bool> dirty, Bytes prev_offset) {
@@ -154,15 +180,39 @@ sim::SubTask<std::vector<std::uint32_t>> PortusDaemon::transfer(
                                          .max_sges = static_cast<int>(session.max_sges)},
                             config_.chunk_bytes, direction, slot_offset, slot_mr, dirty,
                             prev_offset);
-  PipelinedTransfer pipe{cluster_.engine(), session.qps, *session.cq,
+  const bool crcs = direction == TransferChunk::Kind::kRead && !index.phantom();
+  auto landed = co_await run_transfer(session.qps, *session.cq, session.home_node,
+                                      std::move(work), crcs ? index.tensors().size() : 0);
+  co_return landed;
+}
+
+sim::SubTask<std::vector<std::uint32_t>> PortusDaemon::run_transfer(
+    const std::vector<rdma::QueuePair*>& lanes, rdma::CompletionQueue& cq,
+    std::uint32_t home_node, std::vector<TransferChunk> work, std::size_t crc_tensors) {
+  PipelinedTransfer pipe{cluster_.engine(), lanes, cq,
                          PipelinedTransfer::Config{.window = config_.pipeline_window,
                                                    .batch_doorbells = config_.batch_doorbells}};
   pipe.bind_pmem(&device_, &node_.devdax_write_channel(), device_.perf().read_bw);
-  pipe.set_home_node(session.home_node);
+  pipe.set_home_node(home_node);
   co_await pipe.run(std::move(work));
   stats_.merge(pipe.stats());
-  if (direction != TransferChunk::Kind::kRead || index.phantom()) co_return {};
-  co_return pipe.tensor_crcs(index.tensors().size());
+  if (crc_tensors == 0) co_return {};
+  co_return pipe.tensor_crcs(crc_tensors);
+}
+
+const rdma::MemoryRegion& PortusDaemon::forward_region(ModelSession& session, int slot) {
+  const auto* mr = session.slot_mr[slot];
+  PORTUS_CHECK(mr != nullptr, "forward source slot has no registered region");
+  if (!session.index->phantom()) return *mr;
+  auto& twin = session.forward_mr[slot];
+  if (twin == nullptr) {
+    auto mapping = node_.devdax().map(session.index->slot(slot).data_offset,
+                                      session.index->slot_size());
+    auto desc = node_.pmem_region(mapping);
+    desc.phantom = true;
+    twin = &pd_.register_region(desc);
+  }
+  return *twin;
 }
 
 MIndex* PortusDaemon::find_live_index(const std::string& model_name) {
@@ -251,6 +301,29 @@ sim::Process PortusDaemon::session_loop(std::shared_ptr<net::TcpSocket> socket) 
           }
           auto reply = co_await handle_restore(std::move(msg));
           if (!hung_) socket->send(encode(reply));
+          break;
+        }
+        case MsgType::kForwardReq: {
+          ForwardReqMsg msg;
+          try {
+            msg = decode_forward_req(wire);
+          } catch (const Error& e) {
+            refuse(CheckpointDoneMsg{}, e);
+            break;
+          }
+          auto reply = co_await handle_forward(std::move(msg));
+          if (!hung_) socket->send(encode(reply));
+          break;
+        }
+        case MsgType::kSlotQuery: {
+          SlotQueryMsg msg;
+          try {
+            msg = decode_slot_query(wire);
+          } catch (const Error& e) {
+            refuse(SlotReplyMsg{}, e);
+            break;
+          }
+          socket->send(encode(answer_slot_query(msg)));
           break;
         }
         case MsgType::kFinishJob: {
@@ -428,28 +501,10 @@ sim::SubTask<CheckpointDoneMsg> PortusDaemon::handle_checkpoint(CheckpointReqMsg
   // Tenancy: a checkpoint must hold an admission ticket (strict priority +
   // WFQ + pacing, bounded queue) before it may occupy a worker or post a
   // WR. A full queue answers Backpressure — a cheap, retryable roundtrip —
-  // without ever touching the worker pool. Unregistered models fall through
-  // untenanted and fail the session lookup below like before. Restores are
-  // deliberately unthrottled: they are the recovery path.
+  // without ever touching the worker pool.
   AdmissionController::Ticket ticket;
-  if (admission_ != nullptr) {
-    const auto it = sessions_.find(msg.model_name);
-    Tenant* tenant = it != sessions_.end() ? tenants_->owner_of(msg.model_name) : nullptr;
-    if (tenant != nullptr) {
-      const Bytes op_bytes = it->second.registration.total_bytes();
-      try {
-        ticket = co_await admission_->admit(*tenant, op_bytes);
-      } catch (const Backpressure& e) {
-        ++stats_.backpressure_rejects;
-        done.ok = false;
-        done.backpressure = true;
-        done.retry_after_ns =
-            static_cast<std::uint64_t>(AdmissionController::kRetryAfter.count());
-        done.error = e.what();
-        co_return done;
-      }
-    }
-  }
+  const bool admitted = co_await admit(msg.model_name, ticket, done);
+  if (!admitted) co_return done;
 
   const auto permit = co_await workers_->permit();
   auto trace_span = config_.tracer != nullptr
@@ -578,6 +633,171 @@ sim::SubTask<RestoreDoneMsg> PortusDaemon::handle_restore(RestoreReqMsg msg) {
     done.error = e.what();
   }
   co_return done;
+}
+
+sim::SubTask<CheckpointDoneMsg> PortusDaemon::handle_forward(ForwardReqMsg msg) {
+  CheckpointDoneMsg done;
+  done.model_name = msg.model_name;
+  if (reject_stale_epoch(msg.membership_epoch, done)) co_return done;
+  AdmissionController::Ticket ticket;
+  const bool admitted = co_await admit(msg.model_name, ticket, done);
+  if (!admitted) co_return done;
+
+  const auto permit = co_await workers_->permit();
+  auto trace_span = config_.tracer != nullptr
+                        ? config_.tracer->span("forward " + msg.model_name, config_.endpoint)
+                        : sim::Tracer::Span{};
+  try {
+    const auto it = sessions_.find(msg.model_name);
+    PORTUS_CHECK(it != sessions_.end(), "FORWARD for unregistered model");
+    ModelSession& session = it->second;
+    MIndex& index = *session.index;
+    // A carried epoch must be new here: this copy may have moved past the
+    // puller on its own (a pull the puller missed), and DONE epochs only
+    // ever grow.
+    if (msg.source_epoch <= index.max_epoch()) {
+      throw Error(strf("forward of {} at epoch {} refused: this copy already holds epoch {}",
+                       msg.model_name, msg.source_epoch, index.max_epoch()));
+    }
+
+    const auto source = co_await query_source(msg);
+    if (!source.ok) {
+      throw Error(strf("forward of {} refused: {} answered: {}", msg.model_name, msg.source,
+                       source.error));
+    }
+    if (source.slot_size != index.slot_size() || source.layout_crc != index.layout_crc() ||
+        (!index.phantom() && source.crcs.size() != index.tensors().size())) {
+      throw Error(strf("forward of {} refused: the slot layout on {} differs from this copy's",
+                       msg.model_name, msg.source));
+    }
+    // Hold the link's QP and CQ, not the link: the READs complete there
+    // even if another forward replaces the link meanwhile.
+    const PeerLink& link = peers_.at({msg.source, msg.model_name});
+    const std::vector<rdma::QueuePair*> lanes{link.qp};
+    const auto cq = link.cq;
+
+    // ACTIVE (stamped 0: an in-flight copy claims no epoch) -> the source
+    // slot as one range, flushed as it lands -> final persist -> the
+    // source's block checked and persisted -> DONE at the carried epoch.
+    auto txn = CheckpointTxn::begin(index, msg.source_epoch);
+    const auto* slot_mr = session.slot_mr[txn.slot()];
+    PORTUS_CHECK(slot_mr != nullptr, "write slot has no registered region");
+    auto work = plan_slot_copy(index.slot_size(), config_.chunk_bytes, txn.data_offset(),
+                               *slot_mr, source.rkey, source.addr);
+    co_await run_transfer(lanes, *cq, session.home_node, std::move(work), 0);
+    device_.persist(txn.data_offset(), index.slot_size());
+    co_await cluster_.engine().sleep(device_.perf().persist_overhead);
+    PORTUS_CHECK(!dead_, "power lost before forward commit");
+
+    if (!index.phantom()) {
+      // Certify what landed before blessing it: bytes that do not match the
+      // source's block (bit rot on the source, a torn read) are abandoned
+      // with the slot ACTIVE, exactly what a crash leaves behind.
+      const auto bad =
+          index.failing_tensors(txn.data_offset(), source.crcs, MIndex::Scrub::kFirstBad);
+      if (!bad.empty()) {
+        ++stats_.integrity_rejects;
+        throw Corruption(strf("tensor {} of {} failed the payload CRC of {} on forward",
+                              index.tensors()[bad.front()].name, msg.model_name, msg.source));
+      }
+      index.set_payload_crcs(txn.slot(), txn.epoch(), source.crcs);
+      done.payload_crc =
+          Crc32::of(source.crcs.data(), source.crcs.size() * sizeof(std::uint32_t));
+    }
+    txn.commit();
+    ++stats_.forwards;
+    done.ok = true;
+    done.epoch = txn.epoch();
+  } catch (const std::exception& e) {
+    ++stats_.failed_ops;
+    done.ok = false;
+    done.error = e.what();
+  }
+  co_return done;
+}
+
+sim::SubTask<SlotReplyMsg> PortusDaemon::query_source(const ForwardReqMsg& msg) {
+  const auto key = std::make_pair(msg.source, msg.model_name);
+  const Duration budget{static_cast<Duration::rep>(msg.budget_ns)};
+  std::string lost;
+  SlotReplyMsg reply;
+  try {
+    // A socket the source hung up (it crashed, or restarted since) is
+    // replaced, QP and all: a restarted source has no responder for it.
+    auto it = peers_.find(key);
+    if (it != peers_.end() && it->second.socket->closed()) {
+      peers_.erase(it);
+      it = peers_.end();
+    }
+    if (it == peers_.end()) {
+      PeerLink fresh;
+      fresh.socket = co_await cluster_.endpoint(msg.source).connect();
+      fresh.cq = std::make_shared<rdma::CompletionQueue>(cluster_.engine());
+      fresh.qp = &cluster_.fabric().create_qp(node_.nic(), pd_, *fresh.cq,
+                                              config_.pipeline_window);
+      fresh.qp_token = rendezvous_.publish(*fresh.qp);
+      it = peers_.insert_or_assign(key, std::move(fresh)).first;
+      PLOG_DEBUG(kLog, "{}: opened a forward link to {} for {}", config_.endpoint, msg.source,
+                 msg.model_name);
+    }
+    const auto socket = it->second.socket;
+    SlotQueryMsg query{.model_name = msg.model_name,
+                       .epoch = msg.source_epoch,
+                       .qp_token = it->second.qp->connected() ? 0 : it->second.qp_token};
+    socket->send(encode(query));
+    const auto wire = co_await net::recv_within(cluster_.engine(), socket, budget);
+    reply = decode_slot_reply(wire);
+  } catch (const net::RecvTimeout&) {
+    lost = strf("{} did not answer within {}", msg.source, format_duration(budget));
+  } catch (const std::exception& e) {
+    lost = strf("{} unreachable: {}", msg.source, e.what());
+  }
+  if (lost.empty()) co_return reply;
+  peers_.erase(key);
+  throw Error(std::string{kForwardSourceLost} + lost);
+}
+
+SlotReplyMsg PortusDaemon::answer_slot_query(const SlotQueryMsg& msg) {
+  SlotReplyMsg reply;
+  reply.model_name = msg.model_name;
+  reply.epoch = msg.epoch;
+  try {
+    if (msg.qp_token != 0) {
+      // The querier's first question on this socket: connect a responder
+      // QP in this daemon's PD, the way registration connects a client's.
+      if (responder_cq_ == nullptr) {
+        responder_cq_ = std::make_unique<rdma::CompletionQueue>(cluster_.engine());
+      }
+      auto& qp = cluster_.fabric().create_qp(node_.nic(), pd_, *responder_cq_);
+      cluster_.fabric().connect(qp, rendezvous_.resolve(msg.qp_token));
+    }
+    const auto it = sessions_.find(msg.model_name);
+    if (it == sessions_.end()) throw NotFound("no live session for " + msg.model_name);
+    ModelSession& session = it->second;
+    const MIndex& index = *session.index;
+    std::optional<int> slot;
+    for (int i = 0; i < 2; ++i) {
+      if (index.slot(i).state == SlotState::kDone && index.slot(i).epoch == msg.epoch) slot = i;
+    }
+    if (!slot.has_value()) {
+      throw NotFound(strf("no DONE version of {} at epoch {}", msg.model_name, msg.epoch));
+    }
+    if (!index.phantom()) {
+      auto check = index.check_payload(*slot, MIndex::Scrub::kNone);
+      if (!check.ok()) throw index.payload_corruption(*slot, check, "forward");
+      reply.crcs = std::move(check.crcs);
+    }
+    const auto& mr = forward_region(session, *slot);
+    reply.rkey = mr.rkey;
+    reply.addr = mr.addr;
+    reply.slot_size = index.slot_size();
+    reply.layout_crc = index.layout_crc();
+    reply.ok = true;
+  } catch (const std::exception& e) {
+    reply.ok = false;
+    reply.error = e.what();
+  }
+  return reply;
 }
 
 }  // namespace portus::core

@@ -26,6 +26,12 @@
 //   block -> commit (DONE + epoch persisted) -> notify client over TCP.
 //   Restore = CRC scrub of the newest DONE slot, then the same runner
 //   pushing one-sided RDMA WRITEs into the client's GPU buffers.
+//   Forward = a replica copy lands the version another daemon (the
+//   shard's puller) committed: SLOT_QUERY to the source over a control
+//   socket of this daemon's own, then the same runner pulling the source's
+//   whole slot as one range with one-sided READs over a daemon-to-daemon
+//   QP, each chunk flushed as it lands -> final persist -> check against
+//   the source's CRC block -> block -> commit at the source's epoch.
 // Migration (core/cluster/migration.h) lands its copies through the same
 // CheckpointTxn commit, carrying the source daemon's epoch.
 #pragma once
@@ -120,11 +126,13 @@ class PortusDaemon {
     std::uint64_t registrations = 0;
     std::uint64_t shard_registrations = 0;  // subset with shard/replica identity
     std::uint64_t checkpoints = 0;
+    std::uint64_t forwards = 0;  // versions landed from a peer daemon's slot
     std::uint64_t restores = 0;
     std::uint64_t failed_ops = 0;
     std::uint64_t rejected_protocol = 0;  // magic/version mismatches answered
     // Restores refused because the DONE slot's payload failed the CRC scrub
-    // (missing/torn/stale CRC block, or tensor bytes not matching it).
+    // (missing/torn/stale CRC block, or tensor bytes not matching it), and
+    // forwards whose landed bytes failed the source's block.
     std::uint64_t integrity_rejects = 0;
     // Checkpoints bounced with a retryable Backpressure answer (admission
     // queue full). Deliberately NOT counted as failed_ops: the client
@@ -149,9 +157,10 @@ class PortusDaemon {
   void start();
 
   // Fault hook (also reachable by name through Config::faults). kCrash
-  // closes the listener and every live session socket — clients see
-  // Disconnected immediately. kHang keeps everything open but drops all
-  // requests unanswered — clients only notice through their own timeouts.
+  // closes the listener, every live session socket and every control
+  // socket to a peer daemon — clients see Disconnected immediately. kHang
+  // keeps everything open but drops all requests unanswered — clients only
+  // notice through their own timeouts.
   // Checkpoint data on PMEM is untouched by either. kPowerCut additionally
   // fires PmemDevice::power_cut first (unpersisted lines lost/torn) and
   // marks the daemon dead so in-flight operations can no longer commit.
@@ -222,6 +231,21 @@ class PortusDaemon {
     // both 0 on flat topologies.
     std::uint32_t home_node = 0;
     std::uint64_t home_shard = 0;
+    // Phantom payloads only: a phantom twin of each slot's region, handed
+    // to forwarding replicas so a forward moves time but no bytes, like
+    // the GPU pull it replaces.
+    const rdma::MemoryRegion* forward_mr[2] = {nullptr, nullptr};
+  };
+
+  // The replica side of forwarding: a control socket to one source daemon
+  // and the QP its responder connects to, per (source endpoint, key), so
+  // concurrent forwards never share a socket. Dropped when the source
+  // stops answering; the next forward opens a fresh one.
+  struct PeerLink {
+    std::shared_ptr<net::TcpSocket> socket;
+    std::shared_ptr<rdma::CompletionQueue> cq;
+    rdma::QueuePair* qp = nullptr;
+    std::uint64_t qp_token = 0;  // offered until the source connects the QP
   };
 
   sim::Process accept_loop();
@@ -230,23 +254,50 @@ class PortusDaemon {
   sim::SubTask<RegisterAckMsg> handle_register(RegisterModelMsg msg);
   sim::SubTask<CheckpointDoneMsg> handle_checkpoint(CheckpointReqMsg msg);
   sim::SubTask<RestoreDoneMsg> handle_restore(RestoreReqMsg msg);
+  sim::SubTask<CheckpointDoneMsg> handle_forward(ForwardReqMsg msg);
+  // The source side of a forward, answered inline by the session loop with
+  // no worker permit and no admission ticket: the replica's forward holds
+  // a permit while it waits for this answer, so two daemons whose workers
+  // all hold forwards waiting on each other would otherwise deadlock.
+  SlotReplyMsg answer_slot_query(const SlotQueryMsg& msg);
+  // Ask `msg.source` for its DONE slot of (key, epoch) within the budget,
+  // over the link to it (opened on first use; in peers_ on return). A
+  // source that cannot be reached or stays silent drops the link and
+  // throws an Error opening with kForwardSourceLost.
+  sim::SubTask<SlotReplyMsg> query_source(const ForwardReqMsg& msg);
 
-  // --- the op skeleton the three handlers share ---
+  // --- the op skeleton the handlers share ---
   // Membership-epoch gate (protocol v6), run before an op takes any
   // resource: when the request carries a stale non-zero epoch, fill
   // `reply` with the EpochMismatch answer and return true.
   template <typename Reply>
   bool reject_stale_epoch(std::uint64_t request_epoch, Reply& reply);
-  // Plan, run and account one data op over the session's lanes (the one
-  // place a PipelinedTransfer is built; see plan_transfer). Returns the
-  // per-tensor CRCs collected inline — checkpoints of materialized
-  // payloads only, empty otherwise.
+  // Tenancy: the admission ticket a checkpoint or forward of `model` must
+  // hold before it may occupy a worker or post a WR. Returns false with
+  // `done` filled in as a Backpressure answer when the class queue is full;
+  // leaves `ticket` empty when tenancy is off or the model is unknown.
+  sim::SubTask<bool> admit(const std::string& model, AdmissionController::Ticket& ticket,
+                           CheckpointDoneMsg& done);
+  // Plan, run and account one data op over the session's lanes (see
+  // plan_transfer). Returns the per-tensor CRCs collected inline —
+  // checkpoints of materialized payloads only, empty otherwise.
   sim::SubTask<std::vector<std::uint32_t>> transfer(ModelSession& session,
                                                     TransferChunk::Kind direction,
                                                     Bytes slot_offset,
                                                     const rdma::MemoryRegion& slot_mr,
                                                     std::vector<bool> dirty = {},
                                                     Bytes prev_offset = 0);
+  // Run one chunk list over `lanes` (all delivering into `cq`) for a worker
+  // pinned to `home_node`, and merge its counters into Stats: the one place
+  // a PipelinedTransfer is built. Returns the CRCs of `crc_tensors` tensors
+  // collected inline (none when 0).
+  sim::SubTask<std::vector<std::uint32_t>> run_transfer(const std::vector<rdma::QueuePair*>& lanes,
+                                                        rdma::CompletionQueue& cq,
+                                                        std::uint32_t home_node,
+                                                        std::vector<TransferChunk> work,
+                                                        std::size_t crc_tensors);
+  // The region a forwarding replica reads `slot` of `session` through.
+  const rdma::MemoryRegion& forward_region(ModelSession& session, int slot);
 
   net::Cluster& cluster_;
   net::Node& node_;
@@ -262,6 +313,11 @@ class PortusDaemon {
   std::unique_ptr<TenantRegistry> tenants_;
   std::unique_ptr<AdmissionController> admission_;
   std::map<std::string, ModelSession> sessions_;
+  std::map<std::pair<std::string, std::string>, PeerLink> peers_;  // (source, key)
+  // Shared by every responder QP a replica's first slot query connects;
+  // one-sided READs aimed at this daemon complete on the replica's side,
+  // so nothing is ever delivered here.
+  std::unique_ptr<rdma::CompletionQueue> responder_cq_;
   std::set<std::string> finished_;
   std::vector<std::weak_ptr<net::TcpSocket>> client_sockets_;  // kill() targets
   Stats stats_;

@@ -345,6 +345,16 @@ std::optional<int> MIndex::latest_done_slot() const {
   return best;
 }
 
+std::uint32_t MIndex::layout_crc() const {
+  Crc32 crc;
+  crc.update(&slot_size_, sizeof slot_size_);
+  for (const auto& t : tensors_) {
+    crc.update(&t.offset_in_slot, sizeof t.offset_in_slot);
+    crc.update(&t.size, sizeof t.size);
+  }
+  return crc.value();
+}
+
 std::uint64_t MIndex::max_epoch() const {
   return std::max(slots_[0].epoch, slots_[1].epoch);
 }

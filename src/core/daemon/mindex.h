@@ -117,6 +117,9 @@ class MIndex {
   Bytes record_offset() const { return record_offset_; }
   Bytes slot_size() const { return slot_size_; }
   const std::vector<IndexedTensor>& tensors() const { return tensors_; }
+  // CRC of the slot layout (slot size, then every tensor's offset and
+  // size): two copies whose layouts match can move a slot as one range.
+  std::uint32_t layout_crc() const;
 
   const SlotHeader& slot(int i) const { return slots_.at(static_cast<std::size_t>(i)); }
   pmem::PmemDevice& device() const { return *device_; }

@@ -83,6 +83,26 @@ std::vector<TransferChunk> plan_transfer(const MIndex& index,
   return work;
 }
 
+std::vector<TransferChunk> plan_slot_copy(Bytes slot_size, Bytes chunk_bytes,
+                                          Bytes slot_offset, const rdma::MemoryRegion& slot_mr,
+                                          std::uint32_t rkey, std::uint64_t remote_addr) {
+  const Bytes step = chunk_bytes > 0 ? chunk_bytes : std::max<Bytes>(slot_size, 1);
+  std::vector<TransferChunk> work;
+  for (Bytes off = 0; off < slot_size; off += step) {
+    TransferChunk c;
+    c.kind = TransferChunk::Kind::kRead;
+    c.len = std::min(step, slot_size - off);
+    c.lkey = slot_mr.lkey;
+    c.local_addr = slot_mr.addr + off;
+    c.rkey = rkey;
+    c.remote_addr = remote_addr + off;
+    c.persist_after = true;
+    c.persist_offset = slot_offset + off;
+    work.push_back(std::move(c));
+  }
+  return work;
+}
+
 PipelinedTransfer::PipelinedTransfer(sim::Engine& engine, std::vector<rdma::QueuePair*> qps,
                                      rdma::CompletionQueue& cq, Config config)
     : engine_{engine}, qps_{std::move(qps)}, cq_{cq}, config_{config} {

@@ -1,5 +1,5 @@
-// Pipelined datapath engine shared by checkpoint (GPU -> PMEM pull) and
-// restore (PMEM -> GPU push).
+// Pipelined datapath engine shared by checkpoint (GPU -> PMEM pull),
+// forward (peer PMEM -> PMEM pull) and restore (PMEM -> GPU push).
 //
 // The serial daemon awaited one read_sync/write_sync per tensor, so per-op
 // latency — not link bandwidth — bounded the many-small-tensor models.
@@ -46,7 +46,7 @@ namespace portus::core {
 // whole tensor when it is smaller than one chunk / chunking is off).
 struct TransferChunk {
   enum class Kind : std::uint8_t {
-    kRead,       // one-sided RDMA READ: remote GPU -> local slot (checkpoint)
+    kRead,       // one-sided RDMA READ: remote GPU or peer slot -> local slot
     kWrite,      // one-sided RDMA WRITE: local slot -> remote GPU (restore)
     kLocalCopy,  // PMEM-local copy from the previous DONE slot (incremental)
   };
@@ -245,5 +245,14 @@ std::vector<TransferChunk> plan_transfer(const MIndex& index,
                                          const rdma::MemoryRegion& slot_mr,
                                          const std::vector<bool>& dirty = {},
                                          Bytes prev_offset = 0);
+
+// A forward's chunk list: another daemon's whole slot, one contiguous
+// READ from (`rkey`, `remote_addr`) into the local slot at device offset
+// `slot_offset` (registered as `slot_mr`), cut at chunk_bytes when that is
+// set and flushed as it lands. Nothing is CRC'd inline: the caller checks
+// the landed slot against the source's payload-CRC block.
+std::vector<TransferChunk> plan_slot_copy(Bytes slot_size, Bytes chunk_bytes,
+                                          Bytes slot_offset, const rdma::MemoryRegion& slot_mr,
+                                          std::uint32_t rkey, std::uint64_t remote_addr);
 
 }  // namespace portus::core

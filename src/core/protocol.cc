@@ -13,6 +13,9 @@ const char* to_string(MsgType t) {
     case MsgType::kFinishJob: return "FINISH_JOB";
     case MsgType::kFinishAck: return "FINISH_ACK";
     case MsgType::kError: return "ERROR";
+    case MsgType::kForwardReq: return "FORWARD";
+    case MsgType::kSlotQuery: return "SLOT_QUERY";
+    case MsgType::kSlotReply: return "SLOT_REPLY";
   }
   return "?";
 }
@@ -284,6 +287,81 @@ FinishJobMsg decode_finish_job(std::span<const std::byte> wire) {
   auto r = body_reader(wire, MsgType::kFinishJob);
   FinishJobMsg m;
   m.model_name = r.str();
+  return m;
+}
+
+std::vector<std::byte> encode(const ForwardReqMsg& m) {
+  BinaryWriter w;
+  w.u8(static_cast<std::uint8_t>(MsgType::kForwardReq));
+  w.str(m.model_name);
+  w.u64(m.iteration);
+  w.u64(m.membership_epoch);
+  w.str(m.source);
+  w.u64(m.source_epoch);
+  w.u64(m.budget_ns);
+  return w.take();
+}
+
+ForwardReqMsg decode_forward_req(std::span<const std::byte> wire) {
+  auto r = body_reader(wire, MsgType::kForwardReq);
+  ForwardReqMsg m;
+  m.model_name = r.str();
+  m.iteration = r.u64();
+  m.membership_epoch = r.u64();
+  m.source = r.str();
+  m.source_epoch = r.u64();
+  m.budget_ns = r.u64();
+  return m;
+}
+
+std::vector<std::byte> encode(const SlotQueryMsg& m) {
+  BinaryWriter w;
+  w.u8(static_cast<std::uint8_t>(MsgType::kSlotQuery));
+  w.str(m.model_name);
+  w.u64(m.epoch);
+  w.u64(m.qp_token);
+  return w.take();
+}
+
+SlotQueryMsg decode_slot_query(std::span<const std::byte> wire) {
+  auto r = body_reader(wire, MsgType::kSlotQuery);
+  SlotQueryMsg m;
+  m.model_name = r.str();
+  m.epoch = r.u64();
+  m.qp_token = r.u64();
+  return m;
+}
+
+std::vector<std::byte> encode(const SlotReplyMsg& m) {
+  BinaryWriter w;
+  w.u8(static_cast<std::uint8_t>(MsgType::kSlotReply));
+  w.str(m.model_name);
+  w.u64(m.epoch);
+  put_status(w, m.ok, m.error);
+  w.u32(m.rkey);
+  w.u64(m.addr);
+  w.u64(m.slot_size);
+  w.u32(m.layout_crc);
+  w.u32(static_cast<std::uint32_t>(m.crcs.size()));
+  for (const auto c : m.crcs) w.u32(c);
+  return w.take();
+}
+
+SlotReplyMsg decode_slot_reply(std::span<const std::byte> wire) {
+  auto r = body_reader(wire, MsgType::kSlotReply);
+  SlotReplyMsg m;
+  m.model_name = r.str();
+  m.epoch = r.u64();
+  m.ok = r.u8() != 0;
+  m.error = r.str();
+  m.rkey = r.u32();
+  m.addr = r.u64();
+  m.slot_size = r.u64();
+  m.layout_crc = r.u32();
+  const auto n = r.u32();
+  if (n > 1u << 20) throw Corruption("implausible tensor count in slot reply");
+  m.crcs.resize(n);
+  for (auto& c : m.crcs) c = r.u32();
   return m;
 }
 

@@ -8,16 +8,27 @@
 // "DO_RESTORE") and completion notifications; all tensor bytes move
 // peer-to-peer over RDMA.
 //
+// Replica forwarding (v7): a cluster client pulls each shard from the GPU
+// once, on its first live copy; every other copy then gets a FORWARD and
+// copies the puller's committed slot PMEM to PMEM, daemon to daemon. The
+// replica asks the source for that slot with a SLOT_QUERY over a control
+// socket of its own, and the SLOT_REPLY carries what the one-sided READ
+// and its integrity check need. Daemons only ever learn each other's state
+// through these messages.
+//
 // QP rendezvous: real deployments exchange QP numbers/GIDs through RDMA CM;
 // in the simulation the registration packet carries opaque `qp_tokens`
 // (one per datapath stripe the client offers) that the daemon resolves
 // through QpRendezvous to obtain the client's QueuePairs and complete the
 // RC connections. The daemon connects min(offered, configured) stripes and
-// reports the accepted count in the ack.
+// reports the accepted count in the ack. A replica's first slot query
+// carries one token the same way, and the source connects a responder QP
+// to it.
 #pragma once
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -44,7 +55,10 @@ inline constexpr std::uint32_t kProtocolMagic = 0x50545553;  // "PTUS"
 //     client placed against (0 = not epoch-checked), and the ack/Done
 //     messages can answer with an EpochMismatch rejection carrying the
 //     daemon's current epoch so the client re-resolves placement.
-inline constexpr std::uint16_t kProtocolVersion = 6;
+// v7: replica forwarding — FORWARD (answered with CHECKPOINT_DONE),
+//     SLOT_QUERY and SLOT_REPLY. Message types only: every earlier message
+//     keeps its v6 layout (registration and its ack carry 7 as version).
+inline constexpr std::uint16_t kProtocolVersion = 7;
 
 enum class MsgType : std::uint8_t {
   kRegisterModel = 1,
@@ -56,6 +70,9 @@ enum class MsgType : std::uint8_t {
   kFinishJob = 7,       // training complete: old checkpoint version reclaimable
   kFinishAck = 8,
   kError = 9,
+  kForwardReq = 10,  // "land the source's committed epoch here"
+  kSlotQuery = 11,   // replica -> source: where is your DONE slot of epoch E?
+  kSlotReply = 12,
 };
 
 const char* to_string(MsgType t);
@@ -84,6 +101,17 @@ class Backpressure : public Error {
 // placement, re-routes, and reissues — see cluster_client.h. Carried on the
 // wire as the ack/Done messages' epoch_mismatch flag (v6).
 class EpochMismatch : public Error {
+ public:
+  using Error::Error;
+};
+
+// A forward refused because its source never answered — unreachable, or
+// silent past the budget — opens its error with this prefix followed by the
+// source endpoint. The client then takes the source's lane down, not the
+// replica's, and pulls on the replica instead.
+inline constexpr std::string_view kForwardSourceLost = "forward source lost: ";
+
+class ForwardSourceLost : public Error {
  public:
   using Error::Error;
 };
@@ -232,6 +260,48 @@ struct FinishJobMsg {
   std::string model_name;
 };
 
+// Client -> replica daemon: land the version `source` committed as
+// `source_epoch` into this copy, PMEM to PMEM. Answered with a
+// CheckpointDoneMsg: ok with epoch = source_epoch, or ok=false with the
+// reason (the client then pulls from the GPU on this copy instead).
+struct ForwardReqMsg {
+  std::string model_name;  // shard key, the same on source and replica
+  std::uint64_t iteration = 0;
+  // v6 elasticity: see RegisterModelMsg::membership_epoch.
+  std::uint64_t membership_epoch = 0;
+  std::string source;  // endpoint of the daemon that pulled the version
+  std::uint64_t source_epoch = 0;
+  // How long the replica waits for the source's slot reply, in virtual ns;
+  // 0 = forever. Shorter than the client's own watchdog, so a silent source
+  // is named by the replica before the client gives the replica up.
+  std::uint64_t budget_ns = 0;
+};
+
+// Replica -> source daemon: describe your DONE slot of (model_name, epoch).
+// Answered inline by the source's session loop, with no worker permit.
+struct SlotQueryMsg {
+  std::string model_name;
+  std::uint64_t epoch = 0;
+  // The replica's datapath QP, offered on the first query of a control
+  // socket (0 afterwards): the source connects a responder QP to it.
+  std::uint64_t qp_token = 0;
+};
+
+struct SlotReplyMsg {
+  std::string model_name;
+  std::uint64_t epoch = 0;
+  bool ok = false;
+  std::string error;
+  // The slot's TensorData as one remotely readable range.
+  std::uint32_t rkey = 0;
+  std::uint64_t addr = 0;
+  Bytes slot_size = 0;
+  std::uint32_t layout_crc = 0;  // MIndex::layout_crc(): offsets and sizes
+  // The slot's payload-CRC block, one per tensor; empty for phantom
+  // payloads (nothing materialized to check).
+  std::vector<std::uint32_t> crcs;
+};
+
 // --- encoding ---------------------------------------------------------------
 // Every wire message is [u8 MsgType][body...]. decode_type() peeks the tag.
 
@@ -244,6 +314,9 @@ std::vector<std::byte> encode(const CheckpointDoneMsg& m);
 std::vector<std::byte> encode(const RestoreReqMsg& m);
 std::vector<std::byte> encode(const RestoreDoneMsg& m);
 std::vector<std::byte> encode(const FinishJobMsg& m);
+std::vector<std::byte> encode(const ForwardReqMsg& m);
+std::vector<std::byte> encode(const SlotQueryMsg& m);
+std::vector<std::byte> encode(const SlotReplyMsg& m);
 
 RegisterModelMsg decode_register_model(std::span<const std::byte> wire);
 RegisterAckMsg decode_register_ack(std::span<const std::byte> wire);
@@ -252,6 +325,9 @@ CheckpointDoneMsg decode_checkpoint_done(std::span<const std::byte> wire);
 RestoreReqMsg decode_restore_req(std::span<const std::byte> wire);
 RestoreDoneMsg decode_restore_done(std::span<const std::byte> wire);
 FinishJobMsg decode_finish_job(std::span<const std::byte> wire);
+ForwardReqMsg decode_forward_req(std::span<const std::byte> wire);
+SlotQueryMsg decode_slot_query(std::span<const std::byte> wire);
+SlotReplyMsg decode_slot_reply(std::span<const std::byte> wire);
 
 // --- QP rendezvous (simulation analogue of RDMA CM) -------------------------
 class QpRendezvous {

@@ -48,4 +48,35 @@ sim::SubTask<std::shared_ptr<TcpSocket>> TcpListener::connect() {
   co_return client_side;
 }
 
+sim::SubTask<std::vector<std::byte>> recv_within(sim::Engine& engine,
+                                                 std::shared_ptr<TcpSocket> socket,
+                                                 Duration timeout) {
+  if (timeout <= Duration{0}) {
+    auto reply = co_await socket->recv();
+    co_return reply;
+  }
+  // The timer outlives the wait (it holds the socket by shared_ptr), so a
+  // late fire after the answer arrived is a no-op.
+  struct Watch {
+    bool done = false;
+    bool fired = false;
+  };
+  auto watch = std::make_shared<Watch>();
+  engine.schedule(timeout, [socket, watch] {
+    if (!watch->done) {
+      watch->fired = true;
+      socket->close();
+    }
+  });
+  try {
+    auto reply = co_await socket->recv();
+    watch->done = true;
+    co_return reply;
+  } catch (const Disconnected&) {
+    watch->done = true;
+    if (watch->fired) throw RecvTimeout("no answer within the timeout");
+    throw;
+  }
+}
+
 }  // namespace portus::net

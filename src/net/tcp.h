@@ -51,6 +51,20 @@ class TcpSocket {
   bool closed_ = false;
 };
 
+// recv_within() gave up on a silent peer.
+class RecvTimeout : public Disconnected {
+ public:
+  using Disconnected::Disconnected;
+};
+
+// Await `socket`'s next message for at most `timeout` of virtual time (0 =
+// forever). On expiry the socket is closed — the caller gives the silent
+// peer up, as a real client's watchdog does — and RecvTimeout is thrown; a
+// peer that hangs up first surfaces as plain Disconnected.
+sim::SubTask<std::vector<std::byte>> recv_within(sim::Engine& engine,
+                                                 std::shared_ptr<TcpSocket> socket,
+                                                 Duration timeout);
+
 // A named listening endpoint ("portusd:9999"). connect() completes the
 // three-way handshake after one RTT and yields the client-side socket; the
 // server side pops out of accept().

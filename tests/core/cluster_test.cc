@@ -196,7 +196,9 @@ struct ClusterRig {
   std::vector<std::unique_ptr<PortusDaemon>> daemons;
   std::vector<std::string> endpoints;
 
-  explicit ClusterRig(int n) {
+  PortusDaemon::Config base;  // what every daemon's config starts from
+
+  explicit ClusterRig(int n, PortusDaemon::Config base_config = {}) : base{base_config} {
     cluster = net::Cluster::sharded_testbed(eng, n);
     for (int i = 0; i < n; ++i) {
       endpoints.push_back(strf("portusd{}", i));
@@ -208,7 +210,7 @@ struct ClusterRig {
   ~ClusterRig() { eng.shutdown(); }
 
   PortusDaemon::Config daemon_config(int i) {
-    PortusDaemon::Config cfg;
+    PortusDaemon::Config cfg = base;
     cfg.endpoint = endpoints[static_cast<std::size_t>(i)];
     cfg.faults = &faults;
     cfg.tracer = &tracer;
@@ -562,7 +564,8 @@ TEST(ClusterTest, DaemonsSharingATracerGetOneTrackEach) {
 
 // Every shard copy has its own control channel, so a daemon runs the
 // copies of one op side by side instead of one after another. R=2 and 8
-// shards on two daemons put 8 copies on each.
+// shards on two daemons put 8 copies on each: 4 it pulls from the GPU and
+// 4 forwarded from the other daemon's pulls.
 TEST(ClusterTest, ShardCopiesOfOneOpRunConcurrently) {
   ClusterRig r{2};
   auto& volta = r.cluster->node("client-volta");
@@ -587,12 +590,15 @@ TEST(ClusterTest, ShardCopiesOfOneOpRunConcurrently) {
   for (auto& d : r.daemons) EXPECT_EQ(d->model_table().names().size(), 8u);
   EXPECT_EQ(client.lane_count(), 16u);
 
-  // One checkpoint round: each daemon's spans overlap.
-  const auto tracks = spans_by_track(r.tracer, "checkpoint ");
-  ASSERT_EQ(tracks.size(), 2u);
-  for (const auto& [track, spans] : tracks) {
-    EXPECT_EQ(spans.size(), 8u) << track;
-    EXPECT_GE(peak_open(spans), 2) << track << " ran its copies one after another";
+  // One checkpoint round: each daemon's pulls overlap, and so do its
+  // forwards.
+  for (const char* op : {"checkpoint ", "forward "}) {
+    const auto tracks = spans_by_track(r.tracer, op);
+    ASSERT_EQ(tracks.size(), 2u) << op;
+    for (const auto& [track, spans] : tracks) {
+      EXPECT_EQ(spans.size(), 4u) << op << track;
+      EXPECT_GE(peak_open(spans), 2) << op << track << " ran its copies one after another";
+    }
   }
 
   // Registration costs about its slowest copy, not the sum of a daemon's.
@@ -601,6 +607,408 @@ TEST(ClusterTest, ShardCopiesOfOneOpRunConcurrently) {
     slowest = std::max(slowest, client.lane_client(i).stats().registration_time);
   }
   EXPECT_LT(register_time, 2 * slowest);
+}
+
+// ---------------------------------------------------------------------------
+// Replica forwarding: each shard is pulled from the GPU once, by its first
+// live copy; the other copies land that version PMEM to PMEM.
+
+// Run `then` once `ready()` holds, checking every virtual microsecond (for
+// at most 100 ms, so a condition that never comes cannot wedge the run).
+template <typename Ready, typename Then>
+sim::Process when(sim::Engine& eng, Ready ready, Then then) {
+  for (int tick = 0; tick < 100'000; ++tick) {
+    if (ready()) {
+      then();
+      co_return;
+    }
+    co_await eng.sleep(1us);
+  }
+}
+
+// The newest DONE slot of `key` on `d`: its epoch and payload-CRC block.
+std::pair<std::uint64_t, std::vector<std::uint32_t>> newest_done(PortusDaemon& d,
+                                                                  const std::string& key) {
+  const MIndex* idx = d.find_live_index(key);
+  if (idx == nullptr) return {};
+  const auto slot = idx->latest_done_slot();
+  if (!slot.has_value()) return {};
+  const auto block = idx->payload_crcs(*slot);
+  return {idx->slot(*slot).epoch, block.has_value() ? block->crcs : std::vector<std::uint32_t>{}};
+}
+
+// R=2 on 3 daemons with 8 shards: one round moves the model across the
+// client's link once, and every copy ends at its puller's version.
+TEST(ClusterTest, EachCheckpointByteCrossesTheClientNicOnce) {
+  ClusterRig r{3};
+  auto& volta = r.cluster->node("client-volta");
+  dnn::ModelZoo::Options opt;
+  opt.scale = 0.02;
+  auto model = dnn::ModelZoo::create(volta.gpu(0), "resnet50", opt);
+  auto cfg = r.client_config(2);
+  cfg.shard_count = 8;
+  ClusterClient client{*r.cluster, volta, volta.gpu(0), r.rendezvous, cfg};
+
+  double nic_bytes = 0;
+  std::uint64_t epoch = 0;
+  auto proc = r.eng.spawn([](ClusterClient& c, dnn::Model& m, rdma::RdmaNic& nic,
+                             double& moved, std::uint64_t& committed) -> sim::Process {
+    co_await c.register_model(m);
+    co_await c.checkpoint(1);
+    m.mutate_weights(2);
+    const double before = nic.link().total_bytes_transferred();
+    const auto ck = co_await c.checkpoint(2);
+    moved = nic.link().total_bytes_transferred() - before;
+    committed = ck.epoch;
+    EXPECT_FALSE(ck.degraded);
+  }(client, model, volta.nic(), nic_bytes, epoch));
+  r.eng.run();
+  proc.check();
+  EXPECT_EQ(epoch, 2u);
+
+  // One GPU pull per shard: the model's bytes cross the client NIC once
+  // (twice when every copy pulls).
+  const auto model_bytes = static_cast<double>(model.total_bytes());
+  EXPECT_GE(nic_bytes, model_bytes);
+  EXPECT_LT(nic_bytes, 1.25 * model_bytes) << "a replica pulled from the GPU";
+
+  // Every copy holds the round's epoch under its puller's CRC block: the
+  // puller is the shard's first copy in manifest order.
+  std::uint64_t forwards = 0;
+  for (auto& d : r.daemons) forwards += d->stats().forwards;
+  std::uint32_t shards = 0;
+  for (std::uint32_t s = 0; s < client.plan().shard_count; ++s) {
+    if (client.plan().shard_tensors[s].empty()) continue;
+    ++shards;
+    const auto key = shard_key("resnet50", s);
+    const auto& ring = client.plan().shard_daemons[s];
+    ASSERT_EQ(ring.size(), 2u);
+    const auto puller = newest_done(*r.daemons[ring[0]], key);
+    EXPECT_EQ(puller.first, epoch) << key;
+    EXPECT_FALSE(puller.second.empty()) << key;
+    const auto replica = newest_done(*r.daemons[ring[1]], key);
+    EXPECT_EQ(replica.first, epoch) << key;
+    EXPECT_EQ(replica.second, puller.second) << key << " replica holds another version";
+  }
+  EXPECT_EQ(forwards, 2u * shards) << "one forward per shard per round";
+  EXPECT_EQ(r.eng.failed_process_count(), 0);
+}
+
+// A phantom model moves time but no bytes on every path, forwards included:
+// the replica reads the source slot through a phantom region, so its PMEM
+// materializes no payload pages.
+TEST(ClusterTest, PhantomForwardMaterializesNoPayload) {
+  ClusterRig r{2};
+  auto& volta = r.cluster->node("client-volta");
+  dnn::ModelZoo::Options opt;
+  opt.force_phantom = true;
+  auto model = dnn::ModelZoo::create(volta.gpu(0), "resnet50", opt);
+  ASSERT_TRUE(model.phantom());
+  auto cfg = r.client_config(2);
+  cfg.shard_count = 1;
+  ClusterClient client{*r.cluster, volta, volta.gpu(0), r.rendezvous, cfg};
+  auto proc = r.eng.spawn([](ClusterClient& c, dnn::Model& m) -> sim::Process {
+    co_await c.register_model(m);
+    const auto ck = co_await c.checkpoint(1);
+    EXPECT_EQ(ck.epoch, 1u);
+    EXPECT_FALSE(ck.degraded);
+  }(client, model));
+  r.eng.run();
+  proc.check();
+  auto& replica = *r.daemons[client.plan().shard_daemons[0].at(1)];
+  EXPECT_EQ(replica.stats().forwards, 1u);
+  EXPECT_LT(replica.device().materialized_bytes(), model.total_bytes() / 16)
+      << "the forward copied phantom payload bytes";
+}
+
+// A two-daemon ring holding one shard twice: `puller` pulls it from the GPU
+// and `replica` lands the puller's version.
+struct ForwardRig {
+  ClusterRig r;
+  net::Node& volta = r.cluster->node("client-volta");
+  dnn::Model model;
+  ClusterClient client;
+  std::string key = shard_key("resnet50", 0);
+  std::size_t puller = 0;
+  std::size_t replica = 0;
+
+  static dnn::Model make_model(net::Node& node) {
+    dnn::ModelZoo::Options opt;
+    opt.scale = 0.02;
+    return dnn::ModelZoo::create(node.gpu(0), "resnet50", opt);
+  }
+  static ClusterClient::Config config(ClusterRig& rig) {
+    auto cfg = rig.client_config(2);
+    cfg.shard_count = 1;
+    return cfg;
+  }
+
+  explicit ForwardRig(PortusDaemon::Config base = {})
+      : r{2, base},
+        model{make_model(volta)},
+        client{*r.cluster, volta, volta.gpu(0), r.rendezvous, config(r)} {
+    // Register and land epoch 1 on both copies, the replica by forward.
+    auto proc = r.eng.spawn([](ClusterClient& c, dnn::Model& m) -> sim::Process {
+      co_await c.register_model(m);
+      co_await c.checkpoint(1);
+    }(client, model));
+    r.eng.run();
+    proc.check();
+    puller = client.plan().shard_daemons[0].at(0);
+    replica = client.plan().shard_daemons[0].at(1);
+  }
+
+  PortusDaemon& daemon(std::size_t i) { return *r.daemons[i]; }
+  std::uint64_t timeouts() {
+    std::uint64_t n = 0;
+    for (std::size_t i = 0; i < client.lane_count(); ++i) {
+      n += client.lane_client(i).stats().timeouts;
+    }
+    return n;
+  }
+};
+
+// The source answers a slot query with the DONE slot of exactly the epoch
+// asked for, and refuses any other epoch.
+TEST(ClusterTest, SlotQueryAnswersOnlyADoneEpoch) {
+  ForwardRig f;
+  auto& source = f.daemon(f.puller);
+  auto proc = f.r.eng.spawn([](ForwardRig& rig, PortusDaemon& src) -> sim::Process {
+    auto socket = co_await rig.r.cluster->endpoint(src.config().endpoint).connect();
+    for (const std::uint64_t epoch : {1, 7}) {
+      SlotQueryMsg query;
+      query.model_name = rig.key;
+      query.epoch = epoch;
+      socket->send(encode(query));
+      const auto wire = co_await socket->recv();
+      const auto reply = decode_slot_reply(wire);
+      const MIndex* idx = src.find_live_index(rig.key);
+      if (epoch == 1) {
+        EXPECT_TRUE(reply.ok) << reply.error;
+        EXPECT_EQ(reply.slot_size, idx->slot_size());
+        EXPECT_EQ(reply.layout_crc, idx->layout_crc());
+        EXPECT_EQ(reply.crcs, newest_done(src, rig.key).second);
+      } else {
+        EXPECT_FALSE(reply.ok);
+        EXPECT_NE(reply.error.find("epoch 7"), std::string::npos) << reply.error;
+      }
+    }
+  }(f, source));
+  f.r.eng.run();
+  proc.check();
+  EXPECT_EQ(source.stats().failed_ops, 0u);
+}
+
+// The source crashes between its commit and the forward: the replica
+// refuses, naming the source, and pulls from the GPU instead; the round
+// commits with the source's lane down and restores bit-exactly.
+TEST(ClusterTest, ForwardFromACrashedSourceFallsBackToAPull) {
+  ForwardRig f;
+  ASSERT_EQ(f.daemon(f.replica).stats().forwards, 1u);
+  // The source crashes right after its commit reply goes out, before the
+  // replica's slot query reaches it.
+  auto& source = f.daemon(f.puller);
+  f.r.eng.spawn(when(
+      f.r.eng, [&] { return source.stats().checkpoints == 2; },
+      [&] { f.r.faults.kill_now(source.config().endpoint); }));
+  std::uint32_t want = 0;
+  auto proc = f.r.eng.spawn([](ClusterClient& c, dnn::Model& m,
+                               std::uint32_t& crc) -> sim::Process {
+    m.mutate_weights(2);
+    crc = m.weights_crc();
+    const auto ck = co_await c.checkpoint(2);
+    EXPECT_EQ(ck.epoch, 2u);
+    EXPECT_FALSE(ck.degraded) << "both copies committed epoch 2";
+    m.mutate_weights(3);
+    const auto rr = co_await c.restore();
+    EXPECT_EQ(rr.epoch, 2u);
+    EXPECT_EQ(rr.rerouted_shards, 1u);
+  }(f.client, f.model, want));
+  f.r.eng.run();
+  proc.check();
+  EXPECT_TRUE(source.killed());
+  EXPECT_EQ(f.model.weights_crc(), want);
+  EXPECT_EQ(f.client.stats().lane_failures, 1u);
+  auto& replica = f.daemon(f.replica);
+  EXPECT_EQ(replica.stats().forwards, 1u) << "the second forward must be refused";
+  EXPECT_EQ(replica.stats().checkpoints, 1u) << "the replica pulls instead";
+  EXPECT_EQ(newest_done(replica, f.key).first, 2u);
+  EXPECT_EQ(f.r.eng.failed_process_count(), 0);
+}
+
+// The source hangs after its commit: the replica's budget (half the op
+// timeout) expires first, so the source's lane goes down, not the
+// replica's, and the round lands before the client's watchdog would fire.
+TEST(ClusterTest, ForwardFromAHungSourceNamesTheSourceBeforeTheWatchdog) {
+  ForwardRig f;
+  auto& source = f.daemon(f.puller);
+  f.r.eng.spawn(when(
+      f.r.eng, [&] { return source.stats().checkpoints == 2; },
+      [&] { f.r.faults.kill_now(source.config().endpoint, sim::FaultMode::kHang); }));
+  Duration took{0};
+  auto proc = f.r.eng.spawn([](sim::Engine& eng, ClusterClient& c, dnn::Model& m,
+                               Duration& round) -> sim::Process {
+    m.mutate_weights(2);
+    const Time t0 = eng.now();
+    const auto ck = co_await c.checkpoint(2);
+    round = eng.now() - t0;
+    EXPECT_EQ(ck.epoch, 2u);
+    // The source's lane is down, the replica's is not: the next round
+    // pulls on the replica alone.
+    m.mutate_weights(3);
+    const auto next = co_await c.checkpoint(3);
+    EXPECT_EQ(next.epoch, 3u);
+    EXPECT_TRUE(next.degraded);
+  }(f.r.eng, f.client, f.model, took));
+  f.r.eng.run();
+  proc.check();
+  const Duration op_timeout = f.r.client_config(2).op_timeout;
+  EXPECT_LT(took, op_timeout) << "the round waited out a watchdog";
+  EXPECT_GE(took, op_timeout / 2) << "the replica's budget is half the op timeout";
+  EXPECT_EQ(f.client.stats().lane_failures, 1u);
+  EXPECT_EQ(f.timeouts(), 0u) << "no watchdog fired: the replica named the source";
+  auto& replica = f.daemon(f.replica);
+  EXPECT_EQ(replica.stats().forwards, 1u);
+  EXPECT_EQ(replica.stats().checkpoints, 2u);
+  EXPECT_EQ(newest_done(replica, f.key).first, 3u);
+  EXPECT_EQ(f.r.eng.failed_process_count(), 0);
+}
+
+// A byte flipped in the source's DONE slot fails the replica's check: the
+// forward is refused with the write slot left ACTIVE, and the fallback pull
+// lands the right bytes.
+TEST(ClusterTest, ForwardRefusesBytesThatFailTheSourceBlock) {
+  ForwardRig f;
+  auto& source = f.daemon(f.puller);
+  auto& replica = f.daemon(f.replica);
+  // Bit rot on the source's fresh DONE slot, before the replica reads it.
+  f.r.eng.spawn(when(
+      f.r.eng, [&] { return source.stats().checkpoints == 2; },
+      [&] {
+        const MIndex* idx = source.find_live_index(f.key);
+        const Bytes at = idx->slot(*idx->latest_done_slot()).data_offset +
+                         idx->tensors()[0].offset_in_slot;
+        auto b = source.device().read(at, 1);
+        b[0] ^= std::byte{0x40};
+        source.device().write(at, b);
+        source.device().persist(at, 1);
+      }));
+  // The instant the replica refuses, its write slot is still ACTIVE and
+  // claims no epoch.
+  bool active_left = false;
+  f.r.eng.spawn(when(
+      f.r.eng, [&] { return replica.stats().integrity_rejects == 1; },
+      [&] {
+        const MIndex* idx = replica.find_live_index(f.key);
+        const auto& slot = idx->slot(idx->pick_write_slot());
+        active_left = slot.state == SlotState::kActive && slot.epoch == 0 &&
+                      idx->slot(*idx->latest_done_slot()).epoch == 1;
+      }));
+  std::uint32_t want = 0;
+  auto proc = f.r.eng.spawn([](ClusterRig& rig, ClusterClient& c, dnn::Model& m,
+                               const std::string& src, std::uint32_t& crc) -> sim::Process {
+    m.mutate_weights(2);
+    crc = m.weights_crc();
+    const auto ck = co_await c.checkpoint(2);
+    EXPECT_EQ(ck.epoch, 2u);
+    // Restore from the replica alone.
+    rig.faults.kill_now(src);
+    m.mutate_weights(3);
+    const auto rr = co_await c.restore();
+    EXPECT_EQ(rr.epoch, 2u);
+  }(f.r, f.client, f.model, source.config().endpoint, want));
+  f.r.eng.run();
+  proc.check();
+  EXPECT_EQ(replica.stats().integrity_rejects, 1u);
+  EXPECT_TRUE(active_left);
+  EXPECT_EQ(replica.stats().checkpoints, 1u) << "the fallback pull";
+  EXPECT_EQ(f.model.weights_crc(), want) << "restore from the replica is not bit-exact";
+  EXPECT_EQ(f.r.eng.failed_process_count(), 0);
+}
+
+// A carried epoch must be new on the replica: one already at or past it
+// refuses the forward and pulls instead. Its version then lands on the
+// puller once, so the next round's forward is accepted again.
+TEST(ClusterTest, ReplicaAheadOfThePullerRefusesTheForwardThenCatchesItUp) {
+  ForwardRig f;
+  auto& puller = f.daemon(f.puller);
+  auto& replica = f.daemon(f.replica);
+  std::size_t channel = 0;
+  while (f.client.lane_client(channel).endpoint() != replica.config().endpoint) ++channel;
+  std::uint64_t puller_after_refusal = 0;
+  auto proc = f.r.eng.spawn([](ClusterClient& c, PortusClient& direct, PortusDaemon& p,
+                               dnn::Model& m, const std::string& key,
+                               std::uint64_t& caught_up) -> sim::Process {
+    // A pull the puller never saw puts the replica at epoch 2.
+    m.mutate_weights(2);
+    const auto ahead = co_await direct.checkpoint_named(key, 2);
+    EXPECT_EQ(ahead, 2u);
+    m.mutate_weights(3);
+    const auto ck = co_await c.checkpoint(3);
+    EXPECT_EQ(ck.epoch, 3u) << "the replica's own pull is the round's newest";
+    EXPECT_FALSE(ck.degraded);
+    caught_up = newest_done(p, key).first;
+    m.mutate_weights(4);
+    const auto next = co_await c.checkpoint(4);
+    EXPECT_EQ(next.epoch, 4u);
+  }(f.client, f.client.lane_client(channel), puller, f.model, f.key, puller_after_refusal));
+  f.r.eng.run();
+  proc.check();
+  EXPECT_EQ(puller_after_refusal, 3u) << "the puller did not land the replica's version";
+  EXPECT_EQ(puller.stats().forwards, 1u);
+  // Epoch 2 was not new on the replica; epoch 4 is.
+  EXPECT_EQ(replica.stats().forwards, 2u);
+  EXPECT_EQ(replica.stats().checkpoints, 2u);
+  EXPECT_EQ(newest_done(replica, f.key), newest_done(puller, f.key));
+  EXPECT_EQ(newest_done(replica, f.key).first, 4u);
+  EXPECT_EQ(f.r.eng.failed_process_count(), 0);
+}
+
+// A copy that refused its forward and then failed its own pull still holds
+// an older version, at a higher epoch than the puller's new one: carrying
+// it back to the puller would bury the round's version under a stale one.
+TEST(ClusterTest, CatchUpCarriesOnlyAVersionThisRoundLanded) {
+  // Tenanted daemons with no admission queue: a paused controller bounces
+  // a pull with Backpressure, which the client does not retry.
+  PortusDaemon::Config base;
+  base.tenancy = true;
+  base.admission_queue_depth = 0;
+  ForwardRig f{base};
+  auto& puller = f.daemon(f.puller);
+  auto& replica = f.daemon(f.replica);
+
+  // The puller refuses two rounds, so the replica pulls them alone and
+  // the client knows it at epoch 3; the puller stays at epoch 1.
+  puller.pause_admissions();
+  auto alone = f.r.eng.spawn([](ClusterClient& c, dnn::Model& m) -> sim::Process {
+    for (std::uint64_t k = 2; k <= 3; ++k) {
+      m.mutate_weights(k);
+      const auto ck = co_await c.checkpoint(k);
+      EXPECT_EQ(ck.epoch, k);
+      EXPECT_TRUE(ck.degraded);
+    }
+  }(f.client, f.model));
+  f.r.eng.run();
+  alone.check();
+  puller.resume_admissions();
+
+  // The puller's epoch 2 is not new on the replica; the refusal (failed_ops
+  // 1) pauses the replica's admissions, so its fallback pull is refused too.
+  f.r.eng.spawn(when(
+      f.r.eng, [&] { return replica.stats().failed_ops == 1; },
+      [&] { replica.pause_admissions(); }));
+  auto proc = f.r.eng.spawn([](ClusterClient& c, dnn::Model& m) -> sim::Process {
+    m.mutate_weights(4);
+    const auto ck = co_await c.checkpoint(4);
+    EXPECT_EQ(ck.epoch, 2u);
+    EXPECT_TRUE(ck.degraded) << "the replica missed the round";
+  }(f.client, f.model));
+  f.r.eng.run();
+  proc.check();
+  EXPECT_EQ(replica.stats().backpressure_rejects, 1u);
+  EXPECT_EQ(puller.stats().forwards, 0u) << "the replica's older version was carried back";
+  EXPECT_EQ(newest_done(puller, f.key).first, 2u);
+  EXPECT_EQ(f.r.eng.failed_process_count(), 0);
 }
 
 // A crash while a daemon runs several copies at once is still one lane

@@ -73,6 +73,57 @@ TEST(ProtocolTest, AllControlMessagesRoundTrip) {
   }
 }
 
+TEST(ProtocolTest, ForwardMessagesRoundTrip) {
+  const ForwardReqMsg req{.model_name = "bert#s3",
+                          .iteration = 12,
+                          .membership_epoch = 4,
+                          .source = "portusd2",
+                          .source_epoch = 9,
+                          .budget_ns = 25'000'000};
+  const auto req_wire = encode(req);
+  EXPECT_EQ(decode_type(req_wire), MsgType::kForwardReq);
+  const auto req_back = decode_forward_req(req_wire);
+  EXPECT_EQ(req_back.model_name, "bert#s3");
+  EXPECT_EQ(req_back.iteration, 12u);
+  EXPECT_EQ(req_back.membership_epoch, 4u);
+  EXPECT_EQ(req_back.source, "portusd2");
+  EXPECT_EQ(req_back.source_epoch, 9u);
+  EXPECT_EQ(req_back.budget_ns, 25'000'000u);
+
+  const SlotQueryMsg query{.model_name = "bert#s3", .epoch = 9, .qp_token = 0xCAFE0007};
+  const auto query_wire = encode(query);
+  EXPECT_EQ(decode_type(query_wire), MsgType::kSlotQuery);
+  const auto query_back = decode_slot_query(query_wire);
+  EXPECT_EQ(query_back.model_name, "bert#s3");
+  EXPECT_EQ(query_back.epoch, 9u);
+  EXPECT_EQ(query_back.qp_token, 0xCAFE0007u);
+
+  SlotReplyMsg reply;
+  reply.model_name = "bert#s3";
+  reply.epoch = 9;
+  reply.ok = true;
+  reply.rkey = 0x77;
+  reply.addr = 0x1234'5678'9000ull;
+  reply.slot_size = 3_MiB;
+  reply.layout_crc = 0xDEADBEEF;
+  reply.crcs = {1, 2, 0xFFFFFFFFu};
+  const auto reply_wire = encode(reply);
+  EXPECT_EQ(decode_type(reply_wire), MsgType::kSlotReply);
+  const auto reply_back = decode_slot_reply(reply_wire);
+  EXPECT_TRUE(reply_back.ok);
+  EXPECT_EQ(reply_back.epoch, 9u);
+  EXPECT_EQ(reply_back.rkey, 0x77u);
+  EXPECT_EQ(reply_back.addr, reply.addr);
+  EXPECT_EQ(reply_back.slot_size, 3_MiB);
+  EXPECT_EQ(reply_back.layout_crc, 0xDEADBEEFu);
+  EXPECT_EQ(reply_back.crcs, reply.crcs);
+  SlotReplyMsg no;
+  no.error = "gone";
+  const auto refused = decode_slot_reply(encode(no));
+  EXPECT_FALSE(refused.ok);
+  EXPECT_EQ(refused.error, "gone");
+}
+
 TEST(ProtocolTest, WrongTypeDecodingThrows) {
   const auto wire = encode(CheckpointReqMsg{.model_name = "m"});
   EXPECT_THROW(decode_register_model(wire), Corruption);
@@ -249,6 +300,38 @@ TEST(AllocatorTest, AdaptiveRefillScalesChunkWithDemand) {
   for (int i = 0; i < 8; ++i) (void)alloc.alloc(1_KiB);
   EXPECT_LE(alloc.shard_stats()[0].refills, refills_before + 1)
       << "hot shard should serve small allocs from the scaled reservation";
+}
+
+TEST(AllocatorTest, SweptGapStaysOnItsNode) {
+  // Two node-1 shards each leave a reservation tail behind; recovery sees
+  // both tails as untracked gaps. sweep_gaps() must file them under node-1
+  // shards: a gap filed under shard 0 would be handed out by shard 0's
+  // first-fit, off its socket.
+  pmem::PmemDevice device{"pmem", 64_MiB, 0x1000, pmem::PmemPerfModel::optane_numa(2)};
+  const PmemAllocator::Config cfg{.table_offset = 4_KiB,
+                                  .table_capacity = 8192,
+                                  .data_offset = 1_MiB,
+                                  .data_end = 64_MiB,
+                                  .shards = 8,
+                                  .refill_bytes = 256_KiB,
+                                  .numa_nodes = 2,
+                                  .size_class_small = 1_KiB,
+                                  .size_class_large = 16_KiB};
+  PmemAllocator alloc{device, cfg};
+  ASSERT_EQ(alloc.node_of_shard(4), 1u);
+  ASSERT_EQ(alloc.node_of_shard(5), 1u);
+  (void)alloc.alloc_on(4, 512);
+  (void)alloc.alloc_on(5, 512);
+  device.persist_all();
+
+  PmemAllocator recovered{device, cfg};
+  recovered.recover();
+  EXPECT_GT(recovered.sweep_gaps(), 0u);
+  for (std::uint32_t s = 0; s < recovered.shard_count(); ++s) {
+    const auto off = recovered.alloc_on(s, 1_KiB);
+    EXPECT_EQ(recovered.node_of_offset(off), recovered.node_of_shard(s)) << "shard " << s;
+    recovered.free(off);
+  }
 }
 
 TEST(AllocatorTest, NodePartitionsMatchDeviceTopology) {

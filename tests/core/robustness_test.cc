@@ -86,6 +86,9 @@ TEST(RobustnessTest, ProtocolDecodersNeverCrashOnGarbage) {
     probe([](auto b) { return decode_restore_req(b); });
     probe([](auto b) { return decode_restore_done(b); });
     probe([](auto b) { return decode_finish_job(b); });
+    probe([](auto b) { return decode_forward_req(b); });
+    probe([](auto b) { return decode_slot_query(b); });
+    probe([](auto b) { return decode_slot_reply(b); });
     probe([](auto b) { return cluster::ShardManifest::decode(b); });
   }
 }
@@ -162,6 +165,23 @@ TEST(RobustnessTest, TruncatedValidMessagesThrow) {
   for (std::size_t cut = 1; cut < wire.size(); ++cut) {
     std::span<const std::byte> truncated{wire.data(), cut};
     EXPECT_THROW((void)decode_register_model(truncated), Error) << "cut at " << cut;
+  }
+
+  const auto forward = encode(ForwardReqMsg{.model_name = "bert#s0", .source = "portusd1"});
+  const auto query = encode(SlotQueryMsg{.model_name = "bert#s0", .epoch = 3});
+  SlotReplyMsg reply;
+  reply.model_name = "bert#s0";
+  reply.ok = true;
+  reply.crcs = {1, 2, 3};
+  const auto answer = encode(reply);
+  for (std::size_t cut = 1; cut < forward.size(); ++cut) {
+    EXPECT_THROW((void)decode_forward_req({forward.data(), cut}), Error) << "cut at " << cut;
+  }
+  for (std::size_t cut = 1; cut < query.size(); ++cut) {
+    EXPECT_THROW((void)decode_slot_query({query.data(), cut}), Error) << "cut at " << cut;
+  }
+  for (std::size_t cut = 1; cut < answer.size(); ++cut) {
+    EXPECT_THROW((void)decode_slot_reply({answer.data(), cut}), Error) << "cut at " << cut;
   }
 }
 
@@ -241,6 +261,35 @@ TEST(RobustnessTest, UndecodableRequestIsRefusedAndTheSessionServesOn) {
     const auto reg_wire = co_await socket->recv();
     EXPECT_FALSE(decode_register_ack(reg_wire).ok);
 
+    // Protocol v7's requests: a forward is refused in a CheckpointDone, a
+    // slot query in a SlotReply.
+    ForwardReqMsg fw_req;
+    fw_req.model_name = "bert";
+    fw_req.source = "portusd";
+    fw_req.source_epoch = 1;
+    socket->send(truncated(encode(fw_req)));
+    const auto fw_wire = co_await socket->recv();
+    const auto fw_done = decode_checkpoint_done(fw_wire);
+    EXPECT_FALSE(fw_done.ok);
+    EXPECT_NE(fw_done.error.find("undecodable request"), std::string::npos) << fw_done.error;
+
+    SlotQueryMsg query;
+    query.model_name = "bert";
+    query.epoch = 1;
+    socket->send(truncated(encode(query)));
+    const auto query_wire = co_await socket->recv();
+    const auto refused = decode_slot_reply(query_wire);
+    EXPECT_FALSE(refused.ok);
+    EXPECT_NE(refused.error.find("undecodable request"), std::string::npos) << refused.error;
+
+    // A well-formed query for a key this daemon does not hold is answered,
+    // not hung up on.
+    socket->send(encode(query));
+    const auto unknown_wire = co_await socket->recv();
+    const auto unknown = decode_slot_reply(unknown_wire);
+    EXPECT_FALSE(unknown.ok);
+    EXPECT_NE(unknown.error.find("bert"), std::string::npos) << unknown.error;
+
     // The same socket still answers a well-formed request.
     socket->send(encode(ck_req));
     const auto valid_wire = co_await socket->recv();
@@ -276,9 +325,10 @@ TEST(RobustnessTest, UndecodableRequestIsRefusedAndTheSessionServesOn) {
   r.eng.run();
   ASSERT_TRUE(done);
   EXPECT_EQ(r.eng.failed_process_count(), 0);
-  // Three undecodable requests, one unregistered model, one unknown type,
-  // one undecodable finish notice.
-  EXPECT_EQ(r.daemon->stats().failed_ops, 6u);
+  // Five undecodable requests, one unregistered model, one unknown type,
+  // one undecodable finish notice. A slot query the daemon answers ok=false
+  // is no failed op: no client op ran.
+  EXPECT_EQ(r.daemon->stats().failed_ops, 8u);
 }
 
 TEST(RobustnessTest, CheckpointOfUnregisteredModelFails) {

@@ -20,6 +20,7 @@
 
 #include <algorithm>
 #include <map>
+#include <optional>
 #include <set>
 
 #include "common/crc32.h"
@@ -735,6 +736,108 @@ TEST(CrashpointTest, NumaRefillAndCrossStealBoundariesSurvivePowerCut) {
 
   for (const auto& p : rec.points) {
     verify_point(rec, p, numa_cfg());
+    if (::testing::Test::HasFatalFailure()) break;
+  }
+}
+
+// --- workload 7: one replica forward -----------------------------------------
+
+// A forward lands the version the shard's puller committed on a replica,
+// PMEM to PMEM over a daemon-to-daemon QP, under the checkpoint's commit
+// discipline with the puller's epoch carried: ACTIVE -> chunked READs
+// flushed as they land -> CRC check and block -> DONE. Power fails at every
+// persist fence of one forward on the replica. verify_point then proves
+// each cut image recovers fsck-clean with its previous DONE version (or
+// the forwarded one, once DONE) bit-exact; the source only answers a slot
+// query and is never written.
+struct ForwardRecording {
+  Recording rec;
+  std::uint64_t source_fences = 0;  // source persists once the forward began
+  bool source_clean = false;
+};
+
+ForwardRecording record_forward_workload() {
+  ForwardRecording out;
+  sim::Engine eng;
+  auto world = net::Cluster::Builder{}
+                   .add_node({.name = "client", .gpu_count = 1})
+                   .add_node({.name = "pmem0", .pmem_devdax = kDevdax})
+                   .add_node({.name = "pmem1", .pmem_devdax = kDevdax})
+                   .build(eng);
+  core::QpRendezvous rendezvous;
+  std::vector<std::unique_ptr<core::PortusDaemon>> daemons;
+  core::cluster::ClusterClient::Config ccfg;
+  ccfg.replicas = 2;
+  ccfg.shard_count = 1;
+  ccfg.op_timeout = 50ms;
+  for (int i = 0; i < 2; ++i) {
+    core::PortusDaemon::Config cfg;
+    cfg.endpoint = strf("portusd{}", i);
+    cfg.chunk_bytes = 32_KiB;  // many data fences per forward
+    ccfg.endpoints.push_back(cfg.endpoint);
+    daemons.push_back(std::make_unique<core::PortusDaemon>(
+        *world, world->node(strf("pmem{}", i)), rendezvous, cfg));
+    daemons.back()->start();
+  }
+  auto& client_node = world->node("client");
+  dnn::ModelZoo::Options opt;
+  opt.scale = 0.01;
+  auto model = dnn::ModelZoo::create(client_node.gpu(0), "alexnet", opt);
+  core::cluster::ClusterClient client{*world, client_node, client_node.gpu(0), rendezvous,
+                                      ccfg};
+
+  std::optional<sim::CrashpointRecorder> recorder;
+  std::uint64_t source_seq = 0;
+  eng.spawn([](sim::Engine& eng, core::cluster::ClusterClient& c, dnn::Model& m,
+               std::vector<std::unique_ptr<core::PortusDaemon>>& ds,
+               std::optional<sim::CrashpointRecorder>& rec, std::uint64_t& src_seq,
+               Recording& out) -> sim::Process {
+    co_await c.register_model(m);
+    auto& source = *ds[c.plan().shard_daemons[0].at(0)];
+    auto& replica = *ds[c.plan().shard_daemons[0].at(1)];
+    for (std::uint64_t k = 1; k <= 2; ++k) {
+      m.mutate_weights(k);
+      const auto golden = m.weights_crc();  // one shard: the whole model
+      if (k == 2) {
+        // Record the replica through round 2 (its forward is the only
+        // writer there), and note the source's fence count as the forward
+        // begins: it must not move.
+        rec.emplace(replica.device());
+        const auto start = replica.device().persist_seq();
+        eng.spawn([](sim::Engine& e, pmem::PmemDevice& r, pmem::PmemDevice& s,
+                     std::uint64_t from, std::uint64_t& seen) -> sim::Process {
+          while (r.persist_seq() == from) co_await e.sleep(1us);
+          seen = s.persist_seq();
+        }(eng, replica.device(), source.device(), start, src_seq));
+      }
+      const auto ck = co_await c.checkpoint(k);
+      out.golden[ck.epoch] = golden;
+      out.acks.push_back(Ack{replica.device().persist_seq(), ck.epoch});
+    }
+    if (replica.stats().forwards != 2 || replica.stats().checkpoints != 0) {
+      throw Error("the replica did not land both versions by forward");
+    }
+  }(eng, client, model, daemons, recorder, source_seq, out.rec));
+  eng.run();
+  recorder->detach();
+  out.rec.points = recorder->points();
+
+  auto& source = *daemons[client.plan().shard_daemons[0].at(0)];
+  out.source_fences = source.device().persist_seq() - source_seq;
+  out.source_clean = core::Fsck{source}.run(/*repair=*/false).clean();
+  eng.shutdown();
+  return out;
+}
+
+TEST(CrashpointTest, ForwardBoundariesLeaveTheReplicaFsckClean) {
+  const auto out = record_forward_workload();
+  EXPECT_EQ(out.source_fences, 0u) << "the forward wrote the source";
+  EXPECT_TRUE(out.source_clean);
+  ASSERT_EQ(out.rec.golden.size(), 2u);
+  EXPECT_GE(out.rec.points.size(), 40u) << "the forward recorded too few persist fences";
+
+  for (const auto& p : out.rec.points) {
+    verify_point(out.rec, p);
     if (::testing::Test::HasFatalFailure()) break;
   }
 }
