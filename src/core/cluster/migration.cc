@@ -6,14 +6,14 @@
 #include "common/strformat.h"
 #include "core/cluster/manifest.h"
 #include "core/cluster/placement.h"
-#include "core/daemon/slots.h"
-#include "mem/segment.h"
 
 namespace portus::core::cluster {
 
 namespace {
 constexpr const char* kLog = "elastic";
-constexpr double kStreamGbps = 6.0;  // daemon-to-daemon stream, slept per chunk
+// How long a migrated copy waits for its source's slot reply: a source
+// that hangs mid-resize costs one refused copy, not a wedged resize.
+constexpr Duration kSourceReplyBudget{20'000'000};  // 20 ms
 // Settle-round grace for in-flight (pre-barrier) ops to land first.
 constexpr Duration kDrainGrace{2'000'000};  // 2 ms
 }  // namespace
@@ -69,106 +69,60 @@ std::optional<std::uint64_t> ElasticCluster::done_epoch(PortusDaemon& d,
 sim::SubTask<Bytes> ElasticCluster::migrate_copy(PortusDaemon& src, PortusDaemon& dst,
                                                  const std::string& key,
                                                  std::uint32_t replica) {
-  // Source: the newest DONE version, read-only throughout. The source image
-  // is never mutated by a migration, so whatever was acked there stays
-  // recoverable no matter where the destination crashes.
+  // Source: the newest DONE version, only ever read, so whatever was acked
+  // there stays recoverable no matter where the destination crashes.
   if (!src.model_table().lookup(key).has_value()) co_return 0;
   std::optional<MIndex> sheld;
-  MIndex* sidx = &src.index_of(key, sheld);
-  const auto sslot_idx = sidx->latest_done_slot();
-  if (!sslot_idx.has_value()) co_return 0;
-  const SlotHeader sslot = sidx->slot(*sslot_idx);
-  if (sslot.data_offset == 0) co_return 0;
+  const MIndex& sidx = src.index_of(key, sheld);
+  const auto sslot = sidx.latest_done_slot();
+  if (!sslot.has_value()) co_return 0;
+  ForwardReqMsg forward;
+  forward.model_name = key;
+  forward.source = src.config().endpoint;
+  forward.source_epoch = sidx.slot(*sslot).epoch;
+  forward.budget_ns = static_cast<std::uint64_t>(kSourceReplyBudget.count());
+  Bytes payload = 0;
+  for (const auto& t : sidx.tensors()) payload += t.size;
 
-  // Non-phantom payloads only move with a block that vouches for this
-  // version — a stale or torn block means it cannot be certified
-  // end-to-end. The bytes are checked against it once they land.
-  MIndex::PayloadCheck source;
-  if (!sidx->phantom()) {
-    source = sidx->check_payload(*sslot_idx, MIndex::Scrub::kNone);
-    if (!source.ok()) co_return 0;
-  }
-
-  // Destination MIndex: reuse the live session's (a client is registered
-  // there right now — two DRAM mirrors of one record would fight), else
-  // load the persistent record, else create one from the source's layout.
-  MIndex* didx = dst.find_live_index(key);
-  std::optional<MIndex> dheld;
-  if (didx == nullptr) {
-    if (const auto offset = dst.model_table().lookup(key); offset.has_value()) {
-      dheld.emplace(MIndex::load(dst.device(), *offset));
-    } else {
-      RegisterModelMsg reg;
-      reg.model_name = key;
-      reg.phantom = sidx->phantom();
-      reg.shard_id = sidx->shard_id();
-      reg.shard_count = sidx->shard_count();
-      reg.replica = replica;
-      reg.replica_count = sidx->replica_count();
-      reg.placement_epoch = sidx->placement_epoch();
-      reg.manifest = sidx->manifest();
-      for (const auto& t : sidx->tensors()) {
-        reg.tensors.push_back(TensorDesc{
-            .name = t.name, .dtype = t.dtype, .shape = t.shape, .size = t.size});
-      }
-      dheld.emplace(MIndex::create(dst.device(), dst.allocator(), reg,
-                                   dst.config().coalesce_threshold));
-      // A table that refuses the key (full) must not strand the fresh
-      // index's record and slots on the destination heap.
-      try {
-        dst.model_table().insert(key, dheld->record_offset());
-      } catch (...) {
-        dheld->destroy(dst.allocator());
-        throw;
-      }
+  // Destination: a copy without an index gets one laid out like the
+  // source's, so the forward lands into identical slots.
+  if (!dst.model_table().lookup(key).has_value()) {
+    RegisterModelMsg reg;
+    reg.model_name = key;
+    reg.phantom = sidx.phantom();
+    reg.shard_id = sidx.shard_id();
+    reg.shard_count = sidx.shard_count();
+    reg.replica = replica;
+    reg.replica_count = sidx.replica_count();
+    reg.placement_epoch = sidx.placement_epoch();
+    reg.manifest = sidx.manifest();
+    for (const auto& t : sidx.tensors()) {
+      reg.tensors.push_back(
+          TensorDesc{.name = t.name, .dtype = t.dtype, .shape = t.shape, .size = t.size});
     }
-    didx = &*dheld;
-  }
-  if (didx->tensors().size() != sidx->tensors().size()) co_return 0;
-
-  // Stream into the write slot under the checkpoint commit discipline:
-  // ACTIVE -> chunked data persists -> payload-CRC block -> DONE, with the
-  // SOURCE epoch carried through the transaction instead of minted.
-  didx->ensure_slot(didx->pick_write_slot(), dst.allocator());
-  auto txn = CheckpointTxn::begin(*didx, sslot.epoch);
-  const Bytes dbase = txn.data_offset();
-
-  Bytes streamed = 0;
-  for (std::size_t i = 0; i < sidx->tensors().size(); ++i) {
-    const auto& st = sidx->tensors()[i];
-    const auto& dt = didx->tensors()[i];
-    for (Bytes off = 0; off < st.size; off += config_.stream_chunk) {
-      const Bytes n = std::min(config_.stream_chunk, st.size - off);
-      mem::copy_bytes(dst.device(), dbase + dt.offset_in_slot + off, src.device(),
-                      sslot.data_offset + st.offset_in_slot + off, n);
-      dst.device().persist(dbase + dt.offset_in_slot + off, n);
-      const Duration wire{
-          static_cast<Duration::rep>(static_cast<double>(n) * 8.0 / kStreamGbps)};
-      co_await engine_.sleep(wire);
-      streamed += n;
+    auto created = MIndex::create(dst.device(), dst.allocator(), reg,
+                                  dst.config().coalesce_threshold);
+    // A table that refuses the key (full) must not strand the fresh
+    // index's record and slots on the destination heap.
+    try {
+      dst.model_table().insert(key, created.record_offset());
+    } catch (...) {
+      created.destroy(dst.allocator());
+      throw;
     }
   }
 
-  if (!sidx->phantom()) {
-    // Certify what landed before blessing it: a copy whose bytes do not
-    // match the source's block (bit rot on the source, a bad stream) is
-    // abandoned with its slot ACTIVE, exactly what a crash leaves behind.
-    const auto bad = didx->failing_tensors(dbase, source.crcs, MIndex::Scrub::kFirstBad);
-    if (!bad.empty()) {
-      ++stats_.integrity_rejects;
-      PLOG_INFO(kLog, "migration of {} epoch {} {} -> {} abandoned: tensor {} fails its CRC",
-                key, sslot.epoch, src.config().endpoint, dst.config().endpoint,
-                didx->tensors()[bad.front()].name);
-      co_return 0;
-    }
-    didx->set_payload_crcs(txn.slot(), txn.epoch(), source.crcs);
+  const auto done = co_await dst.handle_forward(std::move(forward));
+  if (!done.ok) {
+    PLOG_INFO(kLog, "migration of {} {} -> {} refused: {}", key, src.config().endpoint,
+              dst.config().endpoint, done.error);
+    co_return 0;
   }
-  txn.commit();
   if (src.model_table().is_finished(key)) dst.model_table().set_finished(key);
 
-  PLOG_DEBUG(kLog, "migrated {} epoch {}: {} -> {} ({} B)", key, sslot.epoch,
-             src.config().endpoint, dst.config().endpoint, streamed);
-  co_return streamed;
+  PLOG_DEBUG(kLog, "migrated {} epoch {}: {} -> {} ({} B)", key, done.epoch,
+             src.config().endpoint, dst.config().endpoint, payload);
+  co_return payload;
 }
 
 sim::SubTask<std::uint64_t> ElasticCluster::stream_to_plan(const Membership& m) {

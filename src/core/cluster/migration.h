@@ -5,22 +5,21 @@
 // and implements every resize step as a crash-consistent two-phase move:
 //
 //   1. PRE-COPY: compute the placement the *target* membership implies and
-//      stream every missing shard copy daemon-to-daemon (PMEM to PMEM over
-//      the simulated fabric) while clients keep checkpointing against the
-//      old epoch. Each streamed copy commits through the checkpoint's own
-//      CheckpointTxn (core/daemon/slots.h) — ACTIVE flag, chunked data
-//      persists, a CRC check of every landed tensor against the source's
-//      payload-CRC block, the block itself, then the DONE flip carrying the
-//      SOURCE epoch — so a power cut at any persist fence leaves the
+//      move every missing shard copy while clients keep checkpointing
+//      against the old epoch. A move is a forward the controller asks the
+//      destination daemon for (PortusDaemon::handle_forward): READs of the
+//      source's slot over the fabric, a CRC check of every landed tensor
+//      against the source's payload-CRC block, the block, then DONE at the
+//      SOURCE epoch. So a power cut at any persist fence leaves the
 //      destination image fsck-clean and the source untouched, and a copy
 //      that fails the check never becomes DONE.
 //   2. BARRIER: pause admissions on every live daemon (PR 6 relocation
 //      barrier), install the target membership with a bumped epoch, push
 //      the new epoch to the daemons (they now bounce stale requests with
-//      EpochMismatch), resume admissions. Short settle rounds then
-//      re-stream whatever committed between the pre-copy and the bump, so
-//      every epoch acked under the old membership is reachable under the
-//      new one before a drained member may be decommissioned.
+//      EpochMismatch), resume admissions. Short settle rounds then move
+//      whatever committed between the pre-copy and the bump, so every
+//      epoch acked under the old membership is reachable under the new one
+//      before a drained member may be decommissioned.
 //
 // Clients react to the bump via EpochMismatch -> refetch membership() ->
 // re-resolve placement (cluster_client.h); a 1 -> 4 -> 2 resize under load
@@ -42,22 +41,18 @@ namespace portus::core::cluster {
 class ElasticCluster final : public MembershipSource {
  public:
   struct Config {
-    std::uint32_t replicas = 2;     // copies per shard the migrator maintains
-    Bytes stream_chunk = 256_KiB;   // per-chunk copy+persist granule
+    std::uint32_t replicas = 2;  // copies per shard the migrator maintains
     int max_restream_rounds = 8;
   };
 
   struct Stats {
-    std::uint64_t copies_moved = 0;     // shard copies streamed to a new home
+    std::uint64_t copies_moved = 0;     // shard copies landed on a new home
     std::uint64_t models_migrated = 0;  // distinct models that moved at all
     Bytes bytes_streamed = 0;           // payload bytes across all moves
     std::uint64_t epoch_bumps = 0;
     std::uint64_t repaired_copies = 0;  // moves done re-replicating after failure
     std::uint64_t barriers = 0;
     Duration barrier_time{0};           // admissions-paused wall time, summed
-    // Copies abandoned before DONE because the landed bytes failed the
-    // source's payload-CRC block (the destination slot stays ACTIVE).
-    std::uint64_t integrity_rejects = 0;
   };
 
   ElasticCluster(sim::Engine& engine, Config config);
@@ -103,9 +98,9 @@ class ElasticCluster final : public MembershipSource {
   // then settle-restream until a full round moves nothing.
   sim::SubTask<> rebalance_to(Membership target);
 
-  // One copy: source daemon's newest DONE version of `key` streamed into
-  // dst's write slot, DONE flipped at the source epoch. Returns payload
-  // bytes moved (0 = nothing usable to move).
+  // One copy: the source daemon's newest DONE version of `key` forwarded to
+  // dst (given an index laid out like the source's if it has none). Returns
+  // its payload bytes (0 = nothing to move, or dst refused the forward).
   sim::SubTask<Bytes> migrate_copy(PortusDaemon& src, PortusDaemon& dst,
                                    const std::string& key, std::uint32_t replica);
 

@@ -200,19 +200,24 @@ sim::SubTask<std::vector<std::uint32_t>> PortusDaemon::run_transfer(
   co_return pipe.tensor_crcs(crc_tensors);
 }
 
-const rdma::MemoryRegion& PortusDaemon::forward_region(ModelSession& session, int slot) {
-  const auto* mr = session.slot_mr[slot];
-  PORTUS_CHECK(mr != nullptr, "forward source slot has no registered region");
-  if (!session.index->phantom()) return *mr;
-  auto& twin = session.forward_mr[slot];
-  if (twin == nullptr) {
-    auto mapping = node_.devdax().map(session.index->slot(slot).data_offset,
-                                      session.index->slot_size());
+const rdma::MemoryRegion& PortusDaemon::slot_region(const MIndex& index, int slot,
+                                                    bool phantom) {
+  const Bytes offset = index.slot(slot).data_offset;
+  PORTUS_CHECK(offset != 0, "slot has no PMEM extent to register");
+  auto& mr = slot_regions_[{offset, index.slot_size(), phantom}];
+  if (mr == nullptr) {
+    auto mapping = node_.devdax().map(offset, index.slot_size());
     auto desc = node_.pmem_region(mapping);
-    desc.phantom = true;
-    twin = &pd_.register_region(desc);
+    desc.phantom = phantom;
+    mr = &pd_.register_region(desc);
   }
-  return *twin;
+  return *mr;
+}
+
+sim::SimMutex& PortusDaemon::landing_lock(const std::string& key) {
+  auto& lock = landing_locks_[key];
+  if (lock == nullptr) lock = std::make_unique<sim::SimMutex>(cluster_.engine());
+  return *lock;
 }
 
 MIndex* PortusDaemon::find_live_index(const std::string& model_name) {
@@ -366,6 +371,9 @@ sim::SubTask<RegisterAckMsg> PortusDaemon::handle_register(RegisterModelMsg msg)
   RegisterAckMsg ack;
   if (reject_stale_epoch(msg.membership_epoch, ack)) co_return ack;
 
+  // A registration that loaded the stored index while a forward lands on
+  // it would keep a stale mirror of the slot headers.
+  const auto landing = co_await landing_lock(msg.model_name).lock();
   const auto permit = co_await workers_->permit();
   // A refused registration keeps no PMEM byte and no charge: what it newly
   // took (a tenant charge, a fresh index) goes back if a later step throws.
@@ -441,14 +449,6 @@ sim::SubTask<RegisterAckMsg> PortusDaemon::handle_register(RegisterModelMsg msg)
         static_cast<std::uint32_t>(node_.nic().spec().max_sges));
     session.max_sges = std::max<std::uint32_t>(session.max_sges, 1);
 
-    // Register both TensorData slots as RDMA regions and wire up the QP.
-    auto& ns = node_.devdax();
-    for (int i = 0; i < 2; ++i) {
-      const auto& slot = session.index->slot(i);
-      if (slot.data_offset == 0) continue;  // torn slot reclaimed by repacker
-      auto mapping = ns.map(slot.data_offset, session.index->slot_size());
-      session.slot_mr[i] = &pd_.register_region(node_.pmem_region(mapping));
-    }
     // Stripe negotiation: connect a prefix of the offered QPs, bounded by
     // our own config. All stripes share one CQ so a single pipelined
     // consumer can drain every lane wr_id-keyed; the per-QP processing
@@ -506,6 +506,9 @@ sim::SubTask<CheckpointDoneMsg> PortusDaemon::handle_checkpoint(CheckpointReqMsg
   const bool admitted = co_await admit(msg.model_name, ticket, done);
   if (!admitted) co_return done;
 
+  // One transaction per copy at a time: a checkpoint that waited here for
+  // a forward mints its epoch after that forward committed.
+  const auto landing = co_await landing_lock(msg.model_name).lock();
   const auto permit = co_await workers_->permit();
   auto trace_span = config_.tracer != nullptr
                         ? config_.tracer->span("checkpoint " + msg.model_name, config_.endpoint)
@@ -531,15 +534,14 @@ sim::SubTask<CheckpointDoneMsg> PortusDaemon::handle_checkpoint(CheckpointReqMsg
         prev_slot.has_value() ? index.slot(*prev_slot).data_offset : 0;
 
     auto txn = CheckpointTxn::begin(index);
-    const auto* slot_mr = session.slot_mr[txn.slot()];
-    PORTUS_CHECK(slot_mr != nullptr, "write slot has no registered region");
+    const auto& slot_mr = slot_region(index, txn.slot());
 
     // Dirty extents pull from the remote GPU (one multi-SGE READ per
     // extent), clean ones copy PMEM-locally from the previous version — all
     // interleaved through one pipelined datapath so the flush of a finished
     // chunk overlaps the pull of the next.
     const auto crcs = co_await transfer(session, TransferChunk::Kind::kRead,
-                                        txn.data_offset(), *slot_mr, std::move(dirty),
+                                        txn.data_offset(), slot_mr, std::move(dirty),
                                         prev_data_offset);
 
     // Catch-all flush (layout padding is not covered by the per-chunk
@@ -600,9 +602,6 @@ sim::SubTask<RestoreDoneMsg> PortusDaemon::handle_restore(RestoreReqMsg msg) {
       throw NotFound(strf("newest DONE version of {} is epoch {}, caller requires >= {}",
                           msg.model_name, slot.epoch, msg.required_epoch));
     }
-    const auto* slot_mr = session.slot_mr[*slot_idx];
-    PORTUS_CHECK(slot_mr != nullptr, "restore slot has no registered region");
-
     // Integrity scrub before any byte leaves PMEM (MIndex::check_payload).
     // Bit rot (or an undetected torn write) surfaces here as an explicit
     // Corruption instead of silently feeding the training job garbage
@@ -621,7 +620,8 @@ sim::SubTask<RestoreDoneMsg> PortusDaemon::handle_restore(RestoreReqMsg msg) {
     // checkpoints (no persists — the destination is volatile GPU memory).
     // Coalesced extents scatter one contiguous slot range across N tensor
     // buffers.
-    co_await transfer(session, TransferChunk::Kind::kWrite, slot.data_offset, *slot_mr);
+    co_await transfer(session, TransferChunk::Kind::kWrite, slot.data_offset,
+                      slot_region(index, *slot_idx));
 
     ++stats_.restores;
     stats_.bytes_pushed += session.registration.total_bytes();
@@ -643,19 +643,25 @@ sim::SubTask<CheckpointDoneMsg> PortusDaemon::handle_forward(ForwardReqMsg msg) 
   const bool admitted = co_await admit(msg.model_name, ticket, done);
   if (!admitted) co_return done;
 
+  // The epoch check below runs after any landing of this copy that got
+  // here first has committed.
+  const auto landing = co_await landing_lock(msg.model_name).lock();
   const auto permit = co_await workers_->permit();
   auto trace_span = config_.tracer != nullptr
                         ? config_.tracer->span("forward " + msg.model_name, config_.endpoint)
                         : sim::Tracer::Span{};
   try {
-    const auto it = sessions_.find(msg.model_name);
-    PORTUS_CHECK(it != sessions_.end(), "FORWARD for unregistered model");
-    ModelSession& session = it->second;
-    MIndex& index = *session.index;
+    // A migration lands copies where no client has registered (yet).
+    std::optional<MIndex> held;
+    MIndex& index = index_of(msg.model_name, held);
+    const auto live = sessions_.find(msg.model_name);
+    const std::uint32_t home_node = live != sessions_.end() ? live->second.home_node : 0;
     // A carried epoch must be new here: this copy may have moved past the
-    // puller on its own (a pull the puller missed), and DONE epochs only
-    // ever grow.
-    if (msg.source_epoch <= index.max_epoch()) {
+    // source on its own (a pull the source missed), and DONE epochs only
+    // ever grow. The one exception is this very version, landed already.
+    const auto newest = index.latest_done_slot();
+    const bool landed = newest.has_value() && index.slot(*newest).epoch == msg.source_epoch;
+    if (!landed && msg.source_epoch <= index.max_epoch()) {
       throw Error(strf("forward of {} at epoch {} refused: this copy already holds epoch {}",
                        msg.model_name, msg.source_epoch, index.max_epoch()));
     }
@@ -670,6 +676,23 @@ sim::SubTask<CheckpointDoneMsg> PortusDaemon::handle_forward(ForwardReqMsg msg) 
       throw Error(strf("forward of {} refused: the slot layout on {} differs from this copy's",
                        msg.model_name, msg.source));
     }
+    if (landed) {
+      // Another landing of (key, epoch) committed while this one waited:
+      // ok without moving a byte, if it is the source's version.
+      const auto block = index.payload_crcs(*newest);
+      if (!index.phantom() && (!block.has_value() || block->crcs != source.crcs)) {
+        throw Error(strf("forward of {} at epoch {} refused: this copy holds another version "
+                         "at that epoch",
+                         msg.model_name, msg.source_epoch));
+      }
+      done.ok = true;
+      done.epoch = msg.source_epoch;
+      if (block.has_value()) {
+        done.payload_crc =
+            Crc32::of(block->crcs.data(), block->crcs.size() * sizeof(std::uint32_t));
+      }
+      co_return done;
+    }
     // Hold the link's QP and CQ, not the link: the READs complete there
     // even if another forward replaces the link meanwhile.
     const PeerLink& link = peers_.at({msg.source, msg.model_name});
@@ -679,12 +702,11 @@ sim::SubTask<CheckpointDoneMsg> PortusDaemon::handle_forward(ForwardReqMsg msg) 
     // ACTIVE (stamped 0: an in-flight copy claims no epoch) -> the source
     // slot as one range, flushed as it lands -> final persist -> the
     // source's block checked and persisted -> DONE at the carried epoch.
+    index.ensure_slot(index.pick_write_slot(), *allocator_);
     auto txn = CheckpointTxn::begin(index, msg.source_epoch);
-    const auto* slot_mr = session.slot_mr[txn.slot()];
-    PORTUS_CHECK(slot_mr != nullptr, "write slot has no registered region");
     auto work = plan_slot_copy(index.slot_size(), config_.chunk_bytes, txn.data_offset(),
-                               *slot_mr, source.rkey, source.addr);
-    co_await run_transfer(lanes, *cq, session.home_node, std::move(work), 0);
+                               slot_region(index, txn.slot()), source.rkey, source.addr);
+    co_await run_transfer(lanes, *cq, home_node, std::move(work), 0);
     device_.persist(txn.data_offset(), index.slot_size());
     co_await cluster_.engine().sleep(device_.perf().persist_overhead);
     PORTUS_CHECK(!dead_, "power lost before forward commit");
@@ -771,10 +793,8 @@ SlotReplyMsg PortusDaemon::answer_slot_query(const SlotQueryMsg& msg) {
       auto& qp = cluster_.fabric().create_qp(node_.nic(), pd_, *responder_cq_);
       cluster_.fabric().connect(qp, rendezvous_.resolve(msg.qp_token));
     }
-    const auto it = sessions_.find(msg.model_name);
-    if (it == sessions_.end()) throw NotFound("no live session for " + msg.model_name);
-    ModelSession& session = it->second;
-    const MIndex& index = *session.index;
+    std::optional<MIndex> held;
+    const MIndex& index = index_of(msg.model_name, held);
     std::optional<int> slot;
     for (int i = 0; i < 2; ++i) {
       if (index.slot(i).state == SlotState::kDone && index.slot(i).epoch == msg.epoch) slot = i;
@@ -787,7 +807,7 @@ SlotReplyMsg PortusDaemon::answer_slot_query(const SlotQueryMsg& msg) {
       if (!check.ok()) throw index.payload_corruption(*slot, check, "forward");
       reply.crcs = std::move(check.crcs);
     }
-    const auto& mr = forward_region(session, *slot);
+    const auto& mr = slot_region(index, *slot, index.phantom());
     reply.rkey = mr.rkey;
     reply.addr = mr.addr;
     reply.slot_size = index.slot_size();

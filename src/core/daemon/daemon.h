@@ -26,14 +26,15 @@
 //   block -> commit (DONE + epoch persisted) -> notify client over TCP.
 //   Restore = CRC scrub of the newest DONE slot, then the same runner
 //   pushing one-sided RDMA WRITEs into the client's GPU buffers.
-//   Forward = a replica copy lands the version another daemon (the
-//   shard's puller) committed: SLOT_QUERY to the source over a control
-//   socket of this daemon's own, then the same runner pulling the source's
-//   whole slot as one range with one-sided READs over a daemon-to-daemon
-//   QP, each chunk flushed as it lands -> final persist -> check against
-//   the source's CRC block -> block -> commit at the source's epoch.
-// Migration (core/cluster/migration.h) lands its copies through the same
-// CheckpointTxn commit, carrying the source daemon's epoch.
+//   Forward = a copy lands the version another daemon committed: SLOT_QUERY
+//   to the source over a control socket of this daemon's own, then the
+//   same runner pulling the source's whole slot as one range with
+//   one-sided READs over a daemon-to-daemon QP, each chunk flushed as it
+//   lands -> final persist -> check against the source's CRC block ->
+//   block -> commit at the source's epoch. Cluster clients ask for one to
+//   land a puller's version on a replica, the elastic controller
+//   (core/cluster/migration.h) to migrate a copy.
+// A key's registrations, checkpoints and forwards run one at a time.
 #pragma once
 
 #include <map>
@@ -41,6 +42,7 @@
 #include <optional>
 #include <set>
 #include <string>
+#include <tuple>
 
 #include "core/daemon/allocator.h"
 #include "core/daemon/mindex.h"
@@ -203,6 +205,10 @@ class PortusDaemon {
   // Models whose training job sent FINISH_JOB (repacker input).
   const std::set<std::string>& finished_models() const { return finished_; }
 
+  // The FORWARD handler, public so the elastic controller can ask for a
+  // migration in-process. It needs the key's stored index, not a session.
+  sim::SubTask<CheckpointDoneMsg> handle_forward(ForwardReqMsg msg);
+
   // Live (registered this run) MIndex for a model, if any.
   MIndex* find_live_index(const std::string& model_name);
   // Load from PMEM (works without a live session, e.g. portusctl).
@@ -222,7 +228,6 @@ class PortusDaemon {
     std::unique_ptr<MIndex> index;
     std::unique_ptr<rdma::CompletionQueue> cq;  // shared by all stripes
     std::vector<rdma::QueuePair*> qps;          // one per connected stripe
-    const rdma::MemoryRegion* slot_mr[2] = {nullptr, nullptr};
     // Negotiated gather capability (min of client offer, config, NIC).
     std::uint32_t max_sges = 1;
     // Socket affinity: the worker serving this session is pinned to
@@ -231,10 +236,6 @@ class PortusDaemon {
     // both 0 on flat topologies.
     std::uint32_t home_node = 0;
     std::uint64_t home_shard = 0;
-    // Phantom payloads only: a phantom twin of each slot's region, handed
-    // to forwarding replicas so a forward moves time but no bytes, like
-    // the GPU pull it replaces.
-    const rdma::MemoryRegion* forward_mr[2] = {nullptr, nullptr};
   };
 
   // The replica side of forwarding: a control socket to one source daemon
@@ -254,7 +255,6 @@ class PortusDaemon {
   sim::SubTask<RegisterAckMsg> handle_register(RegisterModelMsg msg);
   sim::SubTask<CheckpointDoneMsg> handle_checkpoint(CheckpointReqMsg msg);
   sim::SubTask<RestoreDoneMsg> handle_restore(RestoreReqMsg msg);
-  sim::SubTask<CheckpointDoneMsg> handle_forward(ForwardReqMsg msg);
   // The source side of a forward, answered inline by the session loop with
   // no worker permit and no admission ticket: the replica's forward holds
   // a permit while it waits for this answer, so two daemons whose workers
@@ -296,8 +296,11 @@ class PortusDaemon {
                                                         std::uint32_t home_node,
                                                         std::vector<TransferChunk> work,
                                                         std::size_t crc_tensors);
-  // The region a forwarding replica reads `slot` of `session` through.
-  const rdma::MemoryRegion& forward_region(ModelSession& session, int slot);
+  // The region of `index`'s slot, registered on first use. A phantom twin
+  // moves time but no bytes: what a forward of a phantom model reads.
+  const rdma::MemoryRegion& slot_region(const MIndex& index, int slot, bool phantom = false);
+  // Held by a registration, checkpoint or forward of `key` around its permit.
+  sim::SimMutex& landing_lock(const std::string& key);
 
   net::Cluster& cluster_;
   net::Node& node_;
@@ -314,6 +317,9 @@ class PortusDaemon {
   std::unique_ptr<AdmissionController> admission_;
   std::map<std::string, ModelSession> sessions_;
   std::map<std::pair<std::string, std::string>, PeerLink> peers_;  // (source, key)
+  // (slot data offset, slot size, phantom) -> its region.
+  std::map<std::tuple<Bytes, Bytes, bool>, const rdma::MemoryRegion*> slot_regions_;
+  std::map<std::string, std::unique_ptr<sim::SimMutex>> landing_locks_;
   // Shared by every responder QP a replica's first slot query connects;
   // one-sided READs aimed at this daemon complete on the replica's side,
   // so nothing is ever delivered here.

@@ -926,6 +926,55 @@ TEST(ClusterTest, ForwardRefusesBytesThatFailTheSourceBlock) {
   EXPECT_EQ(f.r.eng.failed_process_count(), 0);
 }
 
+// Two landings of one version on one copy run one after the other: the
+// second finds the version already DONE under the source's block and
+// answers ok without moving a byte, so a round's forward that lost the
+// race to a migration does not fall back to a GPU pull.
+TEST(ClusterTest, ConcurrentForwardsOfOneVersionLandItOnce) {
+  ForwardRig f;
+  auto& puller = f.daemon(f.puller);
+  auto& replica = f.daemon(f.replica);
+  ASSERT_EQ(replica.stats().forwards, 1u);
+  std::size_t channel = 0;
+  while (f.client.lane_client(channel).endpoint() != puller.config().endpoint) ++channel;
+  Bytes rdma_before = 0;
+  std::vector<CheckpointDoneMsg> answers(2);
+  auto proc = f.r.eng.spawn([](sim::Engine& eng, PortusClient& direct, PortusDaemon& rep,
+                               dnn::Model& m, const std::string& key, Bytes& before,
+                               std::vector<CheckpointDoneMsg>& out) -> sim::Process {
+    m.mutate_weights(2);
+    const auto epoch = co_await direct.checkpoint_named(key, 2);
+    EXPECT_EQ(epoch, 2u);
+    ForwardReqMsg req;
+    req.model_name = key;
+    req.source = direct.endpoint();
+    req.source_epoch = epoch;
+    before = rep.stats().rdma_bytes;
+    std::vector<sim::Process> both;
+    for (auto& answer : out) {
+      both.push_back(eng.spawn([](PortusDaemon& d, ForwardReqMsg msg,
+                                  CheckpointDoneMsg& a) -> sim::Process {
+        a = co_await d.handle_forward(std::move(msg));
+      }(rep, req, answer)));
+    }
+    for (auto& p : both) co_await p.join();
+  }(f.r.eng, f.client.lane_client(channel), replica, f.model, f.key, rdma_before, answers));
+  f.r.eng.run();
+  proc.check();
+  for (const auto& a : answers) {
+    EXPECT_TRUE(a.ok) << a.error;
+    EXPECT_EQ(a.epoch, 2u);
+  }
+  EXPECT_EQ(answers[0].payload_crc, answers[1].payload_crc);
+  EXPECT_EQ(replica.stats().forwards, 2u) << "the version landed twice";
+  EXPECT_EQ(replica.stats().rdma_bytes - rdma_before,
+            replica.find_live_index(f.key)->slot_size());
+  EXPECT_EQ(newest_done(replica, f.key).first, 2u);
+  EXPECT_EQ(newest_done(replica, f.key), newest_done(puller, f.key));
+  EXPECT_EQ(replica.stats().failed_ops, 0u);
+  EXPECT_EQ(f.r.eng.failed_process_count(), 0);
+}
+
 // A carried epoch must be new on the replica: one already at or past it
 // refuses the forward and pulls instead. Its version then lands on the
 // puller once, so the next round's forward is accepted again.

@@ -160,6 +160,128 @@ TEST(ElasticTest, JoinMigratesCopiesAndBumpsEpoch) {
 }
 
 // ---------------------------------------------------------------------------
+// A migration is a forward the controller asks for: every copy a join moves
+// lands on the joiner through its forward handler, over the fabric, under
+// the source's block and at the source's epoch.
+
+TEST(ElasticTest, JoinLandsEveryCopyThroughTheForwardPath) {
+  ElasticRig r{3, 2};
+  auto& volta = r.cluster->node("client-volta");
+  auto model = r.make_model();
+  ClusterClient client{*r.cluster, volta, volta.gpu(0), r.rendezvous,
+                       r.client_config(2, 4)};
+  auto proc = r.eng.spawn([](ElasticRig& rig, ClusterClient& c, dnn::Model& m) -> sim::Process {
+    co_await c.register_model(m);
+    co_await c.checkpoint(1);
+    m.mutate_weights(2);
+    co_await c.checkpoint(2);
+    const std::string joiner = ElasticRig::ep(2);
+    co_await rig.elastic.join(joiner, *rig.daemons[2]);
+  }(r, client, model));
+  r.eng.run();
+  proc.check();
+
+  const auto& st = r.elastic.stats();
+  const auto& joined = r.daemons[2]->stats();
+  ASSERT_GT(st.copies_moved, 0u);
+  EXPECT_EQ(joined.registrations + joined.checkpoints, 0u) << "a client op reached the joiner";
+  EXPECT_EQ(joined.forwards, st.copies_moved);
+  EXPECT_GE(joined.rdma_bytes, st.bytes_streamed) << "a copy moved outside the fabric";
+  EXPECT_EQ(joined.failed_ops, 0u);
+  for (const auto& key : r.daemons[2]->model_table().names()) {
+    const MIndex idx = r.daemons[2]->load_index(key);
+    const auto slot = idx.latest_done_slot();
+    ASSERT_TRUE(slot.has_value()) << key;
+    EXPECT_EQ(idx.slot(*slot).epoch, 2u) << key;
+    EXPECT_TRUE(idx.check_payload(*slot, MIndex::Scrub::kAll).ok()) << key;
+  }
+  EXPECT_TRUE(Fsck{*r.daemons[2]}.run(/*repair=*/false).clean());
+}
+
+// A source no client has re-registered with since its restart still feeds a
+// join: it answers the joiner's slot queries from its stored index.
+
+TEST(ElasticTest, JoinTakesCopiesFromASourceWithNoClientSession) {
+  sim::Engine eng;
+  auto cluster = net::Cluster::sharded_testbed(eng, 2);
+  QpRendezvous rendezvous;
+  sim::FaultInjector faults{eng};
+  const auto make_daemon = [&](int i) {
+    PortusDaemon::Config cfg;
+    cfg.endpoint = ElasticRig::ep(i);
+    cfg.faults = &faults;
+    return std::make_unique<PortusDaemon>(*cluster, cluster->node(strf("pmem{}", i)),
+                                          rendezvous, cfg);
+  };
+  std::vector<std::unique_ptr<PortusDaemon>> daemons;
+  daemons.push_back(make_daemon(0));
+  daemons.push_back(make_daemon(1));
+  for (auto& d : daemons) d->start();
+
+  // A static one-member ring: every shard's only copy lands on portusd0.
+  ClusterClient::Config ccfg;
+  ccfg.endpoints = {ElasticRig::ep(0)};
+  ccfg.replicas = 2;
+  ccfg.shard_count = 4;
+  ccfg.op_timeout = 50ms;
+  auto& volta = cluster->node("client-volta");
+  dnn::ModelZoo::Options opt;
+  opt.scale = 0.02;
+  auto model = dnn::ModelZoo::create(volta.gpu(0), "resnet50", opt);
+  ClusterClient client{*cluster, volta, volta.gpu(0), rendezvous, ccfg};
+  auto load = eng.spawn([](ClusterClient& c, dnn::Model& m) -> sim::Process {
+    co_await c.register_model(m);
+    for (std::uint64_t k = 1; k <= 2; ++k) {
+      m.mutate_weights(k);
+      co_await c.checkpoint(k);
+    }
+  }(client, model));
+  eng.run();
+  load.check();
+
+  // Restart portusd0 over its intact PMEM; no client comes back to it.
+  faults.kill_now(ElasticRig::ep(0));
+  eng.run();
+  daemons[0].reset();
+  daemons[0] = make_daemon(0);
+  daemons[0]->recover();
+  daemons[0]->start();
+  auto& source = *daemons[0];
+  auto& joiner = *daemons[1];
+
+  ElasticCluster elastic{eng};
+  elastic.add_member(ElasticRig::ep(0), source);
+  elastic.seal();
+  auto join = eng.spawn([](ElasticCluster& ec, PortusDaemon& d) -> sim::Process {
+    const std::string endpoint = ElasticRig::ep(1);
+    co_await ec.join(endpoint, d);
+  }(elastic, joiner));
+  eng.run();
+  join.check();
+
+  ASSERT_GT(elastic.stats().copies_moved, 0u);
+  EXPECT_EQ(joiner.stats().forwards, elastic.stats().copies_moved);
+  EXPECT_EQ(joiner.stats().failed_ops, 0u);
+  EXPECT_EQ(source.stats().registrations, 0u);
+  for (const auto& key : joiner.model_table().names()) {
+    EXPECT_EQ(source.find_live_index(key), nullptr) << key;
+    const MIndex held = source.load_index(key);
+    const MIndex landed = joiner.load_index(key);
+    const auto held_slot = held.latest_done_slot();
+    const auto slot = landed.latest_done_slot();
+    ASSERT_TRUE(held_slot.has_value()) << key;
+    ASSERT_TRUE(slot.has_value()) << key << " did not land DONE";
+    EXPECT_EQ(landed.slot(*slot).epoch, held.slot(*held_slot).epoch) << key;
+    EXPECT_EQ(landed.payload_crcs(*slot)->crcs, held.payload_crcs(*held_slot)->crcs) << key;
+    EXPECT_TRUE(landed.check_payload(*slot, MIndex::Scrub::kAll).ok()) << key;
+  }
+  EXPECT_TRUE(Fsck{joiner}.run(/*repair=*/false).clean());
+  EXPECT_TRUE(Fsck{source}.run(/*repair=*/false).clean());
+  EXPECT_EQ(eng.failed_process_count(), 0);
+  eng.shutdown();
+}
+
+// ---------------------------------------------------------------------------
 // Migration certifies what it ships: a source copy whose bytes no longer
 // match its payload-CRC block is never blessed DONE on the destination.
 
@@ -195,10 +317,9 @@ TEST(ElasticTest, JoinRefusesToCertifyACorruptSourceCopy) {
   ASSERT_EQ(r.eng.failed_process_count(), 0);
   ASSERT_FALSE(bad_key.empty());
 
-  const auto& st = r.elastic.stats();
-  EXPECT_EQ(st.integrity_rejects, 1u);
-  EXPECT_GT(st.copies_moved, 0u) << "the intact shards still migrate";
   auto& joiner = *r.daemons[1];
+  EXPECT_EQ(joiner.stats().integrity_rejects, 1u);
+  EXPECT_GT(r.elastic.stats().copies_moved, 0u) << "the intact shards still migrate";
   const auto names = joiner.model_table().names();
   ASSERT_NE(std::find(names.begin(), names.end(), bad_key), names.end());
   EXPECT_FALSE(joiner.load_index(bad_key).latest_done_slot().has_value())
@@ -578,7 +699,6 @@ MigrationRecording record_migration_workload() {
   sim::FaultInjector faults{eng};
   ElasticCluster::Config ec;
   ec.replicas = 2;
-  ec.stream_chunk = 32_KiB;  // many data fences per migrated copy
   ElasticCluster elastic{eng, ec};
 
   std::vector<std::unique_ptr<PortusDaemon>> daemons;
@@ -586,6 +706,7 @@ MigrationRecording record_migration_workload() {
     PortusDaemon::Config cfg;
     cfg.endpoint = strf("portusd{}", daemons.size());
     cfg.faults = &faults;
+    cfg.chunk_bytes = 32_KiB;  // many data fences per migrated copy
     daemons.push_back(std::make_unique<PortusDaemon>(*world, world->node(node),
                                                      rendezvous, cfg));
     daemons.back()->start();
@@ -645,7 +766,7 @@ MigrationRecording record_migration_workload() {
 TEST(ElasticTest, MigrationCrashWalkLeavesBothSidesFsckClean) {
   const auto rec = record_migration_workload();
   ASSERT_EQ(rec.acked_epoch, 2u);
-  EXPECT_GE(rec.points.size(), 10u) << "migration recorded too few persist fences";
+  EXPECT_GE(rec.points.size(), 100u) << "migration recorded too few persist fences";
 
   for (const auto& p : rec.points) {
     SCOPED_TRACE(::testing::Message() << "crash point #" << p.ordinal << " (fence "

@@ -2,7 +2,8 @@
 # End-to-end check of the portusctl subcommands that drive live daemons, in
 # a temporary directory: `tenants` (two tenanted daemons under a small
 # fleet) and each `cluster` resize depth (join, drain, decommission under a
-# live client), checking exit codes and the lines an operator reads.
+# live client), checking exit codes and the lines an operator reads,
+# including that each resize moved copies.
 #
 # usage: portusctl_tenants_cluster_test.sh PATH/TO/portusctl
 set -u
@@ -32,5 +33,10 @@ for op in join drain decommission; do
   "$ctl" cluster "$op" >"cluster-$op.out" 2>&1 || fail "cluster $op exited $?"
   grep -Eq '^restore: epoch [0-9]+, degraded=no$' "cluster-$op.out" ||
     fail "cluster $op printed no clean restore: $(cat "cluster-$op.out")"
+done
+# A clean restore alone would also pass if every migration were refused.
+for op in join drain; do
+  grep -Eq '^migration: [1-9][0-9]* copies moved' "cluster-$op.out" ||
+    fail "cluster $op moved no copies: $(grep '^migration' "cluster-$op.out")"
 done
 echo "portusctl tenants + cluster ok"
