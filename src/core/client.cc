@@ -68,7 +68,8 @@ sim::SubTask<> PortusClient::connect() {
   socket_ = co_await cluster_.endpoint(endpoint_).connect();
 }
 
-sim::SubTask<std::vector<std::byte>> PortusClient::roundtrip(std::vector<std::byte> request) {
+sim::SubTask<std::vector<std::byte>> PortusClient::roundtrip(std::vector<std::byte> request,
+                                                             Duration grace) {
   PORTUS_CHECK(socket_ != nullptr, "client not connected");
   PORTUS_CHECK(!*op_in_flight_, "one control-plane operation at a time per client");
   // Scope guard, not a plain reset at the end: recv() throws when the
@@ -83,14 +84,15 @@ sim::SubTask<std::vector<std::byte>> PortusClient::roundtrip(std::vector<std::by
   };
   const BusyGuard guard{op_in_flight_};
   socket_->send(std::move(request));
+  const Duration timeout = op_timeout_ > Duration{0} ? op_timeout_ + grace : op_timeout_;
   try {
-    auto reply = co_await net::recv_within(cluster_.engine(), socket_, op_timeout_);
+    auto reply = co_await net::recv_within(cluster_.engine(), socket_, timeout);
     co_return reply;
   } catch (const net::RecvTimeout&) {
     // The watchdog closed our socket: the daemon is given up.
     ++stats_.timeouts;
     throw Disconnected(
-        strf("operation to {} timed out after {}", endpoint_, format_duration(op_timeout_)));
+        strf("operation to {} timed out after {}", endpoint_, format_duration(timeout)));
   }
 }
 
@@ -104,13 +106,13 @@ sim::SubTask<> PortusClient::backoff(int attempt, std::uint64_t retry_after_ns) 
 }
 
 sim::SubTask<std::vector<std::byte>> PortusClient::retrying_roundtrip(
-    std::vector<std::byte> req_wire) {
+    std::vector<std::byte> req_wire, Duration grace) {
   for (int attempt = 0;; ++attempt) {
     auto wire = req_wire;  // keep the original; re-sends ship it verbatim
     std::vector<std::byte> reply;
     bool got_reply = false;
     try {
-      reply = co_await roundtrip(std::move(wire));
+      reply = co_await roundtrip(std::move(wire), grace);
       got_reply = true;
     } catch (const Disconnected&) {
       if (!retry_.retry_timeouts || attempt >= retry_.max_retries) throw;
@@ -244,11 +246,13 @@ sim::SubTask<std::uint64_t> PortusClient::checkpoint(dnn::Model& model,
 // GCC 12 miscompiles non-trivial temporaries inside co_await
 // full-expressions (double destruction after resumption).
 sim::SubTask<std::uint64_t> PortusClient::checkpoint_named(std::string reg_name,
-                                                           std::uint64_t iteration) {
+                                                           std::uint64_t iteration,
+                                                           std::uint64_t round) {
   CheckpointReqMsg req{.model_name = std::move(reg_name),
                        .iteration = iteration,
                        .dirty_indices = {},
-                       .membership_epoch = membership_epoch_};
+                       .membership_epoch = membership_epoch_,
+                       .round = round};
   auto wire = encode(req);
   co_return co_await request<CheckpointDoneMsg>(std::move(wire));
 }
@@ -258,7 +262,8 @@ sim::SubTask<std::uint64_t> PortusClient::checkpoint_incremental(
   CheckpointReqMsg req{.model_name = model.name(),
                        .iteration = iteration,
                        .dirty_indices = std::move(dirty_indices),
-                       .membership_epoch = membership_epoch_};
+                       .membership_epoch = membership_epoch_,
+                       .round = 0};
   auto wire = encode(req);
   co_return co_await request<CheckpointDoneMsg>(std::move(wire));
 }
@@ -267,15 +272,17 @@ sim::SubTask<std::uint64_t> PortusClient::forward_named(std::string reg_name,
                                                         std::uint64_t iteration,
                                                         std::string source,
                                                         std::uint64_t source_epoch,
-                                                        Duration budget) {
+                                                        Duration budget, std::uint64_t round) {
   ForwardReqMsg req{.model_name = std::move(reg_name),
                     .iteration = iteration,
                     .membership_epoch = membership_epoch_,
                     .source = std::move(source),
                     .source_epoch = source_epoch,
-                    .budget_ns = static_cast<std::uint64_t>(budget.count())};
+                    .budget_ns = static_cast<std::uint64_t>(budget.count()),
+                    .round = round};
   auto wire = encode(req);
-  co_return co_await request<CheckpointDoneMsg>(std::move(wire));
+  const Duration grace = round != 0 ? budget : Duration{0};
+  co_return co_await request<CheckpointDoneMsg>(std::move(wire), grace);
 }
 
 sim::SubTask<std::uint64_t> PortusClient::restore(dnn::Model& model) {
@@ -298,13 +305,14 @@ std::string PortusClient::stale_epoch_message(const char* op, const std::string&
 }
 
 template <typename Done>
-sim::SubTask<std::uint64_t> PortusClient::request(std::vector<std::byte> req_wire) {
+sim::SubTask<std::uint64_t> PortusClient::request(std::vector<std::byte> req_wire,
+                                                  Duration grace) {
   constexpr bool kRestore = std::is_same_v<Done, RestoreDoneMsg>;
   const char* op = kRestore ? "restore"
                    : decode_type(req_wire) == MsgType::kForwardReq ? "forward"
                                                                    : "checkpoint";
   const Time t0 = cluster_.engine().now();
-  const auto reply = co_await retrying_roundtrip(std::move(req_wire));
+  const auto reply = co_await retrying_roundtrip(std::move(req_wire), grace);
   Done done;
   if constexpr (kRestore) {
     done = decode_restore_done(reply);

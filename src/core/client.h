@@ -122,8 +122,10 @@ class PortusClient {
   // Trigger "DO_CHECKPOINT" and wait for the daemon's completion notice.
   // Returns the committed epoch.
   sim::SubTask<std::uint64_t> checkpoint(dnn::Model& model, std::uint64_t iteration = 0);
+  // `round` non-zero tags the pull for the forwards armed with it (v8).
   sim::SubTask<std::uint64_t> checkpoint_named(std::string reg_name,
-                                               std::uint64_t iteration = 0);
+                                               std::uint64_t iteration = 0,
+                                               std::uint64_t round = 0);
 
   // Incremental variant (Check-N-Run-style extension): only the tensors in
   // `dirty_indices` changed since the previous checkpoint; the daemon pulls
@@ -137,10 +139,13 @@ class PortusClient {
   // committed as `source_epoch` into `reg_name`, PMEM to PMEM, waiting at
   // most `budget` for the source's answer (0 = forever). Returns the epoch
   // landed. Throws ForwardSourceLost when the daemon could not reach the
-  // source, Error on any other refusal.
+  // source, Error on any other refusal. A non-zero `round` arms it (v8):
+  // the daemon lands whatever `source` commits in the checkpoint of that
+  // round, ignoring `source_epoch`, and the watchdog on it is the op
+  // timeout plus `budget`, so it outlasts the pull it waits for.
   sim::SubTask<std::uint64_t> forward_named(std::string reg_name, std::uint64_t iteration,
                                             std::string source, std::uint64_t source_epoch,
-                                            Duration budget);
+                                            Duration budget, std::uint64_t round = 0);
 
   // Trigger "DO_RESTORE": daemon writes the newest valid version into the
   // model's GPU buffers. Returns the restored epoch. `required_epoch` is
@@ -185,21 +190,26 @@ class PortusClient {
     std::vector<rdma::QueuePair*> qps;
   };
 
-  sim::SubTask<std::vector<std::byte>> roundtrip(std::vector<std::byte> request);
+  // Send `request` and await its answer, within the op timeout plus
+  // `grace` when the op timeout is set.
+  sim::SubTask<std::vector<std::byte>> roundtrip(std::vector<std::byte> request,
+                                                 Duration grace = Duration{0});
 
   // Retry loop around one checkpoint/restore roundtrip: absorbs
   // Backpressure answers and (optionally) op-timeouts per retry_, backing
   // off with jitter between attempts. `req_wire` is re-sent verbatim.
-  sim::SubTask<std::vector<std::byte>> retrying_roundtrip(std::vector<std::byte> req_wire);
+  sim::SubTask<std::vector<std::byte>> retrying_roundtrip(std::vector<std::byte> req_wire,
+                                                          Duration grace);
   sim::SubTask<> backoff(int attempt, std::uint64_t retry_after_ns);
 
   // One checkpoint, forward or restore request (encoded in `req_wire`,
   // answered by a `Done` message): send it through the retry loop, surface
   // EpochMismatch, ForwardSourceLost and failures, account the op (a
   // forward counts as a checkpoint). Returns the epoch the daemon
-  // committed or served.
+  // committed or served. `grace` extends its watchdog (see roundtrip).
   template <typename Done>
-  sim::SubTask<std::uint64_t> request(std::vector<std::byte> req_wire);
+  sim::SubTask<std::uint64_t> request(std::vector<std::byte> req_wire,
+                                      Duration grace = Duration{0});
   std::string stale_epoch_message(const char* op, const std::string& reg_name,
                                   std::uint64_t daemon_epoch) const;
 

@@ -1,6 +1,7 @@
 #include "core/cluster/cluster_client.h"
 
 #include <algorithm>
+#include <atomic>
 #include <optional>
 
 #include "common/backoff.h"
@@ -13,6 +14,14 @@ namespace {
 constexpr const char* kLog = "cluster-client";
 // Placement re-resolutions one op may take before it gives up.
 constexpr int kMaxEpochRetries = 8;
+
+// A fresh checkpoint round id (protocol v8). A daemon remembers the last
+// round of each key, so no client in the process, a restarted job's
+// included, may reuse one.
+std::uint64_t next_round_id() {
+  static std::atomic<std::uint64_t> next{0};
+  return ++next;
+}
 }  // namespace
 
 ClusterClient::ClusterClient(net::Cluster& cluster, net::Node& client_node,
@@ -227,12 +236,14 @@ sim::SubTask<> ClusterClient::refresh_placement() {
   co_await resolve_placement();
 }
 
-sim::SubTask<bool> ClusterClient::pull_copy(std::size_t copy_id, Round* round) {
+sim::SubTask<bool> ClusterClient::pull_copy(std::size_t copy_id, Round* round,
+                                           std::uint64_t armed) {
   Copy& copy = copies_[copy_id];
   Lane& lane = lane_of(copy);
   try {
     const std::string key = shard_key(model_name_, copy.shard);
-    const auto epoch = co_await channel_of(copy).client->checkpoint_named(key, round->iteration);
+    const auto epoch =
+        co_await channel_of(copy).client->checkpoint_named(key, round->iteration, armed);
     copy.epoch = epoch;
     round->shard_ok[copy.shard] = true;
     round->max_epoch = std::max(round->max_epoch, epoch);
@@ -257,16 +268,18 @@ sim::SubTask<bool> ClusterClient::pull_copy(std::size_t copy_id, Round* round) {
 }
 
 sim::Process ClusterClient::forward_copy(std::size_t copy_id, std::size_t puller,
-                                         Round* round) {
+                                         std::uint64_t armed, Round* round) {
   Copy& copy = copies_[copy_id];
   Lane& lane = lane_of(copy);
   Lane& source = lane_of(copies_[puller]);
-  const Duration budget = config_.op_timeout / 2;
   try {
+    // The replica waits for the pull as long as the client does, so a slow
+    // puller is never named lost.
     const std::string key = shard_key(model_name_, copy.shard);
     const auto epoch = co_await channel_of(copy).client->forward_named(
-        key, round->iteration, source.endpoint, copies_[puller].epoch, budget);
+        key, round->iteration, source.endpoint, 0, config_.op_timeout, armed);
     copy.epoch = epoch;
+    round->shard_ok[copy.shard] = true;
     round->max_epoch = std::max(round->max_epoch, epoch);
     co_return;
   } catch (const EpochMismatch& e) {
@@ -289,49 +302,67 @@ sim::Process ClusterClient::forward_copy(std::size_t copy_id, std::size_t puller
     PLOG_INFO(kLog, "forward of shard {} to {} refused: {}", copy.shard, lane.endpoint,
               e.what());
   }
-  // Refused: this copy pulls from the GPU instead, so the round keeps it.
-  if (!live(copy)) {
-    round->any_miss = true;
-    co_return;
-  }
-  co_await pull_copy(copy_id, round);
+  round->refused[copy_id] = true;
 }
 
 sim::Process ClusterClient::checkpoint_shard(std::uint32_t shard, Round* round) {
-  // The first live copy in manifest order pulls; a copy that cannot moves
-  // the pull on to the next one.
-  std::optional<std::size_t> puller;
-  std::vector<std::size_t> rest;
+  // The shard's live copies in manifest order, and the epoch each held
+  // before the round.
+  std::vector<std::size_t> ids;
   for (std::size_t id = 0; id < copies_.size(); ++id) {
     if (copies_[id].shard != shard) continue;
-    if (!live(copies_[id])) {
+    if (live(copies_[id])) {
+      ids.push_back(id);
+    } else {
       round->any_miss = true;
-      continue;
     }
-    if (puller.has_value()) {
-      rest.push_back(id);
-      continue;
-    }
-    const bool pulled = co_await pull_copy(id, round);
-    if (pulled) puller = id;
-    if (round->stale) co_return;
   }
-  // No copy pulled (the shard lost the round), or the round is void.
-  if (!puller.has_value() || round->stale) co_return;
-
-  // Every other copy lands the puller's version at once, over the storage
-  // fabric.
   std::vector<std::uint64_t> before;
-  std::vector<sim::Process> procs;
-  for (const auto id : rest) {
-    before.push_back(copies_[id].epoch);
+  for (const auto id : ids) before.push_back(copies_[id].epoch);
+
+  // The first copy left pulls, and every other one's forward goes out with
+  // the pull, armed with a fresh round id: each replica waits at the puller
+  // and reads what it commits the moment it commits. A pull that fails
+  // refuses its forwards, and the pull moves on to the next copy left.
+  std::optional<std::size_t> puller;
+  std::vector<std::size_t> left = ids;
+  while (!puller.has_value() && !left.empty()) {
+    const std::size_t id = left.front();
+    left.erase(left.begin());
     if (!live(copies_[id])) {
       round->any_miss = true;
       continue;
     }
-    procs.push_back(cluster_.engine().spawn(forward_copy(id, *puller, round)));
+    const std::uint64_t armed = left.empty() ? 0 : next_round_id();
+    std::vector<sim::Process> forwards;
+    for (const auto other : left) {
+      round->refused[other] = false;
+      forwards.push_back(cluster_.engine().spawn(forward_copy(other, id, armed, round)));
+    }
+    const bool pulled = co_await pull_copy(id, round, armed);
+    if (pulled) puller = id;
+    for (auto& p : forwards) co_await p.join();
+    if (round->stale) co_return;
+    std::erase_if(left, [&](std::size_t other) { return !round->refused[other]; });
   }
-  for (auto& p : procs) co_await p.join();
+  // No copy pulled (the shard lost the round, unless a slow pull's forward
+  // landed it).
+  if (!puller.has_value()) co_return;
+
+  // A copy that refused the puller's version pulls from the GPU instead, so
+  // the round keeps it.
+  std::vector<sim::Process> pulls;
+  for (const auto id : left) {
+    if (!live(copies_[id])) {
+      round->any_miss = true;
+      continue;
+    }
+    pulls.push_back(cluster_.engine().spawn(
+        [](ClusterClient& c, std::size_t copy_id, Round* r) -> sim::Process {
+          co_await c.pull_copy(copy_id, r);
+        }(*this, id, round)));
+  }
+  for (auto& p : pulls) co_await p.join();
 
   // A copy that was already past the puller's epoch refused its forward and
   // pulled, so it is still ahead. Left alone, both copies mint +1 a round
@@ -340,10 +371,13 @@ sim::Process ClusterClient::checkpoint_shard(std::uint32_t shard, Round* round) 
   // epoch new everywhere. Only a version this round landed may go back to
   // the puller: a copy whose pull failed still holds an older one.
   std::optional<std::size_t> ahead;
-  for (std::size_t k = 0; k < rest.size(); ++k) {
-    const Copy& c = copies_[rest[k]];
-    if (!live(c) || c.epoch == before[k] || c.epoch <= copies_[*puller].epoch) continue;
-    if (!ahead.has_value() || c.epoch > copies_[*ahead].epoch) ahead = rest[k];
+  for (std::size_t k = 0; k < ids.size(); ++k) {
+    const Copy& c = copies_[ids[k]];
+    if (ids[k] == *puller || !live(c) || c.epoch == before[k] ||
+        c.epoch <= copies_[*puller].epoch) {
+      continue;
+    }
+    if (!ahead.has_value() || c.epoch > copies_[*ahead].epoch) ahead = ids[k];
   }
   if (ahead.has_value() && !round->stale && live(copies_[*puller])) {
     co_await catch_up(*puller, *ahead, round);
@@ -377,6 +411,7 @@ sim::SubTask<> ClusterClient::catch_up(std::size_t behind, std::size_t ahead, Ro
 
 sim::SubTask<ClusterClient::CheckpointResult> ClusterClient::checkpoint_round(Round& round) {
   round.shard_ok.assign(plan_.shard_tensors.size(), false);
+  round.refused.assign(copies_.size(), false);
   std::vector<sim::Process> procs;
   for (std::uint32_t s = 0; s < plan_.shard_tensors.size(); ++s) {
     if (plan_.shard_tensors[s].empty()) continue;

@@ -11,19 +11,25 @@
 // shards without a metadata service.
 //
 // Replication pulls each shard from the GPU once per round. The first live
-// copy of a shard in manifest order (the puller) gets the DO_CHECKPOINT;
-// if it fails, the next live copy pulls instead. Once the puller commits
-// epoch E, every other live copy gets a FORWARD at once (protocol v7): its
-// daemon reads the puller's DONE slot PMEM to PMEM over the storage
-// fabric, checks it against the puller's CRC block and commits at E. So
-// each checkpoint byte crosses the client NIC and the GPU's PCIe once, and
-// the R-1 extra copies ride the storage nodes' NICs. A refused forward
-// falls back to a GPU pull on that copy within the round; a copy that
-// refused because it was already past the puller's epoch then lands its
-// version on the puller once, so the copies agree again. The replica waits
-// for the source at most half the op timeout, so a source that hangs after
-// its commit is named by the replica (the source's lane goes down, not the
-// replica's) before the client's watchdog on the replica fires.
+// copy of a shard in manifest order (the puller) gets the DO_CHECKPOINT,
+// and every other live copy gets a FORWARD at the same time, both tagged
+// with one fresh round id (armed forwards, protocol v8). Each replica's
+// daemon asks the puller for that round's slot and the puller answers the
+// moment its checkpoint commits epoch E; the replica then reads the DONE
+// slot PMEM to PMEM over the storage fabric, checks it against the
+// puller's CRC block and commits at E. So each checkpoint byte crosses the
+// client NIC and the GPU's PCIe once, the R-1 extra copies ride the
+// storage nodes' NICs, and no control hop sits between the pull's commit
+// and the replicas' READs but the answer itself. If the pull fails, its
+// forwards are refused and the next live copy pulls, with the rest armed
+// on it. A forward refused after a pull committed falls back to a GPU pull
+// on that copy within the round; a copy that refused because it was
+// already past the puller's epoch then lands its version on the puller
+// once (a plain, unarmed forward), so the copies agree again. An armed
+// replica waits for the puller as long as the client waits for the pull
+// (the op timeout), and the client's watchdog on it is twice the op
+// timeout, so a slow puller is never named lost and a hung one takes only
+// its own lane down.
 //
 // Failure model: a daemon can crash (sockets die instantly) or hang
 // (detected only by the per-op timeout). Liveness is per daemon (a
@@ -78,8 +84,10 @@ class ClusterClient {
     // kHang gray failure) wedges the op, and with it the whole cluster
     // demo, forever. The finite default keeps sharded_testbed/cluster-demo
     // paths live through a hang; set 0 only where every failure is a
-    // crash-stop and the extra watchdog timer is unwanted. A forward's
-    // replica waits at most half of it for the source (0: forever).
+    // crash-stop and the extra watchdog timer is unwanted. An armed
+    // forward's replica waits up to this long for its puller's round, and
+    // the watchdog on it is twice this; a catch-up waits at most half of
+    // it for its source (0: forever).
     Duration op_timeout{250'000'000};    // 250 ms
     // Tenancy identity + retry discipline, applied to every channel client.
     // Keep retry.retry_timeouts off here unless you mean it: a retried
@@ -133,11 +141,11 @@ class ClusterClient {
   // otherwise throws.
   sim::SubTask<> register_model(dnn::Model& model);
 
-  // Checkpoint every shard at once: one GPU pull per shard, then forwards
-  // to its other copies (see above). Returns the round's committed epoch
-  // (the newest any copy committed). Throws if any shard committed on zero
-  // copies. In elastic mode an EpochMismatch answer retries the whole
-  // round after re-resolving placement.
+  // Checkpoint every shard at once: one GPU pull per shard, with armed
+  // forwards to its other copies (see above). Returns the round's
+  // committed epoch (the newest any copy committed). Throws if any shard
+  // committed on zero copies. In elastic mode an EpochMismatch answer
+  // retries the whole round after re-resolving placement.
   sim::SubTask<CheckpointResult> checkpoint(std::uint64_t iteration = 0);
 
   // Restore every shard, re-routing to replicas as needed (see above).
@@ -196,19 +204,22 @@ class ClusterClient {
   struct Round {
     std::uint64_t iteration = 0;
     std::vector<bool> shard_ok;  // some copy of the shard committed
+    std::vector<bool> refused;   // by copy id: its last forward was refused
     std::uint64_t max_epoch = 0;
     bool any_miss = false;       // some copy missed the round
     bool stale = false;          // EpochMismatch: the round is void
   };
 
   sim::Process register_copy(std::size_t copy_id, bool* stale);
-  // One shard's part of a round: the puller, then the forwards.
+  // One shard's part of a round: the pull and the forwards armed with it.
   sim::Process checkpoint_shard(std::uint32_t shard, Round* round);
-  // A GPU pull on one copy; true when it committed.
-  sim::SubTask<bool> pull_copy(std::size_t copy_id, Round* round);
-  // Land the puller's committed version on one more copy, falling back to
-  // a GPU pull on that copy when the forward is refused.
-  sim::Process forward_copy(std::size_t copy_id, std::size_t puller, Round* round);
+  // A GPU pull on one copy, tagged with round id `armed` when forwards wait
+  // on it; true when it committed.
+  sim::SubTask<bool> pull_copy(std::size_t copy_id, Round* round, std::uint64_t armed = 0);
+  // Land what the puller commits in round `armed` on one more copy. A
+  // refusal sets round->refused[copy_id]; the caller decides the fallback.
+  sim::Process forward_copy(std::size_t copy_id, std::size_t puller, std::uint64_t armed,
+                            Round* round);
   // Land the `ahead` copy's version on the `behind` one (its puller), so a
   // copy that pulled alone while its puller was away stops refusing.
   sim::SubTask<> catch_up(std::size_t behind, std::size_t ahead, Round* round);

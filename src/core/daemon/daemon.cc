@@ -34,6 +34,12 @@ void check_same_layout(const MIndex& index, const RegisterModelMsg& msg) {
   }
 }
 
+// A forward refused because its source answered ok=false.
+Error source_refused(const ForwardReqMsg& msg, const SlotReplyMsg& reply) {
+  return Error(strf("forward of {} refused: {} answered: {}", msg.model_name, msg.source,
+                    reply.error));
+}
+
 }  // namespace
 
 PortusDaemon::PortusDaemon(net::Cluster& cluster, net::Node& storage_node,
@@ -220,6 +226,17 @@ sim::SimMutex& PortusDaemon::landing_lock(const std::string& key) {
   return *lock;
 }
 
+bool PortusDaemon::landing(const std::string& key) const {
+  const auto it = landing_locks_.find(key);
+  return it != landing_locks_.end() && it->second->locked();
+}
+
+sim::SimMutex& PortusDaemon::link_lock(const std::string& source, const std::string& key) {
+  auto& lock = link_locks_[{source, key}];
+  if (lock == nullptr) lock = std::make_unique<sim::SimMutex>(cluster_.engine());
+  return *lock;
+}
+
 MIndex* PortusDaemon::find_live_index(const std::string& model_name) {
   const auto it = sessions_.find(model_name);
   return it == sessions_.end() ? nullptr : it->second.index.get();
@@ -292,7 +309,11 @@ sim::Process PortusDaemon::session_loop(std::shared_ptr<net::TcpSocket> socket) 
             refuse(CheckpointDoneMsg{}, e);
             break;
           }
+          // Armed forwards of this round wait for how it ends, whichever
+          // exit of handle_checkpoint it took.
+          const auto round = msg.round;
           auto reply = co_await handle_checkpoint(std::move(msg));
+          if (round != 0) end_round(round, reply);
           if (!hung_) socket->send(encode(reply));
           break;
         }
@@ -328,7 +349,15 @@ sim::Process PortusDaemon::session_loop(std::shared_ptr<net::TcpSocket> socket) 
             refuse(SlotReplyMsg{}, e);
             break;
           }
-          socket->send(encode(answer_slot_query(msg)));
+          // An armed query waits here for its round: this socket is one
+          // replica's link, which carries one exchange at a time.
+          SlotReplyMsg reply;
+          if (msg.round != 0) {
+            reply = co_await answer_armed_query(std::move(msg));
+          } else {
+            reply = answer_slot_query(msg);
+          }
+          if (!hung_) socket->send(encode(reply));
           break;
         }
         case MsgType::kFinishJob: {
@@ -639,6 +668,28 @@ sim::SubTask<CheckpointDoneMsg> PortusDaemon::handle_forward(ForwardReqMsg msg) 
   CheckpointDoneMsg done;
   done.model_name = msg.model_name;
   if (reject_stale_epoch(msg.membership_epoch, done)) co_return done;
+
+  // An armed forward asks first and takes its ticket, landing lock and
+  // permit only once its round has ended at the source: while it waits it
+  // holds nothing but the link, so replicas and pullers that cross between
+  // daemons never wait on each other's tickets or permits. A plain one
+  // takes the link before anything else for the same reason.
+  auto link = co_await link_lock(msg.source, msg.model_name).lock();
+  std::optional<SlotReplyMsg> source;
+  if (msg.round != 0) {
+    try {
+      source = co_await query_source(msg);
+      if (!source->ok) throw source_refused(msg, *source);
+    } catch (const std::exception& e) {
+      ++stats_.voided_forwards;
+      done.ok = false;
+      done.error = e.what();
+      co_return done;
+    }
+    link.release();
+    msg.source_epoch = source->epoch;
+  }
+
   AdmissionController::Ticket ticket;
   const bool admitted = co_await admit(msg.model_name, ticket, done);
   if (!admitted) co_return done;
@@ -666,13 +717,15 @@ sim::SubTask<CheckpointDoneMsg> PortusDaemon::handle_forward(ForwardReqMsg msg) 
                        msg.model_name, msg.source_epoch, index.max_epoch()));
     }
 
-    const auto source = co_await query_source(msg);
-    if (!source.ok) {
-      throw Error(strf("forward of {} refused: {} answered: {}", msg.model_name, msg.source,
-                       source.error));
+    // A plain forward's source may land again until it answers; an armed
+    // one's cannot before the client's round ends.
+    if (!source.has_value()) {
+      source = co_await query_source(msg);
+      link.release();
+      if (!source->ok) throw source_refused(msg, *source);
     }
-    if (source.slot_size != index.slot_size() || source.layout_crc != index.layout_crc() ||
-        (!index.phantom() && source.crcs.size() != index.tensors().size())) {
+    if (source->slot_size != index.slot_size() || source->layout_crc != index.layout_crc() ||
+        (!index.phantom() && source->crcs.size() != index.tensors().size())) {
       throw Error(strf("forward of {} refused: the slot layout on {} differs from this copy's",
                        msg.model_name, msg.source));
     }
@@ -680,7 +733,7 @@ sim::SubTask<CheckpointDoneMsg> PortusDaemon::handle_forward(ForwardReqMsg msg) 
       // Another landing of (key, epoch) committed while this one waited:
       // ok without moving a byte, if it is the source's version.
       const auto block = index.payload_crcs(*newest);
-      if (!index.phantom() && (!block.has_value() || block->crcs != source.crcs)) {
+      if (!index.phantom() && (!block.has_value() || block->crcs != source->crcs)) {
         throw Error(strf("forward of {} at epoch {} refused: this copy holds another version "
                          "at that epoch",
                          msg.model_name, msg.source_epoch));
@@ -705,7 +758,7 @@ sim::SubTask<CheckpointDoneMsg> PortusDaemon::handle_forward(ForwardReqMsg msg) 
     index.ensure_slot(index.pick_write_slot(), *allocator_);
     auto txn = CheckpointTxn::begin(index, msg.source_epoch);
     auto work = plan_slot_copy(index.slot_size(), config_.chunk_bytes, txn.data_offset(),
-                               slot_region(index, txn.slot()), source.rkey, source.addr);
+                               slot_region(index, txn.slot()), source->rkey, source->addr);
     co_await run_transfer(lanes, *cq, home_node, std::move(work), 0);
     device_.persist(txn.data_offset(), index.slot_size());
     co_await cluster_.engine().sleep(device_.perf().persist_overhead);
@@ -716,15 +769,15 @@ sim::SubTask<CheckpointDoneMsg> PortusDaemon::handle_forward(ForwardReqMsg msg) 
       // source's block (bit rot on the source, a torn read) are abandoned
       // with the slot ACTIVE, exactly what a crash leaves behind.
       const auto bad =
-          index.failing_tensors(txn.data_offset(), source.crcs, MIndex::Scrub::kFirstBad);
+          index.failing_tensors(txn.data_offset(), source->crcs, MIndex::Scrub::kFirstBad);
       if (!bad.empty()) {
         ++stats_.integrity_rejects;
         throw Corruption(strf("tensor {} of {} failed the payload CRC of {} on forward",
                               index.tensors()[bad.front()].name, msg.model_name, msg.source));
       }
-      index.set_payload_crcs(txn.slot(), txn.epoch(), source.crcs);
+      index.set_payload_crcs(txn.slot(), txn.epoch(), source->crcs);
       done.payload_crc =
-          Crc32::of(source.crcs.data(), source.crcs.size() * sizeof(std::uint32_t));
+          Crc32::of(source->crcs.data(), source->crcs.size() * sizeof(std::uint32_t));
     }
     txn.commit();
     ++stats_.forwards;
@@ -765,7 +818,8 @@ sim::SubTask<SlotReplyMsg> PortusDaemon::query_source(const ForwardReqMsg& msg) 
     const auto socket = it->second.socket;
     SlotQueryMsg query{.model_name = msg.model_name,
                        .epoch = msg.source_epoch,
-                       .qp_token = it->second.qp->connected() ? 0 : it->second.qp_token};
+                       .qp_token = it->second.qp->connected() ? 0 : it->second.qp_token,
+                       .round = msg.round};
     socket->send(encode(query));
     const auto wire = co_await net::recv_within(cluster_.engine(), socket, budget);
     reply = decode_slot_reply(wire);
@@ -777,6 +831,34 @@ sim::SubTask<SlotReplyMsg> PortusDaemon::query_source(const ForwardReqMsg& msg) 
   if (lost.empty()) co_return reply;
   peers_.erase(key);
   throw Error(std::string{kForwardSourceLost} + lost);
+}
+
+sim::SubTask<SlotReplyMsg> PortusDaemon::answer_armed_query(SlotQueryMsg msg) {
+  for (;;) {
+    auto& end = round_ends_[msg.model_name];
+    if (end.round == msg.round) break;
+    if (end.ended == nullptr) end.ended = std::make_shared<sim::SimEvent>(cluster_.engine());
+    const auto ended = end.ended;  // the record replaces it when the round ends
+    co_await ended->wait();
+  }
+  const auto& end = round_ends_.at(msg.model_name);
+  if (end.committed) {
+    msg.epoch = end.epoch;
+    co_return answer_slot_query(msg);
+  }
+  SlotReplyMsg reply;
+  reply.model_name = msg.model_name;
+  reply.error = strf("round {} of {} committed nothing: {}", msg.round, msg.model_name, end.error);
+  co_return reply;
+}
+
+void PortusDaemon::end_round(std::uint64_t round, const CheckpointDoneMsg& done) {
+  auto& end = round_ends_[done.model_name];
+  end.round = round;
+  end.committed = done.ok;
+  end.epoch = done.epoch;
+  end.error = done.error;
+  if (end.ended != nullptr) std::exchange(end.ended, nullptr)->set();
 }
 
 SlotReplyMsg PortusDaemon::answer_slot_query(const SlotQueryMsg& msg) {

@@ -31,9 +31,13 @@
 //   same runner pulling the source's whole slot as one range with
 //   one-sided READs over a daemon-to-daemon QP, each chunk flushed as it
 //   lands -> final persist -> check against the source's CRC block ->
-//   block -> commit at the source's epoch. Cluster clients ask for one to
-//   land a puller's version on a replica, the elastic controller
-//   (core/cluster/migration.h) to migrate a copy.
+//   block -> commit at the source's epoch. The elastic controller
+//   (core/cluster/migration.h) asks for a plain one to migrate a copy; it
+//   queries under the copy's landing lock. Cluster clients send an armed
+//   one (protocol v8) together with the puller's DO_CHECKPOINT: the
+//   replica queries first, holding nothing but its link to the source, and
+//   the source answers the moment that round's checkpoint ends. Only then
+//   does the replica take its ticket, landing lock and permit.
 // A key's registrations, checkpoints and forwards run one at a time.
 #pragma once
 
@@ -144,6 +148,11 @@ class PortusDaemon {
     // membership epoch was stale, protocol v6). Not failed_ops either: the
     // client re-resolves placement and reissues.
     std::uint64_t epoch_rejects = 0;
+    // Armed forwards (protocol v8) whose round committed nothing at the
+    // source, or whose source went away before answering. Not failed_ops
+    // either: the round's pull failed, and the client lands the shard
+    // another way.
+    std::uint64_t voided_forwards = 0;
     Bytes bytes_pulled = 0;
     Bytes bytes_pushed = 0;
   };
@@ -209,6 +218,10 @@ class PortusDaemon {
   // migration in-process. It needs the key's stored index, not a session.
   sim::SubTask<CheckpointDoneMsg> handle_forward(ForwardReqMsg msg);
 
+  // Whether a registration, checkpoint or forward of `key` holds its
+  // landing lock right now (the repacker leaves such a copy alone).
+  bool landing(const std::string& key) const;
+
   // Live (registered this run) MIndex for a model, if any.
   MIndex* find_live_index(const std::string& model_name);
   // Load from PMEM (works without a live session, e.g. portusctl).
@@ -260,10 +273,17 @@ class PortusDaemon {
   // a permit while it waits for this answer, so two daemons whose workers
   // all hold forwards waiting on each other would otherwise deadlock.
   SlotReplyMsg answer_slot_query(const SlotQueryMsg& msg);
+  // An armed query (v8): once the key's checkpoint of `msg.round` ends,
+  // answer_slot_query for the epoch it committed, or ok=false if it was
+  // refused or failed. Waits in the session loop of the replica's link.
+  sim::SubTask<SlotReplyMsg> answer_armed_query(SlotQueryMsg msg);
+  // Record how a checkpoint of round `round` ended and wake its waiters.
+  void end_round(std::uint64_t round, const CheckpointDoneMsg& done);
   // Ask `msg.source` for its DONE slot of (key, epoch) within the budget,
   // over the link to it (opened on first use; in peers_ on return). A
   // source that cannot be reached or stays silent drops the link and
-  // throws an Error opening with kForwardSourceLost.
+  // throws an Error opening with kForwardSourceLost. The caller holds the
+  // link's lock.
   sim::SubTask<SlotReplyMsg> query_source(const ForwardReqMsg& msg);
 
   // --- the op skeleton the handlers share ---
@@ -301,6 +321,10 @@ class PortusDaemon {
   const rdma::MemoryRegion& slot_region(const MIndex& index, int slot, bool phantom = false);
   // Held by a registration, checkpoint or forward of `key` around its permit.
   sim::SimMutex& landing_lock(const std::string& key);
+  // Held by a forward over the link to (source, key) for its slot-query
+  // exchange, so one link carries one exchange at a time. Taken before
+  // anything else: a forward waiting for it holds no ticket or permit.
+  sim::SimMutex& link_lock(const std::string& source, const std::string& key);
 
   net::Cluster& cluster_;
   net::Node& node_;
@@ -320,6 +344,17 @@ class PortusDaemon {
   // (slot data offset, slot size, phantom) -> its region.
   std::map<std::tuple<Bytes, Bytes, bool>, const rdma::MemoryRegion*> slot_regions_;
   std::map<std::string, std::unique_ptr<sim::SimMutex>> landing_locks_;
+  std::map<std::pair<std::string, std::string>, std::unique_ptr<sim::SimMutex>> link_locks_;
+  // How each key's latest armed checkpoint round ended, and the event its
+  // waiting armed queries hold (set and replaced as each round ends).
+  struct RoundEnd {
+    std::uint64_t round = 0;
+    bool committed = false;
+    std::uint64_t epoch = 0;
+    std::string error;
+    std::shared_ptr<sim::SimEvent> ended;
+  };
+  std::map<std::string, RoundEnd> round_ends_;
   // Shared by every responder QP a replica's first slot query connects;
   // one-sided READs aimed at this daemon complete on the replica's side,
   // so nothing is ever delivered here.

@@ -23,8 +23,11 @@ int Repacker::reclaim_model(const std::string& name, Report& report) {
     const auto& slot = index.slot(i);
     if (slot.data_offset == 0) continue;
 
-    const bool crashed_active =
-        slot.state == SlotState::kActive && loaded.has_value();  // no running ckpt
+    // An ACTIVE slot of a sessionless index is a crash leftover, unless a
+    // forward (a migration onto a copy no client registered) is landing
+    // into it right now.
+    const bool crashed_active = slot.state == SlotState::kActive && loaded.has_value() &&
+                                !daemon_.landing(name);
     const bool outdated = finished && (!latest.has_value() || i != *latest) &&
                           slot.state != SlotState::kActive;
 

@@ -55,7 +55,8 @@ class Repacker {
 
   // Reclaim space. Slots of *finished* models that are not the newest DONE
   // version are freed; ACTIVE slots of any model are freed (crash leftovers)
-  // unless the model has a live session with that checkpoint still running.
+  // unless the model has a live session with that checkpoint still running,
+  // or a forward is landing into the slot (PortusDaemon::landing).
   Report repack();
 
   // Incremental variant: same reclamation rules, applied `models_per_pass`

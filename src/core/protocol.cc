@@ -53,6 +53,14 @@ void check_protocol(std::uint32_t magic, std::uint16_t version, const char* what
   }
 }
 
+// v8's round id trails the v7 body, and only when it is non-zero: an
+// unarmed request is byte for byte what v7 sent.
+void put_round(BinaryWriter& w, std::uint64_t round) {
+  if (round != 0) w.u64(round);
+}
+
+std::uint64_t get_round(BinaryReader& r) { return r.at_end() ? 0 : r.u64(); }
+
 }  // namespace
 
 std::vector<std::byte> encode(const RegisterModelMsg& m) {
@@ -184,6 +192,7 @@ std::vector<std::byte> encode(const CheckpointReqMsg& m) {
   w.u32(static_cast<std::uint32_t>(m.dirty_indices.size()));
   for (const auto i : m.dirty_indices) w.u32(i);
   w.u64(m.membership_epoch);
+  put_round(w, m.round);
   return w.take();
 }
 
@@ -197,6 +206,7 @@ CheckpointReqMsg decode_checkpoint_req(std::span<const std::byte> wire) {
   m.dirty_indices.resize(n);
   for (auto& i : m.dirty_indices) i = r.u32();
   m.membership_epoch = r.u64();
+  m.round = get_round(r);
   return m;
 }
 
@@ -299,6 +309,7 @@ std::vector<std::byte> encode(const ForwardReqMsg& m) {
   w.str(m.source);
   w.u64(m.source_epoch);
   w.u64(m.budget_ns);
+  put_round(w, m.round);
   return w.take();
 }
 
@@ -311,6 +322,7 @@ ForwardReqMsg decode_forward_req(std::span<const std::byte> wire) {
   m.source = r.str();
   m.source_epoch = r.u64();
   m.budget_ns = r.u64();
+  m.round = get_round(r);
   return m;
 }
 
@@ -320,6 +332,7 @@ std::vector<std::byte> encode(const SlotQueryMsg& m) {
   w.str(m.model_name);
   w.u64(m.epoch);
   w.u64(m.qp_token);
+  put_round(w, m.round);
   return w.take();
 }
 
@@ -329,6 +342,7 @@ SlotQueryMsg decode_slot_query(std::span<const std::byte> wire) {
   m.model_name = r.str();
   m.epoch = r.u64();
   m.qp_token = r.u64();
+  m.round = get_round(r);
   return m;
 }
 

@@ -16,6 +16,14 @@
 // and its integrity check need. Daemons only ever learn each other's state
 // through these messages.
 //
+// Armed forwards (v8): the client sends a shard's FORWARDs together with
+// its DO_CHECKPOINT, all tagged with one round id. The replica's slot query
+// carries that id, and the puller answers it the moment that round's
+// checkpoint ends: with its DONE slot of the epoch it committed, or ok=false
+// when the round was refused or failed. A round id of 0 keeps the v7
+// meaning (the forward names the source's epoch, the query is answered at
+// once).
+//
 // QP rendezvous: real deployments exchange QP numbers/GIDs through RDMA CM;
 // in the simulation the registration packet carries opaque `qp_tokens`
 // (one per datapath stripe the client offers) that the daemon resolves
@@ -58,7 +66,10 @@ inline constexpr std::uint32_t kProtocolMagic = 0x50545553;  // "PTUS"
 // v7: replica forwarding — FORWARD (answered with CHECKPOINT_DONE),
 //     SLOT_QUERY and SLOT_REPLY. Message types only: every earlier message
 //     keeps its v6 layout (registration and its ack carry 7 as version).
-inline constexpr std::uint16_t kProtocolVersion = 7;
+// v8: armed forwards — CheckpointReqMsg, ForwardReqMsg and SlotQueryMsg
+//     carry a round id, appended after their v7 body only when non-zero:
+//     an unarmed request (round 0, the v7 meaning) keeps its v7 bytes.
+inline constexpr std::uint16_t kProtocolVersion = 8;
 
 enum class MsgType : std::uint8_t {
   kRegisterModel = 1,
@@ -206,6 +217,10 @@ struct CheckpointReqMsg {
   std::vector<std::uint32_t> dirty_indices;
   // v6 elasticity: see RegisterModelMsg::membership_epoch.
   std::uint64_t membership_epoch = 0;
+  // v8: the round this pull belongs to; armed forwards of the same id wait
+  // for how it ends. 0 = no forward waits on it. `iteration` is the
+  // caller's and may repeat, so it cannot name a round.
+  std::uint64_t round = 0;
 };
 
 struct CheckpointDoneMsg {
@@ -270,11 +285,14 @@ struct ForwardReqMsg {
   // v6 elasticity: see RegisterModelMsg::membership_epoch.
   std::uint64_t membership_epoch = 0;
   std::string source;  // endpoint of the daemon that pulled the version
-  std::uint64_t source_epoch = 0;
+  std::uint64_t source_epoch = 0;  // unused when armed: the round names it
   // How long the replica waits for the source's slot reply, in virtual ns;
   // 0 = forever. Shorter than the client's own watchdog, so a silent source
   // is named by the replica before the client gives the replica up.
   std::uint64_t budget_ns = 0;
+  // v8: non-zero = armed. Land whatever `source` commits in this round
+  // (CheckpointReqMsg::round), waiting for the round to end first.
+  std::uint64_t round = 0;
 };
 
 // Replica -> source daemon: describe your DONE slot of (model_name, epoch).
@@ -285,6 +303,9 @@ struct SlotQueryMsg {
   // The replica's datapath QP, offered on the first query of a control
   // socket (0 afterwards): the source connects a responder QP to it.
   std::uint64_t qp_token = 0;
+  // v8: non-zero = armed. Answered once the key's checkpoint of this round
+  // ends, for the epoch it committed (`epoch` is then ignored).
+  std::uint64_t round = 0;
 };
 
 struct SlotReplyMsg {

@@ -25,10 +25,13 @@ void Fabric::connect(QueuePair& a, QueuePair& b) {
 
 sim::SubTask<> Fabric::charge_path(std::vector<sim::BandwidthChannel*> channels, Bytes bytes,
                                    Bandwidth flow_cap) {
-  // Deduplicate (loopback transfers would otherwise double-charge a link).
-  std::sort(channels.begin(), channels.end());
-  channels.erase(std::unique(channels.begin(), channels.end()), channels.end());
-  channels.erase(std::remove(channels.begin(), channels.end(), nullptr), channels.end());
+  // Deduplicate (loopback transfers would otherwise double-charge a link),
+  // keeping path order: flows spawn in that order, never in pointer order.
+  auto kept = channels.begin();
+  for (auto* ch : channels) {
+    if (ch != nullptr && std::find(channels.begin(), kept, ch) == kept) *kept++ = ch;
+  }
+  channels.erase(kept, channels.end());
 
   std::vector<sim::Process> flows;
   flows.reserve(channels.size());

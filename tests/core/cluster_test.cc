@@ -18,6 +18,8 @@
 #include "core/cluster/migration.h"
 #include "core/cluster/placement.h"
 #include "core/daemon/daemon.h"
+#include "core/daemon/fsck.h"
+#include "core/daemon/repacker.h"
 #include "dnn/model_zoo.h"
 #include "net/cluster.h"
 #include "sim/fault.h"
@@ -799,78 +801,256 @@ TEST(ClusterTest, SlotQueryAnswersOnlyADoneEpoch) {
   EXPECT_EQ(source.stats().failed_ops, 0u);
 }
 
-// The source crashes between its commit and the forward: the replica
-// refuses, naming the source, and pulls from the GPU instead; the round
-// commits with the source's lane down and restores bit-exactly.
+// The source crashes mid-pull, while the replica's armed forward waits on
+// it: the forward is refused at once, naming the source, and the replica
+// pulls from the GPU instead. The round commits on the replica with the
+// source's lane down, no watchdog fires, and the restore is bit-exact.
 TEST(ClusterTest, ForwardFromACrashedSourceFallsBackToAPull) {
   ForwardRig f;
   ASSERT_EQ(f.daemon(f.replica).stats().forwards, 1u);
-  // The source crashes right after its commit reply goes out, before the
-  // replica's slot query reaches it.
   auto& source = f.daemon(f.puller);
-  f.r.eng.spawn(when(
-      f.r.eng, [&] { return source.stats().checkpoints == 2; },
-      [&] { f.r.faults.kill_now(source.config().endpoint); }));
+  auto& replica = f.daemon(f.replica);
+  // A pull of this model takes about a millisecond; the replica's query is
+  // waiting at the source well before the crash.
+  constexpr Duration kCrashAfter = 200us;
   std::uint32_t want = 0;
-  auto proc = f.r.eng.spawn([](ClusterClient& c, dnn::Model& m,
-                               std::uint32_t& crc) -> sim::Process {
-    m.mutate_weights(2);
-    crc = m.weights_crc();
-    const auto ck = co_await c.checkpoint(2);
+  Duration took{0};
+  auto proc = f.r.eng.spawn([](ForwardRig& rig, const std::string& src, std::uint32_t& crc,
+                               Duration& round) -> sim::Process {
+    rig.model.mutate_weights(2);
+    crc = rig.model.weights_crc();
+    rig.r.faults.kill_after(src, kCrashAfter);
+    const Time t0 = rig.r.eng.now();
+    const auto ck = co_await rig.client.checkpoint(2);
+    round = rig.r.eng.now() - t0;
     EXPECT_EQ(ck.epoch, 2u);
-    EXPECT_FALSE(ck.degraded) << "both copies committed epoch 2";
-    m.mutate_weights(3);
-    const auto rr = co_await c.restore();
+    EXPECT_TRUE(ck.degraded) << "the source's copy missed the round";
+    rig.model.mutate_weights(3);
+    const auto rr = co_await rig.client.restore();
     EXPECT_EQ(rr.epoch, 2u);
     EXPECT_EQ(rr.rerouted_shards, 1u);
-  }(f.client, f.model, want));
+  }(f, source.config().endpoint, want, took));
   f.r.eng.run();
   proc.check();
   EXPECT_TRUE(source.killed());
   EXPECT_EQ(f.model.weights_crc(), want);
   EXPECT_EQ(f.client.stats().lane_failures, 1u);
-  auto& replica = f.daemon(f.replica);
+  EXPECT_EQ(f.timeouts(), 0u);
+  EXPECT_EQ(replica.stats().voided_forwards, 1u) << "no armed forward was refused";
+  EXPECT_EQ(replica.stats().failed_ops, 0u);
   EXPECT_EQ(replica.stats().forwards, 1u) << "the second forward must be refused";
   EXPECT_EQ(replica.stats().checkpoints, 1u) << "the replica pulls instead";
   EXPECT_EQ(newest_done(replica, f.key).first, 2u);
+  // At once: the crash, two hops, then the replica's own pull (~1 ms).
+  EXPECT_LT(took, kCrashAfter + 2ms) << "the refusal waited for a budget";
   EXPECT_EQ(f.r.eng.failed_process_count(), 0);
 }
 
-// The source hangs after its commit: the replica's budget (half the op
-// timeout) expires first, so the source's lane goes down, not the
-// replica's, and the round lands before the client's watchdog would fire.
-TEST(ClusterTest, ForwardFromAHungSourceNamesTheSourceBeforeTheWatchdog) {
+// A hung puller is given up by the client's watchdog on the pull, and the
+// replica's armed forward, which waits for the pull as long as the client
+// does, names it too: only the puller's lane goes down, and the replica
+// pulls the round itself.
+TEST(ClusterTest, HungPullerTakesDownOnlyItsOwnLane) {
   ForwardRig f;
   auto& source = f.daemon(f.puller);
-  f.r.eng.spawn(when(
-      f.r.eng, [&] { return source.stats().checkpoints == 2; },
-      [&] { f.r.faults.kill_now(source.config().endpoint, sim::FaultMode::kHang); }));
+  auto& replica = f.daemon(f.replica);
   Duration took{0};
-  auto proc = f.r.eng.spawn([](sim::Engine& eng, ClusterClient& c, dnn::Model& m,
+  auto proc = f.r.eng.spawn([](ForwardRig& rig, const std::string& src,
                                Duration& round) -> sim::Process {
-    m.mutate_weights(2);
-    const Time t0 = eng.now();
-    const auto ck = co_await c.checkpoint(2);
-    round = eng.now() - t0;
+    rig.model.mutate_weights(2);
+    rig.r.faults.kill_after(src, 200us, sim::FaultMode::kHang);
+    const Time t0 = rig.r.eng.now();
+    const auto ck = co_await rig.client.checkpoint(2);
+    round = rig.r.eng.now() - t0;
     EXPECT_EQ(ck.epoch, 2u);
-    // The source's lane is down, the replica's is not: the next round
-    // pulls on the replica alone.
-    m.mutate_weights(3);
-    const auto next = co_await c.checkpoint(3);
+    EXPECT_TRUE(ck.degraded);
+    // The replica's lane is up: the next round pulls there.
+    rig.model.mutate_weights(3);
+    const auto next = co_await rig.client.checkpoint(3);
     EXPECT_EQ(next.epoch, 3u);
+  }(f, source.config().endpoint, took));
+  f.r.eng.run();
+  proc.check();
+  const Duration op_timeout = f.r.client_config(2).op_timeout;
+  EXPECT_EQ(f.client.stats().lane_failures, 1u);
+  EXPECT_EQ(f.timeouts(), 1u) << "only the watchdog on the pull fires";
+  EXPECT_GE(took, op_timeout);
+  EXPECT_LT(took, 2 * op_timeout) << "the armed forward's watchdog fired";
+  EXPECT_EQ(replica.stats().voided_forwards, 1u) << "the armed forward named no source";
+  EXPECT_EQ(replica.stats().failed_ops, 0u);
+  EXPECT_EQ(replica.stats().checkpoints, 2u);
+  EXPECT_EQ(newest_done(replica, f.key).first, 3u);
+  EXPECT_EQ(f.r.eng.failed_process_count(), 0);
+}
+
+// The replica's forward span opens one control hop (the puller's answer)
+// after the puller's checkpoint span closes on its commit, and holds no
+// slot query. Unarmed, DONE -> client and FORWARD -> replica came first,
+// and the span held the query's round trip.
+TEST(ClusterTest, ArmedForwardStartsOneHopAfterThePullersCommit) {
+  ForwardRig f;
+  auto proc = f.r.eng.spawn([](ForwardRig& rig) -> sim::Process {
+    rig.model.mutate_weights(2);
+    const auto ck = co_await rig.client.checkpoint(2);
+    EXPECT_EQ(ck.epoch, 2u);
+    EXPECT_FALSE(ck.degraded);
+  }(f));
+  f.r.eng.run();
+  proc.check();
+  const auto pulls = spans_by_track(f.r.tracer, "checkpoint ").at(f.r.endpoints[f.puller]);
+  const auto forwards = spans_by_track(f.r.tracer, "forward ").at(f.r.endpoints[f.replica]);
+  ASSERT_EQ(pulls.size(), 2u);
+  ASSERT_EQ(forwards.size(), 2u);
+  const std::int64_t hop = std::chrono::nanoseconds{net::TcpSocket::kLatency}.count();
+  for (std::size_t round = 0; round < 2; ++round) {
+    const std::int64_t gap = forwards[round].first - pulls[round].second;
+    EXPECT_GE(gap, hop) << "round " << round + 1;
+    EXPECT_LT(gap, 2 * hop) << "round " << round + 1;
+  }
+  EXPECT_EQ(f.timeouts(), 0u);
+}
+
+// A pull slower than half the op timeout (its puller's admissions are
+// paused for 30 ms of a 50 ms timeout) still lands on the replica through
+// the armed forward: the replica waits as long as the client does.
+TEST(ClusterTest, PullSlowerThanHalfTheOpTimeoutLandsThroughTheArmedForward) {
+  PortusDaemon::Config base;
+  base.tenancy = true;
+  ForwardRig f{base};
+  auto& source = f.daemon(f.puller);
+  auto& replica = f.daemon(f.replica);
+  const Duration op_timeout = f.r.client_config(2).op_timeout;
+  const Duration stall = op_timeout * 3 / 5;
+  Duration took{0};
+  source.pause_admissions();
+  f.r.eng.spawn([](sim::Engine& eng, PortusDaemon& d, Duration wait) -> sim::Process {
+    co_await eng.sleep(wait);
+    d.resume_admissions();
+  }(f.r.eng, source, stall));
+  auto proc = f.r.eng.spawn([](ForwardRig& rig, Duration& round) -> sim::Process {
+    rig.model.mutate_weights(2);
+    const Time t0 = rig.r.eng.now();
+    const auto ck = co_await rig.client.checkpoint(2);
+    round = rig.r.eng.now() - t0;
+    EXPECT_EQ(ck.epoch, 2u);
+    EXPECT_FALSE(ck.degraded);
+  }(f, took));
+  f.r.eng.run();
+  proc.check();
+  EXPECT_GE(took, stall);
+  EXPECT_EQ(f.client.stats().lane_failures, 0u);
+  EXPECT_EQ(f.timeouts(), 0u);
+  EXPECT_EQ(replica.stats().forwards, 2u);
+  EXPECT_EQ(replica.stats().checkpoints, 0u);
+  EXPECT_EQ(newest_done(replica, f.key), newest_done(source, f.key));
+  const auto pulls = spans_by_track(f.r.tracer, "checkpoint ").at(f.r.endpoints[f.puller]);
+  const auto forwards = spans_by_track(f.r.tracer, "forward ").at(f.r.endpoints[f.replica]);
+  ASSERT_EQ(forwards.size(), 2u);
+  EXPECT_LT(forwards.back().first - pulls.back().second,
+            2 * std::chrono::nanoseconds{net::TcpSocket::kLatency}.count())
+      << "the replica was not waiting at the puller";
+  EXPECT_EQ(f.r.eng.failed_process_count(), 0);
+}
+
+// A round id, not the caller's iteration, names the round an armed forward
+// lands. Through the client, a second round with iteration 1 lands its own
+// version on the replica. At the daemons, a forward armed with a round the
+// puller has not run yet waits for it and lands its version, not the one
+// an earlier round of the same iteration committed.
+TEST(ClusterTest, ArmedForwardNeverLandsAnotherRoundsVersion) {
+  ForwardRig f;
+  auto& source = f.daemon(f.puller);
+  auto& replica = f.daemon(f.replica);
+  std::size_t channel = 0;
+  while (f.client.lane_client(channel).endpoint() != source.config().endpoint) ++channel;
+  std::pair<std::uint64_t, std::vector<std::uint32_t>> after_client_round;
+  CheckpointDoneMsg answer;
+  auto proc = f.r.eng.spawn([](ForwardRig& rig, PortusClient& direct, PortusDaemon& rep,
+                               std::pair<std::uint64_t, std::vector<std::uint32_t>>& landed,
+                               CheckpointDoneMsg& out) -> sim::Process {
+    rig.model.mutate_weights(2);
+    const auto again = co_await rig.client.checkpoint(1);  // the rig's round was 1 too
+    EXPECT_EQ(again.epoch, 2u);
+    EXPECT_FALSE(again.degraded);
+    landed = newest_done(rep, rig.key);
+
+    constexpr std::uint64_t kEarlier = 0xE0000001;
+    constexpr std::uint64_t kLater = 0xE0000002;
+    rig.model.mutate_weights(3);
+    const auto earlier = co_await direct.checkpoint_named(rig.key, 1, kEarlier);
+    EXPECT_EQ(earlier, 3u);
+    // Armed with the later round, before that round's pull is even sent.
+    ForwardReqMsg req;
+    req.model_name = rig.key;
+    req.iteration = 1;
+    req.source = direct.endpoint();
+    req.budget_ns = 50'000'000;
+    req.round = kLater;
+    auto forward = rig.r.eng.spawn([](PortusDaemon& d, ForwardReqMsg msg,
+                                      CheckpointDoneMsg& a) -> sim::Process {
+      a = co_await d.handle_forward(std::move(msg));
+    }(rep, req, out));
+    co_await rig.r.eng.sleep(500us);
+    rig.model.mutate_weights(4);
+    const auto later = co_await direct.checkpoint_named(rig.key, 1, kLater);
+    EXPECT_EQ(later, 4u);
+    co_await forward.join();
+  }(f, f.client.lane_client(channel), replica, after_client_round, answer));
+  f.r.eng.run();
+  proc.check();
+  EXPECT_EQ(after_client_round.first, 2u) << "the client's second round left the replica behind";
+  EXPECT_TRUE(answer.ok) << answer.error;
+  EXPECT_EQ(answer.epoch, 4u);
+  EXPECT_EQ(newest_done(replica, f.key), newest_done(source, f.key));
+  EXPECT_EQ(newest_done(replica, f.key).first, 4u);
+  EXPECT_EQ(f.r.eng.failed_process_count(), 0);
+}
+
+// A plain forward's source hangs after its commit: the forwarding
+// daemon's budget (half the op timeout) expires first, so the source's lane
+// goes down, not the forwarding copy's, and the round lands before the
+// client's watchdog would fire. The plain forward here is a catch-up: the
+// replica is one pull ahead of the puller, refuses the armed forward,
+// pulls, then hangs before the puller's query for its version reaches it.
+TEST(ClusterTest, ForwardFromAHungSourceNamesTheSourceBeforeTheWatchdog) {
+  ForwardRig f;
+  auto& puller = f.daemon(f.puller);
+  auto& replica = f.daemon(f.replica);
+  std::size_t channel = 0;
+  while (f.client.lane_client(channel).endpoint() != replica.config().endpoint) ++channel;
+  // The replica's second pull is the round's fallback.
+  f.r.eng.spawn(when(
+      f.r.eng, [&] { return replica.stats().checkpoints == 2; },
+      [&] { f.r.faults.kill_now(replica.config().endpoint, sim::FaultMode::kHang); }));
+  Duration took{0};
+  auto proc = f.r.eng.spawn([](ForwardRig& rig, PortusClient& direct,
+                               Duration& round) -> sim::Process {
+    // A pull the puller never saw puts the replica at epoch 2.
+    rig.model.mutate_weights(2);
+    const auto ahead = co_await direct.checkpoint_named(rig.key, 2);
+    EXPECT_EQ(ahead, 2u);
+    rig.model.mutate_weights(3);
+    const Time t0 = rig.r.eng.now();
+    const auto ck = co_await rig.client.checkpoint(3);
+    round = rig.r.eng.now() - t0;
+    EXPECT_EQ(ck.epoch, 3u);
+    // The replica's lane is down, the puller's is not: the next round
+    // pulls on the puller alone.
+    rig.model.mutate_weights(4);
+    const auto next = co_await rig.client.checkpoint(4);
     EXPECT_TRUE(next.degraded);
-  }(f.r.eng, f.client, f.model, took));
+  }(f, f.client.lane_client(channel), took));
   f.r.eng.run();
   proc.check();
   const Duration op_timeout = f.r.client_config(2).op_timeout;
   EXPECT_LT(took, op_timeout) << "the round waited out a watchdog";
-  EXPECT_GE(took, op_timeout / 2) << "the replica's budget is half the op timeout";
+  EXPECT_GE(took, op_timeout / 2) << "the catch-up's budget is half the op timeout";
   EXPECT_EQ(f.client.stats().lane_failures, 1u);
-  EXPECT_EQ(f.timeouts(), 0u) << "no watchdog fired: the replica named the source";
-  auto& replica = f.daemon(f.replica);
-  EXPECT_EQ(replica.stats().forwards, 1u);
+  EXPECT_EQ(f.timeouts(), 0u) << "no watchdog fired: the puller named the source";
+  EXPECT_EQ(puller.stats().forwards, 0u);
+  EXPECT_EQ(puller.stats().checkpoints, 3u);
   EXPECT_EQ(replica.stats().checkpoints, 2u);
-  EXPECT_EQ(newest_done(replica, f.key).first, 3u);
+  EXPECT_EQ(newest_done(puller, f.key).first, 3u);
   EXPECT_EQ(f.r.eng.failed_process_count(), 0);
 }
 
@@ -1057,6 +1237,143 @@ TEST(ClusterTest, CatchUpCarriesOnlyAVersionThisRoundLanded) {
   EXPECT_EQ(replica.stats().backpressure_rejects, 1u);
   EXPECT_EQ(puller.stats().forwards, 0u) << "the replica's older version was carried back";
   EXPECT_EQ(newest_done(puller, f.key).first, 2u);
+  EXPECT_EQ(f.r.eng.failed_process_count(), 0);
+}
+
+// Two daemons each pull one shard and land the other's, so each pull's
+// replica waits on the daemon whose replica waits on it. Tenanted with one
+// admission slot each, that would deadlock if a waiting armed forward held
+// its replica's ticket; a migration of one copy (a plain forward, which
+// takes the link before anything else) runs alongside. Everything lands,
+// and no watchdog fires.
+TEST(ClusterTest, CrossedPullersAndReplicasWithOneAdmissionSlotFinish) {
+  PortusDaemon::Config base;
+  base.tenancy = true;
+  base.admission_inflight = 1;
+  ClusterRig r{2, base};
+  auto& volta = r.cluster->node("client-volta");
+  dnn::ModelZoo::Options opt;
+  opt.scale = 0.02;
+  auto model = dnn::ModelZoo::create(volta.gpu(0), "resnet50", opt);
+  auto cfg = r.client_config(2);
+  cfg.shard_count = 2;
+  ClusterClient client{*r.cluster, volta, volta.gpu(0), r.rendezvous, cfg};
+  CheckpointDoneMsg migrated;
+  auto proc = r.eng.spawn([](ClusterRig& rig, ClusterClient& c, dnn::Model& m,
+                             CheckpointDoneMsg& moved) -> sim::Process {
+    co_await c.register_model(m);
+    co_await c.checkpoint(1);
+    const auto& plan = c.plan();
+    EXPECT_NE(plan.shard_daemons[0].at(0), plan.shard_daemons[1].at(0)) << "pullers not crossed";
+    // Shard 0's copy is migrated onto its replica from its puller, at the
+    // epoch it holds, while round 2 runs.
+    ForwardReqMsg req;
+    req.model_name = shard_key("resnet50", 0);
+    req.source = rig.endpoints[plan.shard_daemons[0].at(0)];
+    req.source_epoch = 1;
+    req.budget_ns = 20'000'000;
+    auto& replica = *rig.daemons[plan.shard_daemons[0].at(1)];
+    auto migration = rig.eng.spawn([](PortusDaemon& d, ForwardReqMsg msg,
+                                      CheckpointDoneMsg& a) -> sim::Process {
+      a = co_await d.handle_forward(std::move(msg));
+    }(replica, req, moved));
+    m.mutate_weights(2);
+    const auto ck = co_await c.checkpoint(2);
+    EXPECT_EQ(ck.epoch, 2u);
+    EXPECT_FALSE(ck.degraded);
+    co_await migration.join();
+  }(r, client, model, migrated));
+  r.eng.run();
+  proc.check();
+  EXPECT_TRUE(migrated.ok) << migrated.error;
+  std::uint64_t timeouts = 0;
+  for (std::size_t i = 0; i < client.lane_count(); ++i) {
+    timeouts += client.lane_client(i).stats().timeouts;
+  }
+  EXPECT_EQ(timeouts, 0u);
+  EXPECT_EQ(client.stats().lane_failures, 0u);
+  // Each daemon pulls one shard a round, and its last forward is round 2's
+  // armed one: it starts one control hop after the other daemon's pull
+  // commits, so neither waited on the other's ticket.
+  const auto pulls = spans_by_track(r.tracer, "checkpoint ");
+  const auto forwards = spans_by_track(r.tracer, "forward ");
+  const std::int64_t hop = std::chrono::nanoseconds{net::TcpSocket::kLatency}.count();
+  for (std::uint32_t s = 0; s < 2; ++s) {
+    const auto key = shard_key("resnet50", s);
+    const auto& ring = client.plan().shard_daemons[s];
+    const auto puller = newest_done(*r.daemons[ring.at(0)], key);
+    EXPECT_EQ(puller.first, 2u) << key;
+    EXPECT_EQ(newest_done(*r.daemons[ring.at(1)], key), puller) << key;
+    const std::int64_t gap = forwards.at(r.endpoints[ring.at(1)]).back().first -
+                             pulls.at(r.endpoints[ring.at(0)]).back().second;
+    EXPECT_GE(gap, hop) << key;
+    EXPECT_LT(gap, 2 * hop) << key;
+  }
+  EXPECT_EQ(r.eng.failed_process_count(), 0);
+}
+
+// Online repack while a migration lands on a copy no client registered:
+// the repacker must not take the copy's ACTIVE write slot for a crash
+// leftover. The copy ends DONE at the source's epoch, nothing is freed,
+// and fsck is clean.
+TEST(ClusterTest, OnlineRepackSparesASessionlessMigrationsSlot) {
+  ForwardRig f;
+  auto& source = f.daemon(f.puller);
+  auto& replica = f.daemon(f.replica);
+  std::size_t channel = 0;
+  while (f.client.lane_client(channel).endpoint() != source.config().endpoint) ++channel;
+  // The source moves to epoch 2 alone; the replica restarts with no client
+  // session, its index only on PMEM.
+  auto pull = f.r.eng.spawn([](ForwardRig& rig, PortusClient& direct) -> sim::Process {
+    rig.model.mutate_weights(2);
+    const auto epoch = co_await direct.checkpoint_named(rig.key, 2);
+    EXPECT_EQ(epoch, 2u);
+  }(f, f.client.lane_client(channel)));
+  f.r.eng.run();
+  pull.check();
+  replica.recover();
+  ASSERT_EQ(replica.find_live_index(f.key), nullptr);
+
+  // The repack starts the moment the migration's write slot goes ACTIVE.
+  Repacker::Report report;
+  bool repacked = false;
+  f.r.eng.spawn(when(
+      f.r.eng,
+      [&] {
+        const auto idx = replica.load_index(f.key);
+        return idx.slot(0).state == SlotState::kActive || idx.slot(1).state == SlotState::kActive;
+      },
+      [&] {
+        f.r.eng.spawn([](PortusDaemon& d, Repacker::Report& out, bool& ran) -> sim::Process {
+          out = co_await Repacker{d}.repack_online(1);
+          ran = true;
+        }(replica, report, repacked));
+      }));
+  CheckpointDoneMsg moved;
+  ForwardReqMsg req;
+  req.model_name = f.key;
+  req.source = source.config().endpoint;
+  req.source_epoch = 2;
+  req.budget_ns = 20'000'000;
+  auto migration = f.r.eng.spawn([](PortusDaemon& d, ForwardReqMsg msg,
+                                    CheckpointDoneMsg& a) -> sim::Process {
+    a = co_await d.handle_forward(std::move(msg));
+  }(replica, req, moved));
+  f.r.eng.run();
+  migration.check();
+  ASSERT_TRUE(repacked) << "the migration never took an ACTIVE slot";
+  EXPECT_TRUE(moved.ok) << moved.error;
+  EXPECT_EQ(moved.epoch, 2u);
+  EXPECT_EQ(report.slots_cleared, 0);
+  EXPECT_EQ(report.freed_crashed, 0u);
+  const auto idx = replica.load_index(f.key);
+  const auto done = idx.latest_done_slot();
+  ASSERT_TRUE(done.has_value());
+  EXPECT_EQ(idx.slot(*done).epoch, 2u);
+  const auto block = idx.payload_crcs(*done);
+  ASSERT_TRUE(block.has_value());
+  EXPECT_EQ(block->crcs, newest_done(source, f.key).second);
+  EXPECT_TRUE(Fsck{replica}.run(/*repair=*/false).clean());
   EXPECT_EQ(f.r.eng.failed_process_count(), 0);
 }
 

@@ -79,7 +79,8 @@ TEST(ProtocolTest, ForwardMessagesRoundTrip) {
                           .membership_epoch = 4,
                           .source = "portusd2",
                           .source_epoch = 9,
-                          .budget_ns = 25'000'000};
+                          .budget_ns = 25'000'000,
+                          .round = 0xA11CE5};
   const auto req_wire = encode(req);
   EXPECT_EQ(decode_type(req_wire), MsgType::kForwardReq);
   const auto req_back = decode_forward_req(req_wire);
@@ -89,14 +90,34 @@ TEST(ProtocolTest, ForwardMessagesRoundTrip) {
   EXPECT_EQ(req_back.source, "portusd2");
   EXPECT_EQ(req_back.source_epoch, 9u);
   EXPECT_EQ(req_back.budget_ns, 25'000'000u);
+  EXPECT_EQ(req_back.round, 0xA11CE5u);
 
-  const SlotQueryMsg query{.model_name = "bert#s3", .epoch = 9, .qp_token = 0xCAFE0007};
+  const SlotQueryMsg query{
+      .model_name = "bert#s3", .epoch = 9, .qp_token = 0xCAFE0007, .round = 0xA11CE5};
   const auto query_wire = encode(query);
   EXPECT_EQ(decode_type(query_wire), MsgType::kSlotQuery);
   const auto query_back = decode_slot_query(query_wire);
   EXPECT_EQ(query_back.model_name, "bert#s3");
   EXPECT_EQ(query_back.epoch, 9u);
   EXPECT_EQ(query_back.qp_token, 0xCAFE0007u);
+  EXPECT_EQ(query_back.round, 0xA11CE5u);
+
+  // The pull the forward is armed with carries the same round id (v8); an
+  // unarmed request decodes as round 0 and sends its v7 bytes.
+  CheckpointReqMsg pull;
+  pull.model_name = "bert#s3";
+  pull.iteration = 12;
+  pull.membership_epoch = 4;
+  pull.round = 0xA11CE5;
+  const auto pull_back = decode_checkpoint_req(encode(pull));
+  EXPECT_EQ(pull_back.iteration, 12u);
+  EXPECT_EQ(pull_back.membership_epoch, 4u);
+  EXPECT_EQ(pull_back.round, 0xA11CE5u);
+  const auto armed_size = encode(pull).size();
+  pull.round = 0;
+  const auto unarmed = encode(pull);
+  EXPECT_EQ(decode_checkpoint_req(unarmed).round, 0u);
+  EXPECT_EQ(unarmed.size() + sizeof(std::uint64_t), armed_size) << "round 0 costs wire bytes";
 
   SlotReplyMsg reply;
   reply.model_name = "bert#s3";

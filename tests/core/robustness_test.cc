@@ -125,6 +125,24 @@ TEST(RobustnessTest, ClusterDecodersSurviveMutationFuzz) {
   ack.stripes = 2;
   const auto ack_wire = encode(ack);
 
+  // An armed round (v8): the pull and its forward's messages, one round id.
+  CheckpointReqMsg pull;
+  pull.model_name = "resnet50#s0";
+  pull.iteration = 9;
+  pull.round = 0xA11CE5;
+  const auto pull_wire = encode(pull);
+  ForwardReqMsg forward;
+  forward.model_name = "resnet50#s0";
+  forward.source = "portusd1";
+  forward.budget_ns = 50'000'000;
+  forward.round = 0xA11CE5;
+  const auto forward_wire = encode(forward);
+  SlotQueryMsg query;
+  query.model_name = "resnet50#s0";
+  query.qp_token = 0xCAFE0001;
+  query.round = 0xA11CE5;
+  const auto query_wire = encode(query);
+
   Rng rng{77};
   const auto mutate = [&](std::vector<std::byte> wire) {
     const auto flips = rng.uniform(1, 4);
@@ -145,6 +163,9 @@ TEST(RobustnessTest, ClusterDecodersSurviveMutationFuzz) {
     probe([](auto b) { return decode_register_model(b); }, mutate(reg_wire));
     probe([](auto b) { return decode_register_ack(b); }, mutate(ack_wire));
     probe([](auto b) { return cluster::ShardManifest::decode(b); }, mutate(manifest_wire));
+    probe([](auto b) { return decode_checkpoint_req(b); }, mutate(pull_wire));
+    probe([](auto b) { return decode_forward_req(b); }, mutate(forward_wire));
+    probe([](auto b) { return decode_slot_query(b); }, mutate(query_wire));
   }
 
   // The unmutated encodings still round-trip after all that.
@@ -155,6 +176,9 @@ TEST(RobustnessTest, ClusterDecodersSurviveMutationFuzz) {
   const auto reg_back = decode_register_model(reg_wire);
   EXPECT_TRUE(reg_back.sharded());
   EXPECT_EQ(reg_back.manifest, manifest_wire);
+  EXPECT_EQ(decode_checkpoint_req(pull_wire).round, 0xA11CE5u);
+  EXPECT_EQ(decode_forward_req(forward_wire).round, 0xA11CE5u);
+  EXPECT_EQ(decode_slot_query(query_wire).round, 0xA11CE5u);
 }
 
 TEST(RobustnessTest, TruncatedValidMessagesThrow) {
@@ -167,19 +191,41 @@ TEST(RobustnessTest, TruncatedValidMessagesThrow) {
     EXPECT_THROW((void)decode_register_model(truncated), Error) << "cut at " << cut;
   }
 
-  const auto forward = encode(ForwardReqMsg{.model_name = "bert#s0", .source = "portusd1"});
-  const auto query = encode(SlotQueryMsg{.model_name = "bert#s0", .epoch = 3});
+  ForwardReqMsg armed_forward;
+  armed_forward.model_name = "bert#s0";
+  armed_forward.source = "portusd1";
+  armed_forward.round = 0xA11CE5;
+  const auto forward = encode(armed_forward);
+  SlotQueryMsg armed_query;
+  armed_query.model_name = "bert#s0";
+  armed_query.epoch = 3;
+  armed_query.round = 0xA11CE5;
+  const auto query = encode(armed_query);
+  CheckpointReqMsg armed_pull;
+  armed_pull.model_name = "bert#s0";
+  armed_pull.dirty_indices = {0, 2};
+  armed_pull.round = 0xA11CE5;
+  const auto pull = encode(armed_pull);
   SlotReplyMsg reply;
   reply.model_name = "bert#s0";
   reply.ok = true;
   reply.crcs = {1, 2, 3};
   const auto answer = encode(reply);
-  for (std::size_t cut = 1; cut < forward.size(); ++cut) {
-    EXPECT_THROW((void)decode_forward_req({forward.data(), cut}), Error) << "cut at " << cut;
-  }
-  for (std::size_t cut = 1; cut < query.size(); ++cut) {
-    EXPECT_THROW((void)decode_slot_query({query.data(), cut}), Error) << "cut at " << cut;
-  }
+  // An armed request cut just before its round id is the unarmed request
+  // (v8 appends the id only when non-zero); every other cut throws.
+  const auto probe_armed = [](const std::vector<std::byte>& wire, auto&& decode) {
+    for (std::size_t cut = 1; cut < wire.size(); ++cut) {
+      if (cut == wire.size() - sizeof(std::uint64_t)) {
+        EXPECT_EQ(decode(std::span<const std::byte>{wire.data(), cut}).round, 0u);
+        continue;
+      }
+      EXPECT_THROW((void)decode(std::span<const std::byte>{wire.data(), cut}), Error)
+          << "cut at " << cut;
+    }
+  };
+  probe_armed(forward, [](auto b) { return decode_forward_req(b); });
+  probe_armed(query, [](auto b) { return decode_slot_query(b); });
+  probe_armed(pull, [](auto b) { return decode_checkpoint_req(b); });
   for (std::size_t cut = 1; cut < answer.size(); ++cut) {
     EXPECT_THROW((void)decode_slot_reply({answer.data(), cut}), Error) << "cut at " << cut;
   }

@@ -745,15 +745,18 @@ TEST(CrashpointTest, NumaRefillAndCrossStealBoundariesSurvivePowerCut) {
 // A forward lands the version the shard's puller committed on a replica,
 // PMEM to PMEM over a daemon-to-daemon QP, under the checkpoint's commit
 // discipline with the puller's epoch carried: ACTIVE -> chunked READs
-// flushed as they land -> CRC check and block -> DONE. Power fails at every
-// persist fence of one forward on the replica. verify_point then proves
-// each cut image recovers fsck-clean with its previous DONE version (or
-// the forwarded one, once DONE) bit-exact; the source only answers a slot
-// query and is never written.
+// flushed as they land -> CRC check and block -> DONE. The client's
+// forwards are armed: the replica waits at the puller and begins the
+// moment the puller's answer arrives. Power fails at every persist fence
+// of one forward on the replica. verify_point then proves each cut image
+// recovers fsck-clean with its previous DONE version (or the forwarded
+// one, once DONE) bit-exact; the source only answers a slot query and is
+// never written.
 struct ForwardRecording {
   Recording rec;
   std::uint64_t source_fences = 0;  // source persists once the forward began
   bool source_clean = false;
+  Duration commit_to_first_fence{0};  // puller's commit -> replica's ACTIVE
 };
 
 ForwardRecording record_forward_workload() {
@@ -791,7 +794,7 @@ ForwardRecording record_forward_workload() {
   eng.spawn([](sim::Engine& eng, core::cluster::ClusterClient& c, dnn::Model& m,
                std::vector<std::unique_ptr<core::PortusDaemon>>& ds,
                std::optional<sim::CrashpointRecorder>& rec, std::uint64_t& src_seq,
-               Recording& out) -> sim::Process {
+               Duration& gap, Recording& out) -> sim::Process {
     co_await c.register_model(m);
     auto& source = *ds[c.plan().shard_daemons[0].at(0)];
     auto& replica = *ds[c.plan().shard_daemons[0].at(1)];
@@ -809,6 +812,14 @@ ForwardRecording record_forward_workload() {
           while (r.persist_seq() == from) co_await e.sleep(1us);
           seen = s.persist_seq();
         }(eng, replica.device(), source.device(), start, src_seq));
+        // The source's commit, then the replica's first fence after it.
+        eng.spawn([](sim::Engine& e, core::PortusDaemon& s, pmem::PmemDevice& r,
+                     std::uint64_t from, Duration& out) -> sim::Process {
+          while (s.stats().checkpoints < 2) co_await e.sleep(1us);
+          const Time commit = e.now();
+          while (r.persist_seq() == from) co_await e.sleep(1us);
+          out = e.now() - commit;
+        }(eng, source, replica.device(), start, gap));
       }
       const auto ck = co_await c.checkpoint(k);
       out.golden[ck.epoch] = golden;
@@ -817,7 +828,7 @@ ForwardRecording record_forward_workload() {
     if (replica.stats().forwards != 2 || replica.stats().checkpoints != 0) {
       throw Error("the replica did not land both versions by forward");
     }
-  }(eng, client, model, daemons, recorder, source_seq, out.rec));
+  }(eng, client, model, daemons, recorder, source_seq, out.commit_to_first_fence, out.rec));
   eng.run();
   recorder->detach();
   out.rec.points = recorder->points();
@@ -833,6 +844,9 @@ TEST(CrashpointTest, ForwardBoundariesLeaveTheReplicaFsckClean) {
   const auto out = record_forward_workload();
   EXPECT_EQ(out.source_fences, 0u) << "the forward wrote the source";
   EXPECT_TRUE(out.source_clean);
+  // Armed: one control hop (the puller's answer) between its commit and
+  // the replica's first fence, not DONE -> FORWARD -> SLOT_QUERY -> reply.
+  EXPECT_LT(out.commit_to_first_fence, 2 * net::TcpSocket::kLatency);
   ASSERT_EQ(out.rec.golden.size(), 2u);
   EXPECT_GE(out.rec.points.size(), 40u) << "the forward recorded too few persist fences";
 

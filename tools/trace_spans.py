@@ -19,6 +19,14 @@ reweighted to the parent's per-track counts. A closed-loop workload can
 move how many spans each track lands, and with them the pooled median;
 the reweighted median holds the mix at the parent's, so it shows what the
 per-span latencies alone did to the pooled figure.
+
+    python3 tools/trace_spans.py --handoff CHANGE.json... --parent PARENT.json...
+
+--handoff measures replica landings instead: for each "forward <key>"
+span, the time from the end of the latest "checkpoint <key>" span on
+another track that ended by the forward's start (the puller's commit) to
+the forward's end (the copy's commit), per replica track and pooled, in
+the same tables.
 """
 
 import argparse
@@ -28,8 +36,8 @@ import sys
 
 
 def read_spans(path, prefix):
-    """(track name, start us, duration us) of every complete event ("X")
-    in one trace whose name starts with prefix. Tracks are named by their
+    """(track name, span name, start us, duration us) of every complete
+    event ("X") in one trace whose name starts with prefix. Tracks are named by their
     thread_name metadata, prefixed with the process name where there is
     one (zoo merges one process per model, each with its own portusd
     thread)."""
@@ -49,7 +57,7 @@ def read_spans(path, prefix):
             continue
         pid, tid = e.get("pid"), e.get("tid")
         track = processes.get(pid, "") + threads.get((pid, tid), f"tid {tid}")
-        out.append((track, e["ts"], e["dur"]))
+        out.append((track, e["name"], e["ts"], e["dur"]))
     return out
 
 
@@ -58,9 +66,27 @@ def load_spans(paths, prefix):
     with prefix, pooled across the traces in paths."""
     spans = {}
     for path in paths:
-        for track, _, dur in read_spans(path, prefix):
+        for track, _, _, dur in read_spans(path, prefix):
             spans.setdefault(track, []).append(dur / 1e3)
     return spans
+
+
+def load_handoffs(paths):
+    """{replica track: [ms]} from the puller's commit to each forward's
+    end: per "forward <key>" span, back to the end of the latest
+    "checkpoint <key>" span on another track of the same trace that ended
+    by the forward's start. A forward with no such pull is skipped."""
+    handoffs = {}
+    for path in paths:
+        pulls = {}
+        for track, name, ts, dur in read_spans(path, "checkpoint "):
+            pulls.setdefault(name[len("checkpoint "):], []).append((ts + dur, track))
+        for track, name, ts, dur in read_spans(path, "forward "):
+            ends = [end for end, puller in pulls.get(name[len("forward "):], ())
+                    if puller != track and end <= ts]
+            if ends:
+                handoffs.setdefault(track, []).append((ts + dur - max(ends)) / 1e3)
+    return handoffs
 
 
 def peak_open(intervals):
@@ -83,7 +109,7 @@ def load_peaks(paths, prefix):
     peaks = {}
     for path in paths:
         per_track = {}
-        for track, ts, dur in read_spans(path, prefix):
+        for track, _, ts, dur in read_spans(path, prefix):
             per_track.setdefault(track, []).append((ts, dur))
         for track, intervals in per_track.items():
             peaks[track] = max(peaks.get(track, 0), peak_open(intervals))
@@ -127,11 +153,15 @@ def pooled(spans):
 
 
 def print_table(title, spans, peaks, width):
+    """One row per track and a pooled row; peaks=None prints no peak."""
     print(title)
     print(f"  {'track':<{width}} {'count':>7} {'peak':>5} {'p50_ms':>10} {'p90_ms':>10} "
           f"{'max_ms':>10}")
     for track, values in sorted(spans.items()) + [("pooled", pooled(spans))]:
-        peak = peaks[track] if track in spans else max(peaks.values())
+        if peaks is None:
+            peak = "-"
+        else:
+            peak = peaks[track] if track in spans else max(peaks.values())
         print(f"  {track:<{width}} {len(values):>7} {peak:>5} {percentile(values, 50):>10.3f} "
               f"{percentile(values, 90):>10.3f} {max(values):>10.3f}")
 
@@ -143,25 +173,32 @@ def main(argv=None):
     ap.add_argument("--parent", nargs="+", metavar="TRACE",
                     help="the parent commit's traces to compare against")
     ap.add_argument("--prefix", default="ckpt#", help="span name prefix (default: ckpt#)")
+    ap.add_argument("--handoff", action="store_true",
+                    help="time from a puller's commit to each forward's end (see above)")
     a = ap.parse_args(argv)
 
-    change = load_spans(a.traces, a.prefix)
-    parent = load_spans(a.parent, a.prefix) if a.parent else None
-    change_peaks = load_peaks(a.traces, a.prefix)
+    if a.handoff:
+        what = "handoffs (puller commit -> forward end)"
+        change = load_handoffs(a.traces)
+        parent = load_handoffs(a.parent) if a.parent else None
+        change_peaks = parent_peaks = None
+    else:
+        what = f"spans {a.prefix}*"
+        change = load_spans(a.traces, a.prefix)
+        parent = load_spans(a.parent, a.prefix) if a.parent else None
+        change_peaks = load_peaks(a.traces, a.prefix)
+        parent_peaks = load_peaks(a.parent, a.prefix) if a.parent else None
     for label, spans in (("traces", change), ("parent traces", parent)):
         if spans == {}:
-            print(f"no span named {a.prefix}* in the {label}", file=sys.stderr)
+            print(f"no {what} in the {label}", file=sys.stderr)
             return 1
     width = max(len(t) for t in list(change) + list(parent or {}) + ["pooled"])
     if parent is None:
-        print_table(f"spans {a.prefix}* in {len(a.traces)} trace(s)", change, change_peaks,
-                    width)
+        print_table(f"{what} in {len(a.traces)} trace(s)", change, change_peaks, width)
         return 0
 
-    print_table(f"parent: spans {a.prefix}* in {len(a.parent)} trace(s)", parent,
-                load_peaks(a.parent, a.prefix), width)
-    print_table(f"change: spans {a.prefix}* in {len(a.traces)} trace(s)", change, change_peaks,
-                width)
+    print_table(f"parent: {what} in {len(a.parent)} trace(s)", parent, parent_peaks, width)
+    print_table(f"change: {what} in {len(a.traces)} trace(s)", change, change_peaks, width)
     print("median per track, parent -> change:")
     for track in sorted(set(parent) | set(change)):
         if track not in parent or track not in change:

@@ -45,6 +45,17 @@ def timed_trace(tracks):
     return {"traceEvents": events}
 
 
+def handoff_trace(spans):
+    """A Chrome trace of (track, span name, start us, duration us) spans,
+    one thread per track."""
+    tids = {track: tid for tid, track in enumerate(sorted({t for t, _, _, _ in spans}))}
+    events = [{"name": "thread_name", "ph": "M", "pid": 1, "tid": tid, "args": {"name": track}}
+              for track, tid in tids.items()]
+    events += [{"name": name, "ph": "X", "pid": 1, "tid": tids[track], "ts": ts, "dur": dur}
+               for track, name, ts, dur in spans]
+    return {"traceEvents": events}
+
+
 class TraceSpansTest(unittest.TestCase):
     def setUp(self):
         self.dir = tempfile.TemporaryDirectory()
@@ -124,6 +135,40 @@ class TraceSpansTest(unittest.TestCase):
             self.assertEqual(trace_spans.main([a, "--prefix", "checkpoint ", "--parent", parent]),
                              0)
         self.assertIn("per-track counts n/a (no track in both)", out.getvalue())
+
+    def test_handoff_runs_from_the_pullers_commit_to_the_forwards_end(self):
+        # portusd0 pulls a#s0 twice (commits at 100 and 600 us) and b#s0
+        # once; portusd1 lands each a#s0 version by forward. Its own pull of
+        # b#s0 and portusd0's later pull of a#s0 must not match.
+        change = os.path.join(self.dir.name, "c.json")
+        with open(change, "w") as f:
+            json.dump(handoff_trace([
+                ("portusd0", "checkpoint a#s0", 0, 100),
+                ("portusd0", "checkpoint a#s0", 400, 200),
+                ("portusd0", "checkpoint b#s0", 0, 50),
+                ("portusd1", "checkpoint b#s0", 0, 90),
+                ("portusd1", "forward a#s0", 125, 100),   # 225 - 100
+                ("portusd1", "forward a#s0", 625, 200),   # 825 - 600
+                ("portusd1", "forward c#s0", 700, 10),    # no pull of c#s0
+                ("portusd0", "checkpoint a#s0", 900, 10),
+            ]), f)
+        self.assertEqual(trace_spans.load_handoffs([change]), {"portusd1": [0.125, 0.225]})
+
+        parent = os.path.join(self.dir.name, "p.json")
+        with open(parent, "w") as f:
+            json.dump(handoff_trace([
+                ("portusd0", "checkpoint a#s0", 0, 100),
+                ("portusd1", "forward a#s0", 150, 175),   # 325 - 100
+            ]), f)
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            self.assertEqual(trace_spans.main([change, "--handoff", "--parent", parent]), 0)
+        text = out.getvalue()
+        self.assertIn("change: handoffs (puller commit -> forward end) in 1 trace(s)", text)
+        self.assertIn("portusd1      0.225 ->      0.125 ms (-44.4%)", text)
+        # --prefix plays no part in a handoff.
+        with contextlib.redirect_stdout(io.StringIO()):
+            self.assertEqual(trace_spans.main([parent, "--handoff", "--prefix", "nosuch#"]), 0)
 
 
 if __name__ == "__main__":
