@@ -11,11 +11,21 @@
 // The client NIC column is what the measured checkpoint moved over the
 // client's link: about the model's bytes at R=1 and R=2 alike, since a
 // replica lands its shard PMEM to PMEM from the shard's puller.
+//
+// The failover rows restore after a crash: on N = 3 and 4 daemons (R=2, 8
+// shards per job) four jobs, one per client GPU, checkpoint, portusd1
+// crashes, each job checkpoints once more without it, and all four restore
+// at once. Each restore wave spreads its shards' bytes over the live
+// copies, so the survivors split each job's shards evenly; the bench fails
+// if a job's survivors serve shard counts more than one apart.
+#include <algorithm>
 #include <cstdlib>
 #include <fstream>
+#include <map>
 
 #include "bench_common.h"
 #include "core/cluster/cluster_client.h"
+#include "sim/fault.h"
 
 using namespace portus;
 
@@ -30,22 +40,32 @@ struct Row {
   double gbps() const { return static_cast<double>(model_bytes) / 1e9 / to_seconds(ckpt); }
 };
 
+// Start default daemons portusd0..N-1 on pmem0..N-1 (kill targets of
+// `faults` when given) and list their endpoints in `ccfg`.
+std::vector<std::unique_ptr<core::PortusDaemon>> start_ring(
+    net::Cluster& cluster, core::QpRendezvous& rendezvous, int daemons,
+    core::cluster::ClusterClient::Config& ccfg, sim::FaultInjector* faults = nullptr) {
+  std::vector<std::unique_ptr<core::PortusDaemon>> ring;
+  for (int i = 0; i < daemons; ++i) {
+    core::PortusDaemon::Config cfg;
+    cfg.endpoint = strf("portusd{}", i);
+    cfg.faults = faults;
+    ring.push_back(std::make_unique<core::PortusDaemon>(
+        cluster, cluster.node(strf("pmem{}", i)), rendezvous, cfg));
+    ring.back()->start();
+    ccfg.endpoints.push_back(cfg.endpoint);
+  }
+  return ring;
+}
+
 Row measure(int daemons, int replicas) {
   Row row{.daemons = daemons, .replicas = replicas};
   sim::Engine engine;
   auto cluster = net::Cluster::sharded_testbed(engine, daemons);
   core::QpRendezvous rendezvous;
-  std::vector<std::unique_ptr<core::PortusDaemon>> ring;
   core::cluster::ClusterClient::Config ccfg;
   ccfg.replicas = replicas;
-  for (int i = 0; i < daemons; ++i) {
-    core::PortusDaemon::Config cfg;
-    cfg.endpoint = strf("portusd{}", i);
-    ring.push_back(std::make_unique<core::PortusDaemon>(
-        *cluster, cluster->node(strf("pmem{}", i)), rendezvous, cfg));
-    ring.back()->start();
-    ccfg.endpoints.push_back(cfg.endpoint);
-  }
+  const auto ring = start_ring(*cluster, rendezvous, daemons, ccfg);
 
   auto& volta = cluster->node("client-volta");
   dnn::ModelZoo::Options opt;
@@ -68,6 +88,93 @@ Row measure(int daemons, int replicas) {
   }(engine, client, model, volta.nic().link(), row));
   engine.run();
   proc.check();
+  engine.shutdown();
+  return row;
+}
+
+// One failover measurement: the four jobs' restores after portusd1 crashed.
+struct FailoverRow {
+  int daemons = 0;
+  std::vector<std::string> jobs;
+  std::vector<Duration> restore;  // per job, all started at once
+  // Per job: the shards each surviving daemon served, in ring order.
+  std::vector<std::vector<std::uint32_t>> served;
+  std::vector<std::string> survivors;
+
+  Duration slowest() const { return *std::max_element(restore.begin(), restore.end()); }
+  Duration median() const {
+    auto sorted = restore;
+    std::sort(sorted.begin(), sorted.end());
+    const auto n = sorted.size();
+    return (sorted[(n - 1) / 2] + sorted[n / 2]) / 2;
+  }
+};
+
+FailoverRow measure_failover(int daemons) {
+  FailoverRow row;
+  row.daemons = daemons;
+  sim::Engine engine;
+  auto cluster = net::Cluster::sharded_testbed(engine, daemons);
+  core::QpRendezvous rendezvous;
+  sim::FaultInjector faults{engine};
+  core::cluster::ClusterClient::Config ccfg;
+  ccfg.replicas = 2;
+  ccfg.shard_count = 8;
+  const auto ring = start_ring(*cluster, rendezvous, daemons, ccfg, &faults);
+  for (const auto& ep : ccfg.endpoints) {
+    if (ep != "portusd1") row.survivors.push_back(ep);
+  }
+
+  auto& volta = cluster->node("client-volta");
+  std::vector<dnn::Model> models;
+  std::vector<std::unique_ptr<core::cluster::ClusterClient>> clients;
+  for (const char* name : {"resnet50", "swin_b", "vgg19_bn", "bert"}) {
+    auto& gpu = volta.gpu(models.size());
+    dnn::ModelZoo::Options opt;
+    opt.scale = 0.005;
+    models.push_back(dnn::ModelZoo::create(gpu, name, opt));
+    clients.push_back(std::make_unique<core::cluster::ClusterClient>(*cluster, volta, gpu,
+                                                                     rendezvous, ccfg));
+    row.jobs.push_back(name);
+  }
+  row.restore.resize(models.size());
+
+  const auto all = [&](auto op) {
+    std::vector<sim::Process> procs;
+    for (std::size_t j = 0; j < models.size(); ++j) {
+      procs.push_back(engine.spawn(op(engine, *clients[j], models[j], row.restore[j])));
+    }
+    engine.run();
+    for (auto& p : procs) p.check();
+  };
+  using core::cluster::ClusterClient;
+  all([](sim::Engine&, ClusterClient& c, dnn::Model& m, Duration&) -> sim::Process {
+    co_await c.register_model(m);
+    co_await c.checkpoint(1);
+  });
+  faults.kill_now("portusd1");
+  // The jobs find portusd1 gone on their next checkpoint, as a training
+  // loop would before it restores.
+  all([](sim::Engine&, ClusterClient& c, dnn::Model& m, Duration&) -> sim::Process {
+    m.mutate_weights(2);
+    co_await c.checkpoint(2);
+  });
+  all([](sim::Engine& eng, ClusterClient& c, dnn::Model& m, Duration& took) -> sim::Process {
+    m.mutate_weights(3);
+    const Time t0 = eng.now();
+    co_await c.restore();
+    took = eng.now() - t0;
+  });
+
+  for (const auto& c : clients) {
+    std::map<std::string, std::uint32_t> by_daemon;
+    for (std::size_t i = 0; i < c->lane_count(); ++i) {
+      by_daemon[c->lane_client(i).endpoint()] +=
+          static_cast<std::uint32_t>(c->lane_client(i).stats().restores);
+    }
+    auto& served = row.served.emplace_back();
+    for (const auto& ep : row.survivors) served.push_back(by_daemon[ep]);
+  }
   engine.shutdown();
   return row;
 }
@@ -95,6 +202,22 @@ int main() {
   for (const auto& row : striped) print_row(row);
   for (const auto& row : replicated) print_row(row);
 
+  std::vector<FailoverRow> failover;
+  for (const int n : {3, 4}) failover.push_back(measure_failover(n));
+  std::cout << "\nrestore after portusd1 crashes (R=2, 8 shards, 4 jobs restoring at once)\n";
+  std::cout << strf("{:>8}{:>12}{:>12}   shards each survivor served\n", "daemons", "slowest",
+                    "median");
+  for (const auto& row : failover) {
+    std::string split;
+    for (std::size_t j = 0; j < row.jobs.size(); ++j) {
+      std::string counts;
+      for (const auto n : row.served[j]) counts += (counts.empty() ? "" : "/") + strf("{}", n);
+      split += strf("  {} {}", row.jobs[j], counts);
+    }
+    std::cout << strf("{:>8}{:>12}{:>12} {}\n", row.daemons, format_duration(row.slowest()),
+                      format_duration(row.median()), split);
+  }
+
   const auto json_path = bench::results_path("BENCH_cluster.json");
   std::ofstream json{json_path, std::ios::trunc};
   json << "{\n  \"bench\": \"cluster_scaling\",\n  \"model\": \"resnet50\",\n"
@@ -111,6 +234,22 @@ int main() {
         "\"checkpoint_ns\": {}, \"throughput_gbps\": {:.4f}, \"client_nic_bytes\": {}}}{}\n",
         row.daemons, row.replicas, row.model_bytes, row.ckpt.count(), row.gbps(),
         row.client_nic_bytes, i + 1 < all.size() ? "," : "");
+  }
+  json << "  ],\n  \"failover\": [\n";
+  for (std::size_t i = 0; i < failover.size(); ++i) {
+    const auto& row = failover[i];
+    json << strf("    {{\"daemons\": {}, \"replicas\": 2, \"shards\": 8, \"scale\": 0.005, "
+                 "\"slowest_restore_ns\": {}, \"median_restore_ns\": {}, \"jobs\": [",
+                 row.daemons, row.slowest().count(), row.median().count());
+    for (std::size_t j = 0; j < row.jobs.size(); ++j) {
+      std::string served;
+      for (std::size_t k = 0; k < row.survivors.size(); ++k) {
+        served += strf("{}\"{}\": {}", k == 0 ? "" : ", ", row.survivors[k], row.served[j][k]);
+      }
+      json << strf("{}{{\"model\": \"{}\", \"restore_ns\": {}, \"served\": {{{}}}}}",
+                   j == 0 ? "" : ", ", row.jobs[j], row.restore[j].count(), served);
+    }
+    json << strf("]}}{}\n", i + 1 < failover.size() ? "," : "");
   }
   json << "  ]\n}\n";
   json.close();
@@ -133,6 +272,16 @@ int main() {
       std::cerr << "FAIL: R=2 on " << row.daemons
                 << " daemons should cost more than R=1 (writes every shard twice)\n";
       rc = 1;
+    }
+  }
+  for (const auto& row : failover) {
+    for (std::size_t j = 0; j < row.jobs.size(); ++j) {
+      const auto [lo, hi] = std::minmax_element(row.served[j].begin(), row.served[j].end());
+      if (*hi - *lo > 1) {
+        std::cerr << "FAIL: " << row.jobs[j] << " on " << row.daemons
+                  << " daemons: survivors' shard counts differ by more than one\n";
+        rc = 1;
+      }
     }
   }
   if (rc == 0) std::cout << "cluster scaling acceptance checks passed\n";

@@ -95,6 +95,30 @@ sim::SubTask<> ClusterClient::epoch_backoff(int attempt) {
   co_await cluster_.engine().sleep(wait);
 }
 
+bool ClusterClient::membership_moved() const {
+  return config_.membership != nullptr &&
+         config_.membership->membership().epoch != membership_epoch_;
+}
+
+sim::SubTask<> ClusterClient::follow_membership() {
+  // A resize installs its epoch on the source and pushes it to the daemons
+  // in one step, so a bump the source shows is one every daemon enforces:
+  // following it before the round costs no EpochMismatch and no backoff.
+  if (!membership_moved()) co_return;
+  ++stats_.epoch_reresolutions;
+  co_await resolve_placement();
+}
+
+sim::SubTask<> ClusterClient::after_epoch_mismatch(int attempt) {
+  // A source that shows another epoch already is followed at the top of
+  // the next round, at once. One that still shows ours is behind the
+  // daemon that bounced us: wait for it before asking again.
+  if (membership_moved()) co_return;
+  ++stats_.epoch_reresolutions;
+  co_await epoch_backoff(attempt);
+  co_await resolve_placement();
+}
+
 sim::Process ClusterClient::register_copy(std::size_t copy_id, bool* stale) {
   const Copy& copy = copies_[copy_id];
   Channel& ch = channel_of(copy);
@@ -440,6 +464,7 @@ sim::SubTask<ClusterClient::CheckpointResult> ClusterClient::checkpoint(
     std::uint64_t iteration) {
   PORTUS_CHECK(registered_, "register_model before checkpoint");
   for (int attempt = 0;; ++attempt) {
+    co_await follow_membership();
     Round round;
     round.iteration = iteration;
     const CheckpointResult result = co_await checkpoint_round(round);
@@ -447,9 +472,7 @@ sim::SubTask<ClusterClient::CheckpointResult> ClusterClient::checkpoint(
     PORTUS_CHECK(attempt < kMaxEpochRetries,
                  strf("checkpoint of {} cannot settle: membership kept moving",
                       model_name_));
-    ++stats_.epoch_reresolutions;
-    co_await epoch_backoff(attempt);
-    co_await resolve_placement();
+    co_await after_epoch_mismatch(attempt);
   }
 }
 
@@ -494,6 +517,12 @@ sim::SubTask<ClusterClient::RestoreResult> ClusterClient::restore_round(bool* st
     target[c.shard] = std::max(target[c.shard], c.epoch);
   }
 
+  // A shard's bytes are its tensors' sizes: what its restore pushes.
+  std::vector<Bytes> shard_bytes(shard_count, 0);
+  for (std::uint32_t s = 0; s < shard_count; ++s) {
+    for (const auto t : plan_.shard_tensors[s]) shard_bytes[s] += tensor_sizes_[t];
+  }
+
   std::vector<bool> done(shard_count, false);
   std::vector<bool> tried(copies_.size(), false);
   bool degraded = false;
@@ -501,27 +530,49 @@ sim::SubTask<ClusterClient::RestoreResult> ClusterClient::restore_round(bool* st
   std::uint64_t max_epoch = 0;
 
   while (true) {
-    // Assign every unrestored shard its next untried live copy, in manifest
-    // (primary-first) order.
-    std::vector<RestoreJob> jobs;
-    std::vector<std::uint32_t> job_shard;
+    // Each unrestored shard's live untried copies, in manifest order.
+    std::vector<std::vector<std::size_t>> options(shard_count);
+    for (std::size_t id = 0; id < copies_.size(); ++id) {
+      if (!tried[id] && live(copies_[id])) options[copies_[id].shard].push_back(id);
+    }
+    std::vector<std::uint32_t> order;
     for (std::uint32_t s = 0; s < shard_count; ++s) {
       if (done[s] || plan_.shard_tensors[s].empty()) continue;
-      std::optional<std::size_t> pick;
-      for (std::size_t id = 0; id < copies_.size(); ++id) {
-        const auto& c = copies_[id];
-        if (c.shard != s || tried[id] || !live(c)) continue;
-        if (!pick.has_value() || c.replica < copies_[*pick].replica) pick = id;
-      }
-      if (!pick.has_value()) {
+      if (options[s].empty()) {
         throw NotFound(strf("no live copy of shard {} of {} at epoch >= {}", s, model_name_,
                             target[s]));
       }
-      tried[*pick] = true;
-      jobs.push_back(RestoreJob{.copy_id = *pick,
+      order.push_back(s);
+    }
+
+    // Assign the wave by load: the shards with the fewest choices choose
+    // first, and each takes the copy whose lane carries the fewest of this
+    // wave's bytes so far (ties to manifest order). A restore then waits on
+    // the evenest split of its bytes over the live daemons, not on whichever
+    // daemon a dead member's primaries fall through to.
+    std::stable_sort(order.begin(), order.end(), [&](std::uint32_t a, std::uint32_t b) {
+      return options[a].size() < options[b].size();
+    });
+    std::vector<Bytes> load(lanes_.size(), 0);
+    const auto lane_load = [&](std::size_t id) -> Bytes& {
+      return load[channel_of(copies_[id]).lane];
+    };
+    std::vector<RestoreJob> jobs;
+    std::vector<std::uint32_t> job_shard;
+    for (const auto s : order) {
+      std::size_t pick = options[s].front();
+      for (const auto id : options[s]) {
+        if (lane_load(id) < lane_load(pick)) pick = id;
+      }
+      tried[pick] = true;
+      lane_load(pick) += shard_bytes[s];
+      // Re-routed: the primary copy (first in manifest order while it is
+      // an option) is down or already tried. A replica chosen for balance
+      // is not a reroute.
+      jobs.push_back(RestoreJob{.copy_id = pick,
                                 .required_epoch = target[s],
                                 .done = false,
-                                .rerouted = copies_[*pick].replica != 0});
+                                .rerouted = copies_[options[s].front()].replica != 0});
       job_shard.push_back(s);
     }
     if (jobs.empty()) break;
@@ -560,14 +611,13 @@ sim::SubTask<ClusterClient::RestoreResult> ClusterClient::restore_round(bool* st
 sim::SubTask<ClusterClient::RestoreResult> ClusterClient::restore() {
   PORTUS_CHECK(registered_, "register_model before restore");
   for (int attempt = 0;; ++attempt) {
+    co_await follow_membership();
     bool stale = false;
     const RestoreResult result = co_await restore_round(&stale);
     if (!stale) co_return result;
     PORTUS_CHECK(attempt < kMaxEpochRetries,
                  strf("restore of {} cannot settle: membership kept moving", model_name_));
-    ++stats_.epoch_reresolutions;
-    co_await epoch_backoff(attempt);
-    co_await resolve_placement();
+    co_await after_epoch_mismatch(attempt);
   }
 }
 

@@ -39,22 +39,33 @@
 //   - checkpoint: succeeds as long as every shard commits on >= 1 copy;
 //     the result is flagged degraded and the lost copies simply stop
 //     advancing their epochs.
-//   - restore: shards whose primary lane is gone (or holds a stale epoch —
-//     the daemon refuses a required_epoch it cannot meet) are re-routed to
-//     replica copies, in manifest order, until every shard is back.
-//     Completes with degraded=true; throws only when some shard has no
-//     live copy at the required epoch left at all.
+//   - restore: runs in waves. Each wave gives every shard not yet back one
+//     live copy it has not tried: the shards with the fewest such copies
+//     choose first, and each takes the copy whose daemon carries the fewest
+//     of the wave's bytes so far (ties to manifest order). So a dead
+//     daemon's primaries spread over the survivors instead of all falling
+//     on their replicas' daemons. A copy that fails or refuses (its daemon
+//     cannot meet the required_epoch floor) sends its shard to the next
+//     wave. A shard is re-routed when its primary copy was down or already
+//     tried; a replica chosen for balance is not. The restore is degraded
+//     when a shard was re-routed or needed a second wave, and throws only
+//     when some shard has no live copy at the required epoch left at all.
 //
 // Elastic mode (Config::membership set): the daemon set is no longer
 // static. The client snapshots the authoritative Membership, places the
 // model's fixed shard_count shards over the ACTIVE members, and stamps
-// every request with the membership epoch. When the cluster resizes
-// mid-op, a daemon answers EpochMismatch; the client then refetches the
-// membership, recomputes placement, revives lanes or opens channels as
-// needed, re-registers the moved copies, and retries the whole round —
-// backing off through the same jittered-exponential helper as every other
-// retry path (common/backoff.h). A resize under load therefore costs
-// retries, never failed ops.
+// every request with the membership epoch. A resize installs its epoch on
+// the membership source and on every daemon in one step, so before each
+// round the client checks the source: when it shows another epoch, the
+// client refetches the membership, recomputes placement, revives lanes or
+// opens channels as needed and re-registers the moved copies, and no
+// daemon bounces the round. A resize that lands mid-round makes a daemon
+// answer EpochMismatch; the round is void and replays after the same
+// re-resolve. Only a bounce the source does not explain yet (it still
+// shows the client's epoch) backs off first, through the same
+// jittered-exponential helper as every other retry path
+// (common/backoff.h). A resize under load therefore costs retries, never
+// failed ops.
 #pragma once
 
 #include <map>
@@ -101,9 +112,10 @@ class ClusterClient {
     // that join later.
     std::uint32_t shard_count = 0;
     // Authoritative membership (the ElasticCluster controller). When set,
-    // every request carries the membership epoch, and an EpochMismatch
-    // answer triggers placement re-resolution against the current members
-    // (up to 8 times per op, each backing off).
+    // every request carries the membership epoch, and placement re-resolves
+    // against the current members before any round the source shows a new
+    // epoch for, and after an EpochMismatch answer (up to 8 times per op,
+    // backing off only while the source still shows the client's epoch).
     MembershipSource* membership = nullptr;
   };
 
@@ -114,7 +126,9 @@ class ClusterClient {
 
   struct RestoreResult {
     std::uint64_t epoch = 0;
-    bool degraded = false;          // at least one shard came from a non-primary copy
+    bool degraded = false;  // a shard was re-routed or needed a second wave
+    // Shards whose primary copy was down or already tried when their
+    // serving copy was picked (a replica picked for balance is not one).
     std::uint32_t rerouted_shards = 0;
   };
 
@@ -127,7 +141,7 @@ class ClusterClient {
     std::uint64_t lane_failures = 0;  // lanes marked down (crash or timeout)
     std::uint64_t last_epoch = 0;
     // --- elasticity ---
-    std::uint64_t epoch_reresolutions = 0;  // placements refetched after EpochMismatch
+    std::uint64_t epoch_reresolutions = 0;  // placements refetched for a membership bump
     std::uint64_t lane_revivals = 0;        // down lanes brought back by a re-resolve
   };
 
@@ -144,20 +158,21 @@ class ClusterClient {
   // Checkpoint every shard at once: one GPU pull per shard, with armed
   // forwards to its other copies (see above). Returns the round's
   // committed epoch (the newest any copy committed). Throws if any shard
-  // committed on zero copies. In elastic mode an EpochMismatch answer
-  // retries the whole round after re-resolving placement.
+  // committed on zero copies. In elastic mode a round follows a membership
+  // bump first, and an EpochMismatch answer retries the whole round after
+  // re-resolving placement.
   sim::SubTask<CheckpointResult> checkpoint(std::uint64_t iteration = 0);
 
-  // Restore every shard, re-routing to replicas as needed (see above).
+  // Restore every shard in load-balanced waves (see above).
   sim::SubTask<RestoreResult> restore();
 
   // Re-resolve placement against the current membership (or the static
   // endpoint list) right now: recompute the plan, revive down lanes whose
   // member is ACTIVE again (a fresh PortusClient for each of the lane's
   // channels — a restarted daemon has no memory of the old sessions), and
-  // re-register missing copies. The ops call this themselves on
-  // EpochMismatch; call it directly after manually restarting a daemon in
-  // a static ring.
+  // re-register missing copies. The ops call this themselves on a
+  // membership bump; call it directly after manually restarting a daemon
+  // in a static ring.
   sim::SubTask<> refresh_placement();
 
   const Placement::Plan& plan() const { return plan_; }
@@ -245,6 +260,14 @@ class ClusterClient {
   void mark_lane_down(Lane& lane);
   void revive_lane(std::size_t lane);
   sim::SubTask<> epoch_backoff(int attempt);
+  // Whether the membership source shows an epoch other than the one the
+  // current placement was computed for.
+  bool membership_moved() const;
+  // Before a round: re-resolve if the membership moved.
+  sim::SubTask<> follow_membership();
+  // After an EpochMismatch voided a round: back off and re-resolve only
+  // while the source still shows this client's epoch.
+  sim::SubTask<> after_epoch_mismatch(int attempt);
 
   net::Cluster& cluster_;
   net::Node& node_;

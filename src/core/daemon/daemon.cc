@@ -611,6 +611,11 @@ sim::SubTask<RestoreDoneMsg> PortusDaemon::handle_restore(RestoreReqMsg msg) {
   done.model_name = msg.model_name;
   if (reject_stale_epoch(msg.membership_epoch, done)) co_return done;
 
+  // A landing writes any slot but the newest DONE one, so once one commits
+  // mid-restore, the next would rewrite the slot this restore pushes. Under
+  // the key's landing lock the restore serves whichever version is newest
+  // when it gets the lock, whole.
+  const auto landing = co_await landing_lock(msg.model_name).lock();
   const auto permit = co_await workers_->permit();
   auto trace_span = config_.tracer != nullptr
                         ? config_.tracer->span("restore " + msg.model_name, config_.endpoint)

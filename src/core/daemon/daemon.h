@@ -12,12 +12,12 @@
 //   [AllocTable  @ 64 KiB, capacity x 24 B]
 //   [heap        @ 1 MiB ... device end)   (MIndex records + TensorData)
 //
-// Every op runs one skeleton: the membership-epoch gate, (checkpoints
-// only) an admission ticket, an RAII worker permit, then the body. Every
-// byte the daemon moves goes through one planner and one runner:
-// plan_transfer (core/daemon/pipeline.h) turns the slot's extent plan into
-// a chunk list, and transfer() drives it through PipelinedTransfer and
-// merges the counters into Stats.
+// Every op runs one skeleton: the membership-epoch gate, (checkpoints and
+// forwards) an admission ticket, the key's landing lock, an RAII worker
+// permit, then the body. Every byte the daemon moves goes through one
+// planner and one runner: plan_transfer (core/daemon/pipeline.h) turns the
+// slot's extent plan into a chunk list, and transfer() drives it through
+// PipelinedTransfer and merges the counters into Stats.
 //   Checkpoint = CheckpointTxn::begin (ACTIVE persisted) -> pipelined
 //   one-sided RDMA READs (chunked tensors, bounded window, optional QP
 //   stripes) from client GPU memory into the slot's TensorData, each chunk
@@ -25,7 +25,10 @@
 //   PMEM-locally from the previous DONE slot) -> final persist -> CRC
 //   block -> commit (DONE + epoch persisted) -> notify client over TCP.
 //   Restore = CRC scrub of the newest DONE slot, then the same runner
-//   pushing one-sided RDMA WRITEs into the client's GPU buffers.
+//   pushing one-sided RDMA WRITEs into the client's GPU buffers, under the
+//   key's landing lock: a landing may rewrite any slot but the newest DONE
+//   one, so a restore that overlapped two landings would push a slot being
+//   rewritten.
 //   Forward = a copy lands the version another daemon committed: SLOT_QUERY
 //   to the source over a control socket of this daemon's own, then the
 //   same runner pulling the source's whole slot as one range with
@@ -38,7 +41,8 @@
 //   replica queries first, holding nothing but its link to the source, and
 //   the source answers the moment that round's checkpoint ends. Only then
 //   does the replica take its ticket, landing lock and permit.
-// A key's registrations, checkpoints and forwards run one at a time.
+// A key's registrations, checkpoints, forwards and restores run one at a
+// time.
 #pragma once
 
 #include <map>
@@ -218,8 +222,8 @@ class PortusDaemon {
   // migration in-process. It needs the key's stored index, not a session.
   sim::SubTask<CheckpointDoneMsg> handle_forward(ForwardReqMsg msg);
 
-  // Whether a registration, checkpoint or forward of `key` holds its
-  // landing lock right now (the repacker leaves such a copy alone).
+  // Whether a registration, checkpoint, forward or restore of `key` holds
+  // its landing lock right now (the repacker leaves such a copy alone).
   bool landing(const std::string& key) const;
 
   // Live (registered this run) MIndex for a model, if any.
@@ -319,7 +323,8 @@ class PortusDaemon {
   // The region of `index`'s slot, registered on first use. A phantom twin
   // moves time but no bytes: what a forward of a phantom model reads.
   const rdma::MemoryRegion& slot_region(const MIndex& index, int slot, bool phantom = false);
-  // Held by a registration, checkpoint or forward of `key` around its permit.
+  // Held by a registration, checkpoint, forward or restore of `key` around
+  // its permit.
   sim::SimMutex& landing_lock(const std::string& key);
   // Held by a forward over the link to (source, key) for its slot-query
   // exchange, so one link carries one exchange at a time. Taken before

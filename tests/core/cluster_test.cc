@@ -228,19 +228,18 @@ struct ClusterRig {
   }
 };
 
-// The spans whose name starts with `prefix`, per trace track, as
-// [begin, end) in virtual ns, read back from the tracer's Chrome JSON (which
-// prints us to the ns; whole ns keep back-to-back spans from overlapping by
-// a rounding error).
-using TrackSpans = std::map<std::string, std::vector<std::pair<std::int64_t, std::int64_t>>>;
-TrackSpans spans_by_track(const sim::Tracer& tracer, const std::string& prefix) {
+// Call `visit(track, name, begin, end)` for every span whose name starts
+// with `prefix`, with [begin, end) in virtual ns, read back from the
+// tracer's Chrome JSON (which prints us to the ns; whole ns keep
+// back-to-back spans from overlapping by a rounding error).
+template <typename Visit>
+void for_each_span(const sim::Tracer& tracer, const std::string& prefix, Visit visit) {
   std::ostringstream json;
   tracer.write_chrome_json(json);
   const std::regex track_name{R"re("tid":(\d+),"args":\{"name":"([^"]*)"\})re"};
   const std::regex span{
       R"re("name":"([^"]*)","ph":"X","pid":1,"tid":(\d+),"ts":([0-9.]+),"dur":([0-9.]+))re"};
   std::map<std::string, std::string> track_of_tid;
-  TrackSpans out;
   std::istringstream lines{json.str()};
   for (std::string line; std::getline(lines, line);) {
     std::smatch m;
@@ -248,9 +247,18 @@ TrackSpans spans_by_track(const sim::Tracer& tracer, const std::string& prefix) 
       track_of_tid[m[1]] = m[2];
     } else if (std::regex_search(line, m, span) && m[1].str().starts_with(prefix)) {
       const std::int64_t begin = std::llround(std::stod(m[3]) * 1e3);
-      out[track_of_tid.at(m[2])].emplace_back(begin, begin + std::llround(std::stod(m[4]) * 1e3));
+      visit(track_of_tid.at(m[2]), m[1].str(), begin, begin + std::llround(std::stod(m[4]) * 1e3));
     }
   }
+}
+
+// The spans whose name starts with `prefix`, per trace track.
+using TrackSpans = std::map<std::string, std::vector<std::pair<std::int64_t, std::int64_t>>>;
+TrackSpans spans_by_track(const sim::Tracer& tracer, const std::string& prefix) {
+  TrackSpans out;
+  for_each_span(tracer, prefix,
+                [&](const std::string& track, const std::string&, std::int64_t begin,
+                    std::int64_t end) { out[track].emplace_back(begin, end); });
   return out;
 }
 
@@ -521,8 +529,9 @@ TEST(ClusterTest, EveryShardCopyRegistersOneRegion) {
   EXPECT_EQ(before.size(), 16u);
   EXPECT_EQ(regions(), before.size());
 
-  // The first checkpoint after the join hits EpochMismatch, re-resolves,
-  // and registers the copies that moved, one region each.
+  // The first checkpoint after the join sees the bump on the membership
+  // source, re-resolves, and registers the copies that moved, one region
+  // each.
   auto resize = r.eng.spawn([](ElasticCluster& e, PortusDaemon& joiner, ClusterClient& c,
                                dnn::Model& m) -> sim::Process {
     co_await e.join("portusd3", joiner);
@@ -1155,6 +1164,79 @@ TEST(ClusterTest, ConcurrentForwardsOfOneVersionLandItOnce) {
   EXPECT_EQ(f.r.eng.failed_process_count(), 0);
 }
 
+// A restore serves one version whole. A landing may rewrite any slot but
+// the newest DONE one, so once one landing commits during a restore, the
+// next one rewrites the slot the restore is still pushing. The restore
+// holds the key's landing lock instead, and serves whichever version is
+// newest when it gets it: here epoch 2, landing when the restore arrived.
+TEST(ClusterTest, RestoreDuringTwoLandingsServesOneVersionWhole) {
+  ClusterRig r{2};
+  auto& volta = r.cluster->node("client-volta");
+  // Many small tensors: the restore's WRITEs outlast two whole-slot READs.
+  dnn::ModelSpec spec;
+  spec.name = "many-small";
+  spec.layers = 2000;
+  spec.checkpoint_bytes = 16_MiB;
+  dnn::ModelZoo::Options opt;
+  opt.force_real = true;
+  auto model = dnn::ModelZoo::create_from_spec(volta.gpu(0), spec, opt);
+  auto cfg = r.client_config(2);
+  cfg.shard_count = 1;
+  ClusterClient client{*r.cluster, volta, volta.gpu(0), r.rendezvous, cfg};
+  auto setup = r.eng.spawn([](ClusterClient& c, dnn::Model& m) -> sim::Process {
+    co_await c.register_model(m);
+    co_await c.checkpoint(1);
+  }(client, model));
+  r.eng.run();
+  setup.check();
+  const std::string key = shard_key(spec.name, 0);
+  auto& puller = *r.daemons[client.plan().shard_daemons[0].at(0)];
+  auto& replica = *r.daemons[client.plan().shard_daemons[0].at(1)];
+  const auto channel = [&](PortusDaemon& d) -> PortusClient& {
+    std::size_t i = 0;
+    while (client.lane_client(i).endpoint() != d.config().endpoint) ++i;
+    return client.lane_client(i);
+  };
+
+  std::map<std::uint64_t, std::uint32_t> golden;  // weights CRC per epoch
+  std::uint64_t served = 0;
+  auto proc = r.eng.spawn([](sim::Engine& eng, PortusClient& pull, PortusClient& restore,
+                             PortusDaemon& rep, dnn::Model& m, const std::string& k,
+                             std::map<std::uint64_t, std::uint32_t>& crcs,
+                             std::uint64_t& epoch) -> sim::Process {
+    // The puller moves on to epochs 2 and 3 alone.
+    for (const std::uint64_t e : {2, 3}) {
+      m.mutate_weights(e);
+      crcs[e] = m.weights_crc();
+      EXPECT_EQ(co_await pull.checkpoint_named(k, e), e);
+    }
+    m.mutate_weights(99);
+    // The replica lands them one after the other while it restores.
+    auto landings = eng.spawn([](PortusDaemon& d, std::string source,
+                                 std::string key) -> sim::Process {
+      for (const std::uint64_t e : {2, 3}) {
+        ForwardReqMsg req;
+        req.model_name = key;
+        req.source = source;
+        req.source_epoch = e;
+        const auto done = co_await d.handle_forward(std::move(req));
+        EXPECT_TRUE(done.ok) << done.error;
+        EXPECT_EQ(done.epoch, e);
+      }
+    }(rep, pull.endpoint(), k));
+    epoch = co_await restore.restore_named(k, 1);
+    co_await landings.join();
+  }(r.eng, channel(puller), channel(replica), replica, model, key, golden, served));
+  r.eng.run();
+  proc.check();
+  EXPECT_EQ(served, 2u);
+  EXPECT_EQ(model.weights_crc(), golden.at(2)) << "the restore pushed a slot being rewritten";
+  EXPECT_EQ(newest_done(replica, key), newest_done(puller, key));
+  EXPECT_EQ(newest_done(replica, key).first, 3u);
+  EXPECT_EQ(replica.stats().failed_ops, 0u);
+  EXPECT_EQ(r.eng.failed_process_count(), 0);
+}
+
 // A carried epoch must be new on the replica: one already at or past it
 // refuses the forward and pulls instead. Its version then lands on the
 // puller once, so the next round's forward is accepted again.
@@ -1469,6 +1551,168 @@ TEST(ClusterTest, CrashWithCopiesInFlightDownsTheLaneOnce) {
   EXPECT_EQ(placed_on_1, 8u);
   EXPECT_EQ(r.daemons[1]->stats().shard_registrations, placed_on_1);
   EXPECT_EQ(r.eng.failed_process_count(), 0);
+}
+
+// ---------------------------------------------------------------------------
+// Restore waves: each wave spreads its shards' bytes over the live copies.
+
+// The shard ids of `model`'s "restore " spans, per daemon track: the shards
+// each daemon was sent, served or refused.
+std::map<std::string, std::vector<std::uint32_t>> restores_by_daemon(const sim::Tracer& tracer,
+                                                                     const std::string& model) {
+  const std::string prefix = "restore " + model + "#s";
+  std::map<std::string, std::vector<std::uint32_t>> out;
+  for_each_span(tracer, prefix,
+                [&](const std::string& track, const std::string& name, std::int64_t,
+                    std::int64_t) {
+                  out[track].push_back(
+                      static_cast<std::uint32_t>(std::stoul(name.substr(prefix.size()))));
+                });
+  return out;
+}
+
+// How many non-empty shards have their primary copy at ring `position`.
+std::uint32_t primaries_on(const Placement::Plan& plan, std::uint32_t position) {
+  std::uint32_t n = 0;
+  for (std::uint32_t s = 0; s < plan.shard_count; ++s) {
+    if (!plan.shard_tensors[s].empty() && plan.shard_daemons[s].at(0) == position) ++n;
+  }
+  return n;
+}
+
+// resnet50 cut into 8 shards, 2 copies each, on 3 daemons: each daemon
+// holds some shards' primaries and others' replicas.
+struct WaveRig {
+  ClusterRig r{3};
+  net::Node& volta = r.cluster->node("client-volta");
+  dnn::Model model = ForwardRig::make_model(volta);
+  ClusterClient client{*r.cluster, volta, volta.gpu(0), r.rendezvous, config(r)};
+
+  static ClusterClient::Config config(ClusterRig& rig) {
+    auto cfg = rig.client_config(2);
+    cfg.shard_count = 8;
+    return cfg;
+  }
+  // Restart the daemon at position `i` over its PMEM.
+  void restart(int i) {
+    r.daemons[i].reset();
+    r.daemons[i] = std::make_unique<PortusDaemon>(*r.cluster, r.cluster->node(strf("pmem{}", i)),
+                                                  r.rendezvous, r.daemon_config(i));
+    r.daemons[i]->recover();
+    r.daemons[i]->start();
+  }
+};
+
+// After a crash the dead daemon's primaries do not all fall through to the
+// daemons of their replicas: the wave splits the shards over both
+// survivors. Every shard whose primary died still counts as re-routed.
+TEST(ClusterTest, RestoreAfterACrashSplitsTheShardsOverTheSurvivors) {
+  WaveRig w;
+  std::uint32_t want = 0;
+  auto proc = w.r.eng.spawn([](ClusterRig& rig, ClusterClient& c, dnn::Model& m,
+                               std::uint32_t& crc) -> sim::Process {
+    co_await c.register_model(m);
+    co_await c.checkpoint(1);
+    rig.faults.kill_now("portusd1");
+    m.mutate_weights(2);
+    const auto ck = co_await c.checkpoint(2);
+    EXPECT_TRUE(ck.degraded);
+    crc = m.weights_crc();
+    m.mutate_weights(3);
+    const auto rr = co_await c.restore();
+    EXPECT_EQ(rr.epoch, 2u);
+    EXPECT_TRUE(rr.degraded);
+    EXPECT_GT(primaries_on(c.plan(), 1), 0u);
+    EXPECT_EQ(rr.rerouted_shards, primaries_on(c.plan(), 1));
+  }(w.r, w.client, w.model, want));
+  w.r.eng.run();
+  proc.check();
+  EXPECT_EQ(w.model.weights_crc(), want);
+  EXPECT_EQ(w.r.daemons[0]->stats().restores, 4u);
+  EXPECT_EQ(w.r.daemons[2]->stats().restores, 4u);
+  EXPECT_EQ(w.r.eng.failed_process_count(), 0);
+}
+
+// On a healthy ring the wave serves some shards from a replica to even out
+// the daemons' bytes. That is not a reroute: the restore is not degraded.
+TEST(ClusterTest, BalancedRestoreOfAHealthyRingIsNotDegraded) {
+  WaveRig w;
+  std::uint32_t want = 0;
+  auto proc = w.r.eng.spawn([](ClusterClient& c, dnn::Model& m,
+                               std::uint32_t& crc) -> sim::Process {
+    co_await c.register_model(m);
+    co_await c.checkpoint(1);
+    crc = m.weights_crc();
+    m.mutate_weights(2);
+    const auto rr = co_await c.restore();
+    EXPECT_EQ(rr.epoch, 1u);
+    EXPECT_FALSE(rr.degraded);
+    EXPECT_EQ(rr.rerouted_shards, 0u);
+  }(w.client, w.model, want));
+  w.r.eng.run();
+  proc.check();
+  EXPECT_EQ(w.model.weights_crc(), want);
+  std::uint32_t from_replicas = 0;
+  for (const auto& [track, shards] : restores_by_daemon(w.r.tracer, "resnet50")) {
+    for (const auto s : shards) {
+      if (w.r.endpoints.at(w.client.plan().shard_daemons[s].at(0)) != track) ++from_replicas;
+    }
+  }
+  EXPECT_GT(from_replicas, 0u) << "every shard came from its primary";
+  EXPECT_EQ(w.client.stats().degraded_restores, 0u);
+  EXPECT_EQ(w.r.eng.failed_process_count(), 0);
+}
+
+// A copy that refuses the required epoch (its daemon restarted after
+// missing a round) sends its shard to an untried copy in the next wave. The
+// shard is re-routed only if the refusing copy was its primary: a replica
+// the first wave picked for balance is not.
+TEST(ClusterTest, RefusedCopySendsItsShardToTheNextWave) {
+  WaveRig w;
+  std::uint32_t want = 0;
+  auto first = w.r.eng.spawn([](ClusterRig& rig, ClusterClient& c, dnn::Model& m,
+                                std::uint32_t& crc) -> sim::Process {
+    co_await c.register_model(m);
+    co_await c.checkpoint(1);
+    rig.faults.kill_now("portusd1");
+    m.mutate_weights(2);
+    const auto ck = co_await c.checkpoint(2);
+    EXPECT_TRUE(ck.degraded) << "portusd1's copies stay at epoch 1";
+    crc = m.weights_crc();
+  }(w.r, w.client, w.model, want));
+  w.r.eng.run();
+  first.check();
+
+  w.restart(1);
+  ClusterClient::RestoreResult rr;
+  auto proc = w.r.eng.spawn([](ClusterClient& c, dnn::Model& m,
+                               ClusterClient::RestoreResult& out) -> sim::Process {
+    co_await c.refresh_placement();
+    m.mutate_weights(3);
+    out = co_await c.restore();
+  }(w.client, w.model, rr));
+  w.r.eng.run();
+  proc.check();
+  EXPECT_EQ(rr.epoch, 2u);
+  EXPECT_TRUE(rr.degraded) << "the refused shards needed a second wave";
+  EXPECT_EQ(w.model.weights_crc(), want);
+
+  // portusd1 refused every shard the first wave sent it; each one's other
+  // copy served it.
+  const auto refused = restores_by_daemon(w.r.tracer, "resnet50")["portusd1"];
+  ASSERT_FALSE(refused.empty());
+  EXPECT_EQ(w.r.daemons[1]->stats().restores, 0u);
+  EXPECT_EQ(w.r.daemons[1]->stats().failed_ops, refused.size());
+  EXPECT_EQ(w.r.daemons[0]->stats().restores + w.r.daemons[2]->stats().restores, 8u);
+  std::uint32_t refused_primaries = 0;
+  for (const auto s : refused) {
+    refused_primaries += w.client.plan().shard_daemons[s].at(0) == 1 ? 1 : 0;
+  }
+  // The ring has both kinds: refused primaries, and a refused replica.
+  EXPECT_GT(refused_primaries, 0u);
+  EXPECT_LT(refused_primaries, refused.size());
+  EXPECT_EQ(rr.rerouted_shards, refused_primaries);
+  EXPECT_EQ(w.r.eng.failed_process_count(), 0);
 }
 
 // Losing every copy of a shard is unrecoverable and must fail loudly.

@@ -1,7 +1,7 @@
 // Elastic Portus-Cluster (ISSUE 9): membership epochs, online shard
 // migration, drain/decommission, permanent-failure repair, and the
-// client-side EpochMismatch re-resolution loop — including the headline
-// crashpoint walk over a live migration's persist fences.
+// client-side re-resolution loop — including the headline crashpoint walk
+// over a live migration's persist fences.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -16,6 +16,7 @@
 #include "core/daemon/fsck.h"
 #include "dnn/model_zoo.h"
 #include "net/cluster.h"
+#include "net/tcp.h"
 #include "sim/crashpoint.h"
 #include "sim/fault.h"
 
@@ -117,8 +118,8 @@ TEST(ElasticTest, JoinMigratesCopiesAndBumpsEpoch) {
     const std::string joiner = ElasticRig::ep(2);
     co_await rig.elastic.join(joiner, *rig.daemons[2]);
 
-    // The resized ring keeps taking checkpoints: the first op eats one
-    // EpochMismatch, re-resolves, and commits epoch 3.
+    // The resized ring keeps taking checkpoints: the first op sees the
+    // bump on the membership source, re-resolves, and commits epoch 3.
     m.mutate_weights(3);
     const auto ck = co_await c.checkpoint(3);
     EXPECT_EQ(ck.epoch, 3u);
@@ -157,6 +158,98 @@ TEST(ElasticTest, JoinMigratesCopiesAndBumpsEpoch) {
     EXPECT_GE(idx->slot(*done_slot).epoch, 2u);
   }
   EXPECT_GE(client.stats().epoch_reresolutions, 1u);
+}
+
+// A resize installs its epoch on the membership source and on every daemon
+// in one step, so the client follows it before its next round: the first
+// checkpoint after a join bounces off no daemon and sleeps no backoff. It
+// costs an ordinary round plus the moved copies' registration.
+TEST(ElasticTest, FirstCheckpointAfterAJoinFollowsTheBumpWithoutABounce) {
+  ElasticRig r{3, 2};
+  auto& volta = r.cluster->node("client-volta");
+  auto model = r.make_model();
+  ClusterClient client{*r.cluster, volta, volta.gpu(0), r.rendezvous, r.client_config(2, 8)};
+  Duration registration{0};
+  Duration first{0};
+  Duration ordinary{0};
+  auto proc = r.eng.spawn([](ElasticRig& rig, ClusterClient& c, dnn::Model& m, Duration& reg,
+                             Duration& after_join, Duration& round) -> sim::Process {
+    auto& eng = rig.eng;
+    Time t0 = eng.now();
+    co_await c.register_model(m);
+    reg = eng.now() - t0;
+    co_await c.checkpoint(1);
+    co_await rig.elastic.join(ElasticRig::ep(2), *rig.daemons[2]);
+    for (const std::uint64_t it : {2, 3}) {
+      m.mutate_weights(it);
+      t0 = eng.now();
+      const auto ck = co_await c.checkpoint(it);
+      (it == 2 ? after_join : round) = eng.now() - t0;
+      EXPECT_EQ(ck.epoch, it);
+      EXPECT_FALSE(ck.degraded);
+    }
+  }(r, client, model, registration, first, ordinary));
+  r.eng.run();
+  proc.check();
+  for (auto& d : r.daemons) EXPECT_EQ(d->stats().epoch_rejects, 0u) << d->config().endpoint;
+  EXPECT_EQ(client.stats().epoch_reresolutions, 1u);
+  EXPECT_EQ(client.membership_epoch(), r.elastic.membership().epoch);
+  EXPECT_LT(first, ordinary + registration + 2 * net::TcpSocket::kLatency)
+      << "the first round after the join waited out more than its registrations";
+  EXPECT_EQ(r.eng.failed_process_count(), 0);
+}
+
+// A membership source that fixes the client's epoch: whatever a daemon
+// says, the source has nothing newer to show.
+struct FixedMembership final : MembershipSource {
+  Membership m;
+  const Membership& membership() const override { return m; }
+};
+
+// A daemon that bounces the client while the source still shows the
+// client's epoch is ahead of the source. The client then backs off before
+// each retry instead of replaying its round at once: a daemon 5 ms ahead
+// costs a few backed-off retries, where replaying at once would spend all
+// 8 within those 5 ms and fail the op.
+TEST(ElasticTest, DaemonAheadOfTheSourceKeepsTheBackoff) {
+  ElasticRig r{2, 2};
+  FixedMembership source;
+  source.m = r.elastic.membership();
+  auto& volta = r.cluster->node("client-volta");
+  auto model = r.make_model();
+  auto cfg = r.client_config(2, 4);
+  cfg.membership = &source;
+  ClusterClient client{*r.cluster, volta, volta.gpu(0), r.rendezvous, cfg};
+  constexpr Duration kAhead = 5ms;
+  Duration took{0};
+  auto proc = r.eng.spawn([](ElasticRig& rig, ClusterClient& c, dnn::Model& m,
+                             Duration& round) -> sim::Process {
+    co_await c.register_model(m);
+    co_await c.checkpoint(1);
+    // portusd0 runs one epoch ahead of the source for a while.
+    auto& d0 = *rig.daemons[0];
+    const auto epoch = d0.membership_epoch();
+    d0.set_membership_epoch(epoch + 1);
+    auto back = rig.eng.spawn([](sim::Engine& eng, PortusDaemon& d,
+                                 std::uint64_t e) -> sim::Process {
+      co_await eng.sleep(kAhead);
+      d.set_membership_epoch(e);
+    }(rig.eng, d0, epoch));
+    m.mutate_weights(2);
+    const Time t0 = rig.eng.now();
+    const auto ck = co_await c.checkpoint(2);
+    round = rig.eng.now() - t0;
+    EXPECT_GE(ck.epoch, 2u) << "a voided round's pulls still commit where they landed";
+    co_await back.join();
+  }(r, client, model, took));
+  r.eng.run();
+  proc.check();
+  EXPECT_GE(took, kAhead);
+  EXPECT_GT(r.daemons[0]->stats().epoch_rejects, 0u);
+  EXPECT_GE(client.stats().epoch_reresolutions, 1u);
+  EXPECT_LE(client.stats().epoch_reresolutions, 5u) << "the client replayed without waiting";
+  EXPECT_EQ(client.membership_epoch(), source.m.epoch);
+  EXPECT_EQ(r.eng.failed_process_count(), 0);
 }
 
 // ---------------------------------------------------------------------------

@@ -13,6 +13,13 @@ every trace given, so several seeds' traces make one larger sample. With
 --prefix "checkpoint " on an elastic trace, whose daemons each have their
 own track, the peak is how many shard checkpoints a daemon ran at once.
 
+With --before MARK (--after MARK) only the spans that end by the start
+of (start at or after the end of) the first span named MARK* in the same
+trace count, so one phase of a run can be read on its own: on an elastic
+trace, --prefix "restore " --before repair# gives each daemon's shard
+restores of the crash phase, --after repair# those after the repair.
+--handoff ignores them.
+
 With --parent it also prints the parent's table, the change of each
 track's median, and the pooled median of the traces under study
 reweighted to the parent's per-track counts. A closed-loop workload can
@@ -35,14 +42,29 @@ import math
 import sys
 
 
-def read_spans(path, prefix):
+def read_spans(path, prefix, before=None, after=None):
     """(track name, span name, start us, duration us) of every complete
     event ("X") in one trace whose name starts with prefix. Tracks are named by their
     thread_name metadata, prefixed with the process name where there is
     one (zoo merges one process per model, each with its own portusd
-    thread)."""
+    thread). With before (after), only the spans that end by the start of
+    (start at or after the end of) the trace's first span named before*
+    (after*); none when it has no such span."""
     with open(path) as f:
         events = json.load(f)["traceEvents"]
+    complete = [e for e in events if e.get("ph") == "X"]
+    lo, hi = -math.inf, math.inf  # in whole ns, as peak_open compares
+    for mark, is_before in ((before, True), (after, False)):
+        if mark is None:
+            continue
+        marks = [e for e in complete if e.get("name", "").startswith(mark)]
+        if not marks:
+            return []
+        first = min(marks, key=lambda e: e["ts"])
+        if is_before:
+            hi = round(first["ts"] * 1e3)
+        else:
+            lo = round(first["ts"] * 1e3) + round(first["dur"] * 1e3)
     threads, processes = {}, {}
     for e in events:
         if e.get("ph") != "M":
@@ -52,8 +74,10 @@ def read_spans(path, prefix):
         elif e.get("name") == "process_name":
             processes[e.get("pid")] = e["args"]["name"] + "/"
     out = []
-    for e in events:
-        if e.get("ph") != "X" or not e.get("name", "").startswith(prefix):
+    for e in complete:
+        start = round(e["ts"] * 1e3)
+        if not e.get("name", "").startswith(prefix) or start < lo or \
+                start + round(e["dur"] * 1e3) > hi:
             continue
         pid, tid = e.get("pid"), e.get("tid")
         track = processes.get(pid, "") + threads.get((pid, tid), f"tid {tid}")
@@ -61,12 +85,13 @@ def read_spans(path, prefix):
     return out
 
 
-def load_spans(paths, prefix):
+def load_spans(paths, prefix, before=None, after=None):
     """{track name: [span duration in ms]} over the spans whose name starts
-    with prefix, pooled across the traces in paths."""
+    with prefix (within the read_spans window), pooled across the traces in
+    paths."""
     spans = {}
     for path in paths:
-        for track, _, _, dur in read_spans(path, prefix):
+        for track, _, _, dur in read_spans(path, prefix, before, after):
             spans.setdefault(track, []).append(dur / 1e3)
     return spans
 
@@ -103,13 +128,13 @@ def peak_open(intervals):
     return peak
 
 
-def load_peaks(paths, prefix):
+def load_peaks(paths, prefix, before=None, after=None):
     """{track name: the most spans open at once on the track within one
     trace}, the maximum over the traces in paths."""
     peaks = {}
     for path in paths:
         per_track = {}
-        for track, _, ts, dur in read_spans(path, prefix):
+        for track, _, ts, dur in read_spans(path, prefix, before, after):
             per_track.setdefault(track, []).append((ts, dur))
         for track, intervals in per_track.items():
             peaks[track] = max(peaks.get(track, 0), peak_open(intervals))
@@ -175,7 +200,12 @@ def main(argv=None):
     ap.add_argument("--prefix", default="ckpt#", help="span name prefix (default: ckpt#)")
     ap.add_argument("--handoff", action="store_true",
                     help="time from a puller's commit to each forward's end (see above)")
+    ap.add_argument("--before", metavar="MARK",
+                    help="only spans that end by the start of the first MARK* span")
+    ap.add_argument("--after", metavar="MARK",
+                    help="only spans that start after the end of the first MARK* span")
     a = ap.parse_args(argv)
+    window = (a.before, a.after)
 
     if a.handoff:
         what = "handoffs (puller commit -> forward end)"
@@ -184,10 +214,10 @@ def main(argv=None):
         change_peaks = parent_peaks = None
     else:
         what = f"spans {a.prefix}*"
-        change = load_spans(a.traces, a.prefix)
-        parent = load_spans(a.parent, a.prefix) if a.parent else None
-        change_peaks = load_peaks(a.traces, a.prefix)
-        parent_peaks = load_peaks(a.parent, a.prefix) if a.parent else None
+        change = load_spans(a.traces, a.prefix, *window)
+        parent = load_spans(a.parent, a.prefix, *window) if a.parent else None
+        change_peaks = load_peaks(a.traces, a.prefix, *window)
+        parent_peaks = load_peaks(a.parent, a.prefix, *window) if a.parent else None
     for label, spans in (("traces", change), ("parent traces", parent)):
         if spans == {}:
             print(f"no {what} in the {label}", file=sys.stderr)

@@ -103,6 +103,29 @@ class TraceSpansTest(unittest.TestCase):
             self.assertEqual(trace_spans.main([change, "--prefix", "nosuch#"]), 1)
 
 
+    def test_before_and_after_keep_one_phase(self):
+        path = os.path.join(self.dir.name, "phases.json")
+        with open(path, "w") as f:
+            json.dump(handoff_trace([
+                ("resizer", "repair#7", 100, 50),
+                ("portusd2", "restore m#s0", 0, 40),
+                ("portusd2", "restore m#s1", 60, 40),    # ends at the repair's start
+                ("portusd2", "restore m#s2", 90, 20),    # overlaps the repair
+                ("portusd3", "restore m#s3", 150, 10),   # starts at the repair's end
+                ("portusd3", "restore m#s4", 200, 30),
+            ]), f)
+        before = trace_spans.load_spans([path], "restore ", before="repair#")
+        self.assertEqual(before, {"portusd2": [0.04, 0.04]})
+        after = trace_spans.load_spans([path], "restore ", after="repair#")
+        self.assertEqual(after, {"portusd3": [0.01, 0.03]})
+        # A trace without the mark contributes nothing.
+        self.assertEqual(trace_spans.load_spans([path], "restore ", before="nosuch#"), {})
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            self.assertEqual(trace_spans.main([path, "--prefix", "restore ", "--after",
+                                               "repair#"]), 0)
+        self.assertIn("portusd3       2     1      0.010", out.getvalue())
+
     def test_peak_is_the_most_spans_open_at_once_per_trace(self):
         self.assertEqual(trace_spans.peak_open([(0, 10), (5, 10), (8, 1), (20, 5)]), 3)
         # Back to back is not overlap, also where 0.1 + 0.2 > 0.3 in floats.
