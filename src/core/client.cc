@@ -158,7 +158,8 @@ sim::SubTask<> PortusClient::register_model(dnn::Model& model) {
   co_await register_shard(model, std::move(all));
 }
 
-sim::SubTask<> PortusClient::register_shard(dnn::Model& model, ShardBinding binding) {
+sim::SubTask<std::uint64_t> PortusClient::register_shard(dnn::Model& model,
+                                                         ShardBinding binding) {
   const Time t0 = cluster_.engine().now();
   PORTUS_CHECK_ARG(!binding.tensor_indices.empty(), "shard binding has no tensors");
 
@@ -235,6 +236,7 @@ sim::SubTask<> PortusClient::register_shard(dnn::Model& model, ShardBinding bind
   stats_.registration_time = cluster_.engine().now() - t0;
   PLOG_DEBUG("portus-client", "registered {} ({} tensors) at {}", reg_name, tensor_count,
              endpoint_);
+  co_return ack.newest_epoch;
 }
 
 sim::SubTask<std::uint64_t> PortusClient::checkpoint(dnn::Model& model,
@@ -270,19 +272,16 @@ sim::SubTask<std::uint64_t> PortusClient::checkpoint_incremental(
 
 sim::SubTask<std::uint64_t> PortusClient::forward_named(std::string reg_name,
                                                         std::uint64_t iteration,
-                                                        std::string source,
-                                                        std::uint64_t source_epoch,
-                                                        Duration budget, std::uint64_t round) {
+                                                        std::string source, Duration budget,
+                                                        std::uint64_t round) {
   ForwardReqMsg req{.model_name = std::move(reg_name),
                     .iteration = iteration,
                     .membership_epoch = membership_epoch_,
                     .source = std::move(source),
-                    .source_epoch = source_epoch,
                     .budget_ns = static_cast<std::uint64_t>(budget.count()),
                     .round = round};
   auto wire = encode(req);
-  const Duration grace = round != 0 ? budget : Duration{0};
-  co_return co_await request<CheckpointDoneMsg>(std::move(wire), grace);
+  co_return co_await request<CheckpointDoneMsg>(std::move(wire), budget);
 }
 
 sim::SubTask<std::uint64_t> PortusClient::restore(dnn::Model& model) {

@@ -117,7 +117,9 @@ class PortusClient {
   sim::SubTask<> register_model(dnn::Model& model);
 
   // Register a subset of the model's tensors under binding.reg_name.
-  sim::SubTask<> register_shard(dnn::Model& model, ShardBinding binding);
+  // Returns the newest DONE epoch the daemon holds under that name (0 =
+  // none): a restarted job's copy keeps its versions.
+  sim::SubTask<std::uint64_t> register_shard(dnn::Model& model, ShardBinding binding);
 
   // Trigger "DO_CHECKPOINT" and wait for the daemon's completion notice.
   // Returns the committed epoch.
@@ -135,17 +137,16 @@ class PortusClient {
       dnn::Model& model, std::uint64_t iteration,
       std::vector<std::uint32_t> dirty_indices);
 
-  // Forward (protocol v7): ask the daemon to land the version `source`
-  // committed as `source_epoch` into `reg_name`, PMEM to PMEM, waiting at
-  // most `budget` for the source's answer (0 = forever). Returns the epoch
-  // landed. Throws ForwardSourceLost when the daemon could not reach the
-  // source, Error on any other refusal. A non-zero `round` arms it (v8):
-  // the daemon lands whatever `source` commits in the checkpoint of that
-  // round, ignoring `source_epoch`, and the watchdog on it is the op
-  // timeout plus `budget`, so it outlasts the pull it waits for.
+  // Armed forward (protocol v8): ask the daemon to land whatever `source`
+  // commits in the checkpoint of round `round` (non-zero) into `reg_name`,
+  // PMEM to PMEM, waiting at most `budget` for the source's answer (0 =
+  // forever). Returns the epoch landed. Throws ForwardSourceLost when the
+  // daemon could not reach the source, Error on any other refusal. The
+  // watchdog on it is the op timeout plus `budget`, so it outlasts the pull
+  // it waits for.
   sim::SubTask<std::uint64_t> forward_named(std::string reg_name, std::uint64_t iteration,
-                                            std::string source, std::uint64_t source_epoch,
-                                            Duration budget, std::uint64_t round = 0);
+                                            std::string source, Duration budget,
+                                            std::uint64_t round);
 
   // Trigger "DO_RESTORE": daemon writes the newest valid version into the
   // model's GPU buffers. Returns the restored epoch. `required_epoch` is

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <optional>
 
 #include "common/backoff.h"
 #include "common/logging.h"
@@ -134,7 +133,9 @@ sim::Process ClusterClient::register_copy(std::size_t copy_id, bool* stale) {
     binding.replica_count = static_cast<std::uint32_t>(plan_.shard_daemons[copy.shard].size());
     binding.placement_epoch = plan_.placement_epoch;
     binding.manifest = manifest_.encode();
-    co_await ch.client->register_shard(*model_, std::move(binding));
+    // What the daemon already holds of the shard: a copy a restarted daemon
+    // (or job) kept is known at its own epoch, not at the shard's.
+    copies_[copy_id].epoch = co_await ch.client->register_shard(*model_, std::move(binding));
     ch.registered = true;
   } catch (const EpochMismatch& e) {
     PLOG_INFO(kLog, "registration of shard {} on {} raced a resize: {}", copy.shard,
@@ -186,7 +187,12 @@ sim::SubTask<> ClusterClient::resolve_placement() {
 
     // 4. Rebuild the copy table, opening lanes and channels as the
     //    placement needs them. Plans only target ACTIVE positions, so a down
-    //    lane placed on here is a daemon that came back (or just joined).
+    //    lane placed on here is a daemon that came back (or just joined). A
+    //    copy that stays on its channel keeps its known epoch; one placed
+    //    back on a channel the shard left earlier starts unknown (0), since
+    //    a migration may have landed newer versions there meanwhile.
+    std::vector<std::uint64_t> known(channels_.size(), 0);
+    for (const auto& c : copies_) known[c.channel] = c.epoch;
     copies_.clear();
     for (std::uint32_t s = 0; s < plan_.shard_daemons.size(); ++s) {
       if (plan_.shard_tensors[s].empty()) continue;
@@ -194,7 +200,11 @@ sim::SubTask<> ClusterClient::resolve_placement() {
       for (std::uint32_t r = 0; r < ring.size(); ++r) {
         const auto lane = lane_for(ring_endpoints_[ring[r]]);
         if (!lanes_[lane].up) revive_lane(lane);
-        copies_.push_back(Copy{.shard = s, .replica = r, .channel = channel_for(lane, s)});
+        const auto channel = channel_for(lane, s);
+        copies_.push_back(Copy{.shard = s,
+                               .replica = r,
+                               .channel = channel,
+                               .epoch = channel < known.size() ? known[channel] : 0});
       }
     }
     for (auto& ch : channels_) ch.client->set_membership_epoch(membership_epoch_);
@@ -260,8 +270,8 @@ sim::SubTask<> ClusterClient::refresh_placement() {
   co_await resolve_placement();
 }
 
-sim::SubTask<bool> ClusterClient::pull_copy(std::size_t copy_id, Round* round,
-                                           std::uint64_t armed) {
+sim::SubTask<> ClusterClient::pull_copy(std::size_t copy_id, Round* round,
+                                       std::uint64_t armed) {
   Copy& copy = copies_[copy_id];
   Lane& lane = lane_of(copy);
   try {
@@ -271,14 +281,14 @@ sim::SubTask<bool> ClusterClient::pull_copy(std::size_t copy_id, Round* round,
     copy.epoch = epoch;
     round->shard_ok[copy.shard] = true;
     round->max_epoch = std::max(round->max_epoch, epoch);
-    co_return true;
+    co_return;
   } catch (const EpochMismatch& e) {
     // The round is void, not failed: the caller re-resolves placement and
     // replays the whole round against the new membership.
     PLOG_INFO(kLog, "checkpoint of shard {} on {} hit a resize: {}", copy.shard,
               lane.endpoint, e.what());
     round->stale = true;
-    co_return false;
+    co_return;
   } catch (const Disconnected& e) {
     PLOG_INFO(kLog, "checkpoint of shard {} on {} lost: {}", copy.shard, lane.endpoint,
               e.what());
@@ -288,7 +298,6 @@ sim::SubTask<bool> ClusterClient::pull_copy(std::size_t copy_id, Round* round,
               e.what());
   }
   round->any_miss = true;
-  co_return false;
 }
 
 sim::Process ClusterClient::forward_copy(std::size_t copy_id, std::size_t puller,
@@ -301,16 +310,15 @@ sim::Process ClusterClient::forward_copy(std::size_t copy_id, std::size_t puller
     // puller is never named lost.
     const std::string key = shard_key(model_name_, copy.shard);
     const auto epoch = co_await channel_of(copy).client->forward_named(
-        key, round->iteration, source.endpoint, 0, config_.op_timeout, armed);
+        key, round->iteration, source.endpoint, config_.op_timeout, armed);
     copy.epoch = epoch;
+    round->landed[copy_id] = true;
     round->shard_ok[copy.shard] = true;
     round->max_epoch = std::max(round->max_epoch, epoch);
-    co_return;
   } catch (const EpochMismatch& e) {
     PLOG_INFO(kLog, "forward of shard {} to {} hit a resize: {}", copy.shard, lane.endpoint,
               e.what());
     round->stale = true;
-    co_return;
   } catch (const ForwardSourceLost& e) {
     // The replica answered in time and named the source: the source is
     // the one to give up.
@@ -320,63 +328,53 @@ sim::Process ClusterClient::forward_copy(std::size_t copy_id, std::size_t puller
     PLOG_INFO(kLog, "forward of shard {} to {} lost: {}", copy.shard, lane.endpoint,
               e.what());
     mark_lane_down(lane);
-    round->any_miss = true;
-    co_return;
   } catch (const std::exception& e) {
     PLOG_INFO(kLog, "forward of shard {} to {} refused: {}", copy.shard, lane.endpoint,
               e.what());
   }
-  round->refused[copy_id] = true;
 }
 
 sim::Process ClusterClient::checkpoint_shard(std::uint32_t shard, Round* round) {
-  // The shard's live copies in manifest order, and the epoch each held
-  // before the round.
+  // The shard's live copies in manifest order, and the newest epoch any of
+  // them is known to hold.
   std::vector<std::size_t> ids;
+  std::uint64_t newest = 0;
   for (std::size_t id = 0; id < copies_.size(); ++id) {
     if (copies_[id].shard != shard) continue;
     if (live(copies_[id])) {
       ids.push_back(id);
+      newest = std::max(newest, copies_[id].epoch);
     } else {
       round->any_miss = true;
     }
   }
-  std::vector<std::uint64_t> before;
-  for (const auto id : ids) before.push_back(copies_[id].epoch);
+  if (ids.empty()) co_return;
 
-  // The first copy left pulls, and every other one's forward goes out with
-  // the pull, armed with a fresh round id: each replica waits at the puller
-  // and reads what it commits the moment it commits. A pull that fails
-  // refuses its forwards, and the pull moves on to the next copy left.
-  std::optional<std::size_t> puller;
-  std::vector<std::size_t> left = ids;
-  while (!puller.has_value() && !left.empty()) {
-    const std::size_t id = left.front();
-    left.erase(left.begin());
-    if (!live(copies_[id])) {
-      round->any_miss = true;
-      continue;
+  // The puller is the first copy not known to be behind another (0: nothing
+  // known), so the epoch its pull mints is new on every copy the client
+  // knows of. Every other copy's forward goes out with the pull, armed with
+  // a fresh round id: each replica waits at the puller and reads what it
+  // commits the moment it commits.
+  const std::size_t puller = *std::find_if(ids.begin(), ids.end(), [&](std::size_t id) {
+    return copies_[id].epoch == 0 || copies_[id].epoch == newest;
+  });
+  const std::uint64_t armed = ids.size() > 1 ? next_round_id() : 0;
+  std::vector<sim::Process> forwards;
+  for (const auto id : ids) {
+    if (id != puller) {
+      forwards.push_back(cluster_.engine().spawn(forward_copy(id, puller, armed, round)));
     }
-    const std::uint64_t armed = left.empty() ? 0 : next_round_id();
-    std::vector<sim::Process> forwards;
-    for (const auto other : left) {
-      round->refused[other] = false;
-      forwards.push_back(cluster_.engine().spawn(forward_copy(other, id, armed, round)));
-    }
-    const bool pulled = co_await pull_copy(id, round, armed);
-    if (pulled) puller = id;
-    for (auto& p : forwards) co_await p.join();
-    if (round->stale) co_return;
-    std::erase_if(left, [&](std::size_t other) { return !round->refused[other]; });
   }
-  // No copy pulled (the shard lost the round, unless a slow pull's forward
-  // landed it).
-  if (!puller.has_value()) co_return;
+  co_await pull_copy(puller, round, armed);
+  for (auto& p : forwards) co_await p.join();
+  if (round->stale) co_return;
 
-  // A copy that refused the puller's version pulls from the GPU instead, so
-  // the round keeps it.
+  // A copy whose forward did not land (the pull failed, or the copy refused
+  // the puller's version) pulls the round from the GPU itself, so the round
+  // keeps it.
   std::vector<sim::Process> pulls;
-  for (const auto id : left) {
+  for (const auto id : ids) {
+    if (id == puller || round->landed[id]) continue;
     if (!live(copies_[id])) {
       round->any_miss = true;
       continue;
@@ -387,55 +385,11 @@ sim::Process ClusterClient::checkpoint_shard(std::uint32_t shard, Round* round) 
         }(*this, id, round)));
   }
   for (auto& p : pulls) co_await p.join();
-
-  // A copy that was already past the puller's epoch refused its forward and
-  // pulled, so it is still ahead. Left alone, both copies mint +1 a round
-  // and every later forward there is refused and pulled again; landing the
-  // newest such copy's version on the puller once makes the puller's next
-  // epoch new everywhere. Only a version this round landed may go back to
-  // the puller: a copy whose pull failed still holds an older one.
-  std::optional<std::size_t> ahead;
-  for (std::size_t k = 0; k < ids.size(); ++k) {
-    const Copy& c = copies_[ids[k]];
-    if (ids[k] == *puller || !live(c) || c.epoch == before[k] ||
-        c.epoch <= copies_[*puller].epoch) {
-      continue;
-    }
-    if (!ahead.has_value() || c.epoch > copies_[*ahead].epoch) ahead = ids[k];
-  }
-  if (ahead.has_value() && !round->stale && live(copies_[*puller])) {
-    co_await catch_up(*puller, *ahead, round);
-  }
-}
-
-sim::SubTask<> ClusterClient::catch_up(std::size_t behind, std::size_t ahead, Round* round) {
-  Copy& copy = copies_[behind];
-  const Copy& source = copies_[ahead];
-  try {
-    const std::string key = shard_key(model_name_, copy.shard);
-    copy.epoch = co_await channel_of(copy).client->forward_named(
-        key, round->iteration, lane_of(source).endpoint, source.epoch, config_.op_timeout / 2);
-  } catch (const EpochMismatch&) {
-    round->stale = true;
-  } catch (const ForwardSourceLost& e) {
-    PLOG_INFO(kLog, "catch-up of shard {} on {}: {}", copy.shard, lane_of(copy).endpoint,
-              e.what());
-    mark_lane_down(lane_of(source));
-  } catch (const Disconnected& e) {
-    PLOG_INFO(kLog, "catch-up of shard {} on {} lost: {}", copy.shard, lane_of(copy).endpoint,
-              e.what());
-    mark_lane_down(lane_of(copy));
-  } catch (const std::exception& e) {
-    // The copy keeps this round's version at its own epoch; the next
-    // round's forward is refused once more and the catch-up tries again.
-    PLOG_INFO(kLog, "catch-up of shard {} on {} refused: {}", copy.shard,
-              lane_of(copy).endpoint, e.what());
-  }
 }
 
 sim::SubTask<ClusterClient::CheckpointResult> ClusterClient::checkpoint_round(Round& round) {
   round.shard_ok.assign(plan_.shard_tensors.size(), false);
-  round.refused.assign(copies_.size(), false);
+  round.landed.assign(copies_.size(), false);
   std::vector<sim::Process> procs;
   for (std::uint32_t s = 0; s < plan_.shard_tensors.size(); ++s) {
     if (plan_.shard_tensors[s].empty()) continue;
@@ -534,6 +488,16 @@ sim::SubTask<ClusterClient::RestoreResult> ClusterClient::restore_round(bool* st
     std::vector<std::vector<std::size_t>> options(shard_count);
     for (std::size_t id = 0; id < copies_.size(); ++id) {
       if (!tried[id] && live(copies_[id])) options[copies_[id].shard].push_back(id);
+    }
+    // A copy known to be below its shard's target would refuse it: leave it
+    // out while the shard has another option.
+    for (std::uint32_t s = 0; s < shard_count; ++s) {
+      const auto behind = [&](std::size_t id) {
+        return copies_[id].epoch != 0 && copies_[id].epoch < target[s];
+      };
+      if (!std::all_of(options[s].begin(), options[s].end(), behind)) {
+        std::erase_if(options[s], behind);
+      }
     }
     std::vector<std::uint32_t> order;
     for (std::uint32_t s = 0; s < shard_count; ++s) {

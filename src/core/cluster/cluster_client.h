@@ -10,22 +10,25 @@
 // Placement::compute, so any process that knows the ring config finds its
 // shards without a metadata service.
 //
-// Replication pulls each shard from the GPU once per round. The first live
-// copy of a shard in manifest order (the puller) gets the DO_CHECKPOINT,
-// and every other live copy gets a FORWARD at the same time, both tagged
-// with one fresh round id (armed forwards, protocol v8). Each replica's
-// daemon asks the puller for that round's slot and the puller answers the
-// moment its checkpoint commits epoch E; the replica then reads the DONE
-// slot PMEM to PMEM over the storage fabric, checks it against the
-// puller's CRC block and commits at E. So each checkpoint byte crosses the
-// client NIC and the GPU's PCIe once, the R-1 extra copies ride the
-// storage nodes' NICs, and no control hop sits between the pull's commit
-// and the replicas' READs but the answer itself. If the pull fails, its
-// forwards are refused and the next live copy pulls, with the rest armed
-// on it. A forward refused after a pull committed falls back to a GPU pull
-// on that copy within the round; a copy that refused because it was
-// already past the puller's epoch then lands its version on the puller
-// once (a plain, unarmed forward), so the copies agree again. An armed
+// Replication pulls each shard from the GPU once per round, in one pass.
+// The puller is the first live copy in manifest order that the client
+// does not know to be behind another live copy of the shard (a copy's
+// known epoch comes from its last pull, forward or restore, or from the
+// registration ack; 0 = nothing known). It gets the DO_CHECKPOINT, and
+// every other live copy gets a FORWARD at the same time, both tagged with
+// one fresh round id (armed forwards, protocol v8). Each replica's daemon
+// asks the puller for that round's slot and the puller answers the moment
+// its checkpoint commits epoch E; the replica then reads the DONE slot
+// PMEM to PMEM over the storage fabric, checks it against the puller's
+// CRC block and commits at E. So each checkpoint byte crosses the client
+// NIC and the GPU's PCIe once, the R-1 extra copies ride the storage
+// nodes' NICs, and no control hop sits between the pull's commit and the
+// replicas' READs but the answer itself. Once the pull and its forwards
+// end, every copy whose forward did not land (the pull failed, or the
+// copy refused the puller's version) and that is still live pulls the
+// round from the GPU, all at once. A copy that refused because it already
+// held E or later was ahead without the client knowing; now known ahead,
+// it pulls the next round and the others agree with it then. An armed
 // replica waits for the puller as long as the client waits for the pull
 // (the op timeout), and the client's watchdog on it is twice the op
 // timeout, so a slow puller is never named lost and a hung one takes only
@@ -40,16 +43,19 @@
 //     the result is flagged degraded and the lost copies simply stop
 //     advancing their epochs.
 //   - restore: runs in waves. Each wave gives every shard not yet back one
-//     live copy it has not tried: the shards with the fewest such copies
-//     choose first, and each takes the copy whose daemon carries the fewest
-//     of the wave's bytes so far (ties to manifest order). So a dead
-//     daemon's primaries spread over the survivors instead of all falling
-//     on their replicas' daemons. A copy that fails or refuses (its daemon
-//     cannot meet the required_epoch floor) sends its shard to the next
-//     wave. A shard is re-routed when its primary copy was down or already
-//     tried; a replica chosen for balance is not. The restore is degraded
-//     when a shard was re-routed or needed a second wave, and throws only
-//     when some shard has no live copy at the required epoch left at all.
+//     live copy it has not tried, leaving out the copies known to be below
+//     the shard's target epoch while it has another: the shards with the
+//     fewest such copies choose first, and each takes the copy whose daemon
+//     carries the fewest of the wave's bytes so far (ties to manifest
+//     order). So a dead daemon's primaries spread over the survivors
+//     instead of all falling on their replicas' daemons. A copy that fails
+//     or refuses (its daemon cannot meet the required_epoch floor, or its
+//     version fails the integrity scrub) sends its shard to the next wave.
+//     A shard is re-routed when its primary copy was down, known stale or
+//     already tried; a replica chosen for balance is not. The restore is
+//     degraded when a shard was re-routed or needed a second wave, and
+//     throws only when some shard has no live copy at the required epoch
+//     left at all.
 //
 // Elastic mode (Config::membership set): the daemon set is no longer
 // static. The client snapshots the authoritative Membership, places the
@@ -97,8 +103,7 @@ class ClusterClient {
     // paths live through a hang; set 0 only where every failure is a
     // crash-stop and the extra watchdog timer is unwanted. An armed
     // forward's replica waits up to this long for its puller's round, and
-    // the watchdog on it is twice this; a catch-up waits at most half of
-    // it for its source (0: forever).
+    // the watchdog on it is twice this.
     Duration op_timeout{250'000'000};    // 250 ms
     // Tenancy identity + retry discipline, applied to every channel client.
     // Keep retry.retry_timeouts off here unless you mean it: a retried
@@ -191,7 +196,7 @@ class ClusterClient {
     std::uint32_t shard = 0;
     std::uint32_t replica = 0;
     std::size_t channel = 0;
-    std::uint64_t epoch = 0;  // newest epoch this copy is known to hold
+    std::uint64_t epoch = 0;  // newest epoch this copy is known to hold (0: unknown)
   };
 
   // One daemon, by endpoint. Lanes outlive membership changes.
@@ -219,25 +224,23 @@ class ClusterClient {
   struct Round {
     std::uint64_t iteration = 0;
     std::vector<bool> shard_ok;  // some copy of the shard committed
-    std::vector<bool> refused;   // by copy id: its last forward was refused
+    std::vector<bool> landed;    // by copy id: its forward landed the pull
     std::uint64_t max_epoch = 0;
     bool any_miss = false;       // some copy missed the round
     bool stale = false;          // EpochMismatch: the round is void
   };
 
   sim::Process register_copy(std::size_t copy_id, bool* stale);
-  // One shard's part of a round: the pull and the forwards armed with it.
+  // One shard's part of a round: the pull, the forwards armed with it, and
+  // a GPU pull on each copy a forward did not land on.
   sim::Process checkpoint_shard(std::uint32_t shard, Round* round);
   // A GPU pull on one copy, tagged with round id `armed` when forwards wait
-  // on it; true when it committed.
-  sim::SubTask<bool> pull_copy(std::size_t copy_id, Round* round, std::uint64_t armed = 0);
-  // Land what the puller commits in round `armed` on one more copy. A
-  // refusal sets round->refused[copy_id]; the caller decides the fallback.
+  // on it.
+  sim::SubTask<> pull_copy(std::size_t copy_id, Round* round, std::uint64_t armed = 0);
+  // Land what the puller commits in round `armed` on one more copy; sets
+  // round->landed[copy_id] when it did.
   sim::Process forward_copy(std::size_t copy_id, std::size_t puller, std::uint64_t armed,
                             Round* round);
-  // Land the `ahead` copy's version on the `behind` one (its puller), so a
-  // copy that pulled alone while its puller was away stops refusing.
-  sim::SubTask<> catch_up(std::size_t behind, std::size_t ahead, Round* round);
   sim::Process restore_copy(RestoreJob* job, std::uint64_t* max_epoch, bool* stale);
 
   sim::SubTask<CheckpointResult> checkpoint_round(Round& round);

@@ -30,6 +30,7 @@ ClusterCtl::DaemonRow ClusterCtl::inspect(PortusDaemon& daemon) {
   const auto& s = daemon.stats();
   row.registrations = s.registrations;
   row.checkpoints = s.checkpoints;
+  row.forwards = s.forwards;
   row.restores = s.restores;
   row.failed_ops = s.failed_ops;
   row.mean_window = s.mean_window();
@@ -52,8 +53,8 @@ std::string ClusterCtl::render_status(std::span<PortusDaemon* const> daemons,
   // the whole table once a fleet-scale counter outgrew its column.
   std::vector<std::vector<std::string>> rows;
   rows.push_back({"DAEMON", "STATE", "EPOCH", "MSTATE", "SHARDS", "MODELS", "BYTES",
-                  "REGS", "CKPTS", "RSTRS", "FAILED", "PIPELINE", "COALESCE", "DOORBELL",
-                  "ARENAS"});
+                  "REGS", "CKPTS", "FWDS", "RSTRS", "FAILED", "PIPELINE", "COALESCE",
+                  "DOORBELL", "ARENAS"});
   std::size_t copies = 0;
   Bytes bytes = 0;
   for (auto* d : daemons) {
@@ -67,7 +68,8 @@ std::string ClusterCtl::render_status(std::span<PortusDaemon* const> daemons,
                     member != nullptr ? to_string(member->state) : "-",
                     strf("{}", row.shard_copies), strf("{}", row.models),
                     format_bytes(row.stored_bytes), format_count(row.registrations),
-                    format_count(row.checkpoints), format_count(row.restores),
+                    format_count(row.checkpoints), format_count(row.forwards),
+                    format_count(row.restores),
                     format_count(row.failed_ops),
                     strf("{:.2f}/{}", row.mean_window, row.peak_window),
                     strf("{}/{}", format_count(row.extents_coalesced),
@@ -77,7 +79,7 @@ std::string ClusterCtl::render_status(std::span<PortusDaemon* const> daemons,
                     strf("{}x {} {}r", row.alloc_shards, format_bytes(row.alloc_live),
                          row.alloc_refills)});
   }
-  std::string out = format_table(rows, "<<><>>>>>>>>>>>");
+  std::string out = format_table(rows, "<<><>>>>>>>>>>>>");
   out += strf("total: {} daemons, {} shard copies, {}\n", daemons.size(), copies,
               format_bytes(bytes));
   if (membership != nullptr) {

@@ -30,6 +30,7 @@ class ClusterCtl {
     Bytes stored_bytes = 0;        // sum of copy slot sizes (one version each)
     std::uint64_t registrations = 0;
     std::uint64_t checkpoints = 0;
+    std::uint64_t forwards = 0;  // versions landed from a peer daemon's slot
     std::uint64_t restores = 0;
     std::uint64_t failed_ops = 0;
     double mean_window = 0.0;  // pipeline occupancy

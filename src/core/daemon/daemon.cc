@@ -499,6 +499,8 @@ sim::SubTask<RegisterAckMsg> PortusDaemon::handle_register(RegisterModelMsg msg)
     sessions_.erase(msg.model_name);
     const bool sharded = msg.sharded();
     const auto session_max_sges = session.max_sges;
+    const auto newest = session.index->latest_done_slot();
+    ack.newest_epoch = newest.has_value() ? session.index->slot(*newest).epoch : 0;
     sessions_.emplace(msg.model_name, std::move(session));
     ++stats_.registrations;
     if (sharded) ++stats_.shard_registrations;

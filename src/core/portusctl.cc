@@ -44,6 +44,8 @@ std::string Portusctl::render_stats() {
   out += strf("{:<28}{}\n", "registrations", s.registrations);
   out += strf("{:<28}{}\n", "checkpoints", s.checkpoints);
   out += strf("{:<28}{}\n", "restores", s.restores);
+  out += strf("{:<28}{}\n", "forwards", s.forwards);
+  out += strf("{:<28}{}\n", "voided forwards", s.voided_forwards);
   out += strf("{:<28}{}\n", "failed ops", s.failed_ops);
   out += strf("{:<28}{}\n", "bytes pulled", format_bytes(s.bytes_pulled));
   out += strf("{:<28}{}\n", "bytes pushed", format_bytes(s.bytes_pushed));

@@ -12,7 +12,6 @@ const char* to_string(MsgType t) {
     case MsgType::kRestoreDone: return "RESTORE_DONE";
     case MsgType::kFinishJob: return "FINISH_JOB";
     case MsgType::kFinishAck: return "FINISH_ACK";
-    case MsgType::kError: return "ERROR";
     case MsgType::kForwardReq: return "FORWARD";
     case MsgType::kSlotQuery: return "SLOT_QUERY";
     case MsgType::kSlotReply: return "SLOT_REPLY";
@@ -161,6 +160,7 @@ std::vector<std::byte> encode(const RegisterAckMsg& m) {
   w.u32(m.granted_wr_slots);
   w.u8(m.epoch_mismatch ? 1 : 0);
   w.u64(m.current_membership_epoch);
+  w.u64(m.newest_epoch);
   return w.take();
 }
 
@@ -181,6 +181,7 @@ RegisterAckMsg decode_register_ack(std::span<const std::byte> wire) {
   m.granted_wr_slots = r.u32();
   m.epoch_mismatch = r.u8() != 0;
   m.current_membership_epoch = r.u64();
+  m.newest_epoch = r.u64();
   return m;
 }
 

@@ -69,7 +69,10 @@ inline constexpr std::uint32_t kProtocolMagic = 0x50545553;  // "PTUS"
 // v8: armed forwards — CheckpointReqMsg, ForwardReqMsg and SlotQueryMsg
 //     carry a round id, appended after their v7 body only when non-zero:
 //     an unarmed request (round 0, the v7 meaning) keeps its v7 bytes.
-inline constexpr std::uint16_t kProtocolVersion = 8;
+// v9: the registration ack carries the newest DONE epoch of the index the
+//     registration bound, so a client that (re)registers knows which
+//     copies are behind before its first round or restore.
+inline constexpr std::uint16_t kProtocolVersion = 9;
 
 enum class MsgType : std::uint8_t {
   kRegisterModel = 1,
@@ -80,7 +83,6 @@ enum class MsgType : std::uint8_t {
   kRestoreDone = 6,
   kFinishJob = 7,       // training complete: old checkpoint version reclaimable
   kFinishAck = 8,
-  kError = 9,
   kForwardReq = 10,  // "land the source's committed epoch here"
   kSlotQuery = 11,   // replica -> source: where is your DONE slot of epoch E?
   kSlotReply = 12,
@@ -205,6 +207,9 @@ struct RegisterAckMsg {
   // membership epoch is stale; current_membership_epoch is the daemon's.
   bool epoch_mismatch = false;
   std::uint64_t current_membership_epoch = 0;
+  // v9: the newest DONE epoch of the index this registration bound (a
+  // restarted job's copy keeps its versions); 0 = none.
+  std::uint64_t newest_epoch = 0;
 };
 
 struct CheckpointReqMsg {

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <map>
 #include <regex>
@@ -1015,51 +1016,39 @@ TEST(ClusterTest, ArmedForwardNeverLandsAnotherRoundsVersion) {
   EXPECT_EQ(f.r.eng.failed_process_count(), 0);
 }
 
-// A plain forward's source hangs after its commit: the forwarding
-// daemon's budget (half the op timeout) expires first, so the source's lane
-// goes down, not the forwarding copy's, and the round lands before the
-// client's watchdog would fire. The plain forward here is a catch-up: the
-// replica is one pull ahead of the puller, refuses the armed forward,
-// pulls, then hangs before the puller's query for its version reaches it.
+// An unarmed forward (a migration's) whose source hangs after its commit is
+// refused within its budget, naming the source with kForwardSourceLost,
+// instead of waiting for a watchdog, and lands nothing.
 TEST(ClusterTest, ForwardFromAHungSourceNamesTheSourceBeforeTheWatchdog) {
   ForwardRig f;
-  auto& puller = f.daemon(f.puller);
+  auto& source = f.daemon(f.puller);
   auto& replica = f.daemon(f.replica);
-  std::size_t channel = 0;
-  while (f.client.lane_client(channel).endpoint() != replica.config().endpoint) ++channel;
-  // The replica's second pull is the round's fallback.
-  f.r.eng.spawn(when(
-      f.r.eng, [&] { return replica.stats().checkpoints == 2; },
-      [&] { f.r.faults.kill_now(replica.config().endpoint, sim::FaultMode::kHang); }));
+  f.r.faults.kill_now(source.config().endpoint, sim::FaultMode::kHang);
+  constexpr Duration kBudget = 20ms;
+  ForwardReqMsg req;
+  req.model_name = f.key;
+  req.iteration = 2;
+  req.source = source.config().endpoint;
+  req.source_epoch = 2;  // new on the replica, which holds epoch 1
+  req.budget_ns = static_cast<std::uint64_t>(kBudget.count());
+  CheckpointDoneMsg answer;
   Duration took{0};
-  auto proc = f.r.eng.spawn([](ForwardRig& rig, PortusClient& direct,
-                               Duration& round) -> sim::Process {
-    // A pull the puller never saw puts the replica at epoch 2.
-    rig.model.mutate_weights(2);
-    const auto ahead = co_await direct.checkpoint_named(rig.key, 2);
-    EXPECT_EQ(ahead, 2u);
-    rig.model.mutate_weights(3);
-    const Time t0 = rig.r.eng.now();
-    const auto ck = co_await rig.client.checkpoint(3);
-    round = rig.r.eng.now() - t0;
-    EXPECT_EQ(ck.epoch, 3u);
-    // The replica's lane is down, the puller's is not: the next round
-    // pulls on the puller alone.
-    rig.model.mutate_weights(4);
-    const auto next = co_await rig.client.checkpoint(4);
-    EXPECT_TRUE(next.degraded);
-  }(f, f.client.lane_client(channel), took));
+  auto proc = f.r.eng.spawn([](sim::Engine& eng, PortusDaemon& rep, ForwardReqMsg msg,
+                               CheckpointDoneMsg& out, Duration& waited) -> sim::Process {
+    const Time t0 = eng.now();
+    out = co_await rep.handle_forward(std::move(msg));
+    waited = eng.now() - t0;
+  }(f.r.eng, replica, req, answer, took));
   f.r.eng.run();
   proc.check();
-  const Duration op_timeout = f.r.client_config(2).op_timeout;
-  EXPECT_LT(took, op_timeout) << "the round waited out a watchdog";
-  EXPECT_GE(took, op_timeout / 2) << "the catch-up's budget is half the op timeout";
-  EXPECT_EQ(f.client.stats().lane_failures, 1u);
-  EXPECT_EQ(f.timeouts(), 0u) << "no watchdog fired: the puller named the source";
-  EXPECT_EQ(puller.stats().forwards, 0u);
-  EXPECT_EQ(puller.stats().checkpoints, 3u);
-  EXPECT_EQ(replica.stats().checkpoints, 2u);
-  EXPECT_EQ(newest_done(puller, f.key).first, 3u);
+  EXPECT_FALSE(answer.ok);
+  EXPECT_TRUE(answer.error.starts_with(kForwardSourceLost)) << answer.error;
+  EXPECT_NE(answer.error.find(source.config().endpoint), std::string::npos) << answer.error;
+  EXPECT_GE(took, kBudget);
+  EXPECT_LT(took, kBudget + 1ms) << "the refusal waited past its budget";
+  EXPECT_EQ(replica.stats().failed_ops, 1u);
+  EXPECT_EQ(replica.stats().forwards, 1u) << "only the rig's round landed";
+  EXPECT_EQ(newest_done(replica, f.key).first, 1u);
   EXPECT_EQ(f.r.eng.failed_process_count(), 0);
 }
 
@@ -1237,88 +1226,48 @@ TEST(ClusterTest, RestoreDuringTwoLandingsServesOneVersionWhole) {
   EXPECT_EQ(r.eng.failed_process_count(), 0);
 }
 
-// A carried epoch must be new on the replica: one already at or past it
-// refuses the forward and pulls instead. Its version then lands on the
-// puller once, so the next round's forward is accepted again.
+// A carried epoch must be new on the replica: one ahead of the puller
+// without the client knowing refuses the forward and pulls the round
+// itself. The client then knows the puller is behind, so the replica pulls
+// the next round and the puller lands it by forward: the copies agree
+// again.
 TEST(ClusterTest, ReplicaAheadOfThePullerRefusesTheForwardThenCatchesItUp) {
   ForwardRig f;
   auto& puller = f.daemon(f.puller);
   auto& replica = f.daemon(f.replica);
   std::size_t channel = 0;
   while (f.client.lane_client(channel).endpoint() != replica.config().endpoint) ++channel;
-  std::uint64_t puller_after_refusal = 0;
-  auto proc = f.r.eng.spawn([](ClusterClient& c, PortusClient& direct, PortusDaemon& p,
-                               dnn::Model& m, const std::string& key,
-                               std::uint64_t& caught_up) -> sim::Process {
-    // A pull the puller never saw puts the replica at epoch 2.
-    m.mutate_weights(2);
-    const auto ahead = co_await direct.checkpoint_named(key, 2);
+  std::pair<std::uint64_t, std::uint64_t> after_refusal;  // (puller, replica) epochs
+  auto proc = f.r.eng.spawn([](ForwardRig& rig, PortusClient& direct, PortusDaemon& p,
+                               PortusDaemon& rep,
+                               std::pair<std::uint64_t, std::uint64_t>& after) -> sim::Process {
+    // A pull the client never saw puts the replica at epoch 2.
+    rig.model.mutate_weights(2);
+    const auto ahead = co_await direct.checkpoint_named(rig.key, 2);
     EXPECT_EQ(ahead, 2u);
-    m.mutate_weights(3);
-    const auto ck = co_await c.checkpoint(3);
+    rig.model.mutate_weights(3);
+    const auto ck = co_await rig.client.checkpoint(3);
     EXPECT_EQ(ck.epoch, 3u) << "the replica's own pull is the round's newest";
     EXPECT_FALSE(ck.degraded);
-    caught_up = newest_done(p, key).first;
-    m.mutate_weights(4);
-    const auto next = co_await c.checkpoint(4);
+    after = {newest_done(p, rig.key).first, newest_done(rep, rig.key).first};
+    rig.model.mutate_weights(4);
+    const auto next = co_await rig.client.checkpoint(4);
     EXPECT_EQ(next.epoch, 4u);
-  }(f.client, f.client.lane_client(channel), puller, f.model, f.key, puller_after_refusal));
+    EXPECT_FALSE(next.degraded);
+  }(f, f.client.lane_client(channel), puller, replica, after_refusal));
   f.r.eng.run();
   proc.check();
-  EXPECT_EQ(puller_after_refusal, 3u) << "the puller did not land the replica's version";
-  EXPECT_EQ(puller.stats().forwards, 1u);
-  // Epoch 2 was not new on the replica; epoch 4 is.
-  EXPECT_EQ(replica.stats().forwards, 2u);
-  EXPECT_EQ(replica.stats().checkpoints, 2u);
+  EXPECT_EQ(after_refusal, std::make_pair(std::uint64_t{2}, std::uint64_t{3}));
+  // Round 3: the puller's epoch 2 was not new on the replica, which pulled.
+  // Round 4: the replica pulled, and its epoch 4 was new on the puller.
+  EXPECT_EQ(replica.stats().failed_ops, 1u);
+  EXPECT_EQ(replica.stats().checkpoints, 3u) << "the direct pull, rounds 3 and 4";
+  EXPECT_EQ(replica.stats().forwards, 1u) << "round 1 only";
+  EXPECT_EQ(puller.stats().checkpoints, 2u) << "rounds 1 and 3";
+  EXPECT_EQ(puller.stats().forwards, 1u) << "round 4";
   EXPECT_EQ(newest_done(replica, f.key), newest_done(puller, f.key));
   EXPECT_EQ(newest_done(replica, f.key).first, 4u);
-  EXPECT_EQ(f.r.eng.failed_process_count(), 0);
-}
-
-// A copy that refused its forward and then failed its own pull still holds
-// an older version, at a higher epoch than the puller's new one: carrying
-// it back to the puller would bury the round's version under a stale one.
-TEST(ClusterTest, CatchUpCarriesOnlyAVersionThisRoundLanded) {
-  // Tenanted daemons with no admission queue: a paused controller bounces
-  // a pull with Backpressure, which the client does not retry.
-  PortusDaemon::Config base;
-  base.tenancy = true;
-  base.admission_queue_depth = 0;
-  ForwardRig f{base};
-  auto& puller = f.daemon(f.puller);
-  auto& replica = f.daemon(f.replica);
-
-  // The puller refuses two rounds, so the replica pulls them alone and
-  // the client knows it at epoch 3; the puller stays at epoch 1.
-  puller.pause_admissions();
-  auto alone = f.r.eng.spawn([](ClusterClient& c, dnn::Model& m) -> sim::Process {
-    for (std::uint64_t k = 2; k <= 3; ++k) {
-      m.mutate_weights(k);
-      const auto ck = co_await c.checkpoint(k);
-      EXPECT_EQ(ck.epoch, k);
-      EXPECT_TRUE(ck.degraded);
-    }
-  }(f.client, f.model));
-  f.r.eng.run();
-  alone.check();
-  puller.resume_admissions();
-
-  // The puller's epoch 2 is not new on the replica; the refusal (failed_ops
-  // 1) pauses the replica's admissions, so its fallback pull is refused too.
-  f.r.eng.spawn(when(
-      f.r.eng, [&] { return replica.stats().failed_ops == 1; },
-      [&] { replica.pause_admissions(); }));
-  auto proc = f.r.eng.spawn([](ClusterClient& c, dnn::Model& m) -> sim::Process {
-    m.mutate_weights(4);
-    const auto ck = co_await c.checkpoint(4);
-    EXPECT_EQ(ck.epoch, 2u);
-    EXPECT_TRUE(ck.degraded) << "the replica missed the round";
-  }(f.client, f.model));
-  f.r.eng.run();
-  proc.check();
-  EXPECT_EQ(replica.stats().backpressure_rejects, 1u);
-  EXPECT_EQ(puller.stats().forwards, 0u) << "the replica's older version was carried back";
-  EXPECT_EQ(newest_done(puller, f.key).first, 2u);
+  EXPECT_EQ(f.timeouts(), 0u);
   EXPECT_EQ(f.r.eng.failed_process_count(), 0);
 }
 
@@ -1663,15 +1612,13 @@ TEST(ClusterTest, BalancedRestoreOfAHealthyRingIsNotDegraded) {
   EXPECT_EQ(w.r.eng.failed_process_count(), 0);
 }
 
-// A copy that refuses the required epoch (its daemon restarted after
-// missing a round) sends its shard to an untried copy in the next wave. The
-// shard is re-routed only if the refusing copy was its primary: a replica
-// the first wave picked for balance is not.
-TEST(ClusterTest, RefusedCopySendsItsShardToTheNextWave) {
-  WaveRig w;
+// Run WaveRig's restart scenario: checkpoint 1 on the healthy ring, crash
+// portusd1, checkpoint 2 without it, restart it over its PMEM. Returns the
+// weights' CRC at epoch 2; portusd1's copies still hold epoch 1.
+std::uint32_t checkpoint_around_a_restart(WaveRig& w) {
   std::uint32_t want = 0;
-  auto first = w.r.eng.spawn([](ClusterRig& rig, ClusterClient& c, dnn::Model& m,
-                                std::uint32_t& crc) -> sim::Process {
+  auto proc = w.r.eng.spawn([](ClusterRig& rig, ClusterClient& c, dnn::Model& m,
+                               std::uint32_t& crc) -> sim::Process {
     co_await c.register_model(m);
     co_await c.checkpoint(1);
     rig.faults.kill_now("portusd1");
@@ -1681,9 +1628,18 @@ TEST(ClusterTest, RefusedCopySendsItsShardToTheNextWave) {
     crc = m.weights_crc();
   }(w.r, w.client, w.model, want));
   w.r.eng.run();
-  first.check();
-
+  proc.check();
   w.restart(1);
+  return want;
+}
+
+// After the restart the client re-registers portusd1's copies, and the
+// acks say they hold epoch 1, below the shards' epoch 2: the wave leaves
+// them out, so no restore is refused and one wave serves every shard. Each
+// shard whose primary is on portusd1 counts as re-routed.
+TEST(ClusterTest, RestoreLeavesOutCopiesKnownToBeStale) {
+  WaveRig w;
+  const std::uint32_t want = checkpoint_around_a_restart(w);
   ClusterClient::RestoreResult rr;
   auto proc = w.r.eng.spawn([](ClusterClient& c, dnn::Model& m,
                                ClusterClient::RestoreResult& out) -> sim::Process {
@@ -1694,6 +1650,56 @@ TEST(ClusterTest, RefusedCopySendsItsShardToTheNextWave) {
   w.r.eng.run();
   proc.check();
   EXPECT_EQ(rr.epoch, 2u);
+  EXPECT_TRUE(rr.degraded) << "portusd1's primaries were re-routed";
+  EXPECT_GT(primaries_on(w.client.plan(), 1), 0u);
+  EXPECT_EQ(rr.rerouted_shards, primaries_on(w.client.plan(), 1));
+  EXPECT_EQ(w.model.weights_crc(), want);
+  const auto sent = restores_by_daemon(w.r.tracer, "resnet50");
+  EXPECT_EQ(sent.count("portusd1"), 0u) << "a stale copy was sent a restore";
+  EXPECT_EQ(w.r.daemons[1]->stats().failed_ops, 0u);
+  EXPECT_EQ(w.r.daemons[0]->stats().restores + w.r.daemons[2]->stats().restores, 8u);
+  std::size_t spans = 0;
+  for (const auto& [track, shards] : sent) spans += shards.size();
+  EXPECT_EQ(spans, 8u) << "a shard needed a second wave";
+  EXPECT_EQ(w.r.eng.failed_process_count(), 0);
+}
+
+// A copy the client cannot know is bad (a byte flipped in its DONE slot)
+// refuses its restore and sends its shard to an untried copy in the next
+// wave. The shard is re-routed only if the refusing copy was its primary:
+// a replica the first wave picked for balance is not.
+TEST(ClusterTest, RefusedCopySendsItsShardToTheNextWave) {
+  WaveRig w;
+  std::uint32_t want = 0;
+  auto first = w.r.eng.spawn([](ClusterClient& c, dnn::Model& m,
+                                std::uint32_t& crc) -> sim::Process {
+    co_await c.register_model(m);
+    co_await c.checkpoint(1);
+    crc = m.weights_crc();
+  }(w.client, w.model, want));
+  w.r.eng.run();
+  first.check();
+
+  // Bit rot in every version portusd1 holds.
+  auto& rotten = *w.r.daemons[1];
+  for (const auto& key : rotten.model_table().names()) {
+    const MIndex* idx = rotten.find_live_index(key);
+    const Bytes at = idx->slot(*idx->latest_done_slot()).data_offset +
+                     idx->tensors()[0].offset_in_slot;
+    auto b = rotten.device().read(at, 1);
+    b[0] ^= std::byte{0x40};
+    rotten.device().write(at, b);
+    rotten.device().persist(at, 1);
+  }
+  ClusterClient::RestoreResult rr;
+  auto proc = w.r.eng.spawn([](ClusterClient& c, dnn::Model& m,
+                               ClusterClient::RestoreResult& out) -> sim::Process {
+    m.mutate_weights(2);
+    out = co_await c.restore();
+  }(w.client, w.model, rr));
+  w.r.eng.run();
+  proc.check();
+  EXPECT_EQ(rr.epoch, 1u);
   EXPECT_TRUE(rr.degraded) << "the refused shards needed a second wave";
   EXPECT_EQ(w.model.weights_crc(), want);
 
@@ -1701,8 +1707,9 @@ TEST(ClusterTest, RefusedCopySendsItsShardToTheNextWave) {
   // copy served it.
   const auto refused = restores_by_daemon(w.r.tracer, "resnet50")["portusd1"];
   ASSERT_FALSE(refused.empty());
-  EXPECT_EQ(w.r.daemons[1]->stats().restores, 0u);
-  EXPECT_EQ(w.r.daemons[1]->stats().failed_ops, refused.size());
+  EXPECT_EQ(rotten.stats().restores, 0u);
+  EXPECT_EQ(rotten.stats().integrity_rejects, refused.size());
+  EXPECT_EQ(rotten.stats().failed_ops, refused.size());
   EXPECT_EQ(w.r.daemons[0]->stats().restores + w.r.daemons[2]->stats().restores, 8u);
   std::uint32_t refused_primaries = 0;
   for (const auto s : refused) {
@@ -1713,6 +1720,142 @@ TEST(ClusterTest, RefusedCopySendsItsShardToTheNextWave) {
   EXPECT_LT(refused_primaries, refused.size());
   EXPECT_EQ(rr.rerouted_shards, refused_primaries);
   EXPECT_EQ(w.r.eng.failed_process_count(), 0);
+}
+
+// The acks of a client registering anew carry each copy's newest epoch, so
+// a fresh process finds the shards' newest version even where a restarted
+// daemon's copies are behind: it restores epoch 2 bit-exactly, and nothing
+// from portusd1.
+TEST(ClusterTest, FreshClientAfterARestartRestoresTheNewestVersion) {
+  WaveRig w;
+  const std::uint32_t want = checkpoint_around_a_restart(w);
+  dnn::ModelZoo::Options opt;
+  opt.scale = 0.02;
+  opt.weight_seed = 4242;
+  auto model = dnn::ModelZoo::create(w.volta.gpu(1), "resnet50", opt);
+  ASSERT_NE(model.weights_crc(), want);
+  ClusterClient fresh{*w.r.cluster, w.volta, w.volta.gpu(1), w.r.rendezvous,
+                      WaveRig::config(w.r)};
+  ClusterClient::RestoreResult rr;
+  auto proc = w.r.eng.spawn([](ClusterClient& c, dnn::Model& m,
+                               ClusterClient::RestoreResult& out) -> sim::Process {
+    co_await c.register_model(m);
+    out = co_await c.restore();
+  }(fresh, model, rr));
+  w.r.eng.run();
+  proc.check();
+  EXPECT_EQ(rr.epoch, 2u);
+  EXPECT_EQ(model.weights_crc(), want) << "a stale copy was restored";
+  EXPECT_EQ(w.r.daemons[1]->stats().restores, 0u);
+  EXPECT_EQ(restores_by_daemon(w.r.tracer, "resnet50").count("portusd1"), 0u);
+  EXPECT_EQ(w.r.eng.failed_process_count(), 0);
+}
+
+// The first round after a restart pulls each shard once, on a copy the
+// client does not know to be behind: a shard whose primary is on the
+// restarted portusd1 (known at epoch 1 by its registration ack) pulls on
+// its replica and forwards to portusd1. No forward is refused, and every
+// copy ends at the round's epoch under one CRC block.
+TEST(ClusterTest, RoundAfterARestartPullsEachShardOnceOnACopyNotBehind) {
+  WaveRig w;
+  checkpoint_around_a_restart(w);
+  const auto totals = [&] {
+    std::array<std::uint64_t, 3> t{};  // pulls, forwards, failed ops
+    for (auto& d : w.r.daemons) {
+      t[0] += d->stats().checkpoints;
+      t[1] += d->stats().forwards;
+      t[2] += d->stats().failed_ops;
+    }
+    return t;
+  };
+  const auto before = totals();  // the re-registration lands nothing
+  auto proc = w.r.eng.spawn([](ClusterClient& c, dnn::Model& m) -> sim::Process {
+    co_await c.refresh_placement();
+    m.mutate_weights(3);
+    const auto ck = co_await c.checkpoint(3);
+    EXPECT_EQ(ck.epoch, 3u);
+    EXPECT_FALSE(ck.degraded);
+  }(w.client, w.model));
+  w.r.eng.run();
+  proc.check();
+  const auto after = totals();
+  EXPECT_EQ(after[0] - before[0], 8u) << "GPU pulls";
+  EXPECT_EQ(after[1] - before[1], 8u) << "forwards";
+  EXPECT_EQ(after[2] - before[2], 0u) << "refused forwards";
+  for (std::uint32_t s = 0; s < 8; ++s) {
+    const auto key = shard_key("resnet50", s);
+    const auto& ring = w.client.plan().shard_daemons[s];
+    const auto first = newest_done(*w.r.daemons[ring[0]], key);
+    EXPECT_EQ(first.first, 3u) << key;
+    EXPECT_EQ(newest_done(*w.r.daemons[ring[1]], key), first) << key;
+  }
+  EXPECT_EQ(w.r.eng.failed_process_count(), 0);
+}
+
+// R = 3: a healthy round pulls each shard once and arms a forward to each
+// of its two other copies. portusd1 crashes mid-round while it pulls the
+// shard whose primary it holds: that shard's two other copies pull the
+// round themselves, at once, and every live copy of every shard ends at
+// the round's epoch.
+TEST(ClusterTest, ThreeCopiesPerShardOutliveAPullerCrashMidRound) {
+  ClusterRig r{4};
+  auto& volta = r.cluster->node("client-volta");
+  auto model = ForwardRig::make_model(volta);
+  auto cfg = r.client_config(3);
+  cfg.shard_count = 4;
+  ClusterClient client{*r.cluster, volta, volta.gpu(0), r.rendezvous, cfg};
+  // (GPU pulls, forwards) on every daemon but portusd1.
+  const auto totals = [&] {
+    std::pair<std::uint64_t, std::uint64_t> t;
+    for (std::size_t i = 0; i < r.daemons.size(); ++i) {
+      if (i == 1) continue;
+      t.first += r.daemons[i]->stats().checkpoints;
+      t.second += r.daemons[i]->stats().forwards;
+    }
+    return t;
+  };
+  std::pair<std::uint64_t, std::uint64_t> healthy;
+  std::pair<std::uint64_t, std::uint64_t> crashed;
+  std::uint32_t want = 0;
+  auto proc = r.eng.spawn([](ClusterRig& rig, ClusterClient& c, dnn::Model& m, auto& count,
+                             std::pair<std::uint64_t, std::uint64_t>& first,
+                             std::pair<std::uint64_t, std::uint64_t>& second,
+                             std::uint32_t& crc) -> sim::Process {
+    co_await c.register_model(m);
+    const auto ck = co_await c.checkpoint(1);
+    EXPECT_EQ(ck.epoch, 1u);
+    EXPECT_FALSE(ck.degraded);
+    const auto& one = rig.daemons[1]->stats();
+    EXPECT_EQ(count().first + one.checkpoints, 4u) << "GPU pulls";
+    EXPECT_EQ(count().second + one.forwards, 8u) << "armed forwards";
+    first = count();
+    m.mutate_weights(2);
+    crc = m.weights_crc();
+    rig.faults.kill_after("portusd1", 200us);
+    const auto next = co_await c.checkpoint(2);
+    EXPECT_EQ(next.epoch, 2u);
+    EXPECT_TRUE(next.degraded);
+    second = count();
+    m.mutate_weights(3);
+    const auto rr = co_await c.restore();
+    EXPECT_EQ(rr.epoch, 2u);
+  }(r, client, model, totals, healthy, crashed, want));
+  r.eng.run();
+  proc.check();
+  // The crashed puller's shard: two pulls. The two shards portusd1 held a
+  // replica of: a pull and a forward each. The fourth: a pull and two.
+  EXPECT_EQ(crashed.first - healthy.first, 5u) << "GPU pulls on the survivors";
+  EXPECT_EQ(crashed.second - healthy.second, 4u) << "forwards on the survivors";
+  EXPECT_TRUE(r.daemons[1]->killed());
+  EXPECT_EQ(model.weights_crc(), want);
+  for (std::uint32_t s = 0; s < 4; ++s) {
+    const auto key = shard_key("resnet50", s);
+    for (const auto position : client.plan().shard_daemons[s]) {
+      if (position == 1) continue;
+      EXPECT_EQ(newest_done(*r.daemons[position], key).first, 2u) << key << " on " << position;
+    }
+  }
+  EXPECT_EQ(r.eng.failed_process_count(), 0);
 }
 
 // Losing every copy of a shard is unrecoverable and must fail loudly.
@@ -1775,6 +1918,23 @@ TEST(ClusterTest, ClusterCtlStatusAggregates) {
   EXPECT_NE(table.find("portusd0"), std::string::npos);
   EXPECT_NE(table.find("DOWN"), std::string::npos);
   EXPECT_NE(table.find("degraded"), std::string::npos);
+
+  // FWDS (right-aligned under its header) sums to one forward per
+  // non-empty shard: checkpoint(1) pulled each once and forwarded it to
+  // its other copy.
+  std::istringstream lines{table};
+  std::string header;
+  std::getline(lines, header);
+  const auto end = header.find("FWDS") + std::string_view{"FWDS"}.size();
+  std::uint64_t forwards = 0;
+  for (std::string line; std::getline(lines, line) && line.starts_with("portusd");) {
+    const auto begin = line.rfind(' ', end - 1) + 1;
+    forwards += std::stoull(line.substr(begin, end - begin));
+  }
+  std::uint64_t shards = 0;
+  for (const auto& tensors : client.plan().shard_tensors) shards += tensors.empty() ? 0 : 1;
+  EXPECT_GT(shards, 0u);
+  EXPECT_EQ(forwards, shards);
 }
 
 // ---------------------------------------------------------------------------

@@ -71,6 +71,16 @@ TEST(ProtocolTest, AllControlMessagesRoundTrip) {
     const auto w = encode(FinishJobMsg{.model_name = "gpt"});
     EXPECT_EQ(decode_finish_job(w).model_name, "gpt");
   }
+  {
+    RegisterAckMsg ack;
+    ack.ok = true;
+    ack.current_membership_epoch = 5;
+    ack.newest_epoch = 41;
+    const auto b = decode_register_ack(encode(ack));
+    EXPECT_TRUE(b.ok);
+    EXPECT_EQ(b.current_membership_epoch, 5u);
+    EXPECT_EQ(b.newest_epoch, 41u);
+  }
 }
 
 TEST(ProtocolTest, ForwardMessagesRoundTrip) {

@@ -377,6 +377,26 @@ TEST(RobustnessTest, UndecodableRequestIsRefusedAndTheSessionServesOn) {
   EXPECT_EQ(r.daemon->stats().failed_ops, 8u);
 }
 
+// Type 9 once named an ERROR message that nothing ever sent or handled; a
+// message of that type is hung up on like any other unknown one.
+TEST(RobustnessTest, RetiredErrorTypeIsHungUpOn) {
+  Rig r;
+  bool hung_up = false;
+  r.eng.spawn([](Rig& rig, bool& out) -> sim::Process {
+    auto socket = co_await rig.cluster->endpoint("portusd").connect();
+    socket->send(std::vector<std::byte>{std::byte{9}});
+    try {
+      co_await socket->recv();
+    } catch (const Disconnected&) {
+      out = true;
+    }
+  }(r, hung_up));
+  r.eng.run();
+  EXPECT_TRUE(hung_up);
+  EXPECT_EQ(r.daemon->stats().failed_ops, 1u);
+  EXPECT_EQ(r.eng.failed_process_count(), 0);
+}
+
 TEST(RobustnessTest, CheckpointOfUnregisteredModelFails) {
   Rig r;
   auto& node = r.cluster->node("client-volta");
