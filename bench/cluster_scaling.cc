@@ -17,7 +17,10 @@
 // crashes, each job checkpoints once more without it, and all four restore
 // at once. Each restore wave spreads its shards' bytes over the live
 // copies, so the survivors split each job's shards evenly; the bench fails
-// if a job's survivors serve shard counts more than one apart.
+// if a job's survivors serve shard counts more than one apart. Each row
+// prints every job's restore time beside the slowest and the median: each
+// survivor serves 16 shard restores on 8 workers, and serving the shortest
+// remaining transfer first lets the small jobs' shards pass bert's.
 #include <algorithm>
 #include <cstdlib>
 #include <fstream>
@@ -205,17 +208,20 @@ int main() {
   std::vector<FailoverRow> failover;
   for (const int n : {3, 4}) failover.push_back(measure_failover(n));
   std::cout << "\nrestore after portusd1 crashes (R=2, 8 shards, 4 jobs restoring at once)\n";
-  std::cout << strf("{:>8}{:>12}{:>12}   shards each survivor served\n", "daemons", "slowest",
-                    "median");
+  std::string header = strf("{:>8}{:>12}{:>12}", "daemons", "slowest", "median");
+  for (const auto& job : failover.front().jobs) header += strf("{:>12}", job);
+  std::cout << header << "   shards each survivor served\n";
   for (const auto& row : failover) {
+    std::string line = strf("{:>8}{:>12}{:>12}", row.daemons, format_duration(row.slowest()),
+                            format_duration(row.median()));
+    for (const auto took : row.restore) line += strf("{:>12}", format_duration(took));
     std::string split;
     for (std::size_t j = 0; j < row.jobs.size(); ++j) {
       std::string counts;
       for (const auto n : row.served[j]) counts += (counts.empty() ? "" : "/") + strf("{}", n);
       split += strf("  {} {}", row.jobs[j], counts);
     }
-    std::cout << strf("{:>8}{:>12}{:>12} {}\n", row.daemons, format_duration(row.slowest()),
-                      format_duration(row.median()), split);
+    std::cout << line << " " << split << "\n";
   }
 
   const auto json_path = bench::results_path("BENCH_cluster.json");
@@ -238,16 +244,21 @@ int main() {
   json << "  ],\n  \"failover\": [\n";
   for (std::size_t i = 0; i < failover.size(); ++i) {
     const auto& row = failover[i];
+    std::string job_restore;
+    for (std::size_t j = 0; j < row.jobs.size(); ++j) {
+      job_restore += strf("{}\"{}\": {}", j == 0 ? "" : ", ", row.jobs[j], row.restore[j].count());
+    }
     json << strf("    {{\"daemons\": {}, \"replicas\": 2, \"shards\": 8, \"scale\": 0.005, "
-                 "\"slowest_restore_ns\": {}, \"median_restore_ns\": {}, \"jobs\": [",
-                 row.daemons, row.slowest().count(), row.median().count());
+                 "\"slowest_restore_ns\": {}, \"median_restore_ns\": {}, "
+                 "\"job_restore_ns\": {{{}}}, \"jobs\": [",
+                 row.daemons, row.slowest().count(), row.median().count(), job_restore);
     for (std::size_t j = 0; j < row.jobs.size(); ++j) {
       std::string served;
       for (std::size_t k = 0; k < row.survivors.size(); ++k) {
         served += strf("{}\"{}\": {}", k == 0 ? "" : ", ", row.survivors[k], row.served[j][k]);
       }
-      json << strf("{}{{\"model\": \"{}\", \"restore_ns\": {}, \"served\": {{{}}}}}",
-                   j == 0 ? "" : ", ", row.jobs[j], row.restore[j].count(), served);
+      json << strf("{}{{\"model\": \"{}\", \"served\": {{{}}}}}", j == 0 ? "" : ", ",
+                   row.jobs[j], served);
     }
     json << strf("]}}{}\n", i + 1 < failover.size() ? "," : "");
   }

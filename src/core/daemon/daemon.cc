@@ -177,8 +177,45 @@ sim::SubTask<bool> PortusDaemon::admit(const std::string& model,
   co_return true;
 }
 
+sim::Tracer::Span PortusDaemon::trace_wait(const std::string& key) {
+  if (config_.tracer == nullptr) return {};
+  return config_.tracer->span("wait " + key, config_.endpoint);
+}
+
+Bytes PortusDaemon::registered_bytes(const std::string& key) const {
+  const auto it = sessions_.find(key);
+  return it == sessions_.end() ? 0 : it->second.registration.total_bytes();
+}
+
+Bytes PortusDaemon::slot_bytes(const std::string& key) {
+  try {
+    std::optional<MIndex> held;
+    return index_of(key, held).slot_size();
+  } catch (const Error&) {
+    return 0;  // the forward fails on it once it holds its worker
+  }
+}
+
+sim::SubTask<PortusDaemon::OpWorker> PortusDaemon::take_worker(const std::string& key,
+                                                               Bytes bytes) {
+  const Time since = engine().now();
+  const auto span = workers_->available() == 0 ? trace_wait(key) : sim::Tracer::Span{};
+  auto permit = co_await workers_->permit(bytes);
+  stats_.worker_wait_seconds += to_seconds(engine().now() - since);
+  co_return OpWorker{*this, key, std::move(permit)};
+}
+
+sim::SubTask<> PortusDaemon::OpWorker::lend(Bytes remaining) {
+  auto& stats = daemon_.stats_;
+  ++stats.worker_yields;
+  const Time since = daemon_.engine().now();
+  const auto span = daemon_.trace_wait(key_);
+  co_await permit_.hand_over(remaining);
+  stats.worker_wait_seconds += to_seconds(daemon_.engine().now() - since);
+}
+
 sim::SubTask<std::vector<std::uint32_t>> PortusDaemon::transfer(
-    ModelSession& session, TransferChunk::Kind direction, Bytes slot_offset,
+    ModelSession& session, OpWorker& worker, TransferChunk::Kind direction, Bytes slot_offset,
     const rdma::MemoryRegion& slot_mr, std::vector<bool> dirty, Bytes prev_offset) {
   const MIndex& index = *session.index;
   auto work = plan_transfer(index, session.registration.tensors,
@@ -187,19 +224,20 @@ sim::SubTask<std::vector<std::uint32_t>> PortusDaemon::transfer(
                             config_.chunk_bytes, direction, slot_offset, slot_mr, dirty,
                             prev_offset);
   const bool crcs = direction == TransferChunk::Kind::kRead && !index.phantom();
-  auto landed = co_await run_transfer(session.qps, *session.cq, session.home_node,
+  auto landed = co_await run_transfer(session.qps, *session.cq, worker, session.home_node,
                                       std::move(work), crcs ? index.tensors().size() : 0);
   co_return landed;
 }
 
 sim::SubTask<std::vector<std::uint32_t>> PortusDaemon::run_transfer(
-    const std::vector<rdma::QueuePair*>& lanes, rdma::CompletionQueue& cq,
+    const std::vector<rdma::QueuePair*>& lanes, rdma::CompletionQueue& cq, OpWorker& worker,
     std::uint32_t home_node, std::vector<TransferChunk> work, std::size_t crc_tensors) {
   PipelinedTransfer pipe{cluster_.engine(), lanes, cq,
                          PipelinedTransfer::Config{.window = config_.pipeline_window,
                                                    .batch_doorbells = config_.batch_doorbells}};
   pipe.bind_pmem(&device_, &node_.devdax_write_channel(), device_.perf().read_bw);
   pipe.set_home_node(home_node);
+  pipe.set_worker(&worker);
   co_await pipe.run(std::move(work));
   stats_.merge(pipe.stats());
   if (crc_tensors == 0) co_return {};
@@ -403,7 +441,7 @@ sim::SubTask<RegisterAckMsg> PortusDaemon::handle_register(RegisterModelMsg msg)
   // A registration that loaded the stored index while a forward lands on
   // it would keep a stale mirror of the slot headers.
   const auto landing = co_await landing_lock(msg.model_name).lock();
-  const auto permit = co_await workers_->permit();
+  const auto worker = co_await take_worker(msg.model_name, 0);
   // A refused registration keeps no PMEM byte and no charge: what it newly
   // took (a tenant charge, a fresh index) goes back if a later step throws.
   ModelSession session;
@@ -540,7 +578,7 @@ sim::SubTask<CheckpointDoneMsg> PortusDaemon::handle_checkpoint(CheckpointReqMsg
   // One transaction per copy at a time: a checkpoint that waited here for
   // a forward mints its epoch after that forward committed.
   const auto landing = co_await landing_lock(msg.model_name).lock();
-  const auto permit = co_await workers_->permit();
+  auto worker = co_await take_worker(msg.model_name, registered_bytes(msg.model_name));
   auto trace_span = config_.tracer != nullptr
                         ? config_.tracer->span("checkpoint " + msg.model_name, config_.endpoint)
                         : sim::Tracer::Span{};
@@ -571,7 +609,7 @@ sim::SubTask<CheckpointDoneMsg> PortusDaemon::handle_checkpoint(CheckpointReqMsg
     // extent), clean ones copy PMEM-locally from the previous version — all
     // interleaved through one pipelined datapath so the flush of a finished
     // chunk overlaps the pull of the next.
-    const auto crcs = co_await transfer(session, TransferChunk::Kind::kRead,
+    const auto crcs = co_await transfer(session, worker, TransferChunk::Kind::kRead,
                                         txn.data_offset(), slot_mr, std::move(dirty),
                                         prev_data_offset);
 
@@ -618,7 +656,7 @@ sim::SubTask<RestoreDoneMsg> PortusDaemon::handle_restore(RestoreReqMsg msg) {
   // the key's landing lock the restore serves whichever version is newest
   // when it gets the lock, whole.
   const auto landing = co_await landing_lock(msg.model_name).lock();
-  const auto permit = co_await workers_->permit();
+  auto worker = co_await take_worker(msg.model_name, registered_bytes(msg.model_name));
   auto trace_span = config_.tracer != nullptr
                         ? config_.tracer->span("restore " + msg.model_name, config_.endpoint)
                         : sim::Tracer::Span{};
@@ -656,7 +694,7 @@ sim::SubTask<RestoreDoneMsg> PortusDaemon::handle_restore(RestoreReqMsg msg) {
     // checkpoints (no persists — the destination is volatile GPU memory).
     // Coalesced extents scatter one contiguous slot range across N tensor
     // buffers.
-    co_await transfer(session, TransferChunk::Kind::kWrite, slot.data_offset,
+    co_await transfer(session, worker, TransferChunk::Kind::kWrite, slot.data_offset,
                       slot_region(index, *slot_idx));
 
     ++stats_.restores;
@@ -704,7 +742,7 @@ sim::SubTask<CheckpointDoneMsg> PortusDaemon::handle_forward(ForwardReqMsg msg) 
   // The epoch check below runs after any landing of this copy that got
   // here first has committed.
   const auto landing = co_await landing_lock(msg.model_name).lock();
-  const auto permit = co_await workers_->permit();
+  auto worker = co_await take_worker(msg.model_name, slot_bytes(msg.model_name));
   auto trace_span = config_.tracer != nullptr
                         ? config_.tracer->span("forward " + msg.model_name, config_.endpoint)
                         : sim::Tracer::Span{};
@@ -766,7 +804,7 @@ sim::SubTask<CheckpointDoneMsg> PortusDaemon::handle_forward(ForwardReqMsg msg) 
     auto txn = CheckpointTxn::begin(index, msg.source_epoch);
     auto work = plan_slot_copy(index.slot_size(), config_.chunk_bytes, txn.data_offset(),
                                slot_region(index, txn.slot()), source->rkey, source->addr);
-    co_await run_transfer(lanes, *cq, home_node, std::move(work), 0);
+    co_await run_transfer(lanes, *cq, worker, home_node, std::move(work), 0);
     device_.persist(txn.data_offset(), index.slot_size());
     co_await cluster_.engine().sleep(device_.perf().persist_overhead);
     PORTUS_CHECK(!dead_, "power lost before forward commit");

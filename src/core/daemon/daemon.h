@@ -2,9 +2,16 @@
 //
 // Listens on a TCP endpoint ("portusd"); each client connection is served
 // by its own session process. Heavy operations (registration layout,
-// checkpoint pulls, restore pushes) run under a worker pool modelled as a
-// counting semaphore — the paper's ThreadPool — so concurrency across
-// tenants is bounded but real.
+// checkpoint pulls, forwards, restore pushes) run on a worker pool — the
+// paper's ThreadPool — modelled as a counting semaphore that serves the
+// shortest remaining transfer first: an op asks for a worker at the bytes
+// it will move (a registration at 0), the smallest waiting op gets the next
+// free worker (arrival order among equals), and at each WR boundary with
+// none of its WRs in flight a transfer lends its worker to a waiting op
+// with fewer bytes to move than it has left (core/daemon/pipeline.h). So a
+// small op that arrives behind large ones waits for their next WR boundary,
+// not for whole transfers, and an op nobody waits behind never pauses: a
+// lone op's timeline is the FIFO pool's.
 //
 // PMEM layout on the devdax namespace:
 //   [4 KiB  superblock (reserved)]
@@ -13,10 +20,10 @@
 //   [heap        @ 1 MiB ... device end)   (MIndex records + TensorData)
 //
 // Every op runs one skeleton: the membership-epoch gate, (checkpoints and
-// forwards) an admission ticket, the key's landing lock, an RAII worker
-// permit, then the body. Every byte the daemon moves goes through one
-// planner and one runner: plan_transfer (core/daemon/pipeline.h) turns the
-// slot's extent plan into a chunk list, and transfer() drives it through
+// forwards) an admission ticket, the key's landing lock, a worker, then the
+// body. Every byte the daemon moves goes through one planner and one
+// runner: plan_transfer (core/daemon/pipeline.h) turns the slot's extent
+// plan into a chunk list, and transfer() drives it through
 // PipelinedTransfer and merges the counters into Stats.
 //   Checkpoint = CheckpointTxn::begin (ACTIVE persisted) -> pipelined
 //   one-sided RDMA READs (chunked tensors, bounded window, optional QP
@@ -40,7 +47,7 @@
 //   one (protocol v8) together with the puller's DO_CHECKPOINT: the
 //   replica queries first, holding nothing but its link to the source, and
 //   the source answers the moment that round's checkpoint ends. Only then
-//   does the replica take its ticket, landing lock and permit.
+//   does the replica take its ticket, landing lock and worker.
 // A key's registrations, checkpoints, forwards and restores run one at a
 // time.
 #pragma once
@@ -157,6 +164,11 @@ class PortusDaemon {
     // either: the round's pull failed, and the client lands the shard
     // another way.
     std::uint64_t voided_forwards = 0;
+    // Worker-pool queueing: hand-overs of a worker to a smaller op between
+    // WRs, and the virtual time ops spent queued for a worker, first and
+    // after each hand-over.
+    std::uint64_t worker_yields = 0;
+    double worker_wait_seconds = 0.0;
     Bytes bytes_pulled = 0;
     Bytes bytes_pushed = 0;
   };
@@ -188,6 +200,8 @@ class PortusDaemon {
 
   const Stats& stats() const { return stats_; }
   const Config& config() const { return config_; }
+  // Workers no op holds right now (Config::workers when idle).
+  int idle_workers() const { return workers_->available(); }
   ModelTable& model_table() { return *model_table_; }
   PmemAllocator& allocator() { return *allocator_; }
   pmem::PmemDevice& device() { return device_; }
@@ -266,6 +280,24 @@ class PortusDaemon {
     std::uint64_t qp_token = 0;  // offered until the source connects the QP
   };
 
+  // One op's worker: a permit of workers_, asked for at the bytes the op
+  // moves, which the op's transfer lends to smaller ops between WRs. Each
+  // wait for it is timed in Stats and traced as "wait <key>".
+  class OpWorker final : public PipelinedTransfer::Worker {
+   public:
+    OpWorker(PortusDaemon& daemon, const std::string& key, sim::SimSemaphore::Permit permit)
+        : daemon_{daemon}, key_{key}, permit_{std::move(permit)} {}
+    bool smaller_waiting(Bytes remaining) const override {
+      return permit_.would_hand_over(remaining);
+    }
+    sim::SubTask<> lend(Bytes remaining) override;
+
+   private:
+    PortusDaemon& daemon_;
+    std::string key_;
+    sim::SimSemaphore::Permit permit_;
+  };
+
   sim::Process accept_loop();
   sim::Process session_loop(std::shared_ptr<net::TcpSocket> socket);
 
@@ -302,21 +334,31 @@ class PortusDaemon {
   // leaves `ticket` empty when tenancy is off or the model is unknown.
   sim::SubTask<bool> admit(const std::string& model, AdmissionController::Ticket& ticket,
                            CheckpointDoneMsg& done);
+  // Wait for a worker at priority `bytes` (what `key`'s op will move).
+  sim::SubTask<OpWorker> take_worker(const std::string& key, Bytes bytes);
+  // What a checkpoint or restore of `key` moves (0 when unregistered), and
+  // what a forward of it lands: its slot, which a forward fills only from a
+  // source slot of the same size (0 when it has no index).
+  Bytes registered_bytes(const std::string& key) const;
+  Bytes slot_bytes(const std::string& key);
+  // Opens the "wait <key>" span of one wait for a worker (empty untraced).
+  sim::Tracer::Span trace_wait(const std::string& key);
   // Plan, run and account one data op over the session's lanes (see
   // plan_transfer). Returns the per-tensor CRCs collected inline —
   // checkpoints of materialized payloads only, empty otherwise.
-  sim::SubTask<std::vector<std::uint32_t>> transfer(ModelSession& session,
+  sim::SubTask<std::vector<std::uint32_t>> transfer(ModelSession& session, OpWorker& worker,
                                                     TransferChunk::Kind direction,
                                                     Bytes slot_offset,
                                                     const rdma::MemoryRegion& slot_mr,
                                                     std::vector<bool> dirty = {},
                                                     Bytes prev_offset = 0);
-  // Run one chunk list over `lanes` (all delivering into `cq`) for a worker
+  // Run one chunk list over `lanes` (all delivering into `cq`) on `worker`,
   // pinned to `home_node`, and merge its counters into Stats: the one place
   // a PipelinedTransfer is built. Returns the CRCs of `crc_tensors` tensors
   // collected inline (none when 0).
   sim::SubTask<std::vector<std::uint32_t>> run_transfer(const std::vector<rdma::QueuePair*>& lanes,
                                                         rdma::CompletionQueue& cq,
+                                                        OpWorker& worker,
                                                         std::uint32_t home_node,
                                                         std::vector<TransferChunk> work,
                                                         std::size_t crc_tensors);
@@ -324,11 +366,11 @@ class PortusDaemon {
   // moves time but no bytes: what a forward of a phantom model reads.
   const rdma::MemoryRegion& slot_region(const MIndex& index, int slot, bool phantom = false);
   // Held by a registration, checkpoint, forward or restore of `key` around
-  // its permit.
+  // its worker.
   sim::SimMutex& landing_lock(const std::string& key);
   // Held by a forward over the link to (source, key) for its slot-query
   // exchange, so one link carries one exchange at a time. Taken before
-  // anything else: a forward waiting for it holds no ticket or permit.
+  // anything else: a forward waiting for it holds no ticket or worker.
   sim::SimMutex& link_lock(const std::string& source, const std::string& key);
 
   net::Cluster& cluster_;

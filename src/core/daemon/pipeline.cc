@@ -198,6 +198,9 @@ sim::SubTask<> PipelinedTransfer::run(std::vector<TransferChunk> chunks) {
   std::size_t next = 0;
   Time head_since = start;  // when the current head chunk became eligible
   std::string failure;
+  Bytes left = 0;  // bytes of the chunks not admitted yet
+  for (const auto& c : chunks) left += c.len;
+  Duration lent{0};
 
   // Per-lane WR accumulators: an admission burst's extents are flushed as
   // one chained post per lane — one doorbell per lane per window.
@@ -263,6 +266,7 @@ sim::SubTask<> PipelinedTransfer::run(std::vector<TransferChunk> chunks) {
       const std::size_t i = next++;
       const TransferChunk& c = chunks[i];
       --lane_free[i % lanes];
+      left -= c.len;
       const std::uint64_t id = next_wr_id_++;
       in_flight.emplace(id, i);
       account(+1);
@@ -349,9 +353,18 @@ sim::SubTask<> PipelinedTransfer::run(std::vector<TransferChunk> chunks) {
       if (!extra.has_value()) break;
       process(*extra);
     }
+    // A WR boundary with nothing in flight: an op waiting with fewer bytes
+    // to move than this transfer has left takes the worker first.
+    if (worker_ != nullptr && in_flight.empty() && next < chunks.size() && failure.empty() &&
+        worker_->smaller_waiting(left)) {
+      const Time since = engine_.now();
+      co_await worker_->lend(left);
+      head_since += engine_.now() - since;
+      lent += engine_.now() - since;
+    }
   }
   account(0);  // close the occupancy integral at the final timestamp
-  stats_.pipeline_busy_seconds += to_seconds(engine_.now() - start);
+  stats_.pipeline_busy_seconds += to_seconds(engine_.now() - start - lent);
   PORTUS_CHECK(failure.empty(), failure);
 }
 

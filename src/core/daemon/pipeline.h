@@ -21,6 +21,12 @@
 // On a failed completion the engine stops admitting new chunks, drains
 // everything still in flight (RC ordering: later WQEs cannot be recalled),
 // and then throws — no half-tracked windows left behind.
+//
+// A transfer runs on one of its daemon's workers. At each WR boundary with
+// no WR in flight and work left (every boundary at window=1) it lends that
+// worker to a waiting op with fewer bytes to move than it has left, and
+// carries on once the worker is back: the pool serves the shortest
+// remaining transfer first. A transfer nobody waits behind never pauses.
 #pragma once
 
 #include <cstdint>
@@ -96,6 +102,19 @@ struct TransferChunk {
 
 class PipelinedTransfer {
  public:
+  // The worker a transfer runs on, as its daemon holds it (PortusDaemon).
+  class Worker {
+   public:
+    // Whether an op with fewer than `remaining` bytes to move waits for a
+    // worker.
+    virtual bool smaller_waiting(Bytes remaining) const = 0;
+    // Lend the worker to that op; return once it is back.
+    virtual sim::SubTask<> lend(Bytes remaining) = 0;
+
+   protected:
+    ~Worker() = default;
+  };
+
   struct Config {
     int window = 1;  // outstanding chunks admitted per QP lane
     // Accumulate each admission burst's WRs per lane and flush them as ONE
@@ -127,7 +146,7 @@ class PipelinedTransfer {
     Bytes rdma_bytes = 0;                // chunk bytes that crossed the NIC
     int peak_window = 0;                 // max chunks in flight at once
     double window_chunk_seconds = 0.0;   // ∫ outstanding dt, in chunk-seconds
-    double pipeline_busy_seconds = 0.0;  // wall time of run()
+    double pipeline_busy_seconds = 0.0;  // wall time of run() not lent out
     Duration queue_delay_total{0};       // head-of-line stall, summed per chunk
     Duration queue_delay_max{0};
 
@@ -181,6 +200,11 @@ class PipelinedTransfer {
   // on flat topologies. Default 0.
   void set_home_node(std::uint32_t node) { home_node_ = node; }
 
+  // The worker run() lends to smaller ops between WRs. The time it is lent
+  // counts neither as a head-of-line stall (queue_delay) nor as busy time.
+  // Unset = run() never pauses.
+  void set_worker(Worker* worker) { worker_ = worker; }
+
   // Drive the whole work list through the window; returns when every chunk
   // has completed (and, for persist_after chunks, been flushed). Throws on
   // the first failed completion, after draining all outstanding work.
@@ -221,6 +245,7 @@ class PipelinedTransfer {
   sim::BandwidthChannel* copy_channel_ = nullptr;
   Bandwidth copy_read_bw_ = Bandwidth::unlimited();
   std::uint32_t home_node_ = 0;
+  Worker* worker_ = nullptr;
   std::uint64_t next_wr_id_ = 0xB1BE0000ull;
   Stats stats_;
   std::vector<ChunkCrc> chunk_crcs_;

@@ -47,6 +47,8 @@ std::string Portusctl::render_stats() {
   out += strf("{:<28}{}\n", "forwards", s.forwards);
   out += strf("{:<28}{}\n", "voided forwards", s.voided_forwards);
   out += strf("{:<28}{}\n", "failed ops", s.failed_ops);
+  out += strf("{:<28}{}\n", "worker yields", s.worker_yields);
+  out += strf("{:<28}{:.1f} us\n", "worker wait", s.worker_wait_seconds * 1e6);
   out += strf("{:<28}{}\n", "bytes pulled", format_bytes(s.bytes_pulled));
   out += strf("{:<28}{}\n", "bytes pushed", format_bytes(s.bytes_pushed));
   out += "--- pipelined datapath ---\n";

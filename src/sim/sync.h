@@ -1,12 +1,15 @@
 // Synchronization primitives for simulation processes: mutex, counting
 // semaphore, one-shot broadcast event, and a CSP-style typed channel.
 //
-// All primitives are FIFO-fair and resume waiters through the engine's
-// event queue (never recursively), preserving deterministic ordering.
+// All primitives serve waiters in arrival order (the semaphore within a
+// caller-given priority) and resume them through the engine's event queue
+// (never recursively), preserving deterministic ordering.
 #pragma once
 
 #include <coroutine>
+#include <cstdint>
 #include <deque>
+#include <iterator>
 #include <memory>
 #include <optional>
 #include <utility>
@@ -92,6 +95,12 @@ class SimMutex final : public Resettable {
 // that the caller hands back with release(); `co_await sem.permit()` takes
 // one as a move-only Permit whose destruction releases it (SimMutex::Guard
 // style), so no exit path of the holder can leak the token.
+//
+// Waiters are served smallest caller-given priority first, in arrival order
+// among equals; a caller that gives none waits at 0, so a semaphore whose
+// callers give no priority is FIFO (and queues each waiter in O(1)). A
+// Permit's holder may hand_over() its token to a waiter of strictly smaller
+// priority and queue for a token again itself.
 // ---------------------------------------------------------------------------
 class SimSemaphore final : public Resettable {
  public:
@@ -106,6 +115,7 @@ class SimSemaphore final : public Resettable {
 
   struct AcquireAwaitable {
     SimSemaphore& sem;
+    std::uint64_t priority = 0;
     bool await_ready() const noexcept {
       if (sem.count_ > 0) {
         --sem.count_;
@@ -113,11 +123,11 @@ class SimSemaphore final : public Resettable {
       }
       return false;
     }
-    void await_suspend(std::coroutine_handle<> h) { sem.waiters_.push_back(h); }
+    void await_suspend(std::coroutine_handle<> h) { sem.enqueue(h, priority); }
     void await_resume() const noexcept {}  // token already transferred by release()
   };
 
-  AcquireAwaitable acquire() { return AcquireAwaitable{*this}; }
+  AcquireAwaitable acquire(std::uint64_t priority = 0) { return AcquireAwaitable{*this, priority}; }
 
   class [[nodiscard]] Permit {
    public:
@@ -125,6 +135,39 @@ class SimSemaphore final : public Resettable {
     Permit(Permit&& o) noexcept : sem_{std::exchange(o.sem_, nullptr)} {}
     ~Permit() {
       if (sem_ != nullptr) sem_->release();
+    }
+
+    // Whether hand_over(priority) would pass the token on.
+    bool would_hand_over(std::uint64_t priority) const {
+      return sem_ != nullptr && !sem_->waiters_.empty() &&
+             sem_->waiters_.front().priority < priority;
+    }
+
+    // When the first waiter's priority is strictly below `priority`, pass
+    // the token to it, queue at `priority` for a token again, and resume
+    // with true once one comes back. Otherwise resume at once, without
+    // suspending, with false. While queued the Permit holds no token, so a
+    // holder destroyed there releases nothing.
+    struct HandOverAwaitable {
+      Permit& permit;
+      std::uint64_t priority;
+      SimSemaphore* queued = nullptr;
+      bool await_ready() const noexcept { return !permit.would_hand_over(priority); }
+      void await_suspend(std::coroutine_handle<> h) {
+        queued = std::exchange(permit.sem_, nullptr);
+        queued->release();  // the first waiter takes the token
+        queued->enqueue(h, priority);
+      }
+      bool await_resume() noexcept {
+        if (queued == nullptr) return false;
+        permit.sem_ = queued;  // a release() handed a token back
+        return true;
+      }
+    };
+
+    HandOverAwaitable hand_over(std::uint64_t priority) {
+      PORTUS_CHECK(sem_ != nullptr, "hand-over of a permit that holds no token");
+      return HandOverAwaitable{*this, priority};
     }
 
    private:
@@ -135,12 +178,12 @@ class SimSemaphore final : public Resettable {
     Permit await_resume() const noexcept { return Permit{&sem}; }
   };
 
-  PermitAwaitable permit() { return PermitAwaitable{{*this}}; }
+  PermitAwaitable permit(std::uint64_t priority = 0) { return PermitAwaitable{{*this, priority}}; }
 
   void release(int n = 1) {
     for (int i = 0; i < n; ++i) {
       if (!waiters_.empty()) {
-        auto h = waiters_.front();
+        auto h = waiters_.front().handle;
         waiters_.pop_front();
         engine_.resume_later(h);  // token goes directly to the waiter
       } else {
@@ -153,9 +196,23 @@ class SimSemaphore final : public Resettable {
 
  private:
   friend struct AcquireAwaitable;
+
+  struct Waiter {
+    std::uint64_t priority;
+    std::coroutine_handle<> handle;
+  };
+
+  // Behind every waiter of equal or smaller priority: a scan from the back
+  // that stops at once when no larger priority is queued.
+  void enqueue(std::coroutine_handle<> h, std::uint64_t priority) {
+    auto at = waiters_.end();
+    while (at != waiters_.begin() && std::prev(at)->priority > priority) --at;
+    waiters_.insert(at, Waiter{priority, h});
+  }
+
   Engine& engine_;
   int count_;
-  std::deque<std::coroutine_handle<>> waiters_;
+  std::deque<Waiter> waiters_;
 };
 
 // ---------------------------------------------------------------------------

@@ -1612,6 +1612,74 @@ TEST(ClusterTest, BalancedRestoreOfAHealthyRingIsNotDegraded) {
   EXPECT_EQ(w.r.eng.failed_process_count(), 0);
 }
 
+// bench/cluster_scaling's failover scenario: four jobs (R=2, 8 shards each)
+// on 3 daemons restore at once after portusd1 crashed, 16 shard restores
+// per survivor on its 8 workers. Served shortest remaining transfer first,
+// the small jobs' shards no longer queue behind bert's, and the median job
+// restores in at most 0.6 ms (0.757 ms with the workers in arrival order).
+TEST(ClusterTest, FourJobsRestoringAfterACrashServeTheSmallShardsFirst) {
+  ClusterRig r{3};
+  auto cfg = r.client_config(2);
+  cfg.shard_count = 8;
+  auto& volta = r.cluster->node("client-volta");
+  const char* const names[] = {"resnet50", "swin_b", "vgg19_bn", "bert"};
+  std::vector<dnn::Model> models;
+  std::vector<std::unique_ptr<ClusterClient>> clients;
+  for (const char* name : names) {
+    auto& gpu = volta.gpu(models.size());
+    dnn::ModelZoo::Options opt;
+    opt.scale = 0.005;
+    models.push_back(dnn::ModelZoo::create(gpu, name, opt));
+    clients.push_back(std::make_unique<ClusterClient>(*r.cluster, volta, gpu, r.rendezvous, cfg));
+  }
+  std::vector<std::uint32_t> want(models.size());
+  std::vector<Duration> took(models.size());
+  const auto all = [&](auto op) {
+    std::vector<sim::Process> procs;
+    for (std::size_t j = 0; j < models.size(); ++j) {
+      procs.push_back(r.eng.spawn(op(r.eng, *clients[j], models[j], want[j], took[j])));
+    }
+    r.eng.run();
+    for (auto& p : procs) p.check();
+  };
+  all([](sim::Engine&, ClusterClient& c, dnn::Model& m, std::uint32_t&,
+         Duration&) -> sim::Process {
+    co_await c.register_model(m);
+    co_await c.checkpoint(1);
+  });
+  r.faults.kill_now("portusd1");
+  all([](sim::Engine&, ClusterClient& c, dnn::Model& m, std::uint32_t& crc,
+         Duration&) -> sim::Process {
+    m.mutate_weights(2);
+    co_await c.checkpoint(2);
+    crc = m.weights_crc();
+  });
+  all([](sim::Engine& eng, ClusterClient& c, dnn::Model& m, std::uint32_t&,
+         Duration& out) -> sim::Process {
+    m.mutate_weights(3);
+    const Time t0 = eng.now();
+    const auto rr = co_await c.restore();
+    out = eng.now() - t0;
+    EXPECT_EQ(rr.epoch, 2u);
+    EXPECT_TRUE(rr.degraded);
+  });
+  for (std::size_t j = 0; j < models.size(); ++j) {
+    EXPECT_EQ(models[j].weights_crc(), want[j]) << names[j] << " is not bit-exact";
+  }
+  auto sorted = took;
+  std::sort(sorted.begin(), sorted.end());
+  const Duration median = (sorted[1] + sorted[2]) / 2;
+  EXPECT_LE(median, 600us) << "per job (ns): " << took[0].count() << " " << took[1].count()
+                           << " " << took[2].count() << " " << took[3].count();
+  std::uint64_t yields = 0;
+  for (const auto& d : r.daemons) yields += d->stats().worker_yields;
+  EXPECT_GT(yields, 0u);
+  const auto waits = spans_by_track(r.tracer, "wait ");
+  EXPECT_TRUE(waits.contains("portusd0") || waits.contains("portusd2"))
+      << "no survivor traced a wait for a worker";
+  EXPECT_EQ(r.eng.failed_process_count(), 0);
+}
+
 // Run WaveRig's restart scenario: checkpoint 1 on the healthy ring, crash
 // portusd1, checkpoint 2 without it, restart it over its PMEM. Returns the
 // weights' CRC at epoch 2; portusd1's copies still hold epoch 1.

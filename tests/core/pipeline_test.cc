@@ -1,6 +1,7 @@
 // Pipelined datapath engine: window=1 serial equivalence, chunk-boundary
 // edge cases, crash consistency mid-pipeline, stripe/window end-to-end
-// correctness, and the client-side failure-recovery guard.
+// correctness, the worker pool's shortest-remaining-transfer-first order,
+// and the client-side failure-recovery guard.
 #include <gtest/gtest.h>
 
 #include "core/client.h"
@@ -393,10 +394,181 @@ TEST(PipelineTest, StatsSurfaceThroughPortusctl) {
   EXPECT_NE(text.find("peak window occupancy"), std::string::npos);
   EXPECT_NE(text.find("chunks posted"), std::string::npos);
   EXPECT_NE(text.find("queue delay"), std::string::npos);
+  EXPECT_NE(text.find("worker yields"), std::string::npos);
+  EXPECT_NE(text.find("worker wait"), std::string::npos);
   const auto& s = r.daemon->stats();
   EXPECT_GT(s.chunks_posted, 0u);
   EXPECT_EQ(s.chunks_posted, s.rdma_chunks + s.local_chunks);
   EXPECT_GE(s.queue_delay_max, s.mean_queue_delay());
+}
+
+// --- worker pool: shortest remaining transfer first --------------------------
+
+// A one-worker daemon serving a large model (vgg19_bn) and a small one
+// (resnet50) through a client each, both registered and at epoch 1.
+struct PoolRig {
+  Rig r{PortusDaemon::Config{.workers = 1}};
+  net::Node& volta = r.cluster->node("client-volta");
+  dnn::Model big = make(volta.gpu(0), "vgg19_bn");
+  dnn::Model small = make(volta.gpu(1), "resnet50");
+  PortusClient big_client{*r.cluster, volta, volta.gpu(0), r.rendezvous};
+  PortusClient small_client{*r.cluster, volta, volta.gpu(1), r.rendezvous};
+  rdma::CompletionQueue probe_cq{r.eng};
+  rdma::ProtectionDomain* big_pd = nullptr;  // what the big client registered in
+
+  // When the small op starts, counted from the large one's start: well
+  // inside the large one's transfer.
+  static constexpr Duration kSmallArrives = 300us;
+
+  static dnn::Model make(gpu::GpuDevice& gpu, const std::string& name) {
+    dnn::ModelZoo::Options opt;
+    opt.scale = 0.02;
+    return dnn::ModelZoo::create(gpu, name, opt);
+  }
+
+  PoolRig() {
+    // The big client publishes the token after this probe's.
+    auto& probe_pd = volta.nic().alloc_pd("probe");
+    const auto probe = r.rendezvous.publish(r.cluster->fabric().create_qp(
+        volta.nic(), probe_pd, probe_cq));
+    auto proc = r.eng.spawn([](PoolRig& p) -> sim::Process {
+      for (auto* c : {&p.big_client, &p.small_client}) co_await c->connect();
+      co_await p.big_client.register_model(p.big);
+      co_await p.small_client.register_model(p.small);
+      co_await p.big_client.checkpoint(p.big, 1);
+      co_await p.small_client.checkpoint(p.small, 1);
+    }(*this));
+    r.eng.run();
+    proc.check();
+    big_pd = &r.rendezvous.resolve(probe + 1).pd();
+  }
+
+  // Revoke every region the big client registered, as when its process
+  // dies: the daemon's next WR to it fails.
+  void revoke_big() {
+    for (std::uint32_t key = 0; big_pd->region_count() > 0; ++key) {
+      if (big_pd->find_by_lkey(key) != nullptr) big_pd->deregister(key);
+    }
+  }
+};
+
+sim::Process as_process(sim::SubTask<> task) { co_await task; }
+
+// A restore that starts `delay` from now and records when it ended, or in
+// `failed` that it failed.
+sim::SubTask<> timed_restore(sim::Engine& eng, PortusClient& c, dnn::Model& m, Duration delay,
+                             std::optional<Time>& done, bool& failed) {
+  co_await eng.sleep(delay);
+  try {
+    co_await c.restore(m);
+  } catch (const Error&) {
+    failed = true;
+  }
+  done = eng.now();
+}
+
+// The head-of-line stall a lone restore of the large (or small) model adds
+// to the daemon's queue delay.
+Duration lone_restore_queue_delay(bool big) {
+  PoolRig p;
+  const auto before = p.r.daemon->stats().queue_delay_total;
+  std::optional<Time> done;
+  bool failed = false;
+  p.r.eng.spawn(as_process(timed_restore(p.r.eng, big ? p.big_client : p.small_client,
+                                         big ? p.big : p.small, 0us, done, failed)));
+  p.r.eng.run();
+  EXPECT_FALSE(failed);
+  return p.r.daemon->stats().queue_delay_total - before;
+}
+
+TEST(WorkerPoolTest, SmallRestoreArrivingMidwayOvertakesTheLargeOne) {
+  PoolRig p;
+  const auto queue_delay_before = p.r.daemon->stats().queue_delay_total;
+  const auto big_want = p.big.weights_crc();
+  const auto small_want = p.small.weights_crc();
+  p.big.mutate_weights(91);
+  p.small.mutate_weights(92);
+  std::optional<Time> big_done, small_done;
+  bool big_failed = false, small_failed = false;
+  p.r.eng.spawn(
+      as_process(timed_restore(p.r.eng, p.big_client, p.big, 0us, big_done, big_failed)));
+  p.r.eng.spawn(as_process(timed_restore(p.r.eng, p.small_client, p.small,
+                                         PoolRig::kSmallArrives, small_done, small_failed)));
+  p.r.eng.run();
+  ASSERT_TRUE(big_done && small_done);
+  EXPECT_FALSE(big_failed || small_failed);
+  EXPECT_LT(*small_done, *big_done) << "the small restore waited out the large one";
+  EXPECT_EQ(p.big.weights_crc(), big_want);
+  EXPECT_EQ(p.small.weights_crc(), small_want);
+  const auto& s = p.r.daemon->stats();
+  EXPECT_GE(s.worker_yields, 1u);
+  EXPECT_GT(s.worker_wait_seconds, 0.0);
+  EXPECT_EQ(p.r.daemon->idle_workers(), 1);
+  EXPECT_EQ(p.r.eng.failed_process_count(), 0);
+  // The large restore's wait for its lent worker is no head-of-line stall.
+  EXPECT_EQ((s.queue_delay_total - queue_delay_before).count(),
+            (lone_restore_queue_delay(true) + lone_restore_queue_delay(false)).count());
+}
+
+sim::Process timed_checkpoint(sim::Engine& eng, PortusClient& c, dnn::Model& m, Duration delay,
+                              std::optional<Time>& done) {
+  co_await eng.sleep(delay);
+  EXPECT_EQ(co_await c.checkpoint(m, 2), 2u);
+  done = eng.now();
+}
+
+TEST(WorkerPoolTest, SmallCheckpointArrivingMidwayOvertakesTheLargeOne) {
+  PoolRig p;
+  p.big.mutate_weights(2);
+  p.small.mutate_weights(2);
+  std::optional<Time> big_done, small_done;
+  p.r.eng.spawn(timed_checkpoint(p.r.eng, p.big_client, p.big, 0us, big_done));
+  p.r.eng.spawn(
+      timed_checkpoint(p.r.eng, p.small_client, p.small, PoolRig::kSmallArrives, small_done));
+  p.r.eng.run();
+  ASSERT_TRUE(big_done && small_done);
+  EXPECT_LT(*small_done, *big_done) << "the small checkpoint waited out the large one";
+  for (const auto* m : {&p.big, &p.small}) {
+    SCOPED_TRACE(m->name());
+    const MIndex* index = p.r.daemon->find_live_index(m->name());
+    ASSERT_NE(index, nullptr);
+    const auto slot = index->latest_done_slot();
+    ASSERT_TRUE(slot.has_value());
+    EXPECT_EQ(index->slot(*slot).epoch, 2u);
+    EXPECT_TRUE(index->check_payload(*slot, MIndex::Scrub::kAll).ok())
+        << "the DONE slot's CRC block does not vouch for its bytes";
+  }
+  EXPECT_GE(p.r.daemon->stats().worker_yields, 1u);
+  EXPECT_EQ(p.r.daemon->idle_workers(), 1);
+  EXPECT_EQ(p.r.eng.failed_process_count(), 0);
+}
+
+// The large restore lends its worker to the small one, and its client dies
+// while it waits: its next WR fails, and the worker goes back to the pool.
+TEST(WorkerPoolTest, TransferFailingAfterAHandOverReturnsItsWorker) {
+  PoolRig p;
+  const auto small_want = p.small.weights_crc();
+  p.small.mutate_weights(92);
+  std::optional<Time> big_done, small_done;
+  bool big_failed = false, small_failed = false;
+  p.r.eng.spawn(
+      as_process(timed_restore(p.r.eng, p.big_client, p.big, 0us, big_done, big_failed)));
+  p.r.eng.spawn([](PoolRig& rig, std::optional<Time>& done, std::optional<Time>& big,
+                   bool& failed) -> sim::Process {
+    co_await timed_restore(rig.r.eng, rig.small_client, rig.small, PoolRig::kSmallArrives,
+                           done, failed);
+    EXPECT_FALSE(big.has_value()) << "the large restore ended before the small one";
+    rig.revoke_big();
+  }(p, small_done, big_done, small_failed));
+  p.r.eng.run();
+  EXPECT_TRUE(big_failed);
+  EXPECT_FALSE(small_failed);
+  EXPECT_EQ(p.small.weights_crc(), small_want);
+  const auto& s = p.r.daemon->stats();
+  EXPECT_GE(s.worker_yields, 1u);
+  EXPECT_EQ(s.failed_ops, 1u);
+  EXPECT_EQ(p.r.daemon->idle_workers(), 1) << "the failed restore kept or invented a worker";
+  EXPECT_EQ(p.r.eng.failed_process_count(), 0);
 }
 
 // --- client-side failure guard (roundtrip RAII) ------------------------------

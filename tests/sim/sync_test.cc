@@ -119,6 +119,125 @@ TEST(SimSemaphoreTest, ReleaseWithoutWaitersIncrementsCount) {
   EXPECT_EQ(sem.available(), 5);
 }
 
+Process prioritized_waiter(Engine& eng, SimSemaphore& sem, std::uint64_t priority, int id,
+                           std::vector<int>& order) {
+  const auto permit = co_await sem.permit(priority);
+  order.push_back(id);
+  co_await eng.sleep(10ns);
+}
+
+// Waiters queued behind a holder in the order of `priorities`; returns the
+// order (by index) they got the token in.
+std::vector<int> service_order(const std::vector<std::uint64_t>& priorities) {
+  Engine eng;
+  SimSemaphore sem{eng, 1};
+  std::vector<int> order;
+  eng.spawn(prioritized_waiter(eng, sem, 0, -1, order));  // holds the token first
+  for (std::size_t i = 0; i < priorities.size(); ++i) {
+    eng.spawn(prioritized_waiter(eng, sem, priorities[i], static_cast<int>(i), order));
+  }
+  eng.run();
+  EXPECT_EQ(sem.available(), 1);
+  order.erase(order.begin());
+  return order;
+}
+
+TEST(SimSemaphoreTest, ServesTheSmallestPriorityFirstInArrivalOrderAmongEquals) {
+  EXPECT_EQ(service_order({5, 3, 5, 1, 3, 0}), (std::vector<int>{5, 3, 1, 4, 0, 2}));
+}
+
+TEST(SimSemaphoreTest, EqualPrioritiesKeepArrivalOrder) {
+  EXPECT_EQ(service_order({7, 7, 7, 7, 7}), (std::vector<int>{0, 1, 2, 3, 4}));
+  EXPECT_EQ(service_order({0, 0, 0, 0}), (std::vector<int>{0, 1, 2, 3}));
+}
+
+// Holds the token at priority 10, then offers it at `offer` once `waiter`
+// (priority `waiter_priority`) has queued; records whether the hand-over
+// suspended and who ran when.
+Process handing_holder(Engine& eng, SimSemaphore& sem, std::uint64_t offer,
+                       std::vector<std::string>& log, bool& handed, std::uint64_t& events) {
+  auto permit = co_await sem.permit(10);
+  co_await eng.sleep(10ns);  // the waiter queues meanwhile
+  const auto before = eng.events_processed();
+  handed = co_await permit.hand_over(offer);
+  events = eng.events_processed() - before;
+  log.push_back("holder");
+  co_await eng.sleep(10ns);
+}
+
+Process logged_waiter(Engine& eng, SimSemaphore& sem, std::uint64_t priority,
+                      std::vector<std::string>& log) {
+  co_await eng.sleep(5ns);
+  const auto permit = co_await sem.permit(priority);
+  log.push_back("waiter");
+  co_await eng.sleep(10ns);
+}
+
+TEST(SimSemaphoreTest, HandOverGoesOnlyToAStrictlySmallerWaiter) {
+  struct Case {
+    std::uint64_t waiter;
+    std::uint64_t offer;
+    bool hands_over;
+  };
+  for (const Case c : {Case{4, 5, true}, Case{5, 5, false}, Case{6, 5, false}}) {
+    SCOPED_TRACE(c.waiter);
+    Engine eng;
+    SimSemaphore sem{eng, 1};
+    std::vector<std::string> log;
+    bool handed = !c.hands_over;
+    std::uint64_t events = 99;
+    eng.spawn(handing_holder(eng, sem, c.offer, log, handed, events));
+    eng.spawn(logged_waiter(eng, sem, c.waiter, log));
+    eng.run();
+    EXPECT_EQ(handed, c.hands_over);
+    if (c.hands_over) {
+      EXPECT_EQ(log, (std::vector<std::string>{"waiter", "holder"}));
+      EXPECT_GT(events, 0u);
+    } else {
+      EXPECT_EQ(log, (std::vector<std::string>{"holder", "waiter"}));
+      EXPECT_EQ(events, 0u) << "a hand-over with no smaller waiter suspended";
+    }
+    EXPECT_EQ(sem.available(), 1);
+    EXPECT_EQ(eng.failed_process_count(), 0);
+  }
+}
+
+// A holder that offers its token at every step of `steps`, throwing after
+// the hand-overs when `fail` is set; tracks how many hold a token at once.
+Process lending_holder(Engine& eng, SimSemaphore& sem, std::uint64_t priority, int steps,
+                       bool fail, int& holding, int& peak, int& handed) {
+  auto permit = co_await sem.permit(priority);
+  for (int i = 0; i < steps; ++i) {
+    ++holding;
+    peak = std::max(peak, holding);
+    co_await eng.sleep(7ns);
+    --holding;
+    if (co_await permit.hand_over(priority - static_cast<std::uint64_t>(i))) ++handed;
+  }
+  if (fail) throw Corruption("holder failed after its hand-overs");
+}
+
+TEST(SimSemaphoreTest, HandOversAndThrowingHoldersKeepTheTokenCountBalanced) {
+  Engine eng;
+  SimSemaphore sem{eng, 2};
+  int holding = 0;
+  int peak = 0;
+  int handed = 0;
+  int failing = 0;
+  for (int i = 0; i < 12; ++i) {
+    const bool fail = i % 3 == 0;
+    failing += fail ? 1 : 0;
+    eng.spawn(lending_holder(eng, sem, 100 - 5 * static_cast<std::uint64_t>(i), 6, fail,
+                             holding, peak, handed));
+  }
+  eng.run();
+  EXPECT_GT(handed, 0);
+  EXPECT_EQ(peak, 2) << "a hand-over invented a token";
+  EXPECT_EQ(holding, 0);
+  EXPECT_EQ(eng.failed_process_count(), failing);
+  EXPECT_EQ(sem.available(), 2) << "a hand-over or a throwing holder leaked a token";
+}
+
 // --- SimEvent ---------------------------------------------------------------
 
 Process event_waiter(Engine& eng, SimEvent& ev, Time& resumed_at) {
