@@ -187,12 +187,14 @@ sim::SubTask<> ClusterClient::resolve_placement() {
 
     // 4. Rebuild the copy table, opening lanes and channels as the
     //    placement needs them. Plans only target ACTIVE positions, so a down
-    //    lane placed on here is a daemon that came back (or just joined). A
-    //    copy that stays on its channel keeps its known epoch; one placed
-    //    back on a channel the shard left earlier starts unknown (0), since
-    //    a migration may have landed newer versions there meanwhile.
-    std::vector<std::uint64_t> known(channels_.size(), 0);
-    for (const auto& c : copies_) known[c.channel] = c.epoch;
+    //    lane placed on here is a daemon that came back (or just joined).
+    //    Each channel keeps what the client knew of its copy: a copy on a
+    //    channel that is still registered, whether it stayed or is placed
+    //    back on a channel the shard left earlier, starts at the epoch it
+    //    was last known at. That is a floor, since a migration may only have
+    //    landed newer versions there meanwhile. A new or revived channel
+    //    re-registers and takes the epoch its ack reports.
+    for (const auto& c : copies_) channels_[c.channel].epoch = c.epoch;
     copies_.clear();
     for (std::uint32_t s = 0; s < plan_.shard_daemons.size(); ++s) {
       if (plan_.shard_tensors[s].empty()) continue;
@@ -204,7 +206,8 @@ sim::SubTask<> ClusterClient::resolve_placement() {
         copies_.push_back(Copy{.shard = s,
                                .replica = r,
                                .channel = channel,
-                               .epoch = channel < known.size() ? known[channel] : 0});
+                               .epoch = channels_[channel].registered ? channels_[channel].epoch
+                                                                      : 0});
       }
     }
     for (auto& ch : channels_) ch.client->set_membership_epoch(membership_epoch_);

@@ -211,6 +211,9 @@ class ClusterClient {
     std::size_t lane = 0;
     std::unique_ptr<PortusClient> client;
     bool registered = false;
+    // Its copy's known epoch as of the last re-resolve, kept while the
+    // shard is placed elsewhere: a copy placed back starts there.
+    std::uint64_t epoch = 0;
   };
 
   struct RestoreJob {

@@ -75,7 +75,9 @@ PortusDaemon::PortusDaemon(net::Cluster& cluster, net::Node& storage_node,
         AdmissionController::Config{
             .max_inflight = config_.admission_inflight > 0 ? config_.admission_inflight
                                                            : config_.workers,
-            .queue_depth = config_.admission_queue_depth});
+            .queue_depth = config_.admission_queue_depth,
+            .tracer = config_.tracer,
+            .track = config_.endpoint});
   }
 }
 
@@ -165,7 +167,7 @@ sim::SubTask<bool> PortusDaemon::admit(const std::string& model,
   if (tenant == nullptr) co_return true;
   const Bytes op_bytes = it->second.registration.total_bytes();
   try {
-    ticket = co_await admission_->admit(*tenant, op_bytes);
+    ticket = co_await admission_->admit(*tenant, op_bytes, model);
   } catch (const Backpressure& e) {
     ++stats_.backpressure_rejects;
     done.ok = false;

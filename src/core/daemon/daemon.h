@@ -108,10 +108,10 @@ class PortusDaemon {
     int stripes = 1;
     // Extent coalescing (core/daemon/extent.h): whole tensors no larger
     // than this are packed dense in new slot layouts and fused into
-    // multi-SGE gather extents — one WQE moves a whole run of small
-    // tensors. 0 restores the classic layout and single-SGE datapath
-    // bit-for-bit.
-    Bytes coalesce_threshold = 4_KiB;
+    // multi-SGE gather extents of up to kExtentByteBudget — one WQE moves
+    // a whole run of small tensors. 0 restores the classic layout and
+    // single-SGE datapath bit-for-bit.
+    Bytes coalesce_threshold = kExtentByteBudget;
     // Gather-list budget per work request; the effective per-session value
     // is min(this, the client's offered capability, this NIC's max_sges).
     int max_sges = 16;

@@ -42,6 +42,7 @@ std::vector<Extent> plan_extents(const std::vector<ChunkSpan>& spans,
     }
     const bool extends = !run.members.empty() &&
                          run.members.size() < static_cast<std::size_t>(config.max_sges) &&
+                         run.len + s.len <= kExtentByteBudget &&
                          s.offset_in_slot == run.offset_in_slot + run.len &&
                          same_class(run.members.front(), s);
     if (!extends) {

@@ -16,7 +16,8 @@
 //     always stay standalone;
 //   * it is PMEM-dense: its offset_in_slot is exactly the run's end (a
 //     dtype-alignment pad gap breaks the run);
-//   * the run has room (< max_sges members);
+//   * the run has room (< max_sges members, and the span keeps the run
+//     within kExtentByteBudget);
 //   * it is in the same transfer class as the run (incremental mode must
 //     never fuse a dirty RDMA READ with a clean PMEM-local copy).
 // Zero-length tensors become standalone empty extents and do NOT interrupt
@@ -36,6 +37,15 @@ struct ExtentConfig {
   Bytes coalesce_threshold = 0;  // fuse whole tensors <= this; 0 = off
   int max_sges = 1;              // gather-list budget per work request
 };
+
+// Byte budget of one fused extent: a run closes before its next member
+// would take it past this, whatever coalesce_threshold says, so a tensor
+// larger than the budget always stays standalone. It is one GPU-read
+// bandwidth-delay product (4 us READ setup x the 5.8 GB/s BAR read cap
+// ~= 23 KB). Past it, setup is a small share of a WR's time, while a
+// longer WR keeps its worker longer from the WR boundaries where the
+// daemon's worker pool hands it to a smaller op (DESIGN.md §12).
+inline constexpr Bytes kExtentByteBudget = 24_KiB;
 
 // One planned datapath unit: a dense run of chunk spans moved by one work
 // request. A single-member extent is exactly its span; a multi-member

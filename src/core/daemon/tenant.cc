@@ -179,7 +179,8 @@ struct AdmissionController::WaitAwaitable {
 };
 
 sim::SubTask<AdmissionController::Ticket> AdmissionController::admit(Tenant& tenant,
-                                                                     Bytes bytes) {
+                                                                     Bytes bytes,
+                                                                     std::string_view op) {
   const int cls = static_cast<int>(tenant.quota.priority);
   // Bounded queue: reject instead of building unbounded backlog. Checked
   // before pacing so a rejected op costs the client one cheap roundtrip.
@@ -210,7 +211,11 @@ sim::SubTask<AdmissionController::Ticket> AdmissionController::admit(Tenant& ten
 
   const double vft = stamp(tenant, bytes);
   const Time t0 = engine_.now();
+  auto span = config_.tracer != nullptr && !can_grant_now()
+                  ? config_.tracer->span(strf("admit {}", op), config_.track)
+                  : sim::Tracer::Span{};
   co_await WaitAwaitable{*this, tenant, vft};
+  span.end();
   const auto waited = engine_.now() - t0;
   stats_.queue_wait_total += waited;
   stats_.queue_wait_max = std::max(stats_.queue_wait_max, waited);

@@ -36,12 +36,14 @@
 #include <deque>
 #include <map>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/units.h"
 #include "core/protocol.h"
 #include "sim/engine.h"
 #include "sim/task.h"
+#include "sim/trace.h"
 
 namespace portus::core {
 
@@ -135,6 +137,11 @@ class AdmissionController final : public sim::Resettable {
   struct Config {
     int max_inflight = 8;            // WR-slot budget across all tenants
     std::uint32_t queue_depth = 64;  // bounded queue per priority class
+    // When set, an op that must queue for its slot records an "admit <op>"
+    // span on `track`, closed at the grant: exactly the wait
+    // Stats::queue_wait_total counts (pacing is not in it).
+    sim::Tracer* tracer = nullptr;
+    std::string track;
   };
 
   // Pacing hint a Backpressure answer carries (retry_after_ns).
@@ -179,11 +186,11 @@ class AdmissionController final : public sim::Resettable {
     AdmissionController* ctrl_ = nullptr;
   };
 
-  // Await admission for an op moving `bytes`. Throws Backpressure
-  // immediately when the tenant's class queue is at its depth bound;
-  // otherwise paces on the token bucket, then waits for a slot in
-  // strict-priority / WFQ order.
-  sim::SubTask<Ticket> admit(Tenant& tenant, Bytes bytes);
+  // Await admission for an op moving `bytes` (`op` names it in the
+  // trace). Throws Backpressure immediately when the tenant's class queue
+  // is at its depth bound; otherwise paces on the token bucket, then waits
+  // for a slot in strict-priority / WFQ order.
+  sim::SubTask<Ticket> admit(Tenant& tenant, Bytes bytes, std::string_view op = {});
 
   // Online-repack relocation barrier: a paused controller grants nothing
   // (arrivals queue or bounce off the depth bound); resume() re-dispatches.

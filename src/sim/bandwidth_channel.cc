@@ -47,7 +47,7 @@ Duration BandwidthChannel::uncontended_time(Bytes bytes, Bandwidth flow_cap) con
 
 void BandwidthChannel::start_flow(Bytes bytes, Bandwidth cap, std::coroutine_handle<> waiter) {
   settle();
-  flows_.push_back(Flow{static_cast<double>(bytes), cap.bytes_per_second(), 0.0, waiter,
+  flows_.push_back(Flow{bytes, static_cast<double>(bytes), cap.bytes_per_second(), 0.0, waiter,
                         next_flow_id_++});
   assign_rates();
   schedule_next_completion();
@@ -66,6 +66,7 @@ void BandwidthChannel::settle() {
     total_bytes_ += moved;
     aggregate += it->rate_bps;
     if (it->remaining_bytes <= kEpsilonBytes) {
+      bytes_finished_ += it->requested;
       engine_.resume_later(it->waiter);
       it = flows_.erase(it);
     } else {

@@ -68,6 +68,7 @@ class BandwidthChannel final : public Resettable {
   void reset_waiters() noexcept override;
 
   struct Flow {
+    Bytes requested;  // what the transfer asked for, counted when it finishes
     double remaining_bytes;
     double cap_bps;   // per-flow rate cap (path bottleneck elsewhere)
     double rate_bps;  // current assigned rate
@@ -111,6 +112,10 @@ class BandwidthChannel final : public Resettable {
   const NumaTopology& numa() const { return numa_; }
   int active_flows() const { return static_cast<int>(flows_.size()); }
   double total_bytes_transferred() const { return total_bytes_; }
+  // Exact sum of the requested bytes of every flow this channel finished
+  // (total_bytes_transferred() is rate x time, and a flow may finish a
+  // rounding residue short of its bytes).
+  Bytes bytes_finished() const { return bytes_finished_; }
   // Integral of (aggregate rate / capacity) dt — "busy seconds" for
   // utilization reporting.
   double busy_seconds() const { return busy_seconds_; }
@@ -136,6 +141,7 @@ class BandwidthChannel final : public Resettable {
   std::uint64_t next_flow_id_ = 0;
   std::uint64_t event_generation_ = 0;  // invalidates stale completion events
   double total_bytes_ = 0.0;
+  Bytes bytes_finished_ = 0;
   double busy_seconds_ = 0.0;
 };
 

@@ -661,16 +661,16 @@ TEST(ClusterTest, EachCheckpointByteCrossesTheClientNicOnce) {
   cfg.shard_count = 8;
   ClusterClient client{*r.cluster, volta, volta.gpu(0), r.rendezvous, cfg};
 
-  double nic_bytes = 0;
+  Bytes nic_bytes = 0;
   std::uint64_t epoch = 0;
   auto proc = r.eng.spawn([](ClusterClient& c, dnn::Model& m, rdma::RdmaNic& nic,
-                             double& moved, std::uint64_t& committed) -> sim::Process {
+                             Bytes& moved, std::uint64_t& committed) -> sim::Process {
     co_await c.register_model(m);
     co_await c.checkpoint(1);
     m.mutate_weights(2);
-    const double before = nic.link().total_bytes_transferred();
+    const Bytes before = nic.link().bytes_finished();
     const auto ck = co_await c.checkpoint(2);
-    moved = nic.link().total_bytes_transferred() - before;
+    moved = nic.link().bytes_finished() - before;
     committed = ck.epoch;
     EXPECT_FALSE(ck.degraded);
   }(client, model, volta.nic(), nic_bytes, epoch));
@@ -680,9 +680,10 @@ TEST(ClusterTest, EachCheckpointByteCrossesTheClientNicOnce) {
 
   // One GPU pull per shard: the model's bytes cross the client NIC once
   // (twice when every copy pulls).
-  const auto model_bytes = static_cast<double>(model.total_bytes());
+  const Bytes model_bytes = model.total_bytes();
   EXPECT_GE(nic_bytes, model_bytes);
-  EXPECT_LT(nic_bytes, 1.25 * model_bytes) << "a replica pulled from the GPU";
+  EXPECT_LT(static_cast<double>(nic_bytes), 1.25 * static_cast<double>(model_bytes))
+      << "a replica pulled from the GPU";
 
   // Every copy holds the round's epoch under its puller's CRC block: the
   // puller is the shard's first copy in manifest order.
@@ -1858,6 +1859,88 @@ TEST(ClusterTest, RoundAfterARestartPullsEachShardOnceOnACopyNotBehind) {
     EXPECT_EQ(newest_done(*w.r.daemons[ring[1]], key), first) << key;
   }
   EXPECT_EQ(w.r.eng.failed_process_count(), 0);
+}
+
+// A join moves some shards' copies off portusd0 and portusd1, and the
+// joiner's drain places them back on the channels they left, still
+// registered there. The daemon kept each such copy, and the drain's
+// migrator lands only newer versions on it, so the epoch the client last
+// knew it at is a floor. Rounds that commit during the drain's pre-copy
+// leave a placed-back copy behind its other copy; known behind, it is not
+// the puller of the round after the drain. Had it pulled, it would have
+// minted an epoch its other copy already holds, and that copy would have
+// refused the forward and pulled the round again.
+TEST(ClusterTest, CopyPlacedBackOnADaemonItLeftIsNotPulledWhileKnownBehind) {
+  ClusterRig r{3};
+  ElasticCluster elastic{r.eng};
+  elastic.add_member(r.endpoints[0], *r.daemons[0]);
+  elastic.add_member(r.endpoints[1], *r.daemons[1]);
+  elastic.seal();
+  auto& volta = r.cluster->node("client-volta");
+  dnn::ModelZoo::Options opt;
+  opt.scale = 0.02;
+  auto model = dnn::ModelZoo::create(volta.gpu(0), "resnet50", opt);
+  ClusterClient::Config cfg;
+  cfg.replicas = 2;
+  cfg.shard_count = 8;
+  cfg.membership = &elastic;
+  cfg.op_timeout = 50ms;
+  ClusterClient client{*r.cluster, volta, volta.gpu(0), r.rendezvous, cfg};
+
+  // The loader checkpoints back to back while the ring grows to three and
+  // shrinks back to two.
+  bool stop = false;
+  std::uint64_t landed = 0;
+  auto loader = r.eng.spawn([](ClusterClient& c, dnn::Model& m, const bool& stop_flag,
+                               std::uint64_t& n) -> sim::Process {
+    co_await c.register_model(m);
+    while (!stop_flag) {
+      m.mutate_weights(n + 1);
+      const auto ck = co_await c.checkpoint(n + 1);
+      EXPECT_FALSE(ck.degraded);
+      ++n;
+    }
+  }(client, model, stop, landed));
+  Placement::Plan grown;
+  auto resize = r.eng.spawn([](sim::Engine& eng, ElasticCluster& e, PortusDaemon& joiner,
+                               ClusterClient& c, const std::uint64_t& n, bool& stop_flag,
+                               Placement::Plan& mid) -> sim::Process {
+    const auto rounds = [&](std::uint64_t more) -> sim::SubTask<> {
+      const auto want = n + more;
+      while (n < want) co_await eng.sleep(100us);
+    };
+    co_await rounds(2);
+    co_await e.join("portusd2", joiner);
+    co_await rounds(2);
+    mid = c.plan();
+    co_await e.drain("portusd2");
+    co_await rounds(2);
+    stop_flag = true;
+  }(r.eng, elastic, *r.daemons[2], client, landed, stop, grown));
+  r.eng.run();
+  loader.check();
+  resize.check();
+
+  // The shards the joiner held came back to the daemons they left.
+  std::uint32_t placed_back = 0;
+  for (std::uint32_t s = 0; s < 8; ++s) {
+    const auto& ring = grown.shard_daemons[s];
+    placed_back += static_cast<std::uint32_t>(std::count(ring.begin(), ring.end(), 2u));
+  }
+  EXPECT_GT(placed_back, 0u);
+  EXPECT_GT(elastic.stats().copies_moved, 0u);
+
+  std::uint64_t refused = 0;
+  for (auto& d : r.daemons) refused += d->stats().failed_ops;
+  EXPECT_EQ(refused, 0u) << "a copy placed back pulled a round its other copy held";
+  for (std::uint32_t s = 0; s < 8; ++s) {
+    const auto key = shard_key("resnet50", s);
+    const auto& ring = client.plan().shard_daemons[s];
+    const auto first = newest_done(*r.daemons[ring[0]], key);
+    EXPECT_EQ(first.first, client.stats().last_epoch) << key;
+    EXPECT_EQ(newest_done(*r.daemons[ring[1]], key), first) << key;
+  }
+  EXPECT_EQ(r.eng.failed_process_count(), 0);
 }
 
 // R = 3: a healthy round pulls each shard once and arms a forward to each

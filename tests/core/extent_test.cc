@@ -11,7 +11,10 @@
 #include "core/daemon/daemon.h"
 #include "core/daemon/fsck.h"
 #include "core/portusctl.h"
+#include "common/rng.h"
+#include "core/cluster/placement.h"
 #include "dnn/model.h"
+#include "dnn/model_zoo.h"
 #include "net/cluster.h"
 
 namespace portus::core {
@@ -169,6 +172,38 @@ TEST(ExtentPlanTest, TransferClassBoundarySplitsRun) {
       << "a dirty RDMA read must never fuse with a clean local copy";
 }
 
+TEST(ExtentPlanTest, DenseRunClosesAtTheByteBudgetWithSgesToSpare) {
+  // Ten 3 KiB tensors under the threshold: eight fill the 24 KiB budget
+  // exactly with half the gather list unused, and the ninth opens a run.
+  const auto ts = dense_tensors(std::vector<Bytes>(10, 3_KiB));
+  const auto spans = whole_spans(ts);
+  const auto extents =
+      plan_extents(spans, ts, ExtentConfig{.coalesce_threshold = 4_KiB, .max_sges = 16});
+  ASSERT_EQ(extents.size(), 2u);
+  EXPECT_EQ(extents[0].members.size(), 8u);
+  EXPECT_EQ(extents[0].len, 24_KiB);
+  EXPECT_EQ(extents[1].members.size(), 2u);
+  EXPECT_EQ(extents[1].members[0].tensor, 8u);
+  EXPECT_EQ(extents[1].offset_in_slot, 24_KiB);
+}
+
+TEST(ExtentPlanTest, TensorOverTheBudgetStaysStandaloneUnderAHigherThreshold) {
+  // A 64 KiB threshold admits every tensor here, but no run may pass the
+  // 24 KiB budget: the one just over it goes alone and splits its
+  // neighbors' runs, and one exactly at it fills a run by itself.
+  const auto ts = dense_tensors({1_KiB, 1_KiB, 24_KiB + 4, 1_KiB, 1_KiB, 24_KiB});
+  const auto spans = whole_spans(ts);
+  const auto extents =
+      plan_extents(spans, ts, ExtentConfig{.coalesce_threshold = 64_KiB, .max_sges = 16});
+  ASSERT_EQ(extents.size(), 4u);
+  EXPECT_EQ(extents[0].members.size(), 2u);
+  EXPECT_EQ(extents[1].members.size(), 1u);
+  EXPECT_EQ(extents[1].len, 24_KiB + 4);
+  EXPECT_EQ(extents[2].members.size(), 2u);
+  EXPECT_EQ(extents[3].members.size(), 1u);
+  EXPECT_EQ(extents[3].len, 24_KiB);
+}
+
 // --- MIndex layout interaction ----------------------------------------------
 
 struct IndexFixture {
@@ -254,6 +289,92 @@ TEST(ExtentPlanTest, ZeroLengthTensorsGetExactlyOneEmptySpan) {
     }
     EXPECT_EQ(empty, 1u) << "chunk_bytes " << chunk
                          << ": a 0-B tensor must emit exactly one empty span";
+  }
+}
+
+// Zoo and fleet stay put under the default threshold: their smallest
+// tensors are far above both 4 KiB and the byte budget, so MIndex::create
+// packs nothing new and the planner fuses nothing new. Each entry is the
+// slot size, every tensor's offset, then each extent's offset, length and
+// member count.
+std::vector<Bytes> layout_and_plan(const std::vector<TensorDesc>& tensors, Bytes threshold,
+                                   Bytes chunk_bytes) {
+  pmem::PmemDevice device{"pmem", 4_GiB, 0x1000};
+  PmemAllocator alloc{device, PmemAllocator::Config{.table_offset = 4_KiB,
+                                                    .table_capacity = 128,
+                                                    .data_offset = 1_MiB,
+                                                    .data_end = 4_GiB}};
+  RegisterModelMsg reg;
+  reg.model_name = "guard";
+  reg.tensors = tensors;
+  const auto idx = MIndex::create(device, alloc, reg, threshold);
+  std::vector<Bytes> out{idx.slot_size()};
+  for (const auto& t : idx.tensors()) out.push_back(t.offset_in_slot);
+  const ExtentConfig shape{.coalesce_threshold = threshold,
+                           .max_sges = PortusDaemon::Config{}.max_sges};
+  for (const auto& e : plan_extents(idx.chunk_spans(chunk_bytes), idx.tensors(), shape)) {
+    out.insert(out.end(), {e.offset_in_slot, e.len, e.members.size()});
+  }
+  return out;
+}
+
+void expect_default_keeps_layout(const std::vector<TensorDesc>& tensors,
+                                 Bytes chunk_bytes) {
+  const Bytes threshold = PortusDaemon::Config{}.coalesce_threshold;
+  EXPECT_EQ(layout_and_plan(tensors, threshold, chunk_bytes),
+            layout_and_plan(tensors, 4_KiB, chunk_bytes));
+}
+
+TEST(ExtentLayoutGuardTest, ZooModelsKeepTheirLayoutAndPlanAtTheDefaultThreshold) {
+  sim::Engine eng;
+  auto cluster = net::Cluster::paper_testbed(eng);
+  auto& gpu = cluster->node("client-volta").gpu(0);
+  // The canonical split and two seeded ones, named as the zoo workload
+  // names its instances.
+  for (const auto& name : dnn::ModelZoo::table2_names()) {
+    for (const char* split : {"", "~1b873593", "~cc9e2d51"}) {
+      SCOPED_TRACE(name + split);
+      auto spec = dnn::ModelZoo::spec(name);
+      spec.name += split;
+      const auto model = dnn::ModelZoo::create_from_spec(
+          gpu, spec, dnn::ModelZoo::Options{.force_phantom = true});
+      std::vector<TensorDesc> tensors;
+      for (const auto& t : model.tensors()) {
+        tensors.push_back(TensorDesc{.name = t.name(), .dtype = t.meta().dtype,
+                                     .shape = t.meta().shape, .size = t.byte_size()});
+      }
+      expect_default_keeps_layout(tensors, PortusDaemon::Config{}.chunk_bytes);
+    }
+  }
+}
+
+TEST(ExtentLayoutGuardTest, FleetClassModelsKeepTheirLayoutAndPlanAtTheDefaultThreshold) {
+  // Fleet's job models: 8 f32 tensors, the class size +-10%, each tensor's
+  // share drawn from [0.2, 2.0), on daemons chunking at 4 MiB.
+  Rng rng{0xF1EE7};
+  for (const Bytes class_bytes : {8_MiB, 32_MiB, 128_MiB}) {
+    for (int draw = 0; draw < 3; ++draw) {
+      const auto model_bytes =
+          static_cast<Bytes>(static_cast<double>(class_bytes) * rng.uniform_real(0.9, 1.1));
+      double w[8];
+      double wsum = 0.0;
+      for (auto& x : w) wsum += (x = rng.uniform_real(0.2, 2.0));
+      std::vector<TensorDesc> tensors;
+      Bytes assigned = 0;
+      for (int t = 0; t < 8; ++t) {
+        Bytes size = t + 1 == 8 ? model_bytes - assigned
+                                : static_cast<Bytes>(static_cast<double>(model_bytes) *
+                                                     w[t] / wsum);
+        size &= ~Bytes{3};
+        assigned += size;
+        tensors.push_back(TensorDesc{.name = "w" + std::to_string(t),
+                                     .dtype = dnn::DType::kF32,
+                                     .shape = {static_cast<std::int64_t>(size / 4)},
+                                     .size = size});
+      }
+      SCOPED_TRACE(model_bytes);
+      expect_default_keeps_layout(tensors, 4_MiB);
+    }
   }
 }
 
@@ -471,6 +592,76 @@ TEST(ExtentE2ETest, ThresholdZeroMatchesCoalescedPerTensorCrcs) {
   const auto classic = run_world(0);
   EXPECT_EQ(coalesced, classic)
       << "per-tensor durability proof must be independent of extent planning";
+}
+
+// Elastic's resnet50 (scale 0.005, real payloads, 0.6-6 KB tensors) cut
+// into 8 byte-balanced shards as the cluster client cuts it, shard 0 on one
+// daemon: the default threshold fuses what 4 KiB leaves standalone, lands
+// the per-tensor CRCs of the uncoalesced datapath, and restores bit-exact.
+TEST(ExtentE2ETest, ElasticShardPostsFewerWrsAtTheDefaultThreshold) {
+  struct Outcome {
+    std::uint64_t wrs = 0;
+    std::vector<std::uint32_t> crcs;
+    bool bit_exact = false;
+  };
+  const auto run_world = [](Bytes threshold) {
+    Rig r{PortusDaemon::Config{.coalesce_threshold = threshold}};
+    auto& volta = r.cluster->node("client-volta");
+    auto model = dnn::ModelZoo::create(volta.gpu(0), "resnet50",
+                                       dnn::ModelZoo::Options{.scale = 0.005, .force_real = true});
+    std::vector<Bytes> sizes;
+    for (const auto& t : model.tensors()) sizes.push_back(t.byte_size());
+    const std::uint32_t active[] = {0, 1};
+    const auto plan = cluster::Placement::compute_over(model.name(), sizes, 8, 2, active, 1, 0);
+    PortusClient::ShardBinding binding;
+    binding.reg_name = cluster::shard_key(model.name(), 0);
+    binding.tensor_indices = plan.shard_tensors[0];
+    binding.shard_count = 8;
+    PortusClient client{*r.cluster, volta, volta.gpu(0), r.rendezvous};
+
+    Outcome out;
+    r.eng.spawn([](PortusDaemon& d, PortusClient& c, dnn::Model& m,
+                   PortusClient::ShardBinding b, Outcome& o) -> sim::Process {
+      const auto key = b.reg_name;
+      const auto members = b.tensor_indices;
+      const auto tensor_crcs = [&] {
+        std::vector<std::uint32_t> crcs;
+        for (const auto i : members) {
+          const auto& buf = m.tensor(i).buffer();
+          crcs.push_back(buf.segment().crc(buf.offset(), m.tensor(i).byte_size()));
+        }
+        return crcs;
+      };
+      co_await c.connect();
+      co_await c.register_shard(m, std::move(b));
+      const auto golden = tensor_crcs();
+      const auto wrs0 = d.stats().wrs_posted;
+      co_await c.checkpoint_named(key, 1);
+      o.wrs = d.stats().wrs_posted - wrs0;
+      m.mutate_weights(99);
+      co_await c.restore_named(key);
+      o.bit_exact = tensor_crcs() == golden;
+    }(*r.daemon, client, model, binding, out));
+    r.eng.run();
+    EXPECT_EQ(r.eng.failed_process_count(), 0);
+    EXPECT_EQ(r.daemon->stats().failed_ops, 0u);
+    const auto idx = r.daemon->load_index(binding.reg_name);
+    const auto slot = idx.latest_done_slot();
+    EXPECT_TRUE(slot.has_value());
+    if (slot.has_value()) out.crcs = idx.payload_crcs(*slot)->crcs;
+    return out;
+  };
+
+  const auto fused = run_world(PortusDaemon::Config{}.coalesce_threshold);
+  const auto at_4k = run_world(4_KiB);
+  const auto classic = run_world(0);
+  EXPECT_LT(fused.wrs, at_4k.wrs);
+  EXPECT_LT(at_4k.wrs, classic.wrs);
+  EXPECT_FALSE(fused.crcs.empty());
+  EXPECT_EQ(fused.crcs, classic.crcs)
+      << "per-tensor durability proof must be independent of extent planning";
+  EXPECT_TRUE(fused.bit_exact);
+  EXPECT_TRUE(at_4k.bit_exact);
 }
 
 TEST(ExtentE2ETest, FsckIsCleanOnCoalescedImages) {

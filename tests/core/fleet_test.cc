@@ -5,7 +5,10 @@
 // live admitted traffic without corrupting the image.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <memory>
+#include <regex>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -19,6 +22,7 @@
 #include "common/strformat.h"
 #include "dnn/model.h"
 #include "net/cluster.h"
+#include "sim/trace.h"
 
 namespace portus::core {
 namespace {
@@ -281,6 +285,65 @@ struct TenancyRig {
     return cfg;
   }
 };
+
+// Two checkpoints arrive at once for one admission slot: the one that
+// queues for its ticket shows on the daemon's trace track as an
+// "admit <key>" span exactly as long as the queue wait the controller
+// counts, and the one admitted at once records none.
+TEST(FleetTest, QueuedAdmissionIsTracedAsAnAdmitSpan) {
+  sim::Engine eng;
+  auto cluster = net::Cluster::paper_testbed(eng);
+  QpRendezvous rendezvous;
+  sim::Tracer tracer{eng};
+  auto cfg = TenancyRig::tenancy_config();
+  cfg.tracer = &tracer;
+  PortusDaemon daemon{*cluster, cluster->node("server"), rendezvous, cfg};
+  daemon.start();
+  auto& volta = cluster->node("client-volta");
+  std::vector<std::unique_ptr<dnn::Model>> models;
+  std::vector<std::unique_ptr<PortusClient>> clients;
+  for (int i = 0; i < 2; ++i) {
+    models.push_back(std::make_unique<dnn::Model>(strf("job{}", i), volta.gpu(0)));
+    models.back()->add_tensor(dnn::TensorMeta{.name = "w", .shape = {1 << 20}},
+                              /*phantom=*/true);
+    clients.push_back(std::make_unique<PortusClient>(*cluster, volta, volta.gpu(0),
+                                                     rendezvous));
+    clients.back()->set_tenant(PortusClient::TenantSpec{.id = strf("tenant{}", i)});
+  }
+  for (int i = 0; i < 2; ++i) {
+    eng.spawn([](PortusClient& c, dnn::Model& m) -> sim::Process {
+      co_await c.connect();
+      co_await c.register_model(m);
+    }(*clients[i], *models[i]));
+  }
+  eng.run();
+  ASSERT_EQ(eng.failed_process_count(), 0);
+
+  const auto waited_before = daemon.admission()->stats().queue_wait_total;
+  for (int i = 0; i < 2; ++i) {
+    eng.spawn([](PortusClient& c, dnn::Model& m) -> sim::Process {
+      co_await c.checkpoint(m, 1);
+    }(*clients[i], *models[i]));
+  }
+  eng.run();
+  ASSERT_EQ(eng.failed_process_count(), 0);
+  const auto waited = daemon.admission()->stats().queue_wait_total - waited_before;
+  EXPECT_GT(waited.count(), 0);
+
+  std::ostringstream json;
+  tracer.write_chrome_json(json);
+  const std::regex admit{
+      R"re("name":"(admit [^"]*)","ph":"X","pid":1,"tid":\d+,"ts":[0-9.]+,"dur":([0-9.]+))re"};
+  std::vector<std::pair<std::string, std::int64_t>> spans;
+  const auto text = json.str();
+  for (std::sregex_iterator it{text.begin(), text.end(), admit}, end; it != end; ++it) {
+    spans.emplace_back((*it)[1], std::llround(std::stod((*it)[2]) * 1e3));
+  }
+  ASSERT_EQ(spans.size(), 1u);
+  EXPECT_TRUE(spans[0].first == "admit job0" || spans[0].first == "admit job1")
+      << spans[0].first;
+  EXPECT_EQ(spans[0].second, waited.count());
+}
 
 TEST(FleetTest, BackpressureRetriesToSuccess) {
   TenancyRig r;

@@ -9,9 +9,17 @@
 // round trips, extents, RDMA, PMEM flush, CRC, commit, the worker pool a lone
 // op runs on) moves these numbers. A change meant to move them updates the
 // table, and the diff shows by how much; `ctest -L perf-gate` runs it alone.
+//
+// The Table II models' tensors are all far above the coalescing threshold,
+// so a second table pins the sharded small-tensor round: each of the
+// elastic workload's models alone (perfbench/elastic.cc: scale 0.005, real
+// payloads) through a ClusterClient (R = 2, 8 shards) over two default
+// daemons, where extent coalescing, armed forwards and the worker pool's
+// hand-overs all show.
 #include <gtest/gtest.h>
 
 #include "core/client.h"
+#include "core/cluster/cluster_client.h"
 #include "core/daemon/daemon.h"
 #include "dnn/model_zoo.h"
 #include "net/cluster.h"
@@ -78,6 +86,89 @@ TEST(PerfGateTest, TableIIModelsCheckpointAndRestoreToTheNanosecond) {
     const auto t = measure(names[i]);
     EXPECT_EQ(t.checkpoint.count(), pinned[i].checkpoint_ns);
     EXPECT_EQ(t.restore.count(), pinned[i].restore_ns);
+  }
+}
+
+struct ShardedTimeline {
+  Duration registration{0};
+  Duration first_checkpoint{0};
+  Duration second_checkpoint{0};
+  Duration restore{0};
+};
+
+ShardedTimeline measure_sharded(const std::string& name) {
+  sim::Engine eng;
+  auto cluster = net::Cluster::sharded_testbed(eng, 2);
+  QpRendezvous rendezvous;
+  std::vector<std::unique_ptr<PortusDaemon>> daemons;
+  cluster::ClusterClient::Config ccfg;
+  ccfg.replicas = 2;
+  ccfg.shard_count = 8;
+  for (int i = 0; i < 2; ++i) {
+    PortusDaemon::Config cfg;
+    cfg.endpoint = "portusd" + std::to_string(i);
+    daemons.push_back(std::make_unique<PortusDaemon>(
+        *cluster, cluster->node("pmem" + std::to_string(i)), rendezvous, cfg));
+    daemons.back()->start();
+    ccfg.endpoints.push_back(cfg.endpoint);
+  }
+  auto& volta = cluster->node("client-volta");
+  dnn::ModelZoo::Options opt;
+  opt.scale = 0.005;
+  opt.force_real = true;
+  auto model = dnn::ModelZoo::create(volta.gpu(0), name, opt);
+  cluster::ClusterClient client{*cluster, volta, volta.gpu(0), rendezvous, ccfg};
+  ShardedTimeline t;
+  auto proc = eng.spawn([](sim::Engine& e, cluster::ClusterClient& c, dnn::Model& m,
+                           ShardedTimeline& out) -> sim::Process {
+    Time t0 = e.now();
+    co_await c.register_model(m);
+    out.registration = e.now() - t0;
+    m.mutate_weights(1);
+    t0 = e.now();
+    co_await c.checkpoint(1);
+    out.first_checkpoint = e.now() - t0;
+    m.mutate_weights(2);
+    const auto golden = m.weights_crc();
+    t0 = e.now();
+    co_await c.checkpoint(2);
+    out.second_checkpoint = e.now() - t0;
+    m.mutate_weights(3);
+    t0 = e.now();
+    const auto restored = co_await c.restore();
+    out.restore = e.now() - t0;
+    EXPECT_EQ(restored.epoch, 2u);
+    EXPECT_FALSE(restored.degraded);
+    EXPECT_EQ(m.weights_crc(), golden) << "restore is not bit-exact";
+  }(eng, client, model, t));
+  eng.run();
+  proc.check();
+  for (const auto& d : daemons) EXPECT_EQ(d->stats().failed_ops, 0u);
+  eng.shutdown();
+  return t;
+}
+
+TEST(PerfGateTest, ElasticModelsShardedRoundToTheNanosecond) {
+  struct Row {
+    const char* model;
+    std::int64_t register_ns;
+    std::int64_t checkpoint_ns;
+    std::int64_t second_checkpoint_ns;
+    std::int64_t restore_ns;
+  };
+  const Row pinned[] = {
+      {"resnet50", 283'269, 197'611, 173'969, 101'602},
+      {"swin_b", 286'333, 377'366, 377'366, 206'476},
+      {"vgg19_bn", 281'810, 546'760, 546'760, 295'923},
+      {"bert", 287'809, 1'191'420, 1'191'420, 617'562},
+  };
+  for (const auto& row : pinned) {
+    SCOPED_TRACE(row.model);
+    const auto t = measure_sharded(row.model);
+    EXPECT_EQ(t.registration.count(), row.register_ns);
+    EXPECT_EQ(t.first_checkpoint.count(), row.checkpoint_ns);
+    EXPECT_EQ(t.second_checkpoint.count(), row.second_checkpoint_ns);
+    EXPECT_EQ(t.restore.count(), row.restore_ns);
   }
 }
 

@@ -115,6 +115,31 @@ TEST(BandwidthChannelTest, ConservesBytes) {
   EXPECT_EQ(ch.active_flows(), 0);
 }
 
+Process late_xfer(Engine& eng, BandwidthChannel& ch, Duration delay, Bytes bytes, Bandwidth cap) {
+  co_await eng.sleep(delay);
+  co_await ch.transfer(bytes, cap);
+}
+
+// rate x elapsed leaves rounding residue on a flow that finishes; the
+// finished-bytes count is the requested bytes, exactly.
+TEST(BandwidthChannelTest, FinishedBytesSumExactlyOverManyOddConcurrentFlows) {
+  Engine eng;
+  BandwidthChannel ch{eng, Bandwidth::gb_per_sec(12.0), "link"};
+  Bytes total = 0;
+  for (int i = 0; i < 97; ++i) {
+    const Bytes n = 1 + static_cast<Bytes>(i) * 7919 + static_cast<Bytes>(i % 5) * 104'729;
+    total += n;
+    const Bandwidth cap = i % 3 == 0 ? Bandwidth::gb_per_sec(5.8) : Bandwidth::unlimited();
+    eng.spawn(late_xfer(eng, ch, Duration{(i % 11) * 1'337}, n, cap));
+  }
+  eng.run_until(Time{20'000});
+  EXPECT_GT(ch.active_flows(), 0);
+  EXPECT_LT(ch.bytes_finished(), total) << "a flow still running is not counted";
+  eng.run();
+  EXPECT_EQ(ch.active_flows(), 0);
+  EXPECT_EQ(ch.bytes_finished(), total);
+}
+
 TEST(BandwidthChannelTest, AggregateNeverExceedsCapacity) {
   Engine eng;
   BandwidthChannel ch{eng, Bandwidth::gb_per_sec(10.0), "link"};
