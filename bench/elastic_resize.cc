@@ -6,12 +6,17 @@
 // elasticity must cost retries, never failed ops.
 //
 // Emits BENCH_elastic.json; exits 1 unless every resize step moved copies,
-// zero client ops failed across the whole run, and the final restore from
-// the resized ring is bit-exact. --smoke shrinks the model and per-step op
-// counts for the perf-smoke CI label.
+// zero client ops failed across the whole run, the final restore from the
+// resized ring is bit-exact, and one epoch names one version: every
+// (shard key, epoch) the daemons hold DONE carries one payload-CRC block
+// across the ring, and no landing was refused for holding another version
+// at its epoch. --smoke shrinks the model and per-step op counts for the
+// perf-smoke CI label.
 #include <algorithm>
 #include <cstring>
 #include <fstream>
+#include <map>
+#include <set>
 #include <vector>
 
 #include "bench_common.h"
@@ -96,6 +101,38 @@ sim::Process loader(sim::Engine& eng, core::cluster::ClusterClient& client,
       ++st.errors[st.step];
     }
   }
+}
+
+// One version per (shard key, epoch): the payload-CRC blocks of every
+// daemon's DONE slots, and the landings daemons refused for holding
+// another version at the carried epoch.
+struct VersionAudit {
+  std::size_t done_slots = 0;
+  std::size_t epochs = 0;        // distinct (key, epoch) pairs held DONE
+  std::size_t split_epochs = 0;  // pairs held under more than one block
+  std::uint64_t conflicts = 0;   // landings refused for another version
+};
+
+VersionAudit audit_versions(ElasticRig& rig) {
+  VersionAudit a;
+  std::map<std::pair<std::string, std::uint64_t>, std::set<std::vector<std::uint32_t>>> blocks;
+  for (auto& d : rig.daemons) {
+    a.conflicts += d->stats().version_conflicts;
+    for (const auto& key : d->model_table().names()) {
+      std::optional<core::MIndex> held;
+      const core::MIndex& idx = d->index_of(key, held);
+      for (int i = 0; i < 2; ++i) {
+        if (idx.slot(i).state != core::SlotState::kDone) continue;
+        ++a.done_slots;
+        const auto block = idx.payload_crcs(i);
+        blocks[{key, idx.slot(i).epoch}].insert(block.has_value() ? block->crcs
+                                                                  : std::vector<std::uint32_t>{});
+      }
+    }
+  }
+  a.epochs = blocks.size();
+  for (const auto& [at, versions] : blocks) a.split_epochs += versions.size() > 1 ? 1 : 0;
+  return a;
 }
 
 }  // namespace
@@ -193,6 +230,7 @@ int main(int argc, char** argv) {
   }(client, st, restored));
   rig.eng.run();
   const bool bit_exact = restored && model.weights_crc() == st.last_crc;
+  const auto audit = audit_versions(rig);
 
   std::cout << strf("{:>16}{:>8}{:>8}{:>12}{:>10}{:>12}{:>12}{:>12}{:>8}{:>7}\n", "step",
                     "kind", "copies", "streamed", "barrier", "p50", "p99", "worst",
@@ -209,6 +247,10 @@ int main(int argc, char** argv) {
       "restore bit-exact: {}\n",
       rig.elastic.membership().epoch, rig.elastic.membership().active_positions().size(),
       client.stats().checkpoints, bit_exact ? "yes" : "NO");
+  std::cout << strf(
+      "version audit: {} DONE slots, {} (key, epoch) pairs, {} held as two versions, "
+      "{} landings refused for another version\n",
+      audit.done_slots, audit.epochs, audit.split_epochs, audit.conflicts);
 
   // --- JSON ---
   const auto json_path = bench::results_path("BENCH_elastic.json");
@@ -249,6 +291,13 @@ int main(int argc, char** argv) {
   }
   if (!bit_exact) {
     std::cerr << "FAIL: restore from the resized ring is not bit-exact\n";
+    rc = 1;
+  }
+  if (audit.split_epochs != 0 || audit.conflicts != 0) {
+    std::cerr << strf(
+        "FAIL: one epoch named two versions: {} (key, epoch) pairs split, {} landings "
+        "refused (bar: 0)\n",
+        audit.split_epochs, audit.conflicts);
     rc = 1;
   }
   if (rc == 0) std::cout << "elastic resize acceptance checks passed\n";

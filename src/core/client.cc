@@ -49,18 +49,59 @@ std::vector<TensorRun> cut_runs(const std::vector<dnn::Tensor>& tensors,
   return runs;
 }
 
+// Dial `listener` into `*out`: a process of its own, so that a
+// registration pins while its client connects.
+sim::Process dial(net::TcpListener& listener,
+                  std::shared_ptr<std::shared_ptr<net::TcpSocket>> out) {
+  *out = co_await listener.connect();
+}
+
 }  // namespace
+
+RegistrationCache::RegistrationCache(net::Node& node, gpu::GpuDevice& gpu,
+                                     const std::string& pd_name)
+    : node_{node}, gpu_{gpu}, pd_{node.nic().alloc_pd(pd_name)} {}
+
+sim::SubTask<std::uint32_t> RegistrationCache::rkey_for(gpu::DeviceBuffer span, bool* pinned) {
+  const auto [it, fresh] =
+      entries_.try_emplace(Key{&span.segment(), span.offset(), span.size(), span.phantom()});
+  Entry& entry = it->second;  // std::map nodes stay put while others are added
+  if (!fresh) {
+    if (!entry.ready) {
+      if (entry.pinned == nullptr) entry.pinned = std::make_unique<sim::SimEvent>(gpu_.engine());
+      co_await entry.pinned->wait();
+    }
+    ++reused_;
+    co_return entry.rkey;
+  }
+  // Pin through PeerMem and register the span with the RNIC. The remote
+  // side needs READ (checkpoint pull) and WRITE (restore push).
+  const auto peer = co_await gpu::PeerMem::register_buffer(gpu_, span);
+  entry.rkey = pd_.register_region(node_.gpu_region(peer)).rkey;
+  entry.ready = true;
+  if (entry.pinned != nullptr) entry.pinned->set();
+  ++pins_;
+  *pinned = true;
+  co_return entry.rkey;
+}
 
 PortusClient::PortusClient(net::Cluster& cluster, net::Node& client_node, gpu::GpuDevice& gpu,
                            QpRendezvous& rendezvous, std::string endpoint, int stripes)
+    : PortusClient(cluster,
+                   std::make_shared<RegistrationCache>(client_node, gpu,
+                                                       "portus-client-pd/" + endpoint),
+                   rendezvous, endpoint, stripes) {}
+
+PortusClient::PortusClient(net::Cluster& cluster,
+                           std::shared_ptr<RegistrationCache> registrations,
+                           QpRendezvous& rendezvous, std::string endpoint, int stripes)
     : cluster_{cluster},
-      node_{client_node},
-      gpu_{gpu},
+      registrations_{std::move(registrations)},
+      node_{registrations_->node()},
       rendezvous_{rendezvous},
       endpoint_{std::move(endpoint)},
       stripes_{stripes} {
   PORTUS_CHECK_ARG(stripes >= 1 && stripes <= 256, "client stripes must be in [1, 256]");
-  pd_ = &client_node.nic().alloc_pd("portus-client-pd/" + endpoint_);
 }
 
 sim::SubTask<> PortusClient::connect() {
@@ -181,16 +222,21 @@ sim::SubTask<std::uint64_t> PortusClient::register_shard(dnn::Model& model,
   msg.requested_rate = tenant_.requested_rate;
   msg.membership_epoch = membership_epoch_;
 
-  // Pin the bound tensors through PeerMem and register them with the RNIC.
-  // The remote side needs READ (checkpoint pull) and WRITE (restore push).
-  // One pin and one MR cover each run of adjacent allocations; every
-  // TensorDesc keeps its own address and size and carries its run's rkey.
+  // One MR covers each run of adjacent allocations; every TensorDesc keeps
+  // its own address and size and carries its run's rkey. A client not
+  // connected yet dials meanwhile.
   const auto& tensors = model.tensors();
   const auto runs = cut_runs(tensors, binding.tensor_indices);
+  std::shared_ptr<std::shared_ptr<net::TcpSocket>> dialed;
+  sim::Process dialing;
+  if (socket_ == nullptr) {
+    dialed = std::make_shared<std::shared_ptr<net::TcpSocket>>();
+    dialing = cluster_.engine().spawn(dial(cluster_.endpoint(endpoint_), dialed));
+  }
   for (const auto& run : runs) {
-    const auto peer = co_await gpu::PeerMem::register_buffer(gpu_, run.span);
-    const auto rkey = pd_->register_region(node_.gpu_region(peer)).rkey;
-    ++stats_.regions_registered;
+    bool pinned = false;
+    const auto rkey = co_await registrations_->rkey_for(run.span, &pinned);
+    if (pinned) ++stats_.regions_registered;
     for (std::size_t k = run.first; k < run.last; ++k) {
       const auto& tensor = tensors[binding.tensor_indices[k]];
       msg.tensors.push_back(TensorDesc{
@@ -203,6 +249,10 @@ sim::SubTask<std::uint64_t> PortusClient::register_shard(dnn::Model& model,
       });
     }
   }
+  if (dialed != nullptr) {
+    co_await dialing.join();
+    socket_ = std::move(*dialed);
+  }
 
   // One CQ serves every stripe of this registration: the daemon drives all
   // lanes wr_id-keyed, and the client side is passive (one-sided verbs
@@ -212,7 +262,7 @@ sim::SubTask<std::uint64_t> PortusClient::register_shard(dnn::Model& model,
   Datapath dp;
   dp.cq = std::make_unique<rdma::CompletionQueue>(cluster_.engine());
   for (int s = 0; s < stripes_; ++s) {
-    auto& qp = cluster_.fabric().create_qp(node_.nic(), *pd_, *dp.cq);
+    auto& qp = cluster_.fabric().create_qp(node_.nic(), registrations_->pd(), *dp.cq);
     dp.qps.push_back(&qp);
     msg.qp_tokens.push_back(rendezvous_.publish(qp));
   }
@@ -249,12 +299,14 @@ sim::SubTask<std::uint64_t> PortusClient::checkpoint(dnn::Model& model,
 // full-expressions (double destruction after resumption).
 sim::SubTask<std::uint64_t> PortusClient::checkpoint_named(std::string reg_name,
                                                            std::uint64_t iteration,
-                                                           std::uint64_t round) {
+                                                           std::uint64_t round,
+                                                           std::uint64_t epoch_floor) {
   CheckpointReqMsg req{.model_name = std::move(reg_name),
                        .iteration = iteration,
                        .dirty_indices = {},
                        .membership_epoch = membership_epoch_,
-                       .round = round};
+                       .round = round,
+                       .epoch_floor = epoch_floor};
   auto wire = encode(req);
   co_return co_await request<CheckpointDoneMsg>(std::move(wire));
 }
@@ -265,7 +317,8 @@ sim::SubTask<std::uint64_t> PortusClient::checkpoint_incremental(
                        .iteration = iteration,
                        .dirty_indices = std::move(dirty_indices),
                        .membership_epoch = membership_epoch_,
-                       .round = 0};
+                       .round = 0,
+                       .epoch_floor = 0};
   auto wire = encode(req);
   co_return co_await request<CheckpointDoneMsg>(std::move(wire));
 }

@@ -12,6 +12,12 @@
 // verbs, so the client never copies, serializes, or crosses into a kernel
 // filesystem.
 //
+// Registrations are job-wide. Every pin and MR lives in a
+// RegistrationCache: one protection domain, and one pinned MR per run span
+// for as long as the cache lives. A standalone client owns a cache of its
+// own; a ClusterClient hands one cache to all of its channels, so each
+// shard span is pinned once per job (DESIGN.md, "GPU registration").
+//
 // Sharded mode (core/cluster/): one PortusClient per shard copy, and
 // register_shard() registers a *subset* of the model's tensors under a
 // shard-scoped name. A run never spans a tensor the binding skips, so no
@@ -23,15 +29,58 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <tuple>
 
 #include "common/rng.h"
 #include "core/protocol.h"
 #include "dnn/model.h"
 #include "gpu/peer_mem.h"
 #include "net/cluster.h"
+#include "sim/sync.h"
 #include "sim/task.h"
 
 namespace portus::core {
+
+// The GPU registrations of one training job: one protection domain, and
+// one PeerMem pin + RDMA MR per run span, kept for the cache's life. The
+// key is the exact span a registration cuts (segment, offset, length,
+// phantom flag), so an MR never covers bytes outside the binding that
+// asked for it. Registrations of one span share its pin: the first pins,
+// any that arrive while it pins wait for it, and later ones reuse the MR
+// at no cost. So a shard copy placed on a new daemon, or the fresh client
+// of a revived lane, registers without a pin.
+class RegistrationCache {
+ public:
+  RegistrationCache(net::Node& node, gpu::GpuDevice& gpu, const std::string& pd_name);
+  RegistrationCache(const RegistrationCache&) = delete;
+  RegistrationCache& operator=(const RegistrationCache&) = delete;
+
+  // The rkey of the MR over `span`, pinning it first if no registration
+  // has. Sets `*pinned` when this call made the pin.
+  sim::SubTask<std::uint32_t> rkey_for(gpu::DeviceBuffer span, bool* pinned);
+
+  net::Node& node() { return node_; }
+  rdma::ProtectionDomain& pd() { return pd_; }
+  std::uint64_t pins() const { return pins_; }      // PeerMem pins made
+  std::uint64_t reused() const { return reused_; }  // registrations served without one
+
+ private:
+  using Key = std::tuple<const mem::MemorySegment*, Bytes, Bytes, bool>;
+  struct Entry {
+    std::uint32_t rkey = 0;
+    bool ready = false;
+    // Made by the first registration that waits for the pin; set when the
+    // pin ends.
+    std::unique_ptr<sim::SimEvent> pinned;
+  };
+
+  net::Node& node_;
+  gpu::GpuDevice& gpu_;
+  rdma::ProtectionDomain& pd_;
+  std::map<Key, Entry> entries_;
+  std::uint64_t pins_ = 0;
+  std::uint64_t reused_ = 0;
+};
 
 class PortusClient {
  public:
@@ -42,8 +91,8 @@ class PortusClient {
     Duration last_checkpoint{0};
     Duration last_restore{0};
     Duration registration_time{0};
-    // PeerMem pins (= RDMA MRs) over every registration: one per run of
-    // adjacent tensor allocations.
+    // PeerMem pins (= RDMA MRs) this client's registrations made: one per
+    // run of adjacent tensor allocations its cache did not hold yet.
     std::uint64_t regions_registered = 0;
     std::uint32_t negotiated_stripes = 0;  // accepted by the daemon (last reg)
     // Gather capability the daemon accepted (last reg); 1 = single-SGE.
@@ -103,17 +152,25 @@ class PortusClient {
   };
 
   // `stripes` is how many datapath QPs the client offers at registration;
-  // the daemon connects min(stripes, its own configured stripes).
+  // the daemon connects min(stripes, its own configured stripes). This
+  // client's registrations go to a cache of its own.
   PortusClient(net::Cluster& cluster, net::Node& client_node, gpu::GpuDevice& gpu,
                QpRendezvous& rendezvous, std::string endpoint = "portusd",
                int stripes = 1);
+  // One control channel of a job whose channels all register through
+  // `registrations`, on its node and GPU.
+  PortusClient(net::Cluster& cluster, std::shared_ptr<RegistrationCache> registrations,
+               QpRendezvous& rendezvous, std::string endpoint, int stripes = 1);
 
-  // Dial the daemon (TCP handshake). Must precede register_model().
+  // Dial the daemon (TCP handshake). Must precede every op but a
+  // registration, which dials by itself when the client is not connected.
   sim::SubTask<> connect();
 
   // Pin + register every tensor (one MR per run of adjacent allocations)
   // and send the metadata packet. The daemon lays out the checkpoint
-  // structure on PMEM before this returns.
+  // structure on PMEM before this returns. A run the cache holds already
+  // costs no pin; a client not connected yet dials while its runs pin, so
+  // a first registration costs the pin plus one round trip.
   sim::SubTask<> register_model(dnn::Model& model);
 
   // Register a subset of the model's tensors under binding.reg_name.
@@ -124,10 +181,12 @@ class PortusClient {
   // Trigger "DO_CHECKPOINT" and wait for the daemon's completion notice.
   // Returns the committed epoch.
   sim::SubTask<std::uint64_t> checkpoint(dnn::Model& model, std::uint64_t iteration = 0);
-  // `round` non-zero tags the pull for the forwards armed with it (v8).
+  // `round` non-zero tags the pull for the forwards armed with it (v8);
+  // `epoch_floor` non-zero makes it mint above that epoch (v10).
   sim::SubTask<std::uint64_t> checkpoint_named(std::string reg_name,
                                                std::uint64_t iteration = 0,
-                                               std::uint64_t round = 0);
+                                               std::uint64_t round = 0,
+                                               std::uint64_t epoch_floor = 0);
 
   // Incremental variant (Check-N-Run-style extension): only the tensors in
   // `dirty_indices` changed since the previous checkpoint; the daemon pulls
@@ -215,14 +274,13 @@ class PortusClient {
                                   std::uint64_t daemon_epoch) const;
 
   net::Cluster& cluster_;
+  std::shared_ptr<RegistrationCache> registrations_;
   net::Node& node_;
-  gpu::GpuDevice& gpu_;
   QpRendezvous& rendezvous_;
   std::string endpoint_;
   int stripes_;
   Duration op_timeout_{0};
   std::shared_ptr<net::TcpSocket> socket_;
-  rdma::ProtectionDomain* pd_ = nullptr;
   std::map<std::string, Datapath> datapaths_;  // by registration name
   // Heap-held so the roundtrip scope guard stays valid even if the client
   // is destroyed while the coroutine is suspended (crash-mid-op tests).

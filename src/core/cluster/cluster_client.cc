@@ -26,8 +26,8 @@ std::uint64_t next_round_id() {
 ClusterClient::ClusterClient(net::Cluster& cluster, net::Node& client_node,
                              gpu::GpuDevice& gpu, QpRendezvous& rendezvous, Config config)
     : cluster_{cluster},
-      node_{client_node},
-      gpu_{gpu},
+      registrations_{std::make_shared<RegistrationCache>(client_node, gpu,
+                                                         "portus-cluster-client-pd")},
       rendezvous_{rendezvous},
       config_{std::move(config)} {
   PORTUS_CHECK_ARG(!config_.endpoints.empty() || config_.membership != nullptr,
@@ -55,7 +55,7 @@ std::size_t ClusterClient::channel_for(std::size_t lane, std::uint32_t shard) {
 }
 
 std::unique_ptr<PortusClient> ClusterClient::make_client(const std::string& endpoint) {
-  auto client = std::make_unique<PortusClient>(cluster_, node_, gpu_, rendezvous_, endpoint);
+  auto client = std::make_unique<PortusClient>(cluster_, registrations_, rendezvous_, endpoint);
   client->set_op_timeout(config_.op_timeout);
   client->set_tenant(config_.tenant);
   client->set_retry_policy(config_.retry);
@@ -76,7 +76,7 @@ void ClusterClient::mark_lane_down(Lane& lane) {
 void ClusterClient::revive_lane(std::size_t lane) {
   // A daemon that came back (or just joined) has no memory of the old
   // sessions: every channel to it gets a fresh client (new socket, new
-  // datapath QPs) and must register again.
+  // datapath QPs) and must register again, reusing the job's MRs.
   lanes_[lane].up = true;
   ++stats_.lane_revivals;
   for (auto& ch : channels_) {
@@ -123,7 +123,6 @@ sim::Process ClusterClient::register_copy(std::size_t copy_id, bool* stale) {
   Channel& ch = channel_of(copy);
   Lane& lane = lane_of(copy);
   try {
-    if (!ch.client->connected()) co_await ch.client->connect();
     PortusClient::ShardBinding binding;
     binding.reg_name = shard_key(model_name_, copy.shard);
     binding.tensor_indices = plan_.shard_tensors[copy.shard];
@@ -221,6 +220,8 @@ sim::SubTask<> ClusterClient::resolve_placement() {
       procs.push_back(cluster_.engine().spawn(register_copy(id, &stale)));
     }
     for (auto& p : procs) co_await p.join();  // copy errors are absorbed per copy
+    stats_.pins = registrations_->pins();
+    stats_.pins_reused = registrations_->reused();
 
     if (stale) {
       // The membership moved again while we were registering against it.
@@ -274,13 +275,13 @@ sim::SubTask<> ClusterClient::refresh_placement() {
 }
 
 sim::SubTask<> ClusterClient::pull_copy(std::size_t copy_id, Round* round,
-                                       std::uint64_t armed) {
+                                       std::uint64_t floor, std::uint64_t armed) {
   Copy& copy = copies_[copy_id];
   Lane& lane = lane_of(copy);
   try {
     const std::string key = shard_key(model_name_, copy.shard);
-    const auto epoch =
-        co_await channel_of(copy).client->checkpoint_named(key, round->iteration, armed);
+    const auto epoch = co_await channel_of(copy).client->checkpoint_named(
+        key, round->iteration, armed, copy.epoch < floor ? floor : 0);
     copy.epoch = epoch;
     round->shard_ok[copy.shard] = true;
     round->max_epoch = std::max(round->max_epoch, epoch);
@@ -338,12 +339,18 @@ sim::Process ClusterClient::forward_copy(std::size_t copy_id, std::size_t puller
 }
 
 sim::Process ClusterClient::checkpoint_shard(std::uint32_t shard, Round* round) {
-  // The shard's live copies in manifest order, and the newest epoch any of
-  // them is known to hold.
+  // The shard's live copies in manifest order, the newest epoch any of
+  // them is known to hold, and the newest the shard is known at on any
+  // copy, placed now or before. A resize can leave every live copy below
+  // that floor (registered where a migration landed an older version); a
+  // pull there mints above it, since minting at or below it would name a
+  // second version at an epoch the shard already acked.
   std::vector<std::size_t> ids;
   std::uint64_t newest = 0;
+  std::uint64_t floor = shard_floor_[shard];
   for (std::size_t id = 0; id < copies_.size(); ++id) {
     if (copies_[id].shard != shard) continue;
+    floor = std::max(floor, copies_[id].epoch);
     if (live(copies_[id])) {
       ids.push_back(id);
       newest = std::max(newest, copies_[id].epoch);
@@ -368,7 +375,7 @@ sim::Process ClusterClient::checkpoint_shard(std::uint32_t shard, Round* round) 
       forwards.push_back(cluster_.engine().spawn(forward_copy(id, puller, armed, round)));
     }
   }
-  co_await pull_copy(puller, round, armed);
+  co_await pull_copy(puller, round, floor, armed);
   for (auto& p : forwards) co_await p.join();
   if (round->stale) co_return;
 
@@ -383,9 +390,9 @@ sim::Process ClusterClient::checkpoint_shard(std::uint32_t shard, Round* round) 
       continue;
     }
     pulls.push_back(cluster_.engine().spawn(
-        [](ClusterClient& c, std::size_t copy_id, Round* r) -> sim::Process {
-          co_await c.pull_copy(copy_id, r);
-        }(*this, id, round)));
+        [](ClusterClient& c, std::size_t copy_id, Round* r, std::uint64_t f) -> sim::Process {
+          co_await c.pull_copy(copy_id, r, f);
+        }(*this, id, round, floor)));
   }
   for (auto& p : pulls) co_await p.join();
 }

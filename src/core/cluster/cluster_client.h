@@ -10,6 +10,16 @@
 // Placement::compute, so any process that knows the ring config finds its
 // shards without a metadata service.
 //
+// Registrations are job-wide: the client owns one RegistrationCache (one
+// protection domain, one pinned MR per shard span) and every channel's
+// PortusClient registers through it. So each shard span is pinned once for
+// the job's life: the R copies of a shard share one in-flight pin, and a
+// copy a resize moves, a copy placed on a new channel and the fresh
+// clients of a revived lane all reuse the MR. A channel not connected yet
+// dials its daemon while its registration pins, so a first registration
+// costs the pin plus one round trip, and a moved copy's costs the dial
+// plus one round trip (Stats::pins, Stats::pins_reused).
+//
 // Replication pulls each shard from the GPU once per round, in one pass.
 // The puller is the first live copy in manifest order that the client
 // does not know to be behind another live copy of the shard (a copy's
@@ -148,6 +158,9 @@ class ClusterClient {
     // --- elasticity ---
     std::uint64_t epoch_reresolutions = 0;  // placements refetched for a membership bump
     std::uint64_t lane_revivals = 0;        // down lanes brought back by a re-resolve
+    // --- registration (one cache per job) ---
+    std::uint64_t pins = 0;         // PeerMem pins the job made: one per shard span
+    std::uint64_t pins_reused = 0;  // copy registrations the job's cache served
   };
 
   ClusterClient(net::Cluster& cluster, net::Node& client_node, gpu::GpuDevice& gpu,
@@ -155,7 +168,8 @@ class ClusterClient {
 
   // Compute the placement for `model` and register every shard copy on
   // its daemon through the copy's own channel, all at once (manifest
-  // attached to every registration). Lanes that are already dead are
+  // attached to every registration), pinning each shard span once for
+  // every copy of it. Lanes that are already dead are
   // tolerated as long as every shard keeps at least one registered copy;
   // otherwise throws.
   sim::SubTask<> register_model(dnn::Model& model);
@@ -175,7 +189,8 @@ class ClusterClient {
   // endpoint list) right now: recompute the plan, revive down lanes whose
   // member is ACTIVE again (a fresh PortusClient for each of the lane's
   // channels — a restarted daemon has no memory of the old sessions), and
-  // re-register missing copies. The ops call this themselves on a
+  // re-register missing copies through the job's MRs, pinning nothing
+  // new. The ops call this themselves on a
   // membership bump; call it directly after manually restarting a daemon
   // in a static ring.
   sim::SubTask<> refresh_placement();
@@ -238,8 +253,10 @@ class ClusterClient {
   // a GPU pull on each copy a forward did not land on.
   sim::Process checkpoint_shard(std::uint32_t shard, Round* round);
   // A GPU pull on one copy, tagged with round id `armed` when forwards wait
-  // on it.
-  sim::SubTask<> pull_copy(std::size_t copy_id, Round* round, std::uint64_t armed = 0);
+  // on it. A copy known to be below `floor` (the newest epoch its shard is
+  // known at) sends it, so its pull mints an epoch above it.
+  sim::SubTask<> pull_copy(std::size_t copy_id, Round* round, std::uint64_t floor,
+                           std::uint64_t armed = 0);
   // Land what the puller commits in round `armed` on one more copy; sets
   // round->landed[copy_id] when it did.
   sim::Process forward_copy(std::size_t copy_id, std::size_t puller, std::uint64_t armed,
@@ -257,7 +274,8 @@ class ClusterClient {
   std::size_t lane_for(const std::string& endpoint);
   std::size_t channel_for(std::size_t lane, std::uint32_t shard);
   // A fresh channel client (one datapath QP) carrying this client's
-  // watchdog, tenant identity and retry policy.
+  // watchdog, tenant identity and retry policy, registering through the
+  // job's cache.
   std::unique_ptr<PortusClient> make_client(const std::string& endpoint);
   Channel& channel_of(const Copy& copy) { return channels_[copy.channel]; }
   Lane& lane_of(const Copy& copy) { return lanes_[channel_of(copy).lane]; }
@@ -276,8 +294,7 @@ class ClusterClient {
   sim::SubTask<> after_epoch_mismatch(int attempt);
 
   net::Cluster& cluster_;
-  net::Node& node_;
-  gpu::GpuDevice& gpu_;
+  std::shared_ptr<RegistrationCache> registrations_;  // every channel's PD and MRs
   QpRendezvous& rendezvous_;
   Config config_;
   std::string model_name_;

@@ -604,7 +604,7 @@ sim::SubTask<CheckpointDoneMsg> PortusDaemon::handle_checkpoint(CheckpointReqMsg
     const Bytes prev_data_offset =
         prev_slot.has_value() ? index.slot(*prev_slot).data_offset : 0;
 
-    auto txn = CheckpointTxn::begin(index);
+    auto txn = CheckpointTxn::begin(index, std::nullopt, msg.epoch_floor);
     const auto& slot_mr = slot_region(index, txn.slot());
 
     // Dirty extents pull from the remote GPU (one multi-SGE READ per
@@ -781,6 +781,7 @@ sim::SubTask<CheckpointDoneMsg> PortusDaemon::handle_forward(ForwardReqMsg msg) 
       // ok without moving a byte, if it is the source's version.
       const auto block = index.payload_crcs(*newest);
       if (!index.phantom() && (!block.has_value() || block->crcs != source->crcs)) {
+        ++stats_.version_conflicts;
         throw Error(strf("forward of {} at epoch {} refused: this copy holds another version "
                          "at that epoch",
                          msg.model_name, msg.source_epoch));

@@ -164,6 +164,10 @@ class PortusDaemon {
     // either: the round's pull failed, and the client lands the shard
     // another way.
     std::uint64_t voided_forwards = 0;
+    // Landings (forwards and migrations) refused because this copy holds
+    // another version at the carried epoch: one epoch named two versions
+    // of the key. Counted in failed_ops too; 0 on a healthy ring.
+    std::uint64_t version_conflicts = 0;
     // Worker-pool queueing: hand-overs of a worker to a smaller op between
     // WRs, and the virtual time ops spent queued for a worker, first and
     // after each hand-over.

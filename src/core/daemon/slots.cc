@@ -1,10 +1,13 @@
 #include "core/daemon/slots.h"
 
+#include <algorithm>
+
 namespace portus::core {
 
-CheckpointTxn CheckpointTxn::begin(MIndex& index, std::optional<std::uint64_t> carried) {
+CheckpointTxn CheckpointTxn::begin(MIndex& index, std::optional<std::uint64_t> carried,
+                                   std::uint64_t floor) {
   const int slot = index.pick_write_slot();
-  const std::uint64_t epoch = carried.value_or(index.max_epoch() + 1);
+  const std::uint64_t epoch = carried.value_or(std::max(index.max_epoch(), floor) + 1);
   // ACTIVE flag first, persisted, before any data lands: recovery must be
   // able to tell "transmission started but did not finish".
   index.set_slot(slot, SlotState::kActive, carried.has_value() ? 0 : epoch);

@@ -32,12 +32,15 @@ class CheckpointTxn {
  public:
   // Marks the write slot ACTIVE (persisted). The transaction must be
   // committed or aborted before another one starts on the same MIndex.
-  // A checkpoint mints epoch max_epoch() + 1 and stamps it on ACTIVE. A
-  // migration instead lands a version another daemon already committed:
-  // it passes that `carried` epoch, ACTIVE is stamped 0 (an in-flight copy
-  // claims no epoch), and commit() flips DONE at the carried epoch.
+  // A checkpoint mints epoch max(max_epoch(), floor) + 1 and stamps it on
+  // ACTIVE; `floor` is the newest epoch another copy of the key is known
+  // to hold. A migration instead lands a version another daemon already
+  // committed: it passes that `carried` epoch, ACTIVE is stamped 0 (an
+  // in-flight copy claims no epoch), and commit() flips DONE at the
+  // carried epoch.
   static CheckpointTxn begin(MIndex& index,
-                             std::optional<std::uint64_t> carried = std::nullopt);
+                             std::optional<std::uint64_t> carried = std::nullopt,
+                             std::uint64_t floor = 0);
 
   CheckpointTxn(CheckpointTxn&&) = default;
   CheckpointTxn& operator=(CheckpointTxn&&) = delete;

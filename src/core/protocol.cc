@@ -193,7 +193,12 @@ std::vector<std::byte> encode(const CheckpointReqMsg& m) {
   w.u32(static_cast<std::uint32_t>(m.dirty_indices.size()));
   for (const auto i : m.dirty_indices) w.u32(i);
   w.u64(m.membership_epoch);
-  put_round(w, m.round);
+  if (m.epoch_floor != 0) {
+    w.u64(m.round);
+    w.u64(m.epoch_floor);
+  } else {
+    put_round(w, m.round);
+  }
   return w.take();
 }
 
@@ -208,6 +213,7 @@ CheckpointReqMsg decode_checkpoint_req(std::span<const std::byte> wire) {
   for (auto& i : m.dirty_indices) i = r.u32();
   m.membership_epoch = r.u64();
   m.round = get_round(r);
+  m.epoch_floor = r.at_end() ? 0 : r.u64();
   return m;
 }
 

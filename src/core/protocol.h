@@ -72,7 +72,10 @@ inline constexpr std::uint32_t kProtocolMagic = 0x50545553;  // "PTUS"
 // v9: the registration ack carries the newest DONE epoch of the index the
 //     registration bound, so a client that (re)registers knows which
 //     copies are behind before its first round or restore.
-inline constexpr std::uint16_t kProtocolVersion = 9;
+// v10: CheckpointReqMsg carries an epoch floor after the round id, only
+//     when non-zero (the round id is then written even when 0): a pull
+//     that carries none keeps its v9 bytes.
+inline constexpr std::uint16_t kProtocolVersion = 10;
 
 enum class MsgType : std::uint8_t {
   kRegisterModel = 1,
@@ -226,6 +229,11 @@ struct CheckpointReqMsg {
   // for how it ends. 0 = no forward waits on it. `iteration` is the
   // caller's and may repeat, so it cannot name a round.
   std::uint64_t round = 0;
+  // v10: the newest epoch the client knows another copy of this key holds,
+  // sent when this copy is known to be behind it (0 = none). The pull
+  // mints max(the copy's newest epoch, epoch_floor) + 1, so one epoch
+  // never names two versions of a shard.
+  std::uint64_t epoch_floor = 0;
 };
 
 struct CheckpointDoneMsg {

@@ -485,9 +485,10 @@ TEST(ClusterTest, PlacementSurvivesProcessRestart) {
   EXPECT_EQ(r.eng.failed_process_count(), 0);
 }
 
-// Each shard is one run of adjacent allocations, so each shard copy costs
-// one PeerMem pin: at registration, and again for every copy a join moves.
-TEST(ClusterTest, EveryShardCopyRegistersOneRegion) {
+// A job pins each shard span once: the 16 copies of 8 shards register 8
+// regions, the second copy of each shard reusing its first's MR, and the
+// copies a join moves register on their new daemons without another.
+TEST(ClusterTest, EachShardSpanIsPinnedOncePerJob) {
   ClusterRig r{4};
   ElasticCluster elastic{r.eng};
   for (int i = 0; i < 3; ++i) elastic.add_member(r.endpoints[i], *r.daemons[i]);
@@ -528,11 +529,13 @@ TEST(ClusterTest, EveryShardCopyRegistersOneRegion) {
   proc.check();
   const auto before = copies(client.plan());
   EXPECT_EQ(before.size(), 16u);
-  EXPECT_EQ(regions(), before.size());
+  EXPECT_EQ(regions(), 8u);
+  EXPECT_EQ(client.stats().pins, 8u);
+  EXPECT_EQ(client.stats().pins_reused, 8u);
 
   // The first checkpoint after the join sees the bump on the membership
-  // source, re-resolves, and registers the copies that moved, one region
-  // each.
+  // source, re-resolves, and registers the copies that moved, each through
+  // its shard's MR.
   auto resize = r.eng.spawn([](ElasticCluster& e, PortusDaemon& joiner, ClusterClient& c,
                                dnn::Model& m) -> sim::Process {
     co_await e.join("portusd3", joiner);
@@ -545,7 +548,67 @@ TEST(ClusterTest, EveryShardCopyRegistersOneRegion) {
   for (const auto& copy : copies(client.plan())) moved += before.count(copy) == 0 ? 1 : 0;
   EXPECT_GT(moved, 0u);
   EXPECT_EQ(elastic.stats().copies_moved, moved);
-  EXPECT_EQ(regions(), before.size() + moved);
+  EXPECT_EQ(regions(), 8u);
+  EXPECT_EQ(client.stats().pins, 8u);
+  EXPECT_EQ(client.stats().pins_reused, 8u + moved);
+  EXPECT_EQ(r.eng.failed_process_count(), 0);
+}
+
+// A copy a join moves registers on its new daemon through the MR its shard
+// span already has: the new channel dials and sends its packet, and pins
+// nothing. So the first checkpoint after the join is longer than the next
+// one only by that dial and round trip, well under one PeerMem pin.
+TEST(ClusterTest, FirstCheckpointAfterAJoinMakesNoPin) {
+  ClusterRig r{3};
+  ElasticCluster elastic{r.eng};
+  elastic.add_member(r.endpoints[0], *r.daemons[0]);
+  elastic.add_member(r.endpoints[1], *r.daemons[1]);
+  elastic.seal();
+  auto& volta = r.cluster->node("client-volta");
+  dnn::ModelZoo::Options opt;
+  opt.scale = 0.02;
+  auto model = dnn::ModelZoo::create(volta.gpu(0), "resnet50", opt);
+  ClusterClient::Config cfg;
+  cfg.replicas = 2;
+  cfg.shard_count = 8;
+  cfg.membership = &elastic;
+  cfg.op_timeout = 50ms;
+  ClusterClient client{*r.cluster, volta, volta.gpu(0), r.rendezvous, cfg};
+
+  std::size_t channels_before = 0;
+  Duration first_after{0};
+  Duration second_after{0};
+  auto proc = r.eng.spawn([](sim::Engine& eng, ElasticCluster& e, PortusDaemon& joiner,
+                             ClusterClient& c, dnn::Model& m, std::size_t& channels,
+                             Duration& first, Duration& second) -> sim::Process {
+    co_await c.register_model(m);
+    co_await c.checkpoint(1);
+    channels = c.lane_count();
+    co_await e.join("portusd2", joiner);
+    m.mutate_weights(2);
+    Time t0 = eng.now();
+    co_await c.checkpoint(2);
+    first = eng.now() - t0;
+    m.mutate_weights(3);
+    t0 = eng.now();
+    co_await c.checkpoint(3);
+    second = eng.now() - t0;
+  }(r.eng, elastic, *r.daemons[2], client, model, channels_before, first_after,
+                                           second_after));
+  r.eng.run();
+  proc.check();
+
+  ASSERT_GT(client.lane_count(), channels_before) << "the join moved no copy";
+  EXPECT_EQ(client.stats().pins, 8u);
+  Duration slowest{0};
+  for (std::size_t i = channels_before; i < client.lane_count(); ++i) {
+    const auto& st = client.lane_client(i).stats();
+    EXPECT_EQ(st.regions_registered, 0u) << "channel " << i;
+    EXPECT_LT(st.registration_time, gpu::PeerMem::kBaseLatency) << "channel " << i;
+    slowest = std::max(slowest, st.registration_time);
+  }
+  EXPECT_EQ(first_after - second_after, slowest);
+  EXPECT_LT(first_after - second_after, gpu::PeerMem::kBaseLatency);
   EXPECT_EQ(r.eng.failed_process_count(), 0);
 }
 
@@ -1859,6 +1922,115 @@ TEST(ClusterTest, RoundAfterARestartPullsEachShardOnceOnACopyNotBehind) {
     EXPECT_EQ(newest_done(*w.r.daemons[ring[1]], key), first) << key;
   }
   EXPECT_EQ(w.r.eng.failed_process_count(), 0);
+}
+
+// A restarted daemon's lane comes back with a fresh client per channel,
+// and each one registers through the job's MRs: no pin, only the dial and
+// the packet. The MRs stay valid in the job's protection domain, so after
+// the next round the restarted daemon's restores land bit-exact.
+TEST(ClusterTest, RevivedLaneRegistersWithoutAPinAndRestoresBitExact) {
+  WaveRig w;
+  checkpoint_around_a_restart(w);
+  const auto reused = w.client.stats().pins_reused;
+  std::uint32_t want = 0;
+  auto proc = w.r.eng.spawn([](ClusterClient& c, dnn::Model& m,
+                               std::uint32_t& crc) -> sim::Process {
+    co_await c.refresh_placement();
+    m.mutate_weights(3);
+    const auto ck = co_await c.checkpoint(3);
+    EXPECT_EQ(ck.epoch, 3u);
+    EXPECT_FALSE(ck.degraded);
+    crc = m.weights_crc();
+    m.mutate_weights(4);
+    const auto rr = co_await c.restore();
+    EXPECT_EQ(rr.epoch, 3u);
+  }(w.client, w.model, want));
+  w.r.eng.run();
+  proc.check();
+
+  std::uint64_t on_restarted = 0;
+  for (const auto& ring : w.client.plan().shard_daemons) {
+    on_restarted += static_cast<std::uint64_t>(std::count(ring.begin(), ring.end(), 1u));
+  }
+  ASSERT_GT(on_restarted, 0u);
+  EXPECT_EQ(w.client.stats().pins, 8u);
+  EXPECT_EQ(w.client.stats().pins_reused - reused, on_restarted);
+  std::uint64_t revived = 0;
+  for (std::size_t i = 0; i < w.client.lane_count(); ++i) {
+    const auto& lane = w.client.lane_client(i);
+    if (lane.endpoint() != "portusd1") continue;
+    ++revived;
+    EXPECT_EQ(lane.stats().regions_registered, 0u) << "channel " << i;
+    EXPECT_LT(lane.stats().registration_time, gpu::PeerMem::kBaseLatency) << "channel " << i;
+  }
+  EXPECT_EQ(revived, on_restarted);
+  EXPECT_EQ(w.model.weights_crc(), want) << "restore is not bit-exact";
+  EXPECT_GT(w.r.daemons[1]->stats().restores, 0u) << "the restarted daemon served no shard";
+  EXPECT_EQ(w.r.daemons[1]->stats().failed_ops, 0u);
+  EXPECT_EQ(w.r.eng.failed_process_count(), 0);
+}
+
+// A pull on a copy known to be behind its shard mints above the shard's
+// acked epoch. portusd1 misses round 2; then portusd0 crashes and portusd1
+// restarts, so in round 3 every shard's only live copy holds epoch 1 while
+// the shard was acked at 2. Round 3 commits epoch 3, not a second version
+// of epoch 2, and once portusd0 is back the restore serves round 3's
+// weights bit-exactly instead of mixing in round 2's.
+TEST(ClusterTest, PullOnACopyBehindItsShardMintsAboveTheAckedEpoch) {
+  ClusterRig r{2};
+  auto& volta = r.cluster->node("client-volta");
+  dnn::ModelZoo::Options opt;
+  opt.scale = 0.02;
+  auto model = dnn::ModelZoo::create(volta.gpu(0), "resnet50", opt);
+  auto cfg = r.client_config(2);
+  cfg.shard_count = 4;
+  ClusterClient client{*r.cluster, volta, volta.gpu(0), r.rendezvous, cfg};
+  const auto restart = [&r](int i) {
+    r.daemons[i].reset();
+    r.daemons[i] = std::make_unique<PortusDaemon>(
+        *r.cluster, r.cluster->node(strf("pmem{}", i)), r.rendezvous, r.daemon_config(i));
+    r.daemons[i]->recover();
+    r.daemons[i]->start();
+  };
+  const auto run = [&r](sim::Process p) {
+    auto proc = r.eng.spawn(std::move(p));
+    r.eng.run();
+    proc.check();
+  };
+
+  run([](ClusterRig& rig, ClusterClient& c, dnn::Model& m) -> sim::Process {
+    co_await c.register_model(m);
+    co_await c.checkpoint(1);
+    rig.faults.kill_now("portusd1");
+    m.mutate_weights(2);
+    const auto ck = co_await c.checkpoint(2);
+    EXPECT_EQ(ck.epoch, 2u);
+    EXPECT_TRUE(ck.degraded);
+  }(r, client, model));
+  r.faults.kill_now("portusd0");
+  restart(1);
+  std::uint32_t want = 0;
+  run([](ClusterClient& c, dnn::Model& m, std::uint32_t& crc) -> sim::Process {
+    co_await c.refresh_placement();
+    m.mutate_weights(3);
+    const auto ck = co_await c.checkpoint(3);
+    EXPECT_EQ(ck.epoch, 3u) << "round 3 named epoch 2 a second time";
+    EXPECT_TRUE(ck.degraded);
+    crc = m.weights_crc();
+  }(client, model, want));
+  for (std::uint32_t s = 0; s < 4; ++s) {
+    EXPECT_EQ(newest_done(*r.daemons[1], shard_key("resnet50", s)).first, 3u) << s;
+  }
+
+  restart(0);
+  run([](ClusterClient& c, dnn::Model& m) -> sim::Process {
+    co_await c.refresh_placement();
+    m.mutate_weights(4);
+    const auto rr = co_await c.restore();
+    EXPECT_EQ(rr.epoch, 3u);
+  }(client, model));
+  EXPECT_EQ(model.weights_crc(), want) << "a shard restored round 2's version";
+  EXPECT_EQ(r.eng.failed_process_count(), 0);
 }
 
 // A join moves some shards' copies off portusd0 and portusd1, and the

@@ -143,6 +143,25 @@ TEST(ClientRegistrationTest, TableIIModelPinsOneRegion) {
   }
 }
 
+// A client that is not connected yet dials its daemon while its run pins,
+// so its first registration costs the pin plus one round trip: the dial
+// hides under the pin.
+TEST(ClientRegistrationTest, UnconnectedClientDialsWhileItPins) {
+  Rig r;
+  auto model = four_tensor_model(r.gpu);
+  auto proc = r.eng.spawn([](PortusClient& c, dnn::Model& m) -> sim::Process {
+    co_await c.register_model(m);  // no connect()
+  }(r.client, model));
+  r.eng.run();
+  proc.check();
+  EXPECT_TRUE(r.client.connected());
+  EXPECT_EQ(r.client.stats().regions_registered, 1u);
+  const auto& mr = r.region(r.sent.tensors[0].rkey);
+  ASSERT_GT(pin_time(mr.length), 2 * net::TcpSocket::kLatency);
+  EXPECT_EQ(r.client.stats().registration_time,
+            pin_time(mr.length) + tcp_time(r.sent_bytes) + tcp_time(r.ack_bytes));
+}
+
 TEST(ClientRegistrationTest, ShardBindingSplitsAtTheSkippedTensor) {
   Rig r;
   auto model = four_tensor_model(r.gpu);

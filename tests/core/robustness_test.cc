@@ -418,6 +418,8 @@ TEST(RobustnessTest, CheckpointOfUnregisteredModelFails) {
   EXPECT_EQ(r.daemon->stats().failed_ops, 1u);
 }
 
+// A registration dials by itself; every other op needs the session a
+// connect() or a registration opened.
 TEST(RobustnessTest, OperationsBeforeConnectFail) {
   Rig r;
   auto& node = r.cluster->node("client-volta");
@@ -425,11 +427,21 @@ TEST(RobustnessTest, OperationsBeforeConnectFail) {
   opt.scale = 0.02;
   auto model = dnn::ModelZoo::create(node.gpu(0), "alexnet", opt);
   PortusClient client{*r.cluster, node, node.gpu(0), r.rendezvous};
-  auto p = r.eng.spawn([](PortusClient& c, dnn::Model& m) -> sim::Process {
-    co_await c.register_model(m);  // no connect()
+  const auto expect_throws = [&](sim::Process op) {
+    auto p = r.eng.spawn(std::move(op));
+    r.eng.run();
+    EXPECT_THROW(p.check(), Error);
+  };
+  expect_throws([](PortusClient& c, dnn::Model& m) -> sim::Process {
+    co_await c.checkpoint(m, 1);  // no connect()
   }(client, model));
-  r.eng.run();
-  EXPECT_THROW(p.check(), Error);
+  expect_throws([](PortusClient& c, dnn::Model& m) -> sim::Process {
+    co_await c.restore(m);
+  }(client, model));
+  expect_throws([](PortusClient& c, dnn::Model& m) -> sim::Process {
+    co_await c.finish(m);
+  }(client, model));
+  EXPECT_FALSE(client.connected());
 }
 
 // --- hook cadence -------------------------------------------------------------
