@@ -6,10 +6,13 @@
 // (see EXPERIMENTS.md for the full comparison).
 #pragma once
 
+#include <concepts>
+#include <deque>
 #include <functional>
 #include <iostream>
 #include <memory>
 #include <string>
+#include <variant>
 #include <vector>
 
 #include "baselines/checkfreq.h"
@@ -91,11 +94,81 @@ sim::SubTask<Duration> restore_all(sim::Engine& engine, std::vector<GptRank>& ra
 sim::SubTask<Duration> torch_save_all(sim::Engine& engine, std::vector<GptRank>& ranks,
                                       std::uint64_t iteration);
 
-// Where a bench drops its JSON artifact (BENCH_*.json, trace timelines):
-// `bench/results/<filename>` under the current working directory — a
-// gitignored spot when run from the repo root — creating the directory on
-// first use. Override the directory with $PORTUS_BENCH_RESULTS.
-std::string results_path(const std::string& filename);
+// A column's kind fixes how its cells render. Counts, ns and bytes are exact
+// integers in JSON and print raw, via format_duration and via format_bytes;
+// reals print with `digits` decimals (-1: the shortest exact form) and
+// `suffix` ("2.53x"); flags print yes/no.
+enum Kind { kCount, kNs, kBytes, kReal, kText, kFlag };
+
+struct Column {
+  Column(std::string key, Kind kind = kCount, int digits = 2, std::string suffix = {})
+      : key{std::move(key)}, kind{kind}, digits{digits}, suffix{std::move(suffix)} {}
+  std::string key;  // JSON key; the screen header drops a _ns/_bytes suffix
+  Kind kind;
+  int digits;
+  std::string suffix;
+};
+
+// An integer (count or bytes), a Duration (ns), a double, text or a flag.
+class Cell {
+ public:
+  template <std::integral T>
+    requires(!std::same_as<T, bool>)
+  Cell(T v) : v_{static_cast<std::uint64_t>(v)} {
+    if constexpr (std::is_signed_v<T>) PORTUS_CHECK_ARG(v >= 0, "a count cannot be negative");
+  }
+  Cell(bool v) : v_{v} {}
+  Cell(Duration v) : v_{v} {}
+  Cell(double v) : v_{v} {}
+  Cell(std::string v) : v_{std::move(v)} {}
+  Cell(const char* v) : v_{std::string{v}} {}
+
+  Kind kind() const;
+  std::string screen(const Column& c) const;
+  std::string json() const;
+
+ private:
+  std::variant<std::uint64_t, Duration, double, std::string, bool> v_;
+};
+
+struct Table {
+  std::string name;
+  std::string title;  // printed above the table when set
+  std::vector<Column> columns;
+  std::vector<std::vector<Cell>> rows;
+
+  void add(std::vector<Cell> row);  // one cell per column, of its kind
+};
+
+// A sweep's one output path: run parameters, named flat tables and
+// acceptance gates. finish() prints the parameters and tables, writes
+//   {"bench", "schema": 1, "smoke", "params": {key: value},
+//    "tables": {name: [{key: value, ...}, ...]}}
+// to BENCH_<artifact>.json, or BENCH_<artifact>_smoke.json for a --smoke
+// run, in $PORTUS_BENCH_RESULTS (default `bench/results/` under the working
+// directory), prints `FAIL: <message>` per failed gate or "<bench>
+// acceptance checks passed", and returns the exit code.
+class Report {
+ public:
+  Report(std::string bench, std::string artifact, bool smoke);
+
+  void param(std::string key, Cell value);
+  Table& table(std::string name, std::vector<Column> columns, std::string title = {});
+  void require(bool ok, std::string message) {
+    if (!ok) failed_.push_back(std::move(message));
+  }
+
+  std::string path() const;
+  int finish();
+
+ private:
+  std::string bench_;
+  std::string artifact_;
+  bool smoke_;
+  Table params_;
+  std::deque<Table> tables_;  // a deque keeps table() references valid
+  std::vector<std::string> failed_;
+};
 
 inline void print_header(const std::string& title, const std::string& paper_ref) {
   std::cout << "\n=== " << title << " ===\n";

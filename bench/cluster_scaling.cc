@@ -22,8 +22,6 @@
 // survivor serves 16 shard restores on 8 workers, and serving the shortest
 // remaining transfer first lets the small jobs' shards pass bert's.
 #include <algorithm>
-#include <cstdlib>
-#include <fstream>
 #include <map>
 
 #include "bench_common.h"
@@ -194,107 +192,69 @@ int main() {
     striped.push_back(measure(n, 1));
     if (n >= 2) replicated.push_back(measure(n, 2));
   }
-
-  std::cout << strf("{:>8}{:>10}{:>12}{:>14}{:>12}{:>13}\n", "daemons", "replicas", "model",
-                    "checkpoint", "GB/s", "client NIC");
-  const auto print_row = [](const Row& row) {
-    std::cout << strf("{:>8}{:>10}{:>12}{:>14}{:>11.2f}{:>13}\n", row.daemons, row.replicas,
-                      format_bytes(row.model_bytes), format_duration(row.ckpt), row.gbps(),
-                      format_bytes(row.client_nic_bytes));
-  };
-  for (const auto& row : striped) print_row(row);
-  for (const auto& row : replicated) print_row(row);
-
   std::vector<FailoverRow> failover;
   for (const int n : {3, 4}) failover.push_back(measure_failover(n));
-  std::cout << "\nrestore after portusd1 crashes (R=2, 8 shards, 4 jobs restoring at once)\n";
-  std::string header = strf("{:>8}{:>12}{:>12}", "daemons", "slowest", "median");
-  for (const auto& job : failover.front().jobs) header += strf("{:>12}", job);
-  std::cout << header << "   shards each survivor served\n";
+
+  bench::Report report{"cluster_scaling", "cluster", /*smoke=*/false};
+  report.param("model", "resnet50");
+  report.param("scale", 0.1);
+  auto& rows = report.table("rows", {{"daemons"}, {"replicas"}, {"model_bytes", bench::kBytes},
+                                     {"checkpoint_ns", bench::kNs},
+                                     {"throughput_gbps", bench::kReal},
+                                     {"client_nic_bytes", bench::kBytes}});
+  for (const auto* series : {&striped, &replicated}) {
+    for (const auto& row : *series) {
+      rows.add({row.daemons, row.replicas, row.model_bytes, row.ckpt, row.gbps(),
+                row.client_nic_bytes});
+    }
+  }
+
+  // Each job's restore sits in a column of its own, and so does the count of
+  // its shards each survivor served.
+  const auto& jobs = failover.front().jobs;
+  std::vector<bench::Column> restore_columns = {
+      {"daemons"}, {"replicas"}, {"shards"}, {"scale", bench::kReal, 3},
+      {"slowest_restore_ns", bench::kNs}, {"median_restore_ns", bench::kNs}};
+  std::vector<bench::Column> served_columns = {{"daemons"}, {"survivor", bench::kText}};
+  for (const auto& job : jobs) {
+    restore_columns.push_back({job, bench::kNs});
+    served_columns.push_back({job});
+  }
+  auto& restores = report.table(
+      "failover", restore_columns,
+      "restore after portusd1 crashes (R=2, 8 shards, 4 jobs restoring at once)");
+  auto& served = report.table("failover_served", served_columns,
+                              "shards of each job each survivor served");
   for (const auto& row : failover) {
-    std::string line = strf("{:>8}{:>12}{:>12}", row.daemons, format_duration(row.slowest()),
-                            format_duration(row.median()));
-    for (const auto took : row.restore) line += strf("{:>12}", format_duration(took));
-    std::string split;
-    for (std::size_t j = 0; j < row.jobs.size(); ++j) {
-      std::string counts;
-      for (const auto n : row.served[j]) counts += (counts.empty() ? "" : "/") + strf("{}", n);
-      split += strf("  {} {}", row.jobs[j], counts);
+    std::vector<bench::Cell> cells = {row.daemons, 2, 8, 0.005, row.slowest(), row.median()};
+    cells.insert(cells.end(), row.restore.begin(), row.restore.end());
+    restores.add(std::move(cells));
+    for (std::size_t k = 0; k < row.survivors.size(); ++k) {
+      std::vector<bench::Cell> split = {row.daemons, row.survivors[k]};
+      for (const auto& by_survivor : row.served) split.emplace_back(by_survivor[k]);
+      served.add(std::move(split));
     }
-    std::cout << line << " " << split << "\n";
   }
 
-  const auto json_path = bench::results_path("BENCH_cluster.json");
-  std::ofstream json{json_path, std::ios::trunc};
-  json << "{\n  \"bench\": \"cluster_scaling\",\n  \"model\": \"resnet50\",\n"
-       << "  \"scale\": 0.1,\n  \"rows\": [\n";
-  const auto all = [&] {
-    std::vector<Row> v = striped;
-    v.insert(v.end(), replicated.begin(), replicated.end());
-    return v;
-  }();
-  for (std::size_t i = 0; i < all.size(); ++i) {
-    const auto& row = all[i];
-    json << strf(
-        "    {{\"daemons\": {}, \"replicas\": {}, \"model_bytes\": {}, "
-        "\"checkpoint_ns\": {}, \"throughput_gbps\": {:.4f}, \"client_nic_bytes\": {}}}{}\n",
-        row.daemons, row.replicas, row.model_bytes, row.ckpt.count(), row.gbps(),
-        row.client_nic_bytes, i + 1 < all.size() ? "," : "");
-  }
-  json << "  ],\n  \"failover\": [\n";
-  for (std::size_t i = 0; i < failover.size(); ++i) {
-    const auto& row = failover[i];
-    std::string job_restore;
-    for (std::size_t j = 0; j < row.jobs.size(); ++j) {
-      job_restore += strf("{}\"{}\": {}", j == 0 ? "" : ", ", row.jobs[j], row.restore[j].count());
-    }
-    json << strf("    {{\"daemons\": {}, \"replicas\": 2, \"shards\": 8, \"scale\": 0.005, "
-                 "\"slowest_restore_ns\": {}, \"median_restore_ns\": {}, "
-                 "\"job_restore_ns\": {{{}}}, \"jobs\": [",
-                 row.daemons, row.slowest().count(), row.median().count(), job_restore);
-    for (std::size_t j = 0; j < row.jobs.size(); ++j) {
-      std::string served;
-      for (std::size_t k = 0; k < row.survivors.size(); ++k) {
-        served += strf("{}\"{}\": {}", k == 0 ? "" : ", ", row.survivors[k], row.served[j][k]);
-      }
-      json << strf("{}{{\"model\": \"{}\", \"served\": {{{}}}}}", j == 0 ? "" : ", ",
-                   row.jobs[j], served);
-    }
-    json << strf("]}}{}\n", i + 1 < failover.size() ? "," : "");
-  }
-  json << "  ]\n}\n";
-  json.close();
-  std::cout << "\nwrote " << json_path << "\n";
-
-  int rc = 0;
-  if (striped[1].gbps() < striped[0].gbps() * 1.6) {
-    std::cerr << "FAIL: 2-daemon striping below 1.6x single-daemon throughput\n";
-    rc = 1;
-  }
+  report.require(striped[1].gbps() >= striped[0].gbps() * 1.6,
+                 "2-daemon striping below 1.6x single-daemon throughput");
   for (std::size_t i = 1; i < striped.size(); ++i) {
-    if (striped[i].gbps() < striped[i - 1].gbps() * 0.95) {
-      std::cerr << "FAIL: " << striped[i].daemons
-                << "-daemon ring regresses the narrower ring\n";
-      rc = 1;
-    }
+    report.require(striped[i].gbps() >= striped[i - 1].gbps() * 0.95,
+                   strf("{}-daemon ring regresses the narrower ring", striped[i].daemons));
   }
   for (const auto& row : replicated) {
-    if (row.ckpt <= striped[row.daemons - 1].ckpt) {
-      std::cerr << "FAIL: R=2 on " << row.daemons
-                << " daemons should cost more than R=1 (writes every shard twice)\n";
-      rc = 1;
-    }
+    report.require(row.ckpt > striped[row.daemons - 1].ckpt,
+                   strf("R=2 on {} daemons should cost more than R=1 (writes every shard "
+                        "twice)",
+                        row.daemons));
   }
   for (const auto& row : failover) {
     for (std::size_t j = 0; j < row.jobs.size(); ++j) {
       const auto [lo, hi] = std::minmax_element(row.served[j].begin(), row.served[j].end());
-      if (*hi - *lo > 1) {
-        std::cerr << "FAIL: " << row.jobs[j] << " on " << row.daemons
-                  << " daemons: survivors' shard counts differ by more than one\n";
-        rc = 1;
-      }
+      report.require(*hi - *lo <= 1,
+                     strf("{} on {} daemons: survivors' shard counts differ by more than one",
+                          row.jobs[j], row.daemons));
     }
   }
-  if (rc == 0) std::cout << "cluster scaling acceptance checks passed\n";
-  return rc;
+  return report.finish();
 }

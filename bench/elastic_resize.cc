@@ -14,7 +14,6 @@
 // perf-smoke CI label.
 #include <algorithm>
 #include <cstring>
-#include <fstream>
 #include <map>
 #include <set>
 #include <vector>
@@ -232,74 +231,38 @@ int main(int argc, char** argv) {
   const bool bit_exact = restored && model.weights_crc() == st.last_crc;
   const auto audit = audit_versions(rig);
 
-  std::cout << strf("{:>16}{:>8}{:>8}{:>12}{:>10}{:>12}{:>12}{:>12}{:>8}{:>7}\n", "step",
-                    "kind", "copies", "streamed", "barrier", "p50", "p99", "worst",
-                    "resolv", "err");
-  for (const auto& row : rows) {
-    std::cout << strf("{:>16}{:>8}{:>8}{:>12}{:>10}{:>12}{:>12}{:>12}{:>8}{:>7}\n",
-                      row.step, row.kind, row.copies_moved,
-                      format_bytes(row.bytes_streamed), format_duration(row.barrier_time),
-                      format_duration(row.p50), format_duration(row.p99),
-                      format_duration(row.max), row.reresolutions, row.client_errors);
-  }
-  std::cout << strf(
-      "\nfinal: membership epoch {}, {} active members, {} checkpoints total, "
-      "restore bit-exact: {}\n",
-      rig.elastic.membership().epoch, rig.elastic.membership().active_positions().size(),
-      client.stats().checkpoints, bit_exact ? "yes" : "NO");
   std::cout << strf(
       "version audit: {} DONE slots, {} (key, epoch) pairs, {} held as two versions, "
       "{} landings refused for another version\n",
       audit.done_slots, audit.epochs, audit.split_epochs, audit.conflicts);
 
-  // --- JSON ---
-  const auto json_path = bench::results_path("BENCH_elastic.json");
-  std::ofstream json{json_path, std::ios::trunc};
-  json << "{\n  \"bench\": \"elastic_resize\",\n"
-       << strf("  \"smoke\": {},\n  \"nodes\": {},\n  \"shard_count\": {},\n",
-               smoke ? "true" : "false", kNodes, ccfg.shard_count)
-       << strf("  \"final_epoch\": {},\n  \"bit_exact_restore\": {},\n  \"steps\": [\n",
-               rig.elastic.membership().epoch, bit_exact ? "true" : "false");
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    const auto& r = rows[i];
-    json << strf(
-        "    {{\"step\": \"{}\", \"kind\": \"{}\", \"copies_moved\": {}, "
-        "\"bytes_streamed\": {}, \"barrier_ns\": {}, \"checkpoints\": {}, "
-        "\"p50_ns\": {}, \"p99_during_ns\": {}, \"max_ns\": {}, "
-        "\"reresolutions\": {}, \"client_errors\": {}}}{}\n",
-        r.step, r.kind, r.copies_moved, r.bytes_streamed, r.barrier_time.count(),
-        r.checkpoints, r.p50.count(), r.p99.count(), r.max.count(), r.reresolutions,
-        r.client_errors, i + 1 < rows.size() ? "," : "");
-  }
-  json << "  ]\n}\n";
-  json.close();
-  std::cout << "wrote " << json_path << "\n";
-
-  // --- Acceptance gates ---
-  int rc = 0;
+  bench::Report report{"elastic_resize", "elastic", smoke};
+  report.param("nodes", kNodes);
+  report.param("shard_count", ccfg.shard_count);
+  report.param("final_epoch", rig.elastic.membership().epoch);
+  report.param("active_members", rig.elastic.membership().active_positions().size());
+  report.param("total_checkpoints", client.stats().checkpoints);
+  report.param("bit_exact_restore", bit_exact);
+  auto& table = report.table(
+      "steps", {{"step", bench::kText}, {"kind", bench::kText}, {"copies_moved"},
+                {"bytes_streamed", bench::kBytes}, {"barrier_ns", bench::kNs}, {"checkpoints"},
+                {"p50_ns", bench::kNs}, {"p99_during_ns", bench::kNs}, {"max_ns", bench::kNs},
+                {"reresolutions"}, {"client_errors"}});
   std::uint64_t errors = 0;
   for (const auto& row : rows) {
+    table.add({row.step, row.kind, row.copies_moved, row.bytes_streamed, row.barrier_time,
+               row.checkpoints, row.p50, row.p99, row.max, row.reresolutions,
+               row.client_errors});
     errors += row.client_errors;
-    if (row.kind != "steady" && row.copies_moved == 0) {
-      std::cerr << strf("FAIL: step {} moved no shard copies\n", row.step);
-      rc = 1;
-    }
+    report.require(row.kind == "steady" || row.copies_moved != 0,
+                   strf("step {} moved no shard copies", row.step));
   }
-  if (errors != 0) {
-    std::cerr << strf("FAIL: {} client ops failed during the resize (bar: 0)\n", errors);
-    rc = 1;
-  }
-  if (!bit_exact) {
-    std::cerr << "FAIL: restore from the resized ring is not bit-exact\n";
-    rc = 1;
-  }
-  if (audit.split_epochs != 0 || audit.conflicts != 0) {
-    std::cerr << strf(
-        "FAIL: one epoch named two versions: {} (key, epoch) pairs split, {} landings "
-        "refused (bar: 0)\n",
-        audit.split_epochs, audit.conflicts);
-    rc = 1;
-  }
-  if (rc == 0) std::cout << "elastic resize acceptance checks passed\n";
-  return rc;
+  report.require(errors == 0,
+                 strf("{} client ops failed during the resize (bar: 0)", errors));
+  report.require(bit_exact, "restore from the resized ring is not bit-exact");
+  report.require(audit.split_epochs == 0 && audit.conflicts == 0,
+                 strf("one epoch named two versions: {} (key, epoch) pairs split, {} landings "
+                      "refused (bar: 0)",
+                      audit.split_epochs, audit.conflicts));
+  return report.finish();
 }

@@ -14,9 +14,7 @@
 // --smoke runs a tiny configuration (fewer blocks, baseline + widest row
 // only) for the perf-smoke CI label; virtual time keeps it deterministic,
 // so the acceptance gates stay on.
-#include <cstdlib>
 #include <cstring>
-#include <fstream>
 
 #include "bench_common.h"
 
@@ -133,72 +131,38 @@ int main(int argc, char** argv) {
   const Row& base = rows.front();
   const Row& best = rows.back();
 
-  std::cout << strf("{:>10}{:>6}{:>13}{:>13}{:>13}{:>9}{:>9}{:>9}{:>9}\n", "threshold",
-                    "sges", "checkpoint", "incremental", "restore", "ckpt-wr",
-                    "rstr-wr", "sges/wr", "speedup");
+  bench::Report report{"extent_sweep", "extent", smoke};
+  report.param("model", "gpt-bits");
+  report.param("blocks", blocks);
+  auto& table = report.table(
+      "rows", {{"coalesce_threshold", bench::kBytes}, {"max_sges"},
+               {"checkpoint_ns", bench::kNs}, {"incremental_ns", bench::kNs},
+               {"restore_ns", bench::kNs}, {"ckpt_wrs"}, {"incr_wrs"}, {"restore_wrs"},
+               {"extents_coalesced"}, {"sges_per_wr", bench::kReal},
+               {"ckpt_speedup_vs_off", bench::kReal, 2, "x"},
+               {"ckpt_wr_reduction", bench::kReal, 2, "x"}});
   for (const auto& row : rows) {
-    std::cout << strf(
-        "{:>10}{:>6}{:>13}{:>13}{:>13}{:>9}{:>9}{:>9.2f}{:>8.2f}x\n",
-        row.threshold == 0 ? std::string{"-"} : format_bytes(row.threshold),
-        row.max_sges, format_duration(row.ckpt), format_duration(row.incr),
-        format_duration(row.restore), row.ckpt_wrs, row.restore_wrs, row.sges_per_wr,
-        bench::ratio(base.ckpt, row.ckpt));
+    table.add({row.threshold, row.max_sges, row.ckpt, row.incr, row.restore, row.ckpt_wrs,
+               row.incr_wrs, row.restore_wrs, row.extents_coalesced, row.sges_per_wr,
+               bench::ratio(base.ckpt, row.ckpt),
+               row.ckpt_wrs > 0 ? static_cast<double>(base.ckpt_wrs) /
+                                      static_cast<double>(row.ckpt_wrs)
+                                : 0.0});
   }
 
-  const auto json_path = bench::results_path("BENCH_extent.json");
-  std::ofstream json{json_path, std::ios::trunc};
-  json << "{\n  \"bench\": \"extent_sweep\",\n  \"model\": \"gpt-bits\",\n"
-       << strf("  \"blocks\": {},\n  \"smoke\": {},\n  \"rows\": [\n", blocks,
-               smoke ? "true" : "false");
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    const auto& row = rows[i];
-    json << strf(
-        "    {{\"coalesce_threshold\": {}, \"max_sges\": {}, \"checkpoint_ns\": {}, "
-        "\"incremental_ns\": {}, \"restore_ns\": {}, \"ckpt_wrs\": {}, "
-        "\"incr_wrs\": {}, \"restore_wrs\": {}, \"extents_coalesced\": {}, "
-        "\"sges_per_wr\": {:.4f}, \"ckpt_speedup_vs_off\": {:.4f}, "
-        "\"ckpt_wr_reduction\": {:.4f}}}{}\n",
-        row.threshold, row.max_sges, row.ckpt.count(), row.incr.count(),
-        row.restore.count(), row.ckpt_wrs, row.incr_wrs, row.restore_wrs,
-        row.extents_coalesced, row.sges_per_wr, bench::ratio(base.ckpt, row.ckpt),
-        row.ckpt_wrs > 0 ? static_cast<double>(base.ckpt_wrs) /
-                               static_cast<double>(row.ckpt_wrs)
-                         : 0.0,
-        i + 1 < rows.size() ? "," : "");
-  }
-  json << "  ]\n}\n";
-  json.close();
-  std::cout << "\nwrote " << json_path << "\n";
-
-  int rc = 0;
   const double speedup = bench::ratio(base.ckpt, best.ckpt);
   const double wr_cut =
       static_cast<double>(base.ckpt_wrs) / static_cast<double>(best.ckpt_wrs);
-  if (speedup < 2.0) {
-    std::cerr << strf("FAIL: widest row reaches only {:.2f}x checkpoint speedup "
-                      "(bar: 2x)\n", speedup);
-    rc = 1;
-  }
-  if (wr_cut < 5.0) {
-    std::cerr << strf("FAIL: widest row cuts WRs only {:.2f}x (bar: 5x)\n", wr_cut);
-    rc = 1;
-  }
-  if (best.extents_coalesced == 0) {
-    std::cerr << "FAIL: widest row never coalesced an extent\n";
-    rc = 1;
-  }
+  report.require(speedup >= 2.0,
+                 strf("widest row reaches only {:.2f}x checkpoint speedup (bar: 2x)", speedup));
+  report.require(wr_cut >= 5.0, strf("widest row cuts WRs only {:.2f}x (bar: 5x)", wr_cut));
+  report.require(best.extents_coalesced != 0, "widest row never coalesced an extent");
   for (const auto& row : rows) {
-    if (to_seconds(row.restore) > to_seconds(base.restore) * 1.05) {
-      std::cerr << strf("FAIL: threshold={} sges={} regresses restore\n",
-                        row.threshold, row.max_sges);
-      rc = 1;
-    }
-    if (to_seconds(row.incr) > to_seconds(base.incr) * 1.05) {
-      std::cerr << strf("FAIL: threshold={} sges={} regresses incremental\n",
-                        row.threshold, row.max_sges);
-      rc = 1;
-    }
+    report.require(to_seconds(row.restore) <= to_seconds(base.restore) * 1.05,
+                   strf("threshold={} sges={} regresses restore", row.threshold, row.max_sges));
+    report.require(to_seconds(row.incr) <= to_seconds(base.incr) * 1.05,
+                   strf("threshold={} sges={} regresses incremental", row.threshold,
+                        row.max_sges));
   }
-  if (rc == 0) std::cout << "extent sweep acceptance checks passed\n";
-  return rc;
+  return report.finish();
 }

@@ -22,7 +22,6 @@
 // throughput < 20%. --smoke shrinks the sweep to {1, 8, 32} tenants with a
 // tighter admission queue for the perf-smoke CI label.
 #include <cstring>
-#include <fstream>
 #include <vector>
 
 #include "bench_common.h"
@@ -80,20 +79,13 @@ struct Row {
   core::fleet::FleetReport rep;
   // Daemon-side aggregates across the pool.
   std::uint64_t daemon_backpressure = 0;
-  std::uint64_t admitted = 0;
   std::uint64_t paced = 0;
-  Duration queue_wait_max{0};
 };
 
 void absorb_daemons(FleetRig& rig, Row& row) {
   for (const auto& d : rig.daemons) {
     row.daemon_backpressure += d->stats().backpressure_rejects;
-    if (d->admission() != nullptr) {
-      row.admitted += d->admission()->stats().admitted;
-      row.paced += d->admission()->stats().paced;
-      row.queue_wait_max =
-          std::max(row.queue_wait_max, d->admission()->stats().queue_wait_max);
-    }
+    if (d->admission() != nullptr) row.paced += d->admission()->stats().paced;
   }
 }
 
@@ -229,110 +221,57 @@ int main(int argc, char** argv) {
       "gate count; no client op may fail after retries; online repacking "
       "must free garbage while costing live traffic < 20%");
 
+  bench::Report report{"fleet_sweep", "fleet", smoke};
+  report.param("daemons", kDaemons);
+
   // Baseline: one lone high-priority tenant on an idle pool.
   const Row baseline = measure_fleet(1, smoke, /*high_only=*/true);
   const Duration base_p99 = baseline.rep.by_class[0].p99;
-  std::cout << strf("1-tenant high-priority baseline p99: {}\n\n",
-                    format_duration(base_p99));
+  report.param("baseline_high_p99_ns", base_p99);
 
-  std::vector<Row> rows;
-  std::cout << strf("{:>8}{:>8}{:>12}{:>12}{:>12}{:>12}{:>10}{:>9}{:>9}{:>7}\n", "tenants",
-                    "class", "ckpts", "p50", "p99", "worst", "GB/s", "retry", "bp",
-                    "fail");
+  auto& fleet_table = report.table(
+      "rows", {{"tenants"}, {"gbps", bench::kReal}, {"checkpoints"}, {"failures"}, {"retries"},
+               {"backpressure"}, {"daemon_backpressure"}, {"paced"}});
+  auto& class_table = report.table(
+      "classes", {{"fleet_tenants"}, {"class", bench::kText}, {"tenants"}, {"checkpoints"},
+                  {"p50_ns", bench::kNs}, {"p99_ns", bench::kNs}, {"max_ns", bench::kNs}});
   for (const int n : counts) {
-    const auto row = measure_fleet(n, smoke, /*high_only=*/false);
-    for (int c = 0; c < core::kPriorityClasses; ++c) {
-      const auto& cr = row.rep.by_class[c];
-      if (cr.tenants == 0) continue;
-      std::cout << strf("{:>8}{:>8}{:>12}{:>12}{:>12}{:>12}{:>10.2f}{:>9}{:>9}{:>7}\n",
-                        c == 0 ? std::to_string(n) : "", cls_name(c), cr.checkpoints,
-                        format_duration(cr.p50), format_duration(cr.p99),
-                        format_duration(cr.max), row.rep.aggregate_gbps(),
-                        row.rep.retries, row.rep.backpressure, row.rep.failures);
-    }
-    rows.push_back(row);
-  }
-
-  std::cout << "\nonline repacking under live fleet load:\n";
-  const auto repack = measure_repack(repack_count, smoke);
-  std::cout << strf(
-      "{:>8} tenants: control {:.2f} GB/s, repacking {:.2f} GB/s ({:.0f}%), "
-      "freed {}, {} passes, paused {}\n",
-      repack.tenants, repack.gbps_control, repack.gbps_repacking, repack.ratio() * 100.0,
-      format_bytes(repack.freed), repack.passes, format_duration(repack.paused));
-
-  // --- JSON ---
-  const auto json_path = bench::results_path("BENCH_fleet.json");
-  std::ofstream json{json_path, std::ios::trunc};
-  json << "{\n  \"bench\": \"fleet_sweep\",\n"
-       << strf("  \"smoke\": {},\n  \"daemons\": {},\n", smoke ? "true" : "false", kDaemons)
-       << strf("  \"baseline_high_p99_ns\": {},\n  \"rows\": [\n", base_p99.count());
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    const auto& r = rows[i];
-    json << strf("    {{\"tenants\": {}, \"gbps\": {:.4f}, \"checkpoints\": {}, "
-                 "\"failures\": {}, \"retries\": {}, \"backpressure\": {}, "
-                 "\"daemon_backpressure\": {}, \"paced\": {}, \"classes\": [",
-                 r.tenants, r.rep.aggregate_gbps(), r.rep.checkpoints, r.rep.failures,
-                 r.rep.retries, r.rep.backpressure, r.daemon_backpressure, r.paced);
+    const auto r = measure_fleet(n, smoke, /*high_only=*/false);
+    fleet_table.add({r.tenants, r.rep.aggregate_gbps(), r.rep.checkpoints, r.rep.failures,
+                     r.rep.retries, r.rep.backpressure, r.daemon_backpressure, r.paced});
     for (int c = 0; c < core::kPriorityClasses; ++c) {
       const auto& cr = r.rep.by_class[c];
-      json << strf("{{\"class\": \"{}\", \"tenants\": {}, \"p50_ns\": {}, "
-                   "\"p99_ns\": {}}}{}",
-                   cls_name(c), cr.tenants, cr.p50.count(), cr.p99.count(),
-                   c + 1 < core::kPriorityClasses ? ", " : "");
+      class_table.add({r.tenants, cls_name(c), cr.tenants, cr.checkpoints, cr.p50, cr.p99,
+                       cr.max});
     }
-    json << strf("]}}{}\n", i + 1 < rows.size() ? "," : "");
-  }
-  json << strf(
-      "  ],\n  \"repack\": {{\"tenants\": {}, \"control_gbps\": {:.4f}, "
-      "\"repacking_gbps\": {:.4f}, \"freed_bytes\": {}, \"passes\": {}, "
-      "\"paused_ns\": {}}}\n}}\n",
-      repack.tenants, repack.gbps_control, repack.gbps_repacking, repack.freed,
-      repack.passes, repack.paused.count());
-  json.close();
-  std::cout << "\nwrote " << json_path << "\n";
-
-  // --- Acceptance gates ---
-  int rc = 0;
-  for (const auto& r : rows) {
-    if (r.rep.failures != 0) {
-      std::cerr << strf("FAIL: {} tenants: {} client ops failed after retries\n",
-                        r.tenants, r.rep.failures);
-      rc = 1;
-    }
+    report.require(r.rep.failures == 0, strf("{} tenants: {} client ops failed after retries",
+                                             r.tenants, r.rep.failures));
     if (r.tenants == gate_count) {
       const auto p99 = r.rep.by_class[0].p99;
-      if (p99 > Duration{base_p99.count() * 2}) {
-        std::cerr << strf(
-            "FAIL: high-priority p99 {} at {} tenants exceeds 2x the 1-tenant "
-            "baseline {}\n",
-            format_duration(p99), r.tenants, format_duration(base_p99));
-        rc = 1;
-      }
+      report.require(p99 <= Duration{base_p99.count() * 2},
+                     strf("high-priority p99 {} at {} tenants exceeds 2x the 1-tenant "
+                          "baseline {}",
+                          format_duration(p99), r.tenants, format_duration(base_p99)));
+    }
+    if (!smoke && n == counts.back()) {
+      report.require(r.rep.backpressure != 0 && r.rep.retries != 0,
+                     "the saturated fleet never exercised Backpressure/retry");
     }
   }
-  if (!smoke) {
-    const auto& top = rows.back();
-    if (top.rep.backpressure == 0 || top.rep.retries == 0) {
-      std::cerr << "FAIL: the saturated fleet never exercised Backpressure/retry\n";
-      rc = 1;
-    }
-  }
-  if (repack.failures != 0) {
-    std::cerr << "FAIL: live fleet ops failed during online repacking\n";
-    rc = 1;
-  }
-  if (repack.freed == 0) {
-    std::cerr << "FAIL: online repacking freed nothing\n";
-    rc = 1;
-  }
-  if (repack.ratio() < 0.8) {
-    std::cerr << strf(
-        "FAIL: online repacking degrades live throughput to {:.0f}% of control "
-        "(bar: >= 80%)\n",
-        repack.ratio() * 100.0);
-    rc = 1;
-  }
-  if (rc == 0) std::cout << "fleet sweep acceptance checks passed\n";
-  return rc;
+
+  const auto repack = measure_repack(repack_count, smoke);
+  report
+      .table("repack",
+             {{"tenants"}, {"control_gbps", bench::kReal}, {"repacking_gbps", bench::kReal},
+              {"freed_bytes", bench::kBytes}, {"passes"}, {"paused_ns", bench::kNs}},
+             "online repacking under live fleet load:")
+      .add({repack.tenants, repack.gbps_control, repack.gbps_repacking, repack.freed,
+            repack.passes, repack.paused});
+  report.require(repack.failures == 0, "live fleet ops failed during online repacking");
+  report.require(repack.freed != 0, "online repacking freed nothing");
+  report.require(repack.ratio() >= 0.8,
+                 strf("online repacking degrades live throughput to {:.0f}% of control "
+                      "(bar: >= 80%)",
+                      repack.ratio() * 100.0));
+  return report.finish();
 }

@@ -28,7 +28,6 @@
 // stay on.
 #include <cstring>
 #include <deque>
-#include <fstream>
 #include <vector>
 
 #include "bench_common.h"
@@ -245,17 +244,20 @@ int main(int argc, char** argv) {
       "arenas must scale alloc ops/sec >= 10x at 16 workers and batched "
       "doorbells must lift op-bound checkpoint GB/s >= 1.5x at 8+ workers");
 
+  bench::Report report{"hotpath_sweep", "hotpath", smoke};
+
   // --- Part 1: allocator ---
   std::vector<AllocRow> alloc_rows;
-  std::cout << strf("{:>8}{:>8}{:>10}{:>14}{:>9}{:>8}\n", "workers", "shards", "ops",
-                    "ops/sec", "refills", "steals");
+  auto& alloc_table = report.table("alloc_rows", {{"workers"}, {"shards"}, {"ops"},
+                                                  {"ops_per_sec", bench::kReal, 0},
+                                                  {"refills"}, {"steals"}});
   for (const int w : worker_counts) {
     for (const std::uint32_t shards :
          {std::uint32_t{1}, static_cast<std::uint32_t>(w)}) {
       if (shards == 1 && w == 1 && !alloc_rows.empty()) continue;  // dup row
       const auto row = measure_alloc(w, shards, alloc_ops);
-      std::cout << strf("{:>8}{:>8}{:>10}{:>14.0f}{:>9}{:>8}\n", row.workers,
-                        row.shards, row.ops, row.ops_per_sec, row.refills, row.steals);
+      alloc_table.add(
+          {row.workers, row.shards, row.ops, row.ops_per_sec, row.refills, row.steals});
       alloc_rows.push_back(row);
       if (w == 1) break;  // shards=1 == shards=w at one worker
     }
@@ -263,86 +265,41 @@ int main(int argc, char** argv) {
 
   // --- Part 2: checkpoint ---
   std::vector<CkptRow> ckpt_rows;
-  std::cout << strf("\n{:>8}{:>10}{:>12}{:>10}{:>9}{:>9}{:>9}\n", "workers", "config",
-                    "elapsed", "GB/s", "db/win", "wr/db", "speedup");
+  auto& ckpt_table = report.table(
+      "ckpt_rows", {{"workers"}, {"config", bench::kText}, {"elapsed_ns", bench::kNs},
+                    {"gbps", bench::kReal, 3}, {"doorbells_per_window", bench::kReal},
+                    {"wrs_per_doorbell", bench::kReal}, {"speedup", bench::kReal, 2, "x"}});
   for (const int w : worker_counts) {
     const auto base = measure_ckpt(w, /*hotpath=*/false, ckpt_blocks, ckpt_iters);
     const auto hot = measure_ckpt(w, /*hotpath=*/true, ckpt_blocks, ckpt_iters);
     for (const auto& row : {base, hot}) {
-      std::cout << strf("{:>8}{:>10}{:>12}{:>10.3f}{:>9.2f}{:>9.2f}{:>8.2f}x\n",
-                        row.workers, row.hotpath ? "hotpath" : "seed",
-                        format_duration(row.elapsed), row.gbps,
-                        row.doorbells_per_window, row.wrs_per_doorbell,
-                        row.gbps / base.gbps);
+      ckpt_table.add({row.workers, row.hotpath ? "hotpath" : "seed", row.elapsed, row.gbps,
+                      row.doorbells_per_window, row.wrs_per_doorbell, row.gbps / base.gbps});
     }
     ckpt_rows.push_back(base);
     ckpt_rows.push_back(hot);
   }
 
-  // --- JSON ---
-  const auto json_path = bench::results_path("BENCH_hotpath.json");
-  std::ofstream json{json_path, std::ios::trunc};
-  json << "{\n  \"bench\": \"hotpath_sweep\",\n"
-       << strf("  \"smoke\": {},\n  \"alloc_rows\": [\n", smoke ? "true" : "false");
-  for (std::size_t i = 0; i < alloc_rows.size(); ++i) {
-    const auto& r = alloc_rows[i];
-    json << strf(
-        "    {{\"workers\": {}, \"shards\": {}, \"ops\": {}, \"ops_per_sec\": "
-        "{:.0f}, \"refills\": {}, \"steals\": {}}}{}\n",
-        r.workers, r.shards, r.ops, r.ops_per_sec, r.refills, r.steals,
-        i + 1 < alloc_rows.size() ? "," : "");
-  }
-  json << "  ],\n  \"ckpt_rows\": [\n";
-  for (std::size_t i = 0; i < ckpt_rows.size(); ++i) {
-    const auto& r = ckpt_rows[i];
-    json << strf(
-        "    {{\"workers\": {}, \"config\": \"{}\", \"elapsed_ns\": {}, "
-        "\"gbps\": {:.4f}, \"doorbells_per_window\": {:.3f}, "
-        "\"wrs_per_doorbell\": {:.3f}}}{}\n",
-        r.workers, r.hotpath ? "hotpath" : "seed", r.elapsed.count(), r.gbps,
-        r.doorbells_per_window, r.wrs_per_doorbell,
-        i + 1 < ckpt_rows.size() ? "," : "");
-  }
-  json << "  ]\n}\n";
-  json.close();
-  std::cout << "\nwrote " << json_path << "\n";
-
   // --- Acceptance gates ---
-  int rc = 0;
-  const auto find_alloc = [&](int w, bool sharded) -> const AllocRow* {
-    for (const auto& r : alloc_rows) {
-      if (r.workers == w && ((r.shards > 1) == sharded || w == 1)) return &r;
-    }
-    return nullptr;
-  };
+  // The first row is one worker on one arena, the last the top count sharded.
   const int top = worker_counts.back();
-  const AllocRow* one = find_alloc(1, false);
-  const AllocRow* sharded_top = find_alloc(top, true);
-  const double scaling = sharded_top->ops_per_sec / one->ops_per_sec;
+  const double scaling = alloc_rows.back().ops_per_sec / alloc_rows.front().ops_per_sec;
   const double bar = smoke ? 6.0 : 10.0;  // 8 workers in smoke, 16 in full
-  if (scaling < bar) {
-    std::cerr << strf("FAIL: sharded allocator scales only {:.2f}x at {} workers "
-                      "(bar: {:.0f}x)\n", scaling, top, bar);
-    rc = 1;
-  }
+  report.require(scaling >= bar, strf("sharded allocator scales only {:.2f}x at {} workers "
+                                      "(bar: {:.0f}x)",
+                                      scaling, top, bar));
   for (std::size_t i = 0; i + 1 < ckpt_rows.size(); i += 2) {
     const auto& base = ckpt_rows[i];
     const auto& hot = ckpt_rows[i + 1];
     if (base.workers < 8) continue;
     const double speedup = hot.gbps / base.gbps;
-    if (speedup < 1.5) {
-      std::cerr << strf("FAIL: hotpath config reaches only {:.2f}x GB/s at {} "
-                        "workers (bar: 1.5x)\n", speedup, base.workers);
-      rc = 1;
-    }
+    report.require(speedup >= 1.5, strf("hotpath config reaches only {:.2f}x GB/s at {} "
+                                        "workers (bar: 1.5x)",
+                                        speedup, base.workers));
     // One chained post per lane per admission burst (stripes=1 here).
-    if (hot.doorbells_per_window > 1.5) {
-      std::cerr << strf("FAIL: {} workers ring {:.2f} doorbells per window "
-                        "(bar: ~1 per lane)\n", base.workers,
-                        hot.doorbells_per_window);
-      rc = 1;
-    }
+    report.require(hot.doorbells_per_window <= 1.5,
+                   strf("{} workers ring {:.2f} doorbells per window (bar: ~1 per lane)",
+                        base.workers, hot.doorbells_per_window));
   }
-  if (rc == 0) std::cout << "hotpath sweep acceptance checks passed\n";
-  return rc;
+  return report.finish();
 }

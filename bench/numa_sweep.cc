@@ -26,7 +26,6 @@
 #include <algorithm>
 #include <cstring>
 #include <deque>
-#include <fstream>
 #include <vector>
 
 #include "bench_common.h"
@@ -308,81 +307,48 @@ int main(int argc, char** argv) {
       "tenants, and socket-aware placement must lift aggregate checkpoint "
       "GB/s >= 1.3x over socket-blind on a 2-socket server");
 
+  bench::Report report{"numa_sweep", "numa", smoke};
+
   // --- Part 1: alloc latency ladder ---
   std::vector<LatencyRow> lat_rows;
-  std::cout << strf("{:>8}{:>8}{:>12}{:>12}{:>9}{:>8}\n", "tenants", "ops", "p50",
-                    "p99", "refills", "xsteal");
+  auto& lat_table = report.table("latency_rows", {{"tenants"}, {"ops"}, {"p50_ns", bench::kNs},
+                                                  {"p99_ns", bench::kNs}, {"refills"},
+                                                  {"cross_steals"}});
   for (const int t : ladder) {
     const int rounds = std::max(smoke ? 8 : 16, (smoke ? 128 : 512) / t);
     const auto row = measure_latency(t, rounds);
-    std::cout << strf("{:>8}{:>8}{:>12}{:>12}{:>9}{:>8}\n", row.tenants, row.ops,
-                      format_duration(row.p50), format_duration(row.p99),
-                      row.refills, row.cross_steals);
+    lat_table.add({row.tenants, row.ops, row.p50, row.p99, row.refills, row.cross_steals});
     lat_rows.push_back(row);
   }
 
   // --- Part 2: socket-aware vs blind ---
-  std::cout << strf("\n{:>8}{:>8}{:>12}{:>10}{:>10}{:>12}{:>9}\n", "tenants",
-                    "layout", "elapsed", "GB/s", "remote", "tax", "speedup");
   const auto blind =
       measure_ckpt(ckpt_tenants, false, ckpt_tensors, ckpt_tensor_bytes, ckpt_iters);
   const auto aware =
       measure_ckpt(ckpt_tenants, true, ckpt_tensors, ckpt_tensor_bytes, ckpt_iters);
+  auto& ckpt_table = report.table(
+      "ckpt_rows", {{"tenants"}, {"layout", bench::kText}, {"elapsed_ns", bench::kNs},
+                    {"gbps", bench::kReal, 3}, {"remote_chunks"}, {"tax_bytes", bench::kBytes},
+                    {"speedup", bench::kReal, 2, "x"}});
   for (const auto& row : {blind, aware}) {
-    std::cout << strf("{:>8}{:>8}{:>12}{:>10.3f}{:>10}{:>12}{:>8.2f}x\n",
-                      row.tenants, row.aware ? "aware" : "blind",
-                      format_duration(row.elapsed), row.gbps,
-                      format_count(row.remote_chunks), format_bytes(row.tax_bytes),
-                      row.gbps / blind.gbps);
+    ckpt_table.add({row.tenants, row.aware ? "aware" : "blind", row.elapsed, row.gbps,
+                    row.remote_chunks, row.tax_bytes, row.gbps / blind.gbps});
   }
-
-  // --- JSON ---
-  const auto json_path = bench::results_path("BENCH_numa.json");
-  std::ofstream json{json_path, std::ios::trunc};
-  json << "{\n  \"bench\": \"numa_sweep\",\n"
-       << strf("  \"smoke\": {},\n  \"latency_rows\": [\n", smoke ? "true" : "false");
-  for (std::size_t i = 0; i < lat_rows.size(); ++i) {
-    const auto& r = lat_rows[i];
-    json << strf(
-        "    {{\"tenants\": {}, \"ops\": {}, \"p50_ns\": {}, \"p99_ns\": {}, "
-        "\"refills\": {}, \"cross_steals\": {}}}{}\n",
-        r.tenants, r.ops, r.p50.count(), r.p99.count(), r.refills, r.cross_steals,
-        i + 1 < lat_rows.size() ? "," : "");
-  }
-  json << "  ],\n  \"ckpt_rows\": [\n";
-  for (const auto* r : {&blind, &aware}) {
-    json << strf(
-        "    {{\"tenants\": {}, \"layout\": \"{}\", \"elapsed_ns\": {}, "
-        "\"gbps\": {:.4f}, \"remote_chunks\": {}, \"tax_bytes\": {}}}{}\n",
-        r->tenants, r->aware ? "aware" : "blind", r->elapsed.count(), r->gbps,
-        r->remote_chunks, r->tax_bytes, r == &blind ? "," : "");
-  }
-  json << "  ]\n}\n";
-  json.close();
-  std::cout << "\nwrote " << json_path << "\n";
 
   // --- Acceptance gates ---
-  int rc = 0;
   const double base_p99 = static_cast<double>(lat_rows.front().p99.count());
   for (const auto& r : lat_rows) {
     const double ratio = static_cast<double>(r.p99.count()) / base_p99;
-    if (ratio > 1.2) {
-      std::cerr << strf("FAIL: p99 alloc latency at {} tenants is {:.2f}x the "
-                        "1-tenant baseline (bar: 1.2x)\n", r.tenants, ratio);
-      rc = 1;
-    }
+    report.require(ratio <= 1.2, strf("p99 alloc latency at {} tenants is {:.2f}x the "
+                                      "1-tenant baseline (bar: 1.2x)",
+                                      r.tenants, ratio));
   }
   const double speedup = aware.gbps / blind.gbps;
-  if (speedup < 1.3) {
-    std::cerr << strf("FAIL: socket-aware placement reaches only {:.2f}x blind "
-                      "GB/s (bar: 1.3x)\n", speedup);
-    rc = 1;
-  }
-  if (aware.remote_chunks >= blind.remote_chunks) {
-    std::cerr << strf("FAIL: aware layout left {} remote chunks (blind: {})\n",
-                      aware.remote_chunks, blind.remote_chunks);
-    rc = 1;
-  }
-  if (rc == 0) std::cout << "numa sweep acceptance checks passed\n";
-  return rc;
+  report.require(speedup >= 1.3, strf("socket-aware placement reaches only {:.2f}x blind "
+                                      "GB/s (bar: 1.3x)",
+                                      speedup));
+  report.require(aware.remote_chunks < blind.remote_chunks,
+                 strf("aware layout left {} remote chunks (blind: {})", aware.remote_chunks,
+                      blind.remote_chunks));
+  return report.finish();
 }

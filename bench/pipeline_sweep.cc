@@ -6,9 +6,7 @@
 // the baseline. Emits BENCH_pipeline.json and fails (exit 1) if the
 // pipelined datapath regresses the serial path or a deep window (>= 8)
 // does not reach a 2x checkpoint speedup.
-#include <cstdlib>
 #include <cstring>
-#include <fstream>
 
 #include "bench_common.h"
 
@@ -69,50 +67,22 @@ int main(int argc, char** argv) {
   }
   const Row& serial = rows.front();
 
-  std::cout << strf("{:>7}{:>10}{:>9}{:>14}{:>13}{:>10}\n", "window", "chunk",
-                    "stripes", "checkpoint", "restore", "speedup");
+  bench::Report report{"pipeline_sweep", "pipeline", smoke};
+  report.param("model", "resnet50");
+  report.param("scale", 0.02);
+  auto& table = report.table(
+      "rows", {{"window"}, {"chunk_bytes", bench::kBytes}, {"stripes"},
+               {"checkpoint_ns", bench::kNs}, {"restore_ns", bench::kNs},
+               {"ckpt_speedup_vs_serial", bench::kReal, 2, "x"}});
   for (const auto& row : rows) {
-    std::cout << strf("{:>7}{:>10}{:>9}{:>14}{:>13}{:>9.2f}x\n", row.window,
-                      row.chunk == 0 ? std::string{"-"} : format_bytes(row.chunk),
-                      row.stripes, format_duration(row.ckpt),
-                      format_duration(row.restore), bench::ratio(serial.ckpt, row.ckpt));
+    const double speedup = bench::ratio(serial.ckpt, row.ckpt);
+    table.add({row.window, row.chunk, row.stripes, row.ckpt, row.restore, speedup});
+    report.require(to_seconds(row.ckpt) <= to_seconds(serial.ckpt) * 1.05,
+                   strf("window={} regresses checkpoint vs the serial baseline", row.window));
+    report.require(to_seconds(row.restore) <= to_seconds(serial.restore) * 1.05,
+                   strf("window={} regresses restore vs the serial baseline", row.window));
+    report.require(row.window < 8 || speedup >= 2.0,
+                   strf("window={} checkpoint speedup below the 2x acceptance bar", row.window));
   }
-
-  const auto json_path = bench::results_path("BENCH_pipeline.json");
-  std::ofstream json{json_path, std::ios::trunc};
-  json << "{\n  \"bench\": \"pipeline_sweep\",\n  \"model\": \"resnet50\",\n"
-       << "  \"scale\": 0.02,\n  \"rows\": [\n";
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    const auto& row = rows[i];
-    json << strf(
-        "    {{\"window\": {}, \"chunk_bytes\": {}, \"stripes\": {}, "
-        "\"checkpoint_ns\": {}, \"restore_ns\": {}, \"ckpt_speedup_vs_serial\": "
-        "{:.4f}}}{}\n",
-        row.window, row.chunk, row.stripes, row.ckpt.count(), row.restore.count(),
-        bench::ratio(serial.ckpt, row.ckpt), i + 1 < rows.size() ? "," : "");
-  }
-  json << "  ]\n}\n";
-  json.close();
-  std::cout << "\nwrote " << json_path << "\n";
-
-  int rc = 0;
-  for (const auto& row : rows) {
-    if (to_seconds(row.ckpt) > to_seconds(serial.ckpt) * 1.05) {
-      std::cerr << "FAIL: window=" << row.window
-                << " regresses checkpoint vs the serial baseline\n";
-      rc = 1;
-    }
-    if (to_seconds(row.restore) > to_seconds(serial.restore) * 1.05) {
-      std::cerr << "FAIL: window=" << row.window
-                << " regresses restore vs the serial baseline\n";
-      rc = 1;
-    }
-    if (row.window >= 8 && bench::ratio(serial.ckpt, row.ckpt) < 2.0) {
-      std::cerr << "FAIL: window=" << row.window
-                << " checkpoint speedup below the 2x acceptance bar\n";
-      rc = 1;
-    }
-  }
-  if (rc == 0) std::cout << "pipeline sweep acceptance checks passed\n";
-  return rc;
+  return report.finish();
 }

@@ -18,8 +18,6 @@
 // than a generous 250 ms bound (it must stay metadata-cheap even at 48
 // models) or if fsck misses that the store is clean.
 #include <chrono>
-#include <cstdlib>
-#include <fstream>
 #include <numeric>
 
 #include "bench_common.h"
@@ -100,37 +98,17 @@ int main() {
   std::vector<Row> rows;
   for (const int n : {4, 16, 48}) rows.push_back(measure(n));
 
-  std::cout << strf("{:>8}{:>12}{:>14}{:>12}\n", "models", "image", "recover",
-                    "fsck");
+  bench::Report report{"recovery_time", "recovery", /*smoke=*/false};
+  report.param("model", "alexnet");
+  report.param("scale", 0.01);
+  auto& table = report.table("rows", {{"models"}, {"image_bytes", bench::kBytes},
+                                      {"recover_ms", bench::kReal}, {"fsck_ms", bench::kReal}});
   for (const auto& row : rows) {
-    std::cout << strf("{:>8}{:>12}{:>13.2f}m{:>11.2f}m\n", row.models,
-                      format_bytes(row.image_bytes), row.recover_ms, row.fsck_ms);
+    table.add({row.models, row.image_bytes, row.recover_ms, row.fsck_ms});
+    report.require(row.recover_ms <= 250.0,
+                   strf("recover() took {} ms at {} models — restart must stay "
+                        "metadata-cheap",
+                        row.recover_ms, row.models));
   }
-
-  const auto json_path = bench::results_path("BENCH_recovery.json");
-  std::ofstream json{json_path, std::ios::trunc};
-  json << "{\n  \"bench\": \"recovery_time\",\n  \"model\": \"alexnet\",\n"
-       << "  \"scale\": 0.01,\n  \"rows\": [\n";
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    const auto& row = rows[i];
-    json << strf(
-        "    {{\"models\": {}, \"image_bytes\": {}, \"recover_ms\": {:.3f}, "
-        "\"fsck_ms\": {:.3f}}}{}\n",
-        row.models, row.image_bytes, row.recover_ms, row.fsck_ms,
-        i + 1 < rows.size() ? "," : "");
-  }
-  json << "  ]\n}\n";
-  json.close();
-  std::cout << "\nwrote " << json_path << "\n";
-
-  int rc = 0;
-  for (const auto& row : rows) {
-    if (row.recover_ms > 250.0) {
-      std::cerr << "FAIL: recover() took " << row.recover_ms << " ms at " << row.models
-                << " models — restart must stay metadata-cheap\n";
-      rc = 1;
-    }
-  }
-  if (rc == 0) std::cout << "recovery acceptance checks passed\n";
-  return rc;
+  return report.finish();
 }

@@ -4,6 +4,7 @@
 #include <set>
 
 #include "common/strformat.h"
+#include "core/cluster/placement.h"
 
 namespace portus::core::cluster {
 
@@ -19,9 +20,9 @@ ClusterCtl::DaemonRow ClusterCtl::inspect(PortusDaemon& daemon) {
 
     if (index.sharded()) ++row.shard_copies;
     row.stored_bytes += index.slot_size();
-    // Strip the "#s<k>" suffix of shard-scoped keys to count models once.
-    const auto hash = name.rfind("#s");
-    models.insert(hash == std::string::npos ? name : name.substr(0, hash));
+    // Count each model once, however many of its shard copies live here.
+    const auto shard = parse_shard_key(name);
+    models.insert(shard.has_value() ? shard->first : name);
   }
   row.models = models.size();
 

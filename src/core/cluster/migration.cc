@@ -112,10 +112,17 @@ sim::SubTask<Bytes> ElasticCluster::migrate_copy(PortusDaemon& src, PortusDaemon
     }
   }
 
+  const std::uint64_t epoch = forward.source_epoch;
   const auto done = co_await dst.handle_forward(std::move(forward));
   if (!done.ok) {
     PLOG_INFO(kLog, "migration of {} {} -> {} refused: {}", key, src.config().endpoint,
               dst.config().endpoint, done.error);
+    co_return 0;
+  }
+  if (done.epoch > epoch) {
+    // A round landed a newer version on dst while this copy was planned.
+    PLOG_DEBUG(kLog, "migration of {} epoch {} {} -> {} superseded by epoch {}", key, epoch,
+               src.config().endpoint, dst.config().endpoint, done.epoch);
     co_return 0;
   }
   if (src.model_table().is_finished(key)) dst.model_table().set_finished(key);
@@ -141,9 +148,8 @@ sim::SubTask<std::uint64_t> ElasticCluster::stream_to_plan(const Membership& m) 
     auto* d = daemon(member.endpoint);
     if (d == nullptr || d->killed()) continue;
     for (const auto& key : d->model_table().names()) {
-      const auto cut = key.find("#s");
-      if (cut == std::string::npos) continue;
-      if (models.count(key.substr(0, cut)) != 0) continue;
+      const auto shard = parse_shard_key(key);
+      if (!shard.has_value() || models.count(shard->first) != 0) continue;
       try {
         std::optional<MIndex> held;
         const MIndex& idx = d->index_of(key, held);

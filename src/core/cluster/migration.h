@@ -100,7 +100,8 @@ class ElasticCluster final : public MembershipSource {
 
   // One copy: the source daemon's newest DONE version of `key` forwarded to
   // dst (given an index laid out like the source's if it has none). Returns
-  // its payload bytes (0 = nothing to move, or dst refused the forward).
+  // its payload bytes (0 = nothing to move, dst refused the forward, or dst
+  // already held a newer version).
   sim::SubTask<Bytes> migrate_copy(PortusDaemon& src, PortusDaemon& dst,
                                    const std::string& key, std::uint32_t replica);
 

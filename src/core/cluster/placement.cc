@@ -1,6 +1,7 @@
 #include "core/cluster/placement.h"
 
 #include <algorithm>
+#include <charconv>
 
 #include "common/error.h"
 #include "common/strformat.h"
@@ -124,6 +125,16 @@ std::uint64_t Placement::Plan::digest() const {
 
 std::string shard_key(const std::string& model_name, std::uint32_t shard_id) {
   return strf("{}#s{}", model_name, shard_id);
+}
+
+std::optional<std::pair<std::string, std::uint32_t>> parse_shard_key(const std::string& key) {
+  const auto cut = key.rfind("#s");
+  if (cut == std::string::npos) return std::nullopt;
+  std::uint32_t shard = 0;
+  const auto ec = std::from_chars(key.data() + cut + 2, key.data() + key.size(), shard).ec;
+  std::string model = key.substr(0, cut);
+  if (ec != std::errc{} || shard_key(model, shard) != key) return std::nullopt;
+  return std::pair{std::move(model), shard};
 }
 
 }  // namespace portus::core::cluster

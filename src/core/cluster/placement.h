@@ -22,8 +22,10 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/units.h"
@@ -89,5 +91,10 @@ struct Placement {
 // the same key on *different* daemons, which is what lets a degraded
 // restore re-target a replica without any renaming.
 std::string shard_key(const std::string& model_name, std::uint32_t shard_id);
+
+// The inverse: the (model, shard) a key names when it is exactly
+// shard_key(model, shard), else nullopt (an unsharded model's key). Model
+// names may hold "#s" themselves, so the key is cut at its last one.
+std::optional<std::pair<std::string, std::uint32_t>> parse_shard_key(const std::string& key);
 
 }  // namespace portus::core::cluster

@@ -759,6 +759,14 @@ sim::SubTask<CheckpointDoneMsg> PortusDaemon::handle_forward(ForwardReqMsg msg) 
     // ever grow. The one exception is this very version, landed already.
     const auto newest = index.latest_done_slot();
     const bool landed = newest.has_value() && index.slot(*newest).epoch == msg.source_epoch;
+    // A plain forward (a migration's) planned before a newer version landed
+    // here is superseded, not refused: ok at that version, nothing moved.
+    // An armed one still refuses, so the client learns the copy is ahead.
+    if (msg.round == 0 && newest.has_value() && index.slot(*newest).epoch > msg.source_epoch) {
+      done.ok = true;
+      done.epoch = index.slot(*newest).epoch;
+      co_return done;
+    }
     if (!landed && msg.source_epoch <= index.max_epoch()) {
       throw Error(strf("forward of {} at epoch {} refused: this copy already holds epoch {}",
                        msg.model_name, msg.source_epoch, index.max_epoch()));

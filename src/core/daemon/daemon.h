@@ -238,6 +238,8 @@ class PortusDaemon {
 
   // The FORWARD handler, public so the elastic controller can ask for a
   // migration in-process. It needs the key's stored index, not a session.
+  // A plain (unarmed) forward whose copy already holds a newer DONE version
+  // answers ok at that version and moves nothing.
   sim::SubTask<CheckpointDoneMsg> handle_forward(ForwardReqMsg msg);
 
   // Whether a registration, checkpoint, forward or restore of `key` holds

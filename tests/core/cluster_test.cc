@@ -144,6 +144,15 @@ TEST(PlacementTest, QuantileCutEdgeCases) {
             (std::vector<std::vector<std::uint32_t>>{{0}, {1}, {2, 3}, {4}}));
 }
 
+TEST(PlacementTest, ShardKeyParsesBackToItsModelAndShard) {
+  const auto parsed = parse_shard_key(shard_key("a#sb", 3));
+  ASSERT_TRUE(parsed.has_value());
+  EXPECT_EQ(parsed->first, "a#sb");
+  EXPECT_EQ(parsed->second, 3u);
+  EXPECT_EQ(parse_shard_key("resnet50"), std::nullopt);
+  EXPECT_EQ(parse_shard_key("x#sy"), std::nullopt);
+}
+
 TEST(PlacementTest, ReplicasClampedToRingSize) {
   const std::vector<Bytes> sizes{1_MiB, 2_MiB};
   const auto plan = Placement::compute("m", sizes, 2, 5, 0);
@@ -1077,6 +1086,40 @@ TEST(ClusterTest, ArmedForwardNeverLandsAnotherRoundsVersion) {
   EXPECT_EQ(answer.epoch, 4u);
   EXPECT_EQ(newest_done(replica, f.key), newest_done(source, f.key));
   EXPECT_EQ(newest_done(replica, f.key).first, 4u);
+  EXPECT_EQ(f.r.eng.failed_process_count(), 0);
+}
+
+// A plain forward (a migration's) planned at epoch E reaches a copy that a
+// round has since moved to E + 1: it is superseded, not refused. The copy
+// answers ok at E + 1 and moves nothing, and the daemon counts no failed op.
+TEST(ClusterTest, PlainForwardBehindTheCopyIsSupersededNotRefused) {
+  ForwardRig f;
+  auto& source = f.daemon(f.puller);
+  auto& replica = f.daemon(f.replica);
+  PortusDaemon::Stats before;
+  CheckpointDoneMsg answer;
+  auto proc = f.r.eng.spawn([](ForwardRig& rig, PortusDaemon& src, PortusDaemon& rep,
+                               PortusDaemon::Stats& stats,
+                               CheckpointDoneMsg& out) -> sim::Process {
+    rig.model.mutate_weights(2);
+    const auto round = co_await rig.client.checkpoint(2);
+    EXPECT_EQ(round.epoch, 2u);
+    stats = rep.stats();
+    ForwardReqMsg msg;
+    msg.model_name = rig.key;
+    msg.source = src.config().endpoint;
+    msg.source_epoch = 1;
+    msg.budget_ns = 20'000'000;
+    out = co_await rep.handle_forward(std::move(msg));
+  }(f, source, replica, before, answer));
+  f.r.eng.run();
+  proc.check();
+  EXPECT_TRUE(answer.ok) << answer.error;
+  EXPECT_EQ(answer.epoch, 2u);
+  EXPECT_EQ(replica.stats().rdma_bytes, before.rdma_bytes);
+  EXPECT_EQ(replica.stats().forwards, before.forwards);
+  EXPECT_EQ(replica.stats().failed_ops, before.failed_ops);
+  EXPECT_EQ(newest_done(replica, f.key).first, 2u);
   EXPECT_EQ(f.r.eng.failed_process_count(), 0);
 }
 
