@@ -1,7 +1,7 @@
 // Elastic resize under load (ISSUE 9 tentpole): a training client
 // checkpoints continuously while the ring grows 2 -> 3 -> 4 and then
 // drains + decommissions a founding member. Each step reports what the
-// migrator moved (copies, bytes, barrier time) and what the client felt
+// migrator moved (copies, bytes) and what the client felt
 // (checkpoint p50/p99/worst during the step, epoch re-resolutions) —
 // elasticity must cost retries, never failed ops.
 //
@@ -34,7 +34,6 @@ struct StepRow {
   std::string kind;  // "steady" | "join" | "drain"
   std::uint64_t copies_moved = 0;  // migrator deltas over the step
   Bytes bytes_streamed = 0;
-  Duration barrier_time{0};
   std::uint64_t checkpoints = 0;  // client ops landed during the step
   Duration p50{0}, p99{0}, max{0};
   std::uint64_t reresolutions = 0;
@@ -202,7 +201,6 @@ int main(int argc, char** argv) {
       row.kind = plan[i].second;
       row.copies_moved = after.copies_moved - before.copies_moved;
       row.bytes_streamed = after.bytes_streamed - before.bytes_streamed;
-      row.barrier_time = after.barrier_time - before.barrier_time;
       row.checkpoints = s.samples[i].size();
       row.p50 = percentile(s.samples[i], 0.50);
       row.p99 = percentile(s.samples[i], 0.99);
@@ -245,14 +243,13 @@ int main(int argc, char** argv) {
   report.param("bit_exact_restore", bit_exact);
   auto& table = report.table(
       "steps", {{"step", bench::kText}, {"kind", bench::kText}, {"copies_moved"},
-                {"bytes_streamed", bench::kBytes}, {"barrier_ns", bench::kNs}, {"checkpoints"},
+                {"bytes_streamed", bench::kBytes}, {"checkpoints"},
                 {"p50_ns", bench::kNs}, {"p99_during_ns", bench::kNs}, {"max_ns", bench::kNs},
                 {"reresolutions"}, {"client_errors"}});
   std::uint64_t errors = 0;
   for (const auto& row : rows) {
-    table.add({row.step, row.kind, row.copies_moved, row.bytes_streamed, row.barrier_time,
-               row.checkpoints, row.p50, row.p99, row.max, row.reresolutions,
-               row.client_errors});
+    table.add({row.step, row.kind, row.copies_moved, row.bytes_streamed, row.checkpoints,
+               row.p50, row.p99, row.max, row.reresolutions, row.client_errors});
     errors += row.client_errors;
     report.require(row.kind == "steady" || row.copies_moved != 0,
                    strf("step {} moved no shard copies", row.step));

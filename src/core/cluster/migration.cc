@@ -220,26 +220,15 @@ sim::SubTask<> ElasticCluster::rebalance_to(Membership target) {
   // against the current epoch the whole time.
   co_await stream_to_plan(target);
 
-  // Phase 2: relocation barrier. Admissions pause on every live daemon
-  // (no new checkpoints start mid-switch), the target membership installs
-  // under a bumped epoch, the daemons learn it (stale requests now bounce
-  // with EpochMismatch), and admissions resume.
-  const Time barrier_start = engine_.now();
-  std::vector<PortusDaemon*> live;
-  for (const auto& member : target.members) {
-    if (member.state == MemberState::kDown) continue;
-    auto* d = daemon(member.endpoint);
-    if (d == nullptr || d->killed()) continue;
-    live.push_back(d);
-  }
-  for (auto* d : live) d->pause_admissions();
+  // Phase 2: the switch. The target membership installs under a bumped
+  // epoch and the daemons learn it (stale requests now bounce with
+  // EpochMismatch), all in one step of the simulation: no op is admitted
+  // in between, so nothing needs pausing around it.
   target.epoch = membership_.epoch + 1;
   membership_ = std::move(target);
   ++stats_.epoch_bumps;
   push_epoch();
-  for (auto* d : live) d->resume_admissions();
   ++stats_.barriers;
-  stats_.barrier_time += engine_.now() - barrier_start;
   PLOG_INFO(kLog, "membership epoch {} installed ({} active members)", membership_.epoch,
             membership_.active_positions().size());
 

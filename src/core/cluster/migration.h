@@ -13,13 +13,14 @@
 //      SOURCE epoch. So a power cut at any persist fence leaves the
 //      destination image fsck-clean and the source untouched, and a copy
 //      that fails the check never becomes DONE.
-//   2. BARRIER: pause admissions on every live daemon (PR 6 relocation
-//      barrier), install the target membership with a bumped epoch, push
+//   2. BARRIER: install the target membership with a bumped epoch and push
 //      the new epoch to the daemons (they now bounce stale requests with
-//      EpochMismatch), resume admissions. Short settle rounds then move
-//      whatever committed between the pre-copy and the bump, so every
-//      epoch acked under the old membership is reachable under the new one
-//      before a drained member may be decommissioned.
+//      EpochMismatch). The switch is one step of the simulation, with no
+//      await inside, so no admission can fall between its two halves and
+//      none is paused. Short settle rounds then move whatever committed
+//      between the pre-copy and the bump, so every epoch acked under the
+//      old membership is reachable under the new one before a drained
+//      member may be decommissioned.
 //
 // Clients react to the bump via EpochMismatch -> refetch membership() ->
 // re-resolve placement (cluster_client.h); a 1 -> 4 -> 2 resize under load
@@ -51,8 +52,10 @@ class ElasticCluster final : public MembershipSource {
     Bytes bytes_streamed = 0;           // payload bytes across all moves
     std::uint64_t epoch_bumps = 0;
     std::uint64_t repaired_copies = 0;  // moves done re-replicating after failure
-    std::uint64_t barriers = 0;
-    Duration barrier_time{0};           // admissions-paused wall time, summed
+    std::uint64_t barriers = 0;  // membership switches (epoch bumps by a resize)
+    // Always 0: a switch is one step of the simulation (see BARRIER above).
+    // Kept for perfbench's migration.barrier_ms, which reads it.
+    Duration barrier_time{0};
   };
 
   ElasticCluster(sim::Engine& engine, Config config);

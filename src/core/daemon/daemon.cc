@@ -7,6 +7,7 @@
 #include "common/crc32.h"
 #include "common/logging.h"
 #include "common/strformat.h"
+#include "core/cluster/manifest.h"
 #include "core/daemon/extent.h"
 #include "core/daemon/slots.h"
 
@@ -179,9 +180,9 @@ sim::SubTask<bool> PortusDaemon::admit(const std::string& model,
   co_return true;
 }
 
-sim::Tracer::Span PortusDaemon::trace_wait(const std::string& key) {
+sim::Tracer::Span PortusDaemon::trace(const char* what, const std::string& key) {
   if (config_.tracer == nullptr) return {};
-  return config_.tracer->span("wait " + key, config_.endpoint);
+  return config_.tracer->span(what + key, config_.endpoint);
 }
 
 Bytes PortusDaemon::registered_bytes(const std::string& key) const {
@@ -198,22 +199,82 @@ Bytes PortusDaemon::slot_bytes(const std::string& key) {
   }
 }
 
+Bytes PortusDaemon::job_bytes(const std::string& key) {
+  const auto it = sessions_.find(key);
+  if (it == sessions_.end()) return 0;
+  auto& job = it->second.job_bytes;
+  if (!job.has_value()) {
+    Bytes sum = 0;
+    const auto& manifest = it->second.registration.manifest;
+    try {
+      if (!manifest.empty()) {
+        for (const auto& t : cluster::ShardManifest::decode(manifest).tensors) sum += t.size;
+      }
+    } catch (const Error&) {
+      sum = 0;  // an unreadable manifest names no job: the restore keeps its bytes
+    }
+    job = sum;
+  }
+  return *job;
+}
+
 sim::SubTask<PortusDaemon::OpWorker> PortusDaemon::take_worker(const std::string& key,
-                                                               Bytes bytes) {
+                                                               Bytes bytes, Bytes job) {
+  ActiveJob active{*this, job};  // active while it waits, too
   const Time since = engine().now();
-  const auto span = workers_->available() == 0 ? trace_wait(key) : sim::Tracer::Span{};
-  auto permit = co_await workers_->permit(bytes);
+  const bool waits = workers_->available() == 0;
+  const auto span = waits ? trace("wait ", key) : sim::Tracer::Span{};
+  if (waits) wake_holders();
+  auto permit = co_await workers_->permit(job != 0 ? job : bytes);
   stats_.worker_wait_seconds += to_seconds(engine().now() - since);
-  co_return OpWorker{*this, key, std::move(permit)};
+  co_return OpWorker{*this, key, std::move(active), std::move(permit)};
+}
+
+PortusDaemon::ActiveJob::ActiveJob(PortusDaemon& daemon, Bytes job) : daemon_{daemon}, job_{job} {
+  if (job_ != 0) ++daemon_.active_jobs_[job_];
+}
+
+void PortusDaemon::ActiveJob::end() {
+  if (job_ == 0) return;
+  const auto it = daemon_.active_jobs_.find(std::exchange(job_, 0));
+  if (--it->second > 0) return;
+  daemon_.active_jobs_.erase(it);
+  daemon_.wake_holders();
+}
+
+void PortusDaemon::wake_holders() {
+  if (holders_ != nullptr) std::exchange(holders_, nullptr)->set();
 }
 
 sim::SubTask<> PortusDaemon::OpWorker::lend(Bytes remaining) {
   auto& stats = daemon_.stats_;
   ++stats.worker_yields;
   const Time since = daemon_.engine().now();
-  const auto span = daemon_.trace_wait(key_);
-  co_await permit_.hand_over(remaining);
+  const auto span = daemon_.trace("wait ", key_);
+  daemon_.wake_holders();
+  co_await permit_.hand_over(size(remaining));
   stats.worker_wait_seconds += to_seconds(daemon_.engine().now() - since);
+}
+
+bool PortusDaemon::OpWorker::held() const {
+  return job_.job() != 0 && daemon_.active_jobs_.begin()->first < job_.job();
+}
+
+sim::SubTask<> PortusDaemon::OpWorker::hold() {
+  auto& d = daemon_;
+  ++d.stats_.restore_holds;
+  const Time since = d.engine().now();
+  const auto span = d.trace("hold ", key_);
+  while (held()) {
+    if (permit_.would_hand_over(job_.job())) {
+      co_await lend(job_.job());
+      continue;
+    }
+    if (d.holders_ == nullptr) d.holders_ = std::make_shared<sim::SimEvent>(d.engine());
+    const auto woken = d.holders_;  // wake_holders() drops it when it fires
+    co_await woken->wait();
+  }
+  d.stats_.restore_hold_seconds += to_seconds(d.engine().now() - since);
 }
 
 sim::SubTask<std::vector<std::uint32_t>> PortusDaemon::transfer(
@@ -581,9 +642,7 @@ sim::SubTask<CheckpointDoneMsg> PortusDaemon::handle_checkpoint(CheckpointReqMsg
   // a forward mints its epoch after that forward committed.
   const auto landing = co_await landing_lock(msg.model_name).lock();
   auto worker = co_await take_worker(msg.model_name, registered_bytes(msg.model_name));
-  auto trace_span = config_.tracer != nullptr
-                        ? config_.tracer->span("checkpoint " + msg.model_name, config_.endpoint)
-                        : sim::Tracer::Span{};
+  const auto trace_span = trace("checkpoint ", msg.model_name);
   try {
     const auto it = sessions_.find(msg.model_name);
     PORTUS_CHECK(it != sessions_.end(), "DO_CHECKPOINT for unregistered model");
@@ -658,10 +717,9 @@ sim::SubTask<RestoreDoneMsg> PortusDaemon::handle_restore(RestoreReqMsg msg) {
   // the key's landing lock the restore serves whichever version is newest
   // when it gets the lock, whole.
   const auto landing = co_await landing_lock(msg.model_name).lock();
-  auto worker = co_await take_worker(msg.model_name, registered_bytes(msg.model_name));
-  auto trace_span = config_.tracer != nullptr
-                        ? config_.tracer->span("restore " + msg.model_name, config_.endpoint)
-                        : sim::Tracer::Span{};
+  auto worker = co_await take_worker(msg.model_name, registered_bytes(msg.model_name),
+                                    job_bytes(msg.model_name));
+  const auto trace_span = trace("restore ", msg.model_name);
   try {
     const auto it = sessions_.find(msg.model_name);
     PORTUS_CHECK(it != sessions_.end(), "DO_RESTORE for unregistered model");
@@ -745,9 +803,7 @@ sim::SubTask<CheckpointDoneMsg> PortusDaemon::handle_forward(ForwardReqMsg msg) 
   // here first has committed.
   const auto landing = co_await landing_lock(msg.model_name).lock();
   auto worker = co_await take_worker(msg.model_name, slot_bytes(msg.model_name));
-  auto trace_span = config_.tracer != nullptr
-                        ? config_.tracer->span("forward " + msg.model_name, config_.endpoint)
-                        : sim::Tracer::Span{};
+  const auto trace_span = trace("forward ", msg.model_name);
   try {
     // A migration lands copies where no client has registered (yet).
     std::optional<MIndex> held;

@@ -13,6 +13,18 @@
 // not for whole transfers, and an op nobody waits behind never pauses: a
 // lone op's timeline is the FIFO pool's.
 //
+// Concurrent cluster restores go shortest job first. A shard copy's job is
+// its whole model: the tensor bytes of the shard manifest it registered
+// with, decoded at its first restore. Such a restore asks and lends at its
+// job's size, counts its job active on this daemon from then until its
+// transfer has posted its last WR, and at each WR boundary with nothing in
+// flight, the first one included, does not post while a strictly smaller
+// job is active here: it lends its worker to any op waiting below its job's
+// size, and otherwise waits until a job stops being active or an op queues
+// for a worker. So on a shared client link the smallest job's shards post
+// alone and finish first. A restore with no manifest (a plain PortusClient)
+// and every other op keep the order above.
+//
 // PMEM layout on the devdax namespace:
 //   [4 KiB  superblock (reserved)]
 //   [ModelTable  @ 4 KiB,  capacity x 64 B]
@@ -58,6 +70,7 @@
 #include <set>
 #include <string>
 #include <tuple>
+#include <utility>
 
 #include "core/daemon/allocator.h"
 #include "core/daemon/mindex.h"
@@ -173,6 +186,11 @@ class PortusDaemon {
     // after each hand-over.
     std::uint64_t worker_yields = 0;
     double worker_wait_seconds = 0.0;
+    // Shortest job first: WR boundaries at which a cluster restore held its
+    // transfer back while a smaller job's restore was active here, and the
+    // virtual time it spent so (its worker lent out meanwhile included).
+    std::uint64_t restore_holds = 0;
+    double restore_hold_seconds = 0.0;
     Bytes bytes_pulled = 0;
     Bytes bytes_pushed = 0;
   };
@@ -273,6 +291,9 @@ class PortusDaemon {
     // both 0 on flat topologies.
     std::uint32_t home_node = 0;
     std::uint64_t home_shard = 0;
+    // The size of the job this copy belongs to, decoded from the
+    // registration's manifest at the first restore (0: no manifest).
+    std::optional<Bytes> job_bytes;
   };
 
   // The replica side of forwarding: a control socket to one source daemon
@@ -286,21 +307,48 @@ class PortusDaemon {
     std::uint64_t qp_token = 0;  // offered until the source connects the QP
   };
 
-  // One op's worker: a permit of workers_, asked for at the bytes the op
-  // moves, which the op's transfer lends to smaller ops between WRs. Each
-  // wait for it is timed in Stats and traced as "wait <key>".
-  class OpWorker final : public PipelinedTransfer::Worker {
+  // A cluster restore's job, counted active on the daemon (active_jobs_)
+  // from construction until end() or destruction; job 0 counts nothing.
+  class ActiveJob {
    public:
-    OpWorker(PortusDaemon& daemon, const std::string& key, sim::SimSemaphore::Permit permit)
-        : daemon_{daemon}, key_{key}, permit_{std::move(permit)} {}
-    bool smaller_waiting(Bytes remaining) const override {
-      return permit_.would_hand_over(remaining);
-    }
-    sim::SubTask<> lend(Bytes remaining) override;
+    ActiveJob(PortusDaemon& daemon, Bytes job);
+    ActiveJob(ActiveJob&& o) noexcept : daemon_{o.daemon_}, job_{std::exchange(o.job_, 0)} {}
+    ~ActiveJob() { end(); }
+    void end();
+    Bytes job() const { return job_; }
 
    private:
     PortusDaemon& daemon_;
+    Bytes job_;
+  };
+
+  // One op's worker: a permit of workers_, asked for at the bytes the op
+  // moves, which the op's transfer lends to smaller ops between WRs. Each
+  // wait for it is timed in Stats and traced as "wait <key>". A cluster
+  // restore's worker stands for its job: it lends at the job's size, keeps
+  // the job active until the transfer has posted its last WR, and holds the
+  // transfer while a smaller job is active, each hold traced as
+  // "hold <key>".
+  class OpWorker final : public PipelinedTransfer::Worker {
+   public:
+    OpWorker(PortusDaemon& daemon, const std::string& key, ActiveJob job,
+             sim::SimSemaphore::Permit permit)
+        : daemon_{daemon}, key_{key}, job_{std::move(job)}, permit_{std::move(permit)} {}
+    bool smaller_waiting(Bytes remaining) const override {
+      return permit_.would_hand_over(size(remaining));
+    }
+    sim::SubTask<> lend(Bytes remaining) override;
+    bool held() const override;
+    sim::SubTask<> hold() override;
+    void posted_last() override { job_.end(); }
+
+   private:
+    // What the op counts as in the pool with `remaining` bytes left.
+    Bytes size(Bytes remaining) const { return job_.job() != 0 ? job_.job() : remaining; }
+
+    PortusDaemon& daemon_;
     std::string key_;
+    ActiveJob job_;
     sim::SimSemaphore::Permit permit_;
   };
 
@@ -340,15 +388,22 @@ class PortusDaemon {
   // leaves `ticket` empty when tenancy is off or the model is unknown.
   sim::SubTask<bool> admit(const std::string& model, AdmissionController::Ticket& ticket,
                            CheckpointDoneMsg& done);
-  // Wait for a worker at priority `bytes` (what `key`'s op will move).
-  sim::SubTask<OpWorker> take_worker(const std::string& key, Bytes bytes);
+  // Wait for a worker at priority `bytes` (what `key`'s op will move), or,
+  // for a cluster restore, at its `job`'s size, counting the job active.
+  sim::SubTask<OpWorker> take_worker(const std::string& key, Bytes bytes, Bytes job = 0);
   // What a checkpoint or restore of `key` moves (0 when unregistered), and
   // what a forward of it lands: its slot, which a forward fills only from a
   // source slot of the same size (0 when it has no index).
   Bytes registered_bytes(const std::string& key) const;
   Bytes slot_bytes(const std::string& key);
-  // Opens the "wait <key>" span of one wait for a worker (empty untraced).
-  sim::Tracer::Span trace_wait(const std::string& key);
+  // The size of the job `key`'s copy belongs to (ModelSession::job_bytes):
+  // 0 when it is unregistered or registered with no manifest.
+  Bytes job_bytes(const std::string& key);
+  // Wake the held restores: a job stopped being active, or an op queues
+  // for a worker that one of them may lend it.
+  void wake_holders();
+  // Opens the span `what` + `key` on this daemon's track (empty untraced).
+  sim::Tracer::Span trace(const char* what, const std::string& key);
   // Plan, run and account one data op over the session's lanes (see
   // plan_transfer). Returns the per-tensor CRCs collected inline —
   // checkpoints of materialized payloads only, empty otherwise.
@@ -388,6 +443,12 @@ class PortusDaemon {
   std::unique_ptr<ModelTable> model_table_;
   std::unique_ptr<PmemAllocator> allocator_;
   std::unique_ptr<sim::SimSemaphore> workers_;
+  // Cluster restores active on this daemon per job size: each from when it
+  // asks for its worker until its transfer has posted its last WR.
+  std::map<Bytes, int> active_jobs_;
+  // What held restores wait on: set and dropped by wake_holders(), made
+  // only while one waits.
+  std::shared_ptr<sim::SimEvent> holders_;
   // Tenancy (declared registry-before-controller: tickets released while
   // the controller dies must still find their tenants).
   std::unique_ptr<TenantRegistry> tenants_;

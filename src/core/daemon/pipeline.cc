@@ -201,6 +201,7 @@ sim::SubTask<> PipelinedTransfer::run(std::vector<TransferChunk> chunks) {
   Bytes left = 0;  // bytes of the chunks not admitted yet
   for (const auto& c : chunks) left += c.len;
   Duration lent{0};
+  bool posted_all = false;
 
   // Per-lane WR accumulators: an admission burst's extents are flushed as
   // one chained post per lane — one doorbell per lane per window.
@@ -259,6 +260,17 @@ sim::SubTask<> PipelinedTransfer::run(std::vector<TransferChunk> chunks) {
   };
 
   while (next < chunks.size() || !in_flight.empty()) {
+    // A WR boundary with nothing in flight (the first one, or the drain
+    // below emptied the window): the worker may hold the transfer back, and
+    // after the first WR an op waiting with fewer bytes to move than this
+    // transfer has left takes the worker first.
+    if (worker_ != nullptr && in_flight.empty() && next < chunks.size() && failure.empty()) {
+      const Time since = engine_.now();
+      if (worker_->held()) co_await worker_->hold();
+      if (next > 0 && worker_->smaller_waiting(left)) co_await worker_->lend(left);
+      head_since += engine_.now() - since;
+      lent += engine_.now() - since;
+    }
     bool rdma_this_burst = false;
     // Admit work in list order while the head chunk's lane has window room.
     while (failure.empty() && next < chunks.size() &&
@@ -340,6 +352,10 @@ sim::SubTask<> PipelinedTransfer::run(std::vector<TransferChunk> chunks) {
       lane_batch[l].clear();
     }
     if (rdma_this_burst) ++stats_.admission_windows;
+    if (worker_ != nullptr && next == chunks.size() && !posted_all) {
+      posted_all = true;
+      worker_->posted_last();
+    }
     // After a failure everything already posted must still drain (RC
     // ordering: in-flight WQEs cannot be recalled).
     if (in_flight.empty()) break;
@@ -352,15 +368,6 @@ sim::SubTask<> PipelinedTransfer::run(std::vector<TransferChunk> chunks) {
       const auto extra = cq_.poll();
       if (!extra.has_value()) break;
       process(*extra);
-    }
-    // A WR boundary with nothing in flight: an op waiting with fewer bytes
-    // to move than this transfer has left takes the worker first.
-    if (worker_ != nullptr && in_flight.empty() && next < chunks.size() && failure.empty() &&
-        worker_->smaller_waiting(left)) {
-      const Time since = engine_.now();
-      co_await worker_->lend(left);
-      head_since += engine_.now() - since;
-      lent += engine_.now() - since;
     }
   }
   account(0);  // close the occupancy integral at the final timestamp

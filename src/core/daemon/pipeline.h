@@ -26,7 +26,10 @@
 // no WR in flight and work left (every boundary at window=1) it lends that
 // worker to a waiting op with fewer bytes to move than it has left, and
 // carries on once the worker is back: the pool serves the shortest
-// remaining transfer first. A transfer nobody waits behind never pauses.
+// remaining transfer first. At those boundaries, and before its first WR,
+// the worker may also hold the transfer back (a cluster restore while a
+// smaller job's restore is active on the daemon); the worker is told when
+// the last WR is posted. A transfer nobody waits behind never pauses.
 #pragma once
 
 #include <cstdint>
@@ -110,6 +113,13 @@ class PipelinedTransfer {
     virtual bool smaller_waiting(Bytes remaining) const = 0;
     // Lend the worker to that op; return once it is back.
     virtual sim::SubTask<> lend(Bytes remaining) = 0;
+    // Whether the transfer must not post yet, asked at each WR boundary
+    // with nothing in flight, the first one included.
+    virtual bool held() const = 0;
+    // Return once it may post.
+    virtual sim::SubTask<> hold() = 0;
+    // The transfer has posted its last WR.
+    virtual void posted_last() = 0;
 
    protected:
     ~Worker() = default;
@@ -200,9 +210,9 @@ class PipelinedTransfer {
   // on flat topologies. Default 0.
   void set_home_node(std::uint32_t node) { home_node_ = node; }
 
-  // The worker run() lends to smaller ops between WRs. The time it is lent
-  // counts neither as a head-of-line stall (queue_delay) nor as busy time.
-  // Unset = run() never pauses.
+  // The worker run() lends to smaller ops between WRs and that may hold it
+  // back. The time it is lent or held counts neither as a head-of-line
+  // stall (queue_delay) nor as busy time. Unset = run() never pauses.
   void set_worker(Worker* worker) { worker_ = worker; }
 
   // Drive the whole work list through the window; returns when every chunk

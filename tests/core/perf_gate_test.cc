@@ -18,7 +18,9 @@
 // hand-overs all show. A third pins the checkpoint that follows a join,
 // which registers the copies the join moved before its round: with one
 // registration cache per job they reuse their shard's MR, so a pin put
-// back on that path shows there.
+// back on that path shows there. A fourth pins a restore storm: the four
+// elastic models restoring at once on the survivors of a crash, where the
+// daemons serve the jobs shortest first.
 #include <gtest/gtest.h>
 
 #include "core/client.h"
@@ -27,6 +29,7 @@
 #include "core/daemon/daemon.h"
 #include "dnn/model_zoo.h"
 #include "net/cluster.h"
+#include "sim/fault.h"
 
 namespace portus::core {
 namespace {
@@ -234,6 +237,89 @@ TEST(PerfGateTest, FirstCheckpointAfterAJoinToTheNanosecond) {
   EXPECT_EQ(after_join.count(), 284'807);
   EXPECT_EQ(next.count(), 164'265);
   for (const auto& d : daemons) EXPECT_EQ(d->stats().failed_ops, 0u);
+  eng.shutdown();
+}
+
+// bench/cluster_scaling's failover scenario on 3 default daemons: the
+// elastic workload's four models (scale 0.005, R = 2, 8 shards each)
+// checkpoint, portusd1 crashes, each job checkpoints once more without it,
+// and all four restore at once, each survivor serving 16 shard restores on
+// its 8 workers. Each job's restore, in ns: a survivor posts no WR of a job
+// while a smaller job's restore is active on it, so the jobs finish in byte
+// order, bert's at the client link's pace.
+TEST(PerfGateTest, RestoreStormToTheNanosecond) {
+  sim::Engine eng;
+  auto cluster = net::Cluster::sharded_testbed(eng, 3);
+  QpRendezvous rendezvous;
+  sim::FaultInjector faults{eng};
+  std::vector<std::unique_ptr<PortusDaemon>> daemons;
+  cluster::ClusterClient::Config ccfg;
+  ccfg.replicas = 2;
+  ccfg.shard_count = 8;
+  for (int i = 0; i < 3; ++i) {
+    PortusDaemon::Config cfg;
+    cfg.endpoint = "portusd" + std::to_string(i);
+    cfg.faults = &faults;
+    daemons.push_back(std::make_unique<PortusDaemon>(
+        *cluster, cluster->node("pmem" + std::to_string(i)), rendezvous, cfg));
+    daemons.back()->start();
+    ccfg.endpoints.push_back(cfg.endpoint);
+  }
+  struct Row {
+    const char* model;
+    std::int64_t restore_ns;
+  };
+  const Row pinned[] = {
+      {"resnet50", 126'343},
+      {"swin_b", 266'430},
+      {"vgg19_bn", 541'390},
+      {"bert", 1'050'639},
+  };
+  auto& volta = cluster->node("client-volta");
+  std::vector<dnn::Model> models;
+  std::vector<std::unique_ptr<cluster::ClusterClient>> clients;
+  for (const auto& row : pinned) {
+    auto& gpu = volta.gpu(models.size());
+    dnn::ModelZoo::Options opt;
+    opt.scale = 0.005;
+    models.push_back(dnn::ModelZoo::create(gpu, row.model, opt));
+    clients.push_back(
+        std::make_unique<cluster::ClusterClient>(*cluster, volta, gpu, rendezvous, ccfg));
+  }
+  std::vector<Duration> took(models.size());
+  const auto all = [&](auto op) {
+    std::vector<sim::Process> procs;
+    for (std::size_t j = 0; j < models.size(); ++j) {
+      procs.push_back(eng.spawn(op(eng, *clients[j], models[j], took[j])));
+    }
+    eng.run();
+    for (auto& p : procs) p.check();
+  };
+  all([](sim::Engine&, cluster::ClusterClient& c, dnn::Model& m, Duration&) -> sim::Process {
+    co_await c.register_model(m);
+    co_await c.checkpoint(1);
+  });
+  faults.kill_now("portusd1");
+  all([](sim::Engine&, cluster::ClusterClient& c, dnn::Model& m, Duration&) -> sim::Process {
+    m.mutate_weights(2);
+    co_await c.checkpoint(2);
+  });
+  all([](sim::Engine& e, cluster::ClusterClient& c, dnn::Model& m,
+         Duration& out) -> sim::Process {
+    m.mutate_weights(3);
+    const Time t0 = e.now();
+    const auto restored = co_await c.restore();
+    out = e.now() - t0;
+    EXPECT_EQ(restored.epoch, 2u);
+  });
+  for (std::size_t j = 0; j < models.size(); ++j) {
+    SCOPED_TRACE(pinned[j].model);
+    EXPECT_EQ(took[j].count(), pinned[j].restore_ns);
+  }
+  for (const auto& d : daemons) {
+    EXPECT_EQ(d->stats().failed_ops, 0u);
+    EXPECT_EQ(d->idle_workers(), d->config().workers);
+  }
   eng.shutdown();
 }
 

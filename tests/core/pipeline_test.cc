@@ -396,6 +396,8 @@ TEST(PipelineTest, StatsSurfaceThroughPortusctl) {
   EXPECT_NE(text.find("queue delay"), std::string::npos);
   EXPECT_NE(text.find("worker yields"), std::string::npos);
   EXPECT_NE(text.find("worker wait"), std::string::npos);
+  EXPECT_NE(text.find("restore holds"), std::string::npos);
+  EXPECT_NE(text.find("restore hold "), std::string::npos);
   const auto& s = r.daemon->stats();
   EXPECT_GT(s.chunks_posted, 0u);
   EXPECT_EQ(s.chunks_posted, s.rdma_chunks + s.local_chunks);
