@@ -14,12 +14,9 @@ constexpr const char* kLog = "elastic";
 // How long a migrated copy waits for its source's slot reply: a source
 // that hangs mid-resize costs one refused copy, not a wedged resize.
 constexpr Duration kSourceReplyBudget{20'000'000};  // 20 ms
-// Settle-round grace for in-flight (pre-barrier) ops to land first.
-constexpr Duration kDrainGrace{2'000'000};  // 2 ms
 }  // namespace
 
-ElasticCluster::ElasticCluster(sim::Engine& engine, Config config)
-    : engine_{engine}, config_{config} {
+ElasticCluster::ElasticCluster(sim::Engine& /*engine*/, Config config) : config_{config} {
   PORTUS_CHECK_ARG(config_.replicas >= 1, "replication factor must be >= 1");
 }
 
@@ -43,13 +40,17 @@ PortusDaemon* ElasticCluster::daemon(const std::string& endpoint) const {
   return it != daemons_.end() ? it->second : nullptr;
 }
 
-void ElasticCluster::push_epoch() {
-  for (const auto& m : membership_.members) {
-    if (m.state == MemberState::kDown) continue;
-    auto* d = daemon(m.endpoint);
-    if (d == nullptr || d->killed()) continue;
-    d->set_membership_epoch(membership_.epoch);
+std::vector<PortusDaemon*> ElasticCluster::live_daemons(const Membership& m) const {
+  std::vector<PortusDaemon*> live;
+  for (const auto& member : m.members) {
+    auto* d = member.state != MemberState::kDown ? daemon(member.endpoint) : nullptr;
+    if (d != nullptr && !d->killed()) live.push_back(d);
   }
+  return live;
+}
+
+void ElasticCluster::push_epoch() {
+  for (auto* d : live_daemons(membership_)) d->set_membership_epoch(membership_.epoch);
 }
 
 std::optional<std::uint64_t> ElasticCluster::done_epoch(PortusDaemon& d,
@@ -132,7 +133,7 @@ sim::SubTask<Bytes> ElasticCluster::migrate_copy(PortusDaemon& src, PortusDaemon
   co_return payload;
 }
 
-sim::SubTask<std::uint64_t> ElasticCluster::stream_to_plan(const Membership& m) {
+sim::SubTask<> ElasticCluster::stream_to_plan(const Membership& m) {
   // Discover every sharded model any live member holds, with the placement
   // inputs its persisted manifest carries (a shard's tensor cut is a pure
   // function of (sizes, shard_count), so one manifest describes them all).
@@ -143,10 +144,7 @@ sim::SubTask<std::uint64_t> ElasticCluster::stream_to_plan(const Membership& m) 
     std::uint64_t placement_epoch = 0;
   };
   std::map<std::string, ModelInfo> models;
-  for (const auto& member : m.members) {
-    if (member.state == MemberState::kDown) continue;
-    auto* d = daemon(member.endpoint);
-    if (d == nullptr || d->killed()) continue;
+  for (auto* d : live_daemons(m)) {
     for (const auto& key : d->model_table().names()) {
       const auto shard = parse_shard_key(key);
       if (!shard.has_value() || models.count(shard->first) != 0) continue;
@@ -169,7 +167,6 @@ sim::SubTask<std::uint64_t> ElasticCluster::stream_to_plan(const Membership& m) 
   }
 
   const auto active = m.active_positions();
-  std::uint64_t moved = 0;
   for (const auto& [model, info] : models) {
     const auto plan = Placement::compute_over(
         model, info.sizes, info.shard_count,
@@ -183,10 +180,7 @@ sim::SubTask<std::uint64_t> ElasticCluster::stream_to_plan(const Membership& m) 
       // shard (DRAINING members still serve as sources).
       PortusDaemon* src = nullptr;
       std::uint64_t src_epoch = 0;
-      for (const auto& member : m.members) {
-        if (member.state == MemberState::kDown) continue;
-        auto* d = daemon(member.endpoint);
-        if (d == nullptr || d->killed()) continue;
+      for (auto* d : live_daemons(m)) {
         const auto e = done_epoch(*d, key);
         if (e.has_value() && (src == nullptr || *e > src_epoch)) {
           src = d;
@@ -203,14 +197,12 @@ sim::SubTask<std::uint64_t> ElasticCluster::stream_to_plan(const Membership& m) 
         if (have.has_value() && *have >= src_epoch) continue;  // already current
         const Bytes n = co_await migrate_copy(*src, *d, key, r);
         if (n == 0) continue;
-        ++moved;
         ++stats_.copies_moved;
         stats_.bytes_streamed += n;
         if (migrated_models_.insert(model).second) ++stats_.models_migrated;
       }
     }
   }
-  co_return moved;
 }
 
 sim::SubTask<> ElasticCluster::rebalance_to(Membership target) {
@@ -232,15 +224,11 @@ sim::SubTask<> ElasticCluster::rebalance_to(Membership target) {
   PLOG_INFO(kLog, "membership epoch {} installed ({} active members)", membership_.epoch,
             membership_.active_positions().size());
 
-  // Settle: ops admitted before the barrier may still commit on the old
-  // placement; give them a grace period and re-stream their commits until
-  // a full round moves nothing — only then is every acked epoch reachable
-  // under the new membership.
-  for (int round = 0; round < config_.max_restream_rounds; ++round) {
-    co_await engine_.sleep(kDrainGrace);
-    const auto moved = co_await stream_to_plan(membership_);
-    if (moved == 0) break;
-  }
+  // Settle: ops admitted before the switch may still commit on the old
+  // placement. Once none runs on any live member, one pass moves what they
+  // committed, and every acked epoch is reachable under the new membership.
+  for (auto* d : live_daemons(membership_)) co_await d->quiesce(membership_.epoch);
+  co_await stream_to_plan(membership_);
 }
 
 sim::SubTask<> ElasticCluster::join(const std::string& endpoint, PortusDaemon& daemon) {

@@ -17,10 +17,15 @@
 //      the new epoch to the daemons (they now bounce stale requests with
 //      EpochMismatch). The switch is one step of the simulation, with no
 //      await inside, so no admission can fall between its two halves and
-//      none is paused. Short settle rounds then move whatever committed
-//      between the pre-copy and the bump, so every epoch acked under the
-//      old membership is reachable under the new one before a drained
-//      member may be decommissioned.
+//      none is paused. Ops admitted under the old epoch may still commit
+//      on the old placement: the controller waits until none runs on any
+//      live member (PortusDaemon::quiesce), then moves once more what
+//      committed since the pre-copy, so every epoch acked under the old
+//      membership is reachable under the new one before a drained member
+//      may be decommissioned. The wait lasts as long as the slowest such
+//      op; an armed forward whose puller hangs gives up after its budget
+//      (the client's op_timeout), and a member killed meanwhile is not
+//      waited on.
 //
 // Clients react to the bump via EpochMismatch -> refetch membership() ->
 // re-resolve placement (cluster_client.h); a 1 -> 4 -> 2 resize under load
@@ -43,7 +48,6 @@ class ElasticCluster final : public MembershipSource {
  public:
   struct Config {
     std::uint32_t replicas = 2;  // copies per shard the migrator maintains
-    int max_restream_rounds = 8;
   };
 
   struct Stats {
@@ -58,6 +62,8 @@ class ElasticCluster final : public MembershipSource {
     Duration barrier_time{0};
   };
 
+  // The controller schedules nothing on `engine`: each resize step runs in
+  // the process that awaits it.
   ElasticCluster(sim::Engine& engine, Config config);
   explicit ElasticCluster(sim::Engine& engine) : ElasticCluster(engine, Config{}) {}
 
@@ -94,11 +100,12 @@ class ElasticCluster final : public MembershipSource {
 
  private:
   // Stream every shard copy the plan implied by `m` wants but its owner
-  // does not yet hold (at the source's epoch). Returns copies moved.
-  sim::SubTask<std::uint64_t> stream_to_plan(const Membership& m);
+  // does not yet hold (at the source's epoch).
+  sim::SubTask<> stream_to_plan(const Membership& m);
 
   // Pre-copy toward `target`, then barrier-install it (epoch bump + push),
-  // then settle-restream until a full round moves nothing.
+  // then wait out the retired epoch's ops on every live member and stream
+  // once more.
   sim::SubTask<> rebalance_to(Membership target);
 
   // One copy: the source daemon's newest DONE version of `key` forwarded to
@@ -109,9 +116,10 @@ class ElasticCluster final : public MembershipSource {
                                    const std::string& key, std::uint32_t replica);
 
   void push_epoch();
+  // The daemons of `m`'s members that are not DOWN and not killed.
+  std::vector<PortusDaemon*> live_daemons(const Membership& m) const;
   static std::optional<std::uint64_t> done_epoch(PortusDaemon& d, const std::string& key);
 
-  sim::Engine& engine_;
   Config config_;
   Membership membership_;
   std::map<std::string, PortusDaemon*> daemons_;

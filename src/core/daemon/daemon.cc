@@ -100,6 +100,7 @@ void PortusDaemon::start() {
 void PortusDaemon::kill(sim::FaultMode mode) {
   if (killed_) return;
   killed_ = true;
+  wake_waiters();  // a quiesce() waiting here returns
   if (mode == sim::FaultMode::kHang) {
     // Gray failure: sockets stay up, requests vanish into the void.
     hung_ = true;
@@ -220,30 +221,41 @@ Bytes PortusDaemon::job_bytes(const std::string& key) {
 
 sim::SubTask<PortusDaemon::OpWorker> PortusDaemon::take_worker(const std::string& key,
                                                                Bytes bytes, Bytes job) {
-  ActiveJob active{*this, job};  // active while it waits, too
+  ActiveOp active{*this, active_jobs_, job};  // active while it waits, too
   const Time since = engine().now();
   const bool waits = workers_->available() == 0;
   const auto span = waits ? trace("wait ", key) : sim::Tracer::Span{};
-  if (waits) wake_holders();
+  if (waits) wake_waiters();
   auto permit = co_await workers_->permit(job != 0 ? job : bytes);
   stats_.worker_wait_seconds += to_seconds(engine().now() - since);
   co_return OpWorker{*this, key, std::move(active), std::move(permit)};
 }
 
-PortusDaemon::ActiveJob::ActiveJob(PortusDaemon& daemon, Bytes job) : daemon_{daemon}, job_{job} {
-  if (job_ != 0) ++daemon_.active_jobs_[job_];
+PortusDaemon::ActiveOp::ActiveOp(PortusDaemon& daemon, Tally& tally, std::uint64_t key)
+    : daemon_{daemon}, tally_{tally}, key_{key} {
+  if (key_ != 0) ++tally_[key_];
 }
 
-void PortusDaemon::ActiveJob::end() {
-  if (job_ == 0) return;
-  const auto it = daemon_.active_jobs_.find(std::exchange(job_, 0));
+void PortusDaemon::ActiveOp::end() {
+  if (key_ == 0) return;
+  const auto it = tally_.find(std::exchange(key_, 0));
   if (--it->second > 0) return;
-  daemon_.active_jobs_.erase(it);
-  daemon_.wake_holders();
+  tally_.erase(it);
+  daemon_.wake_waiters();
 }
 
-void PortusDaemon::wake_holders() {
-  if (holders_ != nullptr) std::exchange(holders_, nullptr)->set();
+void PortusDaemon::wake_waiters() {
+  if (waiters_ != nullptr) std::exchange(waiters_, nullptr)->set();
+}
+
+sim::SubTask<> PortusDaemon::woken() {
+  if (waiters_ == nullptr) waiters_ = std::make_shared<sim::SimEvent>(engine());
+  const auto event = waiters_;  // wake_waiters() drops it when it fires
+  co_await event->wait();
+}
+
+sim::SubTask<> PortusDaemon::quiesce(std::uint64_t epoch) {
+  while (!killed_ && active_epochs_.size() > active_epochs_.count(epoch)) co_await woken();
 }
 
 sim::SubTask<> PortusDaemon::OpWorker::lend(Bytes remaining) {
@@ -251,13 +263,13 @@ sim::SubTask<> PortusDaemon::OpWorker::lend(Bytes remaining) {
   ++stats.worker_yields;
   const Time since = daemon_.engine().now();
   const auto span = daemon_.trace("wait ", key_);
-  daemon_.wake_holders();
+  daemon_.wake_waiters();
   co_await permit_.hand_over(size(remaining));
   stats.worker_wait_seconds += to_seconds(daemon_.engine().now() - since);
 }
 
 bool PortusDaemon::OpWorker::held() const {
-  return job_.job() != 0 && daemon_.active_jobs_.begin()->first < job_.job();
+  return job_.key() != 0 && daemon_.active_jobs_.begin()->first < job_.key();
 }
 
 sim::SubTask<> PortusDaemon::OpWorker::hold() {
@@ -266,13 +278,11 @@ sim::SubTask<> PortusDaemon::OpWorker::hold() {
   const Time since = d.engine().now();
   const auto span = d.trace("hold ", key_);
   while (held()) {
-    if (permit_.would_hand_over(job_.job())) {
-      co_await lend(job_.job());
+    if (permit_.would_hand_over(job_.key())) {
+      co_await lend(job_.key());
       continue;
     }
-    if (d.holders_ == nullptr) d.holders_ = std::make_shared<sim::SimEvent>(d.engine());
-    const auto woken = d.holders_;  // wake_holders() drops it when it fires
-    co_await woken->wait();
+    co_await d.woken();
   }
   d.stats_.restore_hold_seconds += to_seconds(d.engine().now() - since);
 }
@@ -629,6 +639,7 @@ sim::SubTask<CheckpointDoneMsg> PortusDaemon::handle_checkpoint(CheckpointReqMsg
   CheckpointDoneMsg done;
   done.model_name = msg.model_name;
   if (reject_stale_epoch(msg.membership_epoch, done)) co_return done;
+  const ActiveOp active{*this, active_epochs_, msg.membership_epoch};
 
   // Tenancy: a checkpoint must hold an admission ticket (strict priority +
   // WFQ + pacing, bounded queue) before it may occupy a worker or post a
@@ -773,6 +784,7 @@ sim::SubTask<CheckpointDoneMsg> PortusDaemon::handle_forward(ForwardReqMsg msg) 
   CheckpointDoneMsg done;
   done.model_name = msg.model_name;
   if (reject_stale_epoch(msg.membership_epoch, done)) co_return done;
+  const ActiveOp active{*this, active_epochs_, msg.membership_epoch};
 
   // An armed forward asks first and takes its ticket, landing lock and
   // permit only once its round has ended at the source: while it waits it

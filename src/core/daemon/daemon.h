@@ -33,10 +33,12 @@
 //
 // Every op runs one skeleton: the membership-epoch gate, (checkpoints and
 // forwards) an admission ticket, the key's landing lock, a worker, then the
-// body. Every byte the daemon moves goes through one planner and one
-// runner: plan_transfer (core/daemon/pipeline.h) turns the slot's extent
-// plan into a chunk list, and transfer() drives it through
-// PipelinedTransfer and merges the counters into Stats.
+// body. A checkpoint or forward counts under its request's membership
+// epoch from the gate until it ends, so the elastic controller can wait
+// out a retired epoch (quiesce()). Every byte the daemon moves goes
+// through one planner and one runner: plan_transfer (core/daemon/pipeline.h)
+// turns the slot's extent plan into a chunk list, and transfer() drives it
+// through PipelinedTransfer and merges the counters into Stats.
 //   Checkpoint = CheckpointTxn::begin (ACTIVE persisted) -> pipelined
 //   one-sided RDMA READs (chunked tensors, bounded window, optional QP
 //   stripes) from client GPU memory into the slot's TensorData, each chunk
@@ -250,6 +252,12 @@ class PortusDaemon {
   // epoch_mismatch so the client re-resolves placement first.
   void set_membership_epoch(std::uint64_t e) { membership_epoch_ = e; }
   std::uint64_t membership_epoch() const { return membership_epoch_; }
+  // Return once no checkpoint or forward that passed the epoch gate under a
+  // non-zero membership epoch other than `epoch` is still running here, or
+  // once this daemon is killed. Ops stamped 0 (standalone clients,
+  // migrations) never count. The elastic controller waits on it after a
+  // bump: past it, nothing admitted under a retired epoch can commit here.
+  sim::SubTask<> quiesce(std::uint64_t epoch);
 
   // Models whose training job sent FINISH_JOB (repacker input).
   const std::set<std::string>& finished_models() const { return finished_; }
@@ -307,19 +315,26 @@ class PortusDaemon {
     std::uint64_t qp_token = 0;  // offered until the source connects the QP
   };
 
-  // A cluster restore's job, counted active on the daemon (active_jobs_)
-  // from construction until end() or destruction; job 0 counts nothing.
-  class ActiveJob {
+  // Ops active on this daemon per key: how many hold each key right now.
+  using Tally = std::map<std::uint64_t, int>;
+
+  // An op counted under `key` in one of the daemon's tallies (a cluster
+  // restore under its job's size, a checkpoint or forward under its
+  // membership epoch) from construction until end() or destruction; key 0
+  // counts nothing. The last op of a key to end wakes the waiters.
+  class ActiveOp {
    public:
-    ActiveJob(PortusDaemon& daemon, Bytes job);
-    ActiveJob(ActiveJob&& o) noexcept : daemon_{o.daemon_}, job_{std::exchange(o.job_, 0)} {}
-    ~ActiveJob() { end(); }
+    ActiveOp(PortusDaemon& daemon, Tally& tally, std::uint64_t key);
+    ActiveOp(ActiveOp&& o) noexcept
+        : daemon_{o.daemon_}, tally_{o.tally_}, key_{std::exchange(o.key_, 0)} {}
+    ~ActiveOp() { end(); }
     void end();
-    Bytes job() const { return job_; }
+    std::uint64_t key() const { return key_; }
 
    private:
     PortusDaemon& daemon_;
-    Bytes job_;
+    Tally& tally_;
+    std::uint64_t key_;
   };
 
   // One op's worker: a permit of workers_, asked for at the bytes the op
@@ -331,7 +346,7 @@ class PortusDaemon {
   // "hold <key>".
   class OpWorker final : public PipelinedTransfer::Worker {
    public:
-    OpWorker(PortusDaemon& daemon, const std::string& key, ActiveJob job,
+    OpWorker(PortusDaemon& daemon, const std::string& key, ActiveOp job,
              sim::SimSemaphore::Permit permit)
         : daemon_{daemon}, key_{key}, job_{std::move(job)}, permit_{std::move(permit)} {}
     bool smaller_waiting(Bytes remaining) const override {
@@ -344,11 +359,11 @@ class PortusDaemon {
 
    private:
     // What the op counts as in the pool with `remaining` bytes left.
-    Bytes size(Bytes remaining) const { return job_.job() != 0 ? job_.job() : remaining; }
+    Bytes size(Bytes remaining) const { return job_.key() != 0 ? job_.key() : remaining; }
 
     PortusDaemon& daemon_;
     std::string key_;
-    ActiveJob job_;
+    ActiveOp job_;
     sim::SimSemaphore::Permit permit_;
   };
 
@@ -399,9 +414,12 @@ class PortusDaemon {
   // The size of the job `key`'s copy belongs to (ModelSession::job_bytes):
   // 0 when it is unregistered or registered with no manifest.
   Bytes job_bytes(const std::string& key);
-  // Wake the held restores: a job stopped being active, or an op queues
-  // for a worker that one of them may lend it.
-  void wake_holders();
+  // Wake the held restores and quiesce(): a key of a tally stopped being
+  // active, an op queues for a worker that a held restore may lend it, or
+  // the daemon was killed. Each waiter re-checks what it waits for.
+  void wake_waiters();
+  // Return at the next wake_waiters().
+  sim::SubTask<> woken();
   // Opens the span `what` + `key` on this daemon's track (empty untraced).
   sim::Tracer::Span trace(const char* what, const std::string& key);
   // Plan, run and account one data op over the session's lanes (see
@@ -445,10 +463,13 @@ class PortusDaemon {
   std::unique_ptr<sim::SimSemaphore> workers_;
   // Cluster restores active on this daemon per job size: each from when it
   // asks for its worker until its transfer has posted its last WR.
-  std::map<Bytes, int> active_jobs_;
-  // What held restores wait on: set and dropped by wake_holders(), made
-  // only while one waits.
-  std::shared_ptr<sim::SimEvent> holders_;
+  Tally active_jobs_;
+  // Checkpoints and forwards active on this daemon per membership epoch:
+  // each from its epoch gate until it ends.
+  Tally active_epochs_;
+  // What woken() waits on: set and dropped by wake_waiters(), made only
+  // while one waits.
+  std::shared_ptr<sim::SimEvent> waiters_;
   // Tenancy (declared registry-before-controller: tickets released while
   // the controller dies must still find their tenants).
   std::unique_ptr<TenantRegistry> tenants_;

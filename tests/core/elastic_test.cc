@@ -59,9 +59,7 @@ struct ElasticRig {
   ElasticCluster elastic;
   std::vector<std::unique_ptr<PortusDaemon>> daemons;
 
-  ElasticRig(int nodes, int founding,
-             ElasticCluster::Config ec = ElasticCluster::Config{})
-      : elastic{eng, ec} {
+  ElasticRig(int nodes, int founding) : elastic{eng} {
     cluster = net::Cluster::sharded_testbed(eng, nodes);
     for (int i = 0; i < nodes; ++i) {
       PortusDaemon::Config cfg;
@@ -379,9 +377,7 @@ TEST(ElasticTest, JoinTakesCopiesFromASourceWithNoClientSession) {
 // match its payload-CRC block is never blessed DONE on the destination.
 
 TEST(ElasticTest, JoinRefusesToCertifyACorruptSourceCopy) {
-  ElasticCluster::Config ec;
-  ec.max_restream_rounds = 0;  // one pre-copy pass: one attempt per copy
-  ElasticRig r{2, 1, ec};
+  ElasticRig r{2, 1};
   auto& volta = r.cluster->node("client-volta");
   auto model = r.make_model();
   ClusterClient client{*r.cluster, volta, volta.gpu(0), r.rendezvous,
@@ -410,8 +406,9 @@ TEST(ElasticTest, JoinRefusesToCertifyACorruptSourceCopy) {
   ASSERT_EQ(r.eng.failed_process_count(), 0);
   ASSERT_FALSE(bad_key.empty());
 
+  // The pre-copy pass and the one settle pass each try the copy once.
   auto& joiner = *r.daemons[1];
-  EXPECT_EQ(joiner.stats().integrity_rejects, 1u);
+  EXPECT_EQ(joiner.stats().integrity_rejects, 2u);
   EXPECT_GT(r.elastic.stats().copies_moved, 0u) << "the intact shards still migrate";
   const auto names = joiner.model_table().names();
   ASSERT_NE(std::find(names.begin(), names.end(), bad_key), names.end());
@@ -629,6 +626,150 @@ TEST(ElasticTest, DrainThenDecommissionKeepsDataReachable) {
   EXPECT_NE(status.find("membership: epoch 3, 3 members (2 active)"),
             std::string::npos);
   EXPECT_NE(status.find("epoch re-resolves"), std::string::npos);
+}
+
+// A round that passed the epoch gate before a drain's switch commits on the
+// old placement after it, several ms later for a 98 MB model. The drain
+// waits the round out before its one settle pass, so the epoch the round
+// acked on the draining member reaches the survivor before decommission.
+TEST(ElasticTest, CheckpointInFlightAcrossADrainStaysReachable) {
+  ElasticRig r{2, 2};
+  auto& volta = r.cluster->node("client-volta");
+  auto model = r.make_model(1.0);
+  ClusterClient client{*r.cluster, volta, volta.gpu(0), r.rendezvous, r.client_config(1, 2)};
+  std::uint32_t want = 0;
+  Time committed{0};
+  Time drained{0};
+  auto proc = r.eng.spawn([](ElasticRig& rig, ClusterClient& c, dnn::Model& m, std::uint32_t& crc,
+                             Time& committed_at, Time& drained_at) -> sim::Process {
+    co_await c.register_model(m);
+    co_await c.checkpoint(1);
+    auto drain = rig.eng.spawn([](ElasticRig& rg, Time& at) -> sim::Process {
+      co_await rg.elastic.drain(ElasticRig::ep(0));
+      at = rg.eng.now();
+    }(rig, drained_at));
+    co_await rig.eng.sleep(4500us);
+    m.mutate_weights(2);
+    crc = m.weights_crc();
+    const auto ck = co_await c.checkpoint(2);
+    EXPECT_EQ(ck.epoch, 2u);
+    committed_at = rig.eng.now();
+    co_await drain.join();
+    rig.elastic.decommission(ElasticRig::ep(0));
+
+    m.mutate_weights(99);
+    const auto rr = co_await c.restore();
+    EXPECT_EQ(rr.epoch, 2u);
+  }(r, client, model, want, committed, drained));
+  r.eng.run();
+  proc.check();
+  EXPECT_EQ(model.weights_crc(), want);
+  EXPECT_GT(drained, committed) << "the drain returned before the round it overlapped committed";
+  EXPECT_EQ(r.eng.failed_process_count(), 0);
+}
+
+// The newest DONE epoch `d` holds of `key` (0: none).
+std::uint64_t newest_epoch(PortusDaemon& d, const std::string& key) {
+  if (!d.model_table().lookup(key).has_value()) return 0;
+  std::optional<MIndex> held;
+  const MIndex& idx = d.index_of(key, held);
+  const auto slot = idx.latest_done_slot();
+  return slot.has_value() ? idx.slot(*slot).epoch : 0;
+}
+
+// How long a join of portusd2 takes while a round is in flight whose puller
+// portusd0 hangs, so portusd1's armed forwards wait for an answer that never
+// comes; optionally portusd1 hangs too, `hang_replica_after` into the join.
+// `current`: when the join returns, every copy on the joiner is at least as
+// new as portusd1's copy of its shard.
+struct HungPullerJoin {
+  Duration took{0};
+  bool current = true;
+};
+
+HungPullerJoin join_behind_a_hung_puller(std::optional<Duration> hang_replica_after) {
+  ElasticRig r{3, 2};
+  auto& volta = r.cluster->node("client-volta");
+  auto model = r.make_model();
+  ClusterClient client{*r.cluster, volta, volta.gpu(0), r.rendezvous, r.client_config(2, 4)};
+  HungPullerJoin out;
+  auto proc = r.eng.spawn([](ElasticRig& rig, ClusterClient& c, dnn::Model& m,
+                             std::optional<Duration> hang_after,
+                             HungPullerJoin& result) -> sim::Process {
+    co_await c.register_model(m);
+    co_await c.checkpoint(1);
+    rig.faults.kill_now(ElasticRig::ep(0), sim::FaultMode::kHang);
+    auto round = rig.eng.spawn([](ClusterClient& cc, dnn::Model& mm) -> sim::Process {
+      mm.mutate_weights(2);
+      try {
+        co_await cc.checkpoint(2);
+      } catch (const Error&) {
+        // the hung member's lanes time out; the join is what is measured
+      }
+    }(c, m));
+    co_await rig.eng.sleep(100us);  // the round's requests are at the daemons
+    const Time t0 = rig.eng.now();
+    if (hang_after.has_value()) {
+      rig.faults.kill_after(ElasticRig::ep(1), *hang_after, sim::FaultMode::kHang);
+    }
+    co_await rig.elastic.join(ElasticRig::ep(2), *rig.daemons[2]);
+    result.took = rig.eng.now() - t0;
+    auto& joiner = *rig.daemons[2];
+    for (const auto& key : joiner.model_table().names()) {
+      if (newest_epoch(*rig.daemons[1], key) > newest_epoch(joiner, key)) result.current = false;
+    }
+    co_await round.join();
+  }(r, client, model, hang_replica_after, out));
+  r.eng.run();
+  proc.check();
+  return out;
+}
+
+// The settle waits for exactly the retired epoch's ops: an epoch-0 op (a
+// standalone client) never holds a resize back; an old-epoch forward whose
+// puller hangs holds it until the forward's budget (the client's 50 ms
+// op_timeout) and no longer, after which the join streams and returns; and
+// a member killed while the controller waits on it stops counting at once.
+TEST(ElasticTest, SettleWaitsOutOnlyTheRetiredEpoch) {
+  {
+    ElasticRig r{3, 2};
+    auto& volta = r.cluster->node("client-volta");
+    auto sharded = r.make_model();
+    ClusterClient client{*r.cluster, volta, volta.gpu(0), r.rendezvous, r.client_config(2, 4)};
+    auto big = dnn::ModelZoo::create(volta.gpu(0), "vgg19_bn", {.force_phantom = true});
+    PortusClient plain{*r.cluster, volta, volta.gpu(0), r.rendezvous, ElasticRig::ep(0)};
+    Time joined{0};
+    Time plain_done{0};
+    auto proc = r.eng.spawn([](ElasticRig& rig, ClusterClient& c, dnn::Model& m, PortusClient& p,
+                               dnn::Model& b, Time& joined_at, Time& plain_at) -> sim::Process {
+      co_await c.register_model(m);
+      co_await c.checkpoint(1);
+      co_await p.register_model(b);
+      auto pull = rig.eng.spawn([](sim::Engine& eng, PortusClient& pc, dnn::Model& bm,
+                                   Time& at) -> sim::Process {
+        co_await pc.checkpoint(bm, 1);
+        at = eng.now();
+      }(rig.eng, p, b, plain_at));
+      co_await rig.elastic.join(ElasticRig::ep(2), *rig.daemons[2]);
+      joined_at = rig.eng.now();
+      co_await pull.join();
+    }(r, client, sharded, plain, big, joined, plain_done));
+    r.eng.run();
+    proc.check();
+    EXPECT_GT(r.elastic.stats().copies_moved, 0u);
+    EXPECT_LT(joined, plain_done) << "a standalone client's checkpoint held the join back";
+    EXPECT_EQ(r.eng.failed_process_count(), 0);
+  }
+
+  constexpr Duration kBudget = 50ms;  // ElasticRig::client_config's op_timeout
+  const auto held = join_behind_a_hung_puller(std::nullopt);
+  EXPECT_GE(held.took, kBudget - 1ms) << "the join did not wait for the old epoch's forward";
+  EXPECT_LT(held.took, kBudget + 5ms) << "the forward held the join past its budget";
+  EXPECT_TRUE(held.current) << "the join returned without its settle pass";
+
+  const auto killed = join_behind_a_hung_puller(10ms);
+  EXPECT_GE(killed.took, 10ms);
+  EXPECT_LT(killed.took, 11ms) << "the join kept waiting on a killed member";
 }
 
 // ---------------------------------------------------------------------------
