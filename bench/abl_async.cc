@@ -4,64 +4,63 @@
 // overlaps the next iteration's forward/backward and only the residual (if
 // the pull outlives F+B) stalls the update. This quantifies the stall per
 // checkpoint for both modes across models whose pull time is below or above
-// one iteration's F/B window.
+// one iteration's F/B window. Gates: async never stalls more than sync, and
+// hides the whole pull when it fits in F/B.
 #include "bench_common.h"
 
 using namespace portus;
-using namespace std::chrono_literals;
 
 namespace {
+
 constexpr std::uint64_t kIterations = 30;
+
+// Mean stall per iteration in `mode`, and the last pull's time.
+std::pair<Duration, Duration> run(const dnn::ModelSpec& spec, core::PortusHook::Mode mode) {
+  bench::PortusJob job{spec};
+  core::PortusHook hook{job.client, job.model, 1, mode};
+  const dnn::TrainingConfig cfg{.iteration_time = spec.iteration_time,
+                                .update_fraction = spec.update_fraction,
+                                .busy_fraction = 1.0,
+                                .mutate_weights = false};
+  dnn::TrainingStats stats;
+  job.world.run([](bench::PortusJob& j, core::PortusHook& h, dnn::TrainingConfig config,
+                   dnn::TrainingStats& st) -> sim::Process {
+    co_await j.client.connect();
+    co_await j.client.register_model(j.model);
+    co_await j.world.engine
+        .spawn(dnn::train(j.world.engine, j.gpu, &j.model, config, kIterations, h, st))
+        .join();
+    co_await h.drain();
+  }(job, hook, cfg, stats));
+  return {stats.checkpoint_stall / kIterations, job.client.stats().last_checkpoint};
 }
+
+}  // namespace
 
 int main() {
   bench::print_header("Ablation: Portus sync vs async checkpointing (ckpt every iteration)",
                       "Fig. 9(c)/(d): async hides the pull behind F/B");
-
-  std::cout << strf("{:<16}{:>10}{:>12}{:>14}{:>14}{:>12}\n", "model", "pull", "iter F/B",
-                    "sync stall", "async stall", "hidden");
+  bench::Report report{"abl_async"};
+  report.param("iterations", kIterations);
+  auto& models = report.table(
+      "models", {{"model", bench::kText}, {"pull_ns", bench::kNs}, {"iter_fb_ns", bench::kNs},
+                 {"sync_stall_ns", bench::kNs}, {"async_stall_ns", bench::kNs},
+                 {"hidden_pct", bench::kReal, 0, "%"}},
+      "hidden = share of the sync stall eliminated by overlapping the pull with the next "
+      "iteration's forward/backward");
 
   for (const auto* name : {"resnet50", "swin_b", "vgg19_bn", "vit_l_32", "bert"}) {
-    Duration stalls[2] = {Duration{0}, Duration{0}};
-    Duration pull{0};
-    const auto spec = dnn::ModelZoo::spec(name);
-    const dnn::TrainingConfig cfg{.iteration_time = spec.iteration_time,
-                                  .update_fraction = spec.update_fraction,
-                                  .busy_fraction = 1.0,
-                                  .mutate_weights = false};
-    for (int mode = 0; mode < 2; ++mode) {
-      bench::World world;
-      auto& gpu = world.volta().gpu(0);
-      dnn::ModelZoo::Options opt;
-      opt.force_phantom = true;
-      auto model = dnn::ModelZoo::create(gpu, name, opt);
-      core::PortusClient client{*world.cluster, world.volta(), gpu, world.rendezvous};
-      core::PortusHook hook{client, model, 1,
-                            mode == 0 ? core::PortusHook::Mode::kSync
-                                      : core::PortusHook::Mode::kAsync};
-      dnn::TrainingStats stats;
-      world.run([](bench::World& w, gpu::GpuDevice& g, core::PortusClient& c, dnn::Model& m,
-                   core::PortusHook& h, dnn::TrainingConfig config,
-                   dnn::TrainingStats& st) -> sim::Process {
-        co_await c.connect();
-        co_await c.register_model(m);
-        co_await w.engine.spawn(dnn::train(w.engine, g, &m, config, kIterations, h, st))
-            .join();
-        co_await h.drain();
-      }(world, gpu, client, model, hook, cfg, stats));
-      stalls[mode] = stats.checkpoint_stall / kIterations;
-      if (mode == 0) pull = client.stats().last_checkpoint;
-    }
-
+    const auto& spec = dnn::ModelZoo::spec(name);
+    const auto [sync_stall, pull] = run(spec, core::PortusHook::Mode::kSync);
+    const auto async_stall = run(spec, core::PortusHook::Mode::kAsync).first;
     const auto fb = std::chrono::duration_cast<Duration>(spec.iteration_time *
                                                          (1.0 - spec.update_fraction));
     const double hidden =
-        100.0 * (1.0 - to_seconds(stalls[1]) / std::max(1e-12, to_seconds(stalls[0])));
-    std::cout << strf("{:<16}{:>10}{:>12}{:>14}{:>14}{:>11.0f}%\n", name,
-                      format_duration(pull), format_duration(fb), format_duration(stalls[0]),
-                      format_duration(stalls[1]), hidden);
+        100.0 * (1.0 - to_seconds(async_stall) / std::max(1e-12, to_seconds(sync_stall)));
+    models.add({name, pull, fb, sync_stall, async_stall, hidden});
+    report.require(async_stall <= sync_stall, strf("{}: async stalls more than sync", name));
+    report.require(pull >= fb || async_stall == Duration{0},
+                   strf("{}: async stalls although the pull fits in F/B", name));
   }
-  std::cout << "\n('hidden' = share of the sync stall eliminated by overlapping the pull\n"
-               " with the next iteration's forward/backward)\n";
-  return 0;
+  return report.finish();
 }

@@ -12,6 +12,8 @@
 //   * MR registration of the new TensorData region: 180 us + 0.9 us/MiB
 //     (same pinning model as PeerMem)
 //   * RDMA CM re-connect handshake: 2.5 ms
+// Gate: on every model a checkpoint into a reused slot costs no more than
+// the first checkpoint after registration.
 #include "bench_common.h"
 
 using namespace portus;
@@ -29,47 +31,46 @@ int main() {
       "Ablation: double-mapping slots vs fresh-allocate-per-checkpoint",
       "SS III-D2: 'not efficient ... each time it needs to allocate space on PMEM "
       "and initializes a new RDMA connection'");
-
-  std::cout << strf("{:<16}{:>14}{:>16}{:>16}{:>14}\n", "model", "ckpt (reuse)",
-                    "ckpt (fresh)", "extra/ckpt", "pmem growth");
+  bench::Report report{"abl_double_mapping"};
+  report.param("checkpoints", kCheckpoints);
+  report.param("mr_base_ns", kMrBase);
+  report.param("mr_per_mib_ns", Duration{kMrPerMiB});
+  report.param("cm_connect_ns", kCmConnect);
+  auto& models = report.table(
+      "models", {{"model", bench::kText}, {"first_ns", bench::kNs}, {"reuse_ns", bench::kNs},
+                 {"fresh_ns", bench::kNs}, {"extra_per_ckpt_ns", bench::kNs},
+                 {"pmem_growth_bytes", bench::kBytes}},
+      "extra/ckpt = MR pinning + RDMA CM reconnect; pmem growth = garbage pending repack "
+      "after the checkpoints vs a constant 2 slots");
 
   for (const auto* name : {"resnet50", "vgg19_bn", "bert"}) {
-    bench::World world;
-    auto& gpu = world.volta().gpu(0);
-    dnn::ModelZoo::Options opt;
-    opt.force_phantom = true;
-    auto model = dnn::ModelZoo::create(gpu, name, opt);
-    core::PortusClient client{*world.cluster, world.volta(), gpu, world.rendezvous};
-
-    Duration reuse_avg{0};
-    world.run([](sim::Engine& eng, core::PortusClient& c, dnn::Model& m,
-                 Duration& out) -> sim::Process {
-      co_await c.connect();
-      co_await c.register_model(m);
-      co_await c.checkpoint(m, 0);  // warm-up: both slots provisioned
-      const Time t0 = eng.now();
+    bench::PortusJob job{dnn::ModelZoo::spec(name)};
+    Duration first{0}, reuse_avg{0};
+    job.world.run([](bench::PortusJob& j, Duration& warm_up, Duration& out) -> sim::Process {
+      co_await j.client.connect();
+      co_await j.client.register_model(j.model);
+      Time t0 = j.world.engine.now();
+      co_await j.client.checkpoint(j.model, 0);  // warm-up: both slots provisioned
+      warm_up = j.world.engine.now() - t0;
+      t0 = j.world.engine.now();
       for (int i = 1; i <= kCheckpoints; ++i) {
-        co_await c.checkpoint(m, static_cast<std::uint64_t>(i));
+        co_await j.client.checkpoint(j.model, static_cast<std::uint64_t>(i));
       }
-      out = (eng.now() - t0) / kCheckpoints;
-    }(world.engine, client, model, reuse_avg));
+      out = (j.world.engine.now() - t0) / kCheckpoints;
+    }(job, first, reuse_avg));
 
     // Fresh-file alternative: same data movement + per-checkpoint setup.
-    const double mib = static_cast<double>(model.total_bytes()) / static_cast<double>(1_MiB);
+    const double mib = static_cast<double>(job.model.total_bytes()) / static_cast<double>(1_MiB);
     const auto setup = kMrBase +
                        Duration{static_cast<Duration::rep>(mib * kMrPerMiB.count())} +
                        kCmConnect;
-    const auto fresh_avg = reuse_avg + setup;
     // Until garbage collection runs, every checkpoint leaks one slot's worth
     // of PMEM instead of alternating between two fixed slots.
-    const auto growth = model.total_bytes() * (kCheckpoints - 2);
-
-    std::cout << strf("{:<16}{:>14}{:>16}{:>16}{:>14}\n", name, format_duration(reuse_avg),
-                      format_duration(fresh_avg), format_duration(setup),
-                      format_bytes(growth));
+    const auto growth = job.model.total_bytes() * (kCheckpoints - 2);
+    models.add({name, first, reuse_avg, reuse_avg + setup, setup, growth});
+    report.require(reuse_avg <= first,
+                   std::string{name} + ": a checkpoint into a reused slot costs more than the "
+                                       "first one");
   }
-
-  std::cout << "\n(extra/ckpt = MR pinning + RDMA CM reconnect; pmem growth = garbage\n"
-               " pending repack after " << kCheckpoints << " checkpoints vs a constant 2 slots)\n";
-  return 0;
+  return report.finish();
 }

@@ -7,7 +7,8 @@
 // model restores from the newest durable checkpoint, and iterations since
 // that checkpoint are lost. Portus checkpoints every iteration
 // (asynchronous); CheckFreq runs at its tuned interval against BeeGFS-PMEM.
-// The metric is useful iterations retained per wall-clock hour.
+// The metric is useful iterations retained per wall-clock hour. Gate: Portus
+// keeps more useful work than CheckFreq, for VGG19 and for GPT-22.4B.
 #include <cmath>
 
 #include "bench_common.h"
@@ -39,27 +40,19 @@ struct Segment {
 };
 
 Segment run_segment_portus(Duration length) {
-  bench::World world;
-  auto& node = world.volta();
-  auto& gpu = node.gpu(0);
-  dnn::ModelZoo::Options opt;
-  opt.force_phantom = true;
-  auto model = dnn::ModelZoo::create(gpu, "vgg19_bn", opt);
-  core::PortusClient client{*world.cluster, node, gpu, world.rendezvous};
-  core::PortusHook hook{client, model, 1, core::PortusHook::Mode::kAsync};
+  const auto& spec = dnn::ModelZoo::spec("vgg19_bn");
+  bench::PortusJob job{spec};
+  core::PortusHook hook{job.client, job.model, 1, core::PortusHook::Mode::kAsync};
   dnn::TrainingStats stats;
-  const auto cfg = dnn::TrainingConfig::from_spec(dnn::ModelZoo::spec("vgg19_bn"));
-
-  world.engine.spawn([](bench::World& w, gpu::GpuDevice& g, core::PortusClient& c,
-                        dnn::Model& m, core::PortusHook& h, dnn::TrainingConfig config,
-                        dnn::TrainingStats& st) -> sim::Process {
-    co_await c.connect();
-    co_await c.register_model(m);
-    co_await w.engine
-        .spawn(dnn::train(w.engine, g, &m, config, 1'000'000, h, st))
+  job.world.engine.spawn([](bench::PortusJob& j, core::PortusHook& h,
+                            dnn::TrainingConfig config, dnn::TrainingStats& st) -> sim::Process {
+    co_await j.client.connect();
+    co_await j.client.register_model(j.model);
+    co_await j.world.engine
+        .spawn(dnn::train(j.world.engine, j.gpu, &j.model, config, 1'000'000, h, st))
         .join();
-  }(world, gpu, client, model, hook, cfg, stats));
-  world.engine.run_until(Time{0} + length);
+  }(job, hook, dnn::TrainingConfig::from_spec(spec), stats));
+  job.world.engine.run_until(Time{0} + length);
 
   Segment seg;
   seg.trained = stats.iterations_done;
@@ -68,40 +61,33 @@ Segment run_segment_portus(Duration length) {
   // Restart cost for the next incarnation, measured on a fresh testbed: a
   // relaunched client must re-register its tensors before it can restore
   // the checkpoint the previous incarnation left behind.
-  {
-    bench::World w2;
-    auto& gpu2 = w2.volta().gpu(0);
-    auto model2 = dnn::ModelZoo::create(gpu2, "vgg19_bn", opt);
-    core::PortusClient before{*w2.cluster, w2.volta(), gpu2, w2.rendezvous};
-    core::PortusClient after{*w2.cluster, w2.volta(), gpu2, w2.rendezvous};
-    Duration restart{0};
-    w2.run([](sim::Engine& eng, core::PortusClient& prev, core::PortusClient& next,
-              dnn::Model& m, Duration& out) -> sim::Process {
-      co_await prev.connect();
-      co_await prev.register_model(m);
-      co_await prev.checkpoint(m, 1);
-      co_await next.connect();
-      const Time t0 = eng.now();
-      co_await next.register_model(m);
-      co_await next.restore(m);
-      out = eng.now() - t0;
-    }(w2.engine, before, after, model2, restart));
-    seg.restore = restart;
-  }
+  bench::PortusJob before{spec};
+  core::PortusClient after{*before.world.cluster, before.world.volta(), before.gpu,
+                           before.world.rendezvous};
+  before.world.run([](bench::PortusJob& prev, core::PortusClient& next,
+                      Duration& out) -> sim::Process {
+    co_await prev.client.connect();
+    co_await prev.client.register_model(prev.model);
+    co_await prev.client.checkpoint(prev.model, 1);
+    co_await next.connect();
+    const Time t0 = prev.world.engine.now();
+    co_await next.register_model(prev.model);
+    co_await next.restore(prev.model);
+    out = prev.world.engine.now() - t0;
+  }(before, after, seg.restore));
   return seg;
 }
 
 Segment run_segment_checkfreq(Duration length) {
+  const auto& spec = dnn::ModelZoo::spec("vgg19_bn");
   bench::World world;
   auto& node = world.volta();
   auto& gpu = node.gpu(0);
-  dnn::ModelZoo::Options opt;
-  opt.force_phantom = true;
-  auto model = dnn::ModelZoo::create(gpu, "vgg19_bn", opt);
+  auto model = dnn::ModelZoo::create_from_spec(gpu, spec, {.force_phantom = true});
   storage::BeeGfsMount mount{*world.cluster, node, *world.beegfs_server, "mnt0"};
 
   // CheckFreq tunes its own interval from profiled costs.
-  const auto cfg = dnn::TrainingConfig::from_spec(dnn::ModelZoo::spec("vgg19_bn"));
+  const auto cfg = dnn::TrainingConfig::from_spec(spec);
   const auto ckpt_cost = 900ms;  // measured torch.save cost for VGG19 (fig11)
   const auto interval = baselines::CheckFreqHook::tune_interval(cfg.iteration_time, ckpt_cost);
   baselines::CheckFreqHook hook{node, gpu, model, mount, interval, "/cf/vgg"};
@@ -116,24 +102,10 @@ Segment run_segment_checkfreq(Duration length) {
   }(world, gpu, model, hook, cfg, stats));
   world.engine.run_until(Time{0} + length);
 
-  Segment seg;
-  seg.trained = stats.iterations_done;
-  seg.durable = hook.last_persisted_iteration();
-
-  {  // GDS restore from BeeGFS (fig12 path)
-    bench::World w2;
-    auto model2 = dnn::ModelZoo::create(w2.volta().gpu(0), "vgg19_bn", opt);
-    storage::BeeGfsMount m2{*w2.cluster, w2.volta(), *w2.beegfs_server, "mnt0"};
-    baselines::TorchSaveCheckpointer ckpt{w2.volta(), w2.volta().gpu(0), m2};
-    Duration restore{0};
-    w2.run([](baselines::TorchSaveCheckpointer& c, dnn::Model& m,
-              Duration& out) -> sim::Process {
-      co_await c.checkpoint(m, "/x.ptck");
-      out = (co_await c.restore(m, "/x.ptck", /*gpu_direct=*/true)).total;
-    }(ckpt, model2, restore));
-    seg.restore = restore;
-  }
-  return seg;
+  // The restart restores the newest persist with GDS from BeeGFS (fig12's path).
+  return Segment{.trained = stats.iterations_done,
+                 .durable = hook.last_persisted_iteration(),
+                 .restore = bench::time_torch(spec, bench::Fs::kBeegfs, "/x.ptck").restore};
 }
 
 template <typename SegmentFn>
@@ -191,28 +163,22 @@ int main() {
   bench::print_header(
       "Ablation: fault tolerance under 10-minute MTBF",
       "motivation SS I: frequent failures demand finer-grained checkpoints + fast restore");
+  bench::Report report{"abl_failures"};
+  report.param("mtbf_ns", kMtbf);
+  report.param("relaunch_ns", kRelaunchCost);
 
-  std::cout << "--- VGG19, single GPU, 2 h simulated with failure injection ---\n";
   const auto portus = run_with_failures([](Duration d) { return run_segment_portus(d); }, 7);
   const auto checkfreq =
       run_with_failures([](Duration d) { return run_segment_checkfreq(d); }, 7);
+  auto& vgg = report.table("vgg19",
+                           {{"system", bench::kText}, {"failures"}, {"useful_iterations"},
+                            {"lost_iterations"}, {"restore_restart_ns", bench::kNs}},
+                           "VGG19, single GPU, 2 h simulated with failure injection");
+  for (const auto& [name, o] : {std::pair<const char*, const Outcome&>{"Portus", portus},
+                                {"CheckFreq", checkfreq}}) {
+    vgg.add({name, o.failures, o.useful_iterations, o.lost_iterations, o.restore_time_total});
+  }
 
-  std::cout << strf("{:<12}{:>10}{:>16}{:>14}{:>18}\n", "system", "failures",
-                    "useful iters", "lost iters", "restore+restart");
-  const auto row = [](const char* name, const Outcome& o) {
-    std::cout << strf("{:<12}{:>10}{:>16}{:>14}{:>18}\n", name, o.failures,
-                      o.useful_iterations, o.lost_iterations,
-                      format_duration(o.restore_time_total));
-  };
-  row("Portus", portus);
-  row("CheckFreq", checkfreq);
-  std::cout << strf(
-      "useful-work advantage: {:.2f}x — small models checkpoint fast enough either\n"
-      "way; the gap comes from restore speed and the tuned interval's lost work.\n\n",
-      static_cast<double>(portus.useful_iterations) /
-          static_cast<double>(checkfreq.useful_iterations));
-
-  std::cout << "--- GPT-22.4B, 16 ranks (closed-form from measured fig14/fig15 costs) ---\n";
   const double lambda = 1.0 / to_seconds(kMtbf);
   // Measured: Portus dump 14.3 s (overlapped => stall ~0, durable point lags
   // one pull), restore 7.5 s; CheckFreq persist 113 s (its tuner caps the
@@ -224,17 +190,26 @@ int main() {
                                .persist_lag_s = 113.0, .downtime_s = 50.0 + 30.0};
   const double rp = useful_rate(gpt_portus, lambda);
   const double rc = useful_rate(gpt_checkfreq, lambda);
-  std::cout << strf("{:<12}{:>22}{:>22}\n", "system", "useful iters/hour",
-                    "share of failure-free");
-  std::cout << strf("{:<12}{:>22.0f}{:>21.1f}%\n", "Portus", rp * 3600,
-                    100.0 * rp * gpt_portus.iter_s);
-  std::cout << strf("{:<12}{:>22.0f}{:>21.1f}%\n", "CheckFreq", rc * 3600,
-                    100.0 * rc * gpt_checkfreq.iter_s);
-  std::cout << strf(
-      "useful-work advantage: {:.2f}x — at this scale CheckFreq's ~2-minute persist\n"
-      "means every 10-minute failure wipes out several minutes of work and its\n"
-      "restore costs nearly a minute; Portus's restore point is never more than one\n"
-      "pull (~14 s) behind.\n",
-      rp / rc);
-  return 0;
+  report
+      .table("gpt",
+             {{"system", bench::kText}, {"useful_iterations_per_hour", bench::kReal, 0},
+              {"share_of_failure_free_pct", bench::kReal, 1, "%"}},
+             "GPT-22.4B, 16 ranks (closed-form from measured fig14/fig15 costs)")
+      .add({"Portus", rp * 3600, 100.0 * rp * gpt_portus.iter_s})
+      .add({"CheckFreq", rc * 3600, 100.0 * rc * gpt_checkfreq.iter_s});
+
+  // Small models checkpoint fast enough either way, so VGG19's gap comes from
+  // restore speed and the tuned interval's lost work. At GPT scale
+  // CheckFreq's ~2-minute persist means every failure wipes out minutes of
+  // work and its restore costs nearly a minute; Portus's restore point is
+  // never more than one pull (~14 s) behind.
+  const double vgg_x = static_cast<double>(portus.useful_iterations) /
+                       static_cast<double>(checkfreq.useful_iterations);
+  report
+      .table("advantage", {{"workload", bench::kText}, {"useful_work_x", bench::kReal, 2, "x"}})
+      .add({"VGG19", vgg_x})
+      .add({"GPT-22.4B", rp / rc});
+  report.require(vgg_x > 1, "Portus keeps less useful VGG19 work than CheckFreq");
+  report.require(rp > rc, "Portus keeps less useful GPT-22.4B work than CheckFreq");
+  return report.finish();
 }

@@ -7,6 +7,7 @@
 //   (a) as sequential one-sided READs (one per tensor, Portus-style), and
 //   (b) as 1 MiB request/response RPCs over SEND/RECV (BeeGFS-style,
 //       including per-chunk server handler dispatch).
+// Gate: the one-sided transport is the faster.
 #include "bench_common.h"
 
 using namespace portus;
@@ -15,27 +16,11 @@ int main() {
   bench::print_header("Ablation: one-sided RDMA READ vs two-sided RPCoRDMA (BERT bytes)",
                       "SS V-D: 'GPU-RDMA ... is a time-efficient one-sided protocol while "
                       "BeeGFS-PMEM uses a more time-consuming two-sided protocol'");
-
+  bench::Report report{"abl_onesided"};
   const auto& spec = dnn::ModelZoo::spec("bert");
 
   // (a) one-sided: a real Portus checkpoint, minus registration.
-  Duration one_sided{0};
-  {
-    bench::World world;
-    auto& gpu = world.volta().gpu(0);
-    dnn::ModelZoo::Options opt;
-    opt.force_phantom = true;
-    auto model = dnn::ModelZoo::create(gpu, "bert", opt);
-    core::PortusClient client{*world.cluster, world.volta(), gpu, world.rendezvous};
-    world.run([](sim::Engine& eng, core::PortusClient& c, dnn::Model& m,
-                 Duration& out) -> sim::Process {
-      co_await c.connect();
-      co_await c.register_model(m);
-      const Time t0 = eng.now();
-      co_await c.checkpoint(m, 1);
-      out = eng.now() - t0;
-    }(world.engine, client, model, one_sided));
-  }
+  const Duration one_sided = bench::time_portus(spec).checkpoint;
 
   // (b) two-sided: the same byte count as chunked RPCs into the fsdax path.
   Duration two_sided{0};
@@ -50,16 +35,16 @@ int main() {
     }(world.engine, mount, spec.checkpoint_bytes, two_sided));
   }
 
-  std::cout << strf("{:<34}{:>12}{:>14}\n", "transport", "time", "effective bw");
-  const auto bw = [&](Duration d) {
-    return Bandwidth::bytes_per_sec(static_cast<double>(spec.checkpoint_bytes) /
-                                    to_seconds(d));
+  const auto gbps = [&](Duration d) {
+    return static_cast<double>(spec.checkpoint_bytes) / to_seconds(d) / 1e9;
   };
-  std::cout << strf("{:<34}{:>12}{:>14}\n", "one-sided READ (Portus)",
-                    format_duration(one_sided), format_bandwidth(bw(one_sided)));
-  std::cout << strf("{:<34}{:>12}{:>14}\n", "two-sided RPCoRDMA (BeeGFS-style)",
-                    format_duration(two_sided), format_bandwidth(bw(two_sided)));
-  std::cout << strf("\none-sided advantage: {:.2f}x on the transport alone\n",
-                    bench::ratio(two_sided, one_sided));
-  return 0;
+  report
+      .table("transports", {{"transport", bench::kText}, {"time_ns", bench::kNs},
+                            {"effective_bw", bench::kReal, 2, "GB/s"}})
+      .add({"one-sided READ (Portus)", one_sided, gbps(one_sided)})
+      .add({"two-sided RPCoRDMA (BeeGFS-style)", two_sided, gbps(two_sided)});
+  const double advantage = bench::ratio(two_sided, one_sided);
+  report.table("summary", {{"one_sided_advantage", bench::kReal, 2, "x"}}).add({advantage});
+  report.require(advantage > 1, "one-sided READs are not faster than two-sided RPCs");
+  return report.finish();
 }

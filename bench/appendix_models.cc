@@ -2,86 +2,44 @@
 // per-model results in its appendix ("Evaluation results of all the models
 // are presented in the Appendix"). This regenerates the appendix table for
 // every model in the zoo: checkpoint and restore time under Portus vs the
-// BeeGFS-PMEM baseline, with per-model speedups.
+// BeeGFS-PMEM baseline, with per-model speedups. Gate: Portus checkpoints
+// and restores every model faster than BeeGFS-PMEM.
+#include <algorithm>
+
 #include "bench_common.h"
 
 using namespace portus;
 
-namespace {
-
-struct Row {
-  Duration portus_ckpt{0}, portus_restore{0};
-  Duration beegfs_ckpt{0}, beegfs_restore{0};
-};
-
-Row measure(const dnn::ModelSpec& spec) {
-  Row row;
-  dnn::ModelZoo::Options opt;
-  opt.force_phantom = true;
-
-  {
-    bench::World world;
-    auto& gpu = world.volta().gpu(0);
-    auto model = dnn::ModelZoo::create_from_spec(gpu, spec, opt);
-    core::PortusClient client{*world.cluster, world.volta(), gpu, world.rendezvous};
-    world.run([](sim::Engine& eng, core::PortusClient& c, dnn::Model& m, Duration& ck,
-                 Duration& rs) -> sim::Process {
-      co_await c.connect();
-      co_await c.register_model(m);
-      Time t0 = eng.now();
-      co_await c.checkpoint(m, 1);
-      ck = eng.now() - t0;
-      t0 = eng.now();
-      co_await c.restore(m);
-      rs = eng.now() - t0;
-    }(world.engine, client, model, row.portus_ckpt, row.portus_restore));
-  }
-  {
-    bench::World world;
-    auto& gpu = world.volta().gpu(0);
-    auto model = dnn::ModelZoo::create_from_spec(gpu, spec, opt);
-    storage::BeeGfsMount mount{*world.cluster, world.volta(), *world.beegfs_server, "mnt0"};
-    baselines::TorchSaveCheckpointer ckpt{world.volta(), gpu, mount};
-    world.run([](baselines::TorchSaveCheckpointer& c, dnn::Model& m, Duration& ck,
-                 Duration& rs) -> sim::Process {
-      ck = (co_await c.checkpoint(m, "/a/x.ptck")).total;
-      rs = (co_await c.restore(m, "/a/x.ptck", /*gpu_direct=*/true)).total;
-    }(ckpt, model, row.beegfs_ckpt, row.beegfs_restore));
-  }
-  return row;
-}
-
-}  // namespace
-
 int main() {
   bench::print_header("Appendix: per-model checkpoint/restore, full zoo vs BeeGFS-PMEM",
-                      "paper appendix reports all 76 jobs; Table II names marked with *");
-
+                      "paper appendix reports all 76 jobs; Table II names marked");
+  bench::Report report{"appendix_models"};
   const auto table2 = dnn::ModelZoo::table2_names();
-  const auto is_table2 = [&](const std::string& n) {
-    return std::find(table2.begin(), table2.end(), n) != table2.end();
-  };
-
-  std::cout << strf("{:<22}{:>10}{:>11}{:>12}{:>9}{:>11}{:>12}{:>9}\n", "model", "size",
-                    "P-ckpt", "B-ckpt", "x", "P-rest", "B-rest", "x");
+  auto& models = report.table(
+      "models", {{"model", bench::kText}, {"table2", bench::kFlag}, {"size_bytes", bench::kBytes},
+                 {"portus_ckpt_ns", bench::kNs}, {"beegfs_ckpt_ns", bench::kNs},
+                 {"ckpt_x", bench::kReal, 2, "x"}, {"portus_restore_ns", bench::kNs},
+                 {"beegfs_restore_ns", bench::kNs}, {"restore_x", bench::kReal, 2, "x"}});
   double ckpt_sum = 0, restore_sum = 0;
-  int n = 0;
+  std::uint64_t n = 0;
   for (const auto& spec : dnn::ModelZoo::all()) {
     if (spec.checkpoint_bytes > 2_GB) continue;  // GPT family: see fig14
-    const auto row = measure(spec);
-    const double ckpt_x = bench::ratio(row.beegfs_ckpt, row.portus_ckpt);
-    const double restore_x = bench::ratio(row.beegfs_restore, row.portus_restore);
+    const auto portus = bench::time_portus(spec);
+    const auto beegfs = bench::time_torch(spec, bench::Fs::kBeegfs, "/a/x.ptck");
+    const double ckpt_x = bench::ratio(beegfs.checkpoint.total, portus.checkpoint);
+    const double restore_x = bench::ratio(beegfs.restore, portus.restore);
+    models.add({spec.name, std::find(table2.begin(), table2.end(), spec.name) != table2.end(),
+                spec.checkpoint_bytes, portus.checkpoint, beegfs.checkpoint.total, ckpt_x,
+                portus.restore, beegfs.restore, restore_x});
     ckpt_sum += ckpt_x;
     restore_sum += restore_x;
     ++n;
-    std::cout << strf("{:<22}{:>10}{:>11}{:>12}{:>8.2f}x{:>11}{:>12}{:>8.2f}x\n",
-                      strf("{}{}", spec.name, is_table2(spec.name) ? "*" : ""),
-                      format_bytes(spec.checkpoint_bytes), format_duration(row.portus_ckpt),
-                      format_duration(row.beegfs_ckpt), ckpt_x,
-                      format_duration(row.portus_restore),
-                      format_duration(row.beegfs_restore), restore_x);
+    report.require(ckpt_x > 1 && restore_x > 1,
+                   spec.name + ": Portus is not faster than BeeGFS-PMEM");
   }
-  std::cout << strf("\n{} models; mean speedup: checkpoint {:.2f}x, restore {:.2f}x\n", n,
-                    ckpt_sum / n, restore_sum / n);
-  return 0;
+  report
+      .table("summary", {{"models"}, {"mean_ckpt_x", bench::kReal, 2, "x"},
+                         {"mean_restore_x", bench::kReal, 2, "x"}})
+      .add({n, ckpt_sum / static_cast<double>(n), restore_sum / static_cast<double>(n)});
+  return report.finish();
 }

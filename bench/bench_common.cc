@@ -6,6 +6,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <optional>
 
 namespace portus::bench {
 
@@ -45,13 +46,14 @@ std::string Cell::json() const {
   return out + "\"";
 }
 
-void Table::add(std::vector<Cell> row) {
+Table& Table::add(std::vector<Cell> row) {
   PORTUS_CHECK_ARG(row.size() == columns.size(), "table " + name + ": one cell per column");
   for (std::size_t i = 0; i < row.size(); ++i) {
     PORTUS_CHECK_ARG(row[i].kind() == (columns[i].kind == kBytes ? kCount : columns[i].kind),
                      "table " + name + ": a cell of another kind in " + columns[i].key);
   }
   rows.push_back(std::move(row));
+  return *this;
 }
 
 Report::Report(std::string bench, std::string artifact, bool smoke)
@@ -129,6 +131,48 @@ int Report::finish() {
   std::replace(name.begin(), name.end(), '_', ' ');
   std::cout << name << " acceptance checks passed\n";
   return 0;
+}
+
+PortusJob::PortusJob(const dnn::ModelSpec& spec)
+    : model{dnn::ModelZoo::create_from_spec(gpu, spec, {.force_phantom = true})} {}
+
+PortusTimes time_portus(const dnn::ModelSpec& spec) {
+  PortusJob job{spec};
+  PortusTimes out;
+  job.world.run([](PortusJob& j, PortusTimes& t) -> sim::Process {
+    const auto& engine = j.world.engine;
+    co_await j.client.connect();
+    Time t0 = engine.now();
+    co_await j.client.register_model(j.model);
+    t.register_time = engine.now() - t0;
+    t0 = engine.now();
+    co_await j.client.checkpoint(j.model, 1);
+    t.checkpoint = engine.now() - t0;
+    t0 = engine.now();
+    co_await j.client.restore(j.model);
+    t.restore = engine.now() - t0;
+  }(job, out));
+  return out;
+}
+
+TorchTimes time_torch(const dnn::ModelSpec& spec, Fs fs, const std::string& path) {
+  World world;
+  auto& gpu = world.volta().gpu(0);
+  auto model = dnn::ModelZoo::create_from_spec(gpu, spec, {.force_phantom = true});
+  std::optional<storage::BeeGfsMount> mount;
+  storage::CheckpointStorage* storage = world.volta_nvme.get();
+  if (fs == Fs::kBeegfs) {
+    storage = &mount.emplace(*world.cluster, world.volta(), *world.beegfs_server, "mnt0");
+  }
+  baselines::TorchSaveCheckpointer ckpt{world.volta(), gpu, *storage};
+  TorchTimes out;
+  world.run([](baselines::TorchSaveCheckpointer& c, dnn::Model& m, const std::string& p,
+               TorchTimes& t) -> sim::Process {
+    t.checkpoint = co_await c.checkpoint(m, p);
+    t.restore = (co_await c.restore(m, p, /*gpu_direct=*/true)).total;
+  }(ckpt, model, path, out));
+  if (mount) out.dax = mount->dax_write_time();
+  return out;
 }
 
 std::vector<GptRank> make_gpt_ranks(World& world, const dnn::ModelSpec& spec,

@@ -6,6 +6,7 @@
 // (see EXPERIMENTS.md for the full comparison).
 #pragma once
 
+#include <cmath>
 #include <concepts>
 #include <deque>
 #include <functional>
@@ -65,6 +66,40 @@ struct World {
     proc.check();  // surface failures loudly
   }
 };
+
+// One job on a fresh World: a zoo model with phantom payloads (the benches
+// time; they move no bytes) on client-volta's GPU 0, and its Portus client.
+struct PortusJob {
+  explicit PortusJob(const dnn::ModelSpec& spec);
+
+  World world;
+  gpu::GpuDevice& gpu = world.volta().gpu(0);
+  dnn::Model model;
+  core::PortusClient client{*world.cluster, world.volta(), gpu, world.rendezvous};
+};
+
+struct PortusTimes {
+  Duration register_time{0};
+  Duration checkpoint{0};
+  Duration restore{0};
+};
+
+// A PortusJob connects, registers, checkpoints once and restores.
+PortusTimes time_portus(const dnn::ModelSpec& spec);
+
+// The torch.save baselines' storage: BeeGFS-PMEM or client-volta's ext4-NVMe.
+enum class Fs { kBeegfs, kNvme };
+
+struct TorchTimes {
+  baselines::TorchSaveCheckpointer::CheckpointTimings checkpoint;
+  Duration dax{0};      // BeeGFS: the server's DAX writes within checkpoint.fs_write
+  Duration restore{0};  // torch.load with GPUDirect Storage
+};
+
+// torch.save of a phantom `spec` on client-volta's GPU 0 of a fresh World to
+// the file `path` on `fs`, then its restore. The path's bytes ride every
+// BeeGFS request, so it is part of the workload.
+TorchTimes time_torch(const dnn::ModelSpec& spec, Fs fs, const std::string& path);
 
 // A GPT job shard: one rank's model + its Portus client or BeeGFS mount.
 struct GptRank {
@@ -137,10 +172,10 @@ struct Table {
   std::vector<Column> columns;
   std::vector<std::vector<Cell>> rows;
 
-  void add(std::vector<Cell> row);  // one cell per column, of its kind
+  Table& add(std::vector<Cell> row);  // one cell per column, of its kind
 };
 
-// A sweep's one output path: run parameters, named flat tables and
+// A bench's one output path: run parameters, named flat tables and
 // acceptance gates. finish() prints the parameters and tables, writes
 //   {"bench", "schema": 1, "smoke", "params": {key: value},
 //    "tables": {name: [{key: value, ...}, ...]}}
@@ -151,11 +186,18 @@ struct Table {
 class Report {
  public:
   Report(std::string bench, std::string artifact, bool smoke);
+  // A paper binary: no --smoke run, and its artifact is named after it.
+  explicit Report(std::string bench) : Report(bench, bench, false) {}
 
   void param(std::string key, Cell value);
   Table& table(std::string name, std::vector<Column> columns, std::string title = {});
   void require(bool ok, std::string message) {
     if (!ok) failed_.push_back(std::move(message));
+  }
+  // Gates `measured` within `band` of the paper's value, in one unit.
+  void require_band(const std::string& what, double measured, double paper, double band) {
+    require(std::abs(measured - paper) <= band,
+            strf("{} {:.4g} is outside the paper's {:.4g} +- {:.4g}", what, measured, paper, band));
   }
 
   std::string path() const;

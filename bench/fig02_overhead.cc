@@ -4,28 +4,13 @@
 // 1/100 for the GPT models).
 //
 // Paper: checkpointing weighs at least 24.9% of total time (VIT) and up to
-// 41% (GPT-22.4B).
+// 41% (GPT-22.4B). Gates: each share within 5 points of the paper's bar, and
+// the share grows with the model.
 #include "bench_common.h"
 
 using namespace portus;
 
 namespace {
-
-Duration vit_checkpoint_time() {
-  bench::World world;
-  auto& gpu = world.volta().gpu(0);
-  dnn::ModelZoo::Options opt;
-  opt.force_phantom = true;
-  auto model = dnn::ModelZoo::create(gpu, "vit_l_32", opt);
-  storage::BeeGfsMount mount{*world.cluster, world.volta(), *world.beegfs_server, "mnt0"};
-  baselines::TorchSaveCheckpointer ckpt{world.volta(), gpu, mount};
-  Duration out{0};
-  world.run([](baselines::TorchSaveCheckpointer& c, dnn::Model& m,
-               Duration& t) -> sim::Process {
-    t = (co_await c.checkpoint(m, "/ckpt/vit.ptck")).total;
-  }(ckpt, model, out));
-  return out;
-}
 
 Duration gpt_checkpoint_time(const std::string& name) {
   bench::World world;
@@ -43,6 +28,7 @@ Duration gpt_checkpoint_time(const std::string& name) {
 int main() {
   bench::print_header("Fig. 2: checkpoint share of training time (traditional path)",
                       "VIT >= 24.9%, GPT-22.4B up to 41% at CheckFreq frequencies");
+  bench::Report report{"fig02_overhead"};
 
   struct Row {
     const char* model;
@@ -50,21 +36,29 @@ int main() {
     Duration ckpt;
     double paper_pct;
   };
-  Row rows[] = {
-      {"vit_l_32", 83, vit_checkpoint_time(), 24.9},
+  const Row rows[] = {
+      {"vit_l_32", 83,
+       bench::time_torch(dnn::ModelZoo::spec("vit_l_32"), bench::Fs::kBeegfs, "/ckpt/vit.ptck")
+           .checkpoint.total,
+       24.9},
       {"gpt-10b", 100, gpt_checkpoint_time("gpt-10b"), 33.0},  // mid bar of Fig. 2
       {"gpt-22.4b", 100, gpt_checkpoint_time("gpt-22.4b"), 41.0},
   };
 
-  std::cout << strf("{:<12}{:>10}{:>12}{:>12}{:>12}{:>10}\n", "model", "ckpt-every",
-                    "iter-time", "ckpt-time", "measured%", "paper%");
+  auto& models = report.table(
+      "models", {{"model", bench::kText}, {"ckpt_every"}, {"iter_ns", bench::kNs},
+                 {"ckpt_ns", bench::kNs}, {"measured_pct", bench::kReal, 1, "%"},
+                 {"paper_pct", bench::kReal, 1, "%"}});
+  double previous = 0;
   for (const auto& row : rows) {
     const auto iter = dnn::ModelZoo::spec(row.model).iteration_time;
     const double compute = to_seconds(iter) * static_cast<double>(row.interval);
     const double share = 100.0 * to_seconds(row.ckpt) / (compute + to_seconds(row.ckpt));
-    std::cout << strf("{:<12}{:>10}{:>12}{:>12}{:>11.1f}%{:>9.1f}%\n", row.model,
-                      row.interval, format_duration(iter), format_duration(row.ckpt), share,
-                      row.paper_pct);
+    models.add({row.model, row.interval, iter, row.ckpt, share, row.paper_pct});
+    report.require_band(std::string{row.model} + " checkpoint share (%)", share, row.paper_pct,
+                        5.0);
+    report.require(share > previous, std::string{row.model} + " share does not grow");
+    previous = share;
   }
-  return 0;
+  return report.finish();
 }

@@ -10,6 +10,9 @@
 //   * DRAM vs PMEM as the server-side target makes little difference
 //     (the network, not the memory, is the bottleneck);
 //   * peak bandwidth is reached once messages exceed ~512 KB.
+// Gates: the GPU-read peak within 2% of 5.8 GB/s and 30 +- 5% below the
+// DRAM read; GPU writes as fast as DRAM writes; every path within 90% of its
+// peak at 512 KiB, and a PMEM target within 5% of a DRAM one.
 #include "bench_common.h"
 
 using namespace portus;
@@ -84,38 +87,6 @@ PathResult measure(ClientMem cmem, ServerMem smem, bool is_read, Bytes size) {
   };
 }
 
-void sweep(bool is_read) {
-  std::cout << (is_read ? "(a/b) READ: server pulls from client (checkpoint direction)\n"
-                        : "(c/d) WRITE: server pushes to client (restore direction)\n");
-  std::cout << strf("{:<10}", "size");
-  const char* paths[] = {"DRAM<-DRAM", "DRAM<-GPU", "PMEM<-DRAM", "PMEM<-GPU"};
-  const char* wpaths[] = {"DRAM->DRAM", "DRAM->GPU", "PMEM->DRAM", "PMEM->GPU"};
-  for (int p = 0; p < 4; ++p) std::cout << strf("{:>13}", is_read ? paths[p] : wpaths[p]);
-  std::cout << "   (GB/s)\n";
-
-  const Bytes sizes[] = {4_KiB, 64_KiB, 256_KiB, 512_KiB, 1_MiB, 16_MiB, 128_MiB, 1_GiB};
-  for (const auto size : sizes) {
-    std::cout << strf("{:<10}", format_bytes(size));
-    for (int p = 0; p < 4; ++p) {
-      const auto cmem = (p % 2 == 0) ? ClientMem::kDram : ClientMem::kGpu;
-      const auto smem = (p < 2) ? ServerMem::kDram : ServerMem::kPmem;
-      const auto r = measure(cmem, smem, is_read, size);
-      std::cout << strf("{:>13.2f}", r.bandwidth_gbps);
-    }
-    std::cout << "\n";
-  }
-
-  // Latency row (4 KiB message).
-  std::cout << strf("{:<10}", "lat(4KiB)");
-  for (int p = 0; p < 4; ++p) {
-    const auto cmem = (p % 2 == 0) ? ClientMem::kDram : ClientMem::kGpu;
-    const auto smem = (p < 2) ? ServerMem::kDram : ServerMem::kPmem;
-    const auto r = measure(cmem, smem, is_read, 4_KiB);
-    std::cout << strf("{:>13}", format_duration(r.latency));
-  }
-  std::cout << "\n\n";
-}
-
 }  // namespace
 
 int main() {
@@ -123,18 +94,62 @@ int main() {
       "Fig. 10: Portus datapath bandwidth & latency vs message size",
       "GPU read caps at 5.8 GB/s (30% below DRAM ~8.3); writes unaffected by BAR; "
       "DRAM vs PMEM target makes little difference; peak reached at >=512 KB");
-  sweep(/*is_read=*/true);
-  sweep(/*is_read=*/false);
+  bench::Report report{"fig10_datapath"};
+  report.param("paper_gpu_read_gbps", 5.8);
+  report.param("paper_gpu_below_dram_pct", 30.0);
+  report.param("paper_knee_bytes", 512_KiB);
 
-  // Spot checks the paper calls out.
-  const auto gpu_read = measure(ClientMem::kGpu, ServerMem::kPmem, true, 1_GiB);
-  const auto dram_read = measure(ClientMem::kDram, ServerMem::kPmem, true, 1_GiB);
-  const auto gpu_write = measure(ClientMem::kGpu, ServerMem::kPmem, false, 1_GiB);
-  std::cout << strf("GPU-read peak  : {:.2f} GB/s (paper: 5.8)\n", gpu_read.bandwidth_gbps);
-  std::cout << strf("DRAM-read peak : {:.2f} GB/s (paper: ~8.3, GPU is '30% less': {:.0f}%)\n",
-                    dram_read.bandwidth_gbps,
-                    100.0 * (1.0 - gpu_read.bandwidth_gbps / dram_read.bandwidth_gbps));
-  std::cout << strf("GPU-write peak : {:.2f} GB/s (paper: BAR does not affect writes)\n",
-                    gpu_write.bandwidth_gbps);
-  return 0;
+  // Paths in column order, named server_client memory.
+  const char* const paths[] = {"dram_dram", "dram_gpu", "pmem_dram", "pmem_gpu"};
+  constexpr int kPaths = 4;
+  const Bytes sizes[] = {4_KiB, 64_KiB, 256_KiB, 512_KiB, 1_MiB, 16_MiB, 128_MiB, 1_GiB};
+  // bw[read][size][path] in GB/s, and the 4 KiB latency per direction and path.
+  double bw[2][std::size(sizes)][kPaths];
+  Duration latency[2][kPaths];
+  for (const int read : {1, 0}) {
+    std::vector<bench::Column> columns{{"size_bytes", bench::kBytes}};
+    for (const auto* key : paths) columns.emplace_back(key, bench::kReal, 2);
+    auto& table = report.table(
+        read ? "read_gbps" : "write_gbps", std::move(columns),
+        read ? "(a/b) READ: server pulls from client (checkpoint direction), GB/s"
+             : "(c/d) WRITE: server pushes to client (restore direction), GB/s");
+    for (std::size_t i = 0; i < std::size(sizes); ++i) {
+      std::vector<bench::Cell> row{sizes[i]};
+      for (int p = 0; p < kPaths; ++p) {
+        const auto r = measure(p % 2 == 0 ? ClientMem::kDram : ClientMem::kGpu,
+                               p < 2 ? ServerMem::kDram : ServerMem::kPmem, read, sizes[i]);
+        bw[read][i][p] = r.bandwidth_gbps;
+        if (i == 0) latency[read][p] = r.latency;
+        row.emplace_back(r.bandwidth_gbps);
+      }
+      table.add(std::move(row));
+    }
+  }
+  auto& lat = report.table("latency_4k", {{"path", bench::kText}, {"read_ns", bench::kNs},
+                                          {"write_ns", bench::kNs}},
+                           "one 4 KiB op per path");
+  for (int p = 0; p < kPaths; ++p) lat.add({paths[p], latency[1][p], latency[0][p]});
+
+  // Spot checks the paper calls out, at 1 GiB into PMEM.
+  const auto peak = [&](int read, int p) { return bw[read][std::size(sizes) - 1][p]; };
+  const double gpu_read = peak(1, 3), dram_read = peak(1, 2), gpu_write = peak(0, 3);
+  const double gap_pct = 100.0 * (1.0 - gpu_read / dram_read);
+  report
+      .table("peaks", {{"gpu_read_gbps", bench::kReal, 2}, {"dram_read_gbps", bench::kReal, 2},
+                       {"gpu_below_dram_pct", bench::kReal, 0, "%"},
+                       {"gpu_write_gbps", bench::kReal, 2}})
+      .add({gpu_read, dram_read, gap_pct, gpu_write});
+  report.require_band("GPU-read peak (GB/s)", gpu_read, 5.8, 0.02 * 5.8);
+  report.require_band("GPU read below DRAM (%)", gap_pct, 30.0, 5.0);
+  report.require(gpu_write >= 0.99 * peak(0, 2), "BAR slows GPU writes below DRAM writes");
+  for (int read : {1, 0}) {
+    for (int p = 0; p < kPaths; ++p) {
+      const auto what = strf("{} {}", read ? "read" : "write", paths[p]);
+      report.require(bw[read][3][p] >= 0.9 * peak(read, p),  // sizes[3] = 512 KiB
+                     what + " is below 90% of its peak at 512 KiB");
+      report.require(p < 2 || peak(read, p) >= 0.95 * peak(read, p - 2),
+                     what + " peaks 5% below its DRAM target");
+    }
+  }
+  return report.finish();
 }

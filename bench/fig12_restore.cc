@@ -6,100 +6,56 @@
 //
 // Paper: Portus averages 5.15x over BeeGFS-PMEM and 3.83x over ext4-NVMe;
 // ResNet50 peaks at 7.0x. The gains are smaller than checkpointing because
-// GDS already removes the main-memory hop for the baselines.
+// GDS already removes the main-memory hop for the baselines. Gates: the
+// BeeGFS-PMEM mean within 10% of 5.15x, its maximum on resnet50, and
+// (deviation D1) Portus faster than ext4-NVMe on every model.
 #include "bench_common.h"
 
 using namespace portus;
-
-namespace {
-
-struct Row {
-  std::string model;
-  Duration portus{0};
-  Duration beegfs{0};
-  Duration nvme{0};
-};
-
-Row measure(const std::string& name) {
-  Row row;
-  row.model = name;
-  dnn::ModelZoo::Options opt;
-  opt.force_phantom = true;
-
-  {  // Portus: checkpoint once, then time the restore push.
-    bench::World world;
-    auto& gpu = world.volta().gpu(0);
-    auto model = dnn::ModelZoo::create(gpu, name, opt);
-    core::PortusClient client{*world.cluster, world.volta(), gpu, world.rendezvous};
-    world.run([](sim::Engine& eng, core::PortusClient& c, dnn::Model& m,
-                 Duration& out) -> sim::Process {
-      co_await c.connect();
-      co_await c.register_model(m);
-      co_await c.checkpoint(m, 1);
-      const Time t0 = eng.now();
-      co_await c.restore(m);
-      out = eng.now() - t0;
-    }(world.engine, client, model, row.portus));
-  }
-  {  // BeeGFS-PMEM: torch.load with GDS.
-    bench::World world;
-    auto& gpu = world.volta().gpu(0);
-    auto model = dnn::ModelZoo::create(gpu, name, opt);
-    storage::BeeGfsMount mount{*world.cluster, world.volta(), *world.beegfs_server, "mnt0"};
-    baselines::TorchSaveCheckpointer ckpt{world.volta(), gpu, mount};
-    world.run([](baselines::TorchSaveCheckpointer& c, dnn::Model& m,
-                 Duration& out) -> sim::Process {
-      co_await c.checkpoint(m, "/ckpt/x.ptck");
-      const auto t = co_await c.restore(m, "/ckpt/x.ptck", /*gpu_direct=*/true);
-      out = t.total;
-    }(ckpt, model, row.beegfs));
-  }
-  {  // ext4-NVMe: torch.load with GDS.
-    bench::World world;
-    auto& gpu = world.volta().gpu(0);
-    auto model = dnn::ModelZoo::create(gpu, name, opt);
-    baselines::TorchSaveCheckpointer ckpt{world.volta(), gpu, *world.volta_nvme};
-    world.run([](baselines::TorchSaveCheckpointer& c, dnn::Model& m,
-                 Duration& out) -> sim::Process {
-      co_await c.checkpoint(m, "/ckpt/x.ptck");
-      const auto t = co_await c.restore(m, "/ckpt/x.ptck", /*gpu_direct=*/true);
-      out = t.total;
-    }(ckpt, model, row.nvme));
-  }
-  return row;
-}
-
-}  // namespace
 
 int main() {
   bench::print_header("Fig. 12: restoring time per model x storage system",
                       "Portus avg 5.15x over BeeGFS-PMEM, 3.83x over ext4-NVMe; "
                       "ResNet50 up to 7.0x; baselines use GPUDirect Storage");
+  bench::Report report{"fig12_restore"};
+  report.param("paper_mean_vs_beegfs", 5.15);
+  report.param("paper_mean_vs_nvme", 3.83);
+  report.param("paper_max_vs_beegfs", 7.0);
+  report.param("paper_max_model", "resnet50");
+  auto& models = report.table(
+      "models", {{"model", bench::kText}, {"portus_ns", bench::kNs}, {"beegfs_ns", bench::kNs},
+                 {"nvme_ns", bench::kNs}, {"vs_beegfs", bench::kReal, 2, "x"},
+                 {"vs_nvme", bench::kReal, 2, "x"}});
 
-  std::cout << strf("{:<16}{:>10}{:>14}{:>13}{:>12}{:>10}\n", "model", "Portus",
-                    "BeeGFS-PMEM", "ext4-NVMe", "vs BeeGFS", "vs NVMe");
   double sum_beegfs = 0, sum_nvme = 0, max_beegfs = 0;
   std::string max_model;
   const auto names = dnn::ModelZoo::table2_names();
   for (const auto& name : names) {
-    const auto row = measure(name);
-    const double vs_beegfs = bench::ratio(row.beegfs, row.portus);
-    const double vs_nvme = bench::ratio(row.nvme, row.portus);
+    const auto& spec = dnn::ModelZoo::spec(name);
+    const auto portus = bench::time_portus(spec).restore;
+    const auto beegfs = bench::time_torch(spec, bench::Fs::kBeegfs, "/ckpt/x.ptck").restore;
+    const auto nvme = bench::time_torch(spec, bench::Fs::kNvme, "/ckpt/x.ptck").restore;
+    const double vs_beegfs = bench::ratio(beegfs, portus);
+    const double vs_nvme = bench::ratio(nvme, portus);
+    models.add({name, portus, beegfs, nvme, vs_beegfs, vs_nvme});
     sum_beegfs += vs_beegfs;
     sum_nvme += vs_nvme;
     if (vs_beegfs > max_beegfs) {
       max_beegfs = vs_beegfs;
       max_model = name;
     }
-    std::cout << strf("{:<16}{:>10}{:>14}{:>13}{:>11.2f}x{:>9.2f}x\n", name,
-                      format_duration(row.portus), format_duration(row.beegfs),
-                      format_duration(row.nvme), vs_beegfs, vs_nvme);
+    report.require(vs_nvme > 1, name + ": Portus is not faster than ext4-NVMe");
   }
+
   const auto n = static_cast<double>(names.size());
-  std::cout << strf("\naverage speedup: {:.2f}x vs BeeGFS-PMEM (paper 5.15x), "
-                    "{:.2f}x vs ext4-NVMe (paper 3.83x)\n",
-                    sum_beegfs / n, sum_nvme / n);
-  std::cout << strf("max speedup:     {:.2f}x on {} (paper: 7.0x on resnet50)\n", max_beegfs,
-                    max_model);
-  return 0;
+  report
+      .table("summary", {{"mean_vs_beegfs", bench::kReal, 2, "x"},
+                         {"mean_vs_nvme", bench::kReal, 2, "x"},
+                         {"max_vs_beegfs", bench::kReal, 2, "x"},
+                         {"max_model", bench::kText}})
+      .add({sum_beegfs / n, sum_nvme / n, max_beegfs, max_model});
+  report.require_band("mean speed-up over BeeGFS-PMEM", sum_beegfs / n, 5.15, 0.1 * 5.15);
+  report.require(max_model == "resnet50",
+                 "the largest speed-up over BeeGFS-PMEM is on " + max_model + ", not resnet50");
+  return report.finish();
 }

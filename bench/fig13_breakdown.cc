@@ -8,6 +8,10 @@
 //     device;
 //   * Portus is dominated purely by (one-sided) RDMA transmission, with no
 //     serialization or memcpy stage at all.
+// Gates: BeeGFS-PMEM's serialize+cuMemcpy share within 3 points of 57.2%;
+// ext4-NVMe slowest, then BeeGFS-PMEM, then Portus (deviation D1 moves the
+// ext4-NVMe shares); Portus's one-sided transport cheaper than BeeGFS's
+// two-sided one.
 #include "bench_common.h"
 
 using namespace portus;
@@ -17,88 +21,41 @@ int main() {
       "Fig. 13: BERT checkpointing time breakdown across systems",
       "serialize+cuMemcpy = 46.5% of ext4-NVMe, 57.2% of BeeGFS-PMEM; block I/O = 53.7% "
       "of ext4-NVMe; Portus ~ pure one-sided RDMA");
+  bench::Report report{"fig13_breakdown"};
+  const auto& bert = dnn::ModelZoo::spec("bert");
+  const auto nvme = bench::time_torch(bert, bench::Fs::kNvme, "/ckpt/bert.ptck").checkpoint;
+  const auto beegfs_run = bench::time_torch(bert, bench::Fs::kBeegfs, "/ckpt/bert.ptck");
+  const auto& beegfs = beegfs_run.checkpoint;
+  const auto beegfs_transport = beegfs.fs_write - beegfs_run.dax;
+  const auto portus = bench::time_portus(bert);
 
-  dnn::ModelZoo::Options opt;
-  opt.force_phantom = true;
+  // Portus has no copy or serialize stage, and its one-sided transport is
+  // the whole checkpoint; registration is a one-time cost off that path.
+  const Duration none{0};
+  report
+      .table("systems",
+             {{"system", bench::kText}, {"total_ns", bench::kNs}, {"cumemcpy_ns", bench::kNs},
+              {"serialize_ns", bench::kNs}, {"transport_ns", bench::kNs},
+              {"device_io_ns", bench::kNs}, {"register_ns", bench::kNs}},
+             "0ns = no such stage")
+      .add({"ext4-NVMe", nvme.total, nvme.dtoh, nvme.serialize, none, nvme.fs_write, none})
+      .add({"BeeGFS-PMEM", beegfs.total, beegfs.dtoh, beegfs.serialize, beegfs_transport,
+            beegfs_run.dax, none})
+      .add({"Portus", portus.checkpoint, none, none, portus.checkpoint, none,
+            portus.register_time});
 
-  // --- ext4-NVMe ---
-  baselines::TorchSaveCheckpointer::CheckpointTimings nvme;
-  {
-    bench::World world;
-    auto& gpu = world.volta().gpu(0);
-    auto model = dnn::ModelZoo::create(gpu, "bert", opt);
-    baselines::TorchSaveCheckpointer ckpt{world.volta(), gpu, *world.volta_nvme};
-    world.run([](baselines::TorchSaveCheckpointer& c, dnn::Model& m,
-                 baselines::TorchSaveCheckpointer::CheckpointTimings& out) -> sim::Process {
-      out = co_await c.checkpoint(m, "/ckpt/bert.ptck");
-    }(ckpt, model, nvme));
-  }
-
-  // --- BeeGFS-PMEM ---
-  baselines::TorchSaveCheckpointer::CheckpointTimings beegfs;
-  Duration beegfs_dax{0};
-  {
-    bench::World world;
-    auto& gpu = world.volta().gpu(0);
-    auto model = dnn::ModelZoo::create(gpu, "bert", opt);
-    storage::BeeGfsMount mount{*world.cluster, world.volta(), *world.beegfs_server, "mnt0"};
-    baselines::TorchSaveCheckpointer ckpt{world.volta(), gpu, mount};
-    world.run([](baselines::TorchSaveCheckpointer& c, dnn::Model& m,
-                 baselines::TorchSaveCheckpointer::CheckpointTimings& out) -> sim::Process {
-      out = co_await c.checkpoint(m, "/ckpt/bert.ptck");
-    }(ckpt, model, beegfs));
-    beegfs_dax = mount.dax_write_time();
-  }
-
-  // --- Portus ---
-  Duration portus_total{0}, portus_register{0};
-  {
-    bench::World world;
-    auto& gpu = world.volta().gpu(0);
-    auto model = dnn::ModelZoo::create(gpu, "bert", opt);
-    core::PortusClient client{*world.cluster, world.volta(), gpu, world.rendezvous};
-    world.run([](sim::Engine& eng, core::PortusClient& c, dnn::Model& m, Duration& total,
-                 Duration& reg) -> sim::Process {
-      co_await c.connect();
-      Time t0 = eng.now();
-      co_await c.register_model(m);
-      reg = eng.now() - t0;
-      t0 = eng.now();
-      co_await c.checkpoint(m, 1);
-      total = eng.now() - t0;
-    }(world.engine, client, model, portus_total, portus_register));
-  }
-
-  const auto pct = [](Duration part, Duration whole) {
-    return 100.0 * to_seconds(part) / to_seconds(whole);
-  };
-
-  std::cout << strf("{:<14}{:>10}{:>12}{:>12}{:>12}{:>12}\n", "system", "total", "cuMemcpy",
-                    "serialize", "transport", "device-io");
-  std::cout << strf("{:<14}{:>10}{:>12}{:>12}{:>12}{:>12}\n", "ext4-NVMe",
-                    format_duration(nvme.total), format_duration(nvme.dtoh),
-                    format_duration(nvme.serialize), "-", format_duration(nvme.fs_write));
-  std::cout << strf("{:<14}{:>10}{:>12}{:>12}{:>12}{:>12}\n", "BeeGFS-PMEM",
-                    format_duration(beegfs.total), format_duration(beegfs.dtoh),
-                    format_duration(beegfs.serialize),
-                    format_duration(beegfs.fs_write - beegfs_dax),
-                    format_duration(beegfs_dax));
-  std::cout << strf("{:<14}{:>10}{:>12}{:>12}{:>12}{:>12}\n", "Portus",
-                    format_duration(portus_total), "0 (none)", "0 (none)",
-                    format_duration(portus_total), "-");
-
-  std::cout << strf(
-      "\nserialize+cuMemcpy share: ext4-NVMe {:.1f}% (paper 46.5%), BeeGFS-PMEM {:.1f}% "
-      "(paper 57.2%)\n",
-      pct(nvme.dtoh + nvme.serialize, nvme.total),
-      pct(beegfs.dtoh + beegfs.serialize, beegfs.total));
-  std::cout << strf("block-device share of ext4-NVMe: {:.1f}% (paper 53.7%)\n",
-                    pct(nvme.fs_write, nvme.total));
-  std::cout << strf(
-      "Portus one-sided RDMA total {} vs BeeGFS two-sided transport {} "
-      "(one-sided is cheaper; SS V-D)\n",
-      format_duration(portus_total), format_duration(beegfs.fs_write - beegfs_dax));
-  std::cout << strf("(one-time registration cost, off the checkpoint path: {})\n",
-                    format_duration(portus_register));
-  return 0;
+  const auto pct = [](Duration part, Duration whole) { return 100.0 * bench::ratio(part, whole); };
+  const double beegfs_copy = pct(beegfs.dtoh + beegfs.serialize, beegfs.total);
+  report
+      .table("shares", {{"share", bench::kText}, {"measured_pct", bench::kReal, 1, "%"},
+                        {"paper_pct", bench::kReal, 1, "%"}})
+      .add({"ext4-NVMe serialize+cuMemcpy", pct(nvme.dtoh + nvme.serialize, nvme.total), 46.5})
+      .add({"BeeGFS-PMEM serialize+cuMemcpy", beegfs_copy, 57.2})
+      .add({"ext4-NVMe block device", pct(nvme.fs_write, nvme.total), 53.7});
+  report.require_band("BeeGFS-PMEM serialize+cuMemcpy share (%)", beegfs_copy, 57.2, 3.0);
+  report.require(nvme.total > beegfs.total && beegfs.total > portus.checkpoint,
+                 "the systems are not ordered ext4-NVMe > BeeGFS-PMEM > Portus");
+  report.require(portus.checkpoint < beegfs_transport,
+                 "one-sided RDMA is not cheaper than BeeGFS's two-sided transport");
+  return report.finish();
 }

@@ -5,25 +5,30 @@
 // Paper: at 22.4B (89.6 GB) torch.save takes >120 s while Portus takes ~15 s
 // (8.18x average speedup). The torch.save collapse comes from per-rank
 // serialization plus the fsdax write-concurrency degradation under 16
-// concurrent writers.
+// concurrent writers. Gates: the mean speed-up, the Portus dump and the
+// torch.save dump at 22.4B each within 10% of the paper's.
 #include "bench_common.h"
 
 using namespace portus;
+using namespace std::chrono_literals;
 
 int main() {
   bench::print_header("Fig. 14: GPT checkpoint dump time, Portus vs torch.save+BeeGFS",
                       ">120 s vs ~15 s at 22.4B (89.6 GB); avg 8.18x speedup");
+  bench::Report report{"fig14_gpt_dump"};
+  report.param("paper_mean_speedup", 8.18);
+  report.param("paper_torch_save_22b_ns", Duration{120s});
+  report.param("paper_portus_22b_ns", Duration{15s});
+  auto& models = report.table(
+      "models", {{"model", bench::kText}, {"size_bytes", bench::kBytes},
+                 {"portus_ns", bench::kNs}, {"torch_save_ns", bench::kNs},
+                 {"speedup", bench::kReal, 2, "x"}});
 
   const char* scales[] = {"gpt-1.5b", "gpt-4b", "gpt-8.3b", "gpt-10b", "gpt-22.4b"};
-  std::cout << strf("{:<12}{:>10}{:>12}{:>14}{:>10}\n", "model", "size", "Portus",
-                    "torch.save", "speedup");
-
   double sum_speedup = 0;
-  int rows = 0;
+  Duration portus_time{0}, torch_time{0};
   for (const auto* name : scales) {
     const auto& spec = dnn::ModelZoo::spec(name);
-
-    Duration portus_time{0};
     {
       bench::World world{/*daemon_workers=*/16};
       auto ranks = bench::make_gpt_ranks(world, spec, /*portus=*/true, /*beegfs=*/false);
@@ -33,8 +38,6 @@ int main() {
         out = co_await bench::checkpoint_all(w.engine, rs, 1);
       }(world, ranks, portus_time));
     }
-
-    Duration torch_time{0};
     {
       bench::World world;
       auto ranks = bench::make_gpt_ranks(world, spec, /*portus=*/false, /*beegfs=*/true);
@@ -43,15 +46,15 @@ int main() {
         out = co_await bench::torch_save_all(w.engine, rs, 1);
       }(world, ranks, torch_time));
     }
-
     const double speedup = bench::ratio(torch_time, portus_time);
     sum_speedup += speedup;
-    ++rows;
-    std::cout << strf("{:<12}{:>10}{:>12}{:>14}{:>9.2f}x\n", name,
-                      format_bytes(spec.checkpoint_bytes), format_duration(portus_time),
-                      format_duration(torch_time), speedup);
+    models.add({name, spec.checkpoint_bytes, portus_time, torch_time, speedup});
   }
-  std::cout << strf("\naverage speedup: {:.2f}x (paper: 8.18x)\n", sum_speedup / rows);
-  std::cout << "paper anchors at 22.4B: torch.save >120 s, Portus ~15 s\n";
-  return 0;
+  const double mean = sum_speedup / static_cast<double>(std::size(scales));
+  report.table("summary", {{"mean_speedup", bench::kReal, 2, "x"}}).add({mean});
+  // The last row is GPT-22.4B, the paper's anchor.
+  report.require_band("mean speed-up", mean, 8.18, 0.1 * 8.18);
+  report.require_band("Portus at 22.4B (s)", to_seconds(portus_time), 15, 1.5);
+  report.require_band("torch.save at 22.4B (s)", to_seconds(torch_time), 120, 12);
+  return report.finish();
 }

@@ -3,54 +3,40 @@
 // transmission, and the server-side DAX write.
 //
 // Paper: GPU->MM 15.5% | serialization 41.7% | RDMA 30.0% | DAX 12.8%.
+// Gate: each share within 3 points of the paper's.
 #include "bench_common.h"
 
 using namespace portus;
 
 int main() {
   bench::print_header("Table I: traditional checkpointing overhead breakdown (BERT)",
-                      "GPU->MM 15.5% | serialize 41.7% | RDMA 30.0% | DAX write 12.8%");
-
-  bench::World world;
-  auto& gpu = world.volta().gpu(0);
-  dnn::ModelZoo::Options opt;
-  opt.force_phantom = true;
-  auto model = dnn::ModelZoo::create(gpu, "bert", opt);
-  storage::BeeGfsMount mount{*world.cluster, world.volta(), *world.beegfs_server, "mnt0"};
-  baselines::TorchSaveCheckpointer ckpt{world.volta(), gpu, mount};
-
-  baselines::TorchSaveCheckpointer::CheckpointTimings t;
-  world.run([](baselines::TorchSaveCheckpointer& c, dnn::Model& m,
-               baselines::TorchSaveCheckpointer::CheckpointTimings& out) -> sim::Process {
-    out = co_await c.checkpoint(m, "/ckpt/bert.ptck");
-  }(ckpt, model, t));
-
+                      "GPU->MM 15.5% | serialize 41.7% | RDMA 30.0% | DAX write 12.8%; the "
+                      "~1.9-2.0 s total is the calibration anchor (DESIGN.md SS7)");
+  bench::Report report{"tab01_breakdown"};
+  const auto t = bench::time_torch(dnn::ModelZoo::spec("bert"), bench::Fs::kBeegfs,
+                                   "/ckpt/bert.ptck");
   // The fs_write stage splits into RDMA transport (client->daemon RPCs) and
   // the daemon's DAX writes, which the mount instruments.
-  const auto dax = mount.dax_write_time();
-  const auto rdma = t.fs_write - dax;
-  const double total = to_seconds(t.total);
-
+  const auto& c = t.checkpoint;
   struct Line {
     const char* op;
     Duration measured;
     double paper_pct;
   };
   const Line lines[] = {
-      {"GPU to Main Memory", t.dtoh, 15.5},
-      {"Serialization", t.serialize, 41.7},
-      {"Transmission (RDMA)", rdma, 30.0},
-      {"Server DAX write", dax, 12.8},
+      {"GPU to Main Memory", c.dtoh, 15.5},
+      {"Serialization", c.serialize, 41.7},
+      {"Transmission (RDMA)", c.fs_write - t.dax, 30.0},
+      {"Server DAX write", t.dax, 12.8},
   };
-  std::cout << strf("{:<22}{:>12}{:>12}{:>12}\n", "operation", "time", "measured%",
-                    "paper%");
+  auto& stages = report.table("stages", {{"operation", bench::kText}, {"time_ns", bench::kNs},
+                                         {"measured_pct", bench::kReal, 1, "%"},
+                                         {"paper_pct", bench::kReal, 1, "%"}});
   for (const auto& line : lines) {
-    std::cout << strf("{:<22}{:>12}{:>11.1f}%{:>11.1f}%\n", line.op,
-                      format_duration(line.measured), 100.0 * to_seconds(line.measured) / total,
-                      line.paper_pct);
+    const double pct = 100.0 * bench::ratio(line.measured, c.total);
+    stages.add({line.op, line.measured, pct, line.paper_pct});
+    report.require_band(std::string{line.op} + " share (%)", pct, line.paper_pct, 3.0);
   }
-  std::cout << strf("{:<22}{:>12}\n", "total", format_duration(t.total));
-  std::cout << "\n(The paper's ~1.9-2.0 s BERT checkpoint to BeeGFS-PMEM is the\n"
-               " calibration anchor; see DESIGN.md SS7.)\n";
-  return 0;
+  stages.add({"total", c.total, 100.0, 100.0});
+  return report.finish();
 }

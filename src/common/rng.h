@@ -27,13 +27,6 @@ class Rng {
     return dist(engine_);
   }
 
-  // Normal with mean/stddev, clamped at >= 0 (used for jittered durations).
-  double normal_nonneg(double mean, double stddev) {
-    std::normal_distribution<double> dist{mean, stddev};
-    const double v = dist(engine_);
-    return v < 0.0 ? 0.0 : v;
-  }
-
   bool bernoulli(double p) {
     std::bernoulli_distribution dist{p};
     return dist(engine_);

@@ -54,9 +54,6 @@ class Bandwidth {
   static constexpr Bandwidth gbps(double gigabits) {
     return Bandwidth{gigabits * 1e9 / 8.0};
   }
-  static constexpr Bandwidth gib_per_sec(double v) {
-    return Bandwidth{v * 1024.0 * 1024.0 * 1024.0};
-  }
   static constexpr Bandwidth gb_per_sec(double v) { return Bandwidth{v * 1e9}; }
   static constexpr Bandwidth unlimited() { return Bandwidth{1e18}; }
 

@@ -146,7 +146,7 @@ class PortusDaemon {
     bool tenancy = false;
     // Grant ceiling for tenants that request nothing / too much. All-zero =
     // unlimited capacity, unpaced.
-    TenantQuota tenant_defaults;
+    TenantQuota tenant_defaults{};
     // In-flight admission slots; 0 = match `workers`.
     int admission_inflight = 0;
     std::uint32_t admission_queue_depth = 64;    // per priority class

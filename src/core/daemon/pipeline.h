@@ -100,7 +100,7 @@ struct TransferChunk {
     std::uint32_t rkey = 0;         // kRead / kWrite only
     std::uint64_t remote_addr = 0;  // kRead / kWrite only
   };
-  std::vector<ExtentMember> members;
+  std::vector<ExtentMember> members{};
 };
 
 class PipelinedTransfer {

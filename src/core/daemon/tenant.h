@@ -141,7 +141,7 @@ class AdmissionController final : public sim::Resettable {
     // span on `track`, closed at the grant: exactly the wait
     // Stats::queue_wait_total counts (pacing is not in it).
     sim::Tracer* tracer = nullptr;
-    std::string track;
+    std::string track{};
   };
 
   // Pacing hint a Backpressure answer carries (retry_after_ns).

@@ -135,7 +135,7 @@ class ForwardSourceLost : public Error {
 struct TensorDesc {
   std::string name;
   dnn::DType dtype = dnn::DType::kF32;
-  std::vector<std::int64_t> shape;
+  std::vector<std::int64_t> shape{};
   Bytes size = 0;
   std::uint64_t gpu_addr = 0;
   std::uint32_t rkey = 0;
@@ -222,7 +222,7 @@ struct CheckpointReqMsg {
   // only these tensor indices changed since the previous version; the daemon
   // pulls them over RDMA and copies the rest PMEM-locally from the last DONE
   // slot. Empty = full checkpoint.
-  std::vector<std::uint32_t> dirty_indices;
+  std::vector<std::uint32_t> dirty_indices{};
   // v6 elasticity: see RegisterModelMsg::membership_epoch.
   std::uint64_t membership_epoch = 0;
   // v8: the round this pull belongs to; armed forwards of the same id wait
@@ -240,7 +240,7 @@ struct CheckpointDoneMsg {
   std::string model_name;
   std::uint64_t epoch = 0;
   bool ok = false;
-  std::string error;
+  std::string error{};
   // CRC-of-per-tensor-CRCs over the payload the daemon persisted (matches
   // dnn::Model::weights_crc()); 0 when !ok or for phantom models. Lets the
   // client end-to-end verify that what landed on PMEM is what it sent.

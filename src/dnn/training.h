@@ -63,10 +63,6 @@ struct TrainingStats {
   Time finished{};
 
   Duration wall() const { return finished - started; }
-  double iterations_per_second() const {
-    const double s = to_seconds(wall());
-    return s > 0 ? static_cast<double>(iterations_done) / s : 0.0;
-  }
 };
 
 // Runs `iterations` training steps of `model` on its GPU. The model pointer

@@ -43,8 +43,6 @@ class AddressSpace {
   // portus::ProtectionFault when the range is unmapped or straddles segments.
   MemorySegment& resolve(std::uint64_t addr, Bytes len) const;
 
-  std::size_t segment_count() const { return segments_.size(); }
-
  private:
   std::uint64_t reserve(Bytes size);
 

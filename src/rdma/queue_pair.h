@@ -52,7 +52,7 @@ struct WorkRequest {
   // The list length is capped by the posting NIC's NicSpec::max_sges.
   std::uint32_t rkey = 0;
   std::uint64_t remote_addr = 0;
-  std::vector<RemoteSge> remote_sges;
+  std::vector<RemoteSge> remote_sges{};
   // Set by the chained post() overload for every list entry after the
   // first: this WR rode an earlier WR's doorbell, so the fabric discounts
   // NicSpec::doorbell_latency from its per-op setup cost. Callers never
@@ -102,8 +102,6 @@ class QueuePair {
                                           std::uint64_t remote_addr);
   sim::SubTask<WorkCompletion> send_sync(std::uint32_t lkey, std::uint64_t local_addr,
                                          Bytes length);
-
-  std::size_t send_queue_depth() const { return sq_.size(); }
 
  private:
   friend class Fabric;

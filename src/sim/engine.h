@@ -79,7 +79,6 @@ class Engine {
   int failed_process_count() const;
 
   std::uint64_t events_processed() const { return events_processed_; }
-  std::size_t pending_events() const { return queue_.size(); }
 
   // --- internal (used by process/sync machinery) ---
   void resume_later(std::coroutine_handle<> h, Duration delay = kZeroDuration);

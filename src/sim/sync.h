@@ -243,8 +243,6 @@ class SimEvent final : public Resettable {
     waiters_.clear();
   }
 
-  bool is_set() const { return set_; }
-
  private:
   friend struct WaitAwaitable;
   Engine& engine_;

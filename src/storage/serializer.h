@@ -30,12 +30,6 @@ struct SerializedTensor {
 struct CheckpointFile {
   std::string model_name;
   std::vector<SerializedTensor> tensors;
-
-  Bytes payload_bytes() const {
-    Bytes n = 0;
-    for (const auto& t : tensors) n += t.data.size();
-    return n;
-  }
 };
 
 class CheckpointSerializer {

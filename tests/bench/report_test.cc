@@ -1,6 +1,6 @@
 // The bench writer (bench/bench_common.h `Report`): text is escaped, counts
-// and ns are exact integers, a failed gate prints FAIL and exits 1, and a
-// sweep's smoke and full runs write two different files.
+// and ns are exact integers, a failed gate or band prints FAIL and exits 1,
+// and a sweep's smoke and full runs write two different files.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -65,12 +65,16 @@ TEST_F(ReportTest, FailedGatePrintsFailAndExitsOne) {
   Report report{"writer_test", "writer", false};
   report.require(true, "a bar that was met");
   report.require(false, "the bar was missed");
+  report.require_band("a met band", 5.9, 5.8, 0.2);
+  report.require_band("peak (GB/s)", 6.0, 5.8, 0.02 * 5.8);
   testing::internal::CaptureStdout();
   testing::internal::CaptureStderr();
   EXPECT_EQ(report.finish(), 1);
   const auto err = testing::internal::GetCapturedStderr();
   const auto screen = testing::internal::GetCapturedStdout();
-  EXPECT_EQ(err, "FAIL: the bar was missed\n");
+  EXPECT_EQ(err,
+            "FAIL: the bar was missed\n"
+            "FAIL: peak (GB/s) 6 is outside the paper's 5.8 +- 0.116\n");
   EXPECT_EQ(screen.find("acceptance checks passed"), std::string::npos) << screen;
 }
 
@@ -79,6 +83,9 @@ TEST_F(ReportTest, SmokeAndFullRunsWriteTwoFiles) {
   Report smoke{"writer_test", "writer", true};
   EXPECT_EQ(std::filesystem::path{full.path()}.filename(), "BENCH_writer.json");
   EXPECT_EQ(std::filesystem::path{smoke.path()}.filename(), "BENCH_writer_smoke.json");
+  // A paper binary's artifact is named after it.
+  EXPECT_EQ(std::filesystem::path{Report{"fig11_checkpoint"}.path()}.filename(),
+            "BENCH_fig11_checkpoint.json");
   testing::internal::CaptureStdout();
   EXPECT_EQ(full.finish(), 0);
   EXPECT_EQ(smoke.finish(), 0);

@@ -9,6 +9,7 @@
 #include "core/daemon/model_table.h"
 #include "core/daemon/slots.h"
 #include "core/protocol.h"
+#include "rdma/fabric.h"
 
 namespace portus::core {
 namespace {
@@ -161,11 +162,14 @@ TEST(ProtocolTest, WrongTypeDecodingThrows) {
 }
 
 TEST(ProtocolTest, QpRendezvous) {
+  sim::Engine engine;
+  rdma::Fabric fabric{engine};
+  rdma::RdmaNic nic{engine, "nic"};
+  rdma::CompletionQueue cq{engine};
+  auto& qp = fabric.create_qp(nic, nic.alloc_pd("pd"), cq);
   QpRendezvous rv;
-  // No real QP needed for registry mechanics: use a fake pointer identity.
-  auto* fake = reinterpret_cast<rdma::QueuePair*>(0x1234);
-  const auto token = rv.publish(*fake);
-  EXPECT_EQ(&rv.resolve(token), fake);
+  const auto token = rv.publish(qp);
+  EXPECT_EQ(&rv.resolve(token), &qp);
   EXPECT_THROW(rv.resolve(token + 999), NotFound);
 }
 
