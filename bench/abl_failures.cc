@@ -105,7 +105,7 @@ Segment run_segment_checkfreq(Duration length) {
   // The restart restores the newest persist with GDS from BeeGFS (fig12's path).
   return Segment{.trained = stats.iterations_done,
                  .durable = hook.last_persisted_iteration(),
-                 .restore = bench::time_torch(spec, bench::Fs::kBeegfs, "/x.ptck").restore};
+                 .restore = bench::time_torch(spec, bench::Fs::kBeegfs).restore};
 }
 
 template <typename SegmentFn>

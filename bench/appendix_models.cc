@@ -25,7 +25,7 @@ int main() {
   for (const auto& spec : dnn::ModelZoo::all()) {
     if (spec.checkpoint_bytes > 2_GB) continue;  // GPT family: see fig14
     const auto portus = bench::time_portus(spec);
-    const auto beegfs = bench::time_torch(spec, bench::Fs::kBeegfs, "/a/x.ptck");
+    const auto beegfs = bench::time_torch(spec, bench::Fs::kBeegfs);
     const double ckpt_x = bench::ratio(beegfs.checkpoint.total, portus.checkpoint);
     const double restore_x = bench::ratio(beegfs.restore, portus.restore);
     models.add({spec.name, std::find(table2.begin(), table2.end(), spec.name) != table2.end(),

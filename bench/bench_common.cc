@@ -155,7 +155,7 @@ PortusTimes time_portus(const dnn::ModelSpec& spec) {
   return out;
 }
 
-TorchTimes time_torch(const dnn::ModelSpec& spec, Fs fs, const std::string& path) {
+TorchTimes time_torch(const dnn::ModelSpec& spec, Fs fs) {
   World world;
   auto& gpu = world.volta().gpu(0);
   auto model = dnn::ModelZoo::create_from_spec(gpu, spec, {.force_phantom = true});
@@ -170,7 +170,7 @@ TorchTimes time_torch(const dnn::ModelSpec& spec, Fs fs, const std::string& path
                TorchTimes& t) -> sim::Process {
     t.checkpoint = co_await c.checkpoint(m, p);
     t.restore = (co_await c.restore(m, p, /*gpu_direct=*/true)).total;
-  }(ckpt, model, path, out));
+  }(ckpt, model, "/ckpt/" + spec.name + ".ptck", out));
   if (mount) out.dax = mount->dax_write_time();
   return out;
 }

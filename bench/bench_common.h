@@ -97,9 +97,8 @@ struct TorchTimes {
 };
 
 // torch.save of a phantom `spec` on client-volta's GPU 0 of a fresh World to
-// the file `path` on `fs`, then its restore. The path's bytes ride every
-// BeeGFS request, so it is part of the workload.
-TorchTimes time_torch(const dnn::ModelSpec& spec, Fs fs, const std::string& path);
+// /ckpt/<model>.ptck on `fs`, then its restore.
+TorchTimes time_torch(const dnn::ModelSpec& spec, Fs fs);
 
 // A GPT job shard: one rank's model + its Portus client or BeeGFS mount.
 struct GptRank {

@@ -38,8 +38,7 @@ int main() {
   };
   const Row rows[] = {
       {"vit_l_32", 83,
-       bench::time_torch(dnn::ModelZoo::spec("vit_l_32"), bench::Fs::kBeegfs, "/ckpt/vit.ptck")
-           .checkpoint.total,
+       bench::time_torch(dnn::ModelZoo::spec("vit_l_32"), bench::Fs::kBeegfs).checkpoint.total,
        24.9},
       {"gpt-10b", 100, gpt_checkpoint_time("gpt-10b"), 33.0},  // mid bar of Fig. 2
       {"gpt-22.4b", 100, gpt_checkpoint_time("gpt-22.4b"), 41.0},

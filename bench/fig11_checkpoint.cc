@@ -30,10 +30,9 @@ int main() {
   const auto names = dnn::ModelZoo::table2_names();
   for (const auto& name : names) {
     const auto& spec = dnn::ModelZoo::spec(name);
-    const auto path = "/ckpt/" + name + ".ptck";
     const auto portus = bench::time_portus(spec).checkpoint;
-    const auto beegfs = bench::time_torch(spec, bench::Fs::kBeegfs, path).checkpoint.total;
-    const auto nvme = bench::time_torch(spec, bench::Fs::kNvme, path).checkpoint.total;
+    const auto beegfs = bench::time_torch(spec, bench::Fs::kBeegfs).checkpoint.total;
+    const auto nvme = bench::time_torch(spec, bench::Fs::kNvme).checkpoint.total;
     const double vs_beegfs = bench::ratio(beegfs, portus);
     const double vs_nvme = bench::ratio(nvme, portus);
     models.add({name, portus, beegfs, nvme, vs_beegfs, vs_nvme});

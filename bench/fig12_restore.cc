@@ -33,8 +33,8 @@ int main() {
   for (const auto& name : names) {
     const auto& spec = dnn::ModelZoo::spec(name);
     const auto portus = bench::time_portus(spec).restore;
-    const auto beegfs = bench::time_torch(spec, bench::Fs::kBeegfs, "/ckpt/x.ptck").restore;
-    const auto nvme = bench::time_torch(spec, bench::Fs::kNvme, "/ckpt/x.ptck").restore;
+    const auto beegfs = bench::time_torch(spec, bench::Fs::kBeegfs).restore;
+    const auto nvme = bench::time_torch(spec, bench::Fs::kNvme).restore;
     const double vs_beegfs = bench::ratio(beegfs, portus);
     const double vs_nvme = bench::ratio(nvme, portus);
     models.add({name, portus, beegfs, nvme, vs_beegfs, vs_nvme});

@@ -23,8 +23,8 @@ int main() {
       "of ext4-NVMe; Portus ~ pure one-sided RDMA");
   bench::Report report{"fig13_breakdown"};
   const auto& bert = dnn::ModelZoo::spec("bert");
-  const auto nvme = bench::time_torch(bert, bench::Fs::kNvme, "/ckpt/bert.ptck").checkpoint;
-  const auto beegfs_run = bench::time_torch(bert, bench::Fs::kBeegfs, "/ckpt/bert.ptck");
+  const auto nvme = bench::time_torch(bert, bench::Fs::kNvme).checkpoint;
+  const auto beegfs_run = bench::time_torch(bert, bench::Fs::kBeegfs);
   const auto& beegfs = beegfs_run.checkpoint;
   const auto beegfs_transport = beegfs.fs_write - beegfs_run.dax;
   const auto portus = bench::time_portus(bert);

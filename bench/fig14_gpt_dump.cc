@@ -5,17 +5,23 @@
 // Paper: at 22.4B (89.6 GB) torch.save takes >120 s while Portus takes ~15 s
 // (8.18x average speedup). The torch.save collapse comes from per-rank
 // serialization plus the fsdax write-concurrency degradation under 16
-// concurrent writers. Gates: the mean speed-up, the Portus dump and the
-// torch.save dump at 22.4B each within 10% of the paper's.
+// concurrent writers. Gates: Portus faster than torch.save at every size,
+// the mean speed-up within 10% of the paper's, and the Portus dump and the
+// torch.save dump at 22.4B each within 10% of the paper's. --smoke runs the
+// two smallest sizes (a few seconds, under ctest's `paper` label) and gates
+// the ordering and the mean speed-up, which those sizes meet too.
+#include <cstring>
+
 #include "bench_common.h"
 
 using namespace portus;
 using namespace std::chrono_literals;
 
-int main() {
+int main(int argc, char** argv) {
+  const bool smoke = argc > 1 && std::strcmp(argv[1], "--smoke") == 0;
   bench::print_header("Fig. 14: GPT checkpoint dump time, Portus vs torch.save+BeeGFS",
                       ">120 s vs ~15 s at 22.4B (89.6 GB); avg 8.18x speedup");
-  bench::Report report{"fig14_gpt_dump"};
+  bench::Report report{"fig14_gpt_dump", "fig14_gpt_dump", smoke};
   report.param("paper_mean_speedup", 8.18);
   report.param("paper_torch_save_22b_ns", Duration{120s});
   report.param("paper_portus_22b_ns", Duration{15s});
@@ -24,10 +30,12 @@ int main() {
                  {"portus_ns", bench::kNs}, {"torch_save_ns", bench::kNs},
                  {"speedup", bench::kReal, 2, "x"}});
 
-  const char* scales[] = {"gpt-1.5b", "gpt-4b", "gpt-8.3b", "gpt-10b", "gpt-22.4b"};
+  const std::vector<std::string> scales =
+      smoke ? std::vector<std::string>{"gpt-1.5b", "gpt-4b"}
+            : std::vector<std::string>{"gpt-1.5b", "gpt-4b", "gpt-8.3b", "gpt-10b", "gpt-22.4b"};
   double sum_speedup = 0;
   Duration portus_time{0}, torch_time{0};
-  for (const auto* name : scales) {
+  for (const auto& name : scales) {
     const auto& spec = dnn::ModelZoo::spec(name);
     {
       bench::World world{/*daemon_workers=*/16};
@@ -49,12 +57,14 @@ int main() {
     const double speedup = bench::ratio(torch_time, portus_time);
     sum_speedup += speedup;
     models.add({name, spec.checkpoint_bytes, portus_time, torch_time, speedup});
+    report.require(portus_time < torch_time, name + ": Portus is not faster than torch.save");
   }
-  const double mean = sum_speedup / static_cast<double>(std::size(scales));
+  const double mean = sum_speedup / static_cast<double>(scales.size());
   report.table("summary", {{"mean_speedup", bench::kReal, 2, "x"}}).add({mean});
-  // The last row is GPT-22.4B, the paper's anchor.
   report.require_band("mean speed-up", mean, 8.18, 0.1 * 8.18);
-  report.require_band("Portus at 22.4B (s)", to_seconds(portus_time), 15, 1.5);
-  report.require_band("torch.save at 22.4B (s)", to_seconds(torch_time), 120, 12);
+  if (!smoke) {  // the last row is GPT-22.4B, the paper's anchor
+    report.require_band("Portus at 22.4B (s)", to_seconds(portus_time), 15, 1.5);
+    report.require_band("torch.save at 22.4B (s)", to_seconds(torch_time), 120, 12);
+  }
   return report.finish();
 }

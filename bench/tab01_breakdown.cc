@@ -13,8 +13,7 @@ int main() {
                       "GPU->MM 15.5% | serialize 41.7% | RDMA 30.0% | DAX write 12.8%; the "
                       "~1.9-2.0 s total is the calibration anchor (DESIGN.md SS7)");
   bench::Report report{"tab01_breakdown"};
-  const auto t = bench::time_torch(dnn::ModelZoo::spec("bert"), bench::Fs::kBeegfs,
-                                   "/ckpt/bert.ptck");
+  const auto t = bench::time_torch(dnn::ModelZoo::spec("bert"), bench::Fs::kBeegfs);
   // The fs_write stage splits into RDMA transport (client->daemon RPCs) and
   // the daemon's DAX writes, which the mount instruments.
   const auto& c = t.checkpoint;

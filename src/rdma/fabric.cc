@@ -25,8 +25,9 @@ void Fabric::connect(QueuePair& a, QueuePair& b) {
 
 sim::SubTask<> Fabric::charge_path(std::vector<sim::BandwidthChannel*> channels, Bytes bytes,
                                    Bandwidth flow_cap) {
-  // Deduplicate (loopback transfers would otherwise double-charge a link),
-  // keeping path order: flows spawn in that order, never in pointer order.
+  // Deduplicate (the members of one gather share their region's device
+  // channel), keeping path order: flows spawn in that order, never in
+  // pointer order.
   auto kept = channels.begin();
   for (auto* ch : channels) {
     if (ch != nullptr && std::find(channels.begin(), kept, ch) == kept) *kept++ = ch;
@@ -107,9 +108,13 @@ sim::SubTask<WorkCompletion> Fabric::execute_one_sided(QueuePair& initiator, Wor
   // channel list, so N members of one GPU region charge its BAR once).
   Bandwidth cap = min(initiator.nic().spec().per_qp_cap, peer->nic().spec().per_qp_cap);
   cap = min(cap, is_read ? local->write_cap : local->read_cap);
+  // The data leaves the source NIC and enters the sink NIC: a READ pulls
+  // from the peer into the initiator, a WRITE pushes the other way.
+  RdmaNic& src_nic = is_read ? peer->nic() : initiator.nic();
+  RdmaNic& dst_nic = is_read ? initiator.nic() : peer->nic();
   std::vector<sim::BandwidthChannel*> path;
-  path.push_back(&initiator.nic().link());
-  path.push_back(&peer->nic().link());
+  path.push_back(&src_nic.link());
+  path.push_back(&dst_nic.rx());
   path.push_back(is_read ? local->device_channel_write : local->device_channel_read);
   for (const auto* remote : remotes) {
     cap = min(cap, is_read ? remote->read_cap : remote->write_cap);
@@ -173,7 +178,7 @@ sim::SubTask<WorkCompletion> Fabric::execute_send(QueuePair& initiator, WorkRequ
                                 peer->nic().spec().per_qp_cap));
   std::vector<sim::BandwidthChannel*> path;
   path.push_back(&initiator.nic().link());
-  path.push_back(&peer->nic().link());
+  path.push_back(&peer->nic().rx());
   path.push_back(local->device_channel_read);
   path.push_back(remote->device_channel_write);
   co_await charge_path(std::move(path), wr.length, cap);

@@ -1,8 +1,9 @@
 // The InfiniBand fabric: wires QPs together and executes verbs.
 //
-// A transfer is charged on every bandwidth resource along its path — both
-// NIC links plus the source and destination *device* channels carried by
-// the memory regions (GPU PCIe/BAR, PMEM write channel, DRAM bus). Each
+// A transfer is charged on every bandwidth resource along its path — the
+// data source NIC's transmit channel and the sink NIC's receive channel,
+// plus the source and destination *device* channels carried by the memory
+// regions (GPU PCIe/BAR, PMEM write channel, DRAM bus). Each
 // resource runs its own fluid fair-sharing; the transfer completes when the
 // slowest of them drains, which is how endpoint bottlenecks (GPU BAR reads,
 // Optane write-concurrency collapse) propagate into end-to-end times.

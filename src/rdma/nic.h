@@ -1,10 +1,14 @@
 // RDMA-capable NIC (simulated Mellanox ConnectX-5/6, 100 Gbps InfiniBand).
 //
-// Each NIC owns a link bandwidth channel that all flows traversing it share
-// (max-min fair), and a per-QP rate cap reflecting single-stream verbs
-// efficiency: one RDMA READ stream tops out near 8.3 GB/s on this hardware
-// (Fig. 10(a): the DRAM-to-DRAM peak), while multiple QPs together can push
-// the link toward its ~12 GB/s wire limit.
+// The port is full duplex: each NIC owns a transmit channel (`link`) and a
+// receive channel (`rx`), each of `link_capacity`, and a transfer is charged
+// on its source's transmit side and its sink's receive side. Flows in one
+// direction share that direction's channel (max-min fair), so a READ pulled
+// into a NIC never queues behind a WRITE pushed out of it. A per-QP rate cap
+// reflects single-stream verbs efficiency: one RDMA READ stream tops out
+// near 8.3 GB/s on this hardware (Fig. 10(a): the DRAM-to-DRAM peak), while
+// multiple QPs together can push a direction toward its ~12 GB/s wire
+// limit.
 #pragma once
 
 #include <memory>
@@ -19,7 +23,7 @@
 namespace portus::rdma {
 
 struct NicSpec {
-  Bandwidth link_capacity = Bandwidth::gb_per_sec(12.0);
+  Bandwidth link_capacity = Bandwidth::gb_per_sec(12.0);  // per direction
   Bandwidth per_qp_cap = Bandwidth::gb_per_sec(8.3);
   Duration read_latency = std::chrono::microseconds{4};    // one-sided READ setup+RTT
   Duration write_latency = std::chrono::nanoseconds{3200}; // one-sided WRITE
@@ -43,7 +47,8 @@ class RdmaNic {
       : engine_{engine},
         name_{std::move(name)},
         spec_{spec},
-        link_{engine, spec.link_capacity, name_ + "/link"} {}
+        link_{engine, spec.link_capacity, name_ + "/link"},
+        rx_{engine, spec.link_capacity, name_ + "/rx"} {}
   RdmaNic(const RdmaNic&) = delete;
   RdmaNic& operator=(const RdmaNic&) = delete;
 
@@ -55,13 +60,15 @@ class RdmaNic {
   sim::Engine& engine() { return engine_; }
   const std::string& name() const { return name_; }
   const NicSpec& spec() const { return spec_; }
-  sim::BandwidthChannel& link() { return link_; }
+  sim::BandwidthChannel& link() { return link_; }  // transmit: bytes leaving this NIC
+  sim::BandwidthChannel& rx() { return rx_; }      // receive: bytes arriving at it
 
  private:
   sim::Engine& engine_;
   std::string name_;
   NicSpec spec_;
   sim::BandwidthChannel link_;
+  sim::BandwidthChannel rx_;
   std::vector<std::unique_ptr<ProtectionDomain>> pds_;
 };
 

@@ -62,10 +62,9 @@ rdma::RpcHandler BeeGfsMount::make_handler() {
       }
       case kReadChunk: {
         co_await engine.sleep(spec.read_handler_cost);
-        const auto path = r.str();
         const auto offset = r.u64();
         const auto want = r.u64();
-        const auto& entry = server_.files().get(path);
+        const auto& entry = server_.files().get(read_path_);
         const Bytes n = std::min(want, entry.size - std::min(entry.size, offset));
         co_await server_.node().fsdax_read_channel().transfer(n);
         resp.u64(n);
@@ -78,13 +77,13 @@ rdma::RpcHandler BeeGfsMount::make_handler() {
         }
         break;
       }
-      case kStat: {
+      case kStat: {  // open for reading: later chunk requests read this file
         auto guard = co_await server_.metadata_mutex().lock();
         co_await engine.sleep(spec.metadata_open_cost / 2);
-        const auto path = r.str();
-        if (server_.files().exists(path)) {
+        read_path_ = r.str();
+        if (server_.files().exists(read_path_)) {
           resp.u8(1);
-          resp.u64(server_.files().get(path).size);
+          resp.u64(server_.files().get(read_path_).size);
         } else {
           resp.u8(0);
         }
@@ -136,7 +135,7 @@ sim::SubTask<> BeeGfsMount::write_file(std::string path, Bytes size,
 
 sim::SubTask<std::vector<std::byte>> BeeGfsMount::read_file(std::string path) {
   const auto& spec = server_.spec();
-  {  // open: path resolution on the metadata service
+  {  // open: path resolution on the metadata service, once per file
     BinaryWriter stat_req;
     stat_req.str(path);
     auto stat_wire = stat_req.take();
@@ -146,7 +145,6 @@ sim::SubTask<std::vector<std::byte>> BeeGfsMount::read_file(std::string path) {
   Bytes offset = 0;
   for (;;) {
     BinaryWriter req;
-    req.str(path);
     req.u64(offset);
     req.u64(spec.chunk);
     auto req_wire = req.take();
@@ -167,7 +165,7 @@ sim::SubTask<std::vector<std::byte>> BeeGfsMount::read_file(std::string path) {
 sim::SubTask<Bytes> BeeGfsMount::read_file_time_only(std::string path, bool /*gpu_direct*/) {
   const auto& spec = server_.spec();
   const Bytes size = file_size(path);  // throws NotFound
-  {  // open: path resolution on the metadata service
+  {  // open: path resolution on the metadata service, once per file
     BinaryWriter stat_req;
     stat_req.str(path);
     auto stat_wire = stat_req.take();
@@ -176,7 +174,6 @@ sim::SubTask<Bytes> BeeGfsMount::read_file_time_only(std::string path, bool /*gp
   Bytes offset = 0;
   while (offset < size) {
     BinaryWriter req;
-    req.str(path);
     req.u64(offset);
     req.u64(spec.chunk);
     auto req_wire = req.take();

@@ -99,6 +99,9 @@ class BeeGfsMount final : public CheckpointStorage {
   Bytes open_size_ = 0;
   std::vector<std::byte> open_contents_;
   bool open_phantom_ = true;
+  // The file the last stat opened for reading: chunk requests carry only
+  // an offset and a length, as write chunks name no file either.
+  std::string read_path_;
 };
 
 }  // namespace portus::storage

@@ -170,6 +170,61 @@ TEST(PortusE2ETest, MultiTenantConcurrentCheckpoints) {
   EXPECT_EQ(r.eng.failed_process_count(), 0);
 }
 
+// One tenant's resnet50 restore (client-volta), alone or while another
+// tenant's bert checkpoint (client-ampere) pulls through the same daemon.
+// Returns the restore's time; with the pull, also checks that it spans the
+// restore.
+Duration restore_beside_a_pull(bool with_pull) {
+  Rig r;
+  auto& ampere = r.cluster->node("client-ampere");
+  dnn::ModelZoo::Options opt;
+  opt.force_phantom = true;
+  auto restored = dnn::ModelZoo::create(r.client_node.gpu(0), "resnet50", opt);
+  auto pulled = dnn::ModelZoo::create(ampere.gpu(0), "bert", opt);
+  auto restorer = r.client();
+  PortusClient puller{*r.cluster, ampere, ampere.gpu(0), r.rendezvous};
+  Duration took{0};
+  r.eng.spawn([](sim::Engine& e, PortusClient& rc, dnn::Model& rm, PortusClient& pc,
+                 dnn::Model& pm, bool pull, Duration& out) -> sim::Process {
+    co_await rc.connect();
+    co_await rc.register_model(rm);
+    co_await rc.checkpoint(rm, 1);
+    co_await pc.connect();
+    co_await pc.register_model(pm);
+    Time pull_end{0};
+    sim::Process checkpoint;
+    if (pull) {
+      checkpoint = e.spawn([](sim::Engine& en, PortusClient& c, dnn::Model& m,
+                              Time& end) -> sim::Process {
+        co_await c.checkpoint(m, 1);
+        end = en.now();
+      }(e, pc, pm, pull_end));
+    }
+    co_await e.sleep(1ms);  // the pull is on the wire
+    const Time t0 = e.now();
+    co_await rc.restore(rm);
+    out = e.now() - t0;
+    if (pull) {
+      const Time restore_end = e.now();
+      co_await checkpoint.join();
+      EXPECT_GT(pull_end, restore_end) << "the pull ended before the restore";
+    }
+  }(r.eng, *restorer, restored, puller, pulled, with_pull, took));
+  r.eng.run();
+  EXPECT_EQ(r.daemon->stats().failed_ops, 0u);
+  EXPECT_EQ(r.eng.failed_process_count(), 0);
+  return took;
+}
+
+// The daemon's NIC is full duplex: a restore pushes out of it while another
+// tenant's checkpoint pulls into it, so the restore takes its lone time to
+// the ns instead of queuing behind the pull.
+TEST(PortusE2ETest, RestoreBesideAnotherTenantsPullTakesItsLoneTime) {
+  const Duration alone = restore_beside_a_pull(false);
+  EXPECT_GT(alone, 0ns);
+  EXPECT_EQ(restore_beside_a_pull(true), alone);
+}
+
 TEST(PortusE2ETest, CrashDuringCheckpointKeepsPreviousVersionRestorable) {
   Rig r;
   auto model = r.model("alexnet", 0.05);

@@ -296,6 +296,71 @@ TEST_P(RdmaContentionTest, ConcurrentReadsShareServerLink) {
 
 INSTANTIATE_TEST_SUITE_P(Flows, RdmaContentionTest, ::testing::Values(1, 2, 4, 8, 16));
 
+// A server NIC that pulls 600 MB from one client (READ: into the server)
+// and pushes 600 MB to another (WRITE: out of the server). Returns when
+// each op finished; an op not posted reads 0.
+struct DuplexEnds {
+  Time read{0};
+  Time write{0};
+};
+
+DuplexEnds run_duplex(bool post_read, bool post_write) {
+  sim::Engine eng;
+  Fabric fabric{eng};
+  RdmaNic server_nic{eng, "server/nic"};
+  auto& server_pd = server_nic.alloc_pd("server-pd");
+  const auto& server_mr = server_pd.register_region(RegionDesc{
+      .segment = nullptr, .addr = 0x7200'0000'0000ull, .length = 1_GiB, .phantom = true});
+  std::vector<std::unique_ptr<RdmaNic>> client_nics;
+  std::vector<std::unique_ptr<CompletionQueue>> cqs;
+  std::vector<QueuePair*> server_qps;
+  std::vector<const MemoryRegion*> client_mrs;
+  for (int i = 0; i < 2; ++i) {
+    client_nics.push_back(std::make_unique<RdmaNic>(eng, strf("client{}/nic", i)));
+    auto& pd = client_nics.back()->alloc_pd("pd");
+    client_mrs.push_back(&pd.register_region(RegionDesc{
+        .segment = nullptr, .addr = 0x7000'0000'0000ull, .length = 1_GiB, .phantom = true}));
+    cqs.push_back(std::make_unique<CompletionQueue>(eng));
+    cqs.push_back(std::make_unique<CompletionQueue>(eng));
+    server_qps.push_back(&fabric.create_qp(server_nic, server_pd, *cqs[cqs.size() - 2]));
+    fabric.connect(*server_qps.back(), fabric.create_qp(*client_nics.back(), pd, *cqs.back()));
+  }
+  DuplexEnds ends;
+  if (post_read) {
+    eng.spawn([](sim::Engine& e, QueuePair& qp, const MemoryRegion& local,
+                 const MemoryRegion& remote, Time& end) -> sim::Process {
+      const auto wc = co_await qp.read_sync(local.lkey, local.addr, 600_MB, remote.rkey,
+                                            remote.addr);
+      EXPECT_EQ(wc.status, WcStatus::kSuccess);
+      end = e.now();
+    }(eng, *server_qps[0], server_mr, *client_mrs[0], ends.read));
+  }
+  if (post_write) {
+    eng.spawn([](sim::Engine& e, QueuePair& qp, const MemoryRegion& local,
+                 const MemoryRegion& remote, Time& end) -> sim::Process {
+      const auto wc = co_await qp.write_sync(local.lkey, local.addr, 600_MB, remote.rkey,
+                                             remote.addr);
+      EXPECT_EQ(wc.status, WcStatus::kSuccess);
+      end = e.now();
+    }(eng, *server_qps[1], server_mr, *client_mrs[1], ends.write));
+  }
+  eng.run();
+  return ends;
+}
+
+// The port is full duplex: a READ into a NIC and a WRITE out of it, posted
+// together, each run at its lone per-QP rate, where same-direction flows
+// (above) share one direction's 12 GB/s.
+TEST(RdmaDuplexTest, ReadInAndWriteOutDoNotShareTheServerLink) {
+  const auto read_alone = run_duplex(true, false).read;
+  const auto write_alone = run_duplex(false, true).write;
+  EXPECT_NEAR(to_seconds(read_alone), 600e6 / 8.3e9, 0.0005);
+  EXPECT_NEAR(to_seconds(write_alone), 600e6 / 8.3e9, 0.0005);
+  const auto both = run_duplex(true, true);
+  EXPECT_EQ(both.read, read_alone);
+  EXPECT_EQ(both.write, write_alone);
+}
+
 // RPC round trip with a handler that reverses the payload.
 // Three NICs, each with a phantom region behind its own device channel,
 // and every NIC reading from both others at once with a mix of sizes: many
