@@ -214,8 +214,7 @@ sim::SubTask<std::uint64_t> PortusClient::register_shard(dnn::Model& model,
   msg.shard_count = binding.shard_count;
   msg.replica = binding.replica;
   msg.replica_count = binding.replica_count;
-  msg.placement_epoch = binding.placement_epoch;
-  msg.manifest = std::move(binding.manifest);
+  msg.job_bytes = binding.job_bytes;
   msg.tenant_id = tenant_.id;
   msg.priority = tenant_.priority;
   msg.requested_capacity = tenant_.requested_capacity;

@@ -147,8 +147,7 @@ class PortusClient {
     std::uint32_t shard_count = 1;
     std::uint32_t replica = 0;
     std::uint32_t replica_count = 1;
-    std::uint64_t placement_epoch = 0;
-    std::vector<std::byte> manifest;  // encoded ShardManifest (may be empty)
+    Bytes job_bytes = 0;  // the whole model's tensor bytes (RegisterModelMsg)
   };
 
   // `stripes` is how many datapath QPs the client offers at registration;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <numeric>
 
 #include "common/backoff.h"
 #include "common/logging.h"
@@ -130,8 +131,8 @@ sim::Process ClusterClient::register_copy(std::size_t copy_id, bool* stale) {
     binding.shard_count = static_cast<std::uint32_t>(plan_.shard_tensors.size());
     binding.replica = copy.replica;
     binding.replica_count = static_cast<std::uint32_t>(plan_.shard_daemons[copy.shard].size());
-    binding.placement_epoch = plan_.placement_epoch;
-    binding.manifest = manifest_.encode();
+    binding.job_bytes =
+        std::accumulate(plan_.shard_bytes.begin(), plan_.shard_bytes.end(), Bytes{0});
     // What the daemon already holds of the shard: a copy a restarted daemon
     // (or job) kept is known at its own epoch, not at the shard's.
     copies_[copy_id].epoch = co_await ch.client->register_shard(*model_, std::move(binding));
@@ -154,11 +155,7 @@ sim::SubTask<> ClusterClient::resolve_placement() {
                                                           : fixed_membership_;
     membership_epoch_ = mem.epoch;
     ring_endpoints_.clear();
-    std::vector<MemberState> states;
-    for (const auto& m : mem.members) {
-      ring_endpoints_.push_back(m.endpoint);
-      states.push_back(m.state);
-    }
+    for (const auto& m : mem.members) ring_endpoints_.push_back(m.endpoint);
     const auto active = mem.active_positions();
     PORTUS_CHECK(!active.empty(),
                  strf("cluster for {} has no ACTIVE member to place on", model_name_));
@@ -175,14 +172,10 @@ sim::SubTask<> ClusterClient::resolve_placement() {
     for (const auto& c : copies_) floor[c.shard] = std::max(floor[c.shard], c.epoch);
     shard_floor_ = std::move(floor);
 
-    // 3. Recompute plan + manifest against the current members.
+    // 3. Recompute the plan against the current members.
     plan_ = Placement::compute_over(model_name_, tensor_sizes_, effective_shard_count_,
                                     static_cast<std::uint32_t>(ring_endpoints_.size()),
-                                    active, config_.replicas, config_.placement_epoch);
-    manifest_ = ShardManifest::from_plan(plan_, ring_endpoints_, tensor_names_,
-                                         tensor_sizes_);
-    manifest_.membership_epoch = membership_epoch_;
-    manifest_.member_states = states;
+                                    active, config_.replicas);
 
     // 4. Rebuild the copy table, opening lanes and channels as the
     //    placement needs them. Plans only target ACTIVE positions, so a down
@@ -255,15 +248,8 @@ sim::SubTask<> ClusterClient::register_model(dnn::Model& model) {
   model_ = &model;
   model_name_ = model.name();
 
-  auto& tensors = model.tensors();
   tensor_sizes_.clear();
-  tensor_names_.clear();
-  tensor_sizes_.reserve(tensors.size());
-  tensor_names_.reserve(tensors.size());
-  for (auto& t : tensors) {
-    tensor_sizes_.push_back(t.byte_size());
-    tensor_names_.push_back(t.name());
-  }
+  for (auto& t : model.tensors()) tensor_sizes_.push_back(t.byte_size());
 
   co_await resolve_placement();
   registered_ = true;
@@ -339,7 +325,7 @@ sim::Process ClusterClient::forward_copy(std::size_t copy_id, std::size_t puller
 }
 
 sim::Process ClusterClient::checkpoint_shard(std::uint32_t shard, Round* round) {
-  // The shard's live copies in manifest order, the newest epoch any of
+  // The shard's live copies in placement order, the newest epoch any of
   // them is known to hold, and the newest the shard is known at on any
   // copy, placed now or before. A resize can leave every live copy below
   // that floor (registered where a migration landed an older version); a
@@ -481,12 +467,6 @@ sim::SubTask<ClusterClient::RestoreResult> ClusterClient::restore_round(bool* st
     target[c.shard] = std::max(target[c.shard], c.epoch);
   }
 
-  // A shard's bytes are its tensors' sizes: what its restore pushes.
-  std::vector<Bytes> shard_bytes(shard_count, 0);
-  for (std::uint32_t s = 0; s < shard_count; ++s) {
-    for (const auto t : plan_.shard_tensors[s]) shard_bytes[s] += tensor_sizes_[t];
-  }
-
   std::vector<bool> done(shard_count, false);
   std::vector<bool> tried(copies_.size(), false);
   bool degraded = false;
@@ -494,7 +474,7 @@ sim::SubTask<ClusterClient::RestoreResult> ClusterClient::restore_round(bool* st
   std::uint64_t max_epoch = 0;
 
   while (true) {
-    // Each unrestored shard's live untried copies, in manifest order.
+    // Each unrestored shard's live untried copies, in placement order.
     std::vector<std::vector<std::size_t>> options(shard_count);
     for (std::size_t id = 0; id < copies_.size(); ++id) {
       if (!tried[id] && live(copies_[id])) options[copies_[id].shard].push_back(id);
@@ -521,7 +501,7 @@ sim::SubTask<ClusterClient::RestoreResult> ClusterClient::restore_round(bool* st
 
     // Assign the wave by load: the shards with the fewest choices choose
     // first, and each takes the copy whose lane carries the fewest of this
-    // wave's bytes so far (ties to manifest order). A restore then waits on
+    // wave's bytes so far (ties to placement order). A restore then waits on
     // the evenest split of its bytes over the live daemons, not on whichever
     // daemon a dead member's primaries fall through to.
     std::stable_sort(order.begin(), order.end(), [&](std::uint32_t a, std::uint32_t b) {
@@ -539,8 +519,8 @@ sim::SubTask<ClusterClient::RestoreResult> ClusterClient::restore_round(bool* st
         if (lane_load(id) < lane_load(pick)) pick = id;
       }
       tried[pick] = true;
-      lane_load(pick) += shard_bytes[s];
-      // Re-routed: the primary copy (first in manifest order while it is
+      lane_load(pick) += plan_.shard_bytes[s];
+      // Re-routed: the primary copy (first in placement order while it is
       // an option) is down or already tried. A replica chosen for balance
       // is not a reroute.
       jobs.push_back(RestoreJob{.copy_id = pick,

@@ -7,8 +7,9 @@
 // several copies of one op side by side on its workers. A round then
 // costs its slowest copy, not the summed round trips of every copy its
 // busiest daemon holds. The tensor -> shard -> daemons map comes from
-// Placement::compute, so any process that knows the ring config finds its
-// shards without a metadata service.
+// Placement::compute_over, so any process that knows the ring config finds
+// its shards without a metadata service. Each copy's registration carries
+// its own tensors and its job's byte count, nothing of the other shards.
 //
 // Registrations are job-wide: the client owns one RegistrationCache (one
 // protection domain, one pinned MR per shard span) and every channel's
@@ -21,7 +22,7 @@
 // plus one round trip (Stats::pins, Stats::pins_reused).
 //
 // Replication pulls each shard from the GPU once per round, in one pass.
-// The puller is the first live copy in manifest order that the client
+// The puller is the first live copy in placement order that the client
 // does not know to be behind another live copy of the shard (a copy's
 // known epoch comes from its last pull, forward or restore, or from the
 // registration ack; 0 = nothing known). It gets the DO_CHECKPOINT, and
@@ -56,7 +57,7 @@
 //     live copy it has not tried, leaving out the copies known to be below
 //     the shard's target epoch while it has another: the shards with the
 //     fewest such copies choose first, and each takes the copy whose daemon
-//     carries the fewest of the wave's bytes so far (ties to manifest
+//     carries the fewest of the wave's bytes so far (ties to placement
 //     order). So a dead daemon's primaries spread over the survivors
 //     instead of all falling on their replicas' daemons. A copy that fails
 //     or refuses (its daemon cannot meet the required_epoch floor, or its
@@ -92,7 +93,6 @@
 
 #include "common/rng.h"
 #include "core/client.h"
-#include "core/cluster/manifest.h"
 #include "core/cluster/membership.h"
 #include "core/cluster/placement.h"
 
@@ -105,7 +105,6 @@ class ClusterClient {
     // set (the member list then comes from the membership source).
     std::vector<std::string> endpoints;
     std::uint32_t replicas = 2;          // copies per shard (clamped to ring size)
-    std::uint64_t placement_epoch = 0;   // bump to recompute the ring rotation
     // Per-op watchdog. 0 = never time out: hung-daemon detection is then
     // CRASH-ONLY — a daemon that stays connected but answers nothing (the
     // kHang gray failure) wedges the op, and with it the whole cluster
@@ -167,8 +166,8 @@ class ClusterClient {
                 QpRendezvous& rendezvous, Config config);
 
   // Compute the placement for `model` and register every shard copy on
-  // its daemon through the copy's own channel, all at once (manifest
-  // attached to every registration), pinning each shard span once for
+  // its daemon through the copy's own channel, all at once (each with the
+  // model's byte count as its job bytes), pinning each shard span once for
   // every copy of it. Lanes that are already dead are
   // tolerated as long as every shard keeps at least one registered copy;
   // otherwise throws.
@@ -196,7 +195,6 @@ class ClusterClient {
   sim::SubTask<> refresh_placement();
 
   const Placement::Plan& plan() const { return plan_; }
-  const ShardManifest& manifest() const { return manifest_; }
   const Stats& stats() const { return stats_; }
   std::uint64_t membership_epoch() const { return membership_epoch_; }
 
@@ -266,7 +264,7 @@ class ClusterClient {
   sim::SubTask<CheckpointResult> checkpoint_round(Round& round);
   sim::SubTask<RestoreResult> restore_round(bool* stale);
 
-  // Snapshot the membership, recompute plan/manifest/copies, revive lanes,
+  // Snapshot the membership, recompute plan and copies, revive lanes,
   // and register unregistered copies (its own EpochMismatch retry loop —
   // a resize can land mid-registration too).
   sim::SubTask<> resolve_placement();
@@ -299,10 +297,8 @@ class ClusterClient {
   Config config_;
   std::string model_name_;
   dnn::Model* model_ = nullptr;  // held for re-registration on re-resolve
-  std::vector<std::string> tensor_names_;
   std::vector<Bytes> tensor_sizes_;
   Placement::Plan plan_;
-  ShardManifest manifest_;
   // copies_, channels_ and lanes_ change only in resolve_placement, while
   // no per-copy process runs, so those processes may hold references.
   std::vector<Copy> copies_;

@@ -5,9 +5,8 @@
 // a new membership with a bumped epoch. Daemons hold the current epoch and
 // bounce requests stamped with a stale one (EpochMismatch), which is the
 // signal that makes clients refetch placement — see cluster_client.h. The
-// membership itself is persisted inside the CRC'd ShardManifest (v2) that
-// rides along with every shard registration, so any surviving daemon's
-// image is enough to reconstruct who held what at the time of a crash.
+// membership lives with its source (the elastic controller); no daemon
+// persists it.
 //
 // Member lifecycle:
 //   JOINING  -> receiving its share of existing shard copies; not yet a

@@ -4,7 +4,6 @@
 
 #include "common/logging.h"
 #include "common/strformat.h"
-#include "core/cluster/manifest.h"
 #include "core/cluster/placement.h"
 
 namespace portus::core::cluster {
@@ -15,10 +14,6 @@ constexpr const char* kLog = "elastic";
 // that hangs mid-resize costs one refused copy, not a wedged resize.
 constexpr Duration kSourceReplyBudget{20'000'000};  // 20 ms
 }  // namespace
-
-ElasticCluster::ElasticCluster(sim::Engine& /*engine*/, Config config) : config_{config} {
-  PORTUS_CHECK_ARG(config_.replicas >= 1, "replication factor must be >= 1");
-}
 
 void ElasticCluster::add_member(const std::string& endpoint, PortusDaemon& daemon) {
   PORTUS_CHECK_ARG(membership_.epoch == 0, "ring already sealed; grow it with join()");
@@ -95,8 +90,7 @@ sim::SubTask<Bytes> ElasticCluster::migrate_copy(PortusDaemon& src, PortusDaemon
     reg.shard_count = sidx.shard_count();
     reg.replica = replica;
     reg.replica_count = sidx.replica_count();
-    reg.placement_epoch = sidx.placement_epoch();
-    reg.manifest = sidx.manifest();
+    reg.job_bytes = sidx.job_bytes();
     for (const auto& t : sidx.tensors()) {
       reg.tensors.push_back(
           TensorDesc{.name = t.name, .dtype = t.dtype, .shape = t.shape, .size = t.size});
@@ -134,14 +128,12 @@ sim::SubTask<Bytes> ElasticCluster::migrate_copy(PortusDaemon& src, PortusDaemon
 }
 
 sim::SubTask<> ElasticCluster::stream_to_plan(const Membership& m) {
-  // Discover every sharded model any live member holds, with the placement
-  // inputs its persisted manifest carries (a shard's tensor cut is a pure
-  // function of (sizes, shard_count), so one manifest describes them all).
+  // Discover every model a ClusterClient placed on any live member, with
+  // the shard and replica counts of the first of its copies found (every
+  // copy's registration carries the same two).
   struct ModelInfo {
-    std::vector<Bytes> sizes;
     std::uint32_t shard_count = 0;
     std::uint32_t replicas = 0;
-    std::uint64_t placement_epoch = 0;
   };
   std::map<std::string, ModelInfo> models;
   for (auto* d : live_daemons(m)) {
@@ -151,29 +143,18 @@ sim::SubTask<> ElasticCluster::stream_to_plan(const Membership& m) {
       try {
         std::optional<MIndex> held;
         const MIndex& idx = d->index_of(key, held);
-        if (idx.manifest().empty()) continue;
-        const auto mf = ShardManifest::decode(idx.manifest());
-        ModelInfo info;
-        info.sizes.reserve(mf.tensors.size());
-        for (const auto& t : mf.tensors) info.sizes.push_back(t.size);
-        info.shard_count = mf.shard_count != 0 ? mf.shard_count : mf.daemon_count;
-        info.replicas = mf.replicas != 0 ? mf.replicas : config_.replicas;
-        info.placement_epoch = mf.placement_epoch;
-        models.emplace(mf.model_name, std::move(info));
+        if (idx.job_bytes() == 0) continue;  // no ClusterClient placed it
+        models.emplace(shard->first, ModelInfo{idx.shard_count(), idx.replica_count()});
       } catch (const std::exception&) {
-        continue;  // torn copy: another member's manifest will describe it
+        continue;  // torn copy: another copy of the model will describe it
       }
     }
   }
 
   const auto active = m.active_positions();
   for (const auto& [model, info] : models) {
-    const auto plan = Placement::compute_over(
-        model, info.sizes, info.shard_count,
-        static_cast<std::uint32_t>(m.members.size()), active, info.replicas,
-        info.placement_epoch);
-    for (std::uint32_t s = 0; s < plan.shard_daemons.size(); ++s) {
-      if (plan.shard_tensors[s].empty()) continue;
+    const auto homes = Placement::shard_homes(model, info.shard_count, active, info.replicas);
+    for (std::uint32_t s = 0; s < homes.size(); ++s) {
       const std::string key = shard_key(model, s);
 
       // Source: the live member holding the newest DONE epoch of this
@@ -187,9 +168,11 @@ sim::SubTask<> ElasticCluster::stream_to_plan(const Membership& m) {
           src_epoch = *e;
         }
       }
-      if (src == nullptr) continue;  // nothing committed anywhere yet
+      // Nothing committed anywhere yet, or a shard the cut left empty (no
+      // copy of it was ever placed).
+      if (src == nullptr) continue;
 
-      const auto& ring = plan.shard_daemons[s];
+      const auto& ring = homes[s];
       for (std::uint32_t r = 0; r < ring.size(); ++r) {
         auto* d = daemon(m.members[ring[r]].endpoint);
         if (d == nullptr || d->killed()) continue;

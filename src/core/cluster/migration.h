@@ -46,10 +46,6 @@ namespace portus::core::cluster {
 
 class ElasticCluster final : public MembershipSource {
  public:
-  struct Config {
-    std::uint32_t replicas = 2;  // copies per shard the migrator maintains
-  };
-
   struct Stats {
     std::uint64_t copies_moved = 0;     // shard copies landed on a new home
     std::uint64_t models_migrated = 0;  // distinct models that moved at all
@@ -62,10 +58,9 @@ class ElasticCluster final : public MembershipSource {
     Duration barrier_time{0};
   };
 
-  // The controller schedules nothing on `engine`: each resize step runs in
-  // the process that awaits it.
-  ElasticCluster(sim::Engine& engine, Config config);
-  explicit ElasticCluster(sim::Engine& engine) : ElasticCluster(engine, Config{}) {}
+  // The controller schedules nothing on the engine: each resize step runs
+  // in the process that awaits it.
+  explicit ElasticCluster(sim::Engine& /*engine*/) {}
 
   // Initial ring construction: add every founding member ACTIVE, then
   // seal() to set epoch 1 and push it to the daemons. After seal, use
@@ -99,8 +94,11 @@ class ElasticCluster final : public MembershipSource {
   const Stats& stats() const { return stats_; }
 
  private:
-  // Stream every shard copy the plan implied by `m` wants but its owner
-  // does not yet hold (at the source's epoch).
+  // Stream every shard copy the placement implied by `m` wants but its
+  // owner does not yet hold (at the source's epoch). A model is found by
+  // the shard copies a ClusterClient placed (job_bytes != 0) on any live
+  // member; its shards' homes follow from its name and the shard and
+  // replica counts that copy's index carries (Placement::shard_homes).
   sim::SubTask<> stream_to_plan(const Membership& m);
 
   // Pre-copy toward `target`, then barrier-install it (epoch bump + push),
@@ -120,7 +118,6 @@ class ElasticCluster final : public MembershipSource {
   std::vector<PortusDaemon*> live_daemons(const Membership& m) const;
   static std::optional<std::uint64_t> done_epoch(PortusDaemon& d, const std::string& key);
 
-  Config config_;
   Membership membership_;
   std::map<std::string, PortusDaemon*> daemons_;
   std::set<std::string> migrated_models_;

@@ -31,24 +31,12 @@ std::uint64_t hash_str(std::uint64_t h, const std::string& s) {
 
 }  // namespace
 
-Placement::Plan Placement::compute(const std::string& model_name,
-                                   std::span<const Bytes> tensor_sizes,
-                                   std::uint32_t daemon_count, std::uint32_t replicas,
-                                   std::uint64_t placement_epoch) {
-  PORTUS_CHECK_ARG(daemon_count >= 1, "placement needs at least one daemon");
-  std::vector<std::uint32_t> all(daemon_count);
-  for (std::uint32_t i = 0; i < daemon_count; ++i) all[i] = i;
-  return compute_over(model_name, tensor_sizes, daemon_count, daemon_count, all,
-                      replicas, placement_epoch);
-}
-
 Placement::Plan Placement::compute_over(const std::string& model_name,
                                         std::span<const Bytes> tensor_sizes,
                                         std::uint32_t shard_count,
                                         std::uint32_t ring_size,
                                         std::span<const std::uint32_t> active,
-                                        std::uint32_t replicas,
-                                        std::uint64_t placement_epoch) {
+                                        std::uint32_t replicas) {
   PORTUS_CHECK_ARG(shard_count >= 1, "placement needs at least one shard");
   PORTUS_CHECK_ARG(!active.empty(), "placement needs at least one active member");
   PORTUS_CHECK_ARG(!tensor_sizes.empty(), "placement over an empty model");
@@ -56,18 +44,12 @@ Placement::Plan Placement::compute_over(const std::string& model_name,
   for (const auto pos : active) {
     PORTUS_CHECK_ARG(pos < ring_size, "active member position outside the ring");
   }
-  const auto targets = static_cast<std::uint32_t>(active.size());
-  replicas = std::min(replicas, targets);
 
   Plan plan;
-  plan.model_name = model_name;
-  plan.placement_epoch = placement_epoch;
-  plan.daemon_count = ring_size;
   plan.shard_count = shard_count;
-  plan.replicas = replicas;
+  plan.replicas = std::min(replicas, static_cast<std::uint32_t>(active.size()));
   plan.shard_tensors.resize(shard_count);
   plan.shard_bytes.assign(shard_count, 0);
-  plan.tensor_shard.resize(tensor_sizes.size());
 
   // Contiguous byte-quantile cut: tensor t joins the shard holding the
   // midpoint of its bytes, floor(k * (prefix_t + size_t / 2) / T), so each
@@ -88,39 +70,34 @@ Placement::Plan Placement::compute_over(const std::string& model_name,
     const u128 size = by_index ? 1 : tensor_sizes[t];
     const u128 quantile = shard_count * (2 * prefix + size) / (2 * total);
     const auto s = static_cast<std::uint32_t>(std::min<u128>(quantile, shard_count - 1));
-    plan.tensor_shard[t] = s;
     plan.shard_tensors[s].push_back(t);
     plan.shard_bytes[s] += tensor_sizes[t];
     prefix += size;
   }
 
-  // Ring walk over the *active* members: shard k's primary at the
-  // (rot+k)-th active position, replicas on the next R-1. The rotation
-  // spreads different models (and re-placements after a ring-epoch bump)
-  // across the ring.
-  const auto rot = static_cast<std::uint32_t>(
-      hash_u64(hash_str(0xcbf29ce484222325ull, model_name), placement_epoch) % targets);
-  plan.shard_daemons.resize(shard_count);
-  for (std::uint32_t s = 0; s < shard_count; ++s) {
-    for (std::uint32_t r = 0; r < replicas; ++r) {
-      plan.shard_daemons[s].push_back(active[(rot + s + r) % targets]);
-    }
-  }
+  plan.shard_daemons = shard_homes(model_name, shard_count, active, replicas);
   return plan;
 }
 
-std::uint64_t Placement::Plan::digest() const {
-  std::uint64_t h = hash_str(0xcbf29ce484222325ull, model_name);
-  h = hash_u64(h, placement_epoch);
-  h = hash_u64(h, daemon_count);
-  h = hash_u64(h, shard_count);
-  h = hash_u64(h, replicas);
-  for (const auto s : tensor_shard) h = hash_u64(h, s);
-  for (const auto& daemons : shard_daemons) {
-    for (const auto d : daemons) h = hash_u64(h, d);
+std::vector<std::vector<std::uint32_t>> Placement::shard_homes(
+    const std::string& model_name, std::uint32_t shard_count,
+    std::span<const std::uint32_t> active, std::uint32_t replicas) {
+  PORTUS_CHECK_ARG(!active.empty(), "placement needs at least one active member");
+  const auto targets = static_cast<std::uint32_t>(active.size());
+  replicas = std::min(replicas, targets);
+  // Ring walk over the *active* members: shard k's primary at the
+  // (rot+k)-th active position, replicas on the next R-1. The rotation,
+  // hashed from the name, spreads different models across the ring (the
+  // trailing 0 word keeps every model's rotation what it has always been).
+  const auto rot = static_cast<std::uint32_t>(
+      hash_u64(hash_str(0xcbf29ce484222325ull, model_name), 0) % targets);
+  std::vector<std::vector<std::uint32_t>> homes(shard_count);
+  for (std::uint32_t s = 0; s < shard_count; ++s) {
+    for (std::uint32_t r = 0; r < replicas; ++r) {
+      homes[s].push_back(active[(rot + s + r) % targets]);
+    }
   }
-  for (const auto b : shard_bytes) h = hash_u64(h, b);
-  return h;
+  return homes;
 }
 
 std::string shard_key(const std::string& model_name, std::uint32_t shard_id) {

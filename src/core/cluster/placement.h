@@ -12,13 +12,12 @@
 // all hammer daemon 0.
 //
 // Everything is a pure function of (model name, tensor sizes, shard count,
-// active ring positions, replication factor, placement epoch) — two
-// processes that agree on the ring config compute byte-identical plans, so
-// restore after a full client restart needs no metadata service: the client
-// just recomputes where its shards are. The persisted ShardManifest
-// (manifest.h) is the belt to this suspenders — it lets an operator
-// reconstruct ownership from any one surviving daemon even when the ring
-// config is lost.
+// active ring positions, replication factor) — two processes that agree on
+// the ring config compute byte-identical plans, so restore after a full
+// client restart needs no metadata service: the client just recomputes
+// where its shards are. The shards' homes alone need no tensor sizes
+// (shard_homes), which is how the elastic migrator re-homes the shard
+// copies it finds on the daemons.
 #pragma once
 
 #include <cstdint>
@@ -34,53 +33,45 @@ namespace portus::core::cluster {
 
 struct Placement {
   struct Plan {
-    std::string model_name;
-    std::uint64_t placement_epoch = 0;
-    std::uint32_t daemon_count = 0;  // ring size (member positions)
-    // Number of shards the model is cut into. The classic compute() uses
-    // one shard per daemon; an elastic cluster fixes this at registration
-    // (e.g. 8) so the same shards can be re-homed as the ring resizes
-    // without re-cutting the model (a shard's tensor set is a pure function
-    // of (sizes, shard_count), so it survives every membership epoch).
+    // Number of shards the model is cut into. A static ring uses one shard
+    // per daemon; an elastic cluster fixes this at registration (e.g. 8) so
+    // the same shards can be re-homed as the ring resizes without re-cutting
+    // the model (a shard's tensor set is a pure function of (sizes,
+    // shard_count), so it survives every membership epoch).
     std::uint32_t shard_count = 0;
     std::uint32_t replicas = 0;
-    // tensor index -> owning shard id.
-    std::vector<std::uint32_t> tensor_shard;
     // shard id -> tensor indices: one ascending contiguous range, before
     // shard s+1's (registration order within the shard is the model's
     // tensor order, so a shard's MIndex layout is itself deterministic).
     std::vector<std::vector<std::uint32_t>> shard_tensors;
     // shard id -> daemon ring positions holding a copy, primary first.
     std::vector<std::vector<std::uint32_t>> shard_daemons;
-    // shard id -> payload bytes (balance metric).
+    // shard id -> payload bytes: what its checkpoint pulls and its restore
+    // pushes.
     std::vector<Bytes> shard_bytes;
-
-    // Order-sensitive digest over every assignment; equal digests mean the
-    // plans route every byte identically (determinism tests, manifests).
-    std::uint64_t digest() const;
   };
 
-  // `replicas` is clamped to daemon_count (cannot place two copies of one
-  // shard on the same daemon). Zero-size tensors are legal and join the
-  // shard their offset falls in.
-  static Plan compute(const std::string& model_name, std::span<const Bytes> tensor_sizes,
-                      std::uint32_t daemon_count, std::uint32_t replicas,
-                      std::uint64_t placement_epoch);
-
-  // Elastic generalization: place `shard_count` shards over the subset of a
-  // `ring_size`-position ring listed in `active` (ascending ring positions,
-  // e.g. Membership::active_positions()). Shard k's copies land on
-  // active[(rot + k + r) % active.size()] — values in shard_daemons are
-  // *ring* positions, so they stay meaningful as members join and drain.
-  // compute() is exactly compute_over() with shard_count = ring_size and
-  // every position active.
+  // Place `shard_count` shards over the subset of a `ring_size`-position
+  // ring listed in `active` (ascending ring positions, e.g.
+  // Membership::active_positions(); a static ring lists every position).
+  // Shard k's copies land as shard_homes() says. `replicas` is clamped to
+  // the active count (cannot place two copies of one shard on the same
+  // daemon). Zero-size tensors are legal and join the shard their offset
+  // falls in.
   static Plan compute_over(const std::string& model_name,
                            std::span<const Bytes> tensor_sizes,
                            std::uint32_t shard_count, std::uint32_t ring_size,
-                           std::span<const std::uint32_t> active, std::uint32_t replicas,
-                           std::uint64_t placement_epoch);
+                           std::span<const std::uint32_t> active, std::uint32_t replicas);
 
-  // 64-bit FNV-1a (the ring-rotation and digest hash).
+  // The ring walk alone: shard k's copies, primary first, on
+  // active[(rot + k + r) % active.size()] for r < min(replicas,
+  // active.size()), rot hashed from the model name. Values are *ring*
+  // positions, so they stay meaningful as members join and drain.
+  static std::vector<std::vector<std::uint32_t>> shard_homes(
+      const std::string& model_name, std::uint32_t shard_count,
+      std::span<const std::uint32_t> active, std::uint32_t replicas);
+
+  // 64-bit FNV-1a (the ring-rotation hash).
   static std::uint64_t fnv1a(std::span<const std::byte> data,
                              std::uint64_t seed = 0xcbf29ce484222325ull);
 };

@@ -7,7 +7,6 @@
 #include "common/crc32.h"
 #include "common/logging.h"
 #include "common/strformat.h"
-#include "core/cluster/manifest.h"
 #include "core/daemon/extent.h"
 #include "core/daemon/slots.h"
 
@@ -200,23 +199,9 @@ Bytes PortusDaemon::slot_bytes(const std::string& key) {
   }
 }
 
-Bytes PortusDaemon::job_bytes(const std::string& key) {
+Bytes PortusDaemon::job_bytes(const std::string& key) const {
   const auto it = sessions_.find(key);
-  if (it == sessions_.end()) return 0;
-  auto& job = it->second.job_bytes;
-  if (!job.has_value()) {
-    Bytes sum = 0;
-    const auto& manifest = it->second.registration.manifest;
-    try {
-      if (!manifest.empty()) {
-        for (const auto& t : cluster::ShardManifest::decode(manifest).tensors) sum += t.size;
-      }
-    } catch (const Error&) {
-      sum = 0;  // an unreadable manifest names no job: the restore keeps its bytes
-    }
-    job = sum;
-  }
-  return *job;
+  return it == sessions_.end() ? 0 : it->second.registration.job_bytes;
 }
 
 sim::SubTask<PortusDaemon::OpWorker> PortusDaemon::take_worker(const std::string& key,

@@ -14,16 +14,16 @@
 // lone op's timeline is the FIFO pool's.
 //
 // Concurrent cluster restores go shortest job first. A shard copy's job is
-// its whole model: the tensor bytes of the shard manifest it registered
-// with, decoded at its first restore. Such a restore asks and lends at its
-// job's size, counts its job active on this daemon from then until its
-// transfer has posted its last WR, and at each WR boundary with nothing in
-// flight, the first one included, does not post while a strictly smaller
-// job is active here: it lends its worker to any op waiting below its job's
-// size, and otherwise waits until a job stops being active or an op queues
-// for a worker. So on a shared client link the smallest job's shards post
-// alone and finish first. A restore with no manifest (a plain PortusClient)
-// and every other op keep the order above.
+// its whole model, whose tensor bytes its registration carried
+// (RegisterModelMsg::job_bytes). Such a restore asks and lends at its job's
+// size, counts its job active on this daemon from then until its transfer
+// has posted its last WR, and at each WR boundary with nothing in flight,
+// the first one included, does not post while a strictly smaller job is
+// active here: it lends its worker to any op waiting below its job's size,
+// and otherwise waits until a job stops being active or an op queues for a
+// worker. So on a shared client link the smallest job's shards post
+// alone and finish first. A restore of a copy with no job (a plain
+// PortusClient's) and every other op keep the order above.
 //
 // PMEM layout on the devdax namespace:
 //   [4 KiB  superblock (reserved)]
@@ -299,9 +299,6 @@ class PortusDaemon {
     // both 0 on flat topologies.
     std::uint32_t home_node = 0;
     std::uint64_t home_shard = 0;
-    // The size of the job this copy belongs to, decoded from the
-    // registration's manifest at the first restore (0: no manifest).
-    std::optional<Bytes> job_bytes;
   };
 
   // The replica side of forwarding: a control socket to one source daemon
@@ -411,9 +408,9 @@ class PortusDaemon {
   // source slot of the same size (0 when it has no index).
   Bytes registered_bytes(const std::string& key) const;
   Bytes slot_bytes(const std::string& key);
-  // The size of the job `key`'s copy belongs to (ModelSession::job_bytes):
-  // 0 when it is unregistered or registered with no manifest.
-  Bytes job_bytes(const std::string& key);
+  // The size of the job `key`'s copy belongs to (its registration's
+  // job_bytes): 0 when it is unregistered or registered with no job.
+  Bytes job_bytes(const std::string& key) const;
   // Wake the held restores and quiesce(): a key of a tally stopped being
   // active, an op queues for a worker that a held restore may lend it, or
   // the daemon was killed. Each waiter re-checks what it waits for.

@@ -43,17 +43,16 @@ std::optional<SlotHeader> decode_slot_header(std::span<const std::byte> raw) {
   return h;
 }
 
-struct ShardIdentity {
+struct ShardMeta {
   std::uint32_t shard_id = 0;
   std::uint32_t shard_count = 1;
   std::uint32_t replica = 0;
   std::uint32_t replica_count = 1;
-  std::uint64_t placement_epoch = 0;
+  Bytes job_bytes = 0;
 };
 
 std::vector<std::byte> encode_meta_blob(const std::string& name, bool phantom,
-                                        const ShardIdentity& shard,
-                                        std::span<const std::byte> manifest, Bytes slot_size,
+                                        const ShardMeta& shard, Bytes slot_size,
                                         const std::vector<IndexedTensor>& tensors) {
   BinaryWriter w;
   w.str(name);
@@ -62,8 +61,7 @@ std::vector<std::byte> encode_meta_blob(const std::string& name, bool phantom,
   w.u32(shard.shard_count);
   w.u32(shard.replica);
   w.u32(shard.replica_count);
-  w.u64(shard.placement_epoch);
-  w.bytes(manifest);
+  w.u64(shard.job_bytes);
   w.u64(slot_size);
   w.u32(static_cast<std::uint32_t>(tensors.size()));
   for (const auto& t : tensors) {
@@ -92,8 +90,7 @@ MIndex MIndex::create(pmem::PmemDevice& device, PmemAllocator& allocator,
   idx.shard_count_ = registration.shard_count;
   idx.replica_ = registration.replica;
   idx.replica_count_ = registration.replica_count;
-  idx.placement_epoch_ = registration.placement_epoch;
-  idx.manifest_ = registration.manifest;
+  idx.job_bytes_ = registration.job_bytes;
 
   // Lay tensors out back-to-back in one contiguous slot. Tensors at or
   // under pack_threshold pack densely at dtype alignment (so same-dtype
@@ -119,9 +116,9 @@ MIndex MIndex::create(pmem::PmemDevice& device, PmemAllocator& allocator,
   // Allocate both TensorData regions and the record.
   const auto meta_blob = encode_meta_blob(
       idx.model_name_, idx.phantom_,
-      ShardIdentity{idx.shard_id_, idx.shard_count_, idx.replica_, idx.replica_count_,
-                    idx.placement_epoch_},
-      idx.manifest_, idx.slot_size_, idx.tensors_);
+      ShardMeta{idx.shard_id_, idx.shard_count_, idx.replica_, idx.replica_count_,
+                    idx.job_bytes_},
+      idx.slot_size_, idx.tensors_);
   idx.meta_len_ = meta_blob.size();
   idx.record_size_ = kMetaOffset + idx.meta_len_ + 2 * idx.crc_block_size();
   idx.record_offset_ = allocator.alloc(idx.record_size_);
@@ -204,8 +201,7 @@ MIndex MIndex::load(pmem::PmemDevice& device, Bytes record_offset) {
       idx.replica_count_ == 0 || idx.replica_ >= idx.replica_count_) {
     throw Corruption("implausible shard identity in MIndex");
   }
-  idx.placement_epoch_ = r.u64();
-  idx.manifest_ = r.bytes();
+  idx.job_bytes_ = r.u64();
   idx.slot_size_ = r.u64();
   const auto count = r.u32();
   if (count > 1u << 20) throw Corruption("implausible tensor count in MIndex");

@@ -13,7 +13,7 @@
 //   [slot0: u32 state | u64 epoch | u64 data_offset | u32 crc]   (24 B)
 //   [slot1: ditto]
 //   [u32 meta_len]
-//   [meta blob: name, phantom flag, shard identity, manifest blob,
+//   [meta blob: name, phantom flag, shard identity, job bytes,
 //    slot_size, tensor entries..., u32 crc]
 //   [payload-CRC block 0][payload-CRC block 1]
 //
@@ -26,8 +26,10 @@
 //
 // Sharded models (core/cluster/) store one MIndex per shard copy under the
 // shard-scoped ModelTable key; the meta blob then carries the copy's shard
-// identity and the encoded ShardManifest, so the full cluster placement is
-// reconstructible from any one surviving daemon's PMEM alone.
+// identity (shard and replica, each with its count) and its job's byte
+// count, which is all the elastic migrator needs to re-home the copy: the
+// homes of a model's shards follow from its name, its shard count and its
+// replica count (Placement::shard_homes).
 //
 // Slot headers are fixed-offset so a checkpoint flips its flag with one
 // 24-byte write + persist — no record rewrite. Persist ordering is the
@@ -79,7 +81,10 @@ struct ChunkSpan {
 
 class MIndex {
  public:
-  static constexpr std::uint32_t kMagic = 0x584D4950;  // "PIMX"
+  // "PIM2": the record whose meta blob holds the job's byte count. A record
+  // in the layout before it ("PIMX", with a shard manifest blob) is refused
+  // as Corruption.
+  static constexpr std::uint32_t kMagic = 0x324D4950;
   static constexpr Bytes kSlotHeaderSize = 24;
   static constexpr Bytes kSlot0Offset = 8;     // after magic + record_len
   static constexpr Bytes kMetaLenOffset = 56;  // after both slot headers
@@ -110,10 +115,9 @@ class MIndex {
   std::uint32_t shard_count() const { return shard_count_; }
   std::uint32_t replica() const { return replica_; }
   std::uint32_t replica_count() const { return replica_count_; }
-  std::uint64_t placement_epoch() const { return placement_epoch_; }
   bool sharded() const { return shard_count_ > 1 || replica_count_ > 1; }
-  // Encoded ShardManifest (empty for unsharded models).
-  const std::vector<std::byte>& manifest() const { return manifest_; }
+  // The registration's job bytes (RegisterModelMsg::job_bytes; 0: no job).
+  Bytes job_bytes() const { return job_bytes_; }
   Bytes record_offset() const { return record_offset_; }
   Bytes slot_size() const { return slot_size_; }
   const std::vector<IndexedTensor>& tensors() const { return tensors_; }
@@ -204,8 +208,7 @@ class MIndex {
   std::uint32_t shard_count_ = 1;
   std::uint32_t replica_ = 0;
   std::uint32_t replica_count_ = 1;
-  std::uint64_t placement_epoch_ = 0;
-  std::vector<std::byte> manifest_;
+  Bytes job_bytes_ = 0;
   Bytes slot_size_ = 0;
   std::vector<IndexedTensor> tensors_;
   std::vector<SlotHeader> slots_;  // exactly 2

@@ -76,8 +76,7 @@ std::vector<std::byte> encode(const RegisterModelMsg& m) {
   w.u32(m.shard_count);
   w.u32(m.replica);
   w.u32(m.replica_count);
-  w.u64(m.placement_epoch);
-  w.bytes(m.manifest);
+  w.u64(m.job_bytes);
   w.str(m.tenant_id);
   w.u8(m.priority);
   w.u64(m.requested_capacity);
@@ -120,8 +119,7 @@ RegisterModelMsg decode_register_model(std::span<const std::byte> wire) {
       m.replica >= m.replica_count) {
     throw Corruption("implausible shard identity in registration");
   }
-  m.placement_epoch = r.u64();
-  m.manifest = r.bytes();
+  m.job_bytes = r.u64();
   m.tenant_id = r.str();
   m.priority = r.u8();
   if (m.priority > 2) throw Corruption("implausible priority class in registration");

@@ -75,7 +75,11 @@ inline constexpr std::uint32_t kProtocolMagic = 0x50545553;  // "PTUS"
 // v10: CheckpointReqMsg carries an epoch floor after the round id, only
 //     when non-zero (the round id is then written even when 0): a pull
 //     that carries none keeps its v9 bytes.
-inline constexpr std::uint16_t kProtocolVersion = 10;
+// v11: registration carries its job's byte count (job_bytes) in place of
+//     the ring-config generation and the encoded shard manifest, so a
+//     shard copy's registration holds its own tensors and nothing of the
+//     rest of the model's.
+inline constexpr std::uint16_t kProtocolVersion = 11;
 
 enum class MsgType : std::uint8_t {
   kRegisterModel = 1,
@@ -156,15 +160,16 @@ struct RegisterModelMsg {
   // and NIC); offering 1 disables coalescing for this registration.
   std::uint32_t max_sges = 1;
   // --- cluster sharding (core/cluster/). A standalone registration keeps
-  // the defaults: one shard, one replica, no manifest. ---
+  // the defaults: one shard, one replica, no job. ---
   std::uint32_t shard_id = 0;
   std::uint32_t shard_count = 1;
   std::uint32_t replica = 0;        // which copy of the shard this is
   std::uint32_t replica_count = 1;
-  std::uint64_t placement_epoch = 0;  // ring-config generation
-  // Encoded ShardManifest, persisted alongside the shard's MIndex so any
-  // surviving daemon can reconstruct the full placement. Empty = none.
-  std::vector<std::byte> manifest;
+  // The whole model's tensor bytes, which a ClusterClient sends with every
+  // shard copy it places (0 = a copy no ClusterClient placed), persisted
+  // with the copy's MIndex. The daemon orders concurrent restores by it,
+  // and the elastic migrator re-homes only copies that carry it.
+  Bytes job_bytes = 0;
   // --- tenancy (v5, core/daemon/tenant.h). An empty tenant_id files the
   // registration under the daemon's "default" tenant; the requested_* fields
   // are wishes the daemon clamps against its own policy (the grant comes

@@ -1,6 +1,5 @@
-// Portus-Cluster: sharded multi-daemon placement, replication, and degraded
-// restore (ISSUE acceptance criteria a/b/c plus manifest and protocol
-// version coverage).
+// Portus-Cluster: sharded multi-daemon placement, replication, degraded
+// restore, and shard registration and protocol version coverage.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -15,7 +14,6 @@
 #include "common/strformat.h"
 #include "core/cluster/cluster_client.h"
 #include "core/cluster/cluster_ctl.h"
-#include "core/cluster/manifest.h"
 #include "core/cluster/migration.h"
 #include "core/cluster/placement.h"
 #include "core/daemon/daemon.h"
@@ -23,6 +21,7 @@
 #include "core/daemon/repacker.h"
 #include "dnn/model_zoo.h"
 #include "net/cluster.h"
+#include "net/tcp.h"
 #include "sim/fault.h"
 #include "sim/trace.h"
 
@@ -34,25 +33,30 @@ using namespace std::chrono_literals;
 // ---------------------------------------------------------------------------
 // Placement policy (pure function; acceptance criterion c's foundation).
 
+// A static ring of `n` daemons: one shard per daemon, every position active.
+Placement::Plan place_on_ring(const std::string& model, const std::vector<Bytes>& sizes,
+                              std::uint32_t n, std::uint32_t replicas) {
+  std::vector<std::uint32_t> all(n);
+  for (std::uint32_t i = 0; i < n; ++i) all[i] = i;
+  return Placement::compute_over(model, sizes, n, n, all, replicas);
+}
+
 TEST(PlacementTest, DeterministicAcrossProcesses) {
   const std::vector<Bytes> sizes{96_MiB, 1_MiB, 40_MiB, 40_MiB, 8_MiB, 3_MiB, 200_KiB};
-  const auto a = Placement::compute("gpt-tiny", sizes, 4, 2, 7);
-  const auto b = Placement::compute("gpt-tiny", sizes, 4, 2, 7);
-  EXPECT_EQ(a.digest(), b.digest());
-  ASSERT_EQ(a.tensor_shard, b.tensor_shard);
-  ASSERT_EQ(a.shard_daemons, b.shard_daemons);
+  const auto a = place_on_ring("gpt-tiny", sizes, 4, 2);
+  const auto b = place_on_ring("gpt-tiny", sizes, 4, 2);
+  EXPECT_EQ(a.shard_tensors, b.shard_tensors);
+  EXPECT_EQ(a.shard_daemons, b.shard_daemons);
+  EXPECT_EQ(a.shard_bytes, b.shard_bytes);
 
-  // A different placement epoch may rotate the ring; the digest must differ
-  // deterministically, not randomly.
-  const auto c1 = Placement::compute("gpt-tiny", sizes, 4, 2, 8);
-  const auto c2 = Placement::compute("gpt-tiny", sizes, 4, 2, 8);
-  EXPECT_EQ(c1.digest(), c2.digest());
+  // The homes alone follow from the name, shard count and replica count.
+  const std::vector<std::uint32_t> all{0, 1, 2, 3};
+  EXPECT_EQ(Placement::shard_homes("gpt-tiny", 4, all, 2), a.shard_daemons);
 }
 
 TEST(PlacementTest, EveryTensorPlacedOnceAndReplicasDistinct) {
   const std::vector<Bytes> sizes{10_MiB, 20_MiB, 30_MiB, 5_MiB, 5_MiB};
-  const auto plan = Placement::compute("m", sizes, 3, 2, 0);
-  ASSERT_EQ(plan.tensor_shard.size(), sizes.size());
+  const auto plan = place_on_ring("m", sizes, 3, 2);
   std::size_t placed = 0;
   for (const auto& shard : plan.shard_tensors) placed += shard.size();
   EXPECT_EQ(placed, sizes.size());
@@ -65,7 +69,7 @@ TEST(PlacementTest, EveryTensorPlacedOnceAndReplicasDistinct) {
 TEST(PlacementTest, EqualTensorsSplitTwoPerShard) {
   // 8 equal tensors over 4 shards must land exactly 2 per shard, in order.
   const std::vector<Bytes> sizes(8, 16_MiB);
-  const auto plan = Placement::compute("balanced", sizes, 4, 1, 0);
+  const auto plan = place_on_ring("balanced", sizes, 4, 1);
   for (const auto& bytes : plan.shard_bytes) EXPECT_EQ(bytes, 32_MiB);
   for (std::uint32_t s = 0; s < 4; ++s) {
     EXPECT_EQ(plan.shard_tensors[s], (std::vector<std::uint32_t>{2 * s, 2 * s + 1}));
@@ -79,9 +83,8 @@ TEST(PlacementTest, EqualTensorsSplitTwoPerShard) {
 Placement::Plan expect_quantile_cut(const std::vector<Bytes>& sizes, std::uint32_t k) {
   SCOPED_TRACE(strf("{} tensors over {} shards", sizes.size(), k));
   const std::vector<std::uint32_t> active{0};
-  const auto plan = Placement::compute_over("m", sizes, k, 1, active, 1, 0);
+  const auto plan = Placement::compute_over("m", sizes, k, 1, active, 1);
   EXPECT_EQ(plan.shard_tensors.size(), k);
-  EXPECT_EQ(plan.tensor_shard.size(), sizes.size());
 
   unsigned __int128 total = 0;
   Bytes largest = 0;
@@ -95,7 +98,6 @@ Placement::Plan expect_quantile_cut(const std::vector<Bytes>& sizes, std::uint32
     Bytes bytes = 0;
     for (const auto t : plan.shard_tensors[s]) {
       EXPECT_EQ(t, next) << "shard " << s << " is not the next contiguous range";
-      EXPECT_EQ(plan.tensor_shard[t], s);
       bytes += sizes[t];
       ++next;
     }
@@ -155,45 +157,9 @@ TEST(PlacementTest, ShardKeyParsesBackToItsModelAndShard) {
 
 TEST(PlacementTest, ReplicasClampedToRingSize) {
   const std::vector<Bytes> sizes{1_MiB, 2_MiB};
-  const auto plan = Placement::compute("m", sizes, 2, 5, 0);
+  const auto plan = place_on_ring("m", sizes, 2, 5);
   EXPECT_EQ(plan.replicas, 2u);
   for (const auto& ring : plan.shard_daemons) EXPECT_EQ(ring.size(), 2u);
-}
-
-// ---------------------------------------------------------------------------
-// Manifest wire format.
-
-TEST(ManifestTest, EncodeDecodeRoundtrip) {
-  const std::vector<Bytes> sizes{96_MiB, 1_MiB, 40_MiB};
-  const std::vector<std::string> names{"w0", "w1", "w2"};
-  const std::vector<std::string> endpoints{"portusd0", "portusd1", "portusd2"};
-  const auto plan = Placement::compute("gpt-tiny", sizes, 3, 2, 4);
-  const auto m = ShardManifest::from_plan(plan, endpoints, names, sizes);
-
-  const auto wire = m.encode();
-  const auto back = ShardManifest::decode(wire);
-  EXPECT_EQ(back.model_name, "gpt-tiny");
-  EXPECT_EQ(back.placement_epoch, 4u);
-  EXPECT_EQ(back.plan_digest, plan.digest());
-  EXPECT_EQ(back.daemon_count, 3u);
-  EXPECT_EQ(back.replicas, 2u);
-  EXPECT_EQ(back.endpoints, endpoints);
-  ASSERT_EQ(back.tensors.size(), 3u);
-  EXPECT_EQ(back.tensors[0].name, "w0");
-  EXPECT_EQ(back.tensors[0].size, 96_MiB);
-  EXPECT_EQ(back.tensors[0].shard, plan.tensor_shard[0]);
-  EXPECT_EQ(back.shard_daemons, plan.shard_daemons);
-}
-
-TEST(ManifestTest, CorruptionRejected) {
-  const std::vector<Bytes> sizes{1_MiB};
-  const std::vector<std::string> names{"w0"};
-  const std::vector<std::string> endpoints{"portusd0"};
-  const auto plan = Placement::compute("m", sizes, 1, 1, 0);
-  auto wire = ShardManifest::from_plan(plan, endpoints, names, sizes).encode();
-  wire[wire.size() / 2] ^= std::byte{0x5a};
-  EXPECT_THROW(ShardManifest::decode(wire), Corruption);
-  EXPECT_THROW(ShardManifest::decode({}), Corruption);
 }
 
 // ---------------------------------------------------------------------------
@@ -320,16 +286,17 @@ TEST(ClusterTest, ShardReplicateRestoreBitExact) {
   EXPECT_EQ(r.eng.failed_process_count(), 0);
 
   // R=2 over 3 daemons: 2 copies per shard, spread across the ring; each
-  // shard-scoped registration carries the manifest into the MIndex.
+  // shard-scoped registration carries its shard identity and the model's
+  // bytes into the MIndex.
   std::size_t copies = 0;
   for (auto& d : r.daemons) {
     for (const auto& name : d->model_table().names()) {
       const MIndex* idx = d->find_live_index(name);
       ASSERT_NE(idx, nullptr);
       EXPECT_TRUE(idx->sharded());
-      const auto manifest = ShardManifest::decode(idx->manifest());
-      EXPECT_EQ(manifest.model_name, "resnet50");
-      EXPECT_EQ(manifest.replicas, 2u);
+      EXPECT_EQ(idx->shard_count(), 3u);
+      EXPECT_EQ(idx->replica_count(), 2u);
+      EXPECT_EQ(idx->job_bytes(), model.total_bytes());
       ++copies;
     }
     EXPECT_GT(d->stats().shard_registrations, 0u);
@@ -457,7 +424,7 @@ TEST(ClusterTest, PlacementSurvivesProcessRestart) {
   opt.scale = 0.02;
   auto model = dnn::ModelZoo::create(volta.gpu(0), "resnet50", opt);
 
-  std::uint64_t digest1 = 0;
+  Placement::Plan plan1;
   std::uint32_t crc = 0;
   {
     ClusterClient client{*r.cluster, volta, volta.gpu(0), r.rendezvous, r.client_config(2)};
@@ -469,7 +436,7 @@ TEST(ClusterTest, PlacementSurvivesProcessRestart) {
     }(client, model, ok));
     r.eng.run();
     ASSERT_TRUE(ok);
-    digest1 = client.plan().digest();
+    plan1 = client.plan();
     crc = model.weights_crc();
   }
 
@@ -489,7 +456,8 @@ TEST(ClusterTest, PlacementSurvivesProcessRestart) {
   }(client2, model2, ok));
   r.eng.run();
   ASSERT_TRUE(ok);
-  EXPECT_EQ(client2.plan().digest(), digest1);
+  EXPECT_EQ(client2.plan().shard_tensors, plan1.shard_tensors);
+  EXPECT_EQ(client2.plan().shard_daemons, plan1.shard_daemons);
   EXPECT_EQ(model2.weights_crc(), crc);
   EXPECT_EQ(r.eng.failed_process_count(), 0);
 }
@@ -758,7 +726,7 @@ TEST(ClusterTest, EachCheckpointByteCrossesTheClientNicOnce) {
       << "a replica pulled from the GPU";
 
   // Every copy holds the round's epoch under its puller's CRC block: the
-  // puller is the shard's first copy in manifest order.
+  // puller is the shard's first copy in placement order.
   std::uint64_t forwards = 0;
   for (auto& d : r.daemons) forwards += d->stats().forwards;
   std::uint32_t shards = 0;
@@ -1889,7 +1857,7 @@ TEST(ClusterTest, HeldRestoreLendsItsWorkerToASmallerJob) {
   EXPECT_EQ(r.eng.failed_process_count(), 0);
 }
 
-// Restores from plain PortusClients (zoo's and fleet's: no shard manifest)
+// Restores from plain PortusClients (zoo's and fleet's: no job bytes)
 // belong to no job. Two of them, vgg19_bn and resnet50 at scale 0.005,
 // restore at once on a one-worker daemon: they keep the pool's shortest
 // remaining transfer first, never hold, and take what they took before
@@ -1934,42 +1902,6 @@ TEST(ClusterTest, PlainClientRestoresNeverHold) {
   EXPECT_EQ(took[0].count(), 807'105);
   EXPECT_EQ(took[1].count(), 198'715);
   EXPECT_EQ(d.idle_workers(), 1);
-  EXPECT_EQ(r.eng.failed_process_count(), 0);
-}
-
-// A shard copy whose registration carried a manifest the daemon cannot
-// decode belongs to no job: its restore keeps its own bytes in the pool
-// and is served, bit-exact, instead of failing the session.
-TEST(ClusterTest, UnreadableManifestNamesNoJob) {
-  ClusterRig r{1};
-  auto& volta = r.cluster->node("client-volta");
-  dnn::ModelZoo::Options opt;
-  opt.scale = 0.005;
-  auto model = dnn::ModelZoo::create(volta.gpu(0), "resnet50", opt);
-  PortusClient client{*r.cluster, volta, volta.gpu(0), r.rendezvous, "portusd0"};
-  PortusClient::ShardBinding binding;
-  binding.reg_name = shard_key(model.name(), 0);
-  for (std::uint32_t i = 0; i < model.tensors().size(); ++i) binding.tensor_indices.push_back(i);
-  binding.shard_count = 2;
-  binding.manifest = {std::byte{0x50}, std::byte{0x53}, std::byte{0x4D}};
-  std::uint32_t want = 0;
-  auto proc = r.eng.spawn([](PortusClient& c, dnn::Model& m, PortusClient::ShardBinding b,
-                             std::uint32_t& crc) -> sim::Process {
-    const auto key = b.reg_name;
-    co_await c.connect();
-    co_await c.register_shard(m, std::move(b));
-    co_await c.checkpoint_named(key, 1);
-    crc = m.weights_crc();
-    m.mutate_weights(2);
-    EXPECT_EQ(co_await c.restore_named(key), 1u);
-  }(client, model, binding, want));
-  r.eng.run();
-  proc.check();
-  EXPECT_EQ(model.weights_crc(), want);
-  const auto& d = *r.daemons[0];
-  EXPECT_EQ(d.stats().restores, 1u);
-  EXPECT_EQ(d.stats().failed_ops, 0u);
-  EXPECT_EQ(d.stats().restore_holds, 0u);
   EXPECT_EQ(r.eng.failed_process_count(), 0);
 }
 
@@ -2541,8 +2473,7 @@ TEST(ClusterTest, RegisterModelRoundtripCarriesShardIdentity) {
   msg.shard_count = 3;
   msg.replica = 1;
   msg.replica_count = 2;
-  msg.placement_epoch = 9;
-  msg.manifest = {std::byte{1}, std::byte{2}, std::byte{3}};
+  msg.job_bytes = 48;
   msg.tensors.push_back(TensorDesc{.name = "w", .dtype = dnn::DType::kF32,
                                    .shape = {4}, .size = 16, .gpu_addr = 1, .rkey = 2});
   const auto wire = encode(msg);
@@ -2552,8 +2483,75 @@ TEST(ClusterTest, RegisterModelRoundtripCarriesShardIdentity) {
   EXPECT_EQ(back.shard_count, 3u);
   EXPECT_EQ(back.replica, 1u);
   EXPECT_EQ(back.replica_count, 2u);
-  EXPECT_EQ(back.placement_epoch, 9u);
-  EXPECT_EQ(back.manifest, msg.manifest);
+  EXPECT_EQ(back.job_bytes, 48u);
+}
+
+// Stands in for a daemon: keeps the wire bytes of every registration sent
+// to `listener` and acks each.
+sim::Process record_registrations(sim::Engine& eng, net::TcpListener& listener,
+                                  std::vector<std::vector<std::byte>>& wires) {
+  for (;;) {
+    auto socket = co_await listener.accept();
+    eng.spawn([](std::shared_ptr<net::TcpSocket> s,
+                 std::vector<std::vector<std::byte>>& out) -> sim::Process {
+      for (;;) {
+        out.push_back(co_await s->recv());
+        RegisterAckMsg ack;
+        ack.ok = true;
+        ack.stripes = 1;
+        ack.max_sges = 1;
+        s->send(encode(ack));
+      }
+    }(std::move(socket), wires));
+  }
+}
+
+// A shard copy's registration carries its own tensors and a fixed header,
+// nothing of the rest of the model: each of the elastic workload's models
+// (scale 0.005, 8 shards, R = 2) placed over a static ring of 4 daemons.
+TEST(ClusterTest, ShardCopyRegistrationCarriesOnlyItsOwnTensors) {
+  // Every field but the TensorDescs, with a shard key, one QP token and no
+  // tenant id, takes under this.
+  constexpr std::size_t kHeader = 128;
+  for (const char* name : {"resnet50", "swin_b", "vgg19_bn", "bert"}) {
+    SCOPED_TRACE(name);
+    sim::Engine eng;
+    auto cluster = net::Cluster::sharded_testbed(eng, 4);
+    QpRendezvous rendezvous;
+    std::vector<std::vector<std::byte>> wires;
+    ClusterClient::Config cfg;
+    cfg.replicas = 2;
+    cfg.shard_count = 8;
+    for (int i = 0; i < 4; ++i) {
+      cfg.endpoints.push_back(strf("portusd{}", i));
+      eng.spawn(record_registrations(eng, cluster->listen(cfg.endpoints.back()), wires));
+    }
+    auto& volta = cluster->node("client-volta");
+    dnn::ModelZoo::Options opt;
+    opt.scale = 0.005;
+    auto model = dnn::ModelZoo::create(volta.gpu(0), name, opt);
+    ClusterClient client{*cluster, volta, volta.gpu(0), rendezvous, cfg};
+    auto proc = eng.spawn([](ClusterClient& c, dnn::Model& m) -> sim::Process {
+      co_await c.register_model(m);
+    }(client, model));
+    eng.run();
+    proc.check();
+
+    ASSERT_EQ(wires.size(), 16u);
+    for (const auto& wire : wires) {
+      auto msg = decode_register_model(wire);
+      SCOPED_TRACE(msg.model_name);
+      EXPECT_EQ(msg.job_bytes, model.total_bytes());
+      const auto& own = client.plan().shard_tensors.at(msg.shard_id);
+      ASSERT_EQ(msg.tensors.size(), own.size());
+      for (std::size_t i = 0; i < own.size(); ++i) {
+        EXPECT_EQ(msg.tensors[i].name, model.tensors()[own[i]].name());
+      }
+      msg.tensors.clear();
+      EXPECT_LE(encode(msg).size(), kHeader) << "of " << wire.size() << " B";
+    }
+    eng.shutdown();
+  }
 }
 
 }  // namespace

@@ -556,9 +556,11 @@ TEST(MIndexTest, CreateLaysOutTensorsContiguously) {
 
 TEST(MIndexTest, LoadRoundTripsMetadata) {
   IndexFixture f;
+  f.reg.job_bytes = 1_MiB;
   const auto created = MIndex::create(f.device, f.alloc, f.reg);
   const auto loaded = MIndex::load(f.device, created.record_offset());
   EXPECT_EQ(loaded.model_name(), "bert");
+  EXPECT_EQ(loaded.job_bytes(), 1_MiB);
   EXPECT_EQ(loaded.slot_size(), created.slot_size());
   ASSERT_EQ(loaded.tensors().size(), 4u);
   EXPECT_EQ(loaded.tensors()[2].name, "t2");
@@ -569,6 +571,17 @@ TEST(MIndexTest, LoadRoundTripsMetadata) {
 TEST(MIndexTest, LoadRejectsGarbage) {
   IndexFixture f;
   EXPECT_THROW(MIndex::load(f.device, 2_MiB), Corruption);
+}
+
+// A record in the layout before job bytes ("PIMX": its meta blob held a
+// shard manifest where job bytes now sit) is refused, not misparsed.
+TEST(MIndexTest, LoadRefusesTheManifestLayoutsMagic) {
+  IndexFixture f;
+  const auto created = MIndex::create(f.device, f.alloc, f.reg);
+  BinaryWriter old_magic;
+  old_magic.u32(0x584D4950);  // "PIMX"
+  f.device.write(created.record_offset(), old_magic.buffer());
+  EXPECT_THROW(MIndex::load(f.device, created.record_offset()), Corruption);
 }
 
 TEST(CheckpointTxnTest, FirstCheckpointUsesSlot0) {

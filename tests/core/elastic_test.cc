@@ -10,7 +10,6 @@
 #include "common/strformat.h"
 #include "core/cluster/cluster_client.h"
 #include "core/cluster/cluster_ctl.h"
-#include "core/cluster/manifest.h"
 #include "core/cluster/migration.h"
 #include "core/daemon/daemon.h"
 #include "core/daemon/fsck.h"
@@ -24,27 +23,6 @@ namespace portus::core::cluster {
 namespace {
 
 using namespace std::chrono_literals;
-
-// ---------------------------------------------------------------------------
-// Manifest v2: the membership epoch + lifecycle states persist with every
-// shard registration (the CRC'd record elasticity recovers from).
-
-TEST(ElasticManifestTest, MembershipFieldsRoundtrip) {
-  const std::vector<Bytes> sizes{96_MiB, 1_MiB, 40_MiB};
-  const std::vector<std::string> names{"w0", "w1", "w2"};
-  const std::vector<std::string> endpoints{"portusd0", "portusd1"};
-  const auto plan = Placement::compute("gpt-tiny", sizes, 2, 2, 4);
-  auto m = ShardManifest::from_plan(plan, endpoints, names, sizes);
-  m.membership_epoch = 7;
-  m.member_states = {MemberState::kActive, MemberState::kDraining};
-
-  const auto back = ShardManifest::decode(m.encode());
-  EXPECT_EQ(back.membership_epoch, 7u);
-  EXPECT_EQ(back.shard_count, plan.shard_tensors.size());
-  ASSERT_EQ(back.member_states.size(), 2u);
-  EXPECT_EQ(back.member_states[0], MemberState::kActive);
-  EXPECT_EQ(back.member_states[1], MemberState::kDraining);
-}
 
 // ---------------------------------------------------------------------------
 // The elastic rig: N daemons on their own storage nodes, the first
@@ -931,9 +909,7 @@ MigrationRecording record_migration_workload() {
                    .build(eng);
   QpRendezvous rendezvous;
   sim::FaultInjector faults{eng};
-  ElasticCluster::Config ec;
-  ec.replicas = 2;
-  ElasticCluster elastic{eng, ec};
+  ElasticCluster elastic{eng};
 
   std::vector<std::unique_ptr<PortusDaemon>> daemons;
   for (const auto* node : {"src", "dst"}) {

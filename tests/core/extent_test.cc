@@ -612,7 +612,7 @@ TEST(ExtentE2ETest, ElasticShardPostsFewerWrsAtTheDefaultThreshold) {
     std::vector<Bytes> sizes;
     for (const auto& t : model.tensors()) sizes.push_back(t.byte_size());
     const std::uint32_t active[] = {0, 1};
-    const auto plan = cluster::Placement::compute_over(model.name(), sizes, 8, 2, active, 1, 0);
+    const auto plan = cluster::Placement::compute_over(model.name(), sizes, 8, 2, active, 1);
     PortusClient::ShardBinding binding;
     binding.reg_name = cluster::shard_key(model.name(), 0);
     binding.tensor_indices = plan.shard_tensors[0];

@@ -164,10 +164,10 @@ TEST(PerfGateTest, ElasticModelsShardedRoundToTheNanosecond) {
     std::int64_t restore_ns;
   };
   const Row pinned[] = {
-      {"resnet50", 233'269, 189'014, 168'092, 101'602},
-      {"swin_b", 236'333, 346'310, 346'310, 206'476},
-      {"vgg19_bn", 231'810, 501'407, 501'407, 295'923},
-      {"bert", 237'809, 1'087'379, 1'087'379, 617'562},
+      {"resnet50", 230'657, 189'014, 168'092, 101'602},
+      {"swin_b", 231'297, 346'310, 346'310, 206'476},
+      {"vgg19_bn", 230'642, 501'407, 501'407, 295'923},
+      {"bert", 232'058, 1'087'379, 1'087'379, 617'562},
   };
   for (const auto& row : pinned) {
     SCOPED_TRACE(row.model);
@@ -234,7 +234,7 @@ TEST(PerfGateTest, FirstCheckpointAfterAJoinToTheNanosecond) {
   eng.run();
   proc.check();
   EXPECT_EQ(client.stats().pins, 8u);
-  EXPECT_EQ(after_join.count(), 282'539);
+  EXPECT_EQ(after_join.count(), 279'922);
   EXPECT_EQ(next.count(), 157'919);
   for (const auto& d : daemons) EXPECT_EQ(d->stats().failed_ops, 0u);
   eng.shutdown();

@@ -7,7 +7,6 @@
 #include "common/rng.h"
 #include "core/async_coordinator.h"
 #include "core/client.h"
-#include "core/cluster/manifest.h"
 #include "core/daemon/allocator.h"
 #include "core/daemon/daemon.h"
 #include "dnn/model_zoo.h"
@@ -89,25 +88,13 @@ TEST(RobustnessTest, ProtocolDecodersNeverCrashOnGarbage) {
     probe([](auto b) { return decode_forward_req(b); });
     probe([](auto b) { return decode_slot_query(b); });
     probe([](auto b) { return decode_slot_reply(b); });
-    probe([](auto b) { return cluster::ShardManifest::decode(b); });
   }
 }
 
 // Random garbage rarely gets past the magic/length checks; mutating *valid*
-// cluster-era encodings probes the deep field parsing (endpoint lists,
-// tensor ownership tables, nested manifest blobs) where a crash would hide.
+// cluster-era encodings probes the deep field parsing (shard identities,
+// tensor lists, round ids) where a crash would hide.
 TEST(RobustnessTest, ClusterDecodersSurviveMutationFuzz) {
-  cluster::ShardManifest mf;
-  mf.model_name = "resnet50";
-  mf.placement_epoch = 7;
-  mf.plan_digest = 0xC0FFEE;
-  mf.daemon_count = 3;
-  mf.replicas = 2;
-  mf.endpoints = {"portusd0", "portusd1", "portusd2"};
-  mf.tensors = {{"conv1", 1024, 0}, {"fc", 2048, 1}};
-  mf.shard_daemons = {{0, 1}, {1, 2}, {2, 0}};
-  const auto manifest_wire = mf.encode();
-
   RegisterModelMsg reg;
   reg.model_name = "resnet50#s0r0";
   reg.qp_tokens = {1, 2};
@@ -115,8 +102,7 @@ TEST(RobustnessTest, ClusterDecodersSurviveMutationFuzz) {
   reg.shard_count = 2;
   reg.replica = 0;
   reg.replica_count = 2;
-  reg.placement_epoch = 7;
-  reg.manifest = manifest_wire;
+  reg.job_bytes = 3072;
   reg.tensors.push_back(TensorDesc{.name = "conv1", .shape = {16, 16}, .size = 1024});
   const auto reg_wire = encode(reg);
 
@@ -162,20 +148,15 @@ TEST(RobustnessTest, ClusterDecodersSurviveMutationFuzz) {
   for (int round = 0; round < 2000; ++round) {
     probe([](auto b) { return decode_register_model(b); }, mutate(reg_wire));
     probe([](auto b) { return decode_register_ack(b); }, mutate(ack_wire));
-    probe([](auto b) { return cluster::ShardManifest::decode(b); }, mutate(manifest_wire));
     probe([](auto b) { return decode_checkpoint_req(b); }, mutate(pull_wire));
     probe([](auto b) { return decode_forward_req(b); }, mutate(forward_wire));
     probe([](auto b) { return decode_slot_query(b); }, mutate(query_wire));
   }
 
   // The unmutated encodings still round-trip after all that.
-  const auto back = cluster::ShardManifest::decode(manifest_wire);
-  EXPECT_EQ(back.model_name, "resnet50");
-  ASSERT_EQ(back.shard_daemons.size(), 3u);
-  EXPECT_EQ(back.copies_of(1), (std::vector<std::uint32_t>{1, 2}));
   const auto reg_back = decode_register_model(reg_wire);
   EXPECT_TRUE(reg_back.sharded());
-  EXPECT_EQ(reg_back.manifest, manifest_wire);
+  EXPECT_EQ(reg_back.job_bytes, 3072u);
   EXPECT_EQ(decode_checkpoint_req(pull_wire).round, 0xA11CE5u);
   EXPECT_EQ(decode_forward_req(forward_wire).round, 0xA11CE5u);
   EXPECT_EQ(decode_slot_query(query_wire).round, 0xA11CE5u);

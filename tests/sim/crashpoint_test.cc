@@ -27,7 +27,6 @@
 #include "common/strformat.h"
 #include "core/client.h"
 #include "core/cluster/cluster_client.h"
-#include "core/cluster/manifest.h"
 #include "core/daemon/daemon.h"
 #include "core/daemon/fsck.h"
 #include "core/daemon/repacker.h"
@@ -436,7 +435,11 @@ TEST(CrashpointTest, MidRefillBoundariesLeaveShardTablesFsckClean) {
 
 // --- workload 4: cluster-era shard registration ------------------------------
 
-Recording record_shard_workload(std::vector<std::byte>& manifest_wire) {
+// Both shards of a two-shard alexnet, each with a replica count of 2 and
+// the model's bytes as its job, registered on one daemon and checkpointed.
+constexpr std::uint32_t kShardReplicas = 2;
+
+Recording record_shard_workload(Bytes& job_bytes) {
   Recording rec;
   sim::Engine eng;
   auto world = net::Cluster::Builder{}
@@ -453,27 +456,15 @@ Recording record_shard_workload(std::vector<std::byte>& manifest_wire) {
   opt.scale = 0.01;
   auto model = dnn::ModelZoo::create(client_node.gpu(0), "alexnet", opt);
 
-  // A real two-shard manifest over a one-daemon "ring".
-  core::cluster::ShardManifest mf;
-  mf.model_name = model.name();
-  mf.placement_epoch = 1;
-  mf.daemon_count = 2;
-  mf.replicas = 1;
-  mf.endpoints = {"portusd", "portusd"};  // both shards land on the one daemon
+  job_bytes = model.total_bytes();
   const auto n = model.tensors().size();
   std::vector<std::uint32_t> front, back;
-  for (std::uint32_t t = 0; t < n; ++t) {
-    mf.tensors.push_back({model.tensors()[t].name(), model.tensors()[t].byte_size(),
-                          t < n / 2 ? 0u : 1u});
-    (t < n / 2 ? front : back).push_back(t);
-  }
-  mf.shard_daemons = {{0}, {1}};
-  manifest_wire = mf.encode();
+  for (std::uint32_t t = 0; t < n; ++t) (t < n / 2 ? front : back).push_back(t);
 
   core::PortusClient client{*world, client_node, client_node.gpu(0), rendezvous};
   sim::CrashpointRecorder recorder{device};
   eng.spawn([](core::PortusClient& c, dnn::Model& m, pmem::PmemDevice& dev, Recording& out,
-               std::vector<std::byte> wire, std::vector<std::uint32_t> s0,
+               Bytes job, std::vector<std::uint32_t> s0,
                std::vector<std::uint32_t> s1) -> sim::Process {
     co_await c.connect();
     const auto bind = [&](std::uint32_t shard, std::vector<std::uint32_t> idx) {
@@ -482,8 +473,8 @@ Recording record_shard_workload(std::vector<std::byte>& manifest_wire) {
       b.tensor_indices = std::move(idx);
       b.shard_id = shard;
       b.shard_count = 2;
-      b.placement_epoch = 1;
-      b.manifest = wire;
+      b.replica_count = kShardReplicas;
+      b.job_bytes = job;
       return b;
     };
     co_await c.register_shard(m, bind(0, s0));
@@ -494,7 +485,7 @@ Recording record_shard_workload(std::vector<std::byte>& manifest_wire) {
       out.golden[epoch] = c.stats().last_payload_crc;
       out.acks.push_back(Ack{dev.persist_seq(), epoch});
     }
-  }(client, model, device, rec, manifest_wire, front, back));
+  }(client, model, device, rec, job_bytes, front, back));
   eng.run();
   recorder.detach();
   rec.points = recorder.points();
@@ -503,8 +494,8 @@ Recording record_shard_workload(std::vector<std::byte>& manifest_wire) {
 }
 
 TEST(CrashpointTest, ShardRegistrationBoundariesSurvivePowerCut) {
-  std::vector<std::byte> manifest_wire;
-  const auto rec = record_shard_workload(manifest_wire);
+  Bytes job_bytes = 0;
+  const auto rec = record_shard_workload(job_bytes);
   EXPECT_GE(rec.points.size(), 40u);
 
   for (const auto& p : rec.points) {
@@ -519,9 +510,10 @@ TEST(CrashpointTest, ShardRegistrationBoundariesSurvivePowerCut) {
                                          /*seed=*/0xBADC0DEull + p.ordinal);
     ASSERT_NO_THROW(daemon.recover());
 
-    // Every shard record that survived the cut must carry a decodable
-    // manifest identical to the registered one: the cluster placement is
-    // reconstructible from the image alone, at any boundary.
+    // Every shard record that survived the cut must carry the shard count,
+    // replica count and job bytes it registered with: what the elastic
+    // migrator re-homes a copy by, read from the image alone, at any
+    // boundary.
     for (const auto& name : daemon.model_table().names()) {
       std::optional<core::MIndex> index;
       try {
@@ -531,10 +523,8 @@ TEST(CrashpointTest, ShardRegistrationBoundariesSurvivePowerCut) {
       }
       ASSERT_TRUE(index->sharded());
       EXPECT_EQ(index->shard_count(), 2u);
-      EXPECT_EQ(index->manifest(), manifest_wire);
-      const auto decoded = core::cluster::ShardManifest::decode(index->manifest());
-      EXPECT_EQ(decoded.model_name, "alexnet");
-      EXPECT_EQ(decoded.shard_daemons.size(), 2u);
+      EXPECT_EQ(index->replica_count(), kShardReplicas);
+      EXPECT_EQ(index->job_bytes(), job_bytes);
     }
 
     auto report = core::Fsck{daemon}.run(/*repair=*/true);
