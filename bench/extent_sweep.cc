@@ -59,15 +59,13 @@ dnn::Model make_gpt_bits(gpu::GpuDevice& gpu, int blocks) {
 
 Row measure(int blocks, Bytes threshold, int max_sges) {
   Row row{.threshold = threshold, .max_sges = max_sges};
-  bench::World world{core::PortusDaemon::Config{.pipeline_window = 4,
+  bench::World world{core::PortusDaemon::Config{.pipeline_window = 8,
                                                 .chunk_bytes = 4_KiB,
-                                                .stripes = 2,
                                                 .coalesce_threshold = threshold,
                                                 .max_sges = max_sges}};
   auto& gpu = world.volta().gpu(0);
   auto model = make_gpt_bits(gpu, blocks);
-  core::PortusClient client{*world.cluster, world.volta(), gpu, world.rendezvous,
-                            "portusd", /*stripes=*/2};
+  core::PortusClient client{*world.cluster, world.volta(), gpu, world.rendezvous};
   world.run([](sim::Engine& eng, core::PortusClient& c, dnn::Model& m,
                core::PortusDaemon& d, Row& out) -> sim::Process {
     co_await c.connect();

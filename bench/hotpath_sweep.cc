@@ -175,7 +175,6 @@ CkptRow measure_ckpt(int workers, bool hotpath, int blocks, int iterations) {
       // the op-bound sweep byte-bound).
       .pipeline_window = 4,
       .chunk_bytes = 0,
-      .stripes = 1,
       .coalesce_threshold = 0,  // single-SGE: keep the sweep op-bound
       .max_sges = 1,
       .batch_doorbells = hotpath}};
@@ -195,7 +194,7 @@ CkptRow measure_ckpt(int workers, bool hotpath, int blocks, int iterations) {
     t.model = std::make_unique<dnn::Model>(
         make_small_stack(gpu, "tenant" + std::to_string(w), blocks));
     t.client = std::make_unique<core::PortusClient>(*world.cluster, node, gpu,
-                                                    world.rendezvous, "portusd", 1);
+                                                    world.rendezvous);
     tenants.push_back(std::move(t));
   }
 
@@ -296,9 +295,9 @@ int main(int argc, char** argv) {
     report.require(speedup >= 1.5, strf("hotpath config reaches only {:.2f}x GB/s at {} "
                                         "workers (bar: 1.5x)",
                                         speedup, base.workers));
-    // One chained post per lane per admission burst (stripes=1 here).
+    // One chained post per admission burst.
     report.require(hot.doorbells_per_window <= 1.5,
-                   strf("{} workers ring {:.2f} doorbells per window (bar: ~1 per lane)",
+                   strf("{} workers ring {:.2f} doorbells per window (bar: ~1)",
                         base.workers, hot.doorbells_per_window));
   }
   return report.finish();

@@ -237,8 +237,7 @@ CkptRow measure_ckpt(int tenants, bool aware, int tensors, Bytes tensor_bytes,
       .alloc_refill_bytes = 1_MiB,
       .numa_nodes = aware ? 2u : 1u,
       .pipeline_window = 4,
-      .chunk_bytes = 1_MiB,
-      .stripes = 1}};
+      .chunk_bytes = 1_MiB}};
 
   struct Tenant {
     std::unique_ptr<dnn::Model> model;
@@ -253,7 +252,7 @@ CkptRow measure_ckpt(int tenants, bool aware, int tensors, Bytes tensor_bytes,
     t.model = std::make_unique<dnn::Model>(make_ckpt_model(
         gpu, "tenant" + std::to_string(w), tensors, tensor_bytes));
     t.client = std::make_unique<core::PortusClient>(*world.cluster, node, gpu,
-                                                    world.rendezvous, "portusd", 1);
+                                                    world.rendezvous);
     ts.push_back(std::move(t));
   }
 

@@ -86,23 +86,20 @@ sim::SubTask<std::uint32_t> RegistrationCache::rkey_for(gpu::DeviceBuffer span, 
 }
 
 PortusClient::PortusClient(net::Cluster& cluster, net::Node& client_node, gpu::GpuDevice& gpu,
-                           QpRendezvous& rendezvous, std::string endpoint, int stripes)
+                           QpRendezvous& rendezvous, std::string endpoint)
     : PortusClient(cluster,
                    std::make_shared<RegistrationCache>(client_node, gpu,
                                                        "portus-client-pd/" + endpoint),
-                   rendezvous, endpoint, stripes) {}
+                   rendezvous, endpoint) {}
 
 PortusClient::PortusClient(net::Cluster& cluster,
                            std::shared_ptr<RegistrationCache> registrations,
-                           QpRendezvous& rendezvous, std::string endpoint, int stripes)
+                           QpRendezvous& rendezvous, std::string endpoint)
     : cluster_{cluster},
       registrations_{std::move(registrations)},
       node_{registrations_->node()},
       rendezvous_{rendezvous},
-      endpoint_{std::move(endpoint)},
-      stripes_{stripes} {
-  PORTUS_CHECK_ARG(stripes >= 1 && stripes <= 256, "client stripes must be in [1, 256]");
-}
+      endpoint_{std::move(endpoint)} {}
 
 sim::SubTask<> PortusClient::connect() {
   PORTUS_CHECK(socket_ == nullptr, "client already connected");
@@ -253,21 +250,17 @@ sim::SubTask<std::uint64_t> PortusClient::register_shard(dnn::Model& model,
     socket_ = std::move(*dialed);
   }
 
-  // One CQ serves every stripe of this registration: the daemon drives all
-  // lanes wr_id-keyed, and the client side is passive (one-sided verbs
-  // target its memory). Each registration keeps its own datapath — a daemon
-  // may host several shard copies through one client, and tearing down an
-  // older registration's CQ while its QPs live would dangle.
-  Datapath dp;
-  dp.cq = std::make_unique<rdma::CompletionQueue>(cluster_.engine());
-  for (int s = 0; s < stripes_; ++s) {
-    auto& qp = cluster_.fabric().create_qp(node_.nic(), registrations_->pd(), *dp.cq);
-    dp.qps.push_back(&qp);
-    msg.qp_tokens.push_back(rendezvous_.publish(qp));
-  }
+  // One QP serves this registration, and the client side is passive
+  // (one-sided verbs target its memory). Each registration keeps its own
+  // datapath: a daemon may host several shard copies through one client,
+  // and tearing down an older registration's CQ while its QP lives would
+  // dangle.
+  auto cq = std::make_unique<rdma::CompletionQueue>(cluster_.engine());
+  msg.qp_tokens = {rendezvous_.publish(
+      cluster_.fabric().create_qp(node_.nic(), registrations_->pd(), *cq))};
   const std::string reg_name = msg.model_name;
   const std::size_t tensor_count = msg.tensors.size();
-  datapaths_[reg_name] = std::move(dp);
+  datapaths_[reg_name] = std::move(cq);
 
   auto wire = encode(msg);
   const auto reply = co_await roundtrip(std::move(wire));
@@ -277,7 +270,6 @@ sim::SubTask<std::uint64_t> PortusClient::register_shard(dnn::Model& model,
         stale_epoch_message("registration", reg_name, ack.current_membership_epoch));
   }
   PORTUS_CHECK(ack.ok, "registration rejected: " + ack.error);
-  stats_.negotiated_stripes = ack.stripes;
   stats_.negotiated_max_sges = ack.max_sges;
   stats_.granted_capacity = ack.granted_capacity;
   stats_.granted_rate = ack.granted_rate;

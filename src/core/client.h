@@ -22,7 +22,7 @@
 // register_shard() registers a *subset* of the model's tensors under a
 // shard-scoped name. A run never spans a tensor the binding skips, so no
 // MR exposes bytes outside the binding's own allocations. A client that
-// registers several names keeps one datapath (CQ + QP stripes) per
+// registers several names keeps one datapath (a QP and its CQ) per
 // registration.
 #pragma once
 
@@ -94,7 +94,6 @@ class PortusClient {
     // PeerMem pins (= RDMA MRs) this client's registrations made: one per
     // run of adjacent tensor allocations its cache did not hold yet.
     std::uint64_t regions_registered = 0;
-    std::uint32_t negotiated_stripes = 0;  // accepted by the daemon (last reg)
     // Gather capability the daemon accepted (last reg); 1 = single-SGE.
     std::uint32_t negotiated_max_sges = 0;
     // Aggregate payload CRC reported by the daemon for the last successful
@@ -150,16 +149,14 @@ class PortusClient {
     Bytes job_bytes = 0;  // the whole model's tensor bytes (RegisterModelMsg)
   };
 
-  // `stripes` is how many datapath QPs the client offers at registration;
-  // the daemon connects min(stripes, its own configured stripes). This
-  // client's registrations go to a cache of its own.
+  // Each registration offers the daemon one datapath QP. This client's
+  // registrations go to a cache of its own.
   PortusClient(net::Cluster& cluster, net::Node& client_node, gpu::GpuDevice& gpu,
-               QpRendezvous& rendezvous, std::string endpoint = "portusd",
-               int stripes = 1);
+               QpRendezvous& rendezvous, std::string endpoint = "portusd");
   // One control channel of a job whose channels all register through
   // `registrations`, on its node and GPU.
   PortusClient(net::Cluster& cluster, std::shared_ptr<RegistrationCache> registrations,
-               QpRendezvous& rendezvous, std::string endpoint, int stripes = 1);
+               QpRendezvous& rendezvous, std::string endpoint);
 
   // Dial the daemon (TCP handshake). Must precede every op but a
   // registration, which dials by itself when the client is not connected.
@@ -242,13 +239,6 @@ class PortusClient {
   const std::string& endpoint() const { return endpoint_; }
 
  private:
-  // Per-registration datapath: every registered (shard-scoped) name keeps
-  // its own CQ and QP stripes alive for the daemon to drive.
-  struct Datapath {
-    std::unique_ptr<rdma::CompletionQueue> cq;
-    std::vector<rdma::QueuePair*> qps;
-  };
-
   // Send `request` and await its answer, within the op timeout plus
   // `grace` when the op timeout is set.
   sim::SubTask<std::vector<std::byte>> roundtrip(std::vector<std::byte> request,
@@ -277,10 +267,12 @@ class PortusClient {
   net::Node& node_;
   QpRendezvous& rendezvous_;
   std::string endpoint_;
-  int stripes_;
   Duration op_timeout_{0};
   std::shared_ptr<net::TcpSocket> socket_;
-  std::map<std::string, Datapath> datapaths_;  // by registration name
+  // Per-registration datapath, by registration name: each registered
+  // (shard-scoped) name keeps the CQ of its QP alive for the daemon to
+  // drive.
+  std::map<std::string, std::unique_ptr<rdma::CompletionQueue>> datapaths_;
   // Heap-held so the roundtrip scope guard stays valid even if the client
   // is destroyed while the coroutine is suspended (crash-mid-op tests).
   std::shared_ptr<bool> op_in_flight_ = std::make_shared<bool>(false);

@@ -53,8 +53,6 @@ PortusDaemon::PortusDaemon(net::Cluster& cluster, net::Node& storage_node,
   PORTUS_CHECK_ARG(storage_node.has_devdax(),
                    "Portus daemon requires a devdax PMEM namespace");
   PORTUS_CHECK_ARG(config_.pipeline_window >= 1, "pipeline_window must be >= 1");
-  PORTUS_CHECK_ARG(config_.stripes >= 1 && config_.stripes <= 256,
-                   "stripes must be in [1, 256]");
   PORTUS_CHECK_ARG(config_.max_sges >= 1, "max_sges must be >= 1");
   model_table_ = std::make_unique<ModelTable>(device_, kModelTableOffset,
                                               config_.model_table_capacity);
@@ -282,15 +280,15 @@ sim::SubTask<std::vector<std::uint32_t>> PortusDaemon::transfer(
                             config_.chunk_bytes, direction, slot_offset, slot_mr, dirty,
                             prev_offset);
   const bool crcs = direction == TransferChunk::Kind::kRead && !index.phantom();
-  auto landed = co_await run_transfer(session.qps, *session.cq, worker, session.home_node,
-                                      std::move(work), crcs ? index.tensors().size() : 0);
+  auto landed = co_await run_transfer(*session.qp, worker, session.home_node, std::move(work),
+                                      crcs ? index.tensors().size() : 0);
   co_return landed;
 }
 
 sim::SubTask<std::vector<std::uint32_t>> PortusDaemon::run_transfer(
-    const std::vector<rdma::QueuePair*>& lanes, rdma::CompletionQueue& cq, OpWorker& worker,
-    std::uint32_t home_node, std::vector<TransferChunk> work, std::size_t crc_tensors) {
-  PipelinedTransfer pipe{cluster_.engine(), lanes, cq,
+    rdma::QueuePair& qp, OpWorker& worker, std::uint32_t home_node,
+    std::vector<TransferChunk> work, std::size_t crc_tensors) {
+  PipelinedTransfer pipe{cluster_.engine(), qp,
                          PipelinedTransfer::Config{.window = config_.pipeline_window,
                                                    .batch_doorbells = config_.batch_doorbells}};
   pipe.bind_pmem(&device_, &node_.devdax_write_channel(), device_.perf().read_bw);
@@ -532,26 +530,22 @@ sim::SubTask<RegisterAckMsg> PortusDaemon::handle_register(RegisterModelMsg msg)
     session.registration = msg;
 
     // Socket affinity: sessions are dealt round-robin across the modeled
-    // sockets, and each session's allocations prefer a shard whose arena
-    // lives on its home node (so its slots' DIMMs are socket-local to the
-    // worker that will checkpoint it). On a flat topology this degenerates
-    // to the classic preferred_shard round-robin (home stays shard 0 and
-    // the hint is never installed).
+    // sockets, and on a NUMA-aware allocator each session's allocations
+    // prefer a shard whose arena lives on its home node (so its slots'
+    // DIMMs are socket-local to the worker that will checkpoint it). A
+    // socket-blind allocator gets no hint and keeps its classic
+    // preferred_shard round-robin.
     const auto session_seq = next_session_++;
     const auto topo_nodes = std::max<std::uint32_t>(1, device_.perf().numa.nodes);
     session.home_node = static_cast<std::uint32_t>(session_seq % topo_nodes);
+    std::optional<PmemAllocator::ScopedHome> home;
     if (config_.numa_nodes > 1) {
       // Pick within the home node's shard group [node*S/N, (node+1)*S/N).
       const std::uint64_t shards = config_.shards;
       const std::uint64_t lo = session.home_node * shards / config_.numa_nodes;
       const std::uint64_t hi = (session.home_node + 1ull) * shards / config_.numa_nodes;
-      session.home_shard = lo + (session_seq / topo_nodes) % std::max<std::uint64_t>(1, hi - lo);
-    } else {
-      session.home_shard = session_seq % std::max<std::uint32_t>(1, config_.shards);
-    }
-    std::optional<PmemAllocator::ScopedHome> home;
-    if (config_.numa_nodes > 1) {
-      home.emplace(static_cast<std::uint32_t>(session.home_shard));
+      home.emplace(static_cast<std::uint32_t>(
+          lo + (session_seq / topo_nodes) % std::max<std::uint64_t>(1, hi - lo)));
     }
 
     if (known.has_value()) {
@@ -574,21 +568,13 @@ sim::SubTask<RegisterAckMsg> PortusDaemon::handle_register(RegisterModelMsg msg)
         static_cast<std::uint32_t>(node_.nic().spec().max_sges));
     session.max_sges = std::max<std::uint32_t>(session.max_sges, 1);
 
-    // Stripe negotiation: connect a prefix of the offered QPs, bounded by
-    // our own config. All stripes share one CQ so a single pipelined
-    // consumer can drain every lane wr_id-keyed; the per-QP processing
-    // depth matches the pipeline window so windowed posting actually
-    // overlaps in the (simulated) NIC.
-    PORTUS_CHECK(!msg.qp_tokens.empty(), "registration offers no datapath QP");
-    const auto stripes = std::min<std::size_t>(
-        static_cast<std::size_t>(config_.stripes), msg.qp_tokens.size());
+    // Connect the one datapath QP the client offered (the decoder refuses
+    // any other count). Its processing depth matches the pipeline window
+    // so windowed posting actually overlaps in the (simulated) NIC.
     session.cq = std::make_unique<rdma::CompletionQueue>(cluster_.engine());
-    for (std::size_t s = 0; s < stripes; ++s) {
-      auto& qp = cluster_.fabric().create_qp(node_.nic(), pd_, *session.cq,
-                                             config_.pipeline_window);
-      cluster_.fabric().connect(qp, rendezvous_.resolve(msg.qp_tokens[s]));
-      session.qps.push_back(&qp);
-    }
+    session.qp = &cluster_.fabric().create_qp(node_.nic(), pd_, *session.cq,
+                                              config_.pipeline_window);
+    cluster_.fabric().connect(*session.qp, rendezvous_.resolve(msg.qp_tokens.front()));
 
     // A fresh index becomes reachable only once nothing else can refuse it.
     if (created) model_table_->insert(msg.model_name, session.index->record_offset());
@@ -601,15 +587,13 @@ sim::SubTask<RegisterAckMsg> PortusDaemon::handle_register(RegisterModelMsg msg)
     ++stats_.registrations;
     if (sharded) ++stats_.shard_registrations;
     ack.ok = true;
-    ack.stripes = static_cast<std::uint32_t>(stripes);
     ack.max_sges = session_max_sges;
     if (tenant != nullptr) {
       ack.granted_capacity = tenant->quota.capacity_bytes;
       ack.granted_rate = tenant->quota.rate_bytes_per_sec;
       ack.granted_wr_slots = static_cast<std::uint32_t>(admission_->config().max_inflight);
     }
-    PLOG_DEBUG(kLog, "registered model {} ({} tensors, {} stripes)", msg.model_name,
-               msg.tensors.size(), stripes);
+    PLOG_DEBUG(kLog, "registered model {} ({} tensors)", msg.model_name, msg.tensors.size());
   } catch (const std::exception& e) {
     if (created) session.index->destroy(*allocator_);
     if (charged) tenants_->uncharge(msg.model_name);
@@ -855,10 +839,10 @@ sim::SubTask<CheckpointDoneMsg> PortusDaemon::handle_forward(ForwardReqMsg msg) 
       }
       co_return done;
     }
-    // Hold the link's QP and CQ, not the link: the READs complete there
-    // even if another forward replaces the link meanwhile.
+    // Hold the link's QP and keep its CQ alive, not the link: the READs
+    // complete there even if another forward replaces the link meanwhile.
     const PeerLink& link = peers_.at({msg.source, msg.model_name});
-    const std::vector<rdma::QueuePair*> lanes{link.qp};
+    rdma::QueuePair& qp = *link.qp;
     const auto cq = link.cq;
 
     // ACTIVE (stamped 0: an in-flight copy claims no epoch) -> the source
@@ -868,7 +852,7 @@ sim::SubTask<CheckpointDoneMsg> PortusDaemon::handle_forward(ForwardReqMsg msg) 
     auto txn = CheckpointTxn::begin(index, msg.source_epoch);
     auto work = plan_slot_copy(index.slot_size(), config_.chunk_bytes, txn.data_offset(),
                                slot_region(index, txn.slot()), source->rkey, source->addr);
-    co_await run_transfer(lanes, *cq, worker, home_node, std::move(work), 0);
+    co_await run_transfer(qp, worker, home_node, std::move(work), 0);
     device_.persist(txn.data_offset(), index.slot_size());
     co_await cluster_.engine().sleep(device_.perf().persist_overhead);
     PORTUS_CHECK(!dead_, "power lost before forward commit");

@@ -40,11 +40,12 @@
 // turns the slot's extent plan into a chunk list, and transfer() drives it
 // through PipelinedTransfer and merges the counters into Stats.
 //   Checkpoint = CheckpointTxn::begin (ACTIVE persisted) -> pipelined
-//   one-sided RDMA READs (chunked tensors, bounded window, optional QP
-//   stripes) from client GPU memory into the slot's TensorData, each chunk
-//   flushed and CRC'd as it lands (incremental: clean tensors copied
-//   PMEM-locally from the previous DONE slot) -> final persist -> CRC
-//   block -> commit (DONE + epoch persisted) -> notify client over TCP.
+//   one-sided RDMA READs (chunked tensors, bounded window) over the
+//   registration's one QP from client GPU memory into the slot's
+//   TensorData, each chunk flushed and CRC'd as it lands (incremental:
+//   clean tensors copied PMEM-locally from the previous DONE slot) -> final
+//   persist -> CRC block -> commit (DONE + epoch persisted) -> notify client
+//   over TCP.
 //   Restore = CRC scrub of the newest DONE slot, then the same runner
 //   pushing one-sided RDMA WRITEs into the client's GPU buffers, under the
 //   key's landing lock: a landing may rewrite any slot but the newest DONE
@@ -112,15 +113,12 @@ class PortusDaemon {
     // Optional timeline tracing of checkpoint/restore operations.
     sim::Tracer* tracer = nullptr;
     // --- pipelined datapath knobs (see core/daemon/pipeline.h) ---
-    // Outstanding chunks per QP lane. 1 = the classic serial datapath
-    // (identical timings, completion awaited before the next post).
+    // Outstanding chunks per op on its one QP. 1 = the classic serial
+    // datapath (identical timings, completion awaited before the next post).
     int pipeline_window = 1;
     // Split tensors into chunks of this many bytes so persists overlap
     // transfers and giant tensors do not serialize behind one WR. 0 = off.
     Bytes chunk_bytes = 0;
-    // Datapath QPs connected per session (bounded by what the client
-    // offers); chunks ride the stripes round-robin.
-    int stripes = 1;
     // Extent coalescing (core/daemon/extent.h): whole tensors no larger
     // than this are packed dense in new slot layouts and fused into
     // multi-SGE gather extents of up to kExtentByteBudget — one WQE moves
@@ -130,9 +128,9 @@ class PortusDaemon {
     // Gather-list budget per work request; the effective per-session value
     // is min(this, the client's offered capability, this NIC's max_sges).
     int max_sges = 16;
-    // Flush each admission burst's WRs as one chained post per lane (one
-    // doorbell per lane per window) instead of ringing per extent. Off
-    // reproduces the per-extent doorbell datapath bit-for-bit.
+    // Flush each admission burst's WRs as one chained post (one doorbell
+    // per window) instead of ringing per extent. Off reproduces the
+    // per-extent doorbell datapath bit-for-bit.
     bool batch_doorbells = true;
     // Fault injection: when set, start() registers this daemon as a kill
     // target named `endpoint`, so tests/benches can crash or hang it at a
@@ -289,16 +287,14 @@ class PortusDaemon {
   struct ModelSession {
     RegisterModelMsg registration;
     std::unique_ptr<MIndex> index;
-    std::unique_ptr<rdma::CompletionQueue> cq;  // shared by all stripes
-    std::vector<rdma::QueuePair*> qps;          // one per connected stripe
+    std::unique_ptr<rdma::CompletionQueue> cq;  // the datapath QP's
+    rdma::QueuePair* qp = nullptr;  // connected to the one the client offered
     // Negotiated gather capability (min of client offer, config, NIC).
     std::uint32_t max_sges = 1;
     // Socket affinity: the worker serving this session is pinned to
-    // home_node, and its allocations prefer home_shard (a shard whose
-    // arena lives on that node). Round-robin assigned at registration;
-    // both 0 on flat topologies.
+    // home_node. Round-robin assigned at registration; 0 on flat
+    // topologies.
     std::uint32_t home_node = 0;
-    std::uint64_t home_shard = 0;
   };
 
   // The replica side of forwarding: a control socket to one source daemon
@@ -419,7 +415,7 @@ class PortusDaemon {
   sim::SubTask<> woken();
   // Opens the span `what` + `key` on this daemon's track (empty untraced).
   sim::Tracer::Span trace(const char* what, const std::string& key);
-  // Plan, run and account one data op over the session's lanes (see
+  // Plan, run and account one data op over the session's QP (see
   // plan_transfer). Returns the per-tensor CRCs collected inline —
   // checkpoints of materialized payloads only, empty otherwise.
   sim::SubTask<std::vector<std::uint32_t>> transfer(ModelSession& session, OpWorker& worker,
@@ -428,13 +424,11 @@ class PortusDaemon {
                                                     const rdma::MemoryRegion& slot_mr,
                                                     std::vector<bool> dirty = {},
                                                     Bytes prev_offset = 0);
-  // Run one chunk list over `lanes` (all delivering into `cq`) on `worker`,
-  // pinned to `home_node`, and merge its counters into Stats: the one place
-  // a PipelinedTransfer is built. Returns the CRCs of `crc_tensors` tensors
-  // collected inline (none when 0).
-  sim::SubTask<std::vector<std::uint32_t>> run_transfer(const std::vector<rdma::QueuePair*>& lanes,
-                                                        rdma::CompletionQueue& cq,
-                                                        OpWorker& worker,
+  // Run one chunk list over `qp` on `worker`, pinned to `home_node`, and
+  // merge its counters into Stats: the one place a PipelinedTransfer is
+  // built. Returns the CRCs of `crc_tensors` tensors collected inline (none
+  // when 0).
+  sim::SubTask<std::vector<std::uint32_t>> run_transfer(rdma::QueuePair& qp, OpWorker& worker,
                                                         std::uint32_t home_node,
                                                         std::vector<TransferChunk> work,
                                                         std::size_t crc_tensors);

@@ -103,13 +103,9 @@ std::vector<TransferChunk> plan_slot_copy(Bytes slot_size, Bytes chunk_bytes,
   return work;
 }
 
-PipelinedTransfer::PipelinedTransfer(sim::Engine& engine, std::vector<rdma::QueuePair*> qps,
-                                     rdma::CompletionQueue& cq, Config config)
-    : engine_{engine}, qps_{std::move(qps)}, cq_{cq}, config_{config} {
+PipelinedTransfer::PipelinedTransfer(sim::Engine& engine, rdma::QueuePair& qp, Config config)
+    : engine_{engine}, qp_{qp}, cq_{qp.cq()}, config_{config} {
   PORTUS_CHECK_ARG(config_.window >= 1, "pipeline window must be >= 1");
-  for (const auto* qp : qps_) {
-    PORTUS_CHECK_ARG(qp != nullptr, "null QP lane in pipelined transfer");
-  }
 }
 
 void PipelinedTransfer::bind_pmem(pmem::PmemDevice* device, sim::BandwidthChannel* copy_channel,
@@ -178,7 +174,6 @@ sim::Process PipelinedTransfer::run_local_copy(std::uint64_t wr_id, TransferChun
 
 sim::SubTask<> PipelinedTransfer::run(std::vector<TransferChunk> chunks) {
   chunk_crcs_.clear();
-  const std::size_t lanes = std::max<std::size_t>(1, qps_.size());
   const Time start = engine_.now();
   Time last_change = start;
   int outstanding = 0;
@@ -193,7 +188,6 @@ sim::SubTask<> PipelinedTransfer::run(std::vector<TransferChunk> chunks) {
     stats_.peak_window = std::max(stats_.peak_window, outstanding);
   };
 
-  std::vector<int> lane_free(lanes, config_.window);
   std::map<std::uint64_t, std::size_t> in_flight;  // wr_id -> chunk index
   std::size_t next = 0;
   Time head_since = start;  // when the current head chunk became eligible
@@ -203,9 +197,9 @@ sim::SubTask<> PipelinedTransfer::run(std::vector<TransferChunk> chunks) {
   Duration lent{0};
   bool posted_all = false;
 
-  // Per-lane WR accumulators: an admission burst's extents are flushed as
-  // one chained post per lane — one doorbell per lane per window.
-  std::vector<std::vector<rdma::WorkRequest>> lane_batch(lanes);
+  // An admission burst's WRs, flushed as one chained post: one doorbell
+  // per window.
+  std::vector<rdma::WorkRequest> batch;
 
   // Completion processing is synchronous (CRC + persist are device calls),
   // so the drain below can greedily soak up every completion already
@@ -216,7 +210,6 @@ sim::SubTask<> PipelinedTransfer::run(std::vector<TransferChunk> chunks) {
     PORTUS_CHECK(it != in_flight.end(), "foreign completion drained by pipelined transfer");
     const std::size_t idx = it->second;
     in_flight.erase(it);
-    ++lane_free[idx % lanes];
     account(-1);
 
     const TransferChunk& c = chunks[idx];
@@ -272,12 +265,11 @@ sim::SubTask<> PipelinedTransfer::run(std::vector<TransferChunk> chunks) {
       lent += engine_.now() - since;
     }
     bool rdma_this_burst = false;
-    // Admit work in list order while the head chunk's lane has window room.
+    // Admit work in list order while the window has room.
     while (failure.empty() && next < chunks.size() &&
-           lane_free[next % lanes] > 0) {
+           in_flight.size() < static_cast<std::size_t>(config_.window)) {
       const std::size_t i = next++;
       const TransferChunk& c = chunks[i];
-      --lane_free[i % lanes];
       left -= c.len;
       const std::uint64_t id = next_wr_id_++;
       in_flight.emplace(id, i);
@@ -298,7 +290,6 @@ sim::SubTask<> PipelinedTransfer::run(std::vector<TransferChunk> chunks) {
         ++stats_.local_chunks;
         engine_.spawn(run_local_copy(id, c, loc.value_or(sim::FlowLocality{})));
       } else {
-        PORTUS_CHECK(!qps_.empty(), "RDMA chunk in a pipelined transfer with no QPs");
         ++stats_.rdma_chunks;
         ++stats_.wrs_posted;
         stats_.sges_posted += c.members.empty() ? 1 : c.members.size();
@@ -337,19 +328,18 @@ sim::SubTask<> PipelinedTransfer::run(std::vector<TransferChunk> chunks) {
         }
         rdma_this_burst = true;
         if (config_.batch_doorbells) {
-          lane_batch[i % lanes].push_back(std::move(wr));
+          batch.push_back(std::move(wr));
         } else {
-          qps_[i % lanes]->post(std::move(wr));
+          qp_.post(std::move(wr));
           ++stats_.doorbells;
         }
       }
     }
-    // Flush the burst: one chained post — one doorbell — per lane touched.
-    for (std::size_t l = 0; l < lanes; ++l) {
-      if (lane_batch[l].empty()) continue;
-      qps_[l]->post(std::span<const rdma::WorkRequest>{lane_batch[l]});
+    // Flush the burst: one chained post, one doorbell.
+    if (!batch.empty()) {
+      qp_.post(std::span<const rdma::WorkRequest>{batch});
       ++stats_.doorbells;
-      lane_batch[l].clear();
+      batch.clear();
     }
     if (rdma_this_burst) ++stats_.admission_windows;
     if (worker_ != nullptr && next == chunks.size() && !posted_all) {
@@ -385,8 +375,9 @@ std::vector<std::uint32_t> PipelinedTransfer::tensor_crcs(std::size_t tensor_cou
   for (std::size_t t = 0; t < tensor_count; ++t) {
     auto& parts = per_tensor[t];
     PORTUS_CHECK(!parts.empty(), strf("no CRC chunks collected for tensor {}", t));
-    // Chunks complete out of order across lanes; stitch them back together
-    // by offset and fold with CRC combination instead of re-reading payload.
+    // Chunks complete out of order (the window overlaps them, local copies
+    // run beside the WRs); stitch them back together by offset and fold
+    // with CRC combination instead of re-reading payload.
     std::sort(parts.begin(), parts.end(), [](const ChunkCrc* a, const ChunkCrc* b) {
       return a->tensor_offset < b->tensor_offset;
     });

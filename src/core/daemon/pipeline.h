@@ -5,13 +5,13 @@
 // latency — not link bandwidth — bounded the many-small-tensor models.
 // PipelinedTransfer instead keeps a bounded window of chunks in flight:
 //
-//   * Chunks are assigned round-robin to the session's QP *lanes* (one lane
-//     per striped QP; PMEM-local copies of incremental mode ride lanes too,
-//     they just never touch the NIC). Each lane admits up to `window`
-//     outstanding chunks; the head of the work list stalls only when its
-//     lane is full, and every drained completion frees exactly one slot.
-//   * Completions are consumed wr_id-keyed from ONE CompletionQueue shared
-//     by all lanes, so a single coroutine drives any number of QPs.
+//   * Chunks go out in list order over the op's one QP, up to `window`
+//     outstanding at once (PMEM-local copies of incremental mode count
+//     against the window too, they just never touch the NIC). The head of
+//     the work list stalls only when the window is full, and every drained
+//     completion frees exactly one slot.
+//   * Completions, the local copies' included, are consumed wr_id-keyed
+//     from the QP's CompletionQueue by one coroutine.
 //   * A checkpoint chunk carries a persist range: the moment its bytes land,
 //     they are flushed into the persistence domain — the flush of chunk k
 //     overlaps the RDMA pull of chunk k+1. The caller still owns the final
@@ -126,11 +126,11 @@ class PipelinedTransfer {
   };
 
   struct Config {
-    int window = 1;  // outstanding chunks admitted per QP lane
-    // Accumulate each admission burst's WRs per lane and flush them as ONE
-    // chained post (one doorbell per lane per burst) instead of ringing
-    // per extent. At window=1 a burst is a single WR either way, so serial
-    // timings are unchanged.
+    int window = 1;  // outstanding chunks admitted at once
+    // Accumulate each admission burst's WRs and flush them as ONE chained
+    // post (one doorbell per burst) instead of ringing per extent. At
+    // window=1 a burst is a single WR either way, so serial timings are
+    // unchanged.
     bool batch_doorbells = true;
   };
 
@@ -177,8 +177,8 @@ class PipelinedTransfer {
       return wrs_posted > 0 ? static_cast<double>(rdma_bytes) / static_cast<double>(wrs_posted)
                             : 0.0;
     }
-    // Mean doorbells rung per admission burst; with batching on this
-    // converges to the lane count (one chained post per lane per window).
+    // Mean doorbells rung per admission burst; 1 with batching on (one
+    // chained post per window).
     double doorbells_per_window() const {
       return admission_windows > 0
                  ? static_cast<double>(doorbells) / static_cast<double>(admission_windows)
@@ -191,10 +191,8 @@ class PipelinedTransfer {
     }
   };
 
-  // All `qps` must deliver into `cq`. An empty QP list is allowed as long
-  // as run() only ever sees kLocalCopy chunks.
-  PipelinedTransfer(sim::Engine& engine, std::vector<rdma::QueuePair*> qps,
-                    rdma::CompletionQueue& cq, Config config);
+  // Posts every RDMA chunk to `qp`; local copies complete into its CQ too.
+  PipelinedTransfer(sim::Engine& engine, rdma::QueuePair& qp, Config config);
 
   // Required before running kLocalCopy or persist_after chunks: the PMEM
   // device plus the DIMM channel/read-bandwidth cap that local copies
@@ -248,7 +246,7 @@ class PipelinedTransfer {
   std::optional<sim::FlowLocality> chunk_locality(const TransferChunk& c) const;
 
   sim::Engine& engine_;
-  std::vector<rdma::QueuePair*> qps_;
+  rdma::QueuePair& qp_;
   rdma::CompletionQueue& cq_;
   Config config_;
   pmem::PmemDevice* device_ = nullptr;

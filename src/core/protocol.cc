@@ -102,10 +102,8 @@ RegisterModelMsg decode_register_model(std::span<const std::byte> wire) {
   m.version = r.u16();
   check_protocol(m.magic, m.version, "registration");
   m.model_name = r.str();
-  const auto n_tokens = r.u32();
-  if (n_tokens > 256) throw Corruption("implausible QP stripe count in registration");
-  m.qp_tokens.resize(n_tokens);
-  for (auto& token : m.qp_tokens) token = r.u64();
+  if (r.u32() != 1) throw Corruption("registration must offer exactly one datapath QP");
+  m.qp_tokens = {r.u64()};
   m.phantom = r.u8() != 0;
   m.max_sges = r.u32();
   if (m.max_sges == 0 || m.max_sges > 1024) {
@@ -151,7 +149,6 @@ std::vector<std::byte> encode(const RegisterAckMsg& m) {
   w.u32(m.magic);
   w.u16(m.version);
   put_status(w, m.ok, m.error);
-  w.u32(m.stripes);
   w.u32(m.max_sges);
   w.u64(m.granted_capacity);
   w.u64(m.granted_rate);
@@ -172,7 +169,6 @@ RegisterAckMsg decode_register_ack(std::span<const std::byte> wire) {
   check_protocol(m.magic, m.version, "registration ack");
   m.ok = r.u8() != 0;
   m.error = r.str();
-  m.stripes = r.u32();
   m.max_sges = r.u32();
   m.granted_capacity = r.u64();
   m.granted_rate = r.u64();

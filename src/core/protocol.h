@@ -25,13 +25,13 @@
 // once).
 //
 // QP rendezvous: real deployments exchange QP numbers/GIDs through RDMA CM;
-// in the simulation the registration packet carries opaque `qp_tokens`
-// (one per datapath stripe the client offers) that the daemon resolves
-// through QpRendezvous to obtain the client's QueuePairs and complete the
-// RC connections. The daemon connects min(offered, configured) stripes and
-// reports the accepted count in the ack. A replica's first slot query
-// carries one token the same way, and the source connects a responder QP
-// to it.
+// in the simulation the registration packet carries an opaque token for
+// the client's one datapath QP (`qp_tokens`, exactly one entry) that the
+// daemon resolves through QpRendezvous to obtain the client's QueuePair and
+// complete the RC connection: the daemon reads and writes each
+// registration's tensors over that one connection. A replica's first slot
+// query carries one token the same way, and the source connects a
+// responder QP to it.
 #pragma once
 
 #include <cstdint>
@@ -79,7 +79,9 @@ inline constexpr std::uint32_t kProtocolMagic = 0x50545553;  // "PTUS"
 //     the ring-config generation and the encoded shard manifest, so a
 //     shard copy's registration holds its own tensors and nothing of the
 //     rest of the model's.
-inline constexpr std::uint16_t kProtocolVersion = 11;
+// v12: a registration offers exactly one datapath QP token and the daemon
+//     connects it, so the ack no longer carries a connected-QP count.
+inline constexpr std::uint16_t kProtocolVersion = 12;
 
 enum class MsgType : std::uint8_t {
   kRegisterModel = 1,
@@ -151,8 +153,8 @@ struct RegisterModelMsg {
   std::uint32_t magic = kProtocolMagic;
   std::uint16_t version = kProtocolVersion;
   std::string model_name;
-  // One token per datapath stripe the client offers (>= 1); the daemon
-  // connects a prefix of them, bounded by its own `stripes` config.
+  // The token of the one datapath QP the client offers: exactly one entry
+  // (the decoder refuses any other count).
   std::vector<std::uint64_t> qp_tokens;
   bool phantom = false;
   // Gather entries per work request the client's NIC accepts (>= 1). The
@@ -199,8 +201,6 @@ struct RegisterAckMsg {
   std::uint16_t version = kProtocolVersion;
   bool ok = false;
   std::string error;
-  // Datapath stripes the daemon actually connected (<= tokens offered).
-  std::uint32_t stripes = 0;
   // Gather capability the daemon accepted for this registration: min of
   // the client's offer, the daemon's coalescing config, and its NIC. 1 =
   // single-SGE datapath (coalescing off).

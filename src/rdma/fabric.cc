@@ -106,7 +106,7 @@ sim::SubTask<WorkCompletion> Fabric::execute_one_sided(QueuePair& initiator, Wor
   // latency was charged above, and the summed bytes ride one path whose
   // cap is the tightest of every region touched (charge_path dedups the
   // channel list, so N members of one GPU region charge its BAR once).
-  Bandwidth cap = min(initiator.nic().spec().per_qp_cap, peer->nic().spec().per_qp_cap);
+  Bandwidth cap = min(initiator.nic().spec().per_wr_cap, peer->nic().spec().per_wr_cap);
   cap = min(cap, is_read ? local->write_cap : local->read_cap);
   // The data leaves the source NIC and enters the sink NIC: a READ pulls
   // from the peer into the initiator, a WRITE pushes the other way.
@@ -174,8 +174,8 @@ sim::SubTask<WorkCompletion> Fabric::execute_send(QueuePair& initiator, WorkRequ
   }
 
   const Bandwidth cap = min(min(local->read_cap, remote->write_cap),
-                            min(initiator.nic().spec().per_qp_cap,
-                                peer->nic().spec().per_qp_cap));
+                            min(initiator.nic().spec().per_wr_cap,
+                                peer->nic().spec().per_wr_cap));
   std::vector<sim::BandwidthChannel*> path;
   path.push_back(&initiator.nic().link());
   path.push_back(&peer->nic().rx());

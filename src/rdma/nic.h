@@ -4,11 +4,12 @@
 // receive channel (`rx`), each of `link_capacity`, and a transfer is charged
 // on its source's transmit side and its sink's receive side. Flows in one
 // direction share that direction's channel (max-min fair), so a READ pulled
-// into a NIC never queues behind a WRITE pushed out of it. A per-QP rate cap
+// into a NIC never queues behind a WRITE pushed out of it. A per-WR rate cap
 // reflects single-stream verbs efficiency: one RDMA READ stream tops out
-// near 8.3 GB/s on this hardware (Fig. 10(a): the DRAM-to-DRAM peak), while
-// multiple QPs together can push a direction toward its ~12 GB/s wire
-// limit.
+// near 8.3 GB/s on this hardware (Fig. 10(a): the DRAM-to-DRAM peak). The
+// fabric caps each work request at it, so several WRs in flight at once (a
+// pipeline window, or other clients' ops) can push a direction toward its
+// ~12 GB/s wire limit.
 #pragma once
 
 #include <memory>
@@ -24,7 +25,7 @@ namespace portus::rdma {
 
 struct NicSpec {
   Bandwidth link_capacity = Bandwidth::gb_per_sec(12.0);  // per direction
-  Bandwidth per_qp_cap = Bandwidth::gb_per_sec(8.3);
+  Bandwidth per_wr_cap = Bandwidth::gb_per_sec(8.3);
   Duration read_latency = std::chrono::microseconds{4};    // one-sided READ setup+RTT
   Duration write_latency = std::chrono::nanoseconds{3200}; // one-sided WRITE
   Duration send_latency = std::chrono::microseconds{5};    // two-sided (CPU on both ends)

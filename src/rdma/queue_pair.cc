@@ -24,13 +24,11 @@ void QueuePair::post(WorkRequest wr) {
                        static_cast<std::size_t>(nic_.spec().max_sges),
                    "gather list exceeds the NIC's max_sges");
   wr.chained = false;  // a lone post always rings its own doorbell
-  ++doorbells_;
   sq_.push(std::move(wr));
 }
 
 void QueuePair::post(std::span<const WorkRequest> wrs) {
   if (wrs.empty()) return;
-  ++doorbells_;
   // The doorbell's MMIO ring + PCIe WQE fetch only gates a WQE when the NIC
   // has drained this QP's send queue and gone idle. A chain posted while
   // earlier WQEs are still queued or in flight rides the ongoing WQE

@@ -88,8 +88,6 @@ class QueuePair {
   // the doorbell cost — entries after it are marked chained and the fabric
   // discounts NicSpec::doorbell_latency from their setup latency.
   void post(std::span<const WorkRequest> wrs);
-  // Doorbells rung on this QP (each post() call = 1, batched or not).
-  std::uint64_t doorbells() const { return doorbells_; }
   void post_recv(RecvWr wr);
 
   // Convenience: post and await the matching completion, keyed by wr_id —
@@ -119,7 +117,6 @@ class QueuePair {
   int max_outstanding_;
   QueuePair* peer_ = nullptr;
   std::uint64_t next_sync_wr_id_ = 0x5E000000ull;
-  std::uint64_t doorbells_ = 0;
 
   sim::Channel<WorkRequest> sq_;
   sim::SimSemaphore wqe_slots_;  // bounds in-flight WQEs to max_outstanding

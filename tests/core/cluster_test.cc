@@ -2469,6 +2469,7 @@ TEST(ClusterTest, ClientRejectsStaleAck) {
 TEST(ClusterTest, RegisterModelRoundtripCarriesShardIdentity) {
   RegisterModelMsg msg;
   msg.model_name = "m#s1";
+  msg.qp_tokens = {1};
   msg.shard_id = 1;
   msg.shard_count = 3;
   msg.replica = 1;
@@ -2498,7 +2499,6 @@ sim::Process record_registrations(sim::Engine& eng, net::TcpListener& listener,
         out.push_back(co_await s->recv());
         RegisterAckMsg ack;
         ack.ok = true;
-        ack.stripes = 1;
         ack.max_sges = 1;
         s->send(encode(ack));
       }

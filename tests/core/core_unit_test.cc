@@ -19,7 +19,7 @@ namespace {
 RegisterModelMsg sample_registration() {
   RegisterModelMsg m;
   m.model_name = "bert";
-  m.qp_tokens = {0xCAFE1234, 0xCAFE1235};
+  m.qp_tokens = {0xCAFE1234};
   m.phantom = false;
   for (int i = 0; i < 3; ++i) {
     m.tensors.push_back(TensorDesc{
@@ -40,7 +40,7 @@ TEST(ProtocolTest, RegisterModelRoundTrip) {
   EXPECT_EQ(decode_type(wire), MsgType::kRegisterModel);
   const auto back = decode_register_model(wire);
   EXPECT_EQ(back.model_name, "bert");
-  EXPECT_EQ(back.qp_tokens, (std::vector<std::uint64_t>{0xCAFE1234, 0xCAFE1235}));
+  EXPECT_EQ(back.qp_tokens, (std::vector<std::uint64_t>{0xCAFE1234}));
   ASSERT_EQ(back.tensors.size(), 3u);
   EXPECT_EQ(back.tensors[1].name, "bert.layer1");
   EXPECT_EQ(back.tensors[1].shape, (std::vector<std::int64_t>{512, 1024}));

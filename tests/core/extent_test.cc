@@ -513,11 +513,10 @@ void paint_tensor(dnn::Model& m, std::size_t i, std::byte value) {
 }
 
 TEST(ExtentE2ETest, CoalescedCheckpointRestoreRoundTrips) {
-  Rig r{PortusDaemon::Config{.pipeline_window = 4, .chunk_bytes = 4_KiB, .stripes = 2}};
+  Rig r{PortusDaemon::Config{.pipeline_window = 8, .chunk_bytes = 4_KiB}};
   auto& gpu = r.cluster->node("client-volta").gpu(0);
   auto model = make_small_tensor_model(gpu, 8);
-  PortusClient client{*r.cluster, r.cluster->node("client-volta"), gpu, r.rendezvous,
-                      "portusd", /*stripes=*/2};
+  PortusClient client{*r.cluster, r.cluster->node("client-volta"), gpu, r.rendezvous};
 
   bool ok = false;
   r.eng.spawn([](Rig& rig, PortusClient& c, dnn::Model& m, bool& done) -> sim::Process {
@@ -665,11 +664,10 @@ TEST(ExtentE2ETest, ElasticShardPostsFewerWrsAtTheDefaultThreshold) {
 }
 
 TEST(ExtentE2ETest, FsckIsCleanOnCoalescedImages) {
-  Rig r{PortusDaemon::Config{.pipeline_window = 4, .chunk_bytes = 4_KiB, .stripes = 2}};
+  Rig r{PortusDaemon::Config{.pipeline_window = 8, .chunk_bytes = 4_KiB}};
   auto& gpu = r.cluster->node("client-volta").gpu(0);
   auto model = make_small_tensor_model(gpu, 8);
-  PortusClient client{*r.cluster, r.cluster->node("client-volta"), gpu, r.rendezvous,
-                      "portusd", /*stripes=*/2};
+  PortusClient client{*r.cluster, r.cluster->node("client-volta"), gpu, r.rendezvous};
   r.eng.spawn([](PortusClient& c, dnn::Model& m) -> sim::Process {
     co_await c.connect();
     co_await c.register_model(m);

@@ -221,6 +221,7 @@ TEST(AdmissionControllerTest, BoundedQueueThrowsBackpressure) {
 TEST(FleetProtocolTest, V5TenantFieldsRoundtrip) {
   RegisterModelMsg m;
   m.model_name = "gpt";
+  m.qp_tokens = {1};
   m.tenant_id = "team-inference";
   m.priority = static_cast<std::uint8_t>(PriorityClass::kHigh);
   m.requested_capacity = 3_GiB;

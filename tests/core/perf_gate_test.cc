@@ -20,8 +20,13 @@
 // registration cache per job they reuse their shard's MR, so a pin put
 // back on that path shows there. A fourth pins a restore storm: the four
 // elastic models restoring at once on the survivors of a crash, where the
-// daemons serve the jobs shortest first.
+// daemons serve the jobs shortest first. Every test above runs window 1; a
+// fifth pins the windowed datapath on one QP: chunked, chained WRs with
+// several in flight, and an incremental whose clean tensors ride the window
+// as PMEM-local copies.
 #include <gtest/gtest.h>
+
+#include <functional>
 
 #include "core/client.h"
 #include "core/cluster/cluster_client.h"
@@ -164,10 +169,10 @@ TEST(PerfGateTest, ElasticModelsShardedRoundToTheNanosecond) {
     std::int64_t restore_ns;
   };
   const Row pinned[] = {
-      {"resnet50", 230'657, 189'014, 168'092, 101'602},
-      {"swin_b", 231'297, 346'310, 346'310, 206'476},
-      {"vgg19_bn", 230'642, 501'407, 501'407, 295'923},
-      {"bert", 232'058, 1'087'379, 1'087'379, 617'562},
+      {"resnet50", 230'656, 189'014, 168'092, 101'602},
+      {"swin_b", 231'296, 346'310, 346'310, 206'476},
+      {"vgg19_bn", 230'641, 501'407, 501'407, 295'923},
+      {"bert", 232'057, 1'087'379, 1'087'379, 617'562},
   };
   for (const auto& row : pinned) {
     SCOPED_TRACE(row.model);
@@ -234,7 +239,7 @@ TEST(PerfGateTest, FirstCheckpointAfterAJoinToTheNanosecond) {
   eng.run();
   proc.check();
   EXPECT_EQ(client.stats().pins, 8u);
-  EXPECT_EQ(after_join.count(), 279'922);
+  EXPECT_EQ(after_join.count(), 279'921);
   EXPECT_EQ(next.count(), 157'919);
   for (const auto& d : daemons) EXPECT_EQ(d->stats().failed_ops, 0u);
   eng.shutdown();
@@ -321,6 +326,85 @@ TEST(PerfGateTest, RestoreStormToTheNanosecond) {
     EXPECT_EQ(d->idle_workers(), d->config().workers);
   }
   eng.shutdown();
+}
+
+struct WindowedTimeline {
+  Duration checkpoint{0};
+  Duration incremental{0};
+  Duration restore{0};
+};
+
+// One model on a default daemon but for its window and chunk size: a
+// checkpoint, an incremental with every 8th tensor dirty, and a restore.
+WindowedTimeline measure_windowed(int window, Bytes chunk,
+                                  const std::function<dnn::Model(gpu::GpuDevice&)>& make) {
+  sim::Engine eng;
+  auto cluster = net::Cluster::paper_testbed(eng);
+  QpRendezvous rendezvous;
+  PortusDaemon daemon{*cluster, cluster->node("server"), rendezvous,
+                      PortusDaemon::Config{.pipeline_window = window, .chunk_bytes = chunk}};
+  daemon.start();
+  auto& volta = cluster->node("client-volta");
+  auto model = make(volta.gpu(0));
+  PortusClient client{*cluster, volta, volta.gpu(0), rendezvous};
+  WindowedTimeline t;
+  auto proc = eng.spawn([](sim::Engine& e, PortusClient& c, dnn::Model& m,
+                           WindowedTimeline& out) -> sim::Process {
+    co_await c.connect();
+    co_await c.register_model(m);
+    Time t0 = e.now();
+    co_await c.checkpoint(m, 1);
+    out.checkpoint = e.now() - t0;
+    // Nothing changed since, so the incremental lands the same bytes.
+    std::vector<std::uint32_t> dirty;
+    for (std::uint32_t i = 0; i < m.layer_count(); i += 8) dirty.push_back(i);
+    const auto golden = m.weights_crc();
+    t0 = e.now();
+    co_await c.checkpoint_incremental(m, 2, std::move(dirty));
+    out.incremental = e.now() - t0;
+    m.mutate_weights(3);
+    t0 = e.now();
+    EXPECT_EQ(co_await c.restore(m), 2u);
+    out.restore = e.now() - t0;
+    if (!m.phantom()) {
+      EXPECT_EQ(m.weights_crc(), golden) << "restore is not bit-exact";
+    }
+  }(eng, client, model, t));
+  eng.run();
+  proc.check();
+  EXPECT_EQ(daemon.stats().failed_ops, 0u);
+  EXPECT_GT(daemon.stats().peak_window, 1) << "the window never held two WRs";
+  EXPECT_GT(daemon.stats().local_chunks, 0u) << "the incremental copied nothing locally";
+  eng.shutdown();
+  return t;
+}
+
+TEST(PerfGateTest, WindowedDatapathToTheNanosecond) {
+  // pipeline_sweep's window-8 row: resnet50 at scale 0.02, 8 KiB chunks.
+  const auto sweep = measure_windowed(8, 8_KiB, [](gpu::GpuDevice& gpu) {
+    dnn::ModelZoo::Options opt;
+    opt.scale = 0.02;
+    return dnn::ModelZoo::create(gpu, "resnet50", opt);
+  });
+  EXPECT_EQ(sweep.checkpoint.count(), 325'252);
+  EXPECT_EQ(sweep.incremental.count(), 332'992);
+  EXPECT_EQ(sweep.restore.count(), 225'171);
+
+  // The fleet workload's datapath (window 4, 4 MiB chunks) on a 32 MiB
+  // phantom model of 8 tensors.
+  const auto fleet = measure_windowed(4, 4_MiB, [](gpu::GpuDevice& gpu) {
+    dnn::Model m{"fleet-job", gpu};
+    for (int i = 0; i < 8; ++i) {
+      m.add_tensor(dnn::TensorMeta{.name = "w" + std::to_string(i),
+                                   .dtype = dnn::DType::kF32,
+                                   .shape = {static_cast<std::int64_t>(4_MiB / 4)}},
+                   /*phantom=*/true);
+    }
+    return m;
+  });
+  EXPECT_EQ(fleet.checkpoint.count(), 4'417'537);
+  EXPECT_EQ(fleet.incremental.count(), 4'412'362);
+  EXPECT_EQ(fleet.restore.count(), 2'849'764);
 }
 
 }  // namespace

@@ -1,5 +1,5 @@
 // Pipelined datapath engine: window=1 serial equivalence, chunk-boundary
-// edge cases, crash consistency mid-pipeline, stripe/window end-to-end
+// edge cases, crash consistency mid-pipeline, windowed end-to-end
 // correctness, the worker pool's shortest-remaining-transfer-first order,
 // and the client-side failure-recovery guard.
 #include <gtest/gtest.h>
@@ -76,8 +76,8 @@ TEST(ChunkSpansTest, SplitsTensorsAtChunkBoundaries) {
 
 // --- wire-level serial equivalence ------------------------------------------
 
-// Two NICs + DRAM segments wired through one fabric, with `lanes` QP pairs
-// all delivering into one server-side CQ — the shape a daemon session has.
+// Two NICs + DRAM segments wired through one fabric by one QP pair, the
+// server side `depth` WQEs deep: the shape a daemon session has.
 struct WireRig {
   static constexpr Bytes kRegion = 16_MiB;
 
@@ -96,23 +96,19 @@ struct WireRig {
   rdma::CompletionQueue server_cq{eng};
   const rdma::MemoryRegion* src_mr = nullptr;
   const rdma::MemoryRegion* dst_mr = nullptr;
-  std::vector<rdma::QueuePair*> server_qps;
+  rdma::QueuePair* server_qp = nullptr;
 
   // Back-to-back 256-aligned "tensors", mirroring MIndex slot layout.
   std::vector<Bytes> sizes{8_KiB, 300, 64_KiB, 256_KiB + 512, 128_KiB};
   std::vector<Bytes> offsets;
 
-  WireRig(int lanes, int depth) {
+  explicit WireRig(int depth) {
     src_mr = &cpd.register_region(rdma::RegionDesc{
         .segment = src.get(), .addr = src->base_addr(), .length = kRegion});
     dst_mr = &spd.register_region(rdma::RegionDesc{
         .segment = dst.get(), .addr = dst->base_addr(), .length = kRegion});
-    for (int i = 0; i < lanes; ++i) {
-      auto& sqp = fabric.create_qp(server_nic, spd, server_cq, depth);
-      auto& cqp = fabric.create_qp(client_nic, cpd, client_cq);
-      fabric.connect(sqp, cqp);
-      server_qps.push_back(&sqp);
-    }
+    server_qp = &fabric.create_qp(server_nic, spd, server_cq, depth);
+    fabric.connect(*server_qp, fabric.create_qp(client_nic, cpd, client_cq));
     Bytes cursor = 0;
     for (std::size_t i = 0; i < sizes.size(); ++i) {
       offsets.push_back(cursor);
@@ -146,7 +142,7 @@ struct WireRig {
 Duration run_serial_pulls(WireRig& rig) {
   rig.eng.spawn([](WireRig& r) -> sim::Process {
     for (std::size_t i = 0; i < r.sizes.size(); ++i) {
-      const auto wc = co_await r.server_qps[0]->read_sync(
+      const auto wc = co_await r.server_qp->read_sync(
           r.dst_mr->lkey, r.dst_mr->addr + r.offsets[i], r.sizes[i], r.src_mr->rkey,
           r.src_mr->addr + r.offsets[i]);
       EXPECT_EQ(wc.status, rdma::WcStatus::kSuccess);
@@ -158,8 +154,7 @@ Duration run_serial_pulls(WireRig& rig) {
 
 Duration run_pipelined_pulls(WireRig& rig, int window, PipelinedTransfer::Stats* out) {
   rig.eng.spawn([](WireRig& r, int w, PipelinedTransfer::Stats* stats) -> sim::Process {
-    PipelinedTransfer pipe{r.eng, r.server_qps, r.server_cq,
-                           PipelinedTransfer::Config{.window = w}};
+    PipelinedTransfer pipe{r.eng, *r.server_qp, PipelinedTransfer::Config{.window = w}};
     auto chunks = r.pull_chunks();
     co_await pipe.run(std::move(chunks));
     if (stats != nullptr) *stats = pipe.stats();
@@ -169,11 +164,11 @@ Duration run_pipelined_pulls(WireRig& rig, int window, PipelinedTransfer::Stats*
 }
 
 TEST(PipelineTest, WindowOneMatchesSerialPathExactly) {
-  WireRig serial_rig{1, 1};
+  WireRig serial_rig{1};
   const Duration serial = run_serial_pulls(serial_rig);
   serial_rig.expect_bytes_arrived();
 
-  WireRig pipe_rig{1, 1};
+  WireRig pipe_rig{1};
   PipelinedTransfer::Stats stats;
   const Duration pipelined = run_pipelined_pulls(pipe_rig, 1, &stats);
   pipe_rig.expect_bytes_arrived();
@@ -184,28 +179,27 @@ TEST(PipelineTest, WindowOneMatchesSerialPathExactly) {
   EXPECT_EQ(stats.peak_window, 1);
 }
 
-TEST(PipelineTest, WindowedStripedPullsOverlapAndStayByteIdentical) {
-  WireRig serial_rig{1, 1};
+TEST(PipelineTest, WindowedPullsOverlapAndStayByteIdentical) {
+  WireRig serial_rig{1};
   const Duration serial = run_serial_pulls(serial_rig);
 
-  WireRig pipe_rig{2, 8};
+  WireRig pipe_rig{16};
   PipelinedTransfer::Stats stats;
-  const Duration pipelined = run_pipelined_pulls(pipe_rig, 8, &stats);
+  const Duration pipelined = run_pipelined_pulls(pipe_rig, 16, &stats);
   pipe_rig.expect_bytes_arrived();
 
   EXPECT_LT(pipelined.count(), serial.count())
-      << "a deep window over two stripes must beat the serial path";
+      << "a deep window on one QP must beat the serial path";
   EXPECT_GT(stats.peak_window, 1);
   EXPECT_LE(stats.peak_window, 2 * 8);
   EXPECT_GT(stats.mean_window(), 1.0);
 }
 
 TEST(PipelineTest, FailedChunkDrainsWindowThenThrows) {
-  WireRig rig{1, 4};
+  WireRig rig{4};
   bool threw = false;
   rig.eng.spawn([](WireRig& r, bool& out) -> sim::Process {
-    PipelinedTransfer pipe{r.eng, r.server_qps, r.server_cq,
-                           PipelinedTransfer::Config{.window = 4}};
+    PipelinedTransfer pipe{r.eng, *r.server_qp, PipelinedTransfer::Config{.window = 4}};
     auto chunks = r.pull_chunks();
     chunks[2].rkey = 0xDEAD;  // poison one chunk mid-list
     try {
@@ -241,20 +235,18 @@ void paint_tensor(dnn::Model& m, std::size_t i, std::byte value) {
   buf.segment().fill(buf.offset(), buf.size(), value);
 }
 
-TEST(PipelineTest, ChunkedStripedCheckpointRestoreRoundTrips) {
-  Rig r{PortusDaemon::Config{.pipeline_window = 4, .chunk_bytes = 4_KiB, .stripes = 2}};
+TEST(PipelineTest, ChunkedWindowedCheckpointRestoreRoundTrips) {
+  Rig r{PortusDaemon::Config{.pipeline_window = 8, .chunk_bytes = 4_KiB}};
   auto& gpu = r.cluster->node("client-volta").gpu(0);
   dnn::ModelZoo::Options opt;
   opt.scale = 0.02;
   auto model = dnn::ModelZoo::create(gpu, "resnet50", opt);
-  PortusClient client{*r.cluster, r.cluster->node("client-volta"), gpu, r.rendezvous,
-                      "portusd", /*stripes=*/2};
+  PortusClient client{*r.cluster, r.cluster->node("client-volta"), gpu, r.rendezvous};
 
   bool ok = false;
   r.eng.spawn([](Rig& rig, PortusClient& c, dnn::Model& m, bool& done) -> sim::Process {
     co_await c.connect();
     co_await c.register_model(m);
-    EXPECT_EQ(c.stats().negotiated_stripes, 2u);
 
     co_await c.checkpoint(m, 1);
     const auto crc_epoch1 = m.weights_crc();
@@ -270,7 +262,7 @@ TEST(PipelineTest, ChunkedStripedCheckpointRestoreRoundTrips) {
     const auto epoch = co_await c.restore(m);
     EXPECT_EQ(epoch, 2u);
     EXPECT_EQ(m.weights_crc(), crc_epoch2)
-        << "chunked+striped pull/copy/push must reassemble the exact state";
+        << "chunked+windowed pull/copy/push must reassemble the exact state";
     EXPECT_NE(crc_epoch1, crc_epoch2);
 
     const auto& s = rig.daemon->stats();
@@ -288,14 +280,13 @@ TEST(PipelineTest, ChunkedStripedCheckpointRestoreRoundTrips) {
 }
 
 TEST(PipelineTest, PipelinedCheckpointBeatsSerialEndToEnd) {
-  const auto run_world = [](PortusDaemon::Config config, int stripes) {
+  const auto run_world = [](PortusDaemon::Config config) {
     Rig r{std::move(config)};
     auto& gpu = r.cluster->node("client-volta").gpu(0);
     dnn::ModelZoo::Options opt;
     opt.scale = 0.02;
     auto model = dnn::ModelZoo::create(gpu, "resnet50", opt);
-    PortusClient client{*r.cluster, r.cluster->node("client-volta"), gpu, r.rendezvous,
-                        "portusd", stripes};
+    PortusClient client{*r.cluster, r.cluster->node("client-volta"), gpu, r.rendezvous};
     r.eng.spawn([](PortusClient& c, dnn::Model& m) -> sim::Process {
       co_await c.connect();
       co_await c.register_model(m);
@@ -306,23 +297,22 @@ TEST(PipelineTest, PipelinedCheckpointBeatsSerialEndToEnd) {
     return client.stats().last_checkpoint;
   };
 
-  const Duration serial = run_world(PortusDaemon::Config{}, 1);
-  const Duration pipelined = run_world(
-      PortusDaemon::Config{.pipeline_window = 8, .chunk_bytes = 64_KiB, .stripes = 2}, 2);
+  const Duration serial = run_world(PortusDaemon::Config{});
+  const Duration pipelined =
+      run_world(PortusDaemon::Config{.pipeline_window = 16, .chunk_bytes = 64_KiB});
   EXPECT_LT(to_seconds(pipelined), to_seconds(serial) * 0.6)
-      << "windowed+striped datapath must clearly beat the serial loop "
+      << "windowed datapath must clearly beat the serial loop "
       << "(serial " << serial.count() << " ns, pipelined " << pipelined.count() << " ns)";
 }
 
 TEST(PipelineTest, CrashMidPipelineNeverLeavesTornDoneSlot) {
   for (const double fraction : {0.3, 0.5, 0.7}) {
-    Rig r{PortusDaemon::Config{.pipeline_window = 8, .chunk_bytes = 2_KiB, .stripes = 2}};
+    Rig r{PortusDaemon::Config{.pipeline_window = 16, .chunk_bytes = 2_KiB}};
     auto& gpu = r.cluster->node("client-volta").gpu(0);
     dnn::ModelZoo::Options opt;
     opt.scale = 0.02;
     auto model = dnn::ModelZoo::create(gpu, "resnet50", opt);
-    PortusClient client{*r.cluster, r.cluster->node("client-volta"), gpu, r.rendezvous,
-                        "portusd", /*stripes=*/2};
+    PortusClient client{*r.cluster, r.cluster->node("client-volta"), gpu, r.rendezvous};
 
     // Epoch 1 completes cleanly.
     r.eng.spawn([](PortusClient& c, dnn::Model& m) -> sim::Process {
@@ -372,13 +362,12 @@ TEST(PipelineTest, CrashMidPipelineNeverLeavesTornDoneSlot) {
 }
 
 TEST(PipelineTest, StatsSurfaceThroughPortusctl) {
-  Rig r{PortusDaemon::Config{.pipeline_window = 4, .chunk_bytes = 8_KiB, .stripes = 2}};
+  Rig r{PortusDaemon::Config{.pipeline_window = 8, .chunk_bytes = 8_KiB}};
   auto& gpu = r.cluster->node("client-volta").gpu(0);
   dnn::ModelZoo::Options opt;
   opt.scale = 0.02;
   auto model = dnn::ModelZoo::create(gpu, "alexnet", opt);
-  PortusClient client{*r.cluster, r.cluster->node("client-volta"), gpu, r.rendezvous,
-                      "portusd", /*stripes=*/2};
+  PortusClient client{*r.cluster, r.cluster->node("client-volta"), gpu, r.rendezvous};
   r.eng.spawn([](PortusClient& c, dnn::Model& m) -> sim::Process {
     co_await c.connect();
     co_await c.register_model(m);

@@ -50,7 +50,6 @@ struct Rig {
       r.sent = decode_register_model(wire);
       RegisterAckMsg ack;
       ack.ok = true;
-      ack.stripes = 1;
       auto ack_wire = encode(ack);
       r.ack_bytes = ack_wire.size();
       r.session->send(std::move(ack_wire));

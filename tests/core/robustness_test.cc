@@ -97,7 +97,7 @@ TEST(RobustnessTest, ProtocolDecodersNeverCrashOnGarbage) {
 TEST(RobustnessTest, ClusterDecodersSurviveMutationFuzz) {
   RegisterModelMsg reg;
   reg.model_name = "resnet50#s0r0";
-  reg.qp_tokens = {1, 2};
+  reg.qp_tokens = {1};
   reg.shard_id = 0;
   reg.shard_count = 2;
   reg.replica = 0;
@@ -108,7 +108,6 @@ TEST(RobustnessTest, ClusterDecodersSurviveMutationFuzz) {
 
   RegisterAckMsg ack;
   ack.ok = true;
-  ack.stripes = 2;
   const auto ack_wire = encode(ack);
 
   // An armed round (v8): the pull and its forward's messages, one round id.
@@ -165,6 +164,7 @@ TEST(RobustnessTest, ClusterDecodersSurviveMutationFuzz) {
 TEST(RobustnessTest, TruncatedValidMessagesThrow) {
   RegisterModelMsg msg;
   msg.model_name = "bert";
+  msg.qp_tokens = {1};
   msg.tensors.push_back(TensorDesc{.name = "t", .shape = {4, 4}, .size = 64});
   const auto wire = encode(msg);
   for (std::size_t cut = 1; cut < wire.size(); ++cut) {
@@ -272,6 +272,7 @@ TEST(RobustnessTest, UndecodableRequestIsRefusedAndTheSessionServesOn) {
     rs_req.required_epoch = 1;
     RegisterModelMsg reg;
     reg.model_name = "bert";
+    reg.qp_tokens = {1};
     reg.tensors.push_back(TensorDesc{.name = "t", .shape = {4, 4}, .size = 64});
 
     socket->send(truncated(encode(ck_req)));
@@ -356,6 +357,49 @@ TEST(RobustnessTest, UndecodableRequestIsRefusedAndTheSessionServesOn) {
   // one undecodable finish notice. A slot query the daemon answers ok=false
   // is no failed op: no client op ran.
   EXPECT_EQ(r.daemon->stats().failed_ops, 8u);
+}
+
+// A registration offers the daemon its one datapath QP. The decoder refuses
+// any other count as Corruption, so the daemon refuses such a registration
+// before it lays anything out; the same registration with one token
+// registers.
+TEST(RobustnessTest, RegistrationOffersExactlyOneQp) {
+  Rig r;
+  auto& node = r.cluster->node("client-volta");
+  auto& pd = node.nic().alloc_pd("raw-pd");
+  rdma::CompletionQueue cq{r.eng};
+  std::vector<std::uint64_t> tokens;
+  for (int i = 0; i < 2; ++i) {
+    tokens.push_back(r.rendezvous.publish(r.cluster->fabric().create_qp(node.nic(), pd, cq)));
+  }
+  RegisterModelMsg reg;
+  reg.model_name = "bert";
+  reg.tensors.push_back(TensorDesc{.name = "t", .shape = {4, 4}, .size = 64});
+  for (const std::size_t offered : {0u, 2u}) {
+    reg.qp_tokens.assign(tokens.begin(), tokens.begin() + offered);
+    EXPECT_THROW((void)decode_register_model(encode(reg)), Corruption) << offered << " tokens";
+  }
+
+  bool done = false;
+  r.eng.spawn([](Rig& rig, RegisterModelMsg msg, std::vector<std::uint64_t> offer,
+                 bool& ok) -> sim::Process {
+    auto socket = co_await rig.cluster->endpoint("portusd").connect();
+    for (const std::size_t offered : {0u, 2u, 1u}) {
+      msg.qp_tokens.assign(offer.begin(), offer.begin() + offered);
+      auto wire = encode(msg);
+      socket->send(std::move(wire));
+      const auto reply = co_await socket->recv();
+      const auto ack = decode_register_ack(reply);
+      EXPECT_EQ(ack.ok, offered == 1) << offered << " tokens: " << ack.error;
+    }
+    ok = true;
+  }(r, reg, tokens, done));
+  r.eng.run();
+  ASSERT_TRUE(done);
+  EXPECT_EQ(r.eng.failed_process_count(), 0);
+  EXPECT_EQ(r.daemon->stats().registrations, 1u);
+  EXPECT_EQ(r.daemon->stats().failed_ops, 2u);
+  EXPECT_NE(r.daemon->find_live_index("bert"), nullptr);
 }
 
 // Type 9 once named an ERROR message that nothing ever sent or handled; a

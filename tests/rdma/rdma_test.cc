@@ -250,7 +250,7 @@ TEST(RdmaPhantomTest, PhantomRegionMovesTimeNotBytes) {
 }
 
 // Contention: N concurrent QPs reading through the same server NIC share its
-// link capacity (12 GB/s), not N x the per-QP cap.
+// link capacity (12 GB/s), not N x the per-WR cap.
 class RdmaContentionTest : public ::testing::TestWithParam<int> {};
 
 TEST_P(RdmaContentionTest, ConcurrentReadsShareServerLink) {
@@ -349,7 +349,7 @@ DuplexEnds run_duplex(bool post_read, bool post_write) {
 }
 
 // The port is full duplex: a READ into a NIC and a WRITE out of it, posted
-// together, each run at its lone per-QP rate, where same-direction flows
+// together, each run at its lone per-WR rate, where same-direction flows
 // (above) share one direction's 12 GB/s.
 TEST(RdmaDuplexTest, ReadInAndWriteOutDoNotShareTheServerLink) {
   const auto read_alone = run_duplex(true, false).read;

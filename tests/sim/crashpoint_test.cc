@@ -206,8 +206,7 @@ Recording record_checkpoint_workload() {
   core::QpRendezvous rendezvous;
   core::PortusDaemon::Config cfg;
   cfg.chunk_bytes = 64_KiB;
-  cfg.pipeline_window = 4;
-  cfg.stripes = 2;
+  cfg.pipeline_window = 8;
   core::PortusDaemon daemon{*world, world->node("server"), rendezvous, cfg};
   daemon.start();
   auto& device = daemon.device();
@@ -216,8 +215,7 @@ Recording record_checkpoint_workload() {
   dnn::ModelZoo::Options opt;
   opt.scale = 0.01;
   auto model = dnn::ModelZoo::create(client_node.gpu(0), "alexnet", opt);
-  core::PortusClient client{*world, client_node, client_node.gpu(0), rendezvous,
-                            "portusd", /*stripes=*/2};
+  core::PortusClient client{*world, client_node, client_node.gpu(0), rendezvous};
 
   sim::CrashpointRecorder recorder{device};
   eng.spawn([](core::PortusClient& c, dnn::Model& m, pmem::PmemDevice& dev,
@@ -282,8 +280,7 @@ Recording record_coalesced_workload() {
   core::QpRendezvous rendezvous;
   core::PortusDaemon::Config cfg;
   cfg.chunk_bytes = 4_KiB;
-  cfg.pipeline_window = 4;
-  cfg.stripes = 2;
+  cfg.pipeline_window = 8;
   cfg.coalesce_threshold = 2_KiB;
   cfg.max_sges = 8;
   core::PortusDaemon daemon{*world, world->node("server"), rendezvous, cfg};
@@ -303,8 +300,7 @@ Recording record_coalesced_workload() {
   }
   model.add_tensor(dnn::TensorMeta{.name = "embed", .shape = {32, 256}}, false);
   model.randomize_weights(0xC0A1E5CE);
-  core::PortusClient client{*world, client_node, client_node.gpu(0), rendezvous,
-                            "portusd", /*stripes=*/2};
+  core::PortusClient client{*world, client_node, client_node.gpu(0), rendezvous};
 
   sim::CrashpointRecorder recorder{device};
   eng.spawn([](core::PortusClient& c, dnn::Model& m, pmem::PmemDevice& dev,
@@ -360,8 +356,7 @@ TEST(CrashpointTest, CoalescedCheckpointBoundariesSurvivePowerCut) {
 core::PortusDaemon::Config sharded_cfg() {
   core::PortusDaemon::Config cfg;
   cfg.chunk_bytes = 16_KiB;
-  cfg.pipeline_window = 4;
-  cfg.stripes = 2;
+  cfg.pipeline_window = 8;
   cfg.shards = 4;
   // Small on purpose: slot-layout allocations overrun one reservation, so
   // the recorded run crosses the refill path many times.
@@ -393,8 +388,7 @@ Recording record_sharded_refill_workload() {
   }
   model.add_tensor(dnn::TensorMeta{.name = "embed", .shape = {32, 256}}, false);
   model.randomize_weights(0x54A6D);
-  core::PortusClient client{*world, client_node, client_node.gpu(0), rendezvous,
-                            "portusd", /*stripes=*/2};
+  core::PortusClient client{*world, client_node, client_node.gpu(0), rendezvous};
 
   sim::CrashpointRecorder recorder{device};
   eng.spawn([](core::PortusClient& c, dnn::Model& m, pmem::PmemDevice& dev,
